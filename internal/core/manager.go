@@ -57,9 +57,9 @@ type Manager struct {
 	// read machines sequentially instead of chasing one heap pointer per
 	// peer. Peer.State caches the element's address — stable, because
 	// chunks are never reallocated — and the machine survives slot
-	// recycling exactly as the individually heap-allocated ones did.
-	// Growth happens only on the serial join path (InitialLayer,
-	// OnLayerChange), never inside a parallel lane.
+	// recycling: the next tenant's InitialLayer resets it. Growth happens
+	// only on the serial join path (InitialLayer), never inside a
+	// parallel lane.
 	mach [][]protocol.Machine
 
 	// pendingLive is a conservative "some request may be outstanding"
@@ -145,18 +145,11 @@ func (m *Manager) machineFor(slot int32, joined protocol.Time) *protocol.Machine
 	return ma
 }
 
-// state returns the peer's protocol machine. Every peer that joined
-// through the overlay already carries its arena machine (bound in
-// InitialLayer); the lazy branch serves only peers constructed outside
-// Join (tests), and must not touch the arena — state is called from
-// parallel lanes, where arena growth would race.
-func (m *Manager) state(n *overlay.Network, p *overlay.Peer) *protocol.Machine {
-	ma, ok := p.State.(*protocol.Machine)
-	if !ok {
-		ma = protocol.NewMachine(&m.P, protocol.Time(p.JoinTime))
-		p.State = ma
-	}
-	return ma
+// state returns the peer's protocol machine: the arena machine
+// InitialLayer bound at Join. It is called from parallel lanes and never
+// allocates.
+func (m *Manager) state(p *overlay.Peer) *protocol.Machine {
+	return p.State.(*protocol.Machine)
 }
 
 // laneState is one lane's slice of the parallel decision phase.
@@ -271,7 +264,7 @@ func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 // retry later).
 func (m *Manager) exchange(n *overlay.Network, leaf, super *overlay.Peer) {
 	now := protocol.Time(n.Now())
-	lm, sm := m.state(n, leaf), m.state(n, super)
+	lm, sm := m.state(leaf), m.state(super)
 	lm.Expect(super.ID, msg.KindNeighNumRequest, now)
 	sm.Expect(leaf.ID, msg.KindValueRequest, now)
 	lm.Expect(super.ID, msg.KindValueRequest, now)
@@ -310,7 +303,7 @@ func (m *Manager) OnDisconnect(n *overlay.Network, a, b *overlay.Peer) {
 		return
 	}
 	if super.Alive() {
-		m.state(n, super).Drop(leaf.ID)
+		m.state(super).Drop(leaf.ID)
 	}
 }
 
@@ -319,11 +312,7 @@ func (m *Manager) OnDisconnect(n *overlay.Network, a, b *overlay.Peer) {
 // information from its surviving links as if they were fresh connections.
 func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay.Layer) {
 	now := protocol.Time(n.Now())
-	if ma, ok := p.State.(*protocol.Machine); ok {
-		ma.Reset(now)
-	} else {
-		p.State = m.machineFor(p.Slot(), now)
-	}
+	m.state(p).Reset(now)
 
 	switch p.Layer {
 	case overlay.LayerSuper:
@@ -336,7 +325,7 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 		// supers must forget p as a leaf.
 		for _, id := range p.SuperLinks() {
 			if q := n.Peer(id); q != nil {
-				m.state(n, q).Drop(p.ID)
+				m.state(q).Drop(p.ID)
 			}
 		}
 	case overlay.LayerLeaf:
@@ -364,7 +353,7 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 // HandleMessage for another peer before this call returns.
 func (m *Manager) HandleMessage(n *overlay.Network, to *overlay.Peer, mm *msg.Message) {
 	now := n.Now()
-	ma := m.state(n, to)
+	ma := m.state(to)
 	saved := m.ep
 	m.ep = simEndpoint{n: n, self: to}
 	ma.HandleMessage(selfView(to, now), mm, protocol.Time(now), &m.ep)
@@ -379,7 +368,7 @@ func (m *Manager) HandleMessage(n *overlay.Network, to *overlay.Peer, mm *msg.Me
 // worker scheduling cannot perturb anything observable.
 func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *msg.Message, lane int, out *[]msg.Message) {
 	now := n.Now()
-	ma := m.state(n, to)
+	ma := m.state(to)
 	ep := &m.laneEPs[lane]
 	ep.n, ep.self, ep.out = n, to, out
 	ma.HandleMessage(selfView(to, now), mm, protocol.Time(now), ep)
@@ -443,7 +432,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 		ls := &m.lanes[lane]
 		ls.evals = ls.evals[:0]
 		n.WalkLane(lane, func(p *overlay.Peer) {
-			ma := m.state(n, p)
+			ma := m.state(p)
 			isSuper := p.Layer == overlay.LayerSuper
 			if isSuper {
 				// Advance the l_nn EWMA once per tick, decisions or
@@ -625,7 +614,7 @@ func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
 // full scan executed for every due leaf — and re-enrolls the leaf for
 // its next due tick.
 func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protocol.Time) {
-	lm := m.state(n, leaf)
+	lm := m.state(leaf)
 	if !lm.RefreshDue(pnow) {
 		// Stamped more recently than the booking (defensive; bookings are
 		// invalidated on re-enrollment, so this should not trigger).
@@ -661,7 +650,7 @@ func (m *Manager) refreshDueScan(n *overlay.Network, now sim.Time) {
 		if leaf.Layer != overlay.LayerLeaf {
 			return
 		}
-		lm := m.state(n, leaf)
+		lm := m.state(leaf)
 		if !lm.RefreshDue(pnow) {
 			return
 		}

@@ -91,7 +91,7 @@ func TestValueResponseRaceDropped(t *testing.T) {
 	// by the super.
 	stranger := n.Join(10, 100, nil)
 	n.Disconnect(stranger, s)
-	st := mgr.state(n, s)
+	st := mgr.state(s)
 	st.Drop(stranger.ID)
 	sizeBefore := st.Size()
 	stale := msg.ValueResponse(stranger.ID, s.ID, 5, 5)
@@ -107,11 +107,11 @@ func TestPromotionResetsStateAndOldSupersForget(t *testing.T) {
 	n.Join(100, 1000, nil)
 	leaf := n.Join(50, 500, nil)
 	sup := n.Peer(leaf.SuperLinks()[0])
-	if !mgr.state(n, sup).Has(leaf.ID) {
+	if !mgr.state(sup).Has(leaf.ID) {
 		t.Fatal("precondition: super knows leaf")
 	}
 	n.Promote(leaf)
-	if mgr.state(n, sup).Has(leaf.ID) {
+	if mgr.state(sup).Has(leaf.ID) {
 		t.Fatal("old super still has promoted peer in G")
 	}
 	st := leaf.State.(*protocol.Machine)

@@ -88,9 +88,9 @@ func TestShardInvariance(t *testing.T) {
 }
 
 // TestShardInvarianceLatency is the event-plane half of the determinism
-// contract: with a non-zero message latency every delivery waits on its
-// target peer's lane queue and same-timestamp deliveries fire as
-// eval/commit batches — the trace, snapshot, lane-event count and batch
+// contract: with a non-zero message latency every delivery is a queued
+// event tagged with its target peer's lane and same-timestamp deliveries
+// fire as eval/commit batches — the trace, snapshot, lane-event count and batch
 // count must all be invariant across worker counts, and batching must
 // actually have happened (otherwise the test is vacuous).
 func TestShardInvarianceLatency(t *testing.T) {
@@ -100,7 +100,7 @@ func TestShardInvarianceLatency(t *testing.T) {
 			t.Fatalf("seed %d: empty decision trace — invariance would be vacuous", seed)
 		}
 		if baseLane == 0 || baseBatch == 0 {
-			t.Fatalf("seed %d: lane events %d, batches %d — the sharded event plane never engaged",
+			t.Fatalf("seed %d: lane events %d, batches %d — lane batching never engaged",
 				seed, baseLane, baseBatch)
 		}
 		for _, k := range []int{2, 4, 7} {

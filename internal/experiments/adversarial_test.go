@@ -148,7 +148,7 @@ func TestScaleShortSweep(t *testing.T) {
 			rows[0].LaneEvents, rows[0].Batches, rows[1].LaneEvents, rows[1].Batches)
 	}
 	if rows[0].LaneEvents == 0 {
-		t.Error("no lane events fired — the sweep never exercised the sharded event plane")
+		t.Error("no lane events fired — the sweep never scheduled a peer-targeted event")
 	}
 	out := FormatScale(rows)
 	if !strings.Contains(out, "events") || !strings.Contains(out, "laneev") {

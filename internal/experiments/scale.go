@@ -26,9 +26,9 @@ type ScaleRow struct {
 	Duration float64
 	// Events is the number of discrete events the engine fired.
 	Events uint64
-	// LaneEvents is how many of those fired from per-peer lane queues
+	// LaneEvents is how many of those were tagged with a peer lane
 	// (deliveries, churn timers) and Batches how many same-timestamp
-	// eval/commit batches the sharded event plane ran. Both are pure
+	// eval/commit batches the event plane ran. Both are pure
 	// functions of the seed: like Events they are identical down a shard
 	// column, extending the artifact's determinism check to the event
 	// plane.

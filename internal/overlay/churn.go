@@ -123,11 +123,9 @@ func (c *Churn) joinOne(ev *churnEvent) {
 		ev = c.getEvent()
 	}
 	ev.id = p.ID
-	// The death timer is a peer-targeted event: it waits on the lane that
-	// owns the new peer's slab page. Firing order is engine-global (the
-	// insertion sequence is shared across lanes), so routing changes only
-	// which queue carries the timer. Churn events never batch — Leave and
-	// the replacement Join draw from shared streams and mutate cross-peer
-	// structure — they just keep the per-lane queues shallow.
+	// The death timer is a peer-targeted event, so it is tagged with the
+	// lane that owns the new peer's slab page (and counts as a lane event).
+	// Churn events never batch — Leave and the replacement Join draw from
+	// shared streams and mutate cross-peer structure.
 	eng.AfterLane(c.Net.LaneOf(p), life, ev)
 }

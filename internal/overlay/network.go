@@ -167,13 +167,11 @@ type Network struct {
 	// delivery's Batchable.
 	parMgr ParallelManager
 
-	// deliverPools recycle delivery events per lane (plus the global
-	// queue's pool at index NumLanes) so the message plane stays
-	// zero-alloc without contending on one free-list when same-timestamp
-	// deliveries fire lane-parallel. Pools are only touched from the
-	// serial phases (Send, Fire, CommitLane), so they need no locking;
-	// each is capped so a burst does not pin its peak forever.
-	deliverPools [NumLanes + 1][]*deliverEvent
+	// deliverPool recycles delivery events so the message plane stays
+	// zero-alloc. It is only touched from the serial phases (Send, Fire,
+	// CommitLane), so it needs no locking; it is capped so a burst does
+	// not pin its peak forever.
+	deliverPool []*deliverEvent
 
 	// laneSend buffers the messages produced by lane-parallel message
 	// handling (ParallelManager.HandleMessageLane); each deliverEvent
@@ -205,15 +203,15 @@ type ParallelManager interface {
 	HandleMessageLane(n *Network, to *Peer, m *msg.Message, lane int, out *[]msg.Message)
 }
 
-// maxDeliverPool caps each per-lane delivery-event pool; the pool only
-// grows past steady state when a burst leaves more carriers in flight
-// than ever before, and without a cap that peak is pinned forever.
-const maxDeliverPool = 256
+// maxDeliverPool caps the delivery-event pool; the pool only grows past
+// steady state when a burst leaves more carriers in flight than ever
+// before, and without a cap that peak is pinned forever.
+const maxDeliverPool = (NumLanes + 1) * 256
 
 // deliverEvent carries one in-flight message; it implements sim.Event for
 // latency-delayed delivery and sim.LaneEvent for same-timestamp batched
-// delivery. lane is the queue it was scheduled on (the target's lane at
-// send time, or the global queue for targets already dead then); lo/hi
+// delivery. lane is the lane it was scheduled under (the target's lane at
+// send time, or sim.GlobalLane for targets already dead then); lo/hi
 // bound its buffered sends in laneSend[lane] between EvalLane and
 // CommitLane.
 type deliverEvent struct {
@@ -269,21 +267,22 @@ func (d *deliverEvent) CommitLane(*sim.Engine) {
 	n.putDeliver(d)
 }
 
+// getDeliver returns a carrier stamped with lane, recycled when the pool
+// has one.
 func (n *Network) getDeliver(lane int32) *deliverEvent {
-	pool := &n.deliverPools[lane]
-	if l := len(*pool); l > 0 {
-		d := (*pool)[l-1]
-		(*pool)[l-1] = nil
-		*pool = (*pool)[:l-1]
+	if l := len(n.deliverPool); l > 0 {
+		d := n.deliverPool[l-1]
+		n.deliverPool[l-1] = nil
+		n.deliverPool = n.deliverPool[:l-1]
+		d.lane = lane
 		return d
 	}
 	return &deliverEvent{n: n, lane: lane}
 }
 
 func (n *Network) putDeliver(d *deliverEvent) {
-	pool := &n.deliverPools[d.lane]
-	if len(*pool) < maxDeliverPool {
-		*pool = append(*pool, d)
+	if len(n.deliverPool) < maxDeliverPool {
+		n.deliverPool = append(n.deliverPool, d)
 	}
 }
 
@@ -436,8 +435,8 @@ func (n *Network) Send(m msg.Message) {
 	if n.cfg.Latency <= 0 {
 		// Inline delivery still rides a pooled carrier: deliver's manager
 		// call is an interface call, so &m would escape and put every Send
-		// on the heap. The carrier never enters the event plane, so the
-		// global pool serves regardless of the target's lane.
+		// on the heap. The carrier never enters the event plane, so its
+		// lane tag is moot.
 		d := n.getDeliver(sim.GlobalLane)
 		d.m = m
 		n.traffic.Record(&d.m)
@@ -452,10 +451,9 @@ func (n *Network) Send(m msg.Message) {
 }
 
 // laneFor returns the event lane for a message addressed to id: the
-// target's lane, so its deliveries and timers share a queue with the
-// peers the tick walk assigns to that lane — or the global queue when
-// the target is already gone (the delivery fires into nothing and has no
-// owner to co-locate with).
+// target's lane, so a batched delivery evaluates on the lane that owns
+// the target's state — or sim.GlobalLane when the target is already gone
+// (the delivery fires into nothing and has no owner).
 func (n *Network) laneFor(id msg.PeerID) int32 {
 	if p := n.store.get(id); p != nil {
 		return int32(n.LaneOf(p))
@@ -487,7 +485,12 @@ func (n *Network) sendFaulty(m msg.Message) {
 	}
 	for i := 0; i < copies; i++ {
 		if delays[i] <= 0 {
-			n.deliver(&m)
+			// A pooled carrier, as in Send: &m would move m to the heap
+			// on every call, delayed or not.
+			d := n.getDeliver(sim.GlobalLane)
+			d.m = m
+			n.deliver(&d.m)
+			n.putDeliver(d)
 			continue
 		}
 		d := n.getDeliver(n.laneFor(m.To))

@@ -7,17 +7,16 @@ import (
 	"dlm/internal/sim"
 )
 
-// TestDeliverPoolCapped pins satellite #1 on the overlay side: the
-// per-lane delivery-event pools stop growing at maxDeliverPool, so a
-// burst of in-flight messages does not pin its peak carrier count for
-// the network's whole lifetime.
+// TestDeliverPoolCapped: the delivery-event pool stops growing at
+// maxDeliverPool, so a burst of in-flight messages does not pin its peak
+// carrier count for the network's whole lifetime.
 func TestDeliverPoolCapped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, Config{M: 2, KS: 3, Eta: 10, Latency: 0.5}, nil)
 
 	// Direct pool exercise: more carriers in flight than the cap admits
 	// back.
-	const burst = 4 * maxDeliverPool
+	const burst = 2 * maxDeliverPool
 	carriers := make([]*deliverEvent, burst)
 	for i := range carriers {
 		carriers[i] = n.getDeliver(3)
@@ -25,11 +24,16 @@ func TestDeliverPoolCapped(t *testing.T) {
 	for _, d := range carriers {
 		n.putDeliver(d)
 	}
-	if got := len(n.deliverPools[3]); got > maxDeliverPool {
-		t.Errorf("lane pool holds %d carriers after burst, cap is %d", got, maxDeliverPool)
+	if got := len(n.deliverPool); got > maxDeliverPool {
+		t.Errorf("pool holds %d carriers after burst, cap is %d", got, maxDeliverPool)
+	}
+	// A recycled carrier takes the lane it is handed out under, not the
+	// one it was returned with.
+	if d := n.getDeliver(5); d.lane != 5 {
+		t.Errorf("recycled carrier has lane %d, want 5", d.lane)
 	}
 
-	// End-to-end: a latency network with a message burst bounded per lane
+	// End-to-end: a latency network with a message burst stays bounded
 	// after the queue drains.
 	p := n.Join(10, 100, nil)
 	q := n.Join(10, 100, nil)
@@ -39,9 +43,31 @@ func TestDeliverPoolCapped(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for lane, pool := range n.deliverPools {
-		if len(pool) > maxDeliverPool {
-			t.Errorf("pool %d holds %d carriers after drain, cap is %d", lane, len(pool), maxDeliverPool)
+	if got := len(n.deliverPool); got > maxDeliverPool {
+		t.Errorf("pool holds %d carriers after drain, cap is %d", got, maxDeliverPool)
+	}
+}
+
+// TestFaultySendAllocFree: once the carrier pool and the engine's
+// free-list are warm, a Send over a lossy, duplicating, jittered link and
+// the Steps that deliver it allocate nothing — neither the delayed copies
+// nor the message itself may reach the heap.
+func TestFaultySendAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := New(eng, Config{M: 2, KS: 3, Eta: 10, Latency: 0.05,
+		Link: Link{Loss: .05, Dup: .01, JitterMin: .01, JitterMode: .05, JitterMax: .2}}, nil)
+	p := n.Join(10, 100, nil)
+	q := n.Join(10, 100, nil)
+	m := msg.ValueRequest(p.ID, q.ID)
+	sendAndDeliver := func() {
+		n.Send(m)
+		for eng.Step() {
 		}
+	}
+	for i := 0; i < 64; i++ {
+		sendAndDeliver()
+	}
+	if allocs := testing.AllocsPerRun(1000, sendAndDeliver); allocs != 0 {
+		t.Errorf("faulty Send + delivery allocates %.2f objects/op, want 0", allocs)
 	}
 }

@@ -24,16 +24,16 @@ import "dlm/internal/sim"
 // every machine this simulator plausibly meets) while keeping the
 // per-tick fixed overhead — 64 buffer resets — negligible.
 //
-// The constant is the engine's: since the event plane sharded, a lane is
-// also the unit of event-queue placement (sim.ScheduleLane), and the two
-// partitions must be the same partition — a peer's timers and message
-// deliveries wait on the queue of the lane that owns the peer.
+// The constant is the engine's: a lane is also the tag peer-targeted
+// events are scheduled under (sim.ScheduleLane), and the two partitions
+// must be the same partition — a same-timestamp batch evaluates a peer's
+// deliveries on the lane that owns the peer.
 const NumLanes = sim.NumLanes
 
-// LaneOf returns the event-plane lane that owns p: the lane of its slab
-// page. Peer-targeted events (message delivery, per-peer timers) are
-// scheduled onto this lane so same-timestamp firings can fan out with the
-// same partition the tick walk shards over.
+// LaneOf returns the lane that owns p: the lane of its slab page.
+// Peer-targeted events (message delivery, per-peer timers) are scheduled
+// under this lane so same-timestamp firings can fan out with the same
+// partition the tick walk shards over.
 func (n *Network) LaneOf(p *Peer) int {
 	return int(p.slot>>pageShift) % NumLanes
 }

@@ -21,11 +21,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEventThroughputSharded is BenchmarkEventThroughput through the
-// lane-sharded merge: 64 self-rescheduling chains, one per lane, so every
-// pop resolves the tournament tree and every push replays a head-change
-// path — the multi-queue hot path, where the single global chain above
-// rides the sole-queue fast path instead.
+// BenchmarkEventThroughputSharded is BenchmarkEventThroughput with 64
+// self-rescheduling chains, one tagged per lane: a 64-deep heap with lane
+// tags, where the single chain above pops a one-item heap.
 func BenchmarkEventThroughputSharded(b *testing.B) {
 	e := NewEngine(1)
 	remaining := b.N

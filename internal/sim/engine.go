@@ -5,12 +5,11 @@ import (
 	"fmt"
 )
 
-// Engine is a discrete-event simulation engine with a lane-sharded event
-// plane: NumLanes per-lane queues plus one global queue, merged into a
-// single total order by a tournament tree over the queue heads. Every
-// push is stamped from one engine-wide insertion sequence, so the merged
-// pop order (time, seq) is exactly what a single global heap would
-// produce — sharding changes where events wait, never when they fire.
+// Engine is a discrete-event simulation engine: one binary heap of pending
+// events, totally ordered by (time, insertion sequence). Every event also
+// carries the lane it was scheduled under (see lanes.go); the tag never
+// changes when an event fires, only whether it may join a same-timestamp
+// LaneEvent batch.
 //
 // Engines are deliberately not safe for concurrent use by callers: the
 // simulation has a total order of events. The only internal parallelism
@@ -18,18 +17,15 @@ import (
 // which is byte-deterministic for any shard count, mirroring the tick
 // barrier of DESIGN.md §7.
 type Engine struct {
-	now    Time
-	lanes  [numQueues]eventQueue
-	seq    uint64
-	merge  laneMerge
-	active int   // number of non-empty queues
-	sole   int32 // the one non-empty queue while active == 1
+	now   Time
+	queue eventQueue
+	seq   uint64
 
 	rng    *Source
 	halted bool
 	fired  uint64
-	// laneFired counts events fired from peer lanes (excludes the global
-	// queue); batches counts same-timestamp LaneEvent batch firings.
+	// laneFired counts fired events tagged with a peer lane (not
+	// GlobalLane); batches counts same-timestamp LaneEvent batch firings.
 	laneFired uint64
 	batches   uint64
 	batchID   uint64
@@ -55,28 +51,21 @@ var ErrEventBudget = errors.New("sim: event budget exceeded")
 // NewEngine returns an engine with its clock at zero and a deterministic
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{rng: NewSource(seed), sole: -1}
-	e.merge.init()
-	return e
+	return &Engine{rng: NewSource(seed)}
 }
 
 // Reset returns the engine to its just-constructed state with a fresh
-// deterministic source derived from seed: clock at zero, empty queues,
-// zero fired counters, outstanding handles invalidated. The queues'
-// backing storage (heap arrays, capped item free-lists) is kept, so a
+// deterministic source derived from seed: clock at zero, empty queue,
+// zero fired counters, outstanding handles invalidated. The queue's
+// backing storage (heap arrays, capped item free-list) is kept, so a
 // reset engine re-runs without re-growing its event machinery — the
 // engine-reuse primitive of the parallel trial scheduler. A reset engine
 // is indistinguishable from NewEngine(seed) to everything that runs on
 // it: the insertion sequence also restarts, so event tie-breaking cannot
 // leak across runs.
 func (e *Engine) Reset(seed int64) {
-	for i := range e.lanes {
-		e.lanes[i].reset()
-	}
+	e.queue.reset()
 	e.seq = 0
-	e.merge.init()
-	e.active = 0
-	e.sole = -1
 	e.now = 0
 	e.halted = false
 	e.fired = 0
@@ -97,8 +86,8 @@ func (e *Engine) Rand() *Source { return e.rng }
 // EventsFired returns the number of events executed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// LaneEventsFired returns how many fired events came from peer lanes
-// (as opposed to the global queue). It is a determinism artifact: for a
+// LaneEventsFired returns how many fired events were scheduled under a
+// peer lane (as opposed to GlobalLane). It is a determinism artifact: for a
 // fixed seed it is identical at every shard count.
 func (e *Engine) LaneEventsFired() uint64 { return e.laneFired }
 
@@ -109,142 +98,28 @@ func (e *Engine) BatchesFired() uint64 { return e.batches }
 // Lane-local consumers use it to epoch-stamp per-lane scratch buffers.
 func (e *Engine) BatchID() uint64 { return e.batchID }
 
-// headChanged restores the merge invariants after queue lane's head
-// changed; emptied reports whether the mutation drained the queue.
-//
-// The tree invariant: the tournament is maintained only while at least
-// two queues are live. Whenever active >= 2, every non-empty queue's
-// leaf is accurate and every empty queue's leaf reads emptyAt; whenever
-// active < 2, ALL leaves read emptyAt and the tree is never consulted
-// (the sole index answers pops directly). The transitions that keep
-// this true: a 1→2 wake (queueWoke) syncs both live queues' leaves; a
-// drain to active >= 2 clears just the drained leaf; a 2→1 drain clears
-// the drained leaf AND the surviving sole's leaf, restoring the
-// all-empty state — which is what lets the busy single-queue drain/wake
-// cycle skip the tree entirely. An emptied queue's leaf must never
-// retain its old key: that key is a just-popped global minimum, which
-// would beat every future key and steer the tournament to an empty
-// queue.
-func (e *Engine) headChanged(lane int32, emptied bool) {
-	if emptied {
-		e.queueDrained(lane)
-		return
-	}
-	if e.active >= 2 {
-		q := &e.lanes[lane]
-		e.merge.set(lane, q.keys[0].at, q.keys[0].seq)
-	}
-}
-
-// queueDrained accounts a queue's non-empty → empty transition under the
-// invariant of headChanged: on a 1→0 drain the tree is already all-empty
-// and untouched; otherwise the drained leaf is cleared, and on a 2→1
-// drain the surviving sole's leaf is cleared too.
-func (e *Engine) queueDrained(lane int32) {
-	e.active--
-	if e.active >= 1 {
-		e.merge.set(lane, emptyAt, ^uint64(0))
-		if e.active == 1 {
-			e.sole = e.findSole()
-			e.merge.set(e.sole, emptyAt, ^uint64(0))
-		}
-	}
-}
-
-// queueWoke finishes a queue's empty → non-empty transition after the
-// caller has already incremented active past 1. On the 1→2 transition
-// the tree wakes from its all-empty idle state: both live queues' leaves
-// are written (every other leaf reads emptyAt by invariant).
-func (e *Engine) queueWoke(lane int32) {
-	if e.active == 2 {
-		s := &e.lanes[e.sole]
-		e.merge.set(e.sole, s.keys[0].at, s.keys[0].seq)
-	}
-	q := &e.lanes[lane]
-	e.merge.set(lane, q.keys[0].at, q.keys[0].seq)
-}
-
-// findSole locates the single non-empty queue (active == 1).
-func (e *Engine) findSole() int32 {
-	for i := range e.lanes {
-		if len(e.lanes[i].items) > 0 {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
-// minLane returns the queue holding the globally earliest event, or -1.
-func (e *Engine) minLane() int32 {
-	switch e.active {
-	case 0:
-		return -1
-	case 1:
-		return e.sole
-	}
-	return e.merge.min()
-}
-
-// peekMin returns the earliest pending item and its lane without
-// removing it; (nil, -1) when all queues are empty.
-func (e *Engine) peekMin() (*item, int32) {
-	lane := e.minLane()
-	if lane < 0 {
-		return nil, -1
-	}
-	return e.lanes[lane].items[0], lane
-}
-
-// popMin removes and returns the earliest pending item and its lane.
-func (e *Engine) popMin() (*item, int32) {
-	lane := e.minLane()
-	if lane < 0 {
-		return nil, -1
-	}
-	q := &e.lanes[lane]
-	it := q.pop()
-	e.headChanged(lane, len(q.items) == 0)
-	return it, lane
-}
-
-// Schedule enqueues ev to fire at absolute time at on the global queue.
-// Scheduling in the past panics: it is always a logic error in a
-// discrete-event model. The backing queue slot comes from a per-queue
-// free-list, so steady-state scheduling does not allocate.
+// Schedule enqueues ev to fire at absolute time at with no lane
+// (GlobalLane). Scheduling in the past panics: it is always a logic error
+// in a discrete-event model. The backing queue slot comes from the
+// engine's free-list, so steady-state scheduling does not allocate.
 func (e *Engine) Schedule(at Time, ev Event) Handle {
 	return e.ScheduleLane(GlobalLane, at, ev)
 }
 
-// ScheduleLane enqueues ev on the given lane's queue (GlobalLane for
-// events with no single target peer). Lane placement affects only which
-// queue the event waits in — firing order is engine-global — plus
-// eligibility for same-timestamp batch firing of LaneEvents. The merge
-// tree is touched only when the push changed a queue head the tournament
-// cares about; a push behind an existing head costs nothing beyond the
-// heap insert.
+// ScheduleLane enqueues ev tagged with the given lane (GlobalLane for
+// events with no single target peer). The tag never affects firing order
+// — that is (time, insertion sequence) — only eligibility for
+// same-timestamp batch firing of LaneEvents.
 func (e *Engine) ScheduleLane(lane int, at Time, ev Event) Handle {
 	if at < e.now || uint(lane) >= numQueues {
 		e.badSchedule(lane, at)
 	}
-	q := &e.lanes[lane]
-	it := q.alloc()
-	it.at, it.ev = at, ev
+	it := e.queue.alloc()
+	it.at, it.ev, it.lane = at, ev, int32(lane)
 	it.seq = e.seq
 	e.seq++
-	wasEmpty := len(q.items) == 0
-	q.push(it)
-	if wasEmpty {
-		// queueWoke's 0→1 case, inlined for the serial hot loop; the
-		// tree-waking transitions stay out of line.
-		if e.active++; e.active == 1 {
-			e.sole = int32(lane)
-		} else {
-			e.queueWoke(int32(lane))
-		}
-	} else if e.active >= 2 && it.pos == 0 {
-		e.merge.set(int32(lane), at, it.seq)
-	}
-	return Handle{item: it, gen: it.gen, e: e, lane: int32(lane)}
+	e.queue.push(it)
+	return Handle{item: it, gen: it.gen, e: e}
 }
 
 // badSchedule reports the two ScheduleLane precondition violations; kept
@@ -256,12 +131,12 @@ func (e *Engine) badSchedule(lane int, at Time) {
 	panic(fmt.Sprintf("sim: schedule on lane %d, want [0,%d]", lane, NumLanes))
 }
 
-// After enqueues ev to fire d time units from now on the global queue.
+// After enqueues ev to fire d time units from now with no lane.
 func (e *Engine) After(d Duration, ev Event) Handle {
 	return e.Schedule(e.now+d, ev)
 }
 
-// AfterLane is After on a specific lane's queue.
+// AfterLane is After tagged with a specific lane.
 func (e *Engine) AfterLane(lane int, d Duration, ev Event) Handle {
 	return e.ScheduleLane(lane, e.now+d, ev)
 }
@@ -275,60 +150,22 @@ func (e *Engine) AfterFunc(d Duration, f func(*Engine)) Handle {
 func (e *Engine) Halt() { e.halted = true }
 
 // Pending returns the exact number of events still queued. Cancelled
-// events are removed from their queue immediately by Handle.Cancel, so
+// events are removed from the queue immediately by Handle.Cancel, so
 // they never appear in this count.
-func (e *Engine) Pending() int {
-	n := 0
-	for i := range e.lanes {
-		n += len(e.lanes[i].items)
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.queue.items) }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // When that event is a batchable LaneEvent co-scheduled with others at
 // the same timestamp, the whole batch fires (lane-parallel eval, serial
 // commit) as one step. It reports whether anything was fired.
 func (e *Engine) Step() bool {
-	var lane int32
-	switch e.active {
-	case 0:
+	q := &e.queue
+	if len(q.items) == 0 {
 		return false
-	case 1:
-		lane = e.sole
-	default:
-		lane = e.merge.min()
 	}
-	q := &e.lanes[lane]
-	var it *item
-	if len(q.items) == 1 {
-		// Fused pop-to-empty + drain bookkeeping: the busy single-queue
-		// cycle (self-rescheduling chains, the whole-run common case)
-		// pops its only item and decrements active — the tree is
-		// all-empty while active < 2 and stays untouched.
-		it = q.items[0]
-		it.pos = -1
-		// Slot 0 is left dangling past len: the item is recycled into
-		// the free-list right below (so nothing extra is retained) and
-		// the next push's append overwrites the slot. Skipping the nil
-		// store avoids a write barrier on every cycle of the chain.
-		q.items = q.items[:0]
-		q.keys = q.keys[:0]
-		if e.active--; e.active >= 1 {
-			e.merge.set(lane, emptyAt, ^uint64(0))
-			if e.active == 1 {
-				e.sole = e.findSole()
-				e.merge.set(e.sole, emptyAt, ^uint64(0))
-			}
-		}
-	} else {
-		it = q.pop()
-		if e.active >= 2 {
-			e.merge.set(lane, q.keys[0].at, q.keys[0].seq)
-		}
-	}
+	it := q.pop()
 	e.now = it.at
-	ev := it.ev
+	ev, lane := it.ev, it.lane
 	// Recycle the slot before firing: handles to this event turn inert,
 	// and events scheduled from inside Fire reuse the still-hot item.
 	q.release(it)
@@ -350,8 +187,9 @@ func (e *Engine) Step() bool {
 // serial path is cheaper).
 func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	at := e.now
-	nxt, lane := e.peekMin()
-	if nxt == nil || nxt.at != at || lane == GlobalLane {
+	q := &e.queue
+	nxt := q.peek()
+	if nxt == nil || nxt.at != at || nxt.lane == GlobalLane {
 		return false
 	}
 	if le, ok := nxt.ev.(LaneEvent); !ok || !le.Batchable() {
@@ -363,20 +201,19 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			break
 		}
-		nxt, lane := e.peekMin()
-		if nxt == nil || nxt.at != at || lane == GlobalLane {
+		nxt := q.peek()
+		if nxt == nil || nxt.at != at || nxt.lane == GlobalLane {
 			break
 		}
 		le, ok := nxt.ev.(LaneEvent)
 		if !ok || !le.Batchable() {
 			break
 		}
-		it, _ := e.popMin()
-		e.lanes[lane].release(it)
+		e.batchEv = append(e.batchEv, le)
+		e.batchLane = append(e.batchLane, nxt.lane)
+		q.release(q.pop())
 		e.fired++
 		e.laneFired++
-		e.batchEv = append(e.batchEv, le)
-		e.batchLane = append(e.batchLane, lane)
 	}
 	e.batches++
 	e.batchID++
@@ -408,7 +245,7 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 func (e *Engine) RunUntil(deadline Time) error {
 	e.halted = false
 	for !e.halted {
-		it, _ := e.peekMin()
+		it := e.queue.peek()
 		if it == nil || it.at > deadline {
 			break
 		}

@@ -294,7 +294,7 @@ func TestQueueOrderingProperty(t *testing.T) {
 			q.push(&item{at: Time(r)})
 		}
 		last := Time(-1)
-		for q.Len() > 0 {
+		for len(q.items) > 0 {
 			it := q.pop()
 			if it.at < last {
 				return false

@@ -1,20 +1,20 @@
 package sim
 
-import "math"
-
-// The event plane is sharded across NumLanes per-lane queues plus one
-// global queue. Peer-targeted events (message delivery, per-peer timers)
-// are scheduled onto the lane of their target peer; events with no single
-// target (tickers, experiment phases, growth joins) use the global queue.
-// NumLanes must match the overlay's lane count: a lane here is the same
-// slab-page-stride partition the tick fan-out shards over, so one lane's
-// events touch one lane's peers.
+// Every scheduled event carries a lane tag. Peer-targeted events (message
+// delivery, per-peer timers) are tagged with the lane of their target
+// peer; events with no single target (tickers, experiment phases, growth
+// joins) carry GlobalLane. NumLanes must match the overlay's lane count: a
+// lane here is the same slab-page-stride partition the tick fan-out
+// shards over, so one lane's events touch one lane's peers. The tag never
+// changes firing order; it selects which events may fire together as a
+// same-timestamp LaneEvent batch and which lane evaluates each of them.
 const (
-	// NumLanes is the number of peer lanes in the sharded event plane.
+	// NumLanes is the number of peer lanes.
 	NumLanes = 64
-	// GlobalLane is the queue index for events with no target lane.
+	// GlobalLane is the lane tag of events with no target lane.
 	GlobalLane = NumLanes
 
+	// numQueues counts the distinct lane tags, GlobalLane included.
 	numQueues = NumLanes + 1
 )
 
@@ -39,79 +39,3 @@ type LaneEvent interface {
 	// the exact order the batch's events would have fired.
 	CommitLane(e *Engine)
 }
-
-// emptyKey is the head timestamp of an empty queue in the merge tree. It
-// is strictly greater than any schedulable time (Infinity = 1e300).
-var emptyAt = Time(math.Inf(1))
-
-// mergeLeaves is numQueues rounded up to a power of two, so the winner
-// tree is a perfect binary tree and leaf l's parent is (mergeLeaves+l)/2.
-const mergeLeaves = 128
-
-// laneMerge is a tournament (winner) tree over the per-queue head keys
-// (at, seq). Each queue is a leaf; internal nodes hold the winning queue
-// index of their subtree, so the global minimum is read at the root in
-// O(1) and a head change replays one leaf-to-root path in O(log n).
-// Queues beyond numQueues are permanently-empty padding.
-type laneMerge struct {
-	at  [mergeLeaves]Time
-	seq [mergeLeaves]uint64
-	// win[1..mergeLeaves-1] are the internal winners; win[0] is unused.
-	win [mergeLeaves]int32
-}
-
-// init marks every leaf empty and rebuilds the winners.
-func (t *laneMerge) init() {
-	for i := range t.at {
-		t.at[i] = emptyAt
-		t.seq[i] = ^uint64(0)
-	}
-	t.rebuildAll()
-}
-
-// beats reports whether queue a's head precedes queue b's.
-func (t *laneMerge) beats(a, b int32) bool {
-	if t.at[a] != t.at[b] {
-		return t.at[a] < t.at[b]
-	}
-	return t.seq[a] < t.seq[b]
-}
-
-// winnerOf resolves node n to the queue index winning its subtree.
-func (t *laneMerge) winnerOf(n int32) int32 {
-	if n >= mergeLeaves {
-		return n - mergeLeaves
-	}
-	return t.win[n]
-}
-
-// rebuildAll recomputes every internal winner from the leaf keys.
-func (t *laneMerge) rebuildAll() {
-	for n := int32(mergeLeaves - 1); n >= 1; n-- {
-		w := t.winnerOf(2 * n)
-		if r := t.winnerOf(2*n + 1); t.beats(r, w) {
-			w = r
-		}
-		t.win[n] = w
-	}
-}
-
-// set records queue l's new head key and replays its path to the root.
-func (t *laneMerge) set(l int32, at Time, seq uint64) {
-	if t.at[l] == at && t.seq[l] == seq {
-		return
-	}
-	t.at[l] = at
-	t.seq[l] = seq
-	for n := (mergeLeaves + l) >> 1; n >= 1; n >>= 1 {
-		w := t.winnerOf(2 * n)
-		if r := t.winnerOf(2*n + 1); t.beats(r, w) {
-			w = r
-		}
-		t.win[n] = w
-	}
-}
-
-// min returns the queue index holding the globally earliest head. Only
-// meaningful while at least one queue is non-empty.
-func (t *laneMerge) min() int32 { return t.win[1] }

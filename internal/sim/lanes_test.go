@@ -5,17 +5,16 @@ import (
 	"testing"
 )
 
-// The lane-sharded event plane's contract: lane placement decides which
-// queue an event waits in, never when it fires. These tests pin that
-// contract directly against the single-queue reference, exercise the
-// tie-break across lanes, the same-timestamp batch path, and the
-// free-list retention cap.
+// The lane tag's contract: it never changes when an event fires. These
+// tests pin that against the untagged reference, exercise the tie-break
+// across lanes, the same-timestamp batch path, and the free-list
+// retention cap.
 
 // laneScript is a pregenerated randomized workload: initial events plus,
 // per event, the children it schedules and the events it cancels when it
 // fires. The script is lane-annotated but lane-agnostic in meaning — the
-// oracle runs it twice, once with every event on the global queue and
-// once spread across lanes, and demands identical firing order.
+// oracle runs it twice, once with every event under GlobalLane and once
+// spread across lanes, and demands identical firing order.
 type laneScript struct {
 	initial  []scriptEvent
 	children map[int][]scriptEvent // fired id -> events it schedules
@@ -62,8 +61,8 @@ func makeLaneScript(seed int64, initial, maxID int) *laneScript {
 }
 
 // run executes the script and returns the fired-id order. useLanes
-// selects the lane annotations; false forces everything onto the global
-// queue — the pre-sharding single-heap reference.
+// selects the lane annotations; false schedules everything under
+// GlobalLane — the untagged reference.
 func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 	t.Helper()
 	e := NewEngine(9)
@@ -102,10 +101,9 @@ func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 
 // TestLaneShardingOracle is the randomized-interleaving oracle: a scripted
 // workload with ties, dynamic scheduling and cancellations must fire in
-// exactly the same order whether every event sits in the single global
-// queue or is spread across all 65 queues. The engine-global insertion
-// sequence is what makes this hold; a per-lane sequence would break ties
-// differently the moment two lanes interleave.
+// exactly the same order whether every event is scheduled under
+// GlobalLane or spread across all 65 lane tags: firing order is (time,
+// engine-global insertion sequence) and nothing else.
 func TestLaneShardingOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		s := makeLaneScript(seed, 200, 600)
@@ -150,14 +148,10 @@ func TestCrossLaneTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
-// TestMergeTreeLeafClearedOnDrain is the regression test for a stale
-// tournament leaf: drain two lanes down to one, run past them, then wake
-// two fresh lanes. An emptied queue's leaf that survives the 2→1
-// transition holds a just-popped global minimum — (time, seq) keys only
-// grow — so the next tournament would steer min() to an empty queue and
-// Step would index items[0] out of range. The fix is the headChanged
-// invariant: while active < 2 every leaf reads emptyAt.
-func TestMergeTreeLeafClearedOnDrain(t *testing.T) {
+// TestDrainThenRescheduleAcrossLanes: schedule under two lanes, drain the
+// queue, schedule under two fresh lanes, run — an emptied queue accepts
+// and fires new events on any lane.
+func TestDrainThenRescheduleAcrossLanes(t *testing.T) {
 	e := NewEngine(1)
 	ev := EventFunc(func(*Engine) {})
 	e.ScheduleLane(1, 1, ev)
@@ -213,9 +207,9 @@ func TestLaneBatchEvalCommit(t *testing.T) {
 		wantLane[i] = lane
 		e.ScheduleLane(lane, 2, &batchProbe{id: i, rec: rec})
 	}
-	// Same timestamp, global queue: must not join the batch.
+	// Same timestamp, GlobalLane: must not join the batch.
 	e.Schedule(2, EventFunc(func(*Engine) { rec.serialFire = append(rec.serialFire, -1) }))
-	// Same timestamp, lane queue, not batchable: fires serially.
+	// Same timestamp, peer lane, not batchable: fires serially.
 	e.ScheduleLane(3, 2, &batchProbe{id: n, rec: rec, solo: true})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -278,21 +272,21 @@ func TestShardCountInvariantForBatches(t *testing.T) {
 	}
 }
 
-// TestFreeListCapped pins satellite #1: a burst leaves at most
-// maxFreeItems recycled items per queue behind — including the burst
-// Engine.Reset releases wholesale — instead of pinning its peak forever.
+// TestFreeListCapped: a burst leaves at most maxFreeItems recycled items
+// behind — including the burst Engine.Reset releases wholesale — instead
+// of pinning its peak forever.
 func TestFreeListCapped(t *testing.T) {
 	e := NewEngine(1)
 	ev := EventFunc(func(*Engine) {})
-	const burst = 4 * maxFreeItems
+	const burst = 2 * maxFreeItems
 	for i := 0; i < burst; i++ {
-		e.ScheduleLane(5, Time(1+i/100), ev)
+		e.ScheduleLane(i%numQueues, Time(1+i/100), ev)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.lanes[5].free); got > maxFreeItems {
-		t.Errorf("lane free-list holds %d items after burst, cap is %d", got, maxFreeItems)
+	if got := len(e.queue.free); got > maxFreeItems {
+		t.Errorf("free-list holds %d items after burst, cap is %d", got, maxFreeItems)
 	}
 
 	// Reset with a deep pending queue: the wholesale release honors the cap.
@@ -300,10 +294,8 @@ func TestFreeListCapped(t *testing.T) {
 		e.ScheduleLane(7, Time(1e6+float64(i)), ev)
 	}
 	e.Reset(1)
-	for i := range e.lanes {
-		if got := len(e.lanes[i].free); got > maxFreeItems {
-			t.Errorf("queue %d free-list holds %d items after Reset, cap is %d", i, got, maxFreeItems)
-		}
+	if got := len(e.queue.free); got > maxFreeItems {
+		t.Errorf("free-list holds %d items after Reset, cap is %d", got, maxFreeItems)
 	}
 	// The cap must not break steady-state reuse: warm pairs still recycle.
 	var loop Event

@@ -14,14 +14,13 @@ type EventFunc func(e *Engine)
 func (f EventFunc) Fire(e *Engine) { f(e) }
 
 // Handle identifies a scheduled event and allows cancellation. Items are
-// recycled through a per-queue free-list once they fire or are cancelled,
+// recycled through the engine's free-list once they fire or are cancelled,
 // so the handle carries the generation it was issued under; a stale handle
 // (its item since recycled) is recognized and ignored.
 type Handle struct {
 	item *item
 	gen  uint32
 	e    *Engine
-	lane int32
 }
 
 // Cancel removes the scheduled event from the queue immediately and
@@ -32,10 +31,9 @@ func (h Handle) Cancel() bool {
 	if h.item == nil || h.item.gen != h.gen {
 		return false
 	}
-	q := &h.e.lanes[h.lane]
+	q := &h.e.queue
 	q.remove(h.item)
 	q.release(h.item)
-	h.e.headChanged(h.lane, len(q.items) == 0)
 	return true
 }
 
@@ -53,15 +51,17 @@ type item struct {
 	gen uint32
 	// pos is the item's current index in the heap; -1 when not queued.
 	pos int32
+	// lane is the lane the event was scheduled under (GlobalLane for none).
+	lane int32
 }
 
-// maxFreeItems caps each queue's item free-list. Without a cap the
-// free-list retains burst-peak capacity forever — and across Engine.Reset,
+// maxFreeItems caps the item free-list. Without a cap the free-list
+// retains burst-peak capacity forever — and across Engine.Reset,
 // which releases every still-pending item into it — so one 1M-event growth
 // wave would pin ~1M recycled items for the engine's whole lifetime. The
 // cap is generous enough that steady-state scheduling (release immediately
 // followed by alloc) never misses; overflow is simply dropped for the GC.
-const maxFreeItems = 1024
+const maxFreeItems = numQueues * 1024
 
 // heapKey is the ordering key of a queued item, mirrored into a flat
 // array parallel to the item pointers. Heap comparisons read only keys —
@@ -79,17 +79,14 @@ type heapKey struct {
 // their heap position, so cancellation removes them in O(log n) instead of
 // leaving dead entries to ride the heap, and released items return to a
 // free-list for reuse (steady-state scheduling does not allocate). The
-// insertion sequence is stamped by the engine from a single counter shared
-// by all lanes, so the merged pop order across queues is identical to what
-// one global heap would produce. keys[i] duplicates items[i]'s (at, seq);
-// every sift keeps the two arrays in lockstep.
+// engine holds exactly one and stamps the insertion sequence. keys[i]
+// duplicates items[i]'s (at, seq); every sift keeps the two arrays in
+// lockstep.
 type eventQueue struct {
 	keys  []heapKey
 	items []*item
 	free  []*item
 }
-
-func (q *eventQueue) Len() int { return len(q.items) }
 
 // alloc returns a recycled item, or a fresh one when the free-list is
 // empty.

@@ -33,6 +33,10 @@ lane_test() {
     fi
   done
   go test ./...
+  # The benchmark harness is its own module (bench/go.mod); ./... above
+  # does not reach it.
+  go vet -C bench ./...
+  go test -C bench ./...
 }
 
 lane_race() {
@@ -43,11 +47,12 @@ lane_race() {
   # contract is exercised under the race detector even if the full sweep
   # above is ever narrowed. ShardInvariance also matches
   # ShardInvarianceLatency, the latency run whose same-timestamp delivery
-  # batches drive the sharded event plane's eval fan-out.
+  # batches drive the event plane's eval fan-out.
   go test -race -run 'ShardInvariance|CrossPlaneEquivalence|AggregatesMatchScan' \
     ./internal/core ./internal/experiments ./internal/live ./internal/overlay
   # Engine-level event-plane concurrency: the batch eval/commit contract
-  # and the shard-count invariance of the lane merge, under -race.
+  # and its shard-count invariance, under -race; the oracle pins that a
+  # lane tag never changes firing order.
   go test -race -run 'LaneBatchEvalCommit|ShardCountInvariantForBatches|LaneShardingOracle' \
     ./internal/sim
 }
