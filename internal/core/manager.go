@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
@@ -24,10 +25,9 @@ type Manager struct {
 	// allocation per message on the exchange hot path.
 	ep simEndpoint
 
-	// laneEPs are the per-lane counterparts of ep for lane-parallel
-	// message handling (HandleMessageLane): each lane binds only its own
-	// element, so batched deliveries allocate nothing and race on nothing.
-	laneEPs [overlay.NumLanes]laneEndpoint
+	// laneEP is ep's counterpart for batched message handling
+	// (HandleMessageLane), which buffers its sends and so never re-enters.
+	laneEP laneEndpoint
 
 	// lanes is the per-lane state of the tick's parallel decision phase:
 	// one persistent RNG stream and one result buffer per overlay lane
@@ -220,11 +220,11 @@ func (e *simEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
 	return q != nil && q.Layer == overlay.LayerLeaf
 }
 
-// laneEndpoint implements protocol.Endpoint for lane-parallel message
-// handling: sends are buffered into the lane's output slice instead of
-// entering the overlay, and the overlay replays them serially — in
-// firing order — at the batch commit. IsLeafNeighbor is a pure read of
-// state nothing mutates during an eval fan-out.
+// laneEndpoint implements protocol.Endpoint for batched message
+// handling: sends are buffered into the batch's output slice instead of
+// entering the overlay, and the overlay replays them — in firing order —
+// at the batch commit. IsLeafNeighbor is a pure read of state nothing
+// mutates during a batch's eval half.
 type laneEndpoint struct {
 	n    *overlay.Network
 	self *overlay.Peer
@@ -361,15 +361,14 @@ func (m *Manager) HandleMessage(n *overlay.Network, to *overlay.Peer, mm *msg.Me
 }
 
 // HandleMessageLane implements overlay.ParallelManager: the lane-local
-// half of a batched delivery. It may run concurrently with other lanes'
-// calls, so it touches only the target's machine (peers are partitioned
-// by lane), this lane's endpoint slot, and the lane's output buffer; the
-// machine's message handling draws no randomness (protocol purity), so
-// worker scheduling cannot perturb anything observable.
+// half of a batched delivery. It touches only the target's machine and
+// the output buffer; the machine's message handling draws no randomness
+// (protocol purity), so deferring the sends to the commit is
+// unobservable.
 func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *msg.Message, lane int, out *[]msg.Message) {
 	now := n.Now()
 	ma := m.state(to)
-	ep := &m.laneEPs[lane]
+	ep := &m.laneEP
 	ep.n, ep.self, ep.out = n, to, out
 	ma.HandleMessage(selfView(to, now), mm, protocol.Time(now), ep)
 	ep.self, ep.out = nil, nil
@@ -602,13 +601,17 @@ func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
 			}
 		}
 		m.calPool = append(m.calPool, bucket)
-		sort.Slice(due, func(i, j int) bool { return due[i].Slot() < due[j].Slot() })
+		slices.SortFunc(due, bySlot)
 		m.calDue = due
 		for _, leaf := range due {
 			m.refreshOne(n, leaf, pnow)
 		}
 	}
 }
+
+// bySlot orders peers by slab slot; slots are unique, so the order is
+// total and any sort yields the same result.
+func bySlot(a, b *overlay.Peer) int { return cmp.Compare(a.Slot(), b.Slot()) }
 
 // refreshOne runs one leaf's refresh exchange — the loop body the old
 // full scan executed for every due leaf — and re-enrolls the leaf for
@@ -699,7 +702,7 @@ func (m *Manager) expireAll(n *overlay.Network, now sim.Time) int {
 	for l := range m.lanes {
 		due = append(due, m.lanes[l].due...)
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i].Slot() < due[j].Slot() })
+	slices.SortFunc(due, bySlot)
 	m.calDue = due
 
 	live := 0

@@ -168,18 +168,16 @@ type Network struct {
 	parMgr ParallelManager
 
 	// deliverPool recycles delivery events so the message plane stays
-	// zero-alloc. It is only touched from the serial phases (Send, Fire,
-	// CommitLane), so it needs no locking; it is capped so a burst does
-	// not pin its peak forever.
+	// zero-alloc; it is capped so a burst does not pin its peak forever.
 	deliverPool []*deliverEvent
 
-	// laneSend buffers the messages produced by lane-parallel message
-	// handling (ParallelManager.HandleMessageLane); each deliverEvent
-	// records its [lo,hi) range and the serial commit replays them in
-	// firing order. laneEpoch lazily clears a lane's buffer at its first
-	// use in each batch (stamped with Engine.BatchID).
-	laneSend  [NumLanes][]msg.Message
-	laneEpoch [NumLanes]uint64
+	// batchSend buffers the messages produced by batched message handling
+	// (ParallelManager.HandleMessageLane); each deliverEvent records its
+	// [lo,hi) range and the commit replays them in firing order.
+	// batchEpoch (an Engine.BatchID) clears the buffer at its first use in
+	// each batch.
+	batchSend  []msg.Message
+	batchEpoch uint64
 	// repairScratch is reused by Repair's membership snapshots (repair
 	// runs every tick; the snapshot guards against set reordering while
 	// links are added, and must not cost an allocation each round).
@@ -191,13 +189,13 @@ type Network struct {
 	orphanScratch []msg.PeerID
 }
 
-// ParallelManager is a Manager whose message handling can run
-// lane-parallel: HandleMessageLane must mutate only the target peer's own
-// protocol state (plus lane-private scratch), draw no randomness, and
-// append outgoing messages to out instead of sending them — the overlay
-// replays the buffered sends serially, in firing order, at the batch's
-// commit. Managers that implement it let queued deliveries to different
-// peers at one timestamp fire as a sim.LaneEvent batch.
+// ParallelManager is a Manager whose message handling splits into a
+// lane-confined half and a replay: HandleMessageLane must mutate only the
+// target peer's own protocol state, draw no randomness, and append
+// outgoing messages to out instead of sending them — the overlay replays
+// the buffered sends, in firing order, at the batch's commit. Managers
+// that implement it let queued deliveries to different peers at one
+// timestamp fire as a sim.LaneEvent batch.
 type ParallelManager interface {
 	Manager
 	HandleMessageLane(n *Network, to *Peer, m *msg.Message, lane int, out *[]msg.Message)
@@ -212,8 +210,7 @@ const maxDeliverPool = (NumLanes + 1) * 256
 // latency-delayed delivery and sim.LaneEvent for same-timestamp batched
 // delivery. lane is the lane it was scheduled under (the target's lane at
 // send time, or sim.GlobalLane for targets already dead then); lo/hi
-// bound its buffered sends in laneSend[lane] between EvalLane and
-// CommitLane.
+// bound its buffered sends in batchSend between EvalLane and CommitLane.
 type deliverEvent struct {
 	n      *Network
 	m      msg.Message
@@ -238,30 +235,29 @@ func (d *deliverEvent) Batchable() bool {
 }
 
 // EvalLane runs the lane-local half: the target's protocol state machine
-// consumes the message, appending any responses to the lane's send
+// consumes the message, appending any responses to the batch's send
 // buffer. The target is re-looked-up exactly as in Fire — it may have
 // died since send; the delivery then evaluates to nothing.
 func (d *deliverEvent) EvalLane(e *sim.Engine, lane int) {
 	n := d.n
-	if n.laneEpoch[lane] != e.BatchID() {
-		n.laneEpoch[lane] = e.BatchID()
-		n.laneSend[lane] = n.laneSend[lane][:0]
+	if n.batchEpoch != e.BatchID() {
+		n.batchEpoch = e.BatchID()
+		n.batchSend = n.batchSend[:0]
 	}
-	d.lo = int32(len(n.laneSend[lane]))
+	d.lo = int32(len(n.batchSend))
 	if to := n.store.get(d.m.To); to != nil {
-		n.parMgr.HandleMessageLane(n, to, &d.m, lane, &n.laneSend[lane])
+		n.parMgr.HandleMessageLane(n, to, &d.m, lane, &n.batchSend)
 	}
-	d.hi = int32(len(n.laneSend[lane]))
+	d.hi = int32(len(n.batchSend))
 }
 
 // CommitLane replays the buffered sends through the ordinary Send path —
-// traffic accounting, fault draws and scheduling happen here, serially,
-// in exactly the order the serial firing would have produced them.
+// traffic accounting, fault draws and scheduling happen here, in exactly
+// the order the serial firing would have produced them.
 func (d *deliverEvent) CommitLane(*sim.Engine) {
 	n := d.n
-	buf := n.laneSend[d.lane%NumLanes]
-	for i := d.lo; i < d.hi; i++ {
-		n.Send(buf[i])
+	for _, m := range n.batchSend[d.lo:d.hi] {
+		n.Send(m)
 	}
 	d.lo, d.hi = 0, 0
 	n.putDeliver(d)

@@ -71,3 +71,50 @@ func TestFaultySendAllocFree(t *testing.T) {
 		t.Errorf("faulty Send + delivery allocates %.2f objects/op, want 0", allocs)
 	}
 }
+
+// echoLaneManager is a stub ParallelManager: its lane half answers every
+// ValueRequest with a ValueResponse appended to out, so a batch exercises
+// both the eval-side buffering and the commit-side replay.
+type echoLaneManager struct{ NopManager }
+
+func (echoLaneManager) HandleMessageLane(_ *Network, to *Peer, m *msg.Message, _ int, out *[]msg.Message) {
+	if m.Kind == msg.KindValueRequest {
+		*out = append(*out, msg.ValueResponse(to.ID, m.From, to.Capacity, 0))
+	}
+}
+
+// TestBatchedSendAllocFree is TestFaultySendAllocFree's twin for the
+// batch path: on a perfect link with latency, eight sends to distinct
+// peers arrive as one same-timestamp batch, whose eight buffered replies
+// form a second — and once the carrier pool, the engine's free-list and
+// the batch send buffer are warm, none of it allocates.
+func TestBatchedSendAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	eng.SetShards(4)
+	n := New(eng, Config{M: 2, KS: 3, Eta: 10, Latency: 0.05}, echoLaneManager{})
+	src := n.Join(10, 100, nil)
+	var reqs [8]msg.Message
+	for i := range reqs {
+		reqs[i] = msg.ValueRequest(src.ID, n.Join(10, 100, nil).ID)
+	}
+	sendAndDeliver := func() {
+		for i := range reqs {
+			n.Send(reqs[i])
+		}
+		for eng.Step() {
+		}
+	}
+	for i := 0; i < 64; i++ {
+		sendAndDeliver()
+	}
+	before, sent := eng.BatchesFired(), n.Traffic().TotalMessages()
+	if allocs := testing.AllocsPerRun(1000, sendAndDeliver); allocs != 0 {
+		t.Errorf("batched Send + delivery allocates %.2f objects/op, want 0", allocs)
+	}
+	if got := eng.BatchesFired() - before; got != 2*1001 {
+		t.Errorf("%d batches over 1001 rounds, want two per round (requests, replies)", got)
+	}
+	if got := n.Traffic().TotalMessages() - sent; got != 1001*16 {
+		t.Errorf("%d messages over 1001 rounds, want 8 requests + 8 replies each", got)
+	}
+}

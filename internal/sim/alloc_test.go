@@ -40,3 +40,39 @@ func TestScheduleCancelAllocFree(t *testing.T) {
 		t.Errorf("schedule+cancel allocates %.2f objects/op, want 0", allocs)
 	}
 }
+
+// TestBatchStepAllocFree: a same-timestamp batch fires on the event loop,
+// so at any shard count a warm engine schedules and drains one with zero
+// allocations — no goroutine, closure or WaitGroup per batch.
+func TestBatchStepAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	e.SetShards(4)
+	rec := &batchRecorder{}
+	probes := make([]*batchProbe, 32)
+	for i := range probes {
+		probes[i] = &batchProbe{id: i, rec: rec}
+	}
+	scheduleAndDrain := func() {
+		for l := range rec.evalByLane {
+			rec.evalByLane[l] = rec.evalByLane[l][:0]
+		}
+		rec.evals, rec.commits = rec.evals[:0], rec.commits[:0]
+		for i, b := range probes {
+			e.AfterLane(i, 1, b)
+		}
+		for e.Step() {
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the free-list and the batch scratch
+		scheduleAndDrain()
+	}
+	before := e.BatchesFired()
+	allocs := testing.AllocsPerRun(200, scheduleAndDrain)
+	if allocs != 0 {
+		t.Errorf("schedule + batch Step allocates %.2f objects/op, want 0", allocs)
+	}
+	if got := e.BatchesFired() - before; got != 201 || len(rec.commits) != len(probes) {
+		t.Errorf("%d batches over 201 drains with %d commits in the last, want one batch of %d each",
+			got, len(rec.commits), len(probes))
+	}
+}

@@ -12,10 +12,10 @@ import (
 // LaneEvent batch.
 //
 // Engines are deliberately not safe for concurrent use by callers: the
-// simulation has a total order of events. The only internal parallelism
-// is the same-timestamp LaneEvent batch (eval fan-out + serial commit),
-// which is byte-deterministic for any shard count, mirroring the tick
-// barrier of DESIGN.md §7.
+// simulation has a total order of events, and the engine fires every one
+// of them — same-timestamp LaneEvent batches included — on the event
+// loop. The only parallelism is the fan-out an event starts itself with
+// ForLanes (shard.go), the tick barrier of DESIGN.md §7.
 type Engine struct {
 	now   Time
 	queue eventQueue
@@ -33,7 +33,6 @@ type Engine struct {
 	// batch scratch, reused across batches.
 	batchEv   []LaneEvent
 	batchLane []int32
-	byLane    [NumLanes][]int32
 
 	// shards is the worker count for intra-event lane fan-outs (see
 	// shard.go). Like MaxEvents it is configuration, so Reset keeps it.
@@ -95,7 +94,7 @@ func (e *Engine) LaneEventsFired() uint64 { return e.laneFired }
 func (e *Engine) BatchesFired() uint64 { return e.batches }
 
 // BatchID returns the identifier of the current (or most recent) batch.
-// Lane-local consumers use it to epoch-stamp per-lane scratch buffers.
+// Batch consumers use it to epoch-stamp scratch they reuse across batches.
 func (e *Engine) BatchID() uint64 { return e.batchID }
 
 // Schedule enqueues ev to fire at absolute time at with no lane
@@ -156,8 +155,8 @@ func (e *Engine) Pending() int { return len(e.queue.items) }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // When that event is a batchable LaneEvent co-scheduled with others at
-// the same timestamp, the whole batch fires (lane-parallel eval, serial
-// commit) as one step. It reports whether anything was fired.
+// the same timestamp, the whole batch fires (eval all, then commit all)
+// as one step. It reports whether anything was fired.
 func (e *Engine) Step() bool {
 	q := &e.queue
 	if len(q.items) == 0 {
@@ -172,8 +171,13 @@ func (e *Engine) Step() bool {
 	e.fired++
 	if lane != GlobalLane {
 		e.laneFired++
-		if le, ok := ev.(LaneEvent); ok && le.Batchable() && e.stepBatch(le, lane) {
-			return true
+		// One timestamp compare on the new heap root settles nearly every
+		// firing before any interface call: no peer-lane successor at this
+		// instant, no batch.
+		if nxt := q.peek(); nxt != nil && nxt.at == e.now && nxt.lane != GlobalLane {
+			if le, ok := ev.(LaneEvent); ok && le.Batchable() && e.stepBatch(le, lane) {
+				return true
+			}
 		}
 	}
 	ev.Fire(e)
@@ -181,18 +185,15 @@ func (e *Engine) Step() bool {
 }
 
 // stepBatch tries to extend the already-popped first event into a
-// same-timestamp batch of batchable LaneEvents. It reports whether it
-// consumed the firing; false means the caller fires first serially (a
+// same-timestamp batch of batchable LaneEvents; the caller has checked
+// that a peer-lane event at this timestamp follows. It reports whether
+// it consumed the firing; false means the caller fires first serially (a
 // batch of one is equivalent to Fire by the LaneEvent contract, and the
 // serial path is cheaper).
 func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	at := e.now
 	q := &e.queue
-	nxt := q.peek()
-	if nxt == nil || nxt.at != at || nxt.lane == GlobalLane {
-		return false
-	}
-	if le, ok := nxt.ev.(LaneEvent); !ok || !le.Batchable() {
+	if le, ok := q.peek().ev.(LaneEvent); !ok || !le.Batchable() {
 		return false
 	}
 	e.batchEv = append(e.batchEv[:0], first)
@@ -217,22 +218,16 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	}
 	e.batches++
 	e.batchID++
-	// Bucket by lane: within a lane, batch order is scheduling (seq)
-	// order, which EvalLane must observe for events targeting one peer.
-	for i, ln := range e.batchLane {
-		e.byLane[ln] = append(e.byLane[ln], int32(i))
+	// Eval inline, in batch order: that is scheduling (seq) order, hence
+	// also each lane's own order, which EvalLane must observe for events
+	// targeting one peer. An eval is a sub-microsecond handler call;
+	// fanning them out measured slower at every batch size (DESIGN.md §7).
+	for i, le := range e.batchEv {
+		le.EvalLane(e, int(e.batchLane[i]))
 	}
-	ForLanes(e.shards, NumLanes, func(lane int) {
-		for _, i := range e.byLane[lane] {
-			e.batchEv[i].EvalLane(e, lane)
-		}
-	})
-	// Serial commit in exactly the order the events would have fired.
+	// Commit in exactly the order the events would have fired.
 	for _, le := range e.batchEv {
 		le.CommitLane(e)
-	}
-	for _, ln := range e.batchLane {
-		e.byLane[ln] = e.byLane[ln][:0]
 	}
 	clear(e.batchEv) // do not retain events past their firing
 	return true

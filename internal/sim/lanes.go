@@ -7,7 +7,7 @@ package sim
 // lane here is the same slab-page-stride partition the tick fan-out
 // shards over, so one lane's events touch one lane's peers. The tag never
 // changes firing order; it selects which events may fire together as a
-// same-timestamp LaneEvent batch and which lane evaluates each of them.
+// same-timestamp LaneEvent batch, and is passed to each one's EvalLane.
 const (
 	// NumLanes is the number of peer lanes.
 	NumLanes = 64
@@ -20,13 +20,15 @@ const (
 
 // LaneEvent is an Event whose firing can be split into a lane-local
 // evaluation and a cross-peer commit. When several LaneEvents share one
-// timestamp, the engine fires them as a batch: EvalLane runs lane-parallel
-// (an event may touch only state owned by its own lane's peers, and may
-// not schedule, draw randomness shared with other lanes, or mutate
-// engine/global state), then CommitLane runs serially in scheduling order
-// to apply cross-peer effects. The contract mirrors the tick barrier of
-// DESIGN.md §7: Fire must be exactly equivalent to EvalLane followed by
-// CommitLane, so a batch of size one can fall back to Fire.
+// timestamp, the engine fires them as a batch: every EvalLane first, in
+// scheduling order, then every CommitLane in the same order. EvalLane may
+// assume lane-confined state — it touches only state owned by its own
+// lane's peers, and must not schedule, draw shared randomness, or mutate
+// engine/global state — and runs on the event loop, like every other
+// firing; CommitLane applies the cross-peer effects. The contract mirrors
+// the tick barrier of DESIGN.md §7: Fire must be exactly equivalent to
+// EvalLane followed by CommitLane, so a batch of size one can fall back
+// to Fire.
 type LaneEvent interface {
 	Event
 	// Batchable reports whether this firing may currently be split into
@@ -35,7 +37,7 @@ type LaneEvent interface {
 	Batchable() bool
 	// EvalLane performs the lane-local half of the firing.
 	EvalLane(e *Engine, lane int)
-	// CommitLane applies buffered cross-peer effects; called serially in
-	// the exact order the batch's events would have fired.
+	// CommitLane applies buffered cross-peer effects; called in the exact
+	// order the batch's events would have fired.
 	CommitLane(e *Engine)
 }

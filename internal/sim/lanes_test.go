@@ -169,10 +169,12 @@ func TestDrainThenRescheduleAcrossLanes(t *testing.T) {
 	}
 }
 
-// batchRecorder is shared state for batchProbe events. Eval-side writes
-// are lane-confined (evalByLane), commit-side writes are serial.
+// batchRecorder is shared state for batchProbe events. evalByLane is
+// the lane-confined eval-side record; evals is the global eval order,
+// which only an engine that evaluates on the event loop may write.
 type batchRecorder struct {
 	evalByLane [NumLanes][]int
+	evals      []int
 	commits    []int
 	serialFire []int
 }
@@ -188,14 +190,16 @@ func (b *batchProbe) Fire(*Engine)    { b.rec.serialFire = append(b.rec.serialFi
 func (b *batchProbe) Batchable() bool { return !b.solo }
 func (b *batchProbe) EvalLane(e *Engine, lane int) {
 	b.rec.evalByLane[lane] = append(b.rec.evalByLane[lane], b.id)
+	b.rec.evals = append(b.rec.evals, b.id)
 }
 func (b *batchProbe) CommitLane(*Engine) { b.rec.commits = append(b.rec.commits, b.id) }
 
 // TestLaneBatchEvalCommit pins the same-timestamp batch contract: every
-// co-scheduled batchable LaneEvent evals on the lane it was scheduled on
-// and commits serially in insertion order; global-queue events and
-// non-batchable events at the same timestamp fire serially in their
-// global positions, unperturbed by the batch machinery around them.
+// co-scheduled batchable LaneEvent evals on the lane it was scheduled on,
+// evals run in insertion order across the whole batch (not merely within
+// a lane) and so do commits; global-queue events and non-batchable events
+// at the same timestamp fire serially in their global positions,
+// unperturbed by the batch machinery around them.
 func TestLaneBatchEvalCommit(t *testing.T) {
 	e := NewEngine(1)
 	e.SetShards(4)
@@ -227,6 +231,14 @@ func TestLaneBatchEvalCommit(t *testing.T) {
 			if wantLane[id] != lane {
 				t.Errorf("event %d evaled on lane %d, scheduled on %d", id, lane, wantLane[id])
 			}
+		}
+	}
+	if len(rec.evals) != n {
+		t.Fatalf("%d evals, want %d", len(rec.evals), n)
+	}
+	for i, id := range rec.evals {
+		if id != i {
+			t.Fatalf("global eval order %v, want insertion order", rec.evals)
 		}
 	}
 	if want := []int{-1, n}; len(rec.serialFire) != 2 || rec.serialFire[0] != -1 || rec.serialFire[1] != n {

@@ -46,13 +46,15 @@ lane_race() {
   # (workers > GOMAXPROCS included); run them by name so the tick-barrier
   # contract is exercised under the race detector even if the full sweep
   # above is ever narrowed. ShardInvariance also matches
-  # ShardInvarianceLatency, the latency run whose same-timestamp delivery
-  # batches drive the event plane's eval fan-out.
+  # ShardInvarianceLatency, the latency run whose ticks fan out while
+  # same-timestamp delivery batches fire between them on the event loop.
   go test -race -run 'ShardInvariance|CrossPlaneEquivalence|AggregatesMatchScan' \
     ./internal/core ./internal/experiments ./internal/live ./internal/overlay
-  # Engine-level event-plane concurrency: the batch eval/commit contract
-  # and its shard-count invariance, under -race; the oracle pins that a
-  # lane tag never changes firing order.
+  # Engine-level event plane: the batch eval/commit contract, its
+  # shard-count invariance, and the oracle that a lane tag never changes
+  # firing order. Batches evaluate on the event loop, so the tick barrier
+  # above is the one concurrent path; these stay under -race so a fan-out
+  # cannot come back into the batch path unexamined.
   go test -race -run 'LaneBatchEvalCommit|ShardCountInvariantForBatches|LaneShardingOracle' \
     ./internal/sim
 }
