@@ -5,10 +5,6 @@
 //	dlmbench -run fig7        # one experiment
 //	dlmbench -n 5000 -out results/
 //
-// It also doubles as the benchmark-artifact formatter (see benchjson.go):
-//
-//	go test -run='^$' -bench=. -benchmem ./... | dlmbench -json BENCH_pr1.json
-//
 // Scale note: -n sets the population for the figure scenarios; Table 3
 // uses its own size ladder (-table3sizes).
 package main
@@ -36,39 +32,13 @@ func main() {
 		t3sizes    = flag.String("table3sizes", "1000,4000,16000", "comma-separated network sizes for Table 3")
 		scSizes    = flag.String("scalesizes", "10000,100000,1000000", "comma-separated population sizes for -run scale")
 		advSizes   = flag.String("advsizes", "10000,100000,1000000", "comma-separated population sizes for -run adversarial")
-		scShards   = flag.String("scaleshards", "1,2,4,8", "comma-separated intra-run shard counts for -run scale (each N runs once per count)")
 		workers    = flag.Int("workers", 0, "worker pool cap for parallel sweeps (0 = GOMAXPROCS; results are identical for any value)")
 		shards     = flag.Int("shards", 0, "intra-run tick-parallelism workers for every non-scale run (0 = GOMAXPROCS; results are byte-identical for any value)")
 		dur        = flag.Float64("duration", dlm.SettledWindowEnd, "figure scenario duration (covers both regime changes)")
-		jsonOut    = flag.String("json", "", "parse `go test -bench` output from stdin into a JSON artifact at this path, then exit")
-		comparePth = flag.String("compare", "", "with -json: also diff the new artifact against this previous BENCH_*.json and fail on regression")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-
-	if *jsonOut != "" {
-		if err := writeBenchJSON(os.Stdin, *jsonOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("bench json: %s\n", *jsonOut)
-		if *comparePth != "" {
-			if err := compareBenchJSON(*comparePth, *jsonOut, os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-	if *comparePth != "" {
-		// Standalone compare: diff two existing artifacts.
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-compare needs -json (new artifact from stdin) or one positional BENCH_*.json argument"))
-		}
-		if err := compareBenchJSON(*comparePth, flag.Arg(0), os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *cpuProfile != "" {
 		fh, err := os.Create(*cpuProfile)
@@ -281,13 +251,11 @@ func main() {
 			}
 			sizes = append(sizes, v)
 		}
-		var shardCounts []int
-		for _, part := range strings.Split(*scShards, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad -scaleshards: %w", err))
-			}
-			shardCounts = append(shardCounts, v)
+		// Serial against what this host can run in parallel: one row
+		// per N when that is also 1.
+		shardCounts := []int{1}
+		if procs := runtime.GOMAXPROCS(0); procs > 1 {
+			shardCounts = append(shardCounts, procs)
 		}
 		rows, err := dlm.Scale(sizes, shardCounts, *seed)
 		if err != nil {

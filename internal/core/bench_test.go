@@ -9,14 +9,14 @@ import (
 	"dlm/internal/workload"
 )
 
-// BenchmarkScaleTick is the pinned macro benchmark of the scaling work:
+// BenchmarkScaleTick is the macro benchmark of the scaling work:
 // steady-state DLM maintenance ticks over a 100k-peer churning network —
 // the hot loop that dominates the -run scale sweep and the million-peer
 // runs. It measures whole net.Tick calls (lane fan-out, per-peer
 // evaluation, deferred commits, deficit-set repair, expiry and churn
 // events between ticks), so a regression anywhere on the per-tick path
-// shows up here. scripts/bench.sh records it into BENCH_*.json and the
-// CI bench-smoke lane gates on it.
+// shows up here; the steady100k workload of bench/ is the end-to-end
+// measurement of the same path.
 func BenchmarkScaleTick(b *testing.B) {
 	const size = 100_000
 	eng := sim.NewEngine(1)

@@ -43,14 +43,13 @@ type Manager struct {
 	// PeerID, the tick the peer is currently enrolled for (0 = none), so
 	// a peer re-enrolled after a layer change lazily invalidates its old
 	// bucket entry. calProcessed is the last due tick already drained.
-	// The O(N) scan survives as refreshDueScan, the differential oracle
-	// (and the refreshScan test flag forces it).
+	// TestRefreshCalendarComplete pins that no live leaf is ever left
+	// without a booking.
 	refreshCal   map[int64][]msg.PeerID
 	refreshTick  []int32
 	calPool      [][]msg.PeerID
 	calDue       []*overlay.Peer
 	calProcessed int64
-	refreshScan  bool
 
 	// mach is the machine arena: one protocol.Machine per slab slot,
 	// stored inline in append-only chunks so the tick's slot-order walks
@@ -401,11 +400,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	if m.P.Exchange == Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
 		m.exchangeAll(n)
 	} else if m.P.Exchange == EventDriven && m.P.RefreshInterval > 0 {
-		if m.refreshScan {
-			m.refreshDueScan(n, now)
-		} else {
-			m.refreshDue(n, now)
-		}
+		m.refreshDue(n, now)
 	}
 
 	// Retry or abandon Phase 1 requests whose deadline has passed. This
@@ -573,10 +568,10 @@ func (m *Manager) calEnroll(id msg.PeerID, key int64) {
 // than RefreshInterval, keeping μ estimates fresh on long-lived links.
 // Due leaves come from the refresh calendar, not a population walk: each
 // drained bucket is filtered (dead, promoted, or re-enrolled peers skip),
-// sorted by slab slot — the exact order the old full scan visited peers
-// in — and processed identically to that scan. Every surviving leaf
-// re-enrolls for its next due tick, so per-tick work is proportional to
-// the leaves actually due, not to the population.
+// sorted by slab slot — the order a full population walk would visit
+// them in, so frames depart in an order no bucket history can perturb.
+// Every surviving leaf re-enrolls for its next due tick, so per-tick work
+// is proportional to the leaves actually due, not to the population.
 func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
 	pnow := protocol.Time(now)
 	last := int64(math.Floor(float64(now)))
@@ -613,9 +608,8 @@ func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
 // total and any sort yields the same result.
 func bySlot(a, b *overlay.Peer) int { return cmp.Compare(a.Slot(), b.Slot()) }
 
-// refreshOne runs one leaf's refresh exchange — the loop body the old
-// full scan executed for every due leaf — and re-enrolls the leaf for
-// its next due tick.
+// refreshOne runs one leaf's refresh exchange and re-enrolls the leaf
+// for its next due tick.
 func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protocol.Time) {
 	lm := m.state(leaf)
 	if !lm.RefreshDue(pnow) {
@@ -642,39 +636,6 @@ func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protoc
 		m.pendingLive = true
 	}
 	m.calEnroll(leaf.ID, m.calKey(lm.RefreshAt()))
-}
-
-// refreshDueScan is the original O(N)-per-tick refresh scan, kept as the
-// calendar's differential oracle (forced by the refreshScan test flag).
-func (m *Manager) refreshDueScan(n *overlay.Network, now sim.Time) {
-	// Direct iteration is safe for the same reason as exchangeAll.
-	pnow := protocol.Time(now)
-	n.WalkPeers(func(leaf *overlay.Peer) {
-		if leaf.Layer != overlay.LayerLeaf {
-			return
-		}
-		lm := m.state(leaf)
-		if !lm.RefreshDue(pnow) {
-			return
-		}
-		for _, sid := range leaf.SuperLinks() {
-			super := n.Peer(sid)
-			if super == nil || !super.Alive() {
-				continue
-			}
-			// Deadlines first, frames second — same reentrancy rule as
-			// exchange.
-			lm.Expect(super.ID, msg.KindNeighNumRequest, pnow)
-			lm.Expect(super.ID, msg.KindValueRequest, pnow)
-			frames := protocol.RefreshExchange(leaf.ID, super.ID)
-			for i := range frames {
-				n.Send(frames[i])
-			}
-		}
-		if lm.PendingRequests() > 0 {
-			m.pendingLive = true
-		}
-	})
 }
 
 // expireAll runs the pending-request expiry for every machine with

@@ -277,6 +277,62 @@ func TestMeanReportedLnnTracksTruth(t *testing.T) {
 	}
 }
 
+// TestRefreshCalendarComplete pins the refresh calendar's one obligation:
+// every live leaf holds a booking that fires no later than the tick its
+// refresh comes due. It checks the observable consequence after every
+// tick of a churning run with promotions and demotions — no leaf's stamp
+// is ever RefreshInterval old — so a dropped enrollment (a join, a
+// demotion or a drain that fails to re-book) fails here within one
+// interval. Peers whose role changed at this very instant are exempt:
+// the decision phase runs after the refresh drain, so a leaf demoted in
+// this tick is booked for the next one.
+func TestRefreshCalendarComplete(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		p := DefaultParams()
+		eng, n, mgr := testNetwork(seed, p)
+		churn := &overlay.Churn{
+			Net: n,
+			Profile: &workload.StaticProfile{
+				Capacity: workload.SaroiuBandwidthMixture(),
+				Lifetime: workload.LognormalWithMedian(60, 1.2),
+			},
+			TargetSize: 400,
+			GrowthRate: 100,
+		}
+		churn.Start()
+		until := sim.Time(5 * p.RefreshInterval)
+		refreshed := 0
+		eng.Ticker(1, func(e *sim.Engine) bool {
+			n.Tick()
+			now := protocol.Time(e.Now())
+			n.WalkPeers(func(leaf *overlay.Peer) {
+				if leaf.Layer != overlay.LayerLeaf {
+					return
+				}
+				lm := mgr.state(leaf)
+				if lm.LastChange() == now {
+					return
+				}
+				if lm.RefreshAt() > 0 {
+					refreshed++
+				}
+				if age := now - lm.RefreshAt(); age >= p.RefreshInterval {
+					t.Errorf("seed %d t=%v: leaf %d last refreshed at %v, %v ago (interval %v)",
+						seed, now, leaf.ID, lm.RefreshAt(), age, p.RefreshInterval)
+				}
+			})
+			return !t.Failed() && e.Now() < until
+		})
+		if err := eng.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		if c := n.Counters(); c.Promotions == 0 || c.Demotions == 0 || c.Leaves == 0 || refreshed == 0 {
+			t.Fatalf("seed %d: run is vacuous: %d promotions, %d demotions, %d departures, %d refreshed-leaf checks",
+				seed, c.Promotions, c.Demotions, c.Leaves, refreshed)
+		}
+	}
+}
+
 func TestEmptyNetworkDiagnostics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	mgr := NewManager(DefaultParams())

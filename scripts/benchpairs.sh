@@ -11,9 +11,11 @@
 #   bash bench/run.sh --workload W --seed S --seconds 15 --trace 0
 # once per side, one after the other, alternating which side goes first.
 # Printed per end-to-end metric: q1/median/q3 of each side, the pairs the
-# change won (ties count for neither), and every run. A run that is not
-# `correct` or has `failed` > 0 aborts the script. Nothing under bench/ is
-# involved beyond being run; each checkout builds into its own .bench_build/.
+# change won (ties count for neither), and every run; the same report is
+# written to results/pairs/<REF short sha>-<WORKLOAD>-s<SEED>.txt, the file
+# to commit beside the claim. A run that is not `correct` or has `failed` > 0
+# aborts the script. Nothing under bench/ is involved beyond being run; each
+# checkout builds into its own .bench_build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +59,9 @@ for ((i = 1; i <= pairs; i++)); do
   done
 done
 
-echo "workload $workload, seed $seed, $pairs pairs, parent = $(git rev-parse --short "$ref"), change = working tree at $(git rev-parse --short HEAD)"
+parent=$(git rev-parse --short "$ref")
+{
+echo "workload $workload, seed $seed, $pairs pairs, parent = $parent, change = working tree at $(git rev-parse --short HEAD)"
 # The end_to_end block of BENCHMARK.json gives metric order and direction.
 awk '
   function quantile(a, n, p,    h, lo) {
@@ -95,3 +99,4 @@ awk '
     }
   }
 ' BENCHMARK.json "$tmp/runs"
+} | tee "results/pairs/$parent-$workload-s$seed.txt"

@@ -2,7 +2,7 @@
 # CI lanes. Run all of them before merging:
 #
 #   scripts/ci.sh            # every lane
-#   scripts/ci.sh test       # tier-1 only: format/vet gate + build + test
+#   scripts/ci.sh test       # tier-1 only: format/vet/script-syntax gate + build + test
 #   scripts/ci.sh race       # full suite under the race detector
 #   scripts/ci.sh benchsmoke # compile + one iteration of every benchmark
 #   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + scenarios
@@ -19,6 +19,7 @@ lane_test() {
     echo "$unformatted" >&2
     exit 1
   fi
+  for script in scripts/*.sh; do bash -n "$script"; done
   go build ./...
   go vet ./...
   # The protocol core must stay transport-agnostic: its import graph may
@@ -62,25 +63,6 @@ lane_race() {
 lane_benchsmoke() {
   echo "== lane: bench smoke (1 iteration each) =="
   go test -run='^$' -bench=. -benchtime=1x ./...
-  # Regression gate: re-run the pinned micro-benchmarks at full benchtime
-  # and diff against the newest checked-in artifact. Skipped when no
-  # baseline exists (fresh clone pre-PR1).
-  baseline=$(ls BENCH_pr*.json 2> /dev/null | sort -V | tail -1 || true)
-  if [ -z "$baseline" ]; then
-    echo "benchsmoke: no BENCH_pr*.json baseline, skipping regression gate"
-    return
-  fi
-  echo "== lane: bench regression gate (vs $baseline) =="
-  tmp=$(mktemp -d)
-  trap 'rm -rf "$tmp"' RETURN
-  # -count=3: the compare collapses repeats best-of-N, which keeps one
-  # slow run on a noisy shared box from failing the gate. BenchmarkScaleTick
-  # is the pinned macro benchmark (whole 100k-peer maintenance ticks); it
-  # gates on ns/op only, at a wider threshold.
-  go test -run='^$' -benchmem -count=3 \
-    -bench='^(BenchmarkEventThroughput|BenchmarkEventThroughputSharded|BenchmarkFloodQuery|BenchmarkFloodQueryRandom|BenchmarkScaleTick)$' \
-    ./internal/sim ./internal/query ./internal/core | tee "$tmp/bench.txt"
-  go run ./cmd/dlmbench -json "$tmp/bench.json" -compare "$baseline" < "$tmp/bench.txt"
 }
 
 lane_fuzzsmoke() {
