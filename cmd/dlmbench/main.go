@@ -33,7 +33,6 @@ func main() {
 		scSizes    = flag.String("scalesizes", "10000,100000,1000000", "comma-separated population sizes for -run scale")
 		advSizes   = flag.String("advsizes", "10000,100000,1000000", "comma-separated population sizes for -run adversarial")
 		workers    = flag.Int("workers", 0, "worker pool cap for parallel sweeps (0 = GOMAXPROCS; results are identical for any value)")
-		shards     = flag.Int("shards", 0, "intra-run tick-parallelism workers for every non-scale run (0 = GOMAXPROCS; results are byte-identical for any value)")
 		dur        = flag.Float64("duration", dlm.SettledWindowEnd, "figure scenario duration (covers both regime changes)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -68,11 +67,6 @@ func main() {
 	}
 
 	dlm.SetWorkers(*workers)
-	k := *shards
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	dlm.SetShards(k)
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

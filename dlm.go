@@ -258,13 +258,6 @@ func FormatScale(rows []ScaleRow) string { return experiments.FormatScale(rows) 
 // notes — so this only trades wall time for memory.
 func SetWorkers(n int) { experiments.DefaultWorkers = n }
 
-// SetShards sets the intra-run lane-fan-out worker count for runs whose
-// RunConfig leaves Shards zero (0 restores the serial default). The
-// fixed-lane tick discipline makes every run byte-identical for any
-// value — see internal/sim.ForLanes — so, like SetWorkers, this only
-// trades wall time.
-func SetShards(n int) { experiments.DefaultShards = n }
-
 // Series is an append-only named time series.
 type Series = stats.Series
 

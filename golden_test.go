@@ -20,15 +20,6 @@ func TestGoldenFigures(t *testing.T) {
 		t.Skip("golden figure regeneration is slow; skipped with -short")
 	}
 
-	// Regenerate through the sharded tick path: the goldens were produced
-	// by dlmbench (which defaults -shards to GOMAXPROCS), and the
-	// fixed-lane discipline promises the bytes are identical for any
-	// worker count — 4 here pins the multi-worker fan-out regardless of
-	// the machine running the test.
-	// Cleanup, not defer: the parallel subtests outlive this function body.
-	dlm.SetShards(4)
-	t.Cleanup(func() { dlm.SetShards(0) })
-
 	// The dlmbench figure defaults (cmd/dlmbench/main.go).
 	base := dlm.Scaled(2000)
 	base.Seed = 1

@@ -156,7 +156,7 @@ type laneState struct {
 	// rng is the lane's persistent random stream, derived once from the
 	// engine's "dlm" stream by lane index. Peer-to-lane assignment is a
 	// fixed function of the slab layout (never of the worker count), so
-	// the draw sequence each peer observes is identical for any -shards
+	// the draw sequence each peer observes is identical for any Shards
 	// setting — the determinism contract of the sharded tick.
 	rng *sim.Source
 	// evals buffers the lane's decision results for the serial commit

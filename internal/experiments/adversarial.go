@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"dlm/internal/scenario"
@@ -68,13 +69,14 @@ type AdversarialRow struct {
 // each population size and reduces every run to one row. Runs execute
 // serially on one reused engine — the top sizes own the machine's memory
 // bandwidth anyway, and serial execution keeps the peak footprint to a
-// single population.
+// single population — so, like Scale, each run's tick fans out over
+// GOMAXPROCS shards instead.
 func Adversarial(sizes []int, seed int64) ([]AdversarialRow, error) {
 	var rows []AdversarialRow
 	var eng *sim.Engine
 	for _, n := range sizes {
 		for _, cfg := range scenario.Pack(n, seed) {
-			cfg.Shards = resolveShards(0)
+			cfg.Shards = runtime.GOMAXPROCS(0)
 			if eng == nil {
 				eng = sim.NewEngine(cfg.Base.Seed)
 			}

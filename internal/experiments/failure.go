@@ -7,6 +7,7 @@ import (
 
 	"dlm/internal/config"
 	"dlm/internal/msg"
+	"dlm/internal/overlay"
 	"dlm/internal/parexp"
 	"dlm/internal/query"
 	"dlm/internal/sim"
@@ -61,7 +62,7 @@ func failureOn(eng *sim.Engine, sc config.Scenario, killFraction float64) (*Fail
 
 	eng = engineFor(eng, sc.Seed*17)
 	mgr := buildManager(RunConfig{Scenario: sc, Manager: ManagerDLM}, sc.Seed)
-	net := newOverlayForScenario(eng, sc, mgr)
+	net := overlay.New(eng, sc.Overlay(), mgr)
 	cat := query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
 	qe := query.Attach(net, cat)
 	qe.DefaultTTL = uint8(sc.TTL)

@@ -60,8 +60,8 @@ type RunConfig struct {
 	// the zero value is a perfect link.
 	Link overlay.Link
 	// Shards is the intra-run worker count for the tick's lane-parallel
-	// decision phase (see sim.Engine.SetShards); zero falls back to
-	// DefaultShards. Results are byte-identical for every value.
+	// decision phase (see sim.Engine.SetShards); zero means serial.
+	// Results are byte-identical for every value.
 	Shards int
 }
 
@@ -121,12 +121,6 @@ func buildManager(rc RunConfig, seed int64) overlay.Manager {
 	}
 }
 
-// newOverlayForScenario binds an overlay with the scenario's structural
-// parameters to the engine.
-func newOverlayForScenario(eng *sim.Engine, sc config.Scenario, mgr overlay.Manager) *overlay.Network {
-	return overlay.New(eng, sc.Overlay(), mgr)
-}
-
 // startChurn wires the scenario's population process to the network.
 func startChurn(net *overlay.Network, sc config.Scenario, cat overlay.ObjectAssigner) {
 	c := &overlay.Churn{
@@ -163,7 +157,7 @@ func RunOn(eng *sim.Engine, rc RunConfig) (*RunResult, error) {
 	} else {
 		eng.Reset(seed)
 	}
-	eng.SetShards(resolveShards(rc.Shards))
+	eng.SetShards(rc.Shards)
 	mgr := buildManager(rc, seed)
 	ocfg := sc.Overlay()
 	ocfg.Latency = rc.Latency

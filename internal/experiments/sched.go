@@ -27,27 +27,6 @@ import (
 // results.
 var DefaultWorkers int
 
-// DefaultShards, when non-zero, is the intra-run lane-fan-out worker
-// count (sim.Engine.SetShards) for runs whose RunConfig did not pick one.
-// The fixed-lane discipline makes results byte-identical for any value,
-// so like DefaultWorkers this only trades wall time. Zero means serial
-// (one worker) — intra-run parallelism composes with the trial pool, and
-// the conservative default avoids oversubscribing a sweep that already
-// saturates the CPUs with one trial per core.
-var DefaultShards int
-
-// resolveShards applies the RunConfig → DefaultShards → serial fallback
-// chain.
-func resolveShards(rc int) int {
-	if rc > 0 {
-		return rc
-	}
-	if DefaultShards > 0 {
-		return DefaultShards
-	}
-	return 1
-}
-
 // newWorkerEngine builds a worker's reusable engine. The seed is
 // irrelevant: every trial resets the engine to its own seed before use.
 func newWorkerEngine() *sim.Engine { return sim.NewEngine(0) }

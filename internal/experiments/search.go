@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"dlm/internal/baseline"
 	"dlm/internal/config"
-	"dlm/internal/flat"
+	"dlm/internal/overlay"
 	"dlm/internal/parexp"
 	"dlm/internal/query"
 	"dlm/internal/sim"
@@ -26,6 +27,11 @@ type SearchRow struct {
 	SuperReachFrac float64 // fraction of the population (supers reached)
 }
 
+// half is one system's outcome at one TTL.
+type half struct {
+	success, msgs, reach float64
+}
+
 // SearchEfficiency reproduces the paper's motivating claim (§1/§3):
 // "super-peer systems have higher search efficiency because instead of
 // all the peers, only super-peers are involved in search processes." It
@@ -37,15 +43,20 @@ func SearchEfficiency(sc config.Scenario, ttls []int, queriesPerTTL int) ([]Sear
 	if queriesPerTTL <= 0 {
 		queriesPerTTL = 200
 	}
-	type half struct {
-		success, msgs, reach float64
-	}
-
 	jobs := make([]func(*sim.Engine) (half, error), 0, 2*len(ttls))
 	for _, ttl := range ttls {
 		ttl := ttl
-		jobs = append(jobs, func(eng *sim.Engine) (half, error) { return runPureSearch(eng, sc, ttl, queriesPerTTL) })
-		jobs = append(jobs, func(eng *sim.Engine) (half, error) { return runSuperSearch(eng, sc, ttl, queriesPerTTL) })
+		jobs = append(jobs, func(eng *sim.Engine) (half, error) {
+			// The pure system is the overlay with an empty leaf layer:
+			// threshold 0 admits every peer as a super.
+			pure := sc
+			pure.KS = pureDegree
+			return runSearch(eng, pure, &baseline.Preconfigured{}, pureLatency, "pure-search", ttl, queriesPerTTL)
+		})
+		jobs = append(jobs, func(eng *sim.Engine) (half, error) {
+			mgr := buildManager(RunConfig{Scenario: sc, Manager: ManagerDLM}, sc.Seed)
+			return runSearch(eng, sc, mgr, 0, "super-search", ttl, queriesPerTTL)
+		})
 	}
 	results, err := pooled(len(jobs), parexp.Options{BaseSeed: 0},
 		func(eng *sim.Engine, seed int64) (half, error) { return jobs[seed](eng) })
@@ -68,93 +79,69 @@ func SearchEfficiency(sc config.Scenario, ttls []int, queriesPerTTL int) ([]Sear
 	return rows, nil
 }
 
-// runPureSearch builds a flat network under the scenario's workload and
-// issues queries at the given TTL after warm-up.
-func runPureSearch(eng *sim.Engine, sc config.Scenario, ttl, queries int) (struct{ success, msgs, reach float64 }, error) {
-	var out struct{ success, msgs, reach float64 }
+// pureDegree is the pure system's per-peer neighbor count (Gnutella 0.4
+// clients kept roughly 4-8 connections).
+const pureDegree = 5
+
+// pureLatency is the pure half's one-hop delay. It must be positive: at
+// zero latency Send delivers inline, the flood's first arrivals are
+// depth-first, and duplicate suppression then cuts it short of the
+// population a breadth-first flood reaches. It is tiny so that the whole
+// query phase spans a negligible stretch of churn.
+const pureLatency sim.Duration = 1e-6
+
+// runSearch builds an overlay under the scenario's workload with the
+// given layer manager and one-hop latency, and issues queries at the
+// given TTL after warm-up. stream names the RNG stream the query targets
+// are drawn from.
+func runSearch(eng *sim.Engine, sc config.Scenario, mgr overlay.Manager, latency sim.Duration, stream string, ttl, queries int) (half, error) {
 	if err := sc.Validate(); err != nil {
-		return out, err
+		return half{}, err
 	}
 	eng = engineFor(eng, sc.Seed)
-	n := flat.New(eng, flat.Config{Degree: 5})
+	ocfg := sc.Overlay()
+	ocfg.Latency = latency
+	net := overlay.New(eng, ocfg, mgr)
 	cat := query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
-	churn := &flat.Churn{
-		Net:        n,
-		Profile:    sc.BaseProfile(),
-		Catalog:    cat,
-		TargetSize: sc.N,
-		GrowthRate: sc.GrowthRate,
-	}
-	churn.Start()
+	qe := query.Attach(net, cat)
+	startChurn(net, sc, cat)
 	eng.Ticker(1, func(e *sim.Engine) bool {
-		n.Repair()
+		net.Tick()
 		return e.Now() < sim.Time(sc.Warmup)
 	})
 	if err := eng.RunUntil(sim.Time(sc.Warmup)); err != nil {
-		return out, err
+		return half{}, err
 	}
-	rng := eng.Rand().Stream("pure-search")
+	rng := eng.Rand().Stream(stream)
 	succeeded := 0
 	var totalMsgs, totalReach uint64
-	for i := 0; i < queries; i++ {
-		src := n.RandomPeer()
-		if src == nil {
-			continue
-		}
-		res := n.Flood(src, cat.QueryTarget(rng), ttl)
+	finished := false
+	tally := func(res *query.Result) {
+		finished = true
 		if res.Found {
 			succeeded++
 		}
 		totalMsgs += res.QueryMsgs + res.HitMsgs
-		totalReach += uint64(res.PeersReached)
+		totalReach += uint64(res.SupersReached)
 	}
-	out.success = float64(succeeded) / float64(queries)
-	out.msgs = float64(totalMsgs) / float64(queries)
-	out.reach = float64(totalReach) / float64(queries) / float64(sc.N)
-	return out, nil
-}
-
-// runSuperSearch builds a DLM-managed super-peer network under the same
-// workload and issues queries at the given TTL after warm-up.
-func runSuperSearch(eng *sim.Engine, sc config.Scenario, ttl, queries int) (struct{ success, msgs, reach float64 }, error) {
-	var out struct{ success, msgs, reach float64 }
-	scc := sc
-	scc.QueryRate = 0 // we issue queries manually after warm-up
-	rc := RunConfig{Scenario: scc, Manager: ManagerDLM}
-
-	eng = engineFor(eng, scc.Seed)
-	mgr := buildManager(rc, scc.Seed)
-	net := newOverlayForScenario(eng, scc, mgr)
-	cat := query.NewCatalog(scc.CatalogSize, 0.8, 0.8)
-	qe := query.Attach(net, cat)
-	startChurn(net, scc, cat)
-	eng.Ticker(1, func(e *sim.Engine) bool {
-		net.Tick()
-		return e.Now() < sim.Time(scc.Warmup)
-	})
-	if err := eng.RunUntil(sim.Time(scc.Warmup)); err != nil {
-		return out, err
-	}
-	rng := eng.Rand().Stream("super-search")
-	succeeded := 0
-	var totalMsgs float64
-	var totalReach uint64
 	for i := 0; i < queries; i++ {
 		src := net.RandomPeer()
 		if src == nil {
 			continue
 		}
-		res := qe.Issue(src, cat.QueryTarget(rng), uint8(ttl))
-		if res.Found {
-			succeeded++
+		// At zero latency the flood completes inside IssueAsync; with
+		// latency it travels through the event queue until its deadline.
+		finished = false
+		qe.IssueAsync(src, cat.QueryTarget(rng), uint8(ttl), tally)
+		for !finished && eng.Step() {
 		}
-		totalMsgs += float64(res.QueryMsgs + res.HitMsgs)
-		totalReach += uint64(res.SupersReached)
 	}
-	out.success = float64(succeeded) / float64(queries)
-	out.msgs = totalMsgs / float64(queries)
-	out.reach = float64(totalReach) / float64(queries) / float64(scc.N)
-	return out, nil
+	q := float64(queries)
+	return half{
+		success: float64(succeeded) / q,
+		msgs:    float64(totalMsgs) / q,
+		reach:   float64(totalReach) / q / float64(sc.N),
+	}, nil
 }
 
 // FormatSearchRows renders the comparison.

@@ -10,8 +10,8 @@ import (
 // TestRunShardInvariance checks the determinism contract at the artifact
 // level: a full Run — churn, DLM decisions, sampled series, window
 // counters, traffic — rendered to CSV bytes must be identical for every
-// RunConfig.Shards value. This is the property that lets results/*.csv
-// goldens stay valid no matter what -shards a machine uses.
+// RunConfig.Shards value, so the results/*.csv goldens (regenerated
+// serially) also pin every sharded run.
 func TestRunShardInvariance(t *testing.T) {
 	sc := config.Scaled(400)
 	sc.Duration = 80

@@ -15,12 +15,10 @@ import (
 // dedicated RNG stream ("overlay.link") that perfect-link runs never
 // touch.
 //
-// Jitter comes in two shapes, mutually exclusive: a triangular
-// min/mode/max distribution (the classic "ping spread" model, cheap and
-// bounded) or a lognormal one (heavy upper tail, the shape WAN latency
-// studies report). ReorderWindow adds an independent uniform extra delay
-// in [0, W) per delivered copy, so messages sent back-to-back can overtake
-// each other by up to the window.
+// Jitter is a triangular min/mode/max distribution (the classic "ping
+// spread" model, cheap and bounded). ReorderWindow adds an independent
+// uniform extra delay in [0, W) per delivered copy, so messages sent
+// back-to-back can overtake each other by up to the window.
 type Link struct {
 	// Loss is the probability a message is dropped in flight.
 	Loss float64
@@ -31,9 +29,6 @@ type Link struct {
 	// jitter added on top of Config.Latency; all zero disables. Active
 	// when JitterMax > 0.
 	JitterMin, JitterMode, JitterMax sim.Duration
-	// LogJitterMu/LogJitterSigma select lognormal jitter instead
-	// (exp(N(μ,σ)) time units); active when LogJitterSigma > 0.
-	LogJitterMu, LogJitterSigma float64
 	// ReorderWindow adds a uniform extra delay in [0, ReorderWindow) per
 	// delivered copy.
 	ReorderWindow sim.Duration
@@ -42,8 +37,7 @@ type Link struct {
 // Active reports whether any fault knob is set; inactive links take the
 // overlay's original draw-free delivery path.
 func (l Link) Active() bool {
-	return l.Loss > 0 || l.Dup > 0 || l.JitterMax > 0 || l.LogJitterSigma > 0 ||
-		l.ReorderWindow > 0
+	return l.Loss > 0 || l.Dup > 0 || l.JitterMax > 0 || l.ReorderWindow > 0
 }
 
 // Validate reports a descriptive error for out-of-range parameters.
@@ -56,10 +50,6 @@ func (l Link) Validate() error {
 	case l.JitterMin < 0 || l.JitterMode < l.JitterMin || l.JitterMax < l.JitterMode:
 		return fmt.Errorf("overlay: link jitter (%v, %v, %v), want 0 <= min <= mode <= max",
 			l.JitterMin, l.JitterMode, l.JitterMax)
-	case l.LogJitterSigma < 0:
-		return fmt.Errorf("overlay: link lognormal sigma = %v, want >= 0", l.LogJitterSigma)
-	case l.JitterMax > 0 && l.LogJitterSigma > 0:
-		return fmt.Errorf("overlay: link sets both triangular and lognormal jitter")
 	case l.ReorderWindow < 0:
 		return fmt.Errorf("overlay: link reorder window = %v, want >= 0", l.ReorderWindow)
 	}
@@ -67,14 +57,12 @@ func (l Link) Validate() error {
 }
 
 // delay draws the extra delivery delay for one copy of a message. The
-// draw discipline is fixed: one draw per active jitter family, then one
+// draw discipline is fixed: one draw when jitter is active, then one
 // per active reorder window — never more, never fewer — so sequences
 // stay reproducible as knobs are toggled independently.
 func (l Link) delay(rng *sim.Source) sim.Duration {
 	var d sim.Duration
-	if l.LogJitterSigma > 0 {
-		d += sim.Duration(rng.Lognormal(l.LogJitterMu, l.LogJitterSigma))
-	} else if l.JitterMax > 0 {
+	if l.JitterMax > 0 {
 		d += l.triangular(rng)
 	}
 	if l.ReorderWindow > 0 {

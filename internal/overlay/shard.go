@@ -16,7 +16,7 @@ import "dlm/internal/sim"
 //     page-sized chunks — the walk stays cache-friendly.
 //
 //  2. Worker-count independence. NumLanes is a constant, never derived
-//     from GOMAXPROCS or a -shards flag. Consumers give each lane its own
+//     from GOMAXPROCS or the shard count. Consumers give each lane its own
 //     RNG stream and result buffer and merge in (lane, slot) order, so a
 //     64-worker run and a serial run produce byte-identical output.
 //

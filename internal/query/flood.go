@@ -33,7 +33,7 @@ type Result struct {
 // among super-peers with a TTL, each super-peer answers from its local
 // content and its leaf index, and hits travel the inverse query path.
 type Engine struct {
-	// DefaultTTL is used by IssueRandom.
+	// DefaultTTL is used by IssueRandomAsync.
 	DefaultTTL uint8
 
 	net    *overlay.Network
@@ -265,19 +265,9 @@ func (e *Engine) finalize(qid msg.QueryID) {
 	e.putFlood(fl)
 }
 
-// IssueRandom issues a query with a Zipf-drawn target from a uniformly
-// random live peer; it returns nil on an empty network. Zero-latency
-// networks only; see IssueRandomAsync.
-func (e *Engine) IssueRandom() *Result {
-	p := e.net.RandomPeer()
-	if p == nil {
-		return nil
-	}
-	return e.Issue(p, e.cat.QueryTarget(e.rng), e.DefaultTTL)
-}
-
-// IssueRandomAsync is IssueRandom for latency-configured networks; the
-// result arrives via the engine statistics (and done, when non-nil).
+// IssueRandomAsync issues a query with a Zipf-drawn target from a
+// uniformly random live peer (a no-op on an empty network); the result
+// arrives via the engine statistics (and done, when non-nil).
 func (e *Engine) IssueRandomAsync(done func(*Result)) {
 	p := e.net.RandomPeer()
 	if p == nil {

@@ -179,11 +179,7 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 	} else {
 		eng.Reset(sc.Seed)
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	eng.SetShards(shards)
+	eng.SetShards(cfg.Shards)
 
 	params := core.DefaultParams()
 	params.DefenseMaxCapacity = cfg.DefenseMaxCapacity

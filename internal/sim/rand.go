@@ -53,12 +53,6 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 // Intn returns a uniform draw in [0,n). It panics when n <= 0.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
-
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements via swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 

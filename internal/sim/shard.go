@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -19,17 +18,12 @@ import (
 
 // SetShards sets the worker count used by lane fan-outs on this engine
 // (see ForLanes). It is configuration, not simulation state: Reset keeps
-// it, exactly like MaxEvents. Zero or negative selects GOMAXPROCS. The
+// it, exactly like MaxEvents. Zero or negative means serial. The
 // fixed-lane discipline makes results identical for every value.
-func (e *Engine) SetShards(k int) {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	e.shards = k
-}
+func (e *Engine) SetShards(k int) { e.shards = k }
 
 // Shards returns the configured lane-fan-out worker count (1 when never
-// set).
+// set or set below 1).
 func (e *Engine) Shards() int {
 	if e.shards <= 0 {
 		return 1

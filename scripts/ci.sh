@@ -8,6 +8,7 @@
 #   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + scenarios
 #   scripts/ci.sh cover      # coverage floors (protocol >= 85%, experiments >= 70%, total >= 70%)
 #   scripts/ci.sh adversarialsmoke # cheap adversarial scenarios + oracles under -race
+#                                  # (a quick subset of race; the every-lane run skips it)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,21 +44,6 @@ lane_test() {
 lane_race() {
   echo "== lane: race =="
   go test -race ./...
-  # The shard-determinism tests drive real multi-worker lane fan-outs
-  # (workers > GOMAXPROCS included); run them by name so the tick-barrier
-  # contract is exercised under the race detector even if the full sweep
-  # above is ever narrowed. ShardInvariance also matches
-  # ShardInvarianceLatency, the latency run whose ticks fan out while
-  # same-timestamp delivery batches fire between them on the event loop.
-  go test -race -run 'ShardInvariance|CrossPlaneEquivalence|AggregatesMatchScan' \
-    ./internal/core ./internal/experiments ./internal/live ./internal/overlay
-  # Engine-level event plane: the batch eval/commit contract, its
-  # shard-count invariance, and the oracle that a lane tag never changes
-  # firing order. Batches evaluate on the event loop, so the tick barrier
-  # above is the one concurrent path; these stay under -race so a fan-out
-  # cannot come back into the batch path unexamined.
-  go test -race -run 'LaneBatchEvalCommit|ShardCountInvariantForBatches|LaneShardingOracle' \
-    ./internal/sim
 }
 
 lane_benchsmoke() {
@@ -93,21 +79,25 @@ pct_at_least() {
   }'
 }
 
+# pkg_pct LOG PKG: the coverage percentage on PKG's "ok" line of a
+# `go test -cover` log.
+pkg_pct() {
+  awk -v pkg="$2" '$1 == "ok" && $2 == pkg { sub(/%/, "", $5); print $5 }' "$1"
+}
+
 lane_cover() {
   echo "== lane: coverage floors =="
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' RETURN
+  # One pass: each package's own-tests coverage is on its "ok" line, the
+  # repo-wide figure is the profile's total.
+  go test -short -coverprofile="$tmp/all.out" ./... > "$tmp/log"
   # The protocol core is the correctness-critical package; it carries a
   # higher floor than the repo-wide one.
-  go test -short -coverprofile="$tmp/protocol.out" ./internal/protocol/ > /dev/null
-  proto_pct=$(go tool cover -func="$tmp/protocol.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-  pct_at_least "$proto_pct" 85 "internal/protocol"
+  pct_at_least "$(pkg_pct "$tmp/log" dlm/internal/protocol)" 85 "internal/protocol"
   # The experiment drivers gained their own floor with the adversarial
   # pack: the sweep/format paths must stay exercised in short mode.
-  go test -short -coverprofile="$tmp/experiments.out" ./internal/experiments/ > /dev/null
-  exp_pct=$(go tool cover -func="$tmp/experiments.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-  pct_at_least "$exp_pct" 70 "internal/experiments"
-  go test -short -coverprofile="$tmp/all.out" ./... > /dev/null
+  pct_at_least "$(pkg_pct "$tmp/log" dlm/internal/experiments)" 70 "internal/experiments"
   total_pct=$(go tool cover -func="$tmp/all.out" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
   pct_at_least "$total_pct" 70 "total"
 }
@@ -119,7 +109,8 @@ case "${1:-all}" in
   fuzzsmoke)        lane_fuzzsmoke ;;
   cover)            lane_cover ;;
   adversarialsmoke) lane_adversarialsmoke ;;
-  all)              lane_test; lane_race; lane_benchsmoke; lane_fuzzsmoke; lane_cover; lane_adversarialsmoke ;;
+  # lane_race's full sweep already ran adversarialsmoke's two tests under -race.
+  all)              lane_test; lane_race; lane_benchsmoke; lane_fuzzsmoke; lane_cover ;;
   *)                echo "usage: $0 [test|race|benchsmoke|fuzzsmoke|cover|adversarialsmoke|all]" >&2; exit 2 ;;
 esac
 echo "ci: all requested lanes green"
