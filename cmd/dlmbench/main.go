@@ -101,14 +101,7 @@ func main() {
 		figure(sc, "fig8", dlm.Figure8, *outDir)
 	}
 	if want("table3") {
-		var sizes []int
-		for _, part := range strings.Split(*t3sizes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad -table3sizes: %w", err))
-			}
-			sizes = append(sizes, v)
-		}
+		sizes := parseSizes("table3sizes", *t3sizes)
 		rows, err := dlm.Table3(sizes, *seed)
 		if err != nil {
 			fatal(err)
@@ -237,14 +230,7 @@ func main() {
 		writeText(*outDir, "redundancy.txt", dlm.FormatRedundancy(rows))
 	}
 	if *run == "scale" { // opt-in only: the top size simulates a million peers
-		var sizes []int
-		for _, part := range strings.Split(*scSizes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad -scalesizes: %w", err))
-			}
-			sizes = append(sizes, v)
-		}
+		sizes := parseSizes("scalesizes", *scSizes)
 		// Serial against what this host can run in parallel: one row
 		// per N when that is also 1.
 		shardCounts := []int{1}
@@ -260,14 +246,7 @@ func main() {
 		writeText(*outDir, "scale.txt", dlm.FormatScale(rows))
 	}
 	if *run == "adversarial" { // opt-in only: the top size simulates a million peers
-		var sizes []int
-		for _, part := range strings.Split(*advSizes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad -advsizes: %w", err))
-			}
-			sizes = append(sizes, v)
-		}
+		sizes := parseSizes("advsizes", *advSizes)
 		rows, err := dlm.Adversarial(sizes, *seed)
 		if err != nil {
 			fatal(err)
@@ -328,6 +307,20 @@ func writeText(dir, name, content string) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		fatal(err)
 	}
+}
+
+// parseSizes reads a comma-separated list of population sizes, the value
+// of the named flag.
+func parseSizes(flagName, s string) []int {
+	var sizes []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			fatal(fmt.Errorf("bad -%s: %w", flagName, err))
+		}
+		sizes = append(sizes, v)
+	}
+	return sizes
 }
 
 func fatal(err error) {

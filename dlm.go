@@ -26,6 +26,7 @@ import (
 	"dlm/internal/core"
 	"dlm/internal/experiments"
 	"dlm/internal/plot"
+	"dlm/internal/scenario"
 	"dlm/internal/stats"
 )
 
@@ -172,18 +173,21 @@ const (
 	SettledWindowEnd   = experiments.SettledWindowEnd
 )
 
-// AdversarialRow reports one adversarial scenario at one population size.
-type AdversarialRow = experiments.AdversarialRow
+// AdversarialRow reports one adversarial scenario at one population size:
+// the scenario run's full result (ratio error before, during and after
+// the disturbance, re-convergence time, liar capture, overheads, oracle
+// violations).
+type AdversarialRow = scenario.Result
 
 // Adversarial runs the adversarial scenario pack (flash crowds, diurnal
 // waves, healing partitions, misreporting peers, mass super-peer exits —
 // see internal/scenario) at each population size.
-func Adversarial(sizes []int, seed int64) ([]AdversarialRow, error) {
-	return experiments.Adversarial(sizes, seed)
+func Adversarial(sizes []int, seed int64) ([]*AdversarialRow, error) {
+	return scenario.Adversarial(sizes, seed)
 }
 
 // FormatAdversarial renders adversarial-pack rows.
-func FormatAdversarial(rows []AdversarialRow) string { return experiments.FormatAdversarial(rows) }
+func FormatAdversarial(rows []*AdversarialRow) string { return scenario.FormatAdversarial(rows) }
 
 // CapRow reports the effect of a per-super leaf-degree cap on DLM.
 type CapRow = experiments.CapRow

@@ -7,9 +7,7 @@ import (
 
 	"dlm/internal/config"
 	"dlm/internal/msg"
-	"dlm/internal/overlay"
 	"dlm/internal/parexp"
-	"dlm/internal/query"
 	"dlm/internal/sim"
 )
 
@@ -28,7 +26,8 @@ type FailureResult struct {
 	RatioPeak   float64
 	// RecoveryTime is how long after the failure the ratio first returns
 	// to within 50% of the target η (NaN if never within the observation
-	// window). Zero means the spike never left the band.
+	// window). The first tick tested is the one after the failure, so 1
+	// means the spike never left the band.
 	RecoveryTime float64
 	// SuccessBefore/During/After are query success rates in the three
 	// phases (before failure, first 30 units after, after recovery).
@@ -54,20 +53,13 @@ func failureOn(eng *sim.Engine, sc config.Scenario, killFraction float64) (*Fail
 	if sc.QueryRate <= 0 {
 		sc.QueryRate = 5
 	}
-	if err := sc.Validate(); err != nil {
+	s, err := Open(eng, RunConfig{Scenario: sc, Manager: ManagerDLM, Queries: true, Seed: sc.Seed * 17})
+	if err != nil {
 		return nil, err
 	}
+	eng, net, qe := s.Eng, s.Net, s.Query
 	failAt := sc.Warmup + 50
 	res := &FailureResult{KillFraction: killFraction, FailAt: failAt, RecoveryTime: math.NaN()}
-
-	eng = engineFor(eng, sc.Seed*17)
-	mgr := buildManager(RunConfig{Scenario: sc, Manager: ManagerDLM}, sc.Seed)
-	net := overlay.New(eng, sc.Overlay(), mgr)
-	cat := query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
-	qe := query.Attach(net, cat)
-	qe.DefaultTTL = uint8(sc.TTL)
-	startChurn(net, sc, cat)
-	(&query.Driver{Engine: qe, Rate: sc.QueryRate, Until: sim.Time(sc.Duration)}).Start()
 
 	// Phase bookkeeping.
 	var promotionsAtFail uint64

@@ -7,7 +7,6 @@ import (
 	"dlm/internal/config"
 	"dlm/internal/overlay"
 	"dlm/internal/parexp"
-	"dlm/internal/query"
 	"dlm/internal/sim"
 	"dlm/internal/stats"
 )
@@ -54,21 +53,14 @@ func runRedundancy(eng *sim.Engine, sc config.Scenario, m int) (RedundancyRow, e
 	if scc.QueryRate <= 0 {
 		scc.QueryRate = 5
 	}
-	if err := scc.Validate(); err != nil {
-		return row, err
-	}
-	eng = engineFor(eng, scc.Seed*31)
-	mgr := buildManager(RunConfig{Scenario: scc, Manager: ManagerDLM}, scc.Seed)
-	ocfg := scc.Overlay()
+	rc := RunConfig{Scenario: scc, Manager: ManagerDLM, Queries: true, Seed: scc.Seed * 31}
 	// Orphans wait for the next repair round: the blackout window that m
 	// redundant connections exist to cover.
-	ocfg.DeferredReconnect = true
-	net := overlay.New(eng, ocfg, mgr)
-	cat := query.NewCatalog(scc.CatalogSize, 0.8, 0.8)
-	qe := query.Attach(net, cat)
-	qe.DefaultTTL = uint8(scc.TTL)
-	startChurn(net, scc, cat)
-	(&query.Driver{Engine: qe, Rate: scc.QueryRate, Until: sim.Time(scc.Duration)}).Start()
+	s, err := open(eng, rc, func(c *overlay.Config) { c.DeferredReconnect = true }, nil)
+	if err != nil {
+		return row, err
+	}
+	eng, net, qe := s.Eng, s.Net, s.Query
 
 	var stranded, under, whole stats.Welford
 	warmed := false

@@ -11,6 +11,17 @@ import (
 	"dlm/internal/sim"
 )
 
+// The settled measurement window shared by the long-horizon experiments:
+// the layer ratio converges slowly from the bootstrap overshoot, so the
+// figure scenarios run to SettledWindowEnd and the robustness sweep
+// measures only the tail from SettledWindowStart on. The golden figure
+// artifacts (golden_test.go) and the dlmbench defaults both anchor to
+// these values — one definition, so the window cannot drift apart again.
+const (
+	SettledWindowStart = 600.0
+	SettledWindowEnd   = 1600.0
+)
+
 // RobustnessRow reports DLM behavior at one message-loss level of the
 // adverse-network sweep.
 type RobustnessRow struct {

@@ -121,29 +121,35 @@ func buildManager(rc RunConfig, seed int64) overlay.Manager {
 	}
 }
 
-// startChurn wires the scenario's population process to the network.
-func startChurn(net *overlay.Network, sc config.Scenario, cat overlay.ObjectAssigner) {
-	c := &overlay.Churn{
-		Net:        net,
-		Profile:    sc.BaseProfile(),
-		TargetSize: sc.N,
-		GrowthRate: sc.GrowthRate,
-		Catalog:    cat,
-	}
-	c.Start()
+// Session is one assembled simulation: the engine reset to the run's
+// seed, the overlay under its layer manager, the search subsystem when the
+// run has one, and the population process scheduled. Nothing has fired
+// yet, so a client still registers its observers and schedules its own
+// events and ticker before it steps Eng. Open is the only place that wires
+// these pieces together; whatever must see every run — an invariant hook,
+// a decision-trace subscriber — attaches here.
+type Session struct {
+	Eng *sim.Engine
+	Net *overlay.Network
+	Mgr overlay.Manager
+	// Query and Catalog are nil unless RunConfig.Queries is set.
+	Query   *query.Engine
+	Catalog *query.Catalog
 }
 
-// Run executes one configured simulation and collects its artifacts.
-func Run(rc RunConfig) (*RunResult, error) {
-	return RunOn(nil, rc)
+// Open assembles the run rc describes on eng, which is Reset to the run's
+// seed first (nil allocates a fresh engine; the results are identical
+// either way). With rc.Queries the catalog is attached — joining peers
+// then draw their shared objects from the churn stream — and the query
+// driver is scheduled when the scenario has a query rate.
+func Open(eng *sim.Engine, rc RunConfig) (*Session, error) {
+	return open(eng, rc, nil, nil)
 }
 
-// RunOn is Run against a caller-owned engine, which is Reset to the run's
-// seed first — so a worker can execute many trials on one engine, reusing
-// the event queue's backing storage instead of re-growing it per trial.
-// A nil engine allocates a fresh one; the results are identical either
-// way (Reset restores the just-constructed state exactly).
-func RunOn(eng *sim.Engine, rc RunConfig) (*RunResult, error) {
+// open is Open with the two in-package variations: patch adjusts the
+// overlay configuration before the network is built, and a non-nil mgr
+// replaces the manager rc would select.
+func open(eng *sim.Engine, rc RunConfig, patch func(*overlay.Config), mgr overlay.Manager) (*Session, error) {
 	sc := rc.Scenario
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -158,46 +164,65 @@ func RunOn(eng *sim.Engine, rc RunConfig) (*RunResult, error) {
 		eng.Reset(seed)
 	}
 	eng.SetShards(rc.Shards)
-	mgr := buildManager(rc, seed)
+	if mgr == nil {
+		mgr = buildManager(rc, seed)
+	}
 	ocfg := sc.Overlay()
 	ocfg.Latency = rc.Latency
 	ocfg.MaxLeafDegree = rc.MaxLeafDegree
 	ocfg.Link = rc.Link
-	net := overlay.New(eng, ocfg, mgr)
-
-	profile := rc.Profile
-	if profile == nil {
-		profile = sc.BaseProfile()
+	if patch != nil {
+		patch(&ocfg)
 	}
+	s := &Session{Eng: eng, Net: overlay.New(eng, ocfg, mgr), Mgr: mgr}
 
-	var qe *query.Engine
-	var cat *query.Catalog
-	if rc.Queries && sc.QueryRate > 0 {
-		cat = query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
-		qe = query.Attach(net, cat)
-		qe.DefaultTTL = uint8(sc.TTL)
+	churn := &overlay.Churn{
+		Net:        s.Net,
+		Profile:    rc.Profile,
+		TargetSize: sc.N,
+		GrowthRate: sc.GrowthRate,
 	}
+	if churn.Profile == nil {
+		churn.Profile = sc.BaseProfile()
+	}
+	if rc.Queries {
+		s.Catalog = query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
+		s.Query = query.Attach(s.Net, s.Catalog)
+		s.Query.DefaultTTL = uint8(sc.TTL)
+		churn.Catalog = s.Catalog
+	}
+	churn.Start()
+	if s.Query != nil && sc.QueryRate > 0 {
+		(&query.Driver{Engine: s.Query, Rate: sc.QueryRate, Until: sim.Time(sc.Duration)}).Start()
+	}
+	return s, nil
+}
+
+// Run executes one configured simulation and collects its artifacts.
+func Run(rc RunConfig) (*RunResult, error) {
+	return RunOn(nil, rc)
+}
+
+// RunOn is Run against a caller-owned engine, which is Reset to the run's
+// seed first — so a worker can execute many trials on one engine, reusing
+// the event queue's backing storage instead of re-growing it per trial.
+// A nil engine allocates a fresh one; the results are identical either
+// way (Reset restores the just-constructed state exactly).
+func RunOn(eng *sim.Engine, rc RunConfig) (*RunResult, error) {
+	sc := rc.Scenario
+	// Without a query rate there is no search workload, and attaching the
+	// catalog anyway would change the churn stream's draws.
+	rc.Queries = rc.Queries && sc.QueryRate > 0
+	s, err := Open(eng, rc)
+	if err != nil {
+		return nil, err
+	}
+	eng, net, mgr, qe := s.Eng, s.Net, s.Mgr, s.Query
 
 	var rec *trace.Recorder
 	if rc.TraceTo != nil {
 		rec = trace.NewRecorder(rc.TraceTo)
 		net.Observe(rec)
-	}
-
-	churn := &overlay.Churn{
-		Net:        net,
-		Profile:    profile,
-		TargetSize: sc.N,
-		GrowthRate: sc.GrowthRate,
-	}
-	if cat != nil {
-		churn.Catalog = cat
-	}
-	churn.Start()
-
-	if qe != nil {
-		d := &query.Driver{Engine: qe, Rate: sc.QueryRate, Until: sim.Time(sc.Duration)}
-		d.Start()
 	}
 
 	res := &RunResult{

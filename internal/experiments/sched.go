@@ -46,14 +46,3 @@ func pooledSweep[P, T any](points []P, repeats int, opt parexp.Options, trial fu
 	}
 	return parexp.SweepWith(points, repeats, opt, newWorkerEngine, trial)
 }
-
-// engineFor is the reuse-or-allocate shim for experiment entry points
-// that are callable both standalone (eng == nil) and from a pooled
-// worker: it returns eng reset to seed, or a fresh engine.
-func engineFor(eng *sim.Engine, seed int64) *sim.Engine {
-	if eng == nil {
-		return sim.NewEngine(seed)
-	}
-	eng.Reset(seed)
-	return eng
-}

@@ -54,8 +54,7 @@ func SearchEfficiency(sc config.Scenario, ttls []int, queriesPerTTL int) ([]Sear
 			return runSearch(eng, pure, &baseline.Preconfigured{}, pureLatency, "pure-search", ttl, queriesPerTTL)
 		})
 		jobs = append(jobs, func(eng *sim.Engine) (half, error) {
-			mgr := buildManager(RunConfig{Scenario: sc, Manager: ManagerDLM}, sc.Seed)
-			return runSearch(eng, sc, mgr, 0, "super-search", ttl, queriesPerTTL)
+			return runSearch(eng, sc, nil, 0, "super-search", ttl, queriesPerTTL)
 		})
 	}
 	results, err := pooled(len(jobs), parexp.Options{BaseSeed: 0},
@@ -91,20 +90,16 @@ const pureDegree = 5
 const pureLatency sim.Duration = 1e-6
 
 // runSearch builds an overlay under the scenario's workload with the
-// given layer manager and one-hop latency, and issues queries at the
-// given TTL after warm-up. stream names the RNG stream the query targets
-// are drawn from.
+// given layer manager (nil for DLM) and one-hop latency, and issues
+// queries at the given TTL after warm-up. stream names the RNG stream the
+// query targets are drawn from.
 func runSearch(eng *sim.Engine, sc config.Scenario, mgr overlay.Manager, latency sim.Duration, stream string, ttl, queries int) (half, error) {
-	if err := sc.Validate(); err != nil {
+	sc.QueryRate = 0 // the queries are issued below, not by a driver
+	s, err := open(eng, RunConfig{Scenario: sc, Manager: ManagerDLM, Queries: true, Latency: latency}, nil, mgr)
+	if err != nil {
 		return half{}, err
 	}
-	eng = engineFor(eng, sc.Seed)
-	ocfg := sc.Overlay()
-	ocfg.Latency = latency
-	net := overlay.New(eng, ocfg, mgr)
-	cat := query.NewCatalog(sc.CatalogSize, 0.8, 0.8)
-	qe := query.Attach(net, cat)
-	startChurn(net, sc, cat)
+	eng, net, qe, cat := s.Eng, s.Net, s.Query, s.Catalog
 	eng.Ticker(1, func(e *sim.Engine) bool {
 		net.Tick()
 		return e.Now() < sim.Time(sc.Warmup)

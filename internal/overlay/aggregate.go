@@ -86,19 +86,6 @@ func (a *aggregates) transfer(p *Peer, old Layer) {
 	}
 }
 
-// merge folds another accumulator into a — used by the lane-parallel
-// rescan, which sums one private aggregates per lane and merges them in
-// lane order (a fixed association order, so the result is deterministic).
-func (a *aggregates) merge(b *aggregates) {
-	a.sumJoinSuper += b.sumJoinSuper
-	a.sumJoinLeaf += b.sumJoinLeaf
-	a.sumCapSuper += b.sumCapSuper
-	a.sumCapLeaf += b.sumCapLeaf
-	a.leafDegSupers += b.leafDegSupers
-	a.superDegSupers += b.superDegSupers
-	a.superDegLeaves += b.superDegLeaves
-}
-
 // superLinkDelta accounts a ±1 change of p's super-link degree.
 func (a *aggregates) superLinkDelta(p *Peer, d int64) {
 	if p.Layer == LayerSuper {

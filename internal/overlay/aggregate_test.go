@@ -150,3 +150,48 @@ func TestSnapshotAllocFree(t *testing.T) {
 		t.Fatalf("Snapshot allocates %v per sample, want 0", avg)
 	}
 }
+
+// scanAggregatesSharded recomputes the aggregate sums with a lane-parallel
+// walk: one private accumulator per lane, merged in lane order after the
+// fan-out joins. It is the sharded counterpart of scanAggregates and the
+// oracle's oracle — the differential test below checks maintained
+// aggregates, this scan, and the serial scan against each other. The float sums see a
+// different association order than the serial scan (per-lane partials),
+// so they agree to aggEq tolerance, not bit-exactly; the integer degree
+// sums must match exactly.
+func (n *Network) scanAggregatesSharded(workers int) aggregates {
+	var parts [NumLanes]aggregates
+	sim.ForLanes(workers, NumLanes, func(lane int) {
+		a := &parts[lane]
+		n.store.walkLane(lane, func(p *Peer) {
+			if p.Layer == LayerSuper {
+				a.sumJoinSuper += float64(p.JoinTime)
+				a.sumCapSuper += p.Capacity
+				a.leafDegSupers += int64(p.LeafDegree())
+				a.superDegSupers += int64(p.SuperDegree())
+			} else {
+				a.sumJoinLeaf += float64(p.JoinTime)
+				a.sumCapLeaf += p.Capacity
+				a.superDegLeaves += int64(p.SuperDegree())
+			}
+		})
+	})
+	var total aggregates
+	for i := range parts {
+		total.merge(&parts[i])
+	}
+	return total
+}
+
+// merge folds another accumulator into a — used by the lane-parallel
+// rescan, which sums one private aggregates per lane and merges them in
+// lane order (a fixed association order, so the result is deterministic).
+func (a *aggregates) merge(b *aggregates) {
+	a.sumJoinSuper += b.sumJoinSuper
+	a.sumJoinLeaf += b.sumJoinLeaf
+	a.sumCapSuper += b.sumCapSuper
+	a.sumCapLeaf += b.sumCapLeaf
+	a.leafDegSupers += b.leafDegSupers
+	a.superDegSupers += b.superDegSupers
+	a.superDegLeaves += b.superDegLeaves
+}

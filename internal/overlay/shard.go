@@ -84,35 +84,3 @@ func (n *Network) WalkPeers(fn func(*Peer)) {
 		}
 	}
 }
-
-// scanAggregatesSharded recomputes the aggregate sums with a lane-parallel
-// walk: one private accumulator per lane, merged in lane order after the
-// fan-out joins. It is the sharded counterpart of scanAggregates and the
-// oracle's oracle — the differential test checks maintained aggregates,
-// this scan, and the serial scan against each other. The float sums see a
-// different association order than the serial scan (per-lane partials),
-// so they agree to aggEq tolerance, not bit-exactly; the integer degree
-// sums must match exactly.
-func (n *Network) scanAggregatesSharded(workers int) aggregates {
-	var parts [NumLanes]aggregates
-	sim.ForLanes(workers, NumLanes, func(lane int) {
-		a := &parts[lane]
-		n.store.walkLane(lane, func(p *Peer) {
-			if p.Layer == LayerSuper {
-				a.sumJoinSuper += float64(p.JoinTime)
-				a.sumCapSuper += p.Capacity
-				a.leafDegSupers += int64(p.LeafDegree())
-				a.superDegSupers += int64(p.SuperDegree())
-			} else {
-				a.sumJoinLeaf += float64(p.JoinTime)
-				a.sumCapLeaf += p.Capacity
-				a.superDegLeaves += int64(p.SuperDegree())
-			}
-		})
-	})
-	var total aggregates
-	for i := range parts {
-		total.merge(&parts[i])
-	}
-	return total
-}

@@ -17,8 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dlm/internal/stats"
 )
 
 // Trial is one independent unit of work. It must be self-contained: no
@@ -145,32 +143,4 @@ func SweepWith[S, P, T any](points []P, repeats int, opt Options, newState func(
 		out[i] = flat[i*repeats : (i+1)*repeats]
 	}
 	return out, err
-}
-
-// MeanSeries runs n trials that each produce a named time series and
-// returns the pointwise mean series.
-func MeanSeries(name string, n int, opt Options, trial Trial[*stats.Series]) (*stats.Series, error) {
-	series, err := Run(n, opt, trial)
-	if err != nil {
-		return nil, err
-	}
-	return stats.MergeMean(name, series), nil
-}
-
-// Summary aggregates scalar trial outputs.
-type Summary struct {
-	stats.Welford
-}
-
-// Summarize runs n trials producing one float each and returns the
-// aggregate. The Welford accumulation happens sequentially in trial order
-// after all trials complete, so the summary is bit-identical for any
-// worker count.
-func Summarize(n int, opt Options, trial Trial[float64]) (Summary, error) {
-	vals, err := Run(n, opt, trial)
-	var s Summary
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return s, err
 }

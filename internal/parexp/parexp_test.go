@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dlm/internal/stats"
 )
 
 func TestRunOrderAndSeeds(t *testing.T) {
@@ -134,32 +132,6 @@ func TestSweep(t *testing.T) {
 	out, err = Sweep(points, 0, Options{}, func(p float64, seed int64) (float64, error) { return p, nil })
 	if err != nil || len(out[0]) != 1 {
 		t.Fatalf("repeats=0: %v %d", err, len(out[0]))
-	}
-}
-
-func TestMeanSeries(t *testing.T) {
-	s, err := MeanSeries("m", 4, Options{BaseSeed: 10}, func(seed int64) (*stats.Series, error) {
-		out := stats.NewSeries("trial")
-		out.Add(1, float64(seed))
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.At(1); v != 11.5 { // mean of 10..13
-		t.Fatalf("mean = %v, want 11.5", v)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	sum, err := Summarize(5, Options{BaseSeed: 1}, func(seed int64) (float64, error) {
-		return float64(seed), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Mean() != 3 || sum.Count() != 5 {
-		t.Fatalf("mean=%v count=%d", sum.Mean(), sum.Count())
 	}
 }
 

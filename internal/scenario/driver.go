@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dlm/internal/core"
+	"dlm/internal/experiments"
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
 	"dlm/internal/sim"
@@ -170,30 +171,6 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 	if sc.Warmup >= total {
 		sc.Warmup = 0
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-
-	if eng == nil {
-		eng = sim.NewEngine(sc.Seed)
-	} else {
-		eng.Reset(sc.Seed)
-	}
-	eng.SetShards(cfg.Shards)
-
-	params := core.DefaultParams()
-	params.DefenseMaxCapacity = cfg.DefenseMaxCapacity
-	mgr := core.NewManager(params)
-	net := overlay.New(eng, sc.Overlay(), mgr)
-
-	if cfg.LiarFraction > 0 {
-		net.Observe(&liarMarker{
-			rng:       eng.Rand().Stream("scenario.liar"),
-			fraction:  cfg.LiarFraction,
-			capFactor: cfg.LiarCapFactor,
-			ageBoost:  cfg.LiarAgeBoost,
-		})
-	}
 
 	profile := workload.Profile(sc.BaseProfile())
 	if cfg.LifetimeWaveAmplitude > 0 {
@@ -203,13 +180,29 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 			LifetimeAmplitude: cfg.LifetimeWaveAmplitude,
 		}
 	}
-	churn := &overlay.Churn{
-		Net:        net,
-		Profile:    profile,
-		TargetSize: sc.N,
-		GrowthRate: sc.GrowthRate,
+	params := core.DefaultParams()
+	params.DefenseMaxCapacity = cfg.DefenseMaxCapacity
+	s, err := experiments.Open(eng, experiments.RunConfig{
+		Scenario:  sc,
+		Profile:   profile,
+		Manager:   experiments.ManagerDLM,
+		DLMParams: &params,
+		Shards:    cfg.Shards,
+	})
+	if err != nil {
+		return nil, err
 	}
-	churn.Start()
+	eng = s.Eng
+	net, mgr := s.Net, s.Mgr.(*core.Manager)
+
+	if cfg.LiarFraction > 0 {
+		net.Observe(&liarMarker{
+			rng:       eng.Rand().Stream("scenario.liar"),
+			fraction:  cfg.LiarFraction,
+			capFactor: cfg.LiarCapFactor,
+			ageBoost:  cfg.LiarAgeBoost,
+		})
+	}
 
 	res := &Result{
 		Name: cfg.Name, N: sc.N, Eta: sc.Eta,

@@ -3,7 +3,7 @@
 package scenario
 
 // raceEnabled reports whether the race detector is compiled in; the
-// 100k-peer convergence oracle skips under it (it would multiply an
-// ~80s test several-fold without exercising any new interleaving — the
+// convergence oracle skips under it (it would multiply the test's wall
+// time several-fold without exercising any new interleaving — the
 // dedicated CI smoke lane runs the small scenarios under -race instead).
 const raceEnabled = false

@@ -9,7 +9,7 @@
 // (linear ramps and sinusoidal waves from internal/workload), a partition
 // window, or a mass-kill trigger. One generic driver (driver.go) executes
 // any phase list; the paper-shaped scenario battery lives in Pack
-// (pack.go) and is swept across sizes by experiments.Adversarial.
+// (pack.go) and is swept across sizes by Adversarial.
 //
 // Determinism: the driver draws only from its own named streams
 // ("scenario.liar" for liar marking, "scenario.join" for extra-join

@@ -198,20 +198,21 @@ func TestDefenseTransparentEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConvergenceOracle is the acceptance oracle at real scale: after a
-// partition heals and after a flash crowd drains, a 100k-peer network
-// must return the layer ratio to within 4% of η, re-converge within the
-// observed window, and tighten monotonically (late recovery envelope no
-// worse than early). Structural invariants hold at every phase boundary.
+// TestConvergenceOracle is the acceptance oracle: after a partition heals
+// and after a flash crowd drains, an oracleN-peer network (10k in tier-1,
+// 100k under -tags oracle) must return the layer ratio to within 4% of η,
+// re-converge within the observed window, and tighten monotonically (late
+// recovery envelope no worse than early). Structural invariants hold at
+// every phase boundary.
 func TestConvergenceOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("100k-peer scenarios; skipped in -short")
+		t.Skip("full-timeline scenarios; skipped in -short")
 	}
 	if raceEnabled {
-		t.Skip("100k-peer scenarios; skipped under -race (see adversarialsmoke lane)")
+		t.Skip("full-timeline scenarios; skipped under -race (see adversarialsmoke lane)")
 	}
 	var eng *sim.Engine
-	for _, cfg := range []Config{Partition(100_000, 1), FlashCrowd(100_000, 1)} {
+	for _, cfg := range []Config{Partition(oracleN, 1), FlashCrowd(oracleN, 1)} {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			if eng == nil {

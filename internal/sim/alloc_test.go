@@ -3,10 +3,10 @@ package sim
 import "testing"
 
 // The engine's scheduling hot path must not allocate in steady state: the
-// queue recycles items through a per-engine free-list, so once the
-// free-list is warm, Schedule/Step/Cancel are allocation-free. These tests
-// pin that property; a regression here silently multiplies GC load by the
-// event count of every scenario run.
+// heap stores events by value in two arrays that only grow, so once they
+// have reached the run's queue depth, Schedule and Step are
+// allocation-free. These tests pin that property; a regression here
+// silently multiplies GC load by the event count of every scenario run.
 
 // TestStepSteadyStateAllocFree: a pre-warmed self-rescheduling engine must
 // fire events with zero allocations per Step.
@@ -15,29 +15,12 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	var ev Event
 	ev = EventFunc(func(e *Engine) { e.After(1, ev) })
 	e.After(1, ev)
-	for i := 0; i < 64; i++ { // warm the free-list
+	for i := 0; i < 64; i++ { // grow the heap arrays
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
 	if allocs != 0 {
 		t.Errorf("steady-state Step allocates %.2f objects/op, want 0", allocs)
-	}
-}
-
-// TestScheduleCancelAllocFree: the churn-reconnect pattern (schedule a
-// timer, cancel it before it fires) must be allocation-free once warm.
-func TestScheduleCancelAllocFree(t *testing.T) {
-	e := NewEngine(1)
-	ev := EventFunc(func(*Engine) {})
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(1e6+float64(i)), ev) // keep a deep queue
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		h := e.Schedule(5e5, ev)
-		h.Cancel()
-	})
-	if allocs != 0 {
-		t.Errorf("schedule+cancel allocates %.2f objects/op, want 0", allocs)
 	}
 }
 
@@ -63,7 +46,7 @@ func TestBatchStepAllocFree(t *testing.T) {
 		for e.Step() {
 		}
 	}
-	for i := 0; i < 4; i++ { // warm the free-list and the batch scratch
+	for i := 0; i < 4; i++ { // grow the heap arrays and the batch scratch
 		scheduleAndDrain()
 	}
 	before := e.BatchesFired()

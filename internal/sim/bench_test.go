@@ -44,41 +44,20 @@ func BenchmarkEventThroughputSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueChurn measures heap behavior with many pending events.
+// BenchmarkQueueChurn measures heap behavior with many pending events:
+// each iteration pushes one event into a 10 000-deep queue and pops the
+// earliest.
 func BenchmarkQueueChurn(b *testing.B) {
 	e := NewEngine(1)
 	ev := EventFunc(func(*Engine) {})
-	// Pre-load a deep queue.
 	for i := 0; i < 10000; i++ {
-		e.Schedule(Time(1e6+float64(i)), ev)
+		e.Schedule(Time(1+i%1000), ev)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := e.Schedule(Time(float64(i%1000)+1e5), ev)
-		h.Cancel()
-	}
-}
-
-// BenchmarkScheduleCancelHeavy models churn reconnect timers: a sliding
-// window of pending timers where most are cancelled and rescheduled long
-// before they fire. Before active compaction the cancelled items rode the
-// heap until they bubbled to the root; this benchmark makes that cost
-// visible.
-func BenchmarkScheduleCancelHeavy(b *testing.B) {
-	e := NewEngine(1)
-	ev := EventFunc(func(*Engine) {})
-	const window = 4096
-	handles := make([]Handle, window)
-	for i := range handles {
-		handles[i] = e.Schedule(Time(1e6+float64(i)), ev)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot := i % window
-		handles[slot].Cancel()
-		handles[slot] = e.Schedule(Time(1e6+float64(i%100000)), ev)
+		e.Schedule(e.Now()+Time(1+i%1000), ev)
+		e.Step()
 	}
 }
 

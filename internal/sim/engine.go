@@ -21,9 +21,8 @@ type Engine struct {
 	queue eventQueue
 	seq   uint64
 
-	rng    *Source
-	halted bool
-	fired  uint64
+	rng   *Source
+	fired uint64
 	// laneFired counts fired events tagged with a peer lane (not
 	// GlobalLane); batches counts same-timestamp LaneEvent batch firings.
 	laneFired uint64
@@ -55,18 +54,17 @@ func NewEngine(seed int64) *Engine {
 
 // Reset returns the engine to its just-constructed state with a fresh
 // deterministic source derived from seed: clock at zero, empty queue,
-// zero fired counters, outstanding handles invalidated. The queue's
-// backing storage (heap arrays, capped item free-list) is kept, so a
-// reset engine re-runs without re-growing its event machinery — the
-// engine-reuse primitive of the parallel trial scheduler. A reset engine
-// is indistinguishable from NewEngine(seed) to everything that runs on
-// it: the insertion sequence also restarts, so event tie-breaking cannot
-// leak across runs.
+// zero fired counters, pending events dropped unfired. The queue's two
+// backing arrays are kept, so a reset engine re-runs without re-growing
+// its heap — the engine-reuse primitive of the parallel trial scheduler
+// — and their payload slots are cleared, so it retains no event of the
+// previous run. A reset engine is indistinguishable from NewEngine(seed)
+// to everything that runs on it: the insertion sequence also restarts, so
+// event tie-breaking cannot leak across runs.
 func (e *Engine) Reset(seed int64) {
 	e.queue.reset()
 	e.seq = 0
 	e.now = 0
-	e.halted = false
 	e.fired = 0
 	e.laneFired = 0
 	e.batches = 0
@@ -99,26 +97,22 @@ func (e *Engine) BatchID() uint64 { return e.batchID }
 
 // Schedule enqueues ev to fire at absolute time at with no lane
 // (GlobalLane). Scheduling in the past panics: it is always a logic error
-// in a discrete-event model. The backing queue slot comes from the
-// engine's free-list, so steady-state scheduling does not allocate.
-func (e *Engine) Schedule(at Time, ev Event) Handle {
-	return e.ScheduleLane(GlobalLane, at, ev)
+// in a discrete-event model. The event is stored by value in the heap's
+// backing arrays, so steady-state scheduling does not allocate.
+func (e *Engine) Schedule(at Time, ev Event) {
+	e.ScheduleLane(GlobalLane, at, ev)
 }
 
 // ScheduleLane enqueues ev tagged with the given lane (GlobalLane for
 // events with no single target peer). The tag never affects firing order
 // — that is (time, insertion sequence) — only eligibility for
 // same-timestamp batch firing of LaneEvents.
-func (e *Engine) ScheduleLane(lane int, at Time, ev Event) Handle {
+func (e *Engine) ScheduleLane(lane int, at Time, ev Event) {
 	if at < e.now || uint(lane) >= numQueues {
 		e.badSchedule(lane, at)
 	}
-	it := e.queue.alloc()
-	it.at, it.ev, it.lane = at, ev, int32(lane)
-	it.seq = e.seq
+	e.queue.push(heapKey{at: at, seq: e.seq}, payload{ev: ev, lane: int32(lane)})
 	e.seq++
-	e.queue.push(it)
-	return Handle{item: it, gen: it.gen, e: e}
 }
 
 // badSchedule reports the two ScheduleLane precondition violations; kept
@@ -131,27 +125,22 @@ func (e *Engine) badSchedule(lane int, at Time) {
 }
 
 // After enqueues ev to fire d time units from now with no lane.
-func (e *Engine) After(d Duration, ev Event) Handle {
-	return e.Schedule(e.now+d, ev)
+func (e *Engine) After(d Duration, ev Event) {
+	e.Schedule(e.now+d, ev)
 }
 
 // AfterLane is After tagged with a specific lane.
-func (e *Engine) AfterLane(lane int, d Duration, ev Event) Handle {
-	return e.ScheduleLane(lane, e.now+d, ev)
+func (e *Engine) AfterLane(lane int, d Duration, ev Event) {
+	e.ScheduleLane(lane, e.now+d, ev)
 }
 
 // AfterFunc is After for a plain function.
-func (e *Engine) AfterFunc(d Duration, f func(*Engine)) Handle {
-	return e.After(d, EventFunc(f))
+func (e *Engine) AfterFunc(d Duration, f func(*Engine)) {
+	e.After(d, EventFunc(f))
 }
 
-// Halt stops the run loop after the current event (or batch) completes.
-func (e *Engine) Halt() { e.halted = true }
-
-// Pending returns the exact number of events still queued. Cancelled
-// events are removed from the queue immediately by Handle.Cancel, so
-// they never appear in this count.
-func (e *Engine) Pending() int { return len(e.queue.items) }
+// Pending returns the number of events scheduled and not yet fired.
+func (e *Engine) Pending() int { return len(e.queue.keys) }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // When that event is a batchable LaneEvent co-scheduled with others at
@@ -159,28 +148,24 @@ func (e *Engine) Pending() int { return len(e.queue.items) }
 // as one step. It reports whether anything was fired.
 func (e *Engine) Step() bool {
 	q := &e.queue
-	if len(q.items) == 0 {
+	if len(q.keys) == 0 {
 		return false
 	}
-	it := q.pop()
-	e.now = it.at
-	ev, lane := it.ev, it.lane
-	// Recycle the slot before firing: handles to this event turn inert,
-	// and events scheduled from inside Fire reuse the still-hot item.
-	q.release(it)
+	k, v := q.pop()
+	e.now = k.at
 	e.fired++
-	if lane != GlobalLane {
+	if v.lane != GlobalLane {
 		e.laneFired++
 		// One timestamp compare on the new heap root settles nearly every
 		// firing before any interface call: no peer-lane successor at this
 		// instant, no batch.
-		if nxt := q.peek(); nxt != nil && nxt.at == e.now && nxt.lane != GlobalLane {
-			if le, ok := ev.(LaneEvent); ok && le.Batchable() && e.stepBatch(le, lane) {
+		if len(q.keys) > 0 && q.keys[0].at == e.now && q.vals[0].lane != GlobalLane {
+			if le, ok := v.ev.(LaneEvent); ok && le.Batchable() && e.stepBatch(le, v.lane) {
 				return true
 			}
 		}
 	}
-	ev.Fire(e)
+	v.ev.Fire(e)
 	return true
 }
 
@@ -193,7 +178,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	at := e.now
 	q := &e.queue
-	if le, ok := q.peek().ev.(LaneEvent); !ok || !le.Batchable() {
+	if le, ok := q.vals[0].ev.(LaneEvent); !ok || !le.Batchable() {
 		return false
 	}
 	e.batchEv = append(e.batchEv[:0], first)
@@ -202,17 +187,16 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			break
 		}
-		nxt := q.peek()
-		if nxt == nil || nxt.at != at || nxt.lane == GlobalLane {
+		if len(q.keys) == 0 || q.keys[0].at != at || q.vals[0].lane == GlobalLane {
 			break
 		}
-		le, ok := nxt.ev.(LaneEvent)
+		le, ok := q.vals[0].ev.(LaneEvent)
 		if !ok || !le.Batchable() {
 			break
 		}
 		e.batchEv = append(e.batchEv, le)
-		e.batchLane = append(e.batchLane, nxt.lane)
-		q.release(q.pop())
+		e.batchLane = append(e.batchLane, q.vals[0].lane)
+		q.pop()
 		e.fired++
 		e.laneFired++
 	}
@@ -233,17 +217,11 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	return true
 }
 
-// RunUntil fires events in order until the clock would pass deadline, the
-// queue drains, or Halt is called. The clock is left at the later of its
-// current value and deadline so that subsequent scheduling is relative to
-// the deadline.
+// RunUntil fires events in order until the clock would pass deadline or
+// the queue drains. The clock is left at the later of its current value
+// and deadline so that subsequent scheduling is relative to the deadline.
 func (e *Engine) RunUntil(deadline Time) error {
-	e.halted = false
-	for !e.halted {
-		it := e.queue.peek()
-		if it == nil || it.at > deadline {
-			break
-		}
+	for len(e.queue.keys) > 0 && e.queue.keys[0].at <= deadline {
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			return ErrEventBudget
 		}
@@ -255,18 +233,16 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// Run fires events until the queue drains or Halt is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() error {
-	e.halted = false
-	for !e.halted {
+	for {
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			return ErrEventBudget
 		}
 		if !e.Step() {
-			break
+			return nil
 		}
 	}
-	return nil
 }
 
 // Ticker invokes fn once per period, starting at the next multiple of

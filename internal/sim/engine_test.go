@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -61,130 +63,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Schedule(5, EventFunc(func(*Engine) {}))
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	h := e.Schedule(1, EventFunc(func(*Engine) { fired++ }))
-	e.Schedule(2, EventFunc(func(*Engine) { fired++ }))
-	if !h.Pending() {
-		t.Fatal("handle should be pending before run")
-	}
-	if !h.Cancel() {
-		t.Fatal("first cancel should succeed")
-	}
-	if h.Cancel() {
-		t.Fatal("second cancel should report false")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (cancelled event must not fire)", fired)
-	}
-	if h.Pending() {
-		t.Fatal("cancelled handle reports pending")
-	}
-}
-
-// TestCancelCompactsQueue pins the active-compaction semantics: a
-// cancelled event leaves the queue immediately, so Pending never counts
-// dead items. (Before compaction, cancelled items rode the heap until
-// they bubbled to the root — churn-heavy runs carried them for the whole
-// run.)
-func TestCancelCompactsQueue(t *testing.T) {
-	e := NewEngine(1)
-	ev := EventFunc(func(*Engine) {})
-	handles := make([]Handle, 100)
-	for i := range handles {
-		handles[i] = e.Schedule(Time(i+1), ev)
-	}
-	if e.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", e.Pending())
-	}
-	for i := 0; i < 100; i += 2 {
-		handles[i].Cancel()
-	}
-	if e.Pending() != 50 {
-		t.Fatalf("Pending = %d after cancelling half, want 50 (no dead items)", e.Pending())
-	}
-	fired := 0
-	e.Schedule(200, EventFunc(func(e *Engine) { fired = int(e.EventsFired()) }))
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 51 { // 50 survivors + the probe itself
-		t.Fatalf("fired %d events, want 51", fired)
-	}
-}
-
-// TestStaleHandleAfterReuse pins the generation check: once an event
-// fires, its queue slot is recycled; a handle to the fired event must stay
-// inert even when the slot is serving a new event.
-func TestStaleHandleAfterReuse(t *testing.T) {
-	e := NewEngine(1)
-	old := e.Schedule(1, EventFunc(func(*Engine) {}))
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	fresh := e.Schedule(2, EventFunc(func(*Engine) { fired = true })) // reuses the slot
-	if old.Pending() {
-		t.Fatal("stale handle reports pending")
-	}
-	if old.Cancel() {
-		t.Fatal("stale handle cancelled a recycled slot")
-	}
-	if !fresh.Pending() {
-		t.Fatal("fresh handle lost its event to a stale cancel")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("recycled-slot event did not fire")
-	}
-}
-
-// TestCancelInterleavedWithFiring exercises remove() on interior heap
-// positions while the queue is live.
-func TestCancelInterleavedWithFiring(t *testing.T) {
-	e := NewEngine(1)
-	var firedAt []Time
-	record := EventFunc(func(e *Engine) { firedAt = append(firedAt, e.Now()) })
-	handles := make(map[int]Handle)
-	for i := 1; i <= 50; i++ {
-		handles[i] = e.Schedule(Time(i), record)
-	}
-	// Cancel a scattered subset, including the current heap root (t=1).
-	for _, i := range []int{1, 7, 13, 25, 42, 50} {
-		if !handles[i].Cancel() {
-			t.Fatalf("cancel of pending event %d failed", i)
-		}
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(firedAt) != 44 {
-		t.Fatalf("fired %d, want 44", len(firedAt))
-	}
-	for i := 1; i < len(firedAt); i++ {
-		if firedAt[i] <= firedAt[i-1] {
-			t.Fatalf("order violated: %v", firedAt)
-		}
-	}
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine(1)
-	h := e.Schedule(1, EventFunc(func(*Engine) {}))
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cancel() {
-		t.Fatal("cancelling a fired event should report false")
-	}
-}
-
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(3, EventFunc(func(*Engine) {}))
@@ -203,25 +81,6 @@ func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	}
 	if e.Now() != 20 {
 		t.Fatalf("Now = %v, want 20", e.Now())
-	}
-}
-
-func TestHaltStopsRun(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), EventFunc(func(e *Engine) {
-			n++
-			if n == 3 {
-				e.Halt()
-			}
-		}))
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fired %d events after Halt, want 3", n)
 	}
 }
 
@@ -291,20 +150,119 @@ func TestQueueOrderingProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		var q eventQueue
 		for _, r := range raw {
-			q.push(&item{at: Time(r)})
+			q.push(heapKey{at: Time(r)}, payload{})
 		}
 		last := Time(-1)
-		for len(q.items) > 0 {
-			it := q.pop()
-			if it.at < last {
+		for len(q.keys) > 0 {
+			k, _ := q.pop()
+			if k.at < last {
 				return false
 			}
-			last = it.at
+			last = k.at
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeapMatchesStableSortReference is the differential test of the value
+// heap: a long random interleaving of ScheduleLane and Step, with coarse
+// timestamps so most events tie across lanes, must fire in exactly the
+// order of a reference list kept stably sorted by time — scheduling order
+// within a timestamp, i.e. (at, seq) — and agree on Pending after every
+// operation.
+func TestHeapMatchesStableSortReference(t *testing.T) {
+	type refEvent struct {
+		at Time
+		id int
+	}
+	rng := rand.New(rand.NewSource(11))
+	e := NewEngine(1)
+	var ref []refEvent // pending, in scheduling order until sorted
+	fired := -1
+	const ops = 20000
+	for op, nextID := 0, 0; op < ops; op++ {
+		// Schedule-heavy until the queue is a few hundred deep, then balanced.
+		if len(ref) == 0 || rng.Intn(100) < 50+(300-len(ref))/10 {
+			id := nextID
+			nextID++
+			at := e.Now() + Time(rng.Intn(4)) // 0 ties with the firing instant
+			e.ScheduleLane(rng.Intn(numQueues), at, EventFunc(func(*Engine) { fired = id }))
+			ref = append(ref, refEvent{at, id})
+		} else {
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
+			want := ref[0]
+			ref = ref[1:]
+			if !e.Step() {
+				t.Fatalf("op %d: Step fired nothing with %d events pending", op, len(ref)+1)
+			}
+			if fired != want.id || e.Now() != want.at {
+				t.Fatalf("op %d: fired event %d at %v, reference order says %d at %v",
+					op, fired, e.Now(), want.id, want.at)
+			}
+		}
+		if e.Pending() != len(ref) {
+			t.Fatalf("op %d: Pending = %d, reference holds %d", op, e.Pending(), len(ref))
+		}
+	}
+	if e.EventsFired() < ops/3 {
+		t.Fatalf("only %d of %d operations were firings", e.EventsFired(), ops)
+	}
+}
+
+// TestResetDropsPendingKeepsCapacity: Reset discards pending events
+// without firing them, keeps both heap arrays (a reset engine schedules
+// and drains the same load with zero allocations) and clears every payload
+// slot, so no event of the previous run stays reachable from the engine.
+func TestResetDropsPendingKeepsCapacity(t *testing.T) {
+	const n = 1000
+	e := NewEngine(1)
+	fired := 0
+	ev := EventFunc(func(*Engine) { fired++ })
+	load := func() {
+		for i := 0; i < n; i++ {
+			e.ScheduleLane(i%numQueues, Time(1+i%7), ev)
+		}
+	}
+	load()
+	if err := e.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	firedBefore := fired
+	if e.Pending() == 0 || firedBefore == 0 {
+		t.Fatalf("setup: %d pending, %d fired; want both non-zero", e.Pending(), firedBefore)
+	}
+	e.Reset(1)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Reset, want 0", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != firedBefore || e.EventsFired() != 0 {
+		t.Fatalf("Reset fired dropped events: %d -> %d (engine counts %d)", firedBefore, fired, e.EventsFired())
+	}
+	for i, v := range e.queue.vals[:cap(e.queue.vals)] {
+		if v.ev != nil {
+			t.Fatalf("payload slot %d of %d still holds an event after Reset", i, cap(e.queue.vals))
+		}
+	}
+	// Reset itself allocates the new random source; a load and drain on
+	// top of it must add nothing.
+	resetOnly := testing.AllocsPerRun(20, func() { e.Reset(1) })
+	allocs := testing.AllocsPerRun(20, func() {
+		e.Reset(1)
+		load()
+		for e.Step() {
+		}
+	})
+	if allocs != resetOnly {
+		t.Errorf("schedule %d + drain after Reset allocates %.2f objects/op, want 0", n, allocs-resetOnly)
+	}
+	if e.Pending() != 0 || fired != firedBefore+21*n {
+		t.Errorf("drains fired %d events with %d pending, want %d and 0", fired-firedBefore, e.Pending(), 21*n)
 	}
 }
 
@@ -427,8 +385,8 @@ func TestBernoulliEdges(t *testing.T) {
 // arbitrary workload is indistinguishable from NewEngine(seed) — same
 // clock, same event order, same tie-break sequence, same RNG streams.
 func TestResetMatchesFreshEngine(t *testing.T) {
-	// A self-rescheduling workload with cancellations and RNG draws,
-	// recording everything observable.
+	// A self-rescheduling workload with RNG draws and events left pending
+	// past the deadline, recording everything observable.
 	workload := func(e *Engine) (fires []Time, draws []float64) {
 		rng := e.Rand().Stream("w")
 		var rec func(e *Engine)
@@ -437,8 +395,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 			draws = append(draws, rng.Float64())
 			if e.Now() < 40 {
 				e.After(Duration(1+rng.Float64()*3), EventFunc(rec))
-				h := e.After(100, EventFunc(func(*Engine) { fires = append(fires, -1) }))
-				h.Cancel()
+				e.After(100, EventFunc(func(*Engine) { fires = append(fires, -1) }))
 			}
 		}
 		e.Schedule(0, EventFunc(rec))
@@ -456,7 +413,6 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		used.Schedule(Time(used.Rand().Float64()*100), EventFunc(func(*Engine) {}))
 	}
 	used.RunUntil(50)
-	used.Halt()
 	used.Reset(77)
 
 	if used.Now() != 0 || used.Pending() != 0 || used.EventsFired() != 0 {

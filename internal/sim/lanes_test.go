@@ -7,18 +7,15 @@ import (
 
 // The lane tag's contract: it never changes when an event fires. These
 // tests pin that against the untagged reference, exercise the tie-break
-// across lanes, the same-timestamp batch path, and the free-list
-// retention cap.
+// across lanes, and the same-timestamp batch path.
 
 // laneScript is a pregenerated randomized workload: initial events plus,
-// per event, the children it schedules and the events it cancels when it
-// fires. The script is lane-annotated but lane-agnostic in meaning — the
+// per event, the children it schedules when it fires. The script is lane-annotated but lane-agnostic in meaning — the
 // oracle runs it twice, once with every event under GlobalLane and once
 // spread across lanes, and demands identical firing order.
 type laneScript struct {
 	initial  []scriptEvent
 	children map[int][]scriptEvent // fired id -> events it schedules
-	cancels  map[int][]int         // fired id -> ids it cancels
 }
 
 type scriptEvent struct {
@@ -29,10 +26,7 @@ type scriptEvent struct {
 
 func makeLaneScript(seed int64, initial, maxID int) *laneScript {
 	rng := rand.New(rand.NewSource(seed))
-	s := &laneScript{
-		children: make(map[int][]scriptEvent),
-		cancels:  make(map[int][]int),
-	}
+	s := &laneScript{children: make(map[int][]scriptEvent)}
 	next := 0
 	newEvent := func() scriptEvent {
 		ev := scriptEvent{
@@ -53,9 +47,6 @@ func makeLaneScript(seed int64, initial, maxID int) *laneScript {
 			ch.at = Duration(float64(rng.Intn(8))*0.5 + 0.25)
 			s.children[id] = append(s.children[id], ch)
 		}
-		if rng.Intn(4) == 0 {
-			s.cancels[id] = append(s.cancels[id], rng.Intn(maxID))
-		}
 	}
 	return s
 }
@@ -67,23 +58,19 @@ func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 	t.Helper()
 	e := NewEngine(9)
 	var fired []int
-	handles := make(map[int]Handle)
 	var fire func(ev scriptEvent) EventFunc
 	schedule := func(ev scriptEvent, at Time) {
 		lane := GlobalLane
 		if useLanes {
 			lane = ev.lane
 		}
-		handles[ev.id] = e.ScheduleLane(lane, at, fire(ev))
+		e.ScheduleLane(lane, at, fire(ev))
 	}
 	fire = func(ev scriptEvent) EventFunc {
 		return func(e *Engine) {
 			fired = append(fired, ev.id)
 			for _, ch := range s.children[ev.id] {
 				schedule(ch, e.Now()+Time(ch.at))
-			}
-			for _, id := range s.cancels[ev.id] {
-				handles[id].Cancel()
 			}
 		}
 	}
@@ -100,8 +87,7 @@ func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 }
 
 // TestLaneShardingOracle is the randomized-interleaving oracle: a scripted
-// workload with ties, dynamic scheduling and cancellations must fire in
-// exactly the same order whether every event is scheduled under
+// workload with ties and dynamic scheduling must fire in exactly the same order whether every event is scheduled under
 // GlobalLane or spread across all 65 lane tags: firing order is (time,
 // engine-global insertion sequence) and nothing else.
 func TestLaneShardingOracle(t *testing.T) {
@@ -281,43 +267,5 @@ func TestShardCountInvariantForBatches(t *testing.T) {
 				t.Fatalf("shards=%d: commit order diverges at %d", k, i)
 			}
 		}
-	}
-}
-
-// TestFreeListCapped: a burst leaves at most maxFreeItems recycled items
-// behind — including the burst Engine.Reset releases wholesale — instead
-// of pinning its peak forever.
-func TestFreeListCapped(t *testing.T) {
-	e := NewEngine(1)
-	ev := EventFunc(func(*Engine) {})
-	const burst = 2 * maxFreeItems
-	for i := 0; i < burst; i++ {
-		e.ScheduleLane(i%numQueues, Time(1+i/100), ev)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(e.queue.free); got > maxFreeItems {
-		t.Errorf("free-list holds %d items after burst, cap is %d", got, maxFreeItems)
-	}
-
-	// Reset with a deep pending queue: the wholesale release honors the cap.
-	for i := 0; i < burst; i++ {
-		e.ScheduleLane(7, Time(1e6+float64(i)), ev)
-	}
-	e.Reset(1)
-	if got := len(e.queue.free); got > maxFreeItems {
-		t.Errorf("free-list holds %d items after Reset, cap is %d", got, maxFreeItems)
-	}
-	// The cap must not break steady-state reuse: warm pairs still recycle.
-	var loop Event
-	loop = EventFunc(func(e *Engine) { e.AfterLane(5, 1, loop) })
-	e.AfterLane(5, 1, loop)
-	for i := 0; i < 64; i++ {
-		e.Step()
-	}
-	allocs := testing.AllocsPerRun(200, func() { e.Step() })
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.2f objects/op after cap, want 0", allocs)
 	}
 }

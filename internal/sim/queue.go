@@ -1,8 +1,9 @@
 package sim
 
 // Event is a unit of work scheduled on the virtual clock. Fire is invoked
-// exactly once, when the clock reaches the event's scheduled time, unless
-// the event was cancelled first.
+// exactly once, when the clock reaches the event's scheduled time. Nothing
+// scheduled is ever retracted: an event whose reason has lapsed checks
+// state when it fires and does nothing.
 type Event interface {
 	Fire(e *Engine)
 }
@@ -13,114 +14,12 @@ type EventFunc func(e *Engine)
 // Fire implements Event.
 func (f EventFunc) Fire(e *Engine) { f(e) }
 
-// Handle identifies a scheduled event and allows cancellation. Items are
-// recycled through the engine's free-list once they fire or are cancelled,
-// so the handle carries the generation it was issued under; a stale handle
-// (its item since recycled) is recognized and ignored.
-type Handle struct {
-	item *item
-	gen  uint32
-	e    *Engine
-}
-
-// Cancel removes the scheduled event from the queue immediately and
-// recycles its slot. Cancelling an event that already fired or was already
-// cancelled, or a zero Handle, is a no-op. It reports whether the event
-// was still pending.
-func (h Handle) Cancel() bool {
-	if h.item == nil || h.item.gen != h.gen {
-		return false
-	}
-	q := &h.e.queue
-	q.remove(h.item)
-	q.release(h.item)
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (h Handle) Pending() bool {
-	return h.item != nil && h.item.gen == h.gen
-}
-
-type item struct {
-	at  Time
-	seq uint64
-	ev  Event
-	// gen distinguishes incarnations of a recycled item; it is bumped on
-	// every release so stale Handles turn inert.
-	gen uint32
-	// pos is the item's current index in the heap; -1 when not queued.
-	pos int32
-	// lane is the lane the event was scheduled under (GlobalLane for none).
-	lane int32
-}
-
-// maxFreeItems caps the item free-list. Without a cap the free-list
-// retains burst-peak capacity forever — and across Engine.Reset,
-// which releases every still-pending item into it — so one 1M-event growth
-// wave would pin ~1M recycled items for the engine's whole lifetime. The
-// cap is generous enough that steady-state scheduling (release immediately
-// followed by alloc) never misses; overflow is simply dropped for the GC.
-const maxFreeItems = numQueues * 1024
-
-// heapKey is the ordering key of a queued item, mirrored into a flat
-// array parallel to the item pointers. Heap comparisons read only keys —
-// dense, GC-free memory the prefetcher likes — instead of chasing a
-// pointer per compare; with million-item heaps of cold items that
-// roughly halves sift cost.
+// heapKey is the ordering key of a queued event. Heap comparisons read
+// only keys — dense, GC-free memory the prefetcher likes — and never the
+// payload beside them.
 type heapKey struct {
 	at  Time
 	seq uint64
-}
-
-// eventQueue is a binary min-heap ordered by (time, insertion sequence).
-// It is implemented directly rather than via container/heap to avoid the
-// interface boxing on every push/pop in hot simulation loops. Items track
-// their heap position, so cancellation removes them in O(log n) instead of
-// leaving dead entries to ride the heap, and released items return to a
-// free-list for reuse (steady-state scheduling does not allocate). The
-// engine holds exactly one and stamps the insertion sequence. keys[i]
-// duplicates items[i]'s (at, seq); every sift keeps the two arrays in
-// lockstep.
-type eventQueue struct {
-	keys  []heapKey
-	items []*item
-	free  []*item
-}
-
-// alloc returns a recycled item, or a fresh one when the free-list is
-// empty.
-func (q *eventQueue) alloc() *item {
-	if n := len(q.free); n > 0 {
-		it := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		return it
-	}
-	return &item{pos: -1}
-}
-
-// release invalidates outstanding handles to it and returns it to the
-// free-list (or drops it for the GC once the list is full). The item must
-// already be out of the heap.
-func (q *eventQueue) release(it *item) {
-	it.gen++
-	it.ev = nil // do not retain the event (often a closure) past its life
-	it.pos = -1
-	if len(q.free) < maxFreeItems {
-		q.free = append(q.free, it)
-	}
-}
-
-// reset empties the queue wholesale: every pending item is released
-// (invalidating its handles) into the free-list, up to its cap.
-func (q *eventQueue) reset() {
-	for _, it := range q.items {
-		q.release(it)
-	}
-	clear(q.items)
-	q.items = q.items[:0]
-	q.keys = q.keys[:0]
 }
 
 func (k heapKey) less(o heapKey) bool {
@@ -130,95 +29,77 @@ func (k heapKey) less(o heapKey) bool {
 	return k.seq < o.seq
 }
 
-func (q *eventQueue) push(it *item) {
-	n := len(q.items)
-	it.pos = int32(n)
-	k := heapKey{at: it.at, seq: it.seq}
-	q.items = append(q.items, it)
+// payload is what a queued event carries besides its key: the event and
+// the lane it was scheduled under (GlobalLane for none).
+type payload struct {
+	ev   Event
+	lane int32
+}
+
+// eventQueue is a binary min-heap ordered by (time, insertion sequence),
+// held as two parallel value arrays: keys[i] orders vals[i], and every
+// sift moves the two in lockstep. It is implemented directly rather than
+// via container/heap to avoid the interface boxing on every push/pop in
+// hot simulation loops. The engine holds exactly one and stamps the
+// insertion sequence.
+type eventQueue struct {
+	keys []heapKey
+	vals []payload
+}
+
+// reset drops every pending event, keeping both backing arrays. The
+// payloads are cleared so the dropped events (often closures) are not
+// retained.
+func (q *eventQueue) reset() {
+	clear(q.vals)
+	q.vals = q.vals[:0]
+	q.keys = q.keys[:0]
+}
+
+func (q *eventQueue) push(k heapKey, v payload) {
+	n := len(q.keys)
 	q.keys = append(q.keys, k)
-	// The guard is up's first-iteration condition, checked here on the
-	// just-built key: a push that does not displace its parent — every
-	// push into an empty queue, and the bulk of pushes into a deep one —
-	// skips the sift call entirely.
+	q.vals = append(q.vals, v)
+	// The guard is up's first-iteration condition: a push that does not
+	// displace its parent — every push into an empty queue, and the bulk
+	// of pushes into a deep one — skips the sift call entirely.
 	if n > 0 && k.less(q.keys[(n-1)/2]) {
 		q.up(n)
 	}
 }
 
-func (q *eventQueue) pop() *item {
-	n := len(q.items) - 1
-	top := q.items[0]
-	if n > 0 {
-		last := q.items[n]
-		lastKey := q.keys[n]
-		q.items[n] = nil
-		q.items = q.items[:n]
-		q.keys = q.keys[:n]
-		q.items[0] = last
-		q.keys[0] = lastKey
-		last.pos = 0
-		q.down(0)
-	} else {
-		q.items[0] = nil
-		q.items = q.items[:0]
-		q.keys = q.keys[:0]
-	}
-	top.pos = -1
-	return top
-}
-
-// remove unlinks an interior item from the heap in O(log n).
-func (q *eventQueue) remove(it *item) {
-	i := int(it.pos)
-	n := len(q.items) - 1
-	last := q.items[n]
-	lastKey := q.keys[n]
-	q.items[n] = nil
-	q.items = q.items[:n]
+// pop removes and returns the earliest pending event; the queue must not
+// be empty.
+func (q *eventQueue) pop() (heapKey, payload) {
+	n := len(q.keys) - 1
+	k, v := q.keys[0], q.vals[0]
+	q.keys[0], q.vals[0] = q.keys[n], q.vals[n]
+	q.vals[n] = payload{} // do not retain the event past its life
 	q.keys = q.keys[:n]
-	if i != n {
-		q.items[i] = last
-		q.keys[i] = lastKey
-		last.pos = int32(i)
-		q.down(i)
-		q.up(int(last.pos))
+	q.vals = q.vals[:n]
+	if n > 1 {
+		q.down(0)
 	}
-	it.pos = -1
-}
-
-// peek returns the earliest pending item without removing it; nil when the
-// queue is empty.
-func (q *eventQueue) peek() *item {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
+	return k, v
 }
 
 func (q *eventQueue) up(i int) {
-	it := q.items[i]
-	k := q.keys[i]
+	k, v := q.keys[i], q.vals[i]
 	for i > 0 {
 		parent := (i - 1) / 2
 		pk := q.keys[parent]
 		if !k.less(pk) {
 			break
 		}
-		p := q.items[parent]
-		q.items[i] = p
-		q.keys[i] = pk
-		p.pos = int32(i)
+		q.keys[i], q.vals[i] = pk, q.vals[parent]
 		i = parent
 	}
-	q.items[i] = it
-	q.keys[i] = k
-	it.pos = int32(i)
+	q.keys[i], q.vals[i] = k, v
 }
 
 func (q *eventQueue) down(i int) {
-	n := len(q.items)
-	it := q.items[i]
-	k := q.keys[i]
+	n := len(q.keys)
+	k, v := q.keys[i], q.vals[i]
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -232,12 +113,8 @@ func (q *eventQueue) down(i int) {
 		if smallest == i {
 			break
 		}
-		q.items[i] = q.items[smallest]
-		q.keys[i] = next
-		q.items[i].pos = int32(i)
+		q.keys[i], q.vals[i] = next, q.vals[smallest]
 		i = smallest
 	}
-	q.items[i] = it
-	q.keys[i] = k
-	it.pos = int32(i)
+	q.keys[i], q.vals[i] = k, v
 }

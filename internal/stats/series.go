@@ -205,35 +205,3 @@ func (ss *SeriesSet) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// MergeMean produces a pointwise-mean series from several same-shaped
-// series (one per trial). Series are step-sampled on the union time axis.
-func MergeMean(name string, trials []*Series) *Series {
-	out := NewSeries(name)
-	if len(trials) == 0 {
-		return out
-	}
-	times := map[float64]struct{}{}
-	for _, s := range trials {
-		for _, p := range s.points {
-			times[p.T] = struct{}{}
-		}
-	}
-	ts := make([]float64, 0, len(times))
-	for t := range times {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
-	for _, t := range ts {
-		var w Welford
-		for _, s := range trials {
-			if v, ok := s.At(t); ok {
-				w.Add(v)
-			}
-		}
-		if w.Count() > 0 {
-			out.Add(t, w.Mean())
-		}
-	}
-	return out
-}

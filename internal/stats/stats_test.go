@@ -176,25 +176,6 @@ func TestSeriesSetCSV(t *testing.T) {
 	}
 }
 
-func TestMergeMean(t *testing.T) {
-	s1 := NewSeries("t1")
-	s1.Add(1, 10)
-	s1.Add(2, 20)
-	s2 := NewSeries("t2")
-	s2.Add(1, 30)
-	s2.Add(2, 40)
-	m := MergeMean("mean", []*Series{s1, s2})
-	if v, _ := m.At(1); v != 20 {
-		t.Errorf("merged At(1) = %v, want 20", v)
-	}
-	if v, _ := m.At(2); v != 30 {
-		t.Errorf("merged At(2) = %v, want 30", v)
-	}
-	if MergeMean("empty", nil).Len() != 0 {
-		t.Error("merging no trials should be empty")
-	}
-}
-
 func TestTraffic(t *testing.T) {
 	var tr Traffic
 	q := msg.NewQuery(1, 2, 1, 1, 5)

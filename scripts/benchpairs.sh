@@ -6,8 +6,8 @@
 #   scripts/benchpairs.sh HEAD~1 latency30k          # ten pairs, seed 1
 #   scripts/benchpairs.sh b219315 lossy30k 4 7       # four pairs, seed 7
 #
-# REF is checked out into a temporary git worktree (under $TMPDIR) and the
-# working tree is the change. Each pair runs
+# REF is unpacked with `git archive` into a temporary directory (under
+# $TMPDIR) and the working tree is the change. Each pair runs
 #   bash bench/run.sh --workload W --seed S --seconds 15 --trace 0
 # once per side, one after the other, alternating which side goes first.
 # Printed per end-to-end metric: q1/median/q3 of each side, the pairs the
@@ -26,12 +26,9 @@ fi
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
 
 tmp=$(mktemp -d)
-cleanup() {
-  git worktree remove --force "$tmp/ref" 2> /dev/null || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git archive "$ref" | tar -x -C "$tmp/ref"
 
 # run_side SIDE DIR PAIR: one contract run; appends "SIDE PAIR METRIC VALUE"
 # lines to $tmp/runs.

@@ -7,6 +7,7 @@
 #   scripts/ci.sh benchsmoke # compile + one iteration of every benchmark
 #   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + scenarios
 #   scripts/ci.sh cover      # coverage floors (protocol >= 85%, experiments >= 70%, total >= 70%)
+#   scripts/ci.sh oracle     # the convergence oracle at 100k peers (-tags oracle; tier-1 runs it at 10k)
 #   scripts/ci.sh adversarialsmoke # cheap adversarial scenarios + oracles under -race
 #                                  # (a quick subset of race; the every-lane run skips it)
 set -euo pipefail
@@ -68,6 +69,13 @@ lane_adversarialsmoke() {
     ./internal/scenario/
 }
 
+lane_oracle() {
+  echo "== lane: convergence oracle at 100k peers =="
+  # Same test and bounds as tier-1; the build tag swaps the population
+  # (internal/scenario/oracle_on_test.go).
+  go test -tags oracle -run '^TestConvergenceOracle$' ./internal/scenario/
+}
+
 # pct_at_least PCT FLOOR LABEL: fail the lane when PCT < FLOOR.
 pct_at_least() {
   awk -v got="$1" -v floor="$2" -v label="$3" 'BEGIN {
@@ -108,9 +116,10 @@ case "${1:-all}" in
   benchsmoke)       lane_benchsmoke ;;
   fuzzsmoke)        lane_fuzzsmoke ;;
   cover)            lane_cover ;;
+  oracle)           lane_oracle ;;
   adversarialsmoke) lane_adversarialsmoke ;;
   # lane_race's full sweep already ran adversarialsmoke's two tests under -race.
-  all)              lane_test; lane_race; lane_benchsmoke; lane_fuzzsmoke; lane_cover ;;
-  *)                echo "usage: $0 [test|race|benchsmoke|fuzzsmoke|cover|adversarialsmoke|all]" >&2; exit 2 ;;
+  all)              lane_test; lane_race; lane_benchsmoke; lane_fuzzsmoke; lane_cover; lane_oracle ;;
+  *)                echo "usage: $0 [test|race|benchsmoke|fuzzsmoke|cover|oracle|adversarialsmoke|all]" >&2; exit 2 ;;
 esac
 echo "ci: all requested lanes green"
