@@ -80,194 +80,152 @@ func main() {
 	sc.Warmup = 200
 	sc.SampleEvery = 10
 
-	want := func(name string) bool { return *run == "all" || *run == name }
 	start := time.Now()
 
-	if want("fig4") {
-		figure(sc, "fig4", dlm.Figure4, *outDir)
-	}
-	if want("fig5") {
-		figure(sc, "fig5", dlm.Figure5, *outDir)
-	}
-	if want("fig6") {
-		figure(sc, "fig6", dlm.Figure6, *outDir)
-	}
-	if want("fig7") {
-		qsc := sc
-		qsc.QueryRate = 5
-		figure(qsc, "fig7", dlm.Figure7, *outDir)
-	}
-	if want("fig8") {
-		figure(sc, "fig8", dlm.Figure8, *outDir)
-	}
-	if want("table3") {
-		sizes := parseSizes("table3sizes", *t3sizes)
-		rows, err := dlm.Table3(sizes, *seed)
-		if err != nil {
-			fatal(err)
+	for _, fig := range []struct {
+		id  string
+		run func(dlm.Scenario) (*dlm.FigureResult, error)
+	}{{"fig4", dlm.Figure4}, {"fig5", dlm.Figure5}, {"fig6", dlm.Figure6}, {"fig7", dlm.Figure7}, {"fig8", dlm.Figure8}} {
+		if *run != "all" && *run != fig.id {
+			continue
 		}
-		section("Table 3: Peer Adjustment Overhead Analysis")
-		fmt.Print(dlm.FormatTable3(rows))
-		writeText(*outDir, "table3.txt", dlm.FormatTable3(rows))
-	}
-	if want("overhead") {
-		osc := sc
-		osc.QueryRate = 10
-		osc.Duration = 600
-		res, err := dlm.Overhead(osc)
-		if err != nil {
-			fatal(err)
-		}
-		section("§6 Overhead Study: DLM info exchange vs search traffic")
-		fmt.Print(res.Format())
-		writeText(*outDir, "overhead.txt", res.Format())
-	}
-	if want("policy") {
-		psc := sc
-		psc.Duration = 600
-		rows, err := dlm.PolicyAblation(psc, []float64{1, 5, 20})
-		if err != nil {
-			fatal(err)
-		}
-		section("Ablation A1: event-driven vs periodic information exchange")
-		fmt.Print(dlm.FormatPolicyAblation(rows))
-		writeText(*outDir, "policy_ablation.txt", dlm.FormatPolicyAblation(rows))
-	}
-	if want("gain") {
-		gsc := sc
-		gsc.Duration = 600
-		section("Ablation A2: reconstructed controller gains")
-		for _, knob := range []struct {
-			name   string
-			values []float64
-		}{
-			{"beta", []float64{0.25, 0.5, 1, 2}},
-			{"rategain", []float64{1, 2, 4, 8}},
-			{"ratelimit", []float64{0, 1}},
-			{"window", []float64{0, 30, 60, 120}},
-			{"refresh", []float64{0, 15, 30, 60}},
-			{"sharpness", []float64{0, 2, 4}},
-		} {
-			rows, err := dlm.GainAblation(gsc, knob.name, knob.values)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(dlm.FormatGainAblation(rows))
-			writeText(*outDir, "gain_"+knob.name+".txt", dlm.FormatGainAblation(rows))
-		}
-	}
-	if want("search") {
-		ssc := sc
-		ssc.Duration = 400
-		ssc.Warmup = 250
-		rows, err := dlm.SearchEfficiency(ssc, []int{2, 3, 4, 5, 6, 7}, 300)
-		if err != nil {
-			fatal(err)
-		}
-		section("Motivation: search efficiency, pure P2P vs super-peer (same workload)")
-		fmt.Print(dlm.FormatSearchRows(rows))
-		writeText(*outDir, "search.txt", dlm.FormatSearchRows(rows))
-	}
-	if want("latency") {
-		lsc := sc
-		lsc.Duration = 600
-		lsc.QueryRate = 2
-		rows, err := dlm.LatencyAblation(lsc, []float64{0, 0.05, 0.2, 1})
-		if err != nil {
-			fatal(err)
-		}
-		section("Extension: message-latency sweep (stale-by-transit information)")
-		fmt.Print(dlm.FormatLatency(rows))
-		writeText(*outDir, "latency.txt", dlm.FormatLatency(rows))
-	}
-	if want("cap") {
-		csc := sc
-		csc.Duration = 600
-		csc.Warmup = 250
-		rows, err := dlm.CapAblation(csc, []float64{0, 3, 2, 1.2, 0.8})
-		if err != nil {
-			fatal(err)
-		}
-		section("Extension: leaf-degree cap vs the μ signal (deployment warning)")
-		fmt.Print(dlm.FormatCap(rows))
-		writeText(*outDir, "cap.txt", dlm.FormatCap(rows))
-	}
-	if want("failure") {
 		fsc := sc
-		fsc.Duration = 800
-		fsc.Warmup = 300
-		fsc.QueryRate = 5
-		rows, err := dlm.FailureSweep(fsc, []float64{0.25, 0.5, 0.75})
-		if err != nil {
-			fatal(err)
+		if fig.id == "fig7" {
+			fsc.QueryRate = 5
 		}
-		section("Extension: correlated super-layer failure and recovery")
-		fmt.Print(dlm.FormatFailure(rows))
-		writeText(*outDir, "failure.txt", dlm.FormatFailure(rows))
+		figure(fsc, fig.id, fig.run, *outDir)
 	}
-	if want("robustness") {
-		asc := sc
-		// The ratio converges slowly; measure the settled tail only.
-		asc.Warmup = dlm.SettledWindowStart
-		rows, err := dlm.Robustness(asc, []float64{0, 1, 5, 10, 20})
+	for _, st := range studies(*t3sizes, *scSizes, *advSizes) {
+		if *run != st.name && (st.optIn || *run != "all") {
+			continue
+		}
+		ssc := sc
+		if st.tweak != nil {
+			st.tweak(&ssc)
+		}
+		text, err := st.run(ssc)
 		if err != nil {
 			fatal(err)
 		}
-		section("Extension: robustness under message loss/jitter/duplication")
-		fmt.Print(dlm.FormatRobustness(rows))
-		writeText(*outDir, "robustness.txt", dlm.FormatRobustness(rows))
-	}
-	if want("redundancy") {
-		rsc := sc
-		rsc.Duration = 500
-		rsc.Warmup = 200
-		rows, err := dlm.RedundancySweep(rsc, []int{1, 2, 3, 4})
-		if err != nil {
-			fatal(err)
+		if st.title != "" {
+			section(st.title)
 		}
-		section("Extension: leaf redundancy sweep (what m buys)")
-		fmt.Print(dlm.FormatRedundancy(rows))
-		writeText(*outDir, "redundancy.txt", dlm.FormatRedundancy(rows))
-	}
-	if *run == "scale" { // opt-in only: the top size simulates a million peers
-		sizes := parseSizes("scalesizes", *scSizes)
-		// Serial against what this host can run in parallel: one row
-		// per N when that is also 1.
-		shardCounts := []int{1}
-		if procs := runtime.GOMAXPROCS(0); procs > 1 {
-			shardCounts = append(shardCounts, procs)
-		}
-		rows, err := dlm.Scale(sizes, shardCounts, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		section("Scaling: end-to-end throughput vs population size")
-		fmt.Print(dlm.FormatScale(rows))
-		writeText(*outDir, "scale.txt", dlm.FormatScale(rows))
-	}
-	if *run == "adversarial" { // opt-in only: the top size simulates a million peers
-		sizes := parseSizes("advsizes", *advSizes)
-		rows, err := dlm.Adversarial(sizes, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		section("Extension: adversarial scenario pack (flash crowd, diurnal, partition, liars, mass kill)")
-		fmt.Print(dlm.FormatAdversarial(rows))
-		writeText(*outDir, "adversarial.txt", dlm.FormatAdversarial(rows))
-	}
-	if want("baselines") {
-		bsc := sc
-		bsc.Duration = 600
-		rows, err := dlm.BaselineSweep(bsc)
-		if err != nil {
-			fatal(err)
-		}
-		section("Ablation A3: policy spectrum (DLM vs preconfigured vs static vs oracle)")
-		fmt.Print(dlm.FormatBaselineSweep(rows))
-		writeText(*outDir, "baselines.txt", dlm.FormatBaselineSweep(rows))
+		fmt.Print(text)
+		writeText(*outDir, st.file, text)
 	}
 
 	fmt.Printf("\ndone in %.1fs\n", time.Since(start).Seconds())
+}
+
+// study is one text artifact of the evaluation: the scenario tweak it
+// applies to the figure scenario, the driver that renders it, and the
+// results/ file it is written to.
+type study struct {
+	name  string // the -run selector
+	title string // section heading; empty continues the previous study's section
+	file  string
+	optIn bool // runs only when named: not part of "all"
+	tweak func(*dlm.Scenario)
+	run   func(dlm.Scenario) (string, error)
+}
+
+// formatted adapts a driver's (rows, error) to a study's text.
+func formatted[T any](format func(T) string) func(T, error) (string, error) {
+	return func(rows T, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return format(rows), nil
+	}
+}
+
+// studies lists the text artifacts in the order dlmbench runs and prints
+// them. The size lists are parsed only by the study that uses them.
+func studies(t3sizes, scSizes, advSizes string) []study {
+	short := func(sc *dlm.Scenario) { sc.Duration = 600 }
+	gain := func(title, knob string, values ...float64) study {
+		return study{name: "gain", title: title, file: "gain_" + knob + ".txt", tweak: short,
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatGainAblation)(dlm.GainAblation(sc, knob, values))
+			}}
+	}
+	return []study{
+		{name: "table3", title: "Table 3: Peer Adjustment Overhead Analysis", file: "table3.txt",
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatTable3)(dlm.Table3(parseSizes("table3sizes", t3sizes), sc.Seed))
+			}},
+		{name: "overhead", title: "§6 Overhead Study: DLM info exchange vs search traffic", file: "overhead.txt",
+			tweak: func(sc *dlm.Scenario) { sc.QueryRate, sc.Duration = 10, 600 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted((*dlm.OverheadResult).Format)(dlm.Overhead(sc))
+			}},
+		{name: "policy", title: "Ablation A1: event-driven vs periodic information exchange", file: "policy_ablation.txt",
+			tweak: short,
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatPolicyAblation)(dlm.PolicyAblation(sc, []float64{1, 5, 20}))
+			}},
+		gain("Ablation A2: reconstructed controller gains", "beta", 0.25, 0.5, 1, 2),
+		gain("", "rategain", 1, 2, 4, 8),
+		gain("", "ratelimit", 0, 1),
+		gain("", "window", 0, 30, 60, 120),
+		gain("", "refresh", 0, 15, 30, 60),
+		gain("", "sharpness", 0, 2, 4),
+		gain("", "betacapa", 0.1, 0.3, 1, 2),
+		gain("", "lambda", 0.5, 1, 2, 4),
+		gain("", "cooldown", 0, 2, 5, 10, 20),
+		gain("", "democooldown", 0, 50, 100, 200),
+		{name: "search", title: "Motivation: search efficiency, pure P2P vs super-peer (same workload)", file: "search.txt",
+			tweak: func(sc *dlm.Scenario) { sc.Duration, sc.Warmup = 400, 250 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatSearchRows)(dlm.SearchEfficiency(sc, []int{2, 3, 4, 5, 6, 7}, 300))
+			}},
+		{name: "latency", title: "Extension: message-latency sweep (stale-by-transit information)", file: "latency.txt",
+			tweak: func(sc *dlm.Scenario) { sc.Duration, sc.QueryRate = 600, 2 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatLatency)(dlm.LatencyAblation(sc, []float64{0, 0.05, 0.2, 1}))
+			}},
+		{name: "cap", title: "Extension: leaf-degree cap vs the μ signal (deployment warning)", file: "cap.txt",
+			tweak: func(sc *dlm.Scenario) { sc.Duration, sc.Warmup = 600, 250 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatCap)(dlm.CapAblation(sc, []float64{0, 3, 2, 1.2, 0.8}))
+			}},
+		{name: "failure", title: "Extension: correlated super-layer failure and recovery", file: "failure.txt",
+			tweak: func(sc *dlm.Scenario) { sc.Duration, sc.Warmup, sc.QueryRate = 800, 300, 5 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatFailure)(dlm.FailureSweep(sc, []float64{0.25, 0.5, 0.75}))
+			}},
+		{name: "robustness", title: "Extension: robustness under message loss/jitter/duplication", file: "robustness.txt",
+			// The ratio converges slowly; measure the settled tail only.
+			tweak: func(sc *dlm.Scenario) { sc.Warmup = dlm.SettledWindowStart },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatRobustness)(dlm.Robustness(sc, []float64{0, 1, 5, 10, 20}))
+			}},
+		{name: "redundancy", title: "Extension: leaf redundancy sweep (what m buys)", file: "redundancy.txt",
+			tweak: func(sc *dlm.Scenario) { sc.Duration, sc.Warmup = 500, 200 },
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatRedundancy)(dlm.RedundancySweep(sc, []int{1, 2, 3, 4}))
+			}},
+		// scale and adversarial are opt-in: the top size simulates a million peers.
+		{name: "scale", title: "Scaling: end-to-end throughput vs population size", file: "scale.txt", optIn: true,
+			run: func(sc dlm.Scenario) (string, error) {
+				// Serial against what this host can run in parallel: one row
+				// per N when that is also 1.
+				shardCounts := []int{1}
+				if procs := runtime.GOMAXPROCS(0); procs > 1 {
+					shardCounts = append(shardCounts, procs)
+				}
+				return formatted(dlm.FormatScale)(dlm.Scale(parseSizes("scalesizes", scSizes), shardCounts, sc.Seed))
+			}},
+		{name: "adversarial", title: "Extension: adversarial scenario pack (flash crowd, diurnal, partition, liars, mass kill)", file: "adversarial.txt", optIn: true,
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatAdversarial)(dlm.Adversarial(parseSizes("advsizes", advSizes), sc.Seed))
+			}},
+		{name: "baselines", title: "Ablation A3: policy spectrum (DLM vs preconfigured vs static vs oracle)", file: "baselines.txt",
+			tweak: short,
+			run: func(sc dlm.Scenario) (string, error) {
+				return formatted(dlm.FormatBaselineSweep)(dlm.BaselineSweep(sc))
+			}},
+	}
 }
 
 func figure(sc dlm.Scenario, id string, f func(dlm.Scenario) (*dlm.FigureResult, error), outDir string) {

@@ -21,36 +21,50 @@ import (
 	"dlm/internal/stats"
 )
 
-func main() {
-	var (
-		n        = flag.Int("n", 2000, "steady-state population")
-		eta      = flag.Float64("eta", 0, "target layer size ratio (0 = scenario default)")
-		manager  = flag.String("manager", "dlm", "layer manager: dlm|preconfigured|static|oracle|none")
-		duration = flag.Float64("duration", 0, "simulated time units (0 = scenario default)")
-		warmup   = flag.Float64("warmup", 0, "warm-up units before measurement (0 = default)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		queries  = flag.Float64("queries", 0, "queries per time unit (0 = off)")
-		ttl      = flag.Int("ttl", 7, "query TTL")
-		doPlot   = flag.Bool("plot", false, "render an ASCII ratio chart")
-		csvPath  = flag.String("csv", "", "write the sampled series as CSV")
-		tracePth = flag.String("trace", "", "write the lifecycle trace as JSONL")
-		dynamic  = flag.Bool("dynamic", false, "apply the paper's Figures 4-6 regime changes")
-		confPath = flag.String("config", "", "load the scenario from a JSON file (other scenario flags still override)")
-		savePath = flag.String("saveconfig", "", "write the effective scenario as JSON and exit")
-	)
-	flag.Parse()
+// options are the flags that do not edit the scenario.
+type options struct {
+	manager   string
+	doPlot    bool
+	csvPath   string
+	tracePath string
+	dynamic   bool
+	savePath  string
+}
 
-	var sc dlm.Scenario
+// parseFlags reads the command line into the scenario to run and the
+// remaining options. The scenario starts from -config's file (or Scaled(n))
+// and only flags actually given edit it: a flag's default must not
+// overwrite what the file says.
+func parseFlags(fs *flag.FlagSet, args []string) (dlm.Scenario, options, error) {
+	var o options
+	var (
+		n        = fs.Int("n", 2000, "steady-state population")
+		eta      = fs.Float64("eta", 0, "target layer size ratio (0 = scenario default)")
+		duration = fs.Float64("duration", 0, "simulated time units (0 = scenario default)")
+		warmup   = fs.Float64("warmup", 0, "warm-up units before measurement (0 = default)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		queries  = fs.Float64("queries", 0, "queries per time unit (0 = off)")
+		ttl      = fs.Int("ttl", 7, "query TTL")
+		confPath = fs.String("config", "", "load the scenario from a JSON file (other scenario flags still override)")
+	)
+	fs.StringVar(&o.manager, "manager", "dlm", "layer manager: dlm|preconfigured|static|oracle|none")
+	fs.BoolVar(&o.doPlot, "plot", false, "render an ASCII ratio chart")
+	fs.StringVar(&o.csvPath, "csv", "", "write the sampled series as CSV")
+	fs.StringVar(&o.tracePath, "trace", "", "write the lifecycle trace as JSONL")
+	fs.BoolVar(&o.dynamic, "dynamic", false, "apply the paper's Figures 4-6 regime changes")
+	fs.StringVar(&o.savePath, "saveconfig", "", "write the effective scenario as JSON and exit")
+	if err := fs.Parse(args); err != nil {
+		return dlm.Scenario{}, o, err
+	}
+
+	sc := dlm.Scaled(*n)
 	if *confPath != "" {
 		loaded, err := config.LoadFile(*confPath)
 		if err != nil {
-			fatal(err)
+			return dlm.Scenario{}, o, err
 		}
 		sc = loaded
-	} else {
-		sc = dlm.Scaled(*n)
 	}
-	sc.Seed = *seed
 	if *eta > 0 {
 		sc.Eta = *eta
 	}
@@ -60,30 +74,46 @@ func main() {
 	if *warmup > 0 {
 		sc.Warmup = *warmup
 	}
-	sc.QueryRate = *queries
-	sc.TTL = *ttl
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			sc.Seed = *seed
+		case "queries":
+			sc.QueryRate = *queries
+		case "ttl":
+			sc.TTL = *ttl
+		}
+	})
+	return sc, o, nil
+}
 
-	if *savePath != "" {
-		if err := sc.SaveFile(*savePath); err != nil {
+func main() {
+	sc, o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+
+	if o.savePath != "" {
+		if err := sc.SaveFile(o.savePath); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("scenario written to %s\n", *savePath)
+		fmt.Printf("scenario written to %s\n", o.savePath)
 		return
 	}
 
 	rc := dlm.RunConfig{
 		Scenario: sc,
-		Manager:  dlm.ManagerKind(*manager),
-		Queries:  *queries > 0,
+		Manager:  dlm.ManagerKind(o.manager),
+		Queries:  sc.QueryRate > 0,
 	}
-	if *dynamic {
+	if o.dynamic {
 		rc = experiments.DynamicScenario(sc)
-		rc.Manager = dlm.ManagerKind(*manager)
+		rc.Manager = dlm.ManagerKind(o.manager)
 	}
 
 	var traceFile *os.File
-	if *tracePth != "" {
-		f, err := os.Create(*tracePth)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -117,7 +147,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *doPlot {
+	if o.doPlot {
 		ratio := res.Series.Get("ratio")
 		target := stats.NewSeries(fmt.Sprintf("target η=%.0f", sc.Eta))
 		if pts := ratio.Points(); len(pts) > 0 {
@@ -131,8 +161,8 @@ func main() {
 		}, ratio, target))
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	if o.csvPath != "" {
+		f, err := os.Create(o.csvPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -142,7 +172,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("series written to %s\n", *csvPath)
+		fmt.Printf("series written to %s\n", o.csvPath)
 	}
 	if traceFile != nil {
 		fmt.Printf("trace written to %s\n", traceFile.Name())

@@ -23,7 +23,8 @@ import (
 )
 
 type outcome struct {
-	ratioMean, ratioRMSE, capSep, ageSep, pao float64
+	experiments.WindowSummary
+	pao float64
 }
 
 func main() {
@@ -77,15 +78,7 @@ func main() {
 			if err != nil {
 				return outcome{}, err
 			}
-			from, to := sc.Warmup, sc.Duration
-			r := res.Series.Get("ratio")
-			return outcome{
-				ratioMean: r.MeanOver(from, to),
-				ratioRMSE: r.RMSEAgainst(sc.Eta, from, to),
-				capSep:    res.Series.Get("cap_super").MeanOver(from, to) / res.Series.Get("cap_leaf").MeanOver(from, to),
-				ageSep:    res.Series.Get("age_super").MeanOver(from, to) / res.Series.Get("age_leaf").MeanOver(from, to),
-				pao:       res.WindowCounters.PAOOverNLCO(),
-			}, nil
+			return outcome{res.Window(sc), res.WindowCounters.PAOOverNLCO()}, nil
 		})
 	if err != nil {
 		fatal(err)
@@ -98,10 +91,10 @@ func main() {
 	for i, v := range points {
 		var rm, rr, cs, as, pao stats.Welford
 		for _, o := range results[i] {
-			rm.Add(o.ratioMean)
-			rr.Add(o.ratioRMSE)
-			cs.Add(o.capSep)
-			as.Add(o.ageSep)
+			rm.Add(o.RatioMean)
+			rr.Add(o.RatioRMSE)
+			cs.Add(o.CapSeparation)
+			as.Add(o.AgeSeparation)
 			pao.Add(o.pao)
 		}
 		fmt.Printf("%-10g %7.1f ± %-8.1f %-12.1f %-10.2f %-10.2f %.2f\n",

@@ -265,9 +265,6 @@ func SetWorkers(n int) { experiments.DefaultWorkers = n }
 // Series is an append-only named time series.
 type Series = stats.Series
 
-// PlotOptions configures ASCII figure rendering.
-type PlotOptions = plot.Options
-
 // RenderFigure draws a figure's series as an ASCII chart.
 func RenderFigure(f *FigureResult, width, height int) string {
 	return plot.Render(plot.Options{

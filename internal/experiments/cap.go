@@ -46,8 +46,7 @@ func CapAblation(sc config.Scenario, capsOverKL []float64) ([]CapRow, error) {
 			if err != nil {
 				return CapRow{}, err
 			}
-			from, to := scc.Warmup, scc.Duration
-			r := res.Series.Get("ratio")
+			w := res.Window(scc)
 			under := 0.0
 			if nl := res.Final.NumLeaves; nl > 0 {
 				topo := float64(res.Final.NumLeaves)*float64(scc.M) -
@@ -57,8 +56,8 @@ func CapAblation(sc config.Scenario, capsOverKL []float64) ([]CapRow, error) {
 			return CapRow{
 				CapOverKL: mult,
 				Cap:       cap,
-				RatioMean: r.MeanOver(from, to),
-				RatioRMSE: r.RMSEAgainst(scc.Eta, from, to),
+				RatioMean: w.RatioMean,
+				RatioRMSE: w.RatioRMSE,
 				UnderFrac: under,
 			}, nil
 		})

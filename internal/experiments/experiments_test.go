@@ -271,6 +271,15 @@ func TestGainAblation(t *testing.T) {
 	if _, err := GainAblation(sc, "nonsense", []float64{1}); err == nil {
 		t.Fatal("unknown knob accepted")
 	}
+	// The demotion cooldown is what keeps fresh supers from flapping
+	// straight back: without it the window sees more demotions.
+	demo, err := GainAblation(sc, "democooldown", []float64{0, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if demo[0].Label != "democooldown=0" || demo[0].Demotions <= demo[1].Demotions {
+		t.Fatalf("democooldown rows %+v", demo)
+	}
 	if !strings.Contains(FormatGainAblation(rows), "rategain=4") {
 		t.Fatal("format incomplete")
 	}

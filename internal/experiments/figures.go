@@ -53,10 +53,8 @@ func Figure4(sc config.Scenario) (*FigureResult, error) {
 		Title:  "Figure 4: Average Age Comparison (dynamic network)",
 		Series: []*stats.Series{rename(ageS, "SuperLayer"), rename(ageL, "LeafLayer")},
 	}
-	from, to := sc.Warmup, sc.Duration
-	ratio := ageS.MeanOver(from, to) / ageL.MeanOver(from, to)
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("super-layer mean age %.2fx leaf-layer over [%.0f,%.0f]", ratio, from, to))
+	f.Notes = append(f.Notes, fmt.Sprintf("super-layer mean age %.2fx leaf-layer over [%.0f,%.0f]",
+		res.Window(sc).AgeSeparation, sc.Warmup, sc.Duration))
 	return f, nil
 }
 
@@ -75,10 +73,8 @@ func Figure5(sc config.Scenario) (*FigureResult, error) {
 		Title:  "Figure 5: Average Capacity Comparison (dynamic network)",
 		Series: []*stats.Series{rename(capS, "SuperLayer"), rename(capL, "LeafLayer")},
 	}
-	from, to := sc.Warmup, sc.Duration
-	ratio := capS.MeanOver(from, to) / capL.MeanOver(from, to)
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("super-layer mean capacity %.2fx leaf-layer over [%.0f,%.0f]", ratio, from, to))
+	f.Notes = append(f.Notes, fmt.Sprintf("super-layer mean capacity %.2fx leaf-layer over [%.0f,%.0f]",
+		res.Window(sc).CapSeparation, sc.Warmup, sc.Duration))
 	return f, nil
 }
 
@@ -99,11 +95,10 @@ func Figure6(sc config.Scenario) (*FigureResult, error) {
 		},
 		LogY: true,
 	}
-	from, to := sc.Warmup, sc.Duration
-	r := res.Series.Get("ratio")
+	w := res.Window(sc)
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("ratio mean %.1f (target η=%.0f), rmse %.1f over [%.0f,%.0f]",
-			r.MeanOver(from, to), sc.Eta, r.RMSEAgainst(sc.Eta, from, to), from, to))
+			w.RatioMean, sc.Eta, w.RatioRMSE, sc.Warmup, sc.Duration))
 	return f, nil
 }
 
@@ -147,7 +142,7 @@ func Figure7(sc config.Scenario) (*FigureResult, error) {
 	pr := pre.Series.Get("ratio")
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("DLM ratio rmse %.2f vs preconfigured %.2f (target η=%.0f)",
-			dr.RMSEAgainst(sc.Eta, from, to), pr.RMSEAgainst(sc.Eta, from, to), sc.Eta),
+			dlm.Window(sc).RatioRMSE, pre.Window(sc).RatioRMSE, sc.Eta),
 		fmt.Sprintf("stability (std around own mean): DLM %.2f vs preconfigured %.2f",
 			dr.StdOver(from, to), pr.StdOver(from, to)),
 		fmt.Sprintf("DLM ratio range [%.1f,%.1f]; preconfigured [%.1f,%.1f]",
@@ -184,8 +179,7 @@ func Figure8(sc config.Scenario) (*FigureResult, error) {
 		},
 	}
 	from, to := sc.Warmup, sc.Duration
-	dlmSep := dlm.Series.Get("age_super").MeanOver(from, to) / dlm.Series.Get("age_leaf").MeanOver(from, to)
-	preSep := pre.Series.Get("age_super").MeanOver(from, to) / pre.Series.Get("age_leaf").MeanOver(from, to)
+	dlmSep, preSep := dlm.Window(sc).AgeSeparation, pre.Window(sc).AgeSeparation
 	dlmSuper := dlm.Series.Get("age_super").MeanOver(from, to)
 	preSuper := pre.Series.Get("age_super").MeanOver(from, to)
 	f.Notes = append(f.Notes,

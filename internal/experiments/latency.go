@@ -45,13 +45,12 @@ func LatencyAblation(sc config.Scenario, latencies []float64) ([]LatencyRow, err
 			if err != nil {
 				return LatencyRow{}, err
 			}
-			from, to := scc.Warmup, scc.Duration
-			r := res.Series.Get("ratio")
+			w := res.Window(scc)
 			return LatencyRow{
 				Latency:       lat,
-				RatioMean:     r.MeanOver(from, to),
-				RatioRMSE:     r.RMSEAgainst(scc.Eta, from, to),
-				CapSeparation: res.Series.Get("cap_super").MeanOver(from, to) / res.Series.Get("cap_leaf").MeanOver(from, to),
+				RatioMean:     w.RatioMean,
+				RatioRMSE:     w.RatioRMSE,
+				CapSeparation: w.CapSeparation,
 				QuerySuccess:  res.QuerySuccess,
 			}, nil
 		})

@@ -88,23 +88,19 @@ func Robustness(sc config.Scenario, lossPct []float64) ([]RobustnessRow, error) 
 			if err != nil {
 				return RobustnessRow{}, err
 			}
-			from, to := sc.Warmup, sc.Duration
-			r := res.Series.Get("ratio")
-			mean := r.MeanOver(from, to)
+			w := res.Window(sc)
 			return RobustnessRow{
-				LossPct:     loss,
-				RatioMean:   mean,
-				RatioErrPct: 100 * math.Abs(mean-sc.Eta) / sc.Eta,
-				RatioRMSE:   r.RMSEAgainst(sc.Eta, from, to),
-				AgeSeparation: res.Series.Get("age_super").MeanOver(from, to) /
-					res.Series.Get("age_leaf").MeanOver(from, to),
-				CapSeparation: res.Series.Get("cap_super").MeanOver(from, to) /
-					res.Series.Get("cap_leaf").MeanOver(from, to),
-				DLMMsgs:   res.Traffic.DLMMessages(),
-				LinkDrops: res.WindowCounters.TotalLinkDrops(),
-				LinkDups:  res.WindowCounters.TotalLinkDups(),
-				Retries:   res.RequestRetries,
-				Abandoned: res.RequestDrops,
+				LossPct:       loss,
+				RatioMean:     w.RatioMean,
+				RatioErrPct:   100 * math.Abs(w.RatioMean-sc.Eta) / sc.Eta,
+				RatioRMSE:     w.RatioRMSE,
+				AgeSeparation: w.AgeSeparation,
+				CapSeparation: w.CapSeparation,
+				DLMMsgs:       res.Traffic.DLMMessages(),
+				LinkDrops:     res.WindowCounters.TotalLinkDrops(),
+				LinkDups:      res.WindowCounters.TotalLinkDups(),
+				Retries:       res.RequestRetries,
+				Abandoned:     res.RequestDrops,
 			}, nil
 		})
 	return rows, err

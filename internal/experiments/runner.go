@@ -42,9 +42,6 @@ type RunConfig struct {
 	// ManagerDLM (zero value = core.DefaultParams()).
 	Manager   ManagerKind
 	DLMParams *core.Params
-	// Threshold is the preconfigured policy's capacity cutoff; zero
-	// auto-calibrates against the base capacity distribution.
-	Threshold float64
 	// Queries enables the search workload per the scenario's QueryRate.
 	Queries bool
 	// TraceTo, when non-nil, receives the JSONL lifecycle trace.
@@ -95,17 +92,36 @@ type RunResult struct {
 	RequestDrops   uint64
 }
 
+// WindowSummary is the measurement-window reading the studies report:
+// ratio maintenance against η and the super/leaf layer separations.
+type WindowSummary struct {
+	RatioMean, RatioRMSE float64
+	// CapSeparation and AgeSeparation are super-layer mean capacity (age)
+	// over the leaf layer's.
+	CapSeparation, AgeSeparation float64
+}
+
+// Window summarizes the sampled series over sc's [Warmup, Duration].
+func (r *RunResult) Window(sc config.Scenario) WindowSummary {
+	from, to := sc.Warmup, sc.Duration
+	mean := func(name string) float64 { return r.Series.Get(name).MeanOver(from, to) }
+	return WindowSummary{
+		RatioMean:     mean("ratio"),
+		RatioRMSE:     r.Series.Get("ratio").RMSEAgainst(sc.Eta, from, to),
+		CapSeparation: mean("cap_super") / mean("cap_leaf"),
+		AgeSeparation: mean("age_super") / mean("age_leaf"),
+	}
+}
+
 // buildManager instantiates the policy.
 func buildManager(rc RunConfig, seed int64) overlay.Manager {
 	switch rc.Manager {
 	case ManagerPreconfigured:
-		th := rc.Threshold
-		if th == 0 {
-			th = baseline.CalibrateThreshold(
-				workload.SaroiuBandwidthMixture(), rc.Scenario.Eta, 20000,
-				sim.NewSource(seed).Stream("calibrate"))
-		}
-		return &baseline.Preconfigured{Threshold: th}
+		// The capacity cutoff is calibrated against the base capacity
+		// distribution, as the paper's preconfigured scheme is.
+		return &baseline.Preconfigured{Threshold: baseline.CalibrateThreshold(
+			workload.SaroiuBandwidthMixture(), rc.Scenario.Eta, 20000,
+			sim.NewSource(seed).Stream("calibrate"))}
 	case ManagerStatic:
 		return &baseline.Static{Eta: rc.Scenario.Eta}
 	case ManagerOracle:

@@ -67,7 +67,6 @@ func equivParams() protocol.Params {
 	p.DecisionCooldown = 1
 	p.DemotionCooldown = 3
 	p.EmptyGDemoteAfter = 3
-	p.MinRelatedSet = 1
 	p.LeafWindow = 0
 	return p
 }

@@ -141,22 +141,6 @@ func (ft *FaultyTransport) deliver(n *Net, q *Peer, m msg.Message) {
 	}
 }
 
-// Drops returns the fault-injected drop count for one kind.
-func (ft *FaultyTransport) Drops(k msg.Kind) uint64 {
-	if !k.Valid() {
-		return 0
-	}
-	return ft.drops[k].Load()
-}
-
-// Dups returns the fault-injected duplication count for one kind.
-func (ft *FaultyTransport) Dups(k msg.Kind) uint64 {
-	if !k.Valid() {
-		return 0
-	}
-	return ft.dups[k].Load()
-}
-
 // FaultDrops returns the total messages the fault model dropped, zero
 // when no FaultyTransport is installed.
 func (n *Net) FaultDrops() uint64 {

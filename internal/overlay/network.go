@@ -362,15 +362,6 @@ func (n *Network) SuperIDs() []msg.PeerID { return n.supers.items }
 // The slice is shared; callers must not mutate it.
 func (n *Network) LeafIDs() []msg.PeerID { return n.leaves.items }
 
-// RandomSuper returns a uniformly random super-peer, or nil when none.
-func (n *Network) RandomSuper() *Peer {
-	id, ok := n.supers.Random(n.rng)
-	if !ok {
-		return nil
-	}
-	return n.store.get(id)
-}
-
 // RandomPeer returns a uniformly random live peer, or nil when empty.
 func (n *Network) RandomPeer() *Peer {
 	total := n.supers.Len() + n.leaves.Len()

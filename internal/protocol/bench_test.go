@@ -22,22 +22,6 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateStandalone measures the allocation-visible standalone
-// path used by hosts that keep their own neighbor state.
-func BenchmarkEvaluateStandalone(b *testing.B) {
-	p := DefaultParams()
-	related := make([]Candidate, 80)
-	for i := range related {
-		related[i] = Candidate{Capacity: float64(1 + i%100), Age: float64(10 + i%200)}
-	}
-	self := Candidate{Capacity: 50, Age: 120}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.EvaluateStandalone(self, related, 90, 80, i%2 == 0)
-	}
-}
-
 // BenchmarkObserve measures related-set maintenance under the FIFO cap.
 func BenchmarkObserve(b *testing.B) {
 	p := DefaultParams()

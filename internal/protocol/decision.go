@@ -3,30 +3,30 @@ package protocol
 import "math"
 
 // Mu computes the layer-size-ratio skew μ = log(l_nn / k_l), clamped to
-// ±MuMax (paper Phase 2). A positive μ means super-peers carry more
+// ±muMax (paper Phase 2). A positive μ means super-peers carry more
 // leaves than the optimum k_l = m·η — i.e. there are too few super-peers;
 // negative means too many.
 func (p *Params) Mu(lnn, kl float64) float64 {
 	if lnn <= 0 || kl <= 0 {
-		return -p.MuMax // an empty super-layer view reads as "too many supers"
+		return -muMax // an empty super-layer view reads as "too many supers"
 	}
-	return clamp(math.Log(lnn/kl), -p.MuMax, p.MuMax)
+	return clamp(math.Log(lnn/kl), -muMax, muMax)
 }
 
 // ScaleFor returns the scale parameters (X_capa, X_age) for the given μ:
-// X = clamp(exp(-λ·μ), XMin, XMax). With μ>0 (more supers needed) X drops
+// X = clamp(exp(-λ·μ), xMin, xMax). With μ>0 (more supers needed) X drops
 // below 1, which lowers both counting variables — making promotion easier
 // for leaves and demotion rarer for supers, the four directional rules of
 // the paper's Phase 3.
 func (p *Params) ScaleFor(mu float64) (xCapa, xAge float64) {
-	xCapa = clamp(math.Exp(-p.LambdaCapa*mu), p.XMin, p.XMax)
+	xCapa = clamp(math.Exp(-p.LambdaCapa*mu), xMin, xMax)
 	if p.LambdaAge == p.LambdaCapa {
 		// Identical gains (the default) make the two scales identical;
 		// skip the second exp — it is the hottest transcendental in the
 		// whole simulation.
 		return xCapa, xCapa
 	}
-	xAge = clamp(math.Exp(-p.LambdaAge*mu), p.XMin, p.XMax)
+	xAge = clamp(math.Exp(-p.LambdaAge*mu), xMin, xMax)
 	return xCapa, xAge
 }
 
@@ -39,8 +39,8 @@ func (p *Params) ScaleFor(mu float64) (xCapa, xAge float64) {
 func (p *Params) MuScale(lnn, kl float64) (mu, xCapa, xAge float64) {
 	mu = p.Mu(lnn, kl)
 	if p.LambdaCapa == 1 && p.LambdaAge == 1 &&
-		lnn > 0 && kl > 0 && -p.MuMax < mu && mu < p.MuMax {
-		x := clamp(kl/lnn, p.XMin, p.XMax)
+		lnn > 0 && kl > 0 && -muMax < mu && mu < muMax {
+		x := clamp(kl/lnn, xMin, xMax)
 		return mu, x, x
 	}
 	xCapa, xAge = p.ScaleFor(mu)
@@ -49,61 +49,31 @@ func (p *Params) MuScale(lnn, kl float64) (mu, xCapa, xAge float64) {
 
 // ZPromoteCapa returns the capacity promotion threshold for the given μ.
 func (p *Params) ZPromoteCapa(mu float64) float64 {
-	return clamp(p.ZPromote0+p.BetaPromoteCapa*mu, p.ZMin, p.ZMax)
+	return clamp(zPromote0+p.BetaPromoteCapa*mu, zMin, zMax)
 }
 
 // ZPromoteAge returns the age promotion threshold for the given μ.
 func (p *Params) ZPromoteAge(mu float64) float64 {
-	return clamp(p.ZPromote0+p.BetaPromoteAge*mu, p.ZMin, p.ZMax)
+	return clamp(zPromote0+p.BetaPromoteAge*mu, zMin, zMax)
 }
 
 // ZDemoteCapa returns the capacity demotion threshold for the given μ.
 func (p *Params) ZDemoteCapa(mu float64) float64 {
-	return clamp(p.ZDemote0+p.BetaDemoteCapa*mu, p.ZMin, p.ZMax)
+	return clamp(zDemote0+p.BetaDemoteCapa*mu, zMin, zMax)
 }
 
 // ZDemoteAge returns the age demotion threshold for the given μ.
 func (p *Params) ZDemoteAge(mu float64) float64 {
-	return clamp(p.ZDemote0+p.BetaDemoteAge*mu, p.ZMin, p.ZMax)
+	return clamp(zDemote0+p.BetaDemoteAge*mu, zMin, zMax)
 }
 
-// Decision is the outcome of one evaluation, exported for tests and the
-// trace pipeline.
+// Decision is the outcome of one evaluation.
 type Decision struct {
 	Mu           float64
 	XCapa, XAge  float64
 	YCapa, YAge  float64
 	ZCapa, ZAge  float64
 	ShouldSwitch bool
-}
-
-// Candidate is an explicit related-set member view for standalone
-// evaluation (hosts that keep their own neighbor state).
-type Candidate struct {
-	Capacity float64
-	Age      float64
-}
-
-// EvaluateStandalone runs Phases 2-4 on explicit inputs: self against the
-// related set, with the observed l_nn and the protocol constant k_l.
-// promote selects the leaf rule (switch on Y < Z); otherwise the super
-// rule (Y > Z) applies. It is pure: no network access, no side effects.
-func (p *Params) EvaluateStandalone(self Candidate, related []Candidate, lnn, kl float64, promote bool) Decision {
-	var d Decision
-	d.Mu, d.XCapa, d.XAge = p.MuScale(lnn, kl)
-	n := float64(len(related))
-	if n > 0 {
-		for _, r := range related {
-			if r.Capacity*d.XCapa > self.Capacity {
-				d.YCapa += 1 / n
-			}
-			if r.Age*d.XAge > self.Age {
-				d.YAge += 1 / n
-			}
-		}
-	}
-	p.applyThresholds(&d, promote)
-	return d
 }
 
 // applyThresholds fills the Z fields and the Phase 4 switch condition:
@@ -132,16 +102,12 @@ func (p *Params) SwitchProbability(lnn, kl, eta, yCapa float64, promote bool) fl
 	if gain <= 0 {
 		gain = 1
 	}
-	dgain := p.DemoteRateGain
-	if dgain <= 0 {
-		dgain = 1
-	}
 	r := lnn / kl
 	var prob float64
 	if promote {
 		prob = gain * (r - 1) / eta / p.EvalProbability
 	} else {
-		prob = dgain * (1 - r) / p.EvalProbability
+		prob = demoteRateGain * (1 - r) / p.EvalProbability
 	}
 	if k := p.SelectionSharpness; k > 0 {
 		// Favor the strongest candidates: a leaf that beats all the

@@ -11,13 +11,6 @@ import (
 func TestParamsValidateRejectsBadValues(t *testing.T) {
 	mutations := map[string]func(*Params){
 		"negative lambda":   func(p *Params) { p.LambdaCapa = -1 },
-		"bad X clamp":       func(p *Params) { p.XMin = 0 },
-		"inverted X clamp":  func(p *Params) { p.XMin = 5; p.XMax = 1 },
-		"bad Z clamp":       func(p *Params) { p.ZMax = 1.5 },
-		"bad ZPromote0":     func(p *Params) { p.ZPromote0 = 0 },
-		"bad ZDemote0":      func(p *Params) { p.ZDemote0 = 1 },
-		"bad MuMax":         func(p *Params) { p.MuMax = 0 },
-		"bad MinRelatedSet": func(p *Params) { p.MinRelatedSet = 0 },
 		"bad MaxRelatedSet": func(p *Params) { p.MaxRelatedSet = -1 },
 		"bad EvalProb":      func(p *Params) { p.EvalProbability = 0 },
 		"negative cooldown": func(p *Params) { p.DecisionCooldown = -1 },
@@ -33,6 +26,15 @@ func TestParamsValidateRejectsBadValues(t *testing.T) {
 	}
 }
 
+func TestExchangePolicyString(t *testing.T) {
+	if EventDriven.String() != "event-driven" || Periodic.String() != "periodic" {
+		t.Fatal("policy names wrong")
+	}
+	if ExchangePolicy(9).String() != "policy(9)" {
+		t.Fatal("unknown policy name wrong")
+	}
+}
+
 func TestMu(t *testing.T) {
 	p := DefaultParams()
 	if mu := p.Mu(80, 80); mu != 0 {
@@ -45,14 +47,14 @@ func TestMu(t *testing.T) {
 		t.Errorf("Mu(kl/2,kl) = %v, want -ln 2", mu)
 	}
 	// Clamping.
-	if mu := p.Mu(1e9, 1); mu != p.MuMax {
-		t.Errorf("huge skew mu = %v, want clamp %v", mu, p.MuMax)
+	if mu := p.Mu(1e9, 1); mu != muMax {
+		t.Errorf("huge skew mu = %v, want clamp %v", mu, muMax)
 	}
-	if mu := p.Mu(1e-9, 1); mu != -p.MuMax {
-		t.Errorf("tiny skew mu = %v, want clamp %v", mu, -p.MuMax)
+	if mu := p.Mu(1e-9, 1); mu != -muMax {
+		t.Errorf("tiny skew mu = %v, want clamp %v", mu, -muMax)
 	}
 	// Degenerate inputs read as "too many supers".
-	if mu := p.Mu(0, 80); mu != -p.MuMax {
+	if mu := p.Mu(0, 80); mu != -muMax {
 		t.Errorf("Mu(0,kl) = %v", mu)
 	}
 }
@@ -86,10 +88,10 @@ func TestThresholdDirections(t *testing.T) {
 		t.Error("age threshold should respond faster than capacity threshold")
 	}
 	// Clamps hold at extremes.
-	if z := p.ZPromoteAge(100); z != p.ZMax {
+	if z := p.ZPromoteAge(100); z != zMax {
 		t.Errorf("ZPromoteAge clamp: %v", z)
 	}
-	if z := p.ZDemoteAge(-100); z != p.ZMin {
+	if z := p.ZDemoteAge(-100); z != zMin {
 		t.Errorf("ZDemoteAge clamp: %v", z)
 	}
 }
@@ -109,7 +111,7 @@ func TestControllerMonotoneProperty(t *testing.T) {
 			return false // X must be non-increasing in mu
 		}
 		for _, x := range []float64{xcA, xaA, xcB, xaB} {
-			if x < p.XMin || x > p.XMax {
+			if x < xMin || x > xMax {
 				return false
 			}
 		}
@@ -118,7 +120,7 @@ func TestControllerMonotoneProperty(t *testing.T) {
 			return false // Z must be non-decreasing in mu
 		}
 		for _, z := range []float64{p.ZPromoteAge(a), p.ZDemoteAge(b), p.ZPromoteCapa(a), p.ZDemoteCapa(b)} {
-			if z < p.ZMin || z > p.ZMax {
+			if z < zMin || z > zMax {
 				return false
 			}
 		}
@@ -231,15 +233,39 @@ func TestScaledComparisonOvercomesRank(t *testing.T) {
 
 func uintID(i int) msg.PeerID { return msg.PeerID(1000 + i) }
 
+// candidate and evaluateStandalone are the reference the machine-backed
+// path is checked against: Phases 2-4 on explicit inputs — self against
+// an explicit related set, with the observed l_nn and the constant k_l.
+type candidate struct {
+	Capacity float64
+	Age      float64
+}
+
+func (p *Params) evaluateStandalone(self candidate, related []candidate, lnn, kl float64, promote bool) Decision {
+	var d Decision
+	d.Mu, d.XCapa, d.XAge = p.MuScale(lnn, kl)
+	n := float64(len(related))
+	for _, r := range related {
+		if r.Capacity*d.XCapa > self.Capacity {
+			d.YCapa += 1 / n
+		}
+		if r.Age*d.XAge > self.Age {
+			d.YAge += 1 / n
+		}
+	}
+	p.applyThresholds(&d, promote)
+	return d
+}
+
 func TestEvaluateStandaloneMatchesDecide(t *testing.T) {
 	p := DefaultParams()
-	related := []Candidate{
+	related := []candidate{
 		{Capacity: 10, Age: 50},
 		{Capacity: 100, Age: 200},
 		{Capacity: 40, Age: 120},
 	}
-	self := Candidate{Capacity: 60, Age: 150}
-	d := p.EvaluateStandalone(self, related, 30, 20, true)
+	self := candidate{Capacity: 60, Age: 150}
+	d := p.evaluateStandalone(self, related, 30, 20, true)
 	// Replicate through the machine path.
 	now := Time(1000)
 	ma := NewMachine(&p, 0)
@@ -251,7 +277,7 @@ func TestEvaluateStandaloneMatchesDecide(t *testing.T) {
 		t.Fatalf("standalone and machine-backed decisions diverge:\n%+v\n%+v", d, d2)
 	}
 	// Empty related set: counters zero, decision from thresholds alone.
-	d = p.EvaluateStandalone(self, nil, 30, 20, true)
+	d = p.evaluateStandalone(self, nil, 30, 20, true)
 	if d.YCapa != 0 || d.YAge != 0 {
 		t.Fatalf("empty set counters %v/%v", d.YCapa, d.YAge)
 	}

@@ -481,7 +481,7 @@ func (ma *Machine) evaluateLeaf(res *EvalResult, self Self, now Time, kl, eta fl
 		return
 	}
 	ma.prune(now, ma.p.LeafWindow)
-	if ma.Size() < ma.p.MinRelatedSet {
+	if ma.Size() < minRelatedSet {
 		return
 	}
 	lnn, ok := ma.AvgLnn()
@@ -519,9 +519,6 @@ func (ma *Machine) evaluateSuper(res *EvalResult, self Self, now Time, kl, eta f
 		if ma.p.EmptyGDemoteAfter > 0 && now-ma.lastChange >= ma.p.EmptyGDemoteAfter && self.LeafDegree == 0 {
 			res.Action = ActionDemote
 		}
-		return
-	}
-	if ma.Size() < ma.p.MinRelatedSet {
 		return
 	}
 	if now-ma.lastChange < ma.p.DemotionCooldown {

@@ -54,27 +54,50 @@ func (p ExchangePolicy) String() string {
 	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
+// The parts of the reconstruction that take one value everywhere: no
+// study, scenario or host sets a second one, so they are constants, not
+// Params fields (DESIGN.md §1 lists them beside the knob table).
+const (
+	// xMin and xMax clamp the scale parameters: a skewed μ tilts a
+	// comparison by at most 5x either way.
+	xMin, xMax = 0.2, 5
+	// zPromote0 is the promotion threshold at μ=0: a leaf promotes when
+	// fewer than this fraction of its related supers beat it on both
+	// metrics. zDemote0 is its mirror: a super demotes when more than this
+	// fraction of its leaves beat it. Symmetric around 1/2, so a balanced
+	// network favors neither direction.
+	zPromote0, zDemote0 = 0.30, 0.70
+	// zMin and zMax clamp all four thresholds strictly inside (0,1), so
+	// no skew makes a comparison unwinnable or unlosable.
+	zMin, zMax = 0.02, 0.98
+	// muMax clamps the ratio skew to ±2 (e² ≈ 7.4x off target); X is
+	// already at its clamp from |μ| = ln 5 ≈ 1.6.
+	muMax = 2
+	// minRelatedSet is the evidence a leaf needs before deciding: one
+	// entry, the least a comparison can be made against (a super with an
+	// empty G takes the EmptyGDemoteAfter path instead).
+	minRelatedSet = 1
+	// demoteRateGain is the demotion-side multiplier of the rate limit,
+	// kept small: a misjudged demotion disconnects ~k_l leaves (the PAO),
+	// a misjudged non-demotion costs nothing — the super-layer also
+	// shrinks through ordinary deaths.
+	demoteRateGain = 2
+)
+
 // Params are DLM's tunables. The paper specifies the directions in which
 // the scale parameters (X) and thresholds (Z) respond to the ratio skew μ
 // but not the functional forms; the forms here (exponential for X, affine
-// for Z, both clamped) are the reconstruction documented in DESIGN.md,
-// with every gain exposed for the ablation benches.
+// for Z, both clamped) are the reconstruction documented in DESIGN.md.
+// A field is here because a committed results/ artifact sweeps it, a
+// scenario sets it, or a host must rescale it (TestEveryParamHasEvidence).
 type Params struct {
 	// LambdaCapa and LambdaAge are the gains of the scale parameters:
-	// X = clamp(exp(-λ·μ), XMin, XMax).
+	// X = clamp(exp(-λ·μ), xMin, xMax).
 	LambdaCapa float64
 	LambdaAge  float64
-	// XMin and XMax clamp the scale parameters.
-	XMin, XMax float64
 
-	// ZPromote0 is the base promotion threshold: at μ=0 a leaf promotes
-	// when fewer than this fraction of its related supers beat it on both
-	// metrics. ZDemote0 is the base demotion threshold: a super demotes
-	// when more than this fraction of its leaves beat it on both metrics.
-	ZPromote0 float64
-	ZDemote0  float64
 	// The affine gains of the per-metric thresholds (the paper keeps
-	// Z_capa and Z_age distinct): Z = clamp(Z0 + β·μ, ZMin, ZMax). The
+	// Z_capa and Z_age distinct): Z = clamp(Z0 + β·μ, zMin, zMax). The
 	// age gains are the ratio-control channel — under a super-layer
 	// shortage the age bar drops fast, because any sufficiently strong
 	// peer can be recruited young. The capacity gains stay small so the
@@ -85,15 +108,7 @@ type Params struct {
 	BetaPromoteAge  float64
 	BetaDemoteCapa  float64
 	BetaDemoteAge   float64
-	// ZMin and ZMax clamp all four thresholds.
-	ZMin, ZMax float64
 
-	// MuMax clamps the estimated ratio skew to [-MuMax, MuMax].
-	MuMax float64
-
-	// MinRelatedSet is the minimum related-set size before a peer makes
-	// decisions (too little evidence otherwise).
-	MinRelatedSet int
 	// MaxRelatedSet caps a leaf's related set; the oldest entry is
 	// evicted first. Zero means unbounded (the paper keeps every super
 	// contacted since join).
@@ -122,7 +137,8 @@ type Params struct {
 
 	// RateLimit enables deficit-proportional switching: an eligible leaf
 	// promotes with probability (l_nn/k_l − 1)/η and an eligible super
-	// demotes with probability 1 − l_nn/k_l, both clamped to [0,1]. The
+	// demotes with probability demoteRateGain·(1 − l_nn/k_l), both clamped
+	// to [0,1]. The
 	// quantities are computable from purely local information (η and m
 	// are protocol constants), and the expected number of switches per
 	// tick then matches the estimated layer deficit — preventing the
@@ -135,12 +151,6 @@ type Params struct {
 	// must offset super-peer deaths), at the cost of more aggressive
 	// corrections.
 	RateGain float64
-	// DemoteRateGain is the demotion-side multiplier, kept small: a
-	// misjudged demotion disconnects ~k_l leaves (the PAO), whereas a
-	// misjudged non-demotion costs nothing — the super-layer also shrinks
-	// through ordinary deaths. Demotion only needs to trim genuine
-	// sustained surpluses.
-	DemoteRateGain float64
 	// SelectionSharpness biases *which* eligible peers switch without
 	// throttling total switch flux: an eligible leaf's promotion
 	// probability is weighted by (1−Y_capa)^k and an eligible super's
@@ -206,21 +216,12 @@ func DefaultParams() Params {
 	return Params{
 		LambdaCapa: 1.0,
 		LambdaAge:  1.0,
-		XMin:       0.2,
-		XMax:       5,
 
-		ZPromote0:       0.30,
-		ZDemote0:        0.70,
 		BetaPromoteCapa: 1.0,
 		BetaPromoteAge:  2.0,
 		BetaDemoteCapa:  0.3,
 		BetaDemoteAge:   1.0,
-		ZMin:            0.02,
-		ZMax:            0.98,
 
-		MuMax: 2,
-
-		MinRelatedSet: 1,
 		MaxRelatedSet: 64,
 		LeafWindow:    60,
 
@@ -230,7 +231,6 @@ func DefaultParams() Params {
 		EmptyGDemoteAfter:  30,
 		RateLimit:          true,
 		RateGain:           8,
-		DemoteRateGain:     2,
 		SelectionSharpness: 2,
 
 		Exchange:         EventDriven,
@@ -247,18 +247,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.LambdaCapa < 0 || p.LambdaAge < 0:
 		return fmt.Errorf("protocol: negative lambda (%v, %v)", p.LambdaCapa, p.LambdaAge)
-	case !(p.XMin > 0) || !(p.XMax >= p.XMin):
-		return fmt.Errorf("protocol: bad X clamp [%v, %v]", p.XMin, p.XMax)
-	case !(p.ZMin > 0) || !(p.ZMax >= p.ZMin) || p.ZMax >= 1:
-		return fmt.Errorf("protocol: bad Z clamp [%v, %v]", p.ZMin, p.ZMax)
-	case p.ZPromote0 <= 0 || p.ZPromote0 >= 1 || p.ZDemote0 <= 0 || p.ZDemote0 >= 1:
-		return fmt.Errorf("protocol: base thresholds (%v, %v) outside (0,1)", p.ZPromote0, p.ZDemote0)
 	case p.BetaPromoteCapa < 0 || p.BetaPromoteAge < 0 || p.BetaDemoteCapa < 0 || p.BetaDemoteAge < 0:
 		return fmt.Errorf("protocol: negative threshold gain")
-	case p.MuMax <= 0:
-		return fmt.Errorf("protocol: MuMax = %v, want > 0", p.MuMax)
-	case p.MinRelatedSet < 1:
-		return fmt.Errorf("protocol: MinRelatedSet = %d, want >= 1", p.MinRelatedSet)
 	case p.MaxRelatedSet < 0:
 		return fmt.Errorf("protocol: MaxRelatedSet = %d, want >= 0", p.MaxRelatedSet)
 	case p.EvalProbability <= 0 || p.EvalProbability > 1:

@@ -155,15 +155,6 @@ func (e *Engine) ResetStats() {
 	e.HopsHist.Reset()
 }
 
-// IndexSize returns the number of distinct objects indexed at a super;
-// zero for unknown peers.
-func (e *Engine) IndexSize(id msg.PeerID) int {
-	if ix, ok := e.xs.bySuper[id]; ok {
-		return ix.size()
-	}
-	return 0
-}
-
 // getFlood returns a recycled (or fresh) flood state, epoch-bumped and
 // sized for the network's current ID range.
 func (e *Engine) getFlood() *flood {

@@ -78,9 +78,6 @@ func (ix *index) lookup(o msg.ObjectID) (msg.PeerID, bool) {
 	return ix.providers[o], true
 }
 
-// size returns the number of distinct indexed objects.
-func (ix *index) size() int { return len(ix.refs) }
-
 // indexes maintains one index per live super-peer by observing overlay
 // structure changes.
 type indexes struct {

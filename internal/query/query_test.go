@@ -48,8 +48,8 @@ func TestIndexOwnershipIdempotent(t *testing.T) {
 	ix.add(1, []msg.ObjectID{10, 20})
 	ix.add(1, []msg.ObjectID{10, 20}) // duplicate add ignored
 	ix.add(2, []msg.ObjectID{20, 30})
-	if ix.size() != 3 {
-		t.Fatalf("size = %d, want 3", ix.size())
+	if len(ix.refs) != 3 {
+		t.Fatalf("size = %d, want 3", len(ix.refs))
 	}
 	if _, ok := ix.lookup(20); !ok {
 		t.Fatal("lookup(20) missed")
@@ -63,8 +63,8 @@ func TestIndexOwnershipIdempotent(t *testing.T) {
 		t.Fatalf("lookup(20) = %d,%v want provider 2", p, ok)
 	}
 	ix.remove(99) // unknown owner is a no-op
-	if ix.size() != 2 {
-		t.Fatalf("size = %d, want 2", ix.size())
+	if len(ix.refs) != 2 {
+		t.Fatalf("size = %d, want 2", len(ix.refs))
 	}
 }
 
@@ -212,7 +212,7 @@ func TestDemotionMovesIndex(t *testing.T) {
 	if !res.Found {
 		t.Fatal("demoted peer's content lost from the layer index")
 	}
-	if e.IndexSize(a.ID) != 0 {
+	if ix, ok := e.xs.bySuper[a.ID]; ok && len(ix.refs) != 0 {
 		t.Error("demoted peer still has an index")
 	}
 }

@@ -149,7 +149,3 @@ func Quick(n int, seed int64) []Config {
 		shorten(MassKill(n, seed)),
 	}
 }
-
-// RecommendedSizes is the population sweep the adversarial artifact
-// covers.
-var RecommendedSizes = []int{10_000, 100_000, 1_000_000}

@@ -17,14 +17,8 @@ type Time float64
 // Duration is a span of virtual time.
 type Duration = Time
 
-// Infinity is a time later than any event the engine will ever fire.
-const Infinity Time = 1e300
-
 // String formats the time with a fixed precision suitable for traces.
 func (t Time) String() string { return fmt.Sprintf("%.3f", float64(t)) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
 
 // Unit returns the integral time unit containing t (floor).
 func (t Time) Unit() int64 {

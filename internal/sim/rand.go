@@ -84,13 +84,6 @@ func (s *Source) Lognormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.rng.NormFloat64())
 }
 
-// Pareto returns a draw from a Pareto distribution with scale xm and shape
-// alpha (alpha > 0), i.e. P(X > x) = (xm/x)^alpha for x >= xm.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := 1 - s.rng.Float64() // (0,1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(alpha) draw truncated to [lo, hi] by
 // inverse-CDF sampling, avoiding the unbounded tail of the plain Pareto.
 func (s *Source) BoundedPareto(lo, hi, alpha float64) float64 {

@@ -60,12 +60,6 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins returns the number of interior bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // Quantile returns an approximation of the q-quantile (q in [0,1]) using
 // the bin midpoints; under/overflow map to Lo/Hi.
 func (h *Histogram) Quantile(q float64) float64 {

@@ -52,14 +52,6 @@ func (s *Series) At(t float64) (v float64, ok bool) {
 	return s.points[i-1].V, true
 }
 
-// Last returns the final sample; ok is false when empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
-
 // MeanOver returns the mean of samples with T in [from, to].
 func (s *Series) MeanOver(from, to float64) float64 {
 	var w Welford

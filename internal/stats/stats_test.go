@@ -80,22 +80,8 @@ func TestWelfordMergeProperty(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(4, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(4)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Fatal("AddN diverges from repeated Add")
-	}
-}
-
 func TestSeriesAtAndLast(t *testing.T) {
 	s := NewSeries("x")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series reported Last")
-	}
 	if _, ok := s.At(5); ok {
 		t.Fatal("empty series reported At")
 	}
@@ -113,9 +99,6 @@ func TestSeriesAtAndLast(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("At(%v) = %v,%v want %v,%v", c.t, got, ok, c.want, c.ok)
 		}
-	}
-	if p, _ := s.Last(); p.V != 70 {
-		t.Errorf("Last = %+v", p)
 	}
 }
 
@@ -232,14 +215,11 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 102 {
 		t.Errorf("count = %d", h.Count())
 	}
-	if h.Bin(0) != 10 {
-		t.Errorf("bin 0 = %d", h.Bin(0))
+	if h.bins[0] != 10 {
+		t.Errorf("bin 0 = %d", h.bins[0])
 	}
 	if q := h.Quantile(0.5); q < 4 || q > 6 {
 		t.Errorf("median = %v", q)
-	}
-	if h.NumBins() != 10 {
-		t.Errorf("NumBins = %d", h.NumBins())
 	}
 	if s := h.String(); !strings.Contains(s, "n=102") {
 		t.Errorf("String = %q", s)
@@ -254,11 +234,11 @@ func TestHistogramEdges(t *testing.T) {
 	h.Add(0)        // exactly lo -> bin 0
 	h.Add(0.999999) // last bin
 	h.Add(1)        // hi is exclusive -> overflow
-	if h.Bin(0) != 1 {
-		t.Errorf("bin0 = %d", h.Bin(0))
+	if h.bins[0] != 1 {
+		t.Errorf("bin0 = %d", h.bins[0])
 	}
-	if h.Bin(3) != 1 {
-		t.Errorf("bin3 = %d", h.Bin(3))
+	if h.bins[3] != 1 {
+		t.Errorf("bin3 = %d", h.bins[3])
 	}
 	if h.Count() != 3 {
 		t.Errorf("count = %d", h.Count())

@@ -29,13 +29,6 @@ func (w *Welford) Add(x float64) {
 	w.hasExtrema = true
 }
 
-// AddN folds n copies of x (useful for weighted tallies).
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // Merge combines another accumulator into w (parallel-friendly: Chan et
 // al. pairwise update).
 func (w *Welford) Merge(o Welford) {

@@ -62,9 +62,6 @@ func (l Lognormal) Sample(r *sim.Source) float64 { return r.Lognormal(l.Mu, l.Si
 // Mean implements Dist.
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
-// Median returns exp(Mu), the distribution's median.
-func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
-
 // LognormalWithMedian builds a lognormal with the given median and sigma.
 func LognormalWithMedian(median, sigma float64) Lognormal {
 	return Lognormal{Mu: math.Log(median), Sigma: sigma}
@@ -121,16 +118,6 @@ func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
 type WeightedSum struct {
 	Components []Dist
 	Weights    []float64
-}
-
-// NewWeightedSum builds a weighted sum; it panics on length mismatch or
-// an empty component list.
-func NewWeightedSum(components []Dist, weights []float64) *WeightedSum {
-	if len(components) == 0 || len(components) != len(weights) {
-		panic(fmt.Sprintf("workload: weighted sum with %d components, %d weights",
-			len(components), len(weights)))
-	}
-	return &WeightedSum{Components: components, Weights: weights}
 }
 
 // Sample implements Dist: each component is drawn independently.

@@ -86,7 +86,7 @@ func TestMixtureConstructionPanics(t *testing.T) {
 
 func TestLognormalWithMedian(t *testing.T) {
 	l := LognormalWithMedian(60, 1.2)
-	approx(t, "median", l.Median(), 60, 1e-9)
+	approx(t, "median", math.Exp(l.Mu), 60, 1e-9)
 	r := sim.NewSource(9)
 	below := 0
 	const n = 100000
@@ -122,7 +122,11 @@ func TestSaroiuMixtureShape(t *testing.T) {
 }
 
 func TestStaticProfile(t *testing.T) {
-	p := DefaultProfile()
+	p := &StaticProfile{
+		Capacity:       SaroiuBandwidthMixture(),
+		Lifetime:       LognormalWithMedian(60, 1.2),
+		ObjectsPerPeer: DefaultObjects(),
+	}
 	r := sim.NewSource(23)
 	for i := 0; i < 1000; i++ {
 		s := p.NewPeer(0, r)
@@ -256,10 +260,10 @@ func TestModifierString(t *testing.T) {
 func TestWeightedSum(t *testing.T) {
 	// Paper Definition 1: capacity = Σ w_i·v_i over bandwidth, CPU,
 	// storage.
-	w := NewWeightedSum(
-		[]Dist{Constant(100), Constant(8), Constant(500)},
-		[]float64{0.7, 0.2, 0.1},
-	)
+	w := &WeightedSum{
+		Components: []Dist{Constant(100), Constant(8), Constant(500)},
+		Weights:    []float64{0.7, 0.2, 0.1},
+	}
 	r := sim.NewSource(1)
 	want := 0.7*100 + 0.2*8 + 0.1*500
 	if got := w.Sample(r); math.Abs(got-want) > 1e-12 {
@@ -269,25 +273,9 @@ func TestWeightedSum(t *testing.T) {
 		t.Fatalf("mean = %v, want %v", w.Mean(), want)
 	}
 	// Stochastic components: mean is the weighted sum of means.
-	w2 := NewWeightedSum([]Dist{Uniform{Lo: 0, Hi: 10}, Exponential{MeanVal: 3}}, []float64{1, 2})
+	w2 := &WeightedSum{Components: []Dist{Uniform{Lo: 0, Hi: 10}, Exponential{MeanVal: 3}}, Weights: []float64{1, 2}}
 	if got := empiricalMean(w2, 200000, 5); math.Abs(got-w2.Mean()) > 0.1 {
 		t.Fatalf("empirical mean %v vs analytic %v", got, w2.Mean())
-	}
-}
-
-func TestWeightedSumPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"empty":    func() { NewWeightedSum(nil, nil) },
-		"mismatch": func() { NewWeightedSum([]Dist{Constant(1)}, []float64{1, 2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -78,21 +78,8 @@ func SaroiuBandwidthMixture() *Mixture {
 	return NewMixture(dists, weights)
 }
 
-// DefaultLifetime is the measured session-length fit: lognormal with a
-// median of about one hour (in minutes) and a heavy upper tail.
-func DefaultLifetime() Lognormal { return LognormalWithMedian(60, 1.2) }
-
 // DefaultObjects is the per-peer shared-object count distribution; the
 // measurement studies report most peers sharing few files with a heavy
 // tail of large sharers (and a significant free-rider population modeled
 // by the low end of the bounded Pareto).
 func DefaultObjects() Dist { return BoundedPareto{Lo: 1, Hi: 1000, Alpha: 0.8} }
-
-// DefaultProfile assembles the paper's baseline stable-network workload.
-func DefaultProfile() *StaticProfile {
-	return &StaticProfile{
-		Capacity:       SaroiuBandwidthMixture(),
-		Lifetime:       DefaultLifetime(),
-		ObjectsPerPeer: DefaultObjects(),
-	}
-}

@@ -80,25 +80,6 @@ func (s SumRate) At(now sim.Time) float64 {
 	return total
 }
 
-// MeanRate numerically averages r over [from, to] with the given step —
-// the expected event count over the interval is MeanRate · (to-from).
-// Tests and scenario budgeting use it; it is not on any hot path.
-func MeanRate(r Rate, from, to sim.Time, step sim.Duration) float64 {
-	if to <= from || step <= 0 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for t := from; t < to; t += step {
-		sum += r.At(t)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // RateAccumulator converts a continuous Rate into integer event counts
 // per tick with no long-run rounding drift: fractional events carry over
 // to the next tick, so the emitted total tracks the integral of the rate.

@@ -19,7 +19,7 @@ import (
 // sample median of the session-length distribution must sit within 5% of
 // the configured 60-minute median.
 func TestLifetimeEmpiricalMedian(t *testing.T) {
-	d := DefaultLifetime()
+	d := LognormalWithMedian(60, 1.2) // Table 2's session-length fit
 	r := sim.NewSource(101)
 	const n = 100001
 	samples := make([]float64, n)

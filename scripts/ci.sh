@@ -22,6 +22,15 @@ lane_test() {
     exit 1
   fi
   for script in scripts/*.sh; do bash -n "$script"; done
+  # Every repo path the docs name must exist. A name may be a glob; a
+  # trailing .Symbol is a Go identifier, not part of the path.
+  while read -r path; do
+    if ! compgen -G "$path" > /dev/null && ! compgen -G "${path%.*}" > /dev/null; then
+      echo "docs: README/DESIGN/EXPERIMENTS name $path, which does not exist" >&2
+      exit 1
+    fi
+  done < <(grep -ohE '\b(cmd|examples|internal|results|scripts)/[A-Za-z0-9_/*.-]*[A-Za-z0-9_*]' \
+    README.md DESIGN.md EXPERIMENTS.md | sort -u)
   go build ./...
   go vet ./...
   # The protocol core must stay transport-agnostic: its import graph may
