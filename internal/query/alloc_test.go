@@ -1,6 +1,10 @@
 package query
 
-import "testing"
+import (
+	"testing"
+
+	"dlm/internal/overlay"
+)
 
 // maxFloodAllocs is the documented allocation bound for one steady-state
 // flood on a warm engine: the flood state, its visited/parent slices, the
@@ -39,5 +43,28 @@ func TestRepeatRandomFloodAllocFree(t *testing.T) {
 	if allocs > maxFloodAllocs {
 		t.Errorf("steady-state random flood allocates %.2f objects/op, want <= %d",
 			allocs, maxFloodAllocs)
+	}
+}
+
+// TestIndexSteadyStateAllocFree pins the index half of the same property:
+// once a super-peer has indexed a leaf, a lookup and a disconnect/connect
+// cycle of that leaf reuse the per-object slots and the per-super record
+// and allocate nothing.
+func TestIndexSteadyStateAllocFree(t *testing.T) {
+	_, qe, leaf, _ := benchTopology(t)
+	if leaf.Layer != overlay.LayerLeaf || len(leaf.Objects) == 0 {
+		t.Fatal("precondition: the source is a leaf sharing objects")
+	}
+	n := qe.net
+	super := n.Peer(leaf.SuperLinks()[0])
+	allocs := testing.AllocsPerRun(200, func() {
+		qe.xs.OnDisconnect(n, leaf, super)
+		qe.xs.OnConnect(n, leaf, super)
+		if _, ok := qe.xs.lookup(super, leaf.Objects[0]); !ok {
+			t.Fatal("object not indexed after its sharer connected")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state index cycle allocates %.2f objects/op, want 0", allocs)
 	}
 }

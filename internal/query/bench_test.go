@@ -62,3 +62,31 @@ func BenchmarkFloodQueryRandom(b *testing.B) {
 		qe.IssueRandomAsync(nil)
 	}
 }
+
+// BenchmarkIndexChurn measures the write half of the index: one leaf
+// sharing 60 objects connects to and disconnects from each of 600
+// super-peers in turn, every one of them already indexing 20 such leaves —
+// the per-join and per-departure cost on a search20k-sized super-layer.
+func BenchmarkIndexChurn(b *testing.B) {
+	const supers, leavesPer, objectsPer = 600, 20, 60
+	cat := DefaultCatalog()
+	xs := newIndexes(cat.NumObjects)
+	rng := sim.NewSource(1)
+	ss := make([]*overlay.Peer, supers)
+	next := msg.PeerID(supers)
+	for i := range ss {
+		ss[i] = &overlay.Peer{ID: msg.PeerID(i + 1), Layer: overlay.LayerSuper}
+		for j := 0; j < leavesPer; j++ {
+			next++
+			xs.OnConnect(nil, &overlay.Peer{ID: next, Objects: cat.AssignObjects(objectsPer, rng)}, ss[i])
+		}
+	}
+	leaf := &overlay.Peer{ID: next + 1, Objects: cat.AssignObjects(objectsPer, rng)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := ss[i%supers]
+		xs.OnConnect(nil, leaf, s)
+		xs.OnDisconnect(nil, leaf, s)
+	}
+}

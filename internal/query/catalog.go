@@ -21,6 +21,11 @@ type Catalog struct {
 
 	placement *workload.Zipf
 	queries   *workload.Zipf
+	// drawn is AssignObjects' duplicate filter, reused by every call (a
+	// Catalog serves one network and is not for concurrent use):
+	// drawn[id] == draws means the current call already drew id.
+	drawn []uint32
+	draws uint32
 }
 
 // NewCatalog builds a catalog of n objects with the given placement and
@@ -30,6 +35,7 @@ func NewCatalog(n int, placementSkew, querySkew float64) *Catalog {
 		NumObjects: n,
 		placement:  workload.NewZipf(n, placementSkew),
 		queries:    workload.NewZipf(n, querySkew),
+		drawn:      make([]uint32, n),
 	}
 }
 
@@ -44,14 +50,17 @@ func (c *Catalog) AssignObjects(count int, r *sim.Source) []msg.ObjectID {
 	if count <= 0 {
 		return nil
 	}
-	seen := make(map[msg.ObjectID]struct{}, count)
+	if c.draws++; c.draws == 0 { // wrapped: old marks would alias this call
+		clear(c.drawn)
+		c.draws = 1
+	}
 	out := make([]msg.ObjectID, 0, count)
 	for attempts := 0; len(out) < count && attempts < 4*count; attempts++ {
 		id := msg.ObjectID(c.placement.Rank(r))
-		if _, dup := seen[id]; dup {
+		if c.drawn[id] == c.draws {
 			continue
 		}
-		seen[id] = struct{}{}
+		c.drawn[id] = c.draws
 		out = append(out, id)
 	}
 	return out

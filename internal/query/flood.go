@@ -126,7 +126,7 @@ func Attach(n *overlay.Network, cat *Catalog) *Engine {
 		DefaultTTL: 7,
 		net:        n,
 		cat:        cat,
-		xs:         newIndexes(),
+		xs:         newIndexes(cat.NumObjects),
 		rng:        n.Engine().Rand().Stream("query"),
 		active:     make(map[msg.QueryID]*flood),
 		HopsHist:   stats.NewHistogram(0, 16, 16),
@@ -216,7 +216,7 @@ func (e *Engine) IssueAsync(source *overlay.Peer, obj msg.ObjectID, ttl uint8, d
 	if source.Layer == overlay.LayerSuper {
 		// A super-peer processes its own query locally with full TTL.
 		fl.visit(source.ID, msg.NoPeer)
-		e.processAtSuper(source, qid, obj, ttl, 0, msg.NoPeer)
+		e.processAtSuper(fl, source, ttl, 0, msg.NoPeer)
 	} else {
 		// A leaf submits the query to each of its super connections.
 		for _, sid := range source.SuperLinks() {
@@ -278,7 +278,7 @@ func (e *Engine) onQuery(n *overlay.Network, to *overlay.Peer, m *msg.Message) {
 		return
 	}
 	fl.visit(to.ID, m.From)
-	e.processAtSuper(to, m.Query, m.Object, m.TTL, int(m.Hops)+1, m.From)
+	e.processAtSuper(fl, to, m.TTL, int(m.Hops)+1, m.From)
 }
 
 // processAtSuper checks the super's own content and leaf index, reports a
@@ -286,12 +286,12 @@ func (e *Engine) onQuery(n *overlay.Network, to *overlay.Peer, m *msg.Message) {
 // relay goes to every super neighbor except the one the query came from —
 // a peer cannot know who else already saw the flood, so redundant edges
 // are paid for and show up as duplicates at the receiver.
-func (e *Engine) processAtSuper(s *overlay.Peer, qid msg.QueryID, obj msg.ObjectID, ttl uint8, hops int, from msg.PeerID) {
-	fl := e.active[qid]
+func (e *Engine) processAtSuper(fl *flood, s *overlay.Peer, ttl uint8, hops int, from msg.PeerID) {
 	fl.res.SupersReached++
 
+	qid, obj := fl.res.Query, fl.res.Object
 	if provider, ok := e.lookupAt(s, obj); ok {
-		e.reportHit(s, qid, obj, provider, hops)
+		e.reportHit(fl, s, provider, hops)
 	}
 
 	if ttl <= 1 {
@@ -319,16 +319,12 @@ func (e *Engine) lookupAt(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) 
 			return s.ID, true
 		}
 	}
-	if ix, ok := e.xs.bySuper[s.ID]; ok {
-		return ix.lookup(obj)
-	}
-	return msg.NoPeer, false
+	return e.xs.lookup(s, obj)
 }
 
 // reportHit routes a QueryHit back along the inverse query path; the
 // message carries the hop depth of the hit.
-func (e *Engine) reportHit(s *overlay.Peer, qid msg.QueryID, obj msg.ObjectID, provider msg.PeerID, hops int) {
-	fl := e.active[qid]
+func (e *Engine) reportHit(fl *flood, s *overlay.Peer, provider msg.PeerID, hops int) {
 	if s.ID == fl.source {
 		e.deliverHit(fl, hops)
 		return
@@ -338,7 +334,7 @@ func (e *Engine) reportHit(s *overlay.Peer, qid msg.QueryID, obj msg.ObjectID, p
 		return
 	}
 	fl.res.HitMsgs++
-	e.net.Send(msg.NewQueryHit(s.ID, next, qid, obj, provider, uint8(hops)))
+	e.net.Send(msg.NewQueryHit(s.ID, next, fl.res.Query, fl.res.Object, provider, uint8(hops)))
 }
 
 // onQueryHit handles a QueryHit at an intermediate hop or at the source.

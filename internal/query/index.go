@@ -1,111 +1,216 @@
 package query
 
 import (
+	"slices"
+
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
 )
 
-// index is the per-super-peer content index: the objects shared by the
-// super-peer's leaf neighbors (and itself), keyed by owner so that
-// overlay-surgery notifications are idempotent. A super-peer answers a
-// query from this index without forwarding it to leaves ("each super-peer
-// behaves like a proxy or agent of its leaf-peers, and keeps an index of
-// its leaf-peers' shared data").
-type index struct {
-	refs  map[msg.ObjectID]int
-	owned map[msg.PeerID][]msg.ObjectID
-	// providers maps object -> one current provider, for QueryHit
-	// attribution. Any provider is acceptable; the most recent wins.
-	providers map[msg.ObjectID]msg.PeerID
+// slot is one super-peer's entry for one object: how many of its leaf
+// neighbors share the object, and one of them to name in a QueryHit.
+type slot struct {
+	super msg.PeerID // NoPeer marks an empty slot
+	refs  uint32
+	// provider is the most recently added sharer; NoPeer after that leaf
+	// left, until the next hit resolves a surviving one.
+	provider msg.PeerID
 }
 
-func newIndex() *index {
-	return &index{
-		refs:      make(map[msg.ObjectID]int),
-		owned:     make(map[msg.PeerID][]msg.ObjectID),
-		providers: make(map[msg.ObjectID]msg.PeerID),
-	}
+// table is the set of super-peers indexing one object: an open-addressed
+// hash table with linear probing and backward-shift deletion (flatidx's
+// scheme with a three-field slot), kept at most half full.
+type table struct {
+	slots []slot // power-of-two length, or nil
+	n     int
 }
 
-// add indexes owner's objects; adding an owner twice is a no-op.
-func (ix *index) add(owner msg.PeerID, objects []msg.ObjectID) {
-	if _, ok := ix.owned[owner]; ok {
-		return
-	}
-	ix.owned[owner] = objects
-	for _, o := range objects {
-		ix.refs[o]++
-		ix.providers[o] = owner
-	}
-}
+// hashMul is the 32-bit Fibonacci multiplier, as in flatidx.
+const hashMul = 0x9E3779B9
 
-// remove drops owner's contribution; removing an absent owner is a no-op.
-func (ix *index) remove(owner msg.PeerID) {
-	objects, ok := ix.owned[owner]
-	if !ok {
-		return
+func home(super msg.PeerID, mask uint32) uint32 { return uint32(super) * hashMul & mask }
+
+// find returns the position of super's slot, or -1.
+func (t *table) find(super msg.PeerID) int {
+	if t.n == 0 {
+		return -1
 	}
-	delete(ix.owned, owner)
-	for _, o := range objects {
-		if ix.refs[o]--; ix.refs[o] <= 0 {
-			delete(ix.refs, o)
-			delete(ix.providers, o)
-		} else if ix.providers[o] == owner {
-			ix.providers[o] = ix.anyOwnerOf(o)
+	mask := uint32(len(t.slots) - 1)
+	for i := home(super, mask); ; i = (i + 1) & mask {
+		switch t.slots[i].super {
+		case super:
+			return int(i)
+		case msg.NoPeer:
+			return -1
 		}
 	}
 }
 
-// anyOwnerOf finds a surviving provider after the recorded one left. The
-// scan is bounded by the super's neighborhood size and runs only when the
-// attributed provider departs.
-func (ix *index) anyOwnerOf(o msg.ObjectID) msg.PeerID {
-	for owner, objects := range ix.owned {
-		for _, oo := range objects {
-			if oo == o {
-				return owner
+// claim returns super's slot, inserting one with zero refs if absent.
+func (t *table) claim(super msg.PeerID) *slot {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := home(super, mask); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.super {
+		case super:
+			return s
+		case msg.NoPeer:
+			s.super = super
+			t.n++
+			return s
+		}
+	}
+}
+
+// release empties position i, shifting later entries of the probe chain
+// back into the hole whenever their home lies at or before it (cyclically),
+// so every entry stays reachable from its home without tombstones.
+func (t *table) release(i int) {
+	mask := uint32(len(t.slots) - 1)
+	hole := uint32(i)
+	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
+		s := t.slots[j]
+		if s.super == msg.NoPeer {
+			break
+		}
+		if (j-home(s.super, mask))&mask >= (j-hole)&mask {
+			t.slots[hole] = s
+			hole = j
+		}
+	}
+	t.slots[hole] = slot{}
+	t.n--
+}
+
+func (t *table) grow() {
+	old := t.slots
+	t.slots = make([]slot, max(4, 2*len(old)))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.super == msg.NoPeer {
+			continue
+		}
+		i := home(s.super, mask)
+		for t.slots[i].super != msg.NoPeer {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// indexes is the content index of the whole super-layer, maintained by
+// observing overlay structure changes. The paper has each super-peer keep
+// "an index of its leaf-peers' shared data" and answer queries from it
+// without forwarding them to leaves; here those per-super indexes are
+// stored inverted, one table of super-peers per object, because a flood
+// asks every super-peer it reaches for the same object — all of a flood's
+// lookups land in one small table instead of one cold probe per super.
+type indexes struct {
+	overlay.NopObserver
+	// byObject[obj] holds a slot for every super-peer with a leaf sharing
+	// obj. It covers the catalog up front and grows for stray IDs.
+	byObject []table
+	// bySuper records, per super-peer, which leaves it indexes and with
+	// which objects: it makes overlay-surgery notifications idempotent
+	// (double adds and stray removes are no-ops), tells remove what to
+	// take out, and is what a failover provider is resolved from.
+	bySuper map[msg.PeerID]map[msg.PeerID][]msg.ObjectID
+}
+
+func newIndexes(numObjects int) *indexes {
+	return &indexes{
+		byObject: make([]table, numObjects),
+		bySuper:  make(map[msg.PeerID]map[msg.PeerID][]msg.ObjectID),
+	}
+}
+
+// add indexes leaf's objects at super; adding a leaf twice is a no-op.
+func (xs *indexes) add(super, leaf msg.PeerID, objects []msg.ObjectID) {
+	owned := xs.bySuper[super]
+	if owned == nil {
+		owned = make(map[msg.PeerID][]msg.ObjectID)
+		xs.bySuper[super] = owned
+	} else if _, ok := owned[leaf]; ok {
+		return
+	}
+	owned[leaf] = objects
+	for _, o := range objects {
+		if int(o) >= len(xs.byObject) {
+			xs.byObject = append(xs.byObject, make([]table, int(o)+1-len(xs.byObject))...)
+		}
+		s := xs.byObject[o].claim(super)
+		s.refs++
+		s.provider = leaf
+	}
+}
+
+// remove drops leaf's contribution to super's index; removing a leaf the
+// super does not index is a no-op.
+func (xs *indexes) remove(super, leaf msg.PeerID) {
+	owned := xs.bySuper[super]
+	objects, ok := owned[leaf]
+	if !ok {
+		return
+	}
+	delete(owned, leaf)
+	for _, o := range objects {
+		t := &xs.byObject[o]
+		i := t.find(super)
+		s := &t.slots[i]
+		if s.refs--; s.refs == 0 {
+			t.release(i)
+		} else if s.provider == leaf {
+			s.provider = msg.NoPeer
+		}
+	}
+}
+
+// dissolve drops the whole index of a super-peer that left its layer.
+func (xs *indexes) dissolve(super msg.PeerID) {
+	for leaf := range xs.bySuper[super] {
+		xs.remove(super, leaf)
+	}
+	delete(xs.bySuper, super)
+}
+
+// lookup returns a provider of obj among s's indexed leaves; ok is false
+// on a miss. A provider that left is replaced here, by the first of s's
+// leaf links (in link order, so the choice follows from the event history)
+// recorded as sharing obj.
+func (xs *indexes) lookup(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) {
+	if int(obj) >= len(xs.byObject) {
+		return msg.NoPeer, false
+	}
+	t := &xs.byObject[obj]
+	i := t.find(s.ID)
+	if i < 0 {
+		return msg.NoPeer, false
+	}
+	sl := &t.slots[i]
+	if sl.provider == msg.NoPeer {
+		owned := xs.bySuper[s.ID]
+		for _, leaf := range s.LeafLinks() {
+			if slices.Contains(owned[leaf], obj) {
+				sl.provider = leaf
+				break
 			}
 		}
 	}
-	return msg.NoPeer
-}
-
-// lookup returns a provider for the object; ok is false on a miss.
-func (ix *index) lookup(o msg.ObjectID) (msg.PeerID, bool) {
-	if ix.refs[o] <= 0 {
-		return msg.NoPeer, false
-	}
-	return ix.providers[o], true
-}
-
-// indexes maintains one index per live super-peer by observing overlay
-// structure changes.
-type indexes struct {
-	overlay.NopObserver
-	bySuper map[msg.PeerID]*index
-}
-
-func newIndexes() *indexes {
-	return &indexes{bySuper: make(map[msg.PeerID]*index)}
-}
-
-func (xs *indexes) forSuper(id msg.PeerID) *index {
-	ix, ok := xs.bySuper[id]
-	if !ok {
-		ix = newIndex()
-		xs.bySuper[id] = ix
-	}
-	return ix
+	return sl.provider, true
 }
 
 // OnConnect implements overlay.Observer: a new leaf-super link adds the
 // leaf's objects to the super's index.
 func (xs *indexes) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
-	leaf, super := classify(a, b)
-	if leaf == nil {
-		return
+	switch {
+	case a.Layer == overlay.LayerLeaf && b.Layer == overlay.LayerSuper:
+		xs.add(b.ID, a.ID, a.Objects)
+	case b.Layer == overlay.LayerLeaf && a.Layer == overlay.LayerSuper:
+		xs.add(a.ID, b.ID, b.Objects)
 	}
-	xs.forSuper(super.ID).add(leaf.ID, leaf.Objects)
 }
 
 // OnDisconnect implements overlay.Observer.
@@ -113,45 +218,26 @@ func (xs *indexes) OnDisconnect(n *overlay.Network, a, b *overlay.Peer) {
 	// Remove each endpoint's contribution from the other's index (if
 	// any); ownership tracking makes stray removals no-ops, which covers
 	// the demotion path where link types changed mid-surgery.
-	if ix, ok := xs.bySuper[a.ID]; ok {
-		ix.remove(b.ID)
-	}
-	if ix, ok := xs.bySuper[b.ID]; ok {
-		ix.remove(a.ID)
-	}
+	xs.remove(a.ID, b.ID)
+	xs.remove(b.ID, a.ID)
 }
 
-// OnLayerChange implements overlay.Observer. A promoted peer starts an
-// empty index and leaves its old supers' indexes; a demoted peer's index
-// dissolves, and its kept supers index it as a leaf.
+// OnLayerChange implements overlay.Observer. A promoted peer leaves its old
+// supers' indexes (its own starts empty); a demoted peer's index dissolves,
+// and its kept supers index it as a leaf.
 func (xs *indexes) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay.Layer) {
 	switch p.Layer {
 	case overlay.LayerSuper:
-		xs.bySuper[p.ID] = newIndex()
 		for _, id := range p.SuperLinks() {
-			if ix, ok := xs.bySuper[id]; ok {
-				ix.remove(p.ID)
-			}
+			xs.remove(id, p.ID)
 		}
 	case overlay.LayerLeaf:
-		delete(xs.bySuper, p.ID)
+		xs.dissolve(p.ID)
 		for _, id := range p.SuperLinks() {
-			xs.forSuper(id).add(p.ID, p.Objects)
+			xs.add(id, p.ID, p.Objects)
 		}
 	}
 }
 
 // OnLeave implements overlay.Observer.
-func (xs *indexes) OnLeave(n *overlay.Network, p *overlay.Peer) {
-	delete(xs.bySuper, p.ID)
-}
-
-func classify(a, b *overlay.Peer) (leaf, super *overlay.Peer) {
-	switch {
-	case a.Layer == overlay.LayerLeaf && b.Layer == overlay.LayerSuper:
-		return a, b
-	case b.Layer == overlay.LayerLeaf && a.Layer == overlay.LayerSuper:
-		return b, a
-	}
-	return nil, nil
-}
+func (xs *indexes) OnLeave(n *overlay.Network, p *overlay.Peer) { xs.dissolve(p.ID) }

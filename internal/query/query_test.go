@@ -43,40 +43,74 @@ func TestCatalogAssignAndTarget(t *testing.T) {
 	}
 }
 
-func TestIndexOwnershipIdempotent(t *testing.T) {
-	ix := newIndex()
-	ix.add(1, []msg.ObjectID{10, 20})
-	ix.add(1, []msg.ObjectID{10, 20}) // duplicate add ignored
-	ix.add(2, []msg.ObjectID{20, 30})
-	if len(ix.refs) != 3 {
-		t.Fatalf("size = %d, want 3", len(ix.refs))
+// indexedAt counts the objects indexed at one super-peer.
+func indexedAt(xs *indexes, super msg.PeerID) int {
+	count := 0
+	for o := range xs.byObject {
+		if xs.byObject[o].find(super) >= 0 {
+			count++
+		}
 	}
-	if _, ok := ix.lookup(20); !ok {
+	return count
+}
+
+func TestIndexOwnershipIdempotent(t *testing.T) {
+	xs := newIndexes(0) // every object ID is beyond the catalog
+	s := &overlay.Peer{ID: 9, Layer: overlay.LayerSuper}
+	xs.add(s.ID, 1, []msg.ObjectID{10, 20})
+	xs.add(s.ID, 1, []msg.ObjectID{10, 20}) // duplicate add ignored
+	xs.add(s.ID, 2, []msg.ObjectID{20, 30})
+	if got := indexedAt(xs, s.ID); got != 3 {
+		t.Fatalf("size = %d, want 3", got)
+	}
+	if _, ok := xs.lookup(s, 20); !ok {
 		t.Fatal("lookup(20) missed")
 	}
-	ix.remove(1)
-	ix.remove(1) // double remove is a no-op
-	if _, ok := ix.lookup(10); ok {
+	if _, ok := xs.lookup(&overlay.Peer{ID: 8}, 20); ok {
+		t.Fatal("lookup(20) hit at a super that indexes nothing")
+	}
+	xs.remove(s.ID, 1)
+	xs.remove(s.ID, 1) // double remove is a no-op
+	if _, ok := xs.lookup(s, 10); ok {
 		t.Fatal("object 10 survived owner removal")
 	}
-	if p, ok := ix.lookup(20); !ok || p != 2 {
+	if p, ok := xs.lookup(s, 20); !ok || p != 2 {
 		t.Fatalf("lookup(20) = %d,%v want provider 2", p, ok)
 	}
-	ix.remove(99) // unknown owner is a no-op
-	if len(ix.refs) != 2 {
-		t.Fatalf("size = %d, want 2", len(ix.refs))
+	xs.remove(s.ID, 99) // unknown owner is a no-op
+	xs.remove(77, 2)    // and so is an unknown super
+	if got := indexedAt(xs, s.ID); got != 2 {
+		t.Fatalf("size = %d, want 2", got)
+	}
+	xs.add(s.ID, 3, []msg.ObjectID{30, 40})
+	xs.dissolve(s.ID)
+	if got := indexedAt(xs, s.ID); got != 0 || len(xs.bySuper) != 0 {
+		t.Fatalf("dissolved super still indexes %d objects, %d records", got, len(xs.bySuper))
 	}
 }
 
 func TestIndexProviderFailover(t *testing.T) {
-	ix := newIndex()
-	ix.add(1, []msg.ObjectID{7})
-	ix.add(2, []msg.ObjectID{7})
-	// Provider attribution points at the latest owner (2); removing it
-	// must fail over to the surviving owner.
-	ix.remove(2)
-	if p, ok := ix.lookup(7); !ok || p != 1 {
-		t.Fatalf("failover lookup = %d,%v want 1,true", p, ok)
+	_, n := buildNet(t)
+	e := Attach(n, DefaultCatalog())
+	s := n.Join(100, 1e9, nil) // bootstrap super
+	for i := 0; i < 2; i++ {
+		n.Join(1, 1e9, []msg.ObjectID{7})
+	}
+	latest := n.Join(1, 1e9, []msg.ObjectID{7})
+	if p, ok := e.xs.lookup(s, 7); !ok || p != latest.ID {
+		t.Fatalf("lookup = %d,%v want the latest owner %d", p, ok, latest.ID)
+	}
+	// Removing the attributed provider must fail over to a surviving
+	// owner — the first in the super's leaf-link order — and again when
+	// that one leaves.
+	n.Leave(latest)
+	next := s.LeafLinks()[0]
+	if p, ok := e.xs.lookup(s, 7); !ok || p != next {
+		t.Fatalf("failover lookup = %d,%v want %d,true", p, ok, next)
+	}
+	n.Leave(n.Peer(next))
+	if p, ok := e.xs.lookup(s, 7); !ok || p != s.LeafLinks()[0] {
+		t.Fatalf("second failover lookup = %d,%v want %d,true", p, ok, s.LeafLinks()[0])
 	}
 }
 
@@ -212,7 +246,7 @@ func TestDemotionMovesIndex(t *testing.T) {
 	if !res.Found {
 		t.Fatal("demoted peer's content lost from the layer index")
 	}
-	if ix, ok := e.xs.bySuper[a.ID]; ok && len(ix.refs) != 0 {
+	if _, ok := e.xs.bySuper[a.ID]; ok || indexedAt(e.xs, a.ID) != 0 {
 		t.Error("demoted peer still has an index")
 	}
 }
@@ -222,11 +256,11 @@ func TestPromotionCleansOldIndexes(t *testing.T) {
 	e := Attach(n, DefaultCatalog())
 	s := n.Join(100, 1e9, nil)
 	leaf := n.Join(1, 1e9, []msg.ObjectID{33})
-	if _, ok := e.xs.bySuper[s.ID].lookup(33); !ok {
+	if _, ok := e.xs.lookup(s, 33); !ok {
 		t.Fatal("precondition: super indexes leaf content")
 	}
 	n.Promote(leaf)
-	if _, ok := e.xs.bySuper[s.ID].lookup(33); ok {
+	if _, ok := e.xs.lookup(s, 33); ok {
 		t.Fatal("promoted peer's objects still indexed at its old super")
 	}
 	// The promoted super now indexes nothing (no leaves) but can answer
@@ -243,11 +277,11 @@ func TestLeaveCleansIndex(t *testing.T) {
 	s := n.Join(100, 1e9, nil)
 	leaf := n.Join(1, 1e9, []msg.ObjectID{44})
 	n.Leave(leaf)
-	if _, ok := e.xs.bySuper[s.ID].lookup(44); ok {
+	if _, ok := e.xs.lookup(s, 44); ok {
 		t.Fatal("departed leaf's objects still indexed")
 	}
 	n.Leave(s)
-	if len(e.xs.bySuper) != 0 {
+	if len(e.xs.bySuper) != 0 || e.xs.slots() != 0 {
 		t.Fatal("departed super's index not dropped")
 	}
 }
