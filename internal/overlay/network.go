@@ -434,7 +434,10 @@ func (n *Network) Send(m msg.Message) {
 	d := n.getDeliver(n.laneFor(m.To))
 	d.m = m
 	n.traffic.Record(&d.m)
-	n.eng.AfterLane(int(d.lane), n.cfg.Latency, d)
+	// One constant delay on a clock that never runs backwards: these
+	// deliveries arrive in the order they were sent, so they queue in the
+	// engine's FIFO ring and stay out of the heap.
+	n.eng.AfterFIFO(int(d.lane), n.cfg.Latency, d)
 }
 
 // laneFor returns the event lane for a message addressed to id: the

@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // The engine's scheduling hot path must not allocate in steady state: the
-// heap stores events by value in two arrays that only grow, so once they
-// have reached the run's queue depth, Schedule and Step are
-// allocation-free. These tests pin that property; a regression here
+// heap and the ring store events by value in arrays that only grow, so
+// once they have reached the run's queue depth, Schedule, AfterFIFO and
+// Step are allocation-free. These tests pin that property; a regression here
 // silently multiplies GC load by the event count of every scenario run.
 
 // TestStepSteadyStateAllocFree: a pre-warmed self-rescheduling engine must
@@ -21,6 +21,29 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
 	if allocs != 0 {
 		t.Errorf("steady-state Step allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestRingStepSteadyStateAllocFree is the ring-path twin: a constant-delay
+// stream deep enough to have grown the ring past its first array fires and
+// re-enters the ring with zero allocations per Step.
+func TestRingStepSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	var ev Event
+	ev = EventFunc(func(e *Engine) { e.AfterFIFO(0, 1, ev) })
+	for i := 0; i < 200; i++ {
+		e.AfterFIFO(0, 1, ev)
+	}
+	for i := 0; i < 1000; i++ { // wrap the ring a few times
+		e.Step()
+	}
+	if e.ring.len() != 200 || len(e.ring.buf) != 256 || len(e.queue.keys) != 0 {
+		t.Fatalf("setup: %d events in a ring of %d, %d in the heap; want 200 of 256 and none",
+			e.ring.len(), len(e.ring.buf), len(e.queue.keys))
+	}
+	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("steady-state ring Step allocates %.2f objects/op, want 0", allocs)
 	}
 }
 

@@ -61,6 +61,41 @@ func BenchmarkQueueChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkDeliveryStream is the event mix of a uniform-latency run in
+// miniature: 30 000 far-future timers (every peer's death) resident in
+// the heap, and 4000 messages in flight, each of which sends its successor
+// at the same constant delay when it arrives. Both variants tag lane 0, as
+// a delivery carries its target's lane; After sifts every message through
+// the timers' heap, AfterFIFO queues it in the ring beside it.
+func BenchmarkDeliveryStream(b *testing.B) {
+	const timers, inFlight, delay = 30000, 4000, 0.05
+	for _, bc := range []struct {
+		name  string
+		after func(e *Engine, ev Event)
+	}{
+		{"After", func(e *Engine, ev Event) { e.AfterLane(0, delay, ev) }},
+		{"AfterFIFO", func(e *Engine, ev Event) { e.AfterFIFO(0, delay, ev) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(1)
+			timer := EventFunc(func(*Engine) {})
+			for i := 0; i < timers; i++ {
+				e.Schedule(Time(1e9+e.Rand().Float64()*1e6), timer)
+			}
+			var ev Event
+			ev = EventFunc(func(e *Engine) { bc.after(e, ev) })
+			for i := 0; i < inFlight; i++ {
+				e.Schedule(Time(delay*float64(i)/inFlight), ev)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkStepSelfSchedule measures the steady-state Step cost when every
 // fired event schedules a successor — the inner loop of every scenario run.
 func BenchmarkStepSelfSchedule(b *testing.B) {

@@ -5,20 +5,23 @@ import (
 	"fmt"
 )
 
-// Engine is a discrete-event simulation engine: one binary heap of pending
-// events, totally ordered by (time, insertion sequence). Every event also
-// carries the lane it was scheduled under (see lanes.go); the tag never
-// changes when an event fires, only whether it may join a same-timestamp
-// LaneEvent batch.
+// Engine is a discrete-event simulation engine: pending events fire in
+// (time, insertion sequence) order. They wait in a binary heap or, when
+// AfterFIFO admits them, in a FIFO ring; each firing takes the smaller of
+// heap root and ring head, so which one held an event is unobservable.
+// Every event also carries the lane it was scheduled under (see lanes.go);
+// the tag never changes when an event fires, only whether it may join a
+// same-timestamp LaneEvent batch.
 //
 // Engines are deliberately not safe for concurrent use by callers: the
 // simulation has a total order of events, and the engine fires every one
 // of them — same-timestamp LaneEvent batches included — on the event
 // loop. The only parallelism is the fan-out an event starts itself with
-// ForLanes (shard.go), the tick barrier of DESIGN.md §7.
+// ForLanes (shard.go), the tick barrier of DESIGN.md §6 "Tick".
 type Engine struct {
 	now   Time
 	queue eventQueue
+	ring  eventRing
 	seq   uint64
 
 	rng   *Source
@@ -54,15 +57,16 @@ func NewEngine(seed int64) *Engine {
 
 // Reset returns the engine to its just-constructed state with a fresh
 // deterministic source derived from seed: clock at zero, empty queue,
-// zero fired counters, pending events dropped unfired. The queue's two
-// backing arrays are kept, so a reset engine re-runs without re-growing
-// its heap — the engine-reuse primitive of the parallel trial scheduler
+// zero fired counters, pending events dropped unfired. The backing arrays
+// of heap and ring are kept, so a reset engine re-runs without re-growing
+// either — the engine-reuse primitive of the parallel trial scheduler
 // — and their payload slots are cleared, so it retains no event of the
 // previous run. A reset engine is indistinguishable from NewEngine(seed)
 // to everything that runs on it: the insertion sequence also restarts, so
 // event tie-breaking cannot leak across runs.
 func (e *Engine) Reset(seed int64) {
 	e.queue.reset()
+	e.ring.reset()
 	e.seq = 0
 	e.now = 0
 	e.fired = 0
@@ -134,32 +138,73 @@ func (e *Engine) AfterLane(lane int, d Duration, ev Event) {
 	e.ScheduleLane(lane, e.now+d, ev)
 }
 
+// AfterFIFO is AfterLane for a stream of events at one constant delay,
+// such as a uniform link latency: the clock never runs backwards, so their
+// timestamps come out sorted and they can wait in the ring instead of
+// being sifted through the heap. The ring takes an event only when it is
+// empty or the event is no earlier than its newest entry; anything else
+// goes to the heap, so firing order never rests on the caller's promise.
+func (e *Engine) AfterFIFO(lane int, d Duration, ev Event) {
+	at, r := e.now+d, &e.ring
+	if at < e.now || uint(lane) >= numQueues || (r.len() > 0 && at < r.at(r.tail-1).key.at) {
+		e.ScheduleLane(lane, at, ev) // which also reports a bad lane or time
+		return
+	}
+	r.push(heapKey{at: at, seq: e.seq}, payload{ev: ev, lane: int32(lane)})
+	e.seq++
+}
+
 // AfterFunc is After for a plain function.
 func (e *Engine) AfterFunc(d Duration, f func(*Engine)) {
 	e.After(d, EventFunc(f))
 }
 
 // Pending returns the number of events scheduled and not yet fired.
-func (e *Engine) Pending() int { return len(e.queue.keys) }
+func (e *Engine) Pending() int { return len(e.queue.keys) + e.ring.len() }
+
+// ringFirst reports whether the ring's head fires before the heap's root.
+func (e *Engine) ringFirst() bool {
+	return e.ring.len() > 0 && (len(e.queue.keys) == 0 || e.ring.at(e.ring.head).key.less(e.queue.keys[0]))
+}
+
+// peek returns the time and payload of the next event to fire, leaving it
+// pending; the payload is nil when nothing is.
+func (e *Engine) peek() (Time, *payload) {
+	if e.ringFirst() {
+		h := e.ring.at(e.ring.head)
+		return h.key.at, &h.val
+	}
+	if len(e.queue.keys) == 0 {
+		return 0, nil
+	}
+	return e.queue.keys[0].at, &e.queue.vals[0]
+}
+
+// popNext removes and returns the next event to fire; one must be pending.
+func (e *Engine) popNext() (heapKey, payload) {
+	if e.ringFirst() {
+		return e.ring.pop()
+	}
+	return e.queue.pop()
+}
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // When that event is a batchable LaneEvent co-scheduled with others at
 // the same timestamp, the whole batch fires (eval all, then commit all)
 // as one step. It reports whether anything was fired.
 func (e *Engine) Step() bool {
-	q := &e.queue
-	if len(q.keys) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
-	k, v := q.pop()
+	k, v := e.popNext()
 	e.now = k.at
 	e.fired++
 	if v.lane != GlobalLane {
 		e.laneFired++
-		// One timestamp compare on the new heap root settles nearly every
+		// One timestamp compare on the new next event settles nearly every
 		// firing before any interface call: no peer-lane successor at this
 		// instant, no batch.
-		if len(q.keys) > 0 && q.keys[0].at == e.now && q.vals[0].lane != GlobalLane {
+		if at, nv := e.peek(); nv != nil && at == e.now && nv.lane != GlobalLane {
 			if le, ok := v.ev.(LaneEvent); ok && le.Batchable() && e.stepBatch(le, v.lane) {
 				return true
 			}
@@ -176,9 +221,8 @@ func (e *Engine) Step() bool {
 // batch of one is equivalent to Fire by the LaneEvent contract, and the
 // serial path is cheaper).
 func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
-	at := e.now
-	q := &e.queue
-	if le, ok := q.vals[0].ev.(LaneEvent); !ok || !le.Batchable() {
+	_, nv := e.peek()
+	if le, ok := nv.ev.(LaneEvent); !ok || !le.Batchable() {
 		return false
 	}
 	e.batchEv = append(e.batchEv[:0], first)
@@ -187,16 +231,17 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			break
 		}
-		if len(q.keys) == 0 || q.keys[0].at != at || q.vals[0].lane == GlobalLane {
+		at, nv := e.peek()
+		if nv == nil || at != e.now || nv.lane == GlobalLane {
 			break
 		}
-		le, ok := q.vals[0].ev.(LaneEvent)
+		le, ok := nv.ev.(LaneEvent)
 		if !ok || !le.Batchable() {
 			break
 		}
 		e.batchEv = append(e.batchEv, le)
-		e.batchLane = append(e.batchLane, q.vals[0].lane)
-		q.pop()
+		e.batchLane = append(e.batchLane, nv.lane)
+		e.popNext()
 		e.fired++
 		e.laneFired++
 	}
@@ -204,8 +249,8 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 	e.batchID++
 	// Eval inline, in batch order: that is scheduling (seq) order, hence
 	// also each lane's own order, which EvalLane must observe for events
-	// targeting one peer. An eval is a sub-microsecond handler call;
-	// fanning them out measured slower at every batch size (DESIGN.md §7).
+	// targeting one peer. An eval is a sub-microsecond handler call; fanning
+	// them out measured slower at every batch size (DESIGN.md §6 "Event loop").
 	for i, le := range e.batchEv {
 		le.EvalLane(e, int(e.batchLane[i]))
 	}
@@ -221,7 +266,11 @@ func (e *Engine) stepBatch(first LaneEvent, firstLane int32) bool {
 // the queue drains. The clock is left at the later of its current value
 // and deadline so that subsequent scheduling is relative to the deadline.
 func (e *Engine) RunUntil(deadline Time) error {
-	for len(e.queue.keys) > 0 && e.queue.keys[0].at <= deadline {
+	for {
+		at, v := e.peek()
+		if v == nil || at > deadline {
+			break
+		}
 		if e.MaxEvents != 0 && e.fired >= e.MaxEvents {
 			return ErrEventBudget
 		}

@@ -212,10 +212,11 @@ func TestHeapMatchesStableSortReference(t *testing.T) {
 	}
 }
 
-// TestResetDropsPendingKeepsCapacity: Reset discards pending events
-// without firing them, keeps both heap arrays (a reset engine schedules
-// and drains the same load with zero allocations) and clears every payload
-// slot, so no event of the previous run stays reachable from the engine.
+// TestResetDropsPendingKeepsCapacity: Reset discards pending events —
+// the heap's and the ring's — without firing them, keeps the arrays of
+// both (a reset engine schedules and drains the same load with zero
+// allocations) and clears every payload slot, so no event of the previous
+// run stays reachable from the engine.
 func TestResetDropsPendingKeepsCapacity(t *testing.T) {
 	const n = 1000
 	e := NewEngine(1)
@@ -224,6 +225,7 @@ func TestResetDropsPendingKeepsCapacity(t *testing.T) {
 	load := func() {
 		for i := 0; i < n; i++ {
 			e.ScheduleLane(i%numQueues, Time(1+i%7), ev)
+			e.AfterFIFO(i%numQueues, 4, ev)
 		}
 	}
 	load()
@@ -231,8 +233,9 @@ func TestResetDropsPendingKeepsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	firedBefore := fired
-	if e.Pending() == 0 || firedBefore == 0 {
-		t.Fatalf("setup: %d pending, %d fired; want both non-zero", e.Pending(), firedBefore)
+	if len(e.queue.keys) == 0 || e.ring.len() != n || e.Pending() != len(e.queue.keys)+n || firedBefore == 0 {
+		t.Fatalf("setup: %d in the heap, %d in the ring, %d pending, %d fired; want all non-zero and the ring full",
+			len(e.queue.keys), e.ring.len(), e.Pending(), firedBefore)
 	}
 	e.Reset(1)
 	if e.Pending() != 0 {
@@ -249,6 +252,11 @@ func TestResetDropsPendingKeepsCapacity(t *testing.T) {
 			t.Fatalf("payload slot %d of %d still holds an event after Reset", i, cap(e.queue.vals))
 		}
 	}
+	for i, ent := range e.ring.buf {
+		if ent.val.ev != nil {
+			t.Fatalf("ring slot %d of %d still holds an event after Reset", i, len(e.ring.buf))
+		}
+	}
 	// Reset itself allocates the new random source; a load and drain on
 	// top of it must add nothing.
 	resetOnly := testing.AllocsPerRun(20, func() { e.Reset(1) })
@@ -259,10 +267,10 @@ func TestResetDropsPendingKeepsCapacity(t *testing.T) {
 		}
 	})
 	if allocs != resetOnly {
-		t.Errorf("schedule %d + drain after Reset allocates %.2f objects/op, want 0", n, allocs-resetOnly)
+		t.Errorf("schedule %d + drain after Reset allocates %.2f objects/op, want 0", 2*n, allocs-resetOnly)
 	}
-	if e.Pending() != 0 || fired != firedBefore+21*n {
-		t.Errorf("drains fired %d events with %d pending, want %d and 0", fired-firedBefore, e.Pending(), 21*n)
+	if e.Pending() != 0 || fired != firedBefore+21*2*n {
+		t.Errorf("drains fired %d events with %d pending, want %d and 0", fired-firedBefore, e.Pending(), 21*2*n)
 	}
 }
 
@@ -378,8 +386,9 @@ func TestBernoulliEdges(t *testing.T) {
 // arbitrary workload is indistinguishable from NewEngine(seed) — same
 // clock, same event order, same tie-break sequence, same RNG streams.
 func TestResetMatchesFreshEngine(t *testing.T) {
-	// A self-rescheduling workload with RNG draws and events left pending
-	// past the deadline, recording everything observable.
+	// A self-rescheduling workload with RNG draws, heap and ring events
+	// tying on timestamps, and events left pending in both structures past
+	// the deadline, recording everything observable.
 	workload := func(e *Engine) (fires []Time, draws []float64) {
 		rng := e.Rand().Stream("w")
 		var rec func(e *Engine)
@@ -389,6 +398,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 			if e.Now() < 40 {
 				e.After(Duration(1+rng.Float64()*3), EventFunc(rec))
 				e.After(100, EventFunc(func(*Engine) { fires = append(fires, -1) }))
+				e.AfterFIFO(GlobalLane, 25, EventFunc(func(e *Engine) { fires = append(fires, -e.Now()) }))
+				e.After(25, EventFunc(func(e *Engine) { fires = append(fires, -e.Now()-0.5) }))
 			}
 		}
 		e.Schedule(0, EventFunc(rec))
@@ -402,10 +413,15 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 	wantFires, wantDraws := workload(fresh)
 
 	used := NewEngine(12345)
-	for i := 0; i < 500; i++ { // dirty the queue, clock, seq counter, rng
+	for i := 0; i < 500; i++ { // dirty the heap, ring, clock, seq counter, rng
 		used.Schedule(Time(used.Rand().Float64()*100), EventFunc(func(*Engine) {}))
+		used.AfterFIFO(i%numQueues, 30+Duration(i), EventFunc(func(*Engine) {}))
 	}
 	used.RunUntil(50)
+	if used.ring.len() == 0 || used.ring.head == 0 || len(used.queue.keys) == 0 {
+		t.Fatalf("setup: ring holds %d events after %d pops, heap %d; want all non-zero",
+			used.ring.len(), used.ring.head, len(used.queue.keys))
+	}
 	used.Reset(77)
 
 	if used.Now() != 0 || used.Pending() != 0 || used.EventsFired() != 0 {

@@ -26,9 +26,9 @@ const (
 // lane's peers, and must not schedule, draw shared randomness, or mutate
 // engine/global state — and runs on the event loop, like every other
 // firing; CommitLane applies the cross-peer effects. The contract mirrors
-// the tick barrier of DESIGN.md §7: Fire must be exactly equivalent to
-// EvalLane followed by CommitLane, so a batch of size one can fall back
-// to Fire.
+// the tick barrier of DESIGN.md §6 "Tick": Fire must be exactly equivalent
+// to EvalLane followed by CommitLane, so a batch of size one can fall
+// back to Fire.
 type LaneEvent interface {
 	Event
 	// Batchable reports whether this firing may currently be split into

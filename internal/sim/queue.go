@@ -118,3 +118,50 @@ func (q *eventQueue) down(i int) {
 	}
 	q.keys[i], q.vals[i] = k, v
 }
+
+// eventRing is a FIFO of pending events whose keys Engine.AfterFIFO
+// appended in non-decreasing order — in practice every in-flight message
+// of a uniform-latency run — so its head is its minimum and nothing is
+// ever sifted. buf is a power of two long; head and tail count pops and
+// pushes and are masked on use.
+type eventRing struct {
+	buf        []ringEntry
+	head, tail uint
+}
+
+type ringEntry struct {
+	key heapKey
+	val payload
+}
+
+func (r *eventRing) len() int { return int(r.tail - r.head) }
+
+// at addresses push number i, head <= i < tail.
+func (r *eventRing) at(i uint) *ringEntry { return &r.buf[i&uint(len(r.buf)-1)] }
+
+// reset drops every pending event, keeping buf, cleared of its payloads.
+func (r *eventRing) reset() {
+	clear(r.buf)
+	r.head, r.tail = 0, 0
+}
+
+func (r *eventRing) push(k heapKey, v payload) {
+	if r.len() == len(r.buf) {
+		buf := make([]ringEntry, max(2*len(r.buf), 64))
+		for i := r.head; i != r.tail; i++ {
+			buf[i-r.head] = *r.at(i)
+		}
+		r.buf, r.head, r.tail = buf, 0, r.tail-r.head
+	}
+	*r.at(r.tail) = ringEntry{k, v}
+	r.tail++
+}
+
+// pop removes and returns the oldest entry; the ring must not be empty.
+func (r *eventRing) pop() (heapKey, payload) {
+	p := r.at(r.head)
+	k, v := p.key, p.val
+	p.val = payload{} // do not retain the event past its life
+	r.head++
+	return k, v
+}

@@ -31,6 +31,17 @@ lane_test() {
     fi
   done < <(grep -ohE '\b(cmd|examples|internal|results|scripts)/[A-Za-z0-9_/*.-]*[A-Za-z0-9_*]' \
     README.md DESIGN.md EXPERIMENTS.md | sort -u)
+  # Every "DESIGN.md §N" in a Go or Markdown file must name a section
+  # DESIGN.md has. CHANGES.md and ISSUE.md are exempt: they describe the
+  # tree as it was when they were written.
+  while IFS= read -r ref; do
+    n=${ref##*§}
+    if ! grep -q "^## ${n# }\. " DESIGN.md; then
+      echo "docs: $ref, but DESIGN.md has no such section" >&2
+      exit 1
+    fi
+  done < <(grep -rnoE --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md \
+    --exclude-dir=.git --exclude-dir=.bench_build 'DESIGN\.md § ?[0-9]+' .)
   go build ./...
   go vet ./...
   # The protocol core must stay transport-agnostic: its import graph may
