@@ -1,0 +1,94 @@
+package core
+
+import (
+	"testing"
+
+	"dlm/internal/overlay"
+	"dlm/internal/protocol"
+	"dlm/internal/sim"
+)
+
+// allocNetwork builds a small settled overlay — four supers with a dozen
+// leaves each, so the supers' own sets are long past their inline arrays —
+// with the clock beyond RefreshInterval, so a newcomer's first refresh is
+// due at once.
+func allocNetwork(t testing.TB) (*overlay.Network, *Manager) {
+	eng, n, mgr := testNetwork(1, DefaultParams())
+	n.Join(100, 1e6, nil) // bootstrap super
+	for i := 0; i < 3; i++ {
+		n.Promote(n.Join(100, 1e6, nil))
+	}
+	for i := 0; i < 24; i++ {
+		n.Join(10, 1e6, nil)
+	}
+	if err := eng.RunUntil(sim.Time(mgr.P.RefreshInterval) + 20); err != nil {
+		t.Fatal(err)
+	}
+	if n.NumSupers() != 4 {
+		t.Fatalf("setup: %d supers, want 4", n.NumSupers())
+	}
+	return n, mgr
+}
+
+// leafJoin runs a leaf's arrival: Join (a leaf under DLM) makes the M
+// connections, each of which fires the connect exchange inline; then one
+// refresh exchange over both links.
+func leafJoin(t testing.TB, n *overlay.Network, mgr *Manager) *overlay.Peer {
+	p := n.Join(10, 100, nil)
+	mgr.refreshOne(n, p, protocol.Time(n.Now()))
+	if ma := mgr.state(p); p.Layer != overlay.LayerLeaf || p.SuperDegree() != 2 || ma.Size() != 2 || ma.RefreshAt() == 0 {
+		t.Fatalf("leaf cycle incomplete: layer %v, %d super links, |G| = %d, refreshed at %v",
+			p.Layer, p.SuperDegree(), ma.Size(), ma.RefreshAt())
+	}
+	return p
+}
+
+// TestLeafCycleAllocFree pins the point of the inline sets: a leaf's whole
+// session — join, M connects, the connect exchange on each, one refresh,
+// leave — allocates nothing, on a slab slot and arena machine never used
+// before and on recycled ones. (AllocsPerRun reports the truncated mean, so
+// the amortized growth of the ID-indexed tables — one word per join ever
+// made — does not register; one allocation per session would.)
+func TestLeafCycleAllocFree(t *testing.T) {
+	t.Run("recycled", func(t *testing.T) {
+		n, mgr := allocNetwork(t)
+		slot := int32(-1)
+		allocs := testing.AllocsPerRun(500, func() {
+			p := leafJoin(t, n, mgr)
+			if slot >= 0 && p.Slot() != slot {
+				t.Fatalf("session on slot %d, want the recycled slot %d", p.Slot(), slot)
+			}
+			slot = p.Slot()
+			n.Leave(p)
+		})
+		if allocs != 0 {
+			t.Errorf("a leaf session on a recycled slot allocates %.0f objects, want 0", allocs)
+		}
+	})
+	t.Run("fresh", func(t *testing.T) {
+		n, mgr := allocNetwork(t)
+		// Nobody leaves while the arrivals are measured, so each takes a
+		// slot past the high-water mark; the departures are measured after.
+		const sessions = 500
+		joined := make([]*overlay.Peer, 0, sessions+1)
+		next := int32(n.Size())
+		allocs := testing.AllocsPerRun(sessions, func() {
+			p := leafJoin(t, n, mgr)
+			if p.Slot() != next {
+				t.Fatalf("session on slot %d, want the fresh slot %d", p.Slot(), next)
+			}
+			next++
+			joined = append(joined, p)
+		})
+		if allocs != 0 {
+			t.Errorf("a leaf's arrival on a fresh slot allocates %.0f objects, want 0", allocs)
+		}
+		allocs = testing.AllocsPerRun(sessions, func() {
+			n.Leave(joined[len(joined)-1])
+			joined = joined[:len(joined)-1]
+		})
+		if allocs != 0 {
+			t.Errorf("a leaf's departure allocates %.0f objects, want 0", allocs)
+		}
+	})
+}

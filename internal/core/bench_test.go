@@ -18,31 +18,9 @@ import (
 // shows up here; the steady100k workload of bench/ is the end-to-end
 // measurement of the same path.
 func BenchmarkScaleTick(b *testing.B) {
-	const size = 100_000
-	eng := sim.NewEngine(1)
-	eng.SetShards(runtime.GOMAXPROCS(0))
-	mgr := NewManager(DefaultParams())
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 20}, mgr)
-	churn := &overlay.Churn{
-		Net: n,
-		Profile: &workload.StaticProfile{
-			Capacity: workload.SaroiuBandwidthMixture(),
-			Lifetime: workload.LognormalWithMedian(60, 1.2),
-		},
-		TargetSize: size,
-		GrowthRate: size / 4,
-	}
-	churn.Start()
-	// Drive to steady state: population at target, layer split settled,
-	// refresh/expiry wheels loaded — so the timed region measures the
-	// equilibrium per-tick cost, not ramp-up.
-	next := sim.Time(0)
-	for ; next < 60; next++ {
-		if err := eng.RunUntil(next); err != nil {
-			b.Fatal(err)
-		}
-		n.Tick()
-	}
+	b.ReportAllocs()
+	eng, n := scaleNetwork(b, 160)
+	next := eng.Now() + 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := eng.RunUntil(next); err != nil {
@@ -55,5 +33,57 @@ func BenchmarkScaleTick(b *testing.B) {
 	b.ReportMetric(float64(n.Size())*float64(b.N)/b.Elapsed().Seconds(), "peer-ticks/s")
 	if bad := n.CheckInvariants(); len(bad) > 0 {
 		b.Fatalf("invariants: %v", bad[:minInt(len(bad), 5)])
+	}
+}
+
+// scaleNetwork grows the 100k-peer churning network of the scale
+// benchmarks and runs it, one maintenance tick per time unit, through
+// time warm. The population arrives within four units, and a cold start
+// that fast over-promotes: two thirds of the peers are supers at t = 20,
+// with three leaves each — every one of those supers' sets sits at its
+// inline capacity and spills on its next leaf — and the 100-unit demotion
+// cooldown releases them together at t = 100 to 140. allocs/op read
+// inside that transient is the transient's (2200 at t = 60 to 80, 12 000 at
+// t = 100 to 120); from t = 160 the layer split rings within 2x of its
+// target and a tick allocates what equilibrium allocates: the sets of new
+// supers growing to their leaf degree, and the one leaf in fifty that
+// meets a fifth super.
+func scaleNetwork(b *testing.B, warm sim.Time) (*sim.Engine, *overlay.Network) {
+	const size = 100_000
+	eng := sim.NewEngine(1)
+	eng.SetShards(runtime.GOMAXPROCS(0))
+	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 20}, NewManager(DefaultParams()))
+	churn := &overlay.Churn{
+		Net: n,
+		Profile: &workload.StaticProfile{
+			Capacity: workload.SaroiuBandwidthMixture(),
+			Lifetime: workload.LognormalWithMedian(60, 1.2),
+		},
+		TargetSize: size,
+		GrowthRate: size / 4,
+	}
+	churn.Start()
+	for next := sim.Time(0); next <= warm; next++ {
+		if err := eng.RunUntil(next); err != nil {
+			b.Fatal(err)
+		}
+		n.Tick()
+	}
+	return eng, n
+}
+
+// BenchmarkConnectExchange is one leaf session against the 100k-peer
+// network: Join picks M supers and links to each, every link fires the
+// connect exchange (three request/response pairs, delivered inline), and
+// Leave tears both links down — the membership path churn50k is made of.
+// With a leaf's protocol and link state inline in its slot the session
+// allocates nothing (TestLeafCycleAllocFree is the pin; this is the
+// price).
+func BenchmarkConnectExchange(b *testing.B) {
+	b.ReportAllocs()
+	_, n := scaleNetwork(b, 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Leave(n.Join(10, 100, nil))
 	}
 }

@@ -549,11 +549,11 @@ func (n *Network) Leave(p *Peer) {
 	p.alive = false
 	n.counters.Leaves++
 
-	n.linkScratch = append(n.linkScratch[:0], p.superLinks.items...)
+	n.linkScratch = append(n.linkScratch[:0], p.superLinks.list()...)
 	for _, id := range n.linkScratch {
 		n.unlink(p, n.store.get(id))
 	}
-	orphans := append(n.orphanScratch[:0], p.leafLinks.items...)
+	orphans := append(n.orphanScratch[:0], p.leafLinks.list()...)
 	n.orphanScratch = orphans
 	for _, id := range orphans {
 		n.unlink(p, n.store.get(id))
@@ -605,7 +605,7 @@ func (n *Network) Promote(p *Peer) {
 	p.Layer = LayerSuper
 	n.supers.Add(p)
 	n.agg.transfer(p, old)
-	for _, id := range p.superLinks.items {
+	for _, id := range p.superLinks.list() {
 		q := n.store.get(id)
 		q.leafLinks.Remove(p.ID)
 		n.agg.leafLinkDelta(q, -1)
@@ -644,7 +644,7 @@ func (n *Network) Demote(p *Peer) bool {
 
 	// Keep at most M super links, chosen uniformly; the kept neighbors
 	// re-classify p as a leaf on their side.
-	links := append(n.linkScratch[:0], p.superLinks.items...)
+	links := append(n.linkScratch[:0], p.superLinks.list()...)
 	n.linkScratch = links
 	n.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	for i, id := range links {
@@ -663,7 +663,7 @@ func (n *Network) Demote(p *Peer) bool {
 	n.updateDeficit(p)
 
 	// Drop all leaves; each reconnects once (PAO).
-	orphans := append(n.orphanScratch[:0], p.leafLinks.items...)
+	orphans := append(n.orphanScratch[:0], p.leafLinks.list()...)
 	n.orphanScratch = orphans
 	for _, id := range orphans {
 		n.unlink(p, n.store.get(id))

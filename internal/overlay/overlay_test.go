@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dlm/internal/msg"
@@ -444,7 +445,7 @@ func TestLinkSet(t *testing.T) {
 		t.Fatal("Remove misbehaves")
 	}
 	// Remove the last element path.
-	last := s.items[len(s.items)-1]
+	last := s.list()[s.Len()-1]
 	if !s.Remove(last) {
 		t.Fatal("remove last failed")
 	}
@@ -483,22 +484,20 @@ func TestLinkSetIndexed(t *testing.T) {
 	}
 	// Mirror the order against a scan-only twin: the index must not
 	// change which element a removal swaps into place.
-	twin := linkSet{items: append([]msg.PeerID(nil), s.items...)}
+	twin := refLinks(append([]msg.PeerID(nil), s.list()...))
 	for _, id := range []msg.PeerID{1, n, n / 2, 7, 7} {
-		if got, want := s.Remove(id), twin.removeScan(id); got != want {
+		if got, want := s.Remove(id), twin.remove(id); got != want {
 			t.Fatalf("Remove(%d) = %v, scan twin says %v", id, got, want)
 		}
 		if bad := s.checkIdx(); bad != "" {
 			t.Fatal(bad)
 		}
 	}
-	for i, v := range twin.items {
-		if s.items[i] != v {
-			t.Fatalf("item order diverged at %d: %d != %d", i, s.items[i], v)
-		}
+	if !slices.Equal(s.list(), []msg.PeerID(twin)) {
+		t.Fatalf("item order diverged: %v != %v", s.list(), twin)
 	}
 	for i := msg.PeerID(1); i <= n; i++ {
-		if s.Contains(i) != twin.Contains(i) {
+		if s.Contains(i) != slices.Contains(twin, i) {
 			t.Fatalf("Contains(%d) diverged", i)
 		}
 	}
@@ -514,18 +513,27 @@ func TestLinkSetIndexed(t *testing.T) {
 	}
 }
 
-// removeScan is Remove forced down the linear-scan path, for the twin
-// comparison above.
-func (s *linkSet) removeScan(id msg.PeerID) bool {
-	for i, v := range s.items {
-		if v == id {
-			last := len(s.items) - 1
-			s.items[i] = s.items[last]
-			s.items = s.items[:last]
-			return true
-		}
+// refLinks is the reference model of a linkSet: a plain slice, scanned,
+// appended to and swap-deleted.
+type refLinks []msg.PeerID
+
+func (r *refLinks) add(id msg.PeerID) bool {
+	if slices.Contains(*r, id) {
+		return false
 	}
-	return false
+	*r = append(*r, id)
+	return true
+}
+
+func (r *refLinks) remove(id msg.PeerID) bool {
+	i := slices.Index(*r, id)
+	if i < 0 {
+		return false
+	}
+	last := len(*r) - 1
+	(*r)[i] = (*r)[last]
+	*r = (*r)[:last]
+	return true
 }
 
 func TestHandleInvalidKindPanics(t *testing.T) {

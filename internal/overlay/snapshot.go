@@ -140,7 +140,7 @@ func (n *Network) CheckInvariants() []string {
 		if bad := p.leafLinks.checkIdx(); bad != "" {
 			addf("peer %d leafLinks index: %s", p.ID, bad)
 		}
-		for _, qid := range p.superLinks.items {
+		for _, qid := range p.superLinks.list() {
 			q := n.store.get(qid)
 			switch {
 			case q == nil:
@@ -151,7 +151,7 @@ func (n *Network) CheckInvariants() []string {
 				addf("asymmetric link %d->%d", p.ID, qid)
 			}
 		}
-		for _, qid := range p.leafLinks.items {
+		for _, qid := range p.leafLinks.list() {
 			q := n.store.get(qid)
 			switch {
 			case q == nil:

@@ -21,9 +21,8 @@ type peerPage [pageSize]Peer
 // LIFO free-list of recycled slots, and a flat PeerID->slot index. It
 // replaces the map[msg.PeerID]*Peer of earlier revisions: lookups are two
 // array indexings instead of a hash probe, departed peers' slots (and
-// their link-set and manager-state allocations) are reused by later
-// joins, and the ID index stays dense because IDs are drawn from a
-// monotonic counter.
+// their manager state) are reused by later joins, and the ID index stays
+// dense because IDs are drawn from a monotonic counter.
 type peerStore struct {
 	pages []*peerPage
 	// free holds recycled slots; the most recently vacated slot is reused
@@ -52,8 +51,9 @@ func (st *peerStore) get(id msg.PeerID) *Peer {
 }
 
 // acquire allocates (or recycles) a slot for id and returns its Peer,
-// with identity fields zeroed and link sets empty. The manager-owned
-// State field and the link sets' backing arrays survive recycling; all
+// with identity fields zeroed and link sets empty — their IDs inline
+// again, whatever heap slice or index the slot's last tenant grew dropped
+// (linkSet.Clear). The manager-owned State field survives recycling; all
 // other fields are the caller's to set.
 func (st *peerStore) acquire(id msg.PeerID) *Peer {
 	var slot int32

@@ -53,7 +53,7 @@ func (n *Network) Topology(pathSamples int) TopologyStats {
 			id := queue[0]
 			queue = queue[1:]
 			size++
-			for _, nb := range n.store.get(id).superLinks.items {
+			for _, nb := range n.store.get(id).superLinks.list() {
 				if n.store.get(nb).Layer != LayerSuper {
 					continue
 				}
@@ -75,7 +75,7 @@ func (n *Network) Topology(pathSamples int) TopologyStats {
 	for _, id := range n.supers.items {
 		p := n.store.get(id)
 		superDeg := 0
-		for _, nb := range p.superLinks.items {
+		for _, nb := range p.superLinks.list() {
 			if n.store.get(nb).Layer == LayerSuper {
 				superDeg++
 			}
@@ -107,7 +107,7 @@ func (n *Network) Topology(pathSamples int) TopologyStats {
 			for len(queue) > 0 {
 				id := queue[0]
 				queue = queue[1:]
-				for _, nb := range n.store.get(id).superLinks.items {
+				for _, nb := range n.store.get(id).superLinks.list() {
 					if n.store.get(nb).Layer != LayerSuper {
 						continue
 					}

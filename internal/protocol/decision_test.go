@@ -10,12 +10,14 @@ import (
 
 func TestParamsValidateRejectsBadValues(t *testing.T) {
 	mutations := map[string]func(*Params){
-		"negative lambda":   func(p *Params) { p.LambdaCapa = -1 },
-		"bad MaxRelatedSet": func(p *Params) { p.MaxRelatedSet = -1 },
-		"bad EvalProb":      func(p *Params) { p.EvalProbability = 0 },
-		"negative cooldown": func(p *Params) { p.DecisionCooldown = -1 },
-		"bad smoothing":     func(p *Params) { p.LnnSmoothing = 2 },
-		"periodic no intvl": func(p *Params) { p.Exchange = Periodic; p.PeriodicInterval = 0 },
+		"negative lambda":                        func(p *Params) { p.LambdaCapa = -1 },
+		"bad MaxRelatedSet":                      func(p *Params) { p.MaxRelatedSet = -1 },
+		"bad EvalProb":                           func(p *Params) { p.EvalProbability = 0 },
+		"negative cooldown":                      func(p *Params) { p.DecisionCooldown = -1 },
+		"bad smoothing":                          func(p *Params) { p.LnnSmoothing = 2 },
+		"negative retries":                       func(p *Params) { p.MaxRetries = -1 },
+		"retries past the pending row's counter": func(p *Params) { p.MaxRetries = math.MaxUint16 + 1 },
+		"periodic no intvl":                      func(p *Params) { p.Exchange = Periodic; p.PeriodicInterval = 0 },
 	}
 	for name, mutate := range mutations {
 		p := DefaultParams()

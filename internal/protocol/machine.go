@@ -133,13 +133,26 @@ type lnnReport struct {
 // (supers contacted since it became a leaf) and of a super (current leaf
 // neighbors) have different semantics, so neither survives the
 // transition.
+//
+// A machine at leaf size never touches the Go heap: the related set, the
+// l_nn table and the pending table each start in a fixed array inside the
+// struct, and a set that outgrows its array moves once to a heap slice
+// (see push) and stays there until Reset. The inline capacities come from
+// the measured end-of-run leaf |G| — steady100k: 2/3/4/5/≥6 entries on
+// 63 434/25 402/6 670/1 298/207 leaves, 98.5 % ≤ 4; churn50k: 92 % ≤ 4 —
+// and from the overlay's M = 2 supers per leaf, each good for one l_nn
+// report and two outstanding requests. No field points into the struct,
+// so a by-value copy of an inline machine is an independent machine.
+//
 // Field order is the per-tick evaluation path's access order, hottest
-// first: the cooldown gate (p, lastChange), prune's fast path
-// (relMinSeen), AvgLnn (lnnSum, lnnCount) and counting's slice header
-// (related) all sit in the machine's first cache line, so the common
-// "nothing to do this tick" visit touches one line instead of three.
-// With machines stored inline in the host's slot-ordered arena the tick
-// walk then streams the hot prefix sequentially.
+// first: the cooldown gate (p, lastChange), prune's fast path (relN,
+// relMinSeen), AvgLnn (lnnSum, lnnCount) and the spill test (relHeap) fill
+// the machine's first cache line, and counting's entries (relBuf) are the
+// next two, so a leaf's evaluation reads adjacent lines of one struct and
+// the common "nothing to do this tick" visit reads one. The struct is
+// eight lines exactly (TestMachineLayout): machines stored inline in the
+// host's slot-ordered arena all start on a line boundary and the tick
+// walk streams them sequentially.
 type Machine struct {
 	p *Params
 
@@ -160,23 +173,30 @@ type Machine struct {
 	// mutation of either table updates the pair while membership is
 	// still observable.
 	lnnSum   int64
-	lnnCount int
+	lnnCount int32
 
-	// The related set is two parallel slices: relOrder carries the IDs,
-	// related the value entries, in deterministic insertion/swap-delete
-	// order (a pure function of the operation history). Removal
-	// swap-deletes — FIFO eviction finds the oldest entry by seq instead
-	// of slice position, so the bound stays exact while Drop is O(1).
+	// The related set is two parallel arrays of relN elements: the IDs
+	// (ord) and the value entries (rel), in deterministic
+	// insertion/swap-delete order (a pure function of the operation
+	// history). Removal swap-deletes — FIFO eviction finds the oldest
+	// entry by seq instead of position, so the bound stays exact while
+	// Drop is O(1). The elements live in relBuf/ordBuf until the set
+	// outgrows them, in relHeap/ordHeap (length relN) afterwards.
 	//
 	// Lookups are linear scans while the set is small (a scan over dense
-	// memory beats a map probe at leaf sizes, and costs zero allocations),
-	// but a super's G is its leaf degree, which million-peer bootstrap
-	// drives into the tens of thousands; past relIndexThreshold a
-	// position index (a flat open-addressed table, cheaper than a map on
-	// this probe-only pattern) takes over and every lookup is O(1). Only
-	// large supers ever pay the index allocation.
-	related  []relEntry
-	relOrder []msg.PeerID // deterministic iteration order
+	// memory beats a map probe at leaf sizes), but a super's G is its leaf
+	// degree, which million-peer bootstrap drives into the tens of
+	// thousands; past relIndexThreshold a position index (a flat
+	// open-addressed table, cheaper than a map on this probe-only pattern)
+	// takes over and every lookup is O(1). Only large supers ever pay the
+	// index allocation, and Reset drops it with the tenancy that needed it.
+	relN    int32
+	relHeap []relEntry
+	relBuf  [relInline]relEntry
+	ordBuf  [relInline]msg.PeerID
+	ordHeap []msg.PeerID
+	relIdx  *flatidx.Map
+	relSeq  uint64
 
 	// lastRefresh is the last time this leaf refreshed its neighbors.
 	lastRefresh Time
@@ -184,32 +204,93 @@ type Machine struct {
 	// lnnSmooth is a super-peer's EWMA of its own leaf degree; see
 	// Params.LnnSmoothing.
 	lnnSmooth float64
-	hasSmooth bool
 
-	relIdx *flatidx.Map
-	relSeq uint64
+	// lnnN and pendN count the two tables below.
+	lnnN  int32
+	pendN int32
 
-	// The l_nn report table: lnnIDs carries the senders, lnnReps the
-	// latest report per sender, position-paired (unordered; removal
-	// swap-deletes both). The IDs live in their own dense array because
-	// the table is looked up — a scan — on every report receipt; 4-byte
-	// keys pack 16 to a cache line where interleaved rows would waste
-	// most of each line on the report fields.
-	lnnIDs  []msg.PeerID
-	lnnReps []lnnReport
+	// The l_nn report table: the senders and the latest report per
+	// sender, position-paired (unordered; removal swap-deletes both), in
+	// the Buf arrays or, once outgrown, the Heap slices. The IDs live in
+	// their own dense array because the table is looked up — a scan — on
+	// every report receipt.
+	lnnIDBuf   [lnnInline]msg.PeerID
+	lnnRepBuf  [lnnInline]lnnReport
+	lnnIDHeap  []msg.PeerID
+	lnnRepHeap []lnnReport
 
-	// pending is the outstanding Phase 1 request table (see pending.go):
-	// deadlines and retry budgets per (counterpart, pair), in insertion
-	// order (deterministic scan order, FIFO eviction). pendScratch is
-	// reused by ExpirePending's resend pass.
-	pending     []pendingRec
-	pendScratch []pendingKey
+	// The outstanding Phase 1 request table (see pending.go): deadlines
+	// and retry budgets per (counterpart, pair), in insertion order
+	// (deterministic scan order, FIFO eviction).
+	pendBuf  [pendInline]pendingRec
+	pendHeap []pendingRec
 
 	// timeoutRetries/timeoutDrops are the cumulative timeout tallies;
 	// they survive Reset (transport diagnostics, not protocol state).
 	timeoutRetries uint64
 	timeoutDrops   uint64
+
+	// hasSmooth marks lnnSmooth as seeded. It is the last field so that
+	// its padding is the struct's tail, not a ninth cache line.
+	hasSmooth bool
 }
+
+// Inline capacities of the three per-machine sets (see Machine), and the
+// factor by which a set's first heap slice exceeds its array, so that a
+// set that has just spilled does not regrow at once. BenchmarkScaleTick
+// allocates 1133, 846 and 777 objects a tick at factors 2, 4 and 8, in
+// 278, 301 and 430 kB: 4 is the knee.
+const (
+	relInline   = 4
+	lnnInline   = 4
+	pendInline  = 4
+	spillFactor = 4
+)
+
+// view returns the n elements of a set held in buf while heap is nil and
+// in heap (whose length is n) afterwards.
+func view[T any](buf, heap []T, n int32) []T {
+	if heap != nil {
+		return heap
+	}
+	return buf[:n]
+}
+
+// push stores v as element n of such a set; the caller increments n. The
+// append that finds buf full moves the set to the heap.
+func push[T any](buf []T, heap *[]T, n int32, v T) {
+	switch {
+	case *heap != nil:
+		*heap = append(*heap, v)
+	case int(n) < len(buf):
+		buf[n] = v
+	default:
+		*heap = append(append(make([]T, 0, spillFactor*len(buf)), buf...), v)
+	}
+}
+
+// trunc shortens the heap half of such a set to n elements; the caller
+// sets n.
+func trunc[T any](heap *[]T, n int) {
+	if *heap != nil {
+		*heap = (*heap)[:n]
+	}
+}
+
+// rel and ord return the related set's entries and IDs, position-paired.
+func (ma *Machine) rel() []relEntry   { return view(ma.relBuf[:], ma.relHeap, ma.relN) }
+func (ma *Machine) ord() []msg.PeerID { return view(ma.ordBuf[:], ma.ordHeap, ma.relN) }
+
+// truncRel cuts the related set to its first n entries.
+func (ma *Machine) truncRel(n int) {
+	ma.relN = int32(n)
+	trunc(&ma.relHeap, n)
+	trunc(&ma.ordHeap, n)
+}
+
+// lnnIDs and lnnReps return the l_nn table's senders and reports.
+func (ma *Machine) lnnIDs() []msg.PeerID { return view(ma.lnnIDBuf[:], ma.lnnIDHeap, ma.lnnN) }
+func (ma *Machine) lnnReps() []lnnReport { return view(ma.lnnRepBuf[:], ma.lnnRepHeap, ma.lnnN) }
 
 // NewMachine returns a Machine bound to p (shared, not copied — hosts
 // keep one Params for the population) with the role-change clock starting
@@ -222,13 +303,13 @@ func NewMachine(p *Params, joined Time) *Machine {
 // for machines embedded in a host-owned arena rather than heap-allocated
 // one by one. It must only run on a machine with no live protocol state
 // (a first tenant); recycled machines go through Reset instead, which
-// keeps their backing arrays and transport counters.
+// keeps their transport counters.
 func (ma *Machine) Init(p *Params, joined Time) {
 	*ma = Machine{p: p, lastChange: joined}
 }
 
 // relIndexThreshold is the related-set size past which the position
-// index is built; below it a linear scan wins (and allocates nothing).
+// index is built; below it a linear scan wins.
 const relIndexThreshold = 32
 
 // relIndex returns id's position in the related set, or -1. During
@@ -242,7 +323,7 @@ func (ma *Machine) relIndex(id msg.PeerID) int {
 		}
 		return -1
 	}
-	for i, v := range ma.relOrder {
+	for i, v := range ma.ord() {
 		if v == id {
 			return i
 		}
@@ -251,22 +332,17 @@ func (ma *Machine) relIndex(id msg.PeerID) int {
 }
 
 // addRel appends a new related-set entry, growing the position index
-// when the set crosses the threshold. The first append sizes for a
-// leaf's typical working set so million-machine populations skip the
-// 1→2→4→8 doubling ladder.
+// when the set crosses the threshold.
 func (ma *Machine) addRel(id msg.PeerID, e relEntry) {
-	if ma.relOrder == nil {
-		ma.relOrder = make([]msg.PeerID, 0, 8)
-		ma.related = make([]relEntry, 0, 8)
-	}
-	ma.relOrder = append(ma.relOrder, id)
-	ma.related = append(ma.related, e)
-	if len(ma.relOrder) == 1 || e.lastSeen < ma.relMinSeen {
+	push(ma.ordBuf[:], &ma.ordHeap, ma.relN, id)
+	push(ma.relBuf[:], &ma.relHeap, ma.relN, e)
+	ma.relN++
+	if ma.relN == 1 || e.lastSeen < ma.relMinSeen {
 		ma.relMinSeen = e.lastSeen
 	}
 	if ma.relIdx != nil {
-		ma.relIdx.Put(uint32(id), int32(len(ma.relOrder)-1))
-	} else if len(ma.relOrder) > relIndexThreshold {
+		ma.relIdx.Put(uint32(id), ma.relN-1)
+	} else if ma.relN > relIndexThreshold {
 		ma.rebuildRelIdx()
 	}
 }
@@ -275,13 +351,13 @@ func (ma *Machine) addRel(id msg.PeerID, e relEntry) {
 // position index. It does not touch the l_nn table; callers run delLnn
 // first, while membership is still observable.
 func (ma *Machine) removeRelAt(i int) {
-	id := ma.relOrder[i]
-	last := len(ma.relOrder) - 1
-	moved := ma.relOrder[last]
-	ma.relOrder[i] = moved
-	ma.related[i] = ma.related[last]
-	ma.relOrder = ma.relOrder[:last]
-	ma.related = ma.related[:last]
+	rel, ord := ma.rel(), ma.ord()
+	id := ord[i]
+	last := len(ord) - 1
+	moved := ord[last]
+	ord[i] = moved
+	rel[i] = rel[last]
+	ma.truncRel(last)
 	if ma.relIdx != nil {
 		ma.relIdx.Delete(uint32(id))
 		if i < last {
@@ -290,21 +366,21 @@ func (ma *Machine) removeRelAt(i int) {
 	}
 }
 
-// rebuildRelIdx (re)derives the position index from relOrder.
+// rebuildRelIdx (re)derives the position index from the ID array.
 func (ma *Machine) rebuildRelIdx() {
 	if ma.relIdx == nil {
 		ma.relIdx = new(flatidx.Map)
 	} else {
 		ma.relIdx.Clear()
 	}
-	for i, id := range ma.relOrder {
+	for i, id := range ma.ord() {
 		ma.relIdx.Put(uint32(id), int32(i))
 	}
 }
 
 // lnnIndex returns id's position in the l_nn report table, or -1.
 func (ma *Machine) lnnIndex(id msg.PeerID) int {
-	for i, v := range ma.lnnIDs {
+	for i, v := range ma.lnnIDs() {
 		if v == id {
 			return i
 		}
@@ -315,22 +391,20 @@ func (ma *Machine) lnnIndex(id msg.PeerID) int {
 // putLnn stores (or replaces) the l_nn report from id.
 func (ma *Machine) putLnn(id msg.PeerID, r lnnReport) {
 	if i := ma.lnnIndex(id); i >= 0 {
+		reps := ma.lnnReps()
 		if ma.relIndex(id) >= 0 {
-			ma.lnnSum += int64(r.lnn) - int64(ma.lnnReps[i].lnn)
+			ma.lnnSum += int64(r.lnn) - int64(reps[i].lnn)
 		}
-		ma.lnnReps[i] = r
+		reps[i] = r
 		return
 	}
 	if ma.relIndex(id) >= 0 {
 		ma.lnnSum += int64(r.lnn)
 		ma.lnnCount++
 	}
-	if ma.lnnIDs == nil {
-		ma.lnnIDs = make([]msg.PeerID, 0, 4)
-		ma.lnnReps = make([]lnnReport, 0, 4)
-	}
-	ma.lnnIDs = append(ma.lnnIDs, id)
-	ma.lnnReps = append(ma.lnnReps, r)
+	push(ma.lnnIDBuf[:], &ma.lnnIDHeap, ma.lnnN, id)
+	push(ma.lnnRepBuf[:], &ma.lnnRepHeap, ma.lnnN, r)
+	ma.lnnN++
 }
 
 // delLnn removes id's l_nn report if present (swap-delete: the table has
@@ -342,39 +416,34 @@ func (ma *Machine) delLnn(id msg.PeerID) {
 	if i < 0 {
 		return
 	}
+	ids, reps := ma.lnnIDs(), ma.lnnReps()
 	if ma.relIndex(id) >= 0 {
-		ma.lnnSum -= int64(ma.lnnReps[i].lnn)
+		ma.lnnSum -= int64(reps[i].lnn)
 		ma.lnnCount--
 	}
-	last := len(ma.lnnIDs) - 1
-	ma.lnnIDs[i] = ma.lnnIDs[last]
-	ma.lnnReps[i] = ma.lnnReps[last]
-	ma.lnnIDs = ma.lnnIDs[:last]
-	ma.lnnReps = ma.lnnReps[:last]
+	last := len(ids) - 1
+	ids[i] = ids[last]
+	reps[i] = reps[last]
+	ma.lnnN = int32(last)
+	trunc(&ma.lnnIDHeap, last)
+	trunc(&ma.lnnRepHeap, last)
 }
 
 // Params returns the parameter set the machine is bound to.
 func (ma *Machine) Params() *Params { return ma.p }
 
-// Reset clears all protocol state after a role change at time now. The
-// slices' backing arrays are reused, not reallocated.
+// Reset clears all protocol state after a role change at time now. Every
+// set returns to its inline array and the position index goes: the next
+// tenancy — a demoted super, a leaf recycled into an ex-super's slot — is
+// leaf-sized far more often than not, and a heap slice or index kept for
+// it would be memory held and a cache line read for nothing.
 func (ma *Machine) Reset(now Time) {
-	ma.related = ma.related[:0]
-	ma.relOrder = ma.relOrder[:0]
-	if ma.relIdx != nil {
-		ma.relIdx.Clear()
+	*ma = Machine{
+		p:              ma.p,
+		lastChange:     now,
+		timeoutRetries: ma.timeoutRetries,
+		timeoutDrops:   ma.timeoutDrops,
 	}
-	ma.relSeq = 0
-	ma.relMinSeen = 0 // addRel re-seeds the bound on the first entry
-	ma.lnnIDs = ma.lnnIDs[:0]
-	ma.lnnReps = ma.lnnReps[:0]
-	ma.lnnSum = 0
-	ma.lnnCount = 0
-	ma.pending = ma.pending[:0]
-	ma.lastChange = now
-	ma.lastRefresh = 0
-	ma.lnnSmooth = 0
-	ma.hasSmooth = false
 }
 
 // LastChange returns the time of the last role change (or join).
@@ -554,12 +623,13 @@ func (ma *Machine) decideInto(d *Decision, capacity, age float64, now Time, lnn,
 // counting runs the paper's Phase 3 pseudocode: Y_capa and Y_age are the
 // fractions of the related set whose scaled metrics beat the peer's own.
 func (ma *Machine) counting(selfCapacity, selfAge float64, now Time, xCapa, xAge float64) (yCapa, yAge float64) {
-	n := float64(len(ma.relOrder))
+	rel := ma.rel()
+	n := float64(len(rel))
 	if n == 0 {
 		return 0, 0
 	}
-	for i := range ma.related {
-		e := &ma.related[i]
+	for i := range rel {
+		e := &rel[i]
 		if e.capacity*xCapa > selfCapacity {
 			yCapa += 1 / n
 		}
@@ -579,11 +649,12 @@ func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 		lastSeen: now,
 	}
 	if i := ma.relIndex(id); i >= 0 {
-		entry.seq = ma.related[i].seq // re-observation keeps the insertion rank
-		ma.related[i] = entry
+		e := &ma.rel()[i]
+		entry.seq = e.seq // re-observation keeps the insertion rank
+		*e = entry
 		return
 	}
-	if maxSize > 0 && len(ma.relOrder) >= maxSize {
+	if maxSize > 0 && int(ma.relN) >= maxSize {
 		ma.evictOldest()
 	}
 	entry.seq = ma.relSeq
@@ -592,7 +663,7 @@ func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 	// A NeighNumResponse can land before the ValueResponse that admits its
 	// sender into G; the report starts counting toward the average now.
 	if i := ma.lnnIndex(id); i >= 0 {
-		ma.lnnSum += int64(ma.lnnReps[i].lnn)
+		ma.lnnSum += int64(ma.lnnReps()[i].lnn)
 		ma.lnnCount++
 	}
 }
@@ -608,17 +679,18 @@ func (ma *Machine) Observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 // is bounded: eviction only ever fires on capped sets (maxSize =
 // MaxRelatedSet, a leaf's), never on a super's unbounded G.
 func (ma *Machine) evictOldest() {
-	if len(ma.relOrder) == 0 {
+	rel := ma.rel()
+	if len(rel) == 0 {
 		return
 	}
 	oldest := 0
-	for i := 1; i < len(ma.related); i++ {
-		if ma.related[i].seq < ma.related[oldest].seq {
+	for i := 1; i < len(rel); i++ {
+		if rel[i].seq < rel[oldest].seq {
 			oldest = i
 		}
 	}
 	// delLnn before the removal: it corrects lnnSum by membership.
-	ma.delLnn(ma.relOrder[oldest])
+	ma.delLnn(ma.ord()[oldest])
 	ma.removeRelAt(oldest)
 }
 
@@ -641,7 +713,7 @@ func (ma *Machine) Drop(id msg.PeerID) {
 // read-only scan retightens it, and the compacting rewrite starts only
 // at the first expired entry.
 func (ma *Machine) prune(now Time, window Duration) {
-	if window <= 0 || len(ma.related) == 0 {
+	if window <= 0 || ma.relN == 0 {
 		return
 	}
 	if now-ma.relMinSeen <= window {
@@ -649,10 +721,11 @@ func (ma *Machine) prune(now Time, window Duration) {
 		// can satisfy the strict now-lastSeen > window expiry test.
 		return
 	}
+	rel, ord := ma.rel(), ma.ord()
 	i := 0
-	minSeen := ma.related[0].lastSeen
-	for ; i < len(ma.related); i++ {
-		seen := ma.related[i].lastSeen
+	minSeen := rel[0].lastSeen
+	for ; i < len(rel); i++ {
+		seen := rel[i].lastSeen
 		if now-seen > window {
 			break
 		}
@@ -660,20 +733,20 @@ func (ma *Machine) prune(now Time, window Duration) {
 			minSeen = seen
 		}
 	}
-	if i == len(ma.related) {
+	if i == len(rel) {
 		ma.relMinSeen = minSeen // the scan computed the exact minimum
 		return
 	}
 	keep := i
 	minSeen = now // upper bound: every kept entry's lastSeen is ≤ now
 	for j := 0; j < keep; j++ {
-		if seen := ma.related[j].lastSeen; seen < minSeen {
+		if seen := rel[j].lastSeen; seen < minSeen {
 			minSeen = seen
 		}
 	}
-	for ; i < len(ma.relOrder); i++ {
-		id := ma.relOrder[i]
-		seen := ma.related[i].lastSeen
+	for ; i < len(ord); i++ {
+		id := ord[i]
+		seen := rel[i].lastSeen
 		if now-seen > window {
 			ma.delLnn(id)
 			continue
@@ -681,12 +754,11 @@ func (ma *Machine) prune(now Time, window Duration) {
 		if seen < minSeen {
 			minSeen = seen
 		}
-		ma.relOrder[keep] = id
-		ma.related[keep] = ma.related[i]
+		ord[keep] = id
+		rel[keep] = rel[i]
 		keep++
 	}
-	ma.relOrder = ma.relOrder[:keep]
-	ma.related = ma.related[:keep]
+	ma.truncRel(keep)
 	ma.relMinSeen = minSeen
 	if ma.relIdx != nil {
 		// The compaction shifted every position past the first expiry;
@@ -696,7 +768,7 @@ func (ma *Machine) prune(now Time, window Duration) {
 }
 
 // Size returns |G|.
-func (ma *Machine) Size() int { return len(ma.relOrder) }
+func (ma *Machine) Size() int { return int(ma.relN) }
 
 // Has reports whether id is in the related set.
 func (ma *Machine) Has(id msg.PeerID) bool { return ma.relIndex(id) >= 0 }
@@ -708,7 +780,7 @@ func (ma *Machine) Related(id msg.PeerID, now Time) (capacity, age float64, ok b
 	if i < 0 {
 		return 0, 0, false
 	}
-	e := &ma.related[i]
+	e := &ma.rel()[i]
 	return e.capacity, e.age(now), true
 }
 
@@ -719,7 +791,7 @@ func (ma *Machine) LnnReport(id msg.PeerID) (lnn int, when Time, ok bool) {
 	if i < 0 {
 		return 0, 0, false
 	}
-	r := ma.lnnReps[i]
+	r := ma.lnnReps()[i]
 	return r.lnn, r.when, true
 }
 
@@ -772,41 +844,45 @@ func (ma *Machine) RefreshDue(now Time) bool {
 // bookkeeping; it is the oracle of the protocol fuzz tests. It returns a
 // description of the first violation found, or "".
 func (ma *Machine) CheckInvariants() string {
-	if len(ma.related) != len(ma.relOrder) {
-		return "len(related) != len(relOrder)"
+	if !stored(ma.relBuf[:], ma.relHeap, ma.relN) || !stored(ma.ordBuf[:], ma.ordHeap, ma.relN) ||
+		(ma.relHeap == nil) != (ma.ordHeap == nil) {
+		return "related set: count, arrays and heap slices disagree"
 	}
-	seen := make(map[msg.PeerID]bool, len(ma.relOrder))
-	for _, id := range ma.relOrder {
+	ord := ma.ord()
+	seen := make(map[msg.PeerID]bool, len(ord))
+	for _, id := range ord {
 		if seen[id] {
-			return "duplicate id in relOrder"
+			return "duplicate id in the related set"
 		}
 		seen[id] = true
 	}
 	if ma.relIdx != nil {
-		if ma.relIdx.Len() != len(ma.relOrder) {
-			return "relIdx size disagrees with relOrder"
+		if ma.relIdx.Len() != len(ord) {
+			return "relIdx size disagrees with the related set"
 		}
-		for i, id := range ma.relOrder {
+		for i, id := range ord {
 			if p, ok := ma.relIdx.Get(uint32(id)); !ok || int(p) != i {
-				return "relIdx position disagrees with relOrder"
+				return "relIdx position disagrees with the related set"
 			}
 		}
 	}
 	clear(seen)
-	if len(ma.lnnIDs) != len(ma.lnnReps) {
-		return "len(lnnIDs) != len(lnnReps)"
+	if !stored(ma.lnnIDBuf[:], ma.lnnIDHeap, ma.lnnN) || !stored(ma.lnnRepBuf[:], ma.lnnRepHeap, ma.lnnN) ||
+		(ma.lnnIDHeap == nil) != (ma.lnnRepHeap == nil) {
+		return "lnn table: count, arrays and heap slices disagree"
 	}
-	for _, id := range ma.lnnIDs {
+	ids, reps := ma.lnnIDs(), ma.lnnReps()
+	for _, id := range ids {
 		if seen[id] {
 			return "duplicate id in lnn table"
 		}
 		seen[id] = true
 	}
 	var sum int64
-	var n int
-	for i, id := range ma.lnnIDs {
+	var n int32
+	for i, id := range ids {
 		if ma.relIndex(id) >= 0 {
-			sum += int64(ma.lnnReps[i].lnn)
+			sum += int64(reps[i].lnn)
 			n++
 		}
 	}
@@ -814,4 +890,13 @@ func (ma *Machine) CheckInvariants() string {
 		return "lnnSum/lnnCount disagree with a scan"
 	}
 	return ma.checkPendingInvariants()
+}
+
+// stored reports whether a set of n elements is held the way view reads
+// it: in buf with no heap slice, or in a heap slice of length n.
+func stored[T any](buf, heap []T, n int32) bool {
+	if heap == nil {
+		return 0 <= n && int(n) <= len(buf)
+	}
+	return len(heap) == int(n)
 }

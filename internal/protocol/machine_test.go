@@ -56,7 +56,7 @@ func TestObserveUpdatesInPlace(t *testing.T) {
 	if ma.Size() != 1 {
 		t.Fatalf("size = %d, want 1", ma.Size())
 	}
-	e := ma.related[ma.relIndex(1)]
+	e := ma.rel()[ma.relIndex(1)]
 	if e.joinTime != 22 { // 30 - 8
 		t.Fatalf("joinTime = %v, want 22", e.joinTime)
 	}
@@ -190,7 +190,7 @@ func TestResetClearsState(t *testing.T) {
 	ma.SmoothLnn(10)
 	ma.RefreshDue(100)
 	ma.Reset(42)
-	if ma.Size() != 0 || len(ma.lnnIDs) != 0 {
+	if ma.Size() != 0 || ma.lnnN != 0 {
 		t.Fatal("reset kept related state")
 	}
 	if ma.LastChange() != 42 {

@@ -20,7 +20,10 @@
 // clock can drive the identical protocol.
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point on the protocol clock, measured in abstract protocol
 // time units (the paper's unit is one minute). The simulation plane maps
@@ -182,7 +185,8 @@ type Params struct {
 	// MaxRetries is the number of times a timed-out request is re-sent
 	// before being abandoned (so a request is transmitted at most
 	// 1+MaxRetries times). Zero retries means timeouts go straight to the
-	// abandon count.
+	// abandon count; the most is 65535, the range of a pending row's
+	// counter.
 	MaxRetries int
 
 	// DefenseMaxCapacity enables the bounded-sanity misreport defense used
@@ -256,8 +260,8 @@ func (p Params) Validate() error {
 	case p.DecisionCooldown < 0 || p.DemotionCooldown < 0 || p.LeafWindow < 0 ||
 		p.EmptyGDemoteAfter < 0 || p.RefreshInterval < 0 || p.RequestTimeout < 0:
 		return fmt.Errorf("protocol: negative duration parameter")
-	case p.MaxRetries < 0:
-		return fmt.Errorf("protocol: MaxRetries = %d, want >= 0", p.MaxRetries)
+	case p.MaxRetries < 0 || p.MaxRetries > math.MaxUint16:
+		return fmt.Errorf("protocol: MaxRetries = %d, want [0, %d]", p.MaxRetries, math.MaxUint16)
 	case p.SelectionSharpness < 0:
 		return fmt.Errorf("protocol: SelectionSharpness = %v, want >= 0", p.SelectionSharpness)
 	case p.DefenseMaxCapacity < 0:

@@ -20,25 +20,26 @@ const (
 	pairValue
 )
 
-// pendingKey identifies one outstanding request: at most one entry per
-// (counterpart, pair) exists, so a refresh re-request supersedes the
-// outstanding one instead of stacking behind it.
-type pendingKey struct {
-	peer msg.PeerID
-	pair pendingPair
-}
-
-// pendingEntry is the retry state of one outstanding request.
-type pendingEntry struct {
-	deadline Time
-	retries  int
-}
-
-// pendingRec is one pending-table row: key and retry state together, so
-// the table's scans and compactions touch one array instead of two.
+// pendingRec is one pending-table row: one outstanding request — at most
+// one per (peer, pair), so a refresh re-request supersedes the outstanding
+// one instead of stacking behind it — and its retry state. The fields are
+// ordered so that a row is 16 bytes, four of them inline in every Machine;
+// retries counts up to Params.MaxRetries, which Validate keeps within the
+// counter's range.
 type pendingRec struct {
-	key   pendingKey
-	entry pendingEntry
+	deadline Time
+	peer     msg.PeerID
+	retries  uint16
+	pair     pendingPair
+}
+
+// pend returns the pending table's rows in insertion order.
+func (ma *Machine) pend() []pendingRec { return view(ma.pendBuf[:], ma.pendHeap, ma.pendN) }
+
+// truncPend cuts the pending table to its first n rows.
+func (ma *Machine) truncPend(n int) {
+	ma.pendN = int32(n)
+	trunc(&ma.pendHeap, n)
 }
 
 // pendingCap bounds the table: a leaf talks to at most MaxRelatedSet
@@ -73,24 +74,26 @@ func (ma *Machine) Expect(peer msg.PeerID, kind msg.Kind, now Time) {
 	default:
 		return
 	}
-	k := pendingKey{peer: peer, pair: pr}
-	entry := pendingEntry{deadline: now + ma.p.RequestTimeout}
-	if i := ma.pendIndex(k); i >= 0 {
-		ma.pending[i].entry = entry
+	rec := pendingRec{deadline: now + ma.p.RequestTimeout, peer: peer, pair: pr}
+	if i := ma.pendIndex(peer, pr); i >= 0 {
+		ma.pend()[i] = rec
 		return
 	}
-	if cap := ma.pendingCap(); cap > 0 && len(ma.pending) >= cap {
-		last := len(ma.pending) - 1
-		copy(ma.pending, ma.pending[1:])
-		ma.pending = ma.pending[:last]
+	if cap := ma.pendingCap(); cap > 0 && int(ma.pendN) >= cap {
+		pend := ma.pend()
+		copy(pend, pend[1:])
+		ma.truncPend(len(pend) - 1)
 	}
-	ma.pending = append(ma.pending, pendingRec{key: k, entry: entry})
+	push(ma.pendBuf[:], &ma.pendHeap, ma.pendN, rec)
+	ma.pendN++
 }
 
-// pendIndex returns k's position in the pending table, or -1.
-func (ma *Machine) pendIndex(k pendingKey) int {
-	for i := range ma.pending {
-		if ma.pending[i].key == k {
+// pendIndex returns the position of the request to peer for pair pr in
+// the pending table, or -1.
+func (ma *Machine) pendIndex(peer msg.PeerID, pr pendingPair) int {
+	pend := ma.pend()
+	for i := range pend {
+		if pend[i].peer == peer && pend[i].pair == pr {
 			return i
 		}
 	}
@@ -100,15 +103,13 @@ func (ma *Machine) pendIndex(k pendingKey) int {
 // clearPending settles the outstanding request matching a received
 // response. Duplicated responses find no entry and change nothing.
 func (ma *Machine) clearPending(peer msg.PeerID, pr pendingPair) {
-	if len(ma.pending) == 0 {
-		return
-	}
-	k := pendingKey{peer: peer, pair: pr}
-	i := ma.pendIndex(k)
+	i := ma.pendIndex(peer, pr)
 	if i < 0 {
 		return
 	}
-	ma.pending = append(ma.pending[:i], ma.pending[i+1:]...)
+	pend := ma.pend()
+	copy(pend[i:], pend[i+1:])
+	ma.truncPend(len(pend) - 1)
 }
 
 // ExpirePending retries or abandons requests whose deadline has passed:
@@ -120,38 +121,38 @@ func (ma *Machine) clearPending(peer msg.PeerID, pr pendingPair) {
 // request can be answered synchronously, re-entering HandleMessage and
 // mutating the table mid-call.
 func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, drops int) {
-	if ma.p.RequestTimeout <= 0 || len(ma.pending) == 0 {
+	if ma.p.RequestTimeout <= 0 || ma.pendN == 0 {
 		return 0, 0
 	}
+	// The rows to re-send, copied out of the table; a leaf's whole table
+	// fits the stack array.
+	var buf [2 * pendInline]pendingRec
+	resend := buf[:0]
+	pend := ma.pend()
 	keep := 0
-	ma.pendScratch = ma.pendScratch[:0]
-	for i := range ma.pending {
-		r := ma.pending[i]
-		if now < r.entry.deadline {
-			ma.pending[keep] = r
-			keep++
-			continue
+	for _, r := range pend {
+		if now >= r.deadline {
+			if int(r.retries) >= ma.p.MaxRetries {
+				drops++
+				continue
+			}
+			r.retries++
+			r.deadline = now + ma.p.RequestTimeout
+			resend = append(resend, r)
 		}
-		if r.entry.retries >= ma.p.MaxRetries {
-			drops++
-			continue
-		}
-		r.entry.retries++
-		r.entry.deadline = now + ma.p.RequestTimeout
-		ma.pending[keep] = r
+		pend[keep] = r
 		keep++
-		ma.pendScratch = append(ma.pendScratch, r.key)
-		retries++
 	}
-	ma.pending = ma.pending[:keep]
+	ma.truncPend(keep)
+	retries = len(resend)
 	ma.timeoutRetries += uint64(retries)
 	ma.timeoutDrops += uint64(drops)
-	for _, k := range ma.pendScratch {
-		switch k.pair {
+	for _, r := range resend {
+		switch r.pair {
 		case pairNeighNum:
-			ep.Send(msg.NeighNumRequest(self.ID, k.peer))
+			ep.Send(msg.NeighNumRequest(self.ID, r.peer))
 		case pairValue:
-			ep.Send(msg.ValueRequest(self.ID, k.peer))
+			ep.Send(msg.ValueRequest(self.ID, r.peer))
 		}
 	}
 	return retries, drops
@@ -159,7 +160,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 
 // PendingRequests returns the number of outstanding Phase 1 requests;
 // hosts use it as the fast path to skip ExpirePending entirely.
-func (ma *Machine) PendingRequests() int { return len(ma.pending) }
+func (ma *Machine) PendingRequests() int { return int(ma.pendN) }
 
 // TimeoutRetries returns the cumulative count of timed-out requests this
 // machine re-sent. The counter survives Reset: it is a diagnostic of the
@@ -180,17 +181,26 @@ func (ma *Machine) dropPending(id msg.PeerID) {
 // checkPendingInvariants verifies the pending-table bookkeeping; it
 // extends CheckInvariants and returns "" when consistent.
 func (ma *Machine) checkPendingInvariants() string {
-	seen := make(map[pendingKey]bool, len(ma.pending))
-	for i := range ma.pending {
-		if seen[ma.pending[i].key] {
+	if !stored(ma.pendBuf[:], ma.pendHeap, ma.pendN) {
+		return "pending table: count, array and heap slice disagree"
+	}
+	pend := ma.pend()
+	type key struct {
+		peer msg.PeerID
+		pair pendingPair
+	}
+	seen := make(map[key]bool, len(pend))
+	for _, r := range pend {
+		k := key{r.peer, r.pair}
+		if seen[k] {
 			return "duplicate key in pending table"
 		}
-		seen[ma.pending[i].key] = true
-		if ma.pending[i].entry.retries > ma.p.MaxRetries {
+		seen[k] = true
+		if int(r.retries) > ma.p.MaxRetries {
 			return "pending entry over retry budget"
 		}
 	}
-	if cap := ma.pendingCap(); cap > 0 && len(ma.pending) > cap {
+	if cap := ma.pendingCap(); cap > 0 && len(pend) > cap {
 		return "pending table over capacity"
 	}
 	return ""

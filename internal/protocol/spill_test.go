@@ -1,0 +1,349 @@
+package protocol
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dlm/internal/msg"
+)
+
+// refMachine is the reference model of a Machine's three sets: plain maps
+// and appended slices, every aggregate recomputed by a scan, no inline
+// arrays, no index, no lower bounds. It shares nothing with machine.go but
+// the element types.
+type refMachine struct {
+	p       *Params
+	order   []msg.PeerID // related set, insertion/swap-delete order
+	entries map[msg.PeerID]relEntry
+	nextSeq uint64
+	lnn     map[msg.PeerID]lnnReport
+	pend    []pendingRec
+	retries uint64
+	drops   uint64
+}
+
+func newRefMachine(p *Params) *refMachine {
+	return &refMachine{p: p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{}}
+}
+
+func (r *refMachine) reset() {
+	*r = refMachine{p: r.p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{},
+		retries: r.retries, drops: r.drops}
+}
+
+// removeRel swap-deletes id from the related set; its l_nn report goes
+// with it.
+func (r *refMachine) removeRel(id msg.PeerID) {
+	i := slices.Index(r.order, id)
+	last := len(r.order) - 1
+	r.order[i] = r.order[last]
+	r.order = r.order[:last]
+	delete(r.entries, id)
+	delete(r.lnn, id)
+}
+
+// observe returns the evicted ID, or NoPeer.
+func (r *refMachine) observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) msg.PeerID {
+	e := relEntry{capacity: capacity, joinTime: now - Time(age), lastSeen: now}
+	if old, ok := r.entries[id]; ok {
+		e.seq = old.seq
+		r.entries[id] = e
+		return msg.NoPeer
+	}
+	victim := msg.NoPeer
+	if maxSize > 0 && len(r.order) >= maxSize {
+		victim = r.order[0]
+		for _, o := range r.order {
+			if r.entries[o].seq < r.entries[victim].seq {
+				victim = o
+			}
+		}
+		r.removeRel(victim)
+	}
+	e.seq = r.nextSeq
+	r.nextSeq++
+	r.order = append(r.order, id)
+	r.entries[id] = e
+	return victim
+}
+
+func (r *refMachine) drop(id msg.PeerID) {
+	r.clear(id, pairNeighNum)
+	r.clear(id, pairValue)
+	delete(r.lnn, id)
+	if _, ok := r.entries[id]; ok {
+		r.removeRel(id)
+	}
+}
+
+func (r *refMachine) prune(now Time, window Duration) {
+	if window <= 0 {
+		return
+	}
+	kept := r.order[:0]
+	for _, id := range r.order {
+		if now-r.entries[id].lastSeen > window {
+			delete(r.entries, id)
+			delete(r.lnn, id)
+			continue
+		}
+		kept = append(kept, id)
+	}
+	r.order = kept
+}
+
+func (r *refMachine) avgLnn() (float64, bool) {
+	var sum int64
+	var n int
+	for id, rep := range r.lnn {
+		if _, ok := r.entries[id]; ok {
+			sum += int64(rep.lnn)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return float64(sum) / float64(n), true
+}
+
+func (r *refMachine) pendIndex(peer msg.PeerID, pr pendingPair) int {
+	return slices.IndexFunc(r.pend, func(x pendingRec) bool { return x.peer == peer && x.pair == pr })
+}
+
+func (r *refMachine) expect(peer msg.PeerID, pr pendingPair, now Time) {
+	rec := pendingRec{deadline: now + r.p.RequestTimeout, peer: peer, pair: pr}
+	if i := r.pendIndex(peer, pr); i >= 0 {
+		r.pend[i] = rec
+		return
+	}
+	if limit := 2 * r.p.MaxRelatedSet; limit > 0 && len(r.pend) >= limit {
+		r.pend = slices.Delete(r.pend, 0, 1)
+	}
+	r.pend = append(r.pend, rec)
+}
+
+func (r *refMachine) clear(peer msg.PeerID, pr pendingPair) {
+	if i := r.pendIndex(peer, pr); i >= 0 {
+		r.pend = slices.Delete(r.pend, i, i+1)
+	}
+}
+
+// expire returns the frames re-sent, in order.
+func (r *refMachine) expire(self msg.PeerID, now Time) []msg.Message {
+	var sent []msg.Message
+	var kept []pendingRec
+	for _, x := range r.pend {
+		if now >= x.deadline {
+			if int(x.retries) >= r.p.MaxRetries {
+				r.drops++
+				continue
+			}
+			x.retries++
+			x.deadline = now + r.p.RequestTimeout
+			r.retries++
+			if x.pair == pairNeighNum {
+				sent = append(sent, msg.NeighNumRequest(self, x.peer))
+			} else {
+				sent = append(sent, msg.ValueRequest(self, x.peer))
+			}
+		}
+		kept = append(kept, x)
+	}
+	r.pend = kept
+	return sent
+}
+
+// sendLog records the frames a machine sends.
+type sendLog struct{ sent []msg.Message }
+
+func (s *sendLog) Send(m msg.Message)             { s.sent = append(s.sent, m) }
+func (s *sendLog) IsLeafNeighbor(msg.PeerID) bool { return true }
+
+// TestInlineSpillDifferential drives a Machine and the reference model
+// through one random operation sequence that takes each of the three sets
+// back and forth across its inline capacity and the related set across the
+// index threshold, and requires them to agree after every step: iteration
+// order and entries, Size, the AvgLnn bits, every l_nn report, the
+// eviction victim (through the order), the pending rows in order, the
+// frames an expiry re-sends, and the machine's own invariants.
+func TestInlineSpillDifferential(t *testing.T) {
+	p := DefaultParams()
+	p.MaxRelatedSet = 6 // pending cap 12, related cap 6 when the op asks for it
+	p.RequestTimeout = 3
+	p.MaxRetries = 1
+	ma := NewMachine(&p, 0)
+	ref := newRefMachine(&p)
+	rng := rand.New(rand.NewSource(24))
+	self := Self{ID: 1000}
+
+	// Coverage: how often each set left its array, how often a machine
+	// holding heap slices was Reset to inline, how often the index was
+	// built and dropped, how often a heap-held set shrank back to inline
+	// size (and kept working there).
+	var relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk int
+
+	now := Time(0)
+	universe := msg.PeerID(8)
+	for step := 0; step < 200000; step++ {
+		if step%500 == 0 {
+			// Alternate regimes: a handful of IDs keeps the sets around
+			// their inline capacities, a few dozen carry the related set
+			// past the index threshold.
+			universe = []msg.PeerID{5, 8, 12, 3 * relIndexThreshold}[rng.Intn(4)]
+		}
+		now += Time(rng.Intn(3)) * 0.05
+		id := msg.PeerID(1 + rng.Intn(int(universe)))
+		wasRel, wasLnn, wasPend, wasIdx := ma.relHeap != nil, ma.lnnIDHeap != nil, ma.pendHeap != nil, ma.relIdx != nil
+		wasN := ma.relN
+
+		switch op := rng.Intn(100); {
+		case rng.Intn(250) == 0:
+			if wasRel || wasLnn || wasPend {
+				returns++
+			}
+			ref.reset()
+			ma.Reset(now)
+			if ma.relHeap != nil || ma.ordHeap != nil || ma.lnnIDHeap != nil || ma.lnnRepHeap != nil ||
+				ma.pendHeap != nil || ma.relIdx != nil {
+				t.Fatalf("step %d: Reset kept a heap slice or the index", step)
+			}
+		case op < 36:
+			maxSize := []int{0, 0, p.MaxRelatedSet, 2 * relIndexThreshold}[rng.Intn(4)]
+			capacity, age := float64(rng.Intn(1000)), float64(rng.Intn(50))
+			want := ref.observe(id, capacity, age, now, maxSize)
+			before := slices.Clone(ma.ord())
+			ma.Observe(id, capacity, age, now, maxSize)
+			if want != msg.NoPeer && (ma.Has(want) || !slices.Contains(before, want)) {
+				t.Fatalf("step %d: eviction victim should be %d; before %v after %v", step, want, before, ma.ord())
+			}
+		case op < 50:
+			ref.drop(id)
+			ma.Drop(id)
+		case op < 68:
+			rep := lnnReport{lnn: rng.Intn(200), when: now}
+			ref.lnn[id] = rep
+			ma.putLnn(id, rep)
+		case op < 72:
+			delete(ref.lnn, id)
+			ma.delLnn(id)
+		case op < 75:
+			window := []Duration{0.5, 2, 8, 30}[rng.Intn(4)]
+			ref.prune(now, window)
+			ma.prune(now, window)
+		case op < 90:
+			kind, pr := msg.KindNeighNumRequest, pairNeighNum
+			if rng.Intn(2) == 0 {
+				kind, pr = msg.KindValueRequest, pairValue
+			}
+			ref.expect(id, pr, now)
+			ma.Expect(id, kind, now)
+		case op < 94:
+			pr := pendingPair(rng.Intn(2))
+			ref.clear(id, pr)
+			ma.clearPending(id, pr)
+		default:
+			var log sendLog
+			want := ref.expire(self.ID, now)
+			ma.ExpirePending(self, now, &log)
+			if !slices.Equal(log.sent, want) {
+				t.Fatalf("step %d: expiry re-sent %v, reference %v", step, log.sent, want)
+			}
+		}
+
+		if !wasRel && ma.relHeap != nil {
+			relSpills++
+		}
+		if !wasLnn && ma.lnnIDHeap != nil {
+			lnnSpills++
+		}
+		if !wasPend && ma.pendHeap != nil {
+			pendSpills++
+		}
+		if !wasIdx && ma.relIdx != nil {
+			idxBuilt++
+		}
+		if wasIdx && ma.relIdx == nil {
+			idxDropped++
+		}
+		if ma.relHeap != nil && wasN > relInline && ma.relN <= relInline {
+			shrunk++
+		}
+
+		if bad := ma.CheckInvariants(); bad != "" {
+			t.Fatalf("step %d: %s", step, bad)
+		}
+		if !slices.Equal(ma.ord(), ref.order) {
+			t.Fatalf("step %d: related order %v, reference %v", step, ma.ord(), ref.order)
+		}
+		if ma.Size() != len(ref.order) {
+			t.Fatalf("step %d: Size %d, reference %d", step, ma.Size(), len(ref.order))
+		}
+		for i, e := range ma.rel() {
+			if e != ref.entries[ref.order[i]] {
+				t.Fatalf("step %d: entry %d of %d is %+v, reference %+v", step, i, ref.order[i], e, ref.entries[ref.order[i]])
+			}
+		}
+		got, gotOK := ma.AvgLnn()
+		want, wantOK := ref.avgLnn()
+		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: AvgLnn %v,%v, reference %v,%v", step, got, gotOK, want, wantOK)
+		}
+		if int(ma.lnnN) != len(ref.lnn) {
+			t.Fatalf("step %d: %d l_nn reports, reference %d", step, ma.lnnN, len(ref.lnn))
+		}
+		for rid, rep := range ref.lnn {
+			if lnn, when, ok := ma.LnnReport(rid); !ok || lnn != rep.lnn || when != rep.when {
+				t.Fatalf("step %d: LnnReport(%d) = %d,%v,%v, reference %+v", step, rid, lnn, when, ok, rep)
+			}
+		}
+		if !slices.Equal(ma.pend(), ref.pend) {
+			t.Fatalf("step %d: pending %+v, reference %+v", step, ma.pend(), ref.pend)
+		}
+		if ma.TimeoutRetries() != ref.retries || ma.TimeoutDrops() != ref.drops {
+			t.Fatalf("step %d: timeout tallies %d/%d, reference %d/%d", step,
+				ma.TimeoutRetries(), ma.TimeoutDrops(), ref.retries, ref.drops)
+		}
+	}
+
+	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; index built %d, dropped %d; heap-held sets back at inline size %d",
+		relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk)
+	const floor = 20
+	for name, n := range map[string]int{
+		"related-set spills": relSpills, "l_nn spills": lnnSpills, "pending spills": pendSpills,
+		"returns to inline": returns, "index builds": idxBuilt, "index drops": idxDropped,
+		"heap-held shrinks to inline size": shrunk,
+	} {
+		if n < floor {
+			t.Errorf("coverage: %d %s, want at least %d", n, name, floor)
+		}
+	}
+}
+
+// TestMachineCopyIsIndependent pins the representation choice: no field
+// points into the struct, so a by-value copy of a machine whose sets are
+// inline shares no storage with the original.
+func TestMachineCopyIsIndependent(t *testing.T) {
+	p := DefaultParams()
+	a := NewMachine(&p, 0)
+	for id := msg.PeerID(1); id <= relInline; id++ {
+		a.Observe(id, float64(id), 0, 1, 0)
+		a.putLnn(id, lnnReport{lnn: int(id)})
+		a.Expect(id, msg.KindValueRequest, 1)
+	}
+	b := *a
+	a.Drop(1)
+	a.Observe(2, 99, 0, 2, 0)
+	if b.Size() != relInline || !b.Has(1) || b.PendingRequests() != pendInline {
+		t.Fatalf("mutating the original changed the copy: size %d, has(1) %v, pending %d",
+			b.Size(), b.Has(1), b.PendingRequests())
+	}
+	if c, _, _ := b.Related(2, 2); c != 2 {
+		t.Fatalf("copy's entry for 2 has capacity %v, want 2", c)
+	}
+	if bad := b.CheckInvariants(); bad != "" {
+		t.Fatal(bad)
+	}
+}
