@@ -10,12 +10,13 @@ import (
 	"math"
 	"testing"
 
-	"dlm"
+	"dlm/internal/config"
+	"dlm/internal/experiments"
 )
 
 // benchScenario is sized so one iteration costs well under a second.
-func benchScenario(seed int64) dlm.Scenario {
-	sc := dlm.Scaled(600)
+func benchScenario(seed int64) config.Scenario {
+	sc := config.Scaled(600)
 	sc.Seed = seed
 	sc.Duration = 400
 	sc.Warmup = 150
@@ -26,11 +27,11 @@ func benchScenario(seed int64) dlm.Scenario {
 func BenchmarkFigure4AverageAge(b *testing.B) {
 	var sep float64
 	for i := 0; i < b.N; i++ {
-		f, err := dlm.Figure4(benchScenario(int64(i + 1)))
+		figs, err := experiments.DynamicFigures(benchScenario(int64(i + 1)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sup, leaf := f.Series[0], f.Series[1]
+		sup, leaf := figs[0].Series[0], figs[0].Series[1]
 		sep = sup.MeanOver(150, 400) / leaf.MeanOver(150, 400)
 	}
 	b.ReportMetric(sep, "ageSep_x")
@@ -39,11 +40,11 @@ func BenchmarkFigure4AverageAge(b *testing.B) {
 func BenchmarkFigure5AverageCapacity(b *testing.B) {
 	var sep float64
 	for i := 0; i < b.N; i++ {
-		f, err := dlm.Figure5(benchScenario(int64(i + 1)))
+		figs, err := experiments.DynamicFigures(benchScenario(int64(i + 1)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sep = f.Series[0].MeanOver(150, 400) / f.Series[1].MeanOver(150, 400)
+		sep = figs[1].Series[0].MeanOver(150, 400) / figs[1].Series[1].MeanOver(150, 400)
 	}
 	b.ReportMetric(sep, "capSep_x")
 }
@@ -52,7 +53,7 @@ func BenchmarkFigure6LayerSizes(b *testing.B) {
 	var rmse float64
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
-		res, err := dlm.Run(dlm.RunConfig{Scenario: sc, Manager: dlm.ManagerDLM})
+		res, err := experiments.Run(experiments.RunConfig{Scenario: sc, Manager: experiments.ManagerDLM})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,13 +68,13 @@ func BenchmarkFigure7RatioComparison(b *testing.B) {
 		// The comparison needs a super-layer large enough that DLM's
 		// role-change quantization does not dominate its own variance,
 		// and a window covering a few population turnovers.
-		sc := dlm.Scaled(800)
+		sc := config.Scaled(800)
 		sc.Seed = int64(i + 1)
 		sc.Eta = 10
 		sc.Warmup = 150
 		sc.SampleEvery = 5
 		sc.Duration = 700
-		f, err := dlm.Figure7(sc)
+		f, err := experiments.Figure7(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkFigure8AgeComparison(b *testing.B) {
 	var advantage float64
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
-		f, err := dlm.Figure8(sc)
+		f, err := experiments.Figure8(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkFigure8AgeComparison(b *testing.B) {
 func BenchmarkTable3PAO(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dlm.Table3([]int{400, 1200}, int64(100+i))
+		rows, err := experiments.Table3([]int{400, 1200}, int64(100+i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func BenchmarkOverheadStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
 		sc.QueryRate = 10
-		res, err := dlm.Overhead(sc)
+		res, err := experiments.Overhead(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func BenchmarkPolicyAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
 		sc.Duration = 300
-		rows, err := dlm.PolicyAblation(sc, []float64{5})
+		rows, err := experiments.PolicyAblation(sc, []float64{5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func BenchmarkGainAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
 		sc.Duration = 300
-		if _, err := dlm.GainAblation(sc, "rategain", []float64{1, 4}); err != nil {
+		if _, err := experiments.GainAblation(sc, "rategain", []float64{1, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +158,7 @@ func BenchmarkBaselineSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
 		sc.Duration = 300
-		rows, err := dlm.BaselineSweep(sc)
+		rows, err := experiments.BaselineSweep(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkSearchEfficiency(b *testing.B) {
 		sc.N = 500
 		sc.Warmup = 150
 		sc.CatalogSize = 300
-		rows, err := dlm.SearchEfficiency(sc, []int{6}, 150)
+		rows, err := experiments.SearchEfficiency(sc, []int{6}, 150)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func BenchmarkRedundancySweep(b *testing.B) {
 		sc.N = 400
 		sc.Duration = 300
 		sc.CatalogSize = 300
-		rows, err := dlm.RedundancySweep(sc, []int{2})
+		rows, err := experiments.RedundancySweep(sc, []int{2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func BenchmarkEquationInvariants(b *testing.B) {
 	var relErr float64
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(int64(i + 1))
-		res, err := dlm.Run(dlm.RunConfig{Scenario: sc, Manager: dlm.ManagerStatic})
+		res, err := experiments.Run(experiments.RunConfig{Scenario: sc, Manager: experiments.ManagerStatic})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	sc := benchScenario(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dlm.Run(dlm.RunConfig{Scenario: sc, Manager: dlm.ManagerDLM}); err != nil {
+		if _, err := experiments.Run(experiments.RunConfig{Scenario: sc, Manager: experiments.ManagerDLM}); err != nil {
 			b.Fatal(err)
 		}
 	}

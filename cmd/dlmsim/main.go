@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"dlm"
 	"dlm/internal/config"
 	"dlm/internal/experiments"
 	"dlm/internal/plot"
@@ -35,7 +34,7 @@ type options struct {
 // remaining options. The scenario starts from -config's file (or Scaled(n))
 // and only flags actually given edit it: a flag's default must not
 // overwrite what the file says.
-func parseFlags(fs *flag.FlagSet, args []string) (dlm.Scenario, options, error) {
+func parseFlags(fs *flag.FlagSet, args []string) (config.Scenario, options, error) {
 	var o options
 	var (
 		n        = fs.Int("n", 2000, "steady-state population")
@@ -54,14 +53,14 @@ func parseFlags(fs *flag.FlagSet, args []string) (dlm.Scenario, options, error) 
 	fs.BoolVar(&o.dynamic, "dynamic", false, "apply the paper's Figures 4-6 regime changes")
 	fs.StringVar(&o.savePath, "saveconfig", "", "write the effective scenario as JSON and exit")
 	if err := fs.Parse(args); err != nil {
-		return dlm.Scenario{}, o, err
+		return config.Scenario{}, o, err
 	}
 
-	sc := dlm.Scaled(*n)
+	sc := config.Scaled(*n)
 	if *confPath != "" {
 		loaded, err := config.LoadFile(*confPath)
 		if err != nil {
-			return dlm.Scenario{}, o, err
+			return config.Scenario{}, o, err
 		}
 		sc = loaded
 	}
@@ -87,6 +86,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (dlm.Scenario, options, error) 
 	return sc, o, nil
 }
 
+// runConfig is the run the options ask for on sc.
+func runConfig(sc config.Scenario, o options) experiments.RunConfig {
+	rc := experiments.RunConfig{Scenario: sc}
+	if o.dynamic {
+		rc = experiments.DynamicScenario(sc)
+	}
+	rc.Manager = experiments.ManagerKind(o.manager)
+	rc.Queries = sc.QueryRate > 0
+	return rc
+}
+
 func main() {
 	sc, o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
@@ -101,15 +111,7 @@ func main() {
 		return
 	}
 
-	rc := dlm.RunConfig{
-		Scenario: sc,
-		Manager:  dlm.ManagerKind(o.manager),
-		Queries:  sc.QueryRate > 0,
-	}
-	if o.dynamic {
-		rc = experiments.DynamicScenario(sc)
-		rc.Manager = dlm.ManagerKind(o.manager)
-	}
+	rc := runConfig(sc, o)
 
 	var traceFile *os.File
 	if o.tracePath != "" {
@@ -122,7 +124,7 @@ func main() {
 		rc.TraceTo = f
 	}
 
-	res, err := dlm.Run(rc)
+	res, err := experiments.Run(rc)
 	if err != nil {
 		fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dlm"
 	"dlm/internal/config"
 	"dlm/internal/experiments"
 	"dlm/internal/parexp"
@@ -53,7 +52,7 @@ func main() {
 		if *param == "n" {
 			size = int(v)
 		}
-		sc := dlm.Scaled(size)
+		sc := config.Scaled(size)
 		sc.Duration = *duration
 		sc.Warmup = *duration / 3
 		switch *param {

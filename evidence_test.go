@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dlm"
+	"dlm/internal/protocol"
 )
 
 // hostScale marks a knob no committed artifact sweeps yet: it stays a
@@ -46,7 +46,7 @@ var paramEvidence = map[string]string{
 // shows what its default buys (or is declared host-scale), and an
 // artifact cannot be deleted while a knob still rests on it.
 func TestEveryParamHasEvidence(t *testing.T) {
-	typ := reflect.TypeOf(dlm.Params{})
+	typ := reflect.TypeOf(protocol.Params{})
 	if typ.NumField() != len(paramEvidence) {
 		t.Errorf("protocol.Params has %d fields, the evidence table %d", typ.NumField(), len(paramEvidence))
 	}

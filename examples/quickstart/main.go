@@ -7,17 +7,18 @@ import (
 	"fmt"
 	"log"
 
-	"dlm"
+	"dlm/internal/config"
+	"dlm/internal/experiments"
 )
 
 func main() {
 	// A Table 2-shaped scenario scaled to 2,000 peers.
-	sc := dlm.Scaled(2000)
+	sc := config.Scaled(2000)
 	sc.Seed = 7
 
-	res, err := dlm.Run(dlm.RunConfig{
+	res, err := experiments.Run(experiments.RunConfig{
 		Scenario: sc,
-		Manager:  dlm.ManagerDLM,
+		Manager:  experiments.ManagerDLM,
 	})
 	if err != nil {
 		log.Fatal(err)

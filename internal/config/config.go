@@ -50,10 +50,10 @@ type Scenario struct {
 	TTL         int
 }
 
-// Table2 returns the paper's full-scale parameters: n_s = 1,220 preferred
+// table2 returns the paper's full-scale parameters: n_s = 1,220 preferred
 // super-peers, n_l = 48,800 preferred leaf-peers, η = 40, m = 2, k_l = 80,
 // k_s = 3.
-func Table2() Scenario {
+func table2() Scenario {
 	return Scenario{
 		Name:           "table2",
 		Seed:           1,
@@ -77,7 +77,7 @@ func Table2() Scenario {
 // proportional η (so the super-layer stays statistically meaningful at
 // small n) and a duration that still covers several churn generations.
 func Scaled(n int) Scenario {
-	s := Table2()
+	s := table2()
 	s.Name = fmt.Sprintf("scaled-%d", n)
 	s.N = n
 	// Keep roughly Table 2's super-layer share for large n; shrink η for

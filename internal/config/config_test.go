@@ -7,7 +7,7 @@ import (
 )
 
 func TestTable2MatchesPaper(t *testing.T) {
-	s := Table2()
+	s := table2()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Table2 invalid: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestScaled(t *testing.T) {
 
 func TestEquationConsistency(t *testing.T) {
 	// Equations a and b must be mutually consistent: n_s·k_l ≈ n_l·m.
-	for _, s := range []Scenario{Table2(), Scaled(1000), Scaled(300)} {
+	for _, s := range []Scenario{table2(), Scaled(1000), Scaled(300)} {
 		lhs := float64(s.PreferredSupers()) * s.KL()
 		rhs := float64(s.N-s.PreferredSupers()) * float64(s.M)
 		if math.Abs(lhs-rhs)/rhs > 0.01 {
@@ -68,7 +68,7 @@ func TestValidateRejects(t *testing.T) {
 		"TTL: 256": func(s *Scenario) { s.TTL = 256 },
 	}
 	for name, mutate := range mutations {
-		s := Table2()
+		s := table2()
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -77,7 +77,7 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestBaseProfileSamples(t *testing.T) {
-	s := Table2()
+	s := table2()
 	p := s.BaseProfile()
 	if p.Capacity == nil || p.Lifetime == nil || p.ObjectsPerPeer == nil {
 		t.Fatal("profile incomplete")
@@ -114,7 +114,7 @@ func TestReadJSONRejects(t *testing.T) {
 
 func TestFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/scenario.json"
-	want := Table2()
+	want := table2()
 	if err := want.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

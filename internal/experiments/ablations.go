@@ -168,7 +168,7 @@ func BaselineSweep(sc config.Scenario) ([]BaselineRow, error) {
 	out, err := pooled(len(kinds), parexp.Options{BaseSeed: sc.Seed},
 		func(eng *sim.Engine, seed int64) (BaselineRow, error) {
 			kind := kinds[seed-sc.Seed]
-			rc := ComparisonScenario(sc, kind)
+			rc := comparisonScenario(sc, kind)
 			rc.Queries = false
 			res, err := RunOn(eng, rc)
 			if err != nil {

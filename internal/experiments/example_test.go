@@ -1,21 +1,22 @@
-package dlm_test
+package experiments_test
 
 import (
 	"fmt"
 
-	"dlm"
+	"dlm/internal/config"
+	"dlm/internal/experiments"
 )
 
-// ExampleRun shows the minimal end-to-end use of the library: build a
-// scaled Table 2 scenario, run DLM on it, and read the maintained layer
-// ratio. (No Output comment: the exact numbers are seed-dependent by
-// design; see examples/quickstart for a runnable program.)
+// ExampleRun shows the minimal end-to-end run: build a scaled Table 2
+// scenario, run DLM on it, and read the maintained layer ratio. (The exact
+// numbers are seed-dependent by design; see examples/quickstart for a
+// runnable program.)
 func ExampleRun() {
-	sc := dlm.Scaled(500)
+	sc := config.Scaled(500)
 	sc.Seed = 7
 	sc.Duration = 300
 
-	res, err := dlm.Run(dlm.RunConfig{Scenario: sc, Manager: dlm.ManagerDLM})
+	res, err := experiments.Run(experiments.RunConfig{Scenario: sc, Manager: experiments.ManagerDLM})
 	if err != nil {
 		panic(err)
 	}
@@ -26,12 +27,12 @@ func ExampleRun() {
 // ExampleFigure7 regenerates the paper's headline comparison figure and
 // renders it as an ASCII chart.
 func ExampleFigure7() {
-	sc := dlm.Scaled(400)
+	sc := config.Scaled(400)
 	sc.Seed = 42
 	sc.Duration = 300
 	sc.Warmup = 100
 
-	fig, err := dlm.Figure7(sc)
+	fig, err := experiments.Figure7(sc)
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dlm/internal/config"
 	"dlm/internal/sim"
+	"dlm/internal/stats"
 	"dlm/internal/trace"
 )
 
@@ -24,7 +25,7 @@ func testScenario() config.Scenario {
 
 func TestRunProducesSeriesAndInvariantsHold(t *testing.T) {
 	sc := testScenario()
-	res, err := Run(RunConfig{Scenario: sc, Manager: ManagerDLM})
+	res, err := Run(RunConfig{Scenario: sc}) // the zero Manager is DLM
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,18 +47,57 @@ func TestRunProducesSeriesAndInvariantsHold(t *testing.T) {
 }
 
 func TestRunRejectsInvalidScenario(t *testing.T) {
-	sc := testScenario()
-	sc.N = 0
-	if _, err := Run(RunConfig{Scenario: sc}); err == nil {
-		t.Fatal("invalid scenario accepted")
+	empty := testScenario()
+	empty.N = 0
+	for _, rc := range []RunConfig{
+		{Scenario: empty},
+		// A misspelt manager must not fall through to DLM.
+		{Scenario: testScenario(), Manager: "preconfigureddd"},
+	} {
+		if _, err := Run(rc); err == nil {
+			t.Errorf("invalid run accepted: N=%d manager=%q", rc.Scenario.N, rc.Manager)
+		}
+	}
+}
+
+// dynamicFigure runs DynamicFigures and returns Figure 4, 5 or 6.
+func dynamicFigure(t *testing.T, sc config.Scenario, n int) *FigureResult {
+	t.Helper()
+	figs, err := DynamicFigures(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(figs) != 3 {
+		t.Fatalf("DynamicFigures returned %d figures, want 3", len(figs))
+	}
+	return figs[n-4]
+}
+
+// TestFigureRenderAndCSV pins what dlmbench prints and writes of a figure:
+// a titled chart on the figure's axis, and a CSV with one shared time
+// column in which a series is empty before its first sample.
+func TestFigureRenderAndCSV(t *testing.T) {
+	sup, leaf := stats.NewSeries("SuperLayer"), stats.NewSeries("LeafLayer")
+	sup.Add(0, 10)
+	sup.Add(10, 20)
+	leaf.Add(10, 400)
+	f := &FigureResult{Title: "Figure 6: sizes", Series: []*stats.Series{sup, leaf}, LogY: true}
+	out := f.Render(40, 8)
+	if !strings.HasPrefix(out, "Figure 6: sizes\n") || !strings.Contains(out, "simulation time (minutes)") ||
+		!strings.Contains(out, "(log scale)") {
+		t.Errorf("Render:\n%s", out)
+	}
+	var csv strings.Builder
+	if err := f.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if want := "t,SuperLayer,LeafLayer\n0,10,\n10,20,400\n"; csv.String() != want {
+		t.Errorf("WriteCSV = %q, want %q", csv.String(), want)
 	}
 }
 
 func TestFigure4AgeSeparation(t *testing.T) {
-	f, err := Figure4(testScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dynamicFigure(t, testScenario(), 4)
 	if len(f.Series) != 2 {
 		t.Fatalf("series count %d", len(f.Series))
 	}
@@ -82,10 +122,7 @@ func TestFigure5CapacitySeparation(t *testing.T) {
 	for seed := int64(42); seed <= 44; seed++ {
 		sc := testScenario()
 		sc.Seed = seed
-		f, err := Figure5(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := dynamicFigure(t, sc, 5)
 		sup, leaf := f.Series[0], f.Series[1]
 		seps = append(seps, sup.MeanOver(150, 400)/leaf.MeanOver(150, 400))
 	}
@@ -101,11 +138,7 @@ func TestFigure5CapacitySeparation(t *testing.T) {
 }
 
 func TestFigure6RatioMaintained(t *testing.T) {
-	sc := testScenario()
-	f, err := Figure6(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dynamicFigure(t, testScenario(), 6)
 	if !f.LogY {
 		t.Error("Figure 6 must be log-scale")
 	}
@@ -320,14 +353,7 @@ func TestBaselineSweep(t *testing.T) {
 func TestDynamicRunDeterminism(t *testing.T) {
 	sc := testScenario()
 	sc.Duration = 250
-	a, err := Figure4(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Figure4(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := dynamicFigure(t, sc, 4), dynamicFigure(t, sc, 4)
 	ap, bp := a.Series[0].Points(), b.Series[0].Points()
 	if len(ap) != len(bp) {
 		t.Fatal("lengths differ")
@@ -522,7 +548,7 @@ func TestFailureRecovery(t *testing.T) {
 	sc.Duration = 600
 	sc.Warmup = 250 // the fail point must be past cold-start trim
 	sc.CatalogSize = 300
-	res, err := Failure(sc, 0.5)
+	res, err := failureOn(nil, sc, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +571,7 @@ func TestFailureRecovery(t *testing.T) {
 	if res.SuccessAfter <= 0.3 {
 		t.Fatalf("post-recovery success %.2f", res.SuccessAfter)
 	}
-	if _, err := Failure(sc, 1.5); err == nil {
+	if _, err := failureOn(nil, sc, 1.5); err == nil {
 		t.Fatal("bad kill fraction accepted")
 	}
 	rows, err := FailureSweep(sc, []float64{0.3})

@@ -30,7 +30,9 @@ type FailureResult struct {
 	// means the spike never left the band.
 	RecoveryTime float64
 	// SuccessBefore/During/After are query success rates in the three
-	// phases (before failure, first 30 units after, after recovery).
+	// phases: before the failure, from the failure until the ratio is back
+	// in the RecoveryTime band (the first 30 units after the failure when
+	// it never gets back), and the rest of the run.
 	SuccessBefore float64
 	SuccessDuring float64
 	SuccessAfter  float64
@@ -38,14 +40,9 @@ type FailureResult struct {
 	PromotionsAfter uint64
 }
 
-// Failure runs one failure-recovery scenario: steady state, kill
-// killFraction of the super-layer at sc.Warmup + 50, observe recovery
-// until sc.Duration.
-func Failure(sc config.Scenario, killFraction float64) (*FailureResult, error) {
-	return failureOn(nil, sc, killFraction)
-}
-
-// failureOn is Failure on a reusable worker engine (nil allocates).
+// failureOn runs one failure-recovery scenario on a reusable worker engine
+// (nil allocates): steady state, kill killFraction of the super-layer at
+// sc.Warmup + 50, observe recovery until sc.Duration.
 func failureOn(eng *sim.Engine, sc config.Scenario, killFraction float64) (*FailureResult, error) {
 	if killFraction <= 0 || killFraction >= 1 {
 		return nil, fmt.Errorf("experiments: kill fraction %v outside (0,1)", killFraction)

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"dlm/internal/config"
+	"dlm/internal/plot"
 	"dlm/internal/sim"
 	"dlm/internal/stats"
 	"dlm/internal/workload"
@@ -12,7 +14,6 @@ import (
 // FigureResult is a rendered figure: labelled series plus headline
 // numbers for EXPERIMENTS.md.
 type FigureResult struct {
-	ID     string
 	Title  string
 	Series []*stats.Series
 	// Notes holds headline scalar findings ("super-layer mean age 4.1x
@@ -20,6 +21,24 @@ type FigureResult struct {
 	Notes []string
 	// LogY marks figures the paper plots on a log axis (Figure 6).
 	LogY bool
+}
+
+// Render draws the figure's series as an ASCII chart with a plot area of
+// width columns by height rows.
+func (f *FigureResult) Render(width, height int) string {
+	return plot.Render(plot.Options{
+		Title:  f.Title,
+		Width:  width,
+		Height: height,
+		LogY:   f.LogY,
+		XLabel: "simulation time (minutes)",
+	}, f.Series...)
+}
+
+// WriteCSV writes the figure's series as CSV with a shared time axis (the
+// results/fig*.csv format).
+func (f *FigureResult) WriteCSV(w io.Writer) error {
+	return (&stats.SeriesSet{Series: f.Series}).WriteCSV(w)
 }
 
 // DynamicScenario wraps a scenario with the paper's Figures 4-6 dynamics:
@@ -32,79 +51,51 @@ func DynamicScenario(sc config.Scenario) RunConfig {
 	}
 }
 
-// runDynamic executes the shared Figures 4-6 run once.
-func runDynamic(sc config.Scenario) (*RunResult, error) {
-	return Run(DynamicScenario(sc))
-}
-
-// Figure4 reproduces "Average Age": the mean age of each layer over time
-// in the dynamic network. Expected shape: the super-layer curve sits well
-// above the leaf-layer curve throughout, including after the lifetime
-// regime change at t=300.
-func Figure4(sc config.Scenario) (*FigureResult, error) {
-	res, err := runDynamic(sc)
+// DynamicFigures reproduces Figures 4, 5 and 6 from one run of the
+// dynamic network (DynamicScenario). Expected shapes:
+//
+//   - Figure 4, "Average Age": the super-layer's mean age sits well above
+//     the leaf-layer's throughout, including after the lifetime regime
+//     change at t=300.
+//   - Figure 5, "Average Capacity": the super-layer's mean capacity sits
+//     above the leaf-layer's, adapting across the capacity regime change
+//     at t=1000.
+//   - Figure 6, "Layer Sizes" (log y-axis): near-constant sizes, i.e. a
+//     maintained ratio, through both regime changes.
+func DynamicFigures(sc config.Scenario) ([]*FigureResult, error) {
+	res, err := Run(DynamicScenario(sc))
 	if err != nil {
 		return nil, err
 	}
-	ageS := res.Series.Get("age_super")
-	ageL := res.Series.Get("age_leaf")
-	f := &FigureResult{
-		ID:     "fig4",
-		Title:  "Figure 4: Average Age Comparison (dynamic network)",
-		Series: []*stats.Series{rename(ageS, "SuperLayer"), rename(ageL, "LeafLayer")},
-	}
-	f.Notes = append(f.Notes, fmt.Sprintf("super-layer mean age %.2fx leaf-layer over [%.0f,%.0f]",
-		res.Window(sc).AgeSeparation, sc.Warmup, sc.Duration))
-	return f, nil
-}
-
-// Figure5 reproduces "Average Capacity": the mean capacity of each layer
-// over time. Expected shape: super-layer above leaf-layer throughout,
-// adapting across the capacity regime change at t=1000.
-func Figure5(sc config.Scenario) (*FigureResult, error) {
-	res, err := runDynamic(sc)
-	if err != nil {
-		return nil, err
-	}
-	capS := res.Series.Get("cap_super")
-	capL := res.Series.Get("cap_leaf")
-	f := &FigureResult{
-		ID:     "fig5",
-		Title:  "Figure 5: Average Capacity Comparison (dynamic network)",
-		Series: []*stats.Series{rename(capS, "SuperLayer"), rename(capL, "LeafLayer")},
-	}
-	f.Notes = append(f.Notes, fmt.Sprintf("super-layer mean capacity %.2fx leaf-layer over [%.0f,%.0f]",
-		res.Window(sc).CapSeparation, sc.Warmup, sc.Duration))
-	return f, nil
-}
-
-// Figure6 reproduces "Layer Sizes" (log y-axis): both layer sizes over
-// time. Expected shape: near-constant sizes — i.e. a maintained ratio —
-// through both regime changes.
-func Figure6(sc config.Scenario) (*FigureResult, error) {
-	res, err := runDynamic(sc)
-	if err != nil {
-		return nil, err
-	}
-	f := &FigureResult{
-		ID:    "fig6",
-		Title: "Figure 6: Layer Sizes (log scale, dynamic network)",
-		Series: []*stats.Series{
-			rename(res.Series.Get("supers"), "SuperLayer"),
-			rename(res.Series.Get("leaves"), "LeafLayer"),
-		},
-		LogY: true,
+	layers := func(super, leaf string) []*stats.Series {
+		return []*stats.Series{
+			rename(res.Series.Get(super), "SuperLayer"),
+			rename(res.Series.Get(leaf), "LeafLayer"),
+		}
 	}
 	w := res.Window(sc)
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("ratio mean %.1f (target η=%.0f), rmse %.1f over [%.0f,%.0f]",
-			w.RatioMean, sc.Eta, w.RatioRMSE, sc.Warmup, sc.Duration))
-	return f, nil
+	return []*FigureResult{{
+		Title:  "Figure 4: Average Age Comparison (dynamic network)",
+		Series: layers("age_super", "age_leaf"),
+		Notes: []string{fmt.Sprintf("super-layer mean age %.2fx leaf-layer over [%.0f,%.0f]",
+			w.AgeSeparation, sc.Warmup, sc.Duration)},
+	}, {
+		Title:  "Figure 5: Average Capacity Comparison (dynamic network)",
+		Series: layers("cap_super", "cap_leaf"),
+		Notes: []string{fmt.Sprintf("super-layer mean capacity %.2fx leaf-layer over [%.0f,%.0f]",
+			w.CapSeparation, sc.Warmup, sc.Duration)},
+	}, {
+		Title:  "Figure 6: Layer Sizes (log scale, dynamic network)",
+		Series: layers("supers", "leaves"),
+		LogY:   true,
+		Notes: []string{fmt.Sprintf("ratio mean %.1f (target η=%.0f), rmse %.1f over [%.0f,%.0f]",
+			w.RatioMean, sc.Eta, w.RatioRMSE, sc.Warmup, sc.Duration)},
+	}}, nil
 }
 
-// ComparisonScenario wraps a scenario with the Figures 7-8 dynamics: the
+// comparisonScenario wraps a scenario with the Figures 7-8 dynamics: the
 // mean capacity of new peers flips between 2x and 0.5x every period.
-func ComparisonScenario(sc config.Scenario, kind ManagerKind) RunConfig {
+func comparisonScenario(sc config.Scenario, kind ManagerKind) RunConfig {
 	period := sim.Duration(sc.Duration / 4)
 	return RunConfig{
 		Scenario: sc,
@@ -121,16 +112,15 @@ func ComparisonScenario(sc config.Scenario, kind ManagerKind) RunConfig {
 // capacity mean. When the scenario enables queries, both systems run the
 // same search workload so the comparison is at matched success rates.
 func Figure7(sc config.Scenario) (*FigureResult, error) {
-	dlm, err := Run(ComparisonScenario(sc, ManagerDLM))
+	dlm, err := Run(comparisonScenario(sc, ManagerDLM))
 	if err != nil {
 		return nil, err
 	}
-	pre, err := Run(ComparisonScenario(sc, ManagerPreconfigured))
+	pre, err := Run(comparisonScenario(sc, ManagerPreconfigured))
 	if err != nil {
 		return nil, err
 	}
 	f := &FigureResult{
-		ID:    "fig7",
 		Title: "Figure 7: Layer Size Ratio, DLM vs Preconfigured (oscillating capacity mix)",
 		Series: []*stats.Series{
 			rename(dlm.Series.Get("ratio"), "DLM"),
@@ -160,16 +150,15 @@ func Figure7(sc config.Scenario) (*FigureResult, error) {
 // scenario. Expected shape: DLM's layers are sharply divided with a much
 // older super-layer; the preconfigured layers are closer together.
 func Figure8(sc config.Scenario) (*FigureResult, error) {
-	dlm, err := Run(ComparisonScenario(sc, ManagerDLM))
+	dlm, err := Run(comparisonScenario(sc, ManagerDLM))
 	if err != nil {
 		return nil, err
 	}
-	pre, err := Run(ComparisonScenario(sc, ManagerPreconfigured))
+	pre, err := Run(comparisonScenario(sc, ManagerPreconfigured))
 	if err != nil {
 		return nil, err
 	}
 	f := &FigureResult{
-		ID:    "fig8",
 		Title: "Figure 8: Average Age, DLM vs Preconfigured",
 		Series: []*stats.Series{
 			rename(dlm.Series.Get("age_super"), "SuperLayer-DLM"),

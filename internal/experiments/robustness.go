@@ -14,9 +14,10 @@ import (
 // The settled measurement window shared by the long-horizon experiments:
 // the layer ratio converges slowly from the bootstrap overshoot, so the
 // figure scenarios run to SettledWindowEnd and the robustness sweep
-// measures only the tail from SettledWindowStart on. The golden figure
-// artifacts (golden_test.go) and the dlmbench defaults both anchor to
-// these values — one definition, so the window cannot drift apart again.
+// measures only the tail from SettledWindowStart on. The dlmbench
+// defaults, and with them the golden results/ files its test checks,
+// anchor to these values — one definition, so the window cannot drift
+// apart again.
 const (
 	SettledWindowStart = 600.0
 	SettledWindowEnd   = 1600.0

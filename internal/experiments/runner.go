@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"dlm/internal/baseline"
@@ -38,8 +39,9 @@ type RunConfig struct {
 	// Profile overrides the scenario's base profile (regime-wrapped
 	// dynamics); nil uses the scenario default.
 	Profile workload.Profile
-	// Manager picks the policy; DLMParams applies when Manager is
-	// ManagerDLM (zero value = core.DefaultParams()).
+	// Manager picks the policy (the zero value is ManagerDLM; any other
+	// value outside the constants above is an error); DLMParams applies
+	// when it is DLM (nil = core.DefaultParams()).
 	Manager   ManagerKind
 	DLMParams *core.Params
 	// Queries enables the search workload per the scenario's QueryRate.
@@ -113,27 +115,29 @@ func (r *RunResult) Window(sc config.Scenario) WindowSummary {
 	}
 }
 
-// buildManager instantiates the policy.
-func buildManager(rc RunConfig, seed int64) overlay.Manager {
+// buildManager instantiates the policy; the zero ManagerKind is DLM.
+func buildManager(rc RunConfig, seed int64) (overlay.Manager, error) {
 	switch rc.Manager {
 	case ManagerPreconfigured:
 		// The capacity cutoff is calibrated against the base capacity
 		// distribution, as the paper's preconfigured scheme is.
 		return &baseline.Preconfigured{Threshold: baseline.CalibrateThreshold(
 			workload.SaroiuBandwidthMixture(), rc.Scenario.Eta, 20000,
-			sim.NewSource(seed).Stream("calibrate"))}
+			sim.NewSource(seed).Stream("calibrate"))}, nil
 	case ManagerStatic:
-		return &baseline.Static{Eta: rc.Scenario.Eta}
+		return &baseline.Static{Eta: rc.Scenario.Eta}, nil
 	case ManagerOracle:
-		return &baseline.Oracle{Interval: 10}
+		return &baseline.Oracle{Interval: 10}, nil
 	case ManagerNone:
-		return overlay.NopManager{}
-	default:
+		return overlay.NopManager{}, nil
+	case ManagerDLM, "":
 		p := core.DefaultParams()
 		if rc.DLMParams != nil {
 			p = *rc.DLMParams
 		}
-		return core.NewManager(p)
+		return core.NewManager(p), nil
+	default:
+		return nil, fmt.Errorf("experiments: unknown manager %q", rc.Manager)
 	}
 }
 
@@ -181,7 +185,10 @@ func open(eng *sim.Engine, rc RunConfig, patch func(*overlay.Config), mgr overla
 	}
 	eng.SetShards(rc.Shards)
 	if mgr == nil {
-		mgr = buildManager(rc, seed)
+		var err error
+		if mgr, err = buildManager(rc, seed); err != nil {
+			return nil, err
+		}
 	}
 	ocfg := sc.Overlay()
 	ocfg.Latency = rc.Latency

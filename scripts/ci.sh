@@ -8,6 +8,7 @@
 #   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + scenarios
 #   scripts/ci.sh cover      # coverage floors (protocol >= 85%, experiments >= 70%, total >= 70%)
 #   scripts/ci.sh oracle     # the convergence oracle at 100k peers (-tags oracle; tier-1 runs it at 10k)
+#                            # and the golden check of all 25 default results/ files (tier-1: the figures)
 #   scripts/ci.sh adversarialsmoke # cheap adversarial scenarios + oracles under -race
 #                                  # (a quick subset of race; the every-lane run skips it)
 set -euo pipefail
@@ -90,10 +91,13 @@ lane_adversarialsmoke() {
 }
 
 lane_oracle() {
-  echo "== lane: convergence oracle at 100k peers =="
-  # Same test and bounds as tier-1; the build tag swaps the population
-  # (internal/scenario/oracle_on_test.go).
+  echo "== lane: convergence oracle at 100k peers, golden results/ files =="
+  # Same tests and bounds as tier-1; the build tag swaps the population
+  # (internal/scenario/oracle_on_test.go) and widens the golden check from
+  # the figures to every artifact `dlmbench` writes by default
+  # (cmd/dlmbench/golden_on_test.go).
   go test -tags oracle -run '^TestConvergenceOracle$' ./internal/scenario/
+  go test -tags oracle -run '^TestGoldenFigures$' ./cmd/dlmbench/
 }
 
 # pct_at_least PCT FLOOR LABEL: fail the lane when PCT < FLOOR.
