@@ -1,8 +1,11 @@
 // Command dlmtrace summarizes a JSONL lifecycle trace produced by
 // dlmsim -trace (or any trace.Recorder).
 //
-//	dlmtrace run.jsonl
-//	dlmsim -n 1000 -trace /dev/stdout | dlmtrace -
+//	dlmsim -n 1000 -trace run.jsonl && dlmtrace run.jsonl
+//	dlmtrace - < run.jsonl
+//
+// A trace with no events is an error: every run records at least its
+// joins, so an empty one means the run that should have written it failed.
 package main
 
 import (
@@ -32,6 +35,9 @@ func main() {
 	events, err := trace.Read(rd)
 	if err != nil {
 		fatal(err)
+	}
+	if len(events) == 0 {
+		fatal(fmt.Errorf("%s: no trace events", os.Args[1]))
 	}
 	s := trace.Summarize(events)
 	fmt.Printf("events:      %d\n", len(events))

@@ -254,7 +254,7 @@ func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 	if m.P.Exchange != protocol.EventDriven {
 		return
 	}
-	leaf, super := splitPair(a, b)
+	leaf, super := overlay.LeafSuper(a, b)
 	if leaf == nil {
 		return // super-super link: G sets are cross-layer only
 	}
@@ -285,24 +285,12 @@ func (m *Manager) exchange(n *overlay.Network, leaf, super *overlay.Peer) {
 	}
 }
 
-// splitPair classifies a link's endpoints; leaf is nil for super-super
-// links (leaf-leaf links cannot exist in the overlay).
-func splitPair(a, b *overlay.Peer) (leaf, super *overlay.Peer) {
-	switch {
-	case a.Layer == overlay.LayerLeaf && b.Layer == overlay.LayerSuper:
-		return a, b
-	case b.Layer == overlay.LayerLeaf && a.Layer == overlay.LayerSuper:
-		return b, a
-	}
-	return nil, nil
-}
-
 // OnDisconnect implements overlay.Manager. A super forgets a departed
 // leaf (G(s) is its *current* leaf neighbors); a leaf keeps the super in
 // G(l) — the paper keeps every super contacted since join — subject to
 // window pruning at decision time.
 func (m *Manager) OnDisconnect(n *overlay.Network, a, b *overlay.Peer) {
-	leaf, super := splitPair(a, b)
+	leaf, super := overlay.LeafSuper(a, b)
 	if leaf == nil {
 		return
 	}

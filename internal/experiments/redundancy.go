@@ -73,7 +73,7 @@ func runRedundancy(eng *sim.Engine, sc config.Scenario, m int) (RedundancyRow, e
 				net.ResetCounters()
 				qe.ResetStats()
 			}
-			topo := net.Topology(0)
+			topo := net.Topology()
 			nl := float64(net.NumLeaves())
 			if nl > 0 {
 				stranded.Add(float64(topo.StrandedLeaves) / nl)

@@ -72,6 +72,6 @@ func BenchmarkTopology(b *testing.B) {
 	n := benchNetwork(b, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Topology(4)
+		_ = n.Topology()
 	}
 }

@@ -24,7 +24,9 @@ type Manager interface {
 	// OnDisconnect fires when a link is torn down (including by death of
 	// either endpoint).
 	OnDisconnect(n *Network, a, b *Peer)
-	// OnLayerChange fires after p moved between layers.
+	// OnLayerChange fires after p moved between layers and the surgery
+	// finished: p's links are the ones it keeps in its new layer, and any
+	// orphaned leaves have reconnected (unless DeferredReconnect).
 	OnLayerChange(n *Network, p *Peer, old Layer)
 	// HandleMessage processes a protocol message addressed to 'to'.
 	HandleMessage(n *Network, to *Peer, m *msg.Message)
@@ -34,7 +36,10 @@ type Manager interface {
 
 // Observer receives structural-change notifications without owning layer
 // policy. The query subsystem uses it to maintain the leaf indexes at
-// super-peers.
+// super-peers. The notifications are exact: an observer that classifies
+// each link with LeafSuper when it hears of it, and reads p's links in
+// OnLayerChange, can rebuild the leaf-super link set from them alone
+// (TestObserverContract).
 type Observer interface {
 	// OnJoin fires after p entered the network and made its initial
 	// connections.
@@ -43,11 +48,30 @@ type Observer interface {
 	OnConnect(n *Network, a, b *Peer)
 	// OnDisconnect fires after a link is torn down.
 	OnDisconnect(n *Network, a, b *Peer)
-	// OnLayerChange fires after p moved between layers.
+	// OnLayerChange fires as p's layer flips, before any link moves:
+	// p.Layer is the new layer, but p.SuperLinks() and p.LeafLinks() are
+	// still the links p held in the old one, and its neighbors still file
+	// p under the old layer. Every link the surgery then removes is
+	// reported by OnDisconnect with p in its new layer, and every orphan
+	// reconnection by OnConnect.
 	OnLayerChange(n *Network, p *Peer, old Layer)
 	// OnLeave fires when p departs the network (after its links are
 	// gone).
 	OnLeave(n *Network, p *Peer)
+}
+
+// LeafSuper classifies a link's two ends by their current layers: the leaf
+// and the super end of a leaf-super link, or nil, nil for a super-super
+// link and for the leaf-leaf pairs a demotion reports as it drops its
+// former leaves.
+func LeafSuper(a, b *Peer) (leaf, super *Peer) {
+	switch {
+	case a.Layer == LayerLeaf && b.Layer == LayerSuper:
+		return a, b
+	case b.Layer == LayerLeaf && a.Layer == LayerSuper:
+		return b, a
+	}
+	return nil, nil
 }
 
 // NopObserver is an embeddable Observer with no-op hooks.

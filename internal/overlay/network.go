@@ -605,6 +605,11 @@ func (n *Network) Promote(p *Peer) {
 	p.Layer = LayerSuper
 	n.supers.Add(p)
 	n.agg.transfer(p, old)
+	// Observers hear the flip before any link moves (see Observer); the
+	// manager hears it below, on the rewired topology.
+	for _, o := range n.observers {
+		o.OnLayerChange(n, p, old)
+	}
 	for _, id := range p.superLinks.list() {
 		q := n.store.get(id)
 		q.leafLinks.Remove(p.ID)
@@ -617,9 +622,6 @@ func (n *Network) Promote(p *Peer) {
 	n.updateDeficit(p)
 	n.counters.Promotions++
 	n.mgr.OnLayerChange(n, p, old)
-	for _, o := range n.observers {
-		o.OnLayerChange(n, p, old)
-	}
 }
 
 // Demote moves a super-peer to the leaf-layer (paper Figure 3): it keeps
@@ -641,6 +643,11 @@ func (n *Network) Demote(p *Peer) bool {
 	p.Layer = LayerLeaf
 	n.leaves.Add(p)
 	n.agg.transfer(p, old)
+	// Observers hear the flip before any link moves (see Observer); the
+	// manager hears it below, on the rewired topology.
+	for _, o := range n.observers {
+		o.OnLayerChange(n, p, old)
+	}
 
 	// Keep at most M super links, chosen uniformly; the kept neighbors
 	// re-classify p as a leaf on their side.
@@ -680,9 +687,6 @@ func (n *Network) Demote(p *Peer) bool {
 		}
 	}
 	n.mgr.OnLayerChange(n, p, old)
-	for _, o := range n.observers {
-		o.OnLayerChange(n, p, old)
-	}
 	return true
 }
 

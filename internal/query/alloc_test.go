@@ -48,8 +48,7 @@ func TestRepeatRandomFloodAllocFree(t *testing.T) {
 
 // TestIndexSteadyStateAllocFree pins the index half of the same property:
 // once a super-peer has indexed a leaf, a lookup and a disconnect/connect
-// cycle of that leaf reuse the per-object slots and the per-super record
-// and allocate nothing.
+// cycle of that leaf reuse the per-object slots and allocate nothing.
 func TestIndexSteadyStateAllocFree(t *testing.T) {
 	_, qe, leaf, _ := benchTopology(t)
 	if leaf.Layer != overlay.LayerLeaf || len(leaf.Objects) == 0 {
@@ -60,7 +59,7 @@ func TestIndexSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		qe.xs.OnDisconnect(n, leaf, super)
 		qe.xs.OnConnect(n, leaf, super)
-		if _, ok := qe.xs.lookup(super, leaf.Objects[0]); !ok {
+		if _, ok := qe.xs.lookup(n, super, leaf.Objects[0]); !ok {
 			t.Fatal("object not indexed after its sharer connected")
 		}
 	})

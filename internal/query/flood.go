@@ -319,7 +319,7 @@ func (e *Engine) lookupAt(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) 
 			return s.ID, true
 		}
 	}
-	return e.xs.lookup(s, obj)
+	return e.xs.lookup(e.net, s, obj)
 }
 
 // reportHit routes a QueryHit back along the inverse query path; the

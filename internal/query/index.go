@@ -108,79 +108,53 @@ func (t *table) grow() {
 // stored inverted, one table of super-peers per object, because a flood
 // asks every super-peer it reaches for the same object — all of a flood's
 // lookups land in one small table instead of one cold probe per super.
+//
+// The index is a function of the overlay: super s indexes leaf l exactly
+// when l is in s.LeafLinks(), with l.Objects. The observer contract
+// (overlay.Observer) says exactly when each leaf-super link starts and
+// ends, so add and remove never see a link twice or one they did not add.
 type indexes struct {
 	overlay.NopObserver
 	// byObject[obj] holds a slot for every super-peer with a leaf sharing
 	// obj. It covers the catalog up front and grows for stray IDs.
 	byObject []table
-	// bySuper records, per super-peer, which leaves it indexes and with
-	// which objects: it makes overlay-surgery notifications idempotent
-	// (double adds and stray removes are no-ops), tells remove what to
-	// take out, and is what a failover provider is resolved from.
-	bySuper map[msg.PeerID]map[msg.PeerID][]msg.ObjectID
 }
 
 func newIndexes(numObjects int) *indexes {
-	return &indexes{
-		byObject: make([]table, numObjects),
-		bySuper:  make(map[msg.PeerID]map[msg.PeerID][]msg.ObjectID),
-	}
+	return &indexes{byObject: make([]table, numObjects)}
 }
 
-// add indexes leaf's objects at super; adding a leaf twice is a no-op.
-func (xs *indexes) add(super, leaf msg.PeerID, objects []msg.ObjectID) {
-	owned := xs.bySuper[super]
-	if owned == nil {
-		owned = make(map[msg.PeerID][]msg.ObjectID)
-		xs.bySuper[super] = owned
-	} else if _, ok := owned[leaf]; ok {
-		return
-	}
-	owned[leaf] = objects
-	for _, o := range objects {
+// add indexes leaf's objects at super.
+func (xs *indexes) add(super msg.PeerID, leaf *overlay.Peer) {
+	for _, o := range leaf.Objects {
 		if int(o) >= len(xs.byObject) {
 			xs.byObject = append(xs.byObject, make([]table, int(o)+1-len(xs.byObject))...)
 		}
 		s := xs.byObject[o].claim(super)
 		s.refs++
-		s.provider = leaf
+		s.provider = leaf.ID
 	}
 }
 
-// remove drops leaf's contribution to super's index; removing a leaf the
-// super does not index is a no-op.
-func (xs *indexes) remove(super, leaf msg.PeerID) {
-	owned := xs.bySuper[super]
-	objects, ok := owned[leaf]
-	if !ok {
-		return
-	}
-	delete(owned, leaf)
-	for _, o := range objects {
+// remove drops leaf's objects from super's index.
+func (xs *indexes) remove(super msg.PeerID, leaf *overlay.Peer) {
+	for _, o := range leaf.Objects {
 		t := &xs.byObject[o]
 		i := t.find(super)
 		s := &t.slots[i]
 		if s.refs--; s.refs == 0 {
 			t.release(i)
-		} else if s.provider == leaf {
+		} else if s.provider == leaf.ID {
 			s.provider = msg.NoPeer
 		}
 	}
 }
 
-// dissolve drops the whole index of a super-peer that left its layer.
-func (xs *indexes) dissolve(super msg.PeerID) {
-	for leaf := range xs.bySuper[super] {
-		xs.remove(super, leaf)
-	}
-	delete(xs.bySuper, super)
-}
-
 // lookup returns a provider of obj among s's indexed leaves; ok is false
 // on a miss. A provider that left is replaced here, by the first of s's
 // leaf links (in link order, so the choice follows from the event history)
-// recorded as sharing obj.
-func (xs *indexes) lookup(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) {
+// sharing obj.
+func (xs *indexes) lookup(n *overlay.Network, s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) {
 	if int(obj) >= len(xs.byObject) {
 		return msg.NoPeer, false
 	}
@@ -191,9 +165,8 @@ func (xs *indexes) lookup(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) 
 	}
 	sl := &t.slots[i]
 	if sl.provider == msg.NoPeer {
-		owned := xs.bySuper[s.ID]
 		for _, leaf := range s.LeafLinks() {
-			if slices.Contains(owned[leaf], obj) {
+			if slices.Contains(n.Peer(leaf).Objects, obj) {
 				sl.provider = leaf
 				break
 			}
@@ -205,39 +178,35 @@ func (xs *indexes) lookup(s *overlay.Peer, obj msg.ObjectID) (msg.PeerID, bool) 
 // OnConnect implements overlay.Observer: a new leaf-super link adds the
 // leaf's objects to the super's index.
 func (xs *indexes) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
-	switch {
-	case a.Layer == overlay.LayerLeaf && b.Layer == overlay.LayerSuper:
-		xs.add(b.ID, a.ID, a.Objects)
-	case b.Layer == overlay.LayerLeaf && a.Layer == overlay.LayerSuper:
-		xs.add(a.ID, b.ID, b.Objects)
+	if leaf, super := overlay.LeafSuper(a, b); leaf != nil {
+		xs.add(super.ID, leaf)
 	}
 }
 
-// OnDisconnect implements overlay.Observer.
+// OnDisconnect implements overlay.Observer: a leaf-super link that ends
+// takes the leaf's objects out of the super's index.
 func (xs *indexes) OnDisconnect(n *overlay.Network, a, b *overlay.Peer) {
-	// Remove each endpoint's contribution from the other's index (if
-	// any); ownership tracking makes stray removals no-ops, which covers
-	// the demotion path where link types changed mid-surgery.
-	xs.remove(a.ID, b.ID)
-	xs.remove(b.ID, a.ID)
-}
-
-// OnLayerChange implements overlay.Observer. A promoted peer leaves its old
-// supers' indexes (its own starts empty); a demoted peer's index dissolves,
-// and its kept supers index it as a leaf.
-func (xs *indexes) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay.Layer) {
-	switch p.Layer {
-	case overlay.LayerSuper:
-		for _, id := range p.SuperLinks() {
-			xs.remove(id, p.ID)
-		}
-	case overlay.LayerLeaf:
-		xs.dissolve(p.ID)
-		for _, id := range p.SuperLinks() {
-			xs.add(id, p.ID, p.Objects)
-		}
+	if leaf, super := overlay.LeafSuper(a, b); leaf != nil {
+		xs.remove(super.ID, leaf)
 	}
 }
 
-// OnLeave implements overlay.Observer.
-func (xs *indexes) OnLeave(n *overlay.Network, p *overlay.Peer) { xs.dissolve(p.ID) }
+// OnLayerChange implements overlay.Observer. It fires before the surgery
+// moves p's links, so they are still the ones p held in its old layer. A
+// promoted peer leaves its supers' indexes. A demoted peer's index empties,
+// and every super it links to indexes it as a leaf; the links the demotion
+// then drops are taken out again by their OnDisconnect.
+func (xs *indexes) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay.Layer) {
+	if p.Layer == overlay.LayerSuper {
+		for _, id := range p.SuperLinks() {
+			xs.remove(id, p)
+		}
+		return
+	}
+	for _, id := range p.LeafLinks() {
+		xs.remove(p.ID, n.Peer(id))
+	}
+	for _, id := range p.SuperLinks() {
+		xs.add(id, p)
+	}
+}

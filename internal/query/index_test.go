@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"dlm/internal/baseline"
 	"dlm/internal/config"
 	"dlm/internal/core"
 	"dlm/internal/msg"
@@ -90,9 +91,8 @@ func (xs *indexes) slots() int {
 
 // TestIndexMatchesReference drives the inverted index and the naive
 // reference through the same random overlay surgery — joins, departures,
-// promotions, demotions, link changes, plus notifications the overlay would
-// never send (double adds, stray removes, a super-peer that vanishes with
-// its leaves still indexed) — and requires them to agree throughout.
+// promotions, demotions, link changes — and requires them to agree
+// throughout.
 func TestIndexMatchesReference(t *testing.T) {
 	const (
 		catalog = 30 // object IDs run to 40: a quarter are beyond the catalog
@@ -105,11 +105,6 @@ func TestIndexMatchesReference(t *testing.T) {
 	ref := &refIndex{at: map[msg.PeerID]map[msg.ObjectID]map[msg.PeerID]bool{}}
 	n.Observe(ref)
 	xs := e.xs
-
-	// Ghost supers exist only in notifications: the index records leaves
-	// under them, and OnLeave must dissolve what is still recorded.
-	var ghosts []*overlay.Peer
-	nextGhost := msg.PeerID(1 << 20)
 
 	var live, supers, leaves []*overlay.Peer
 	census := func() {
@@ -124,21 +119,20 @@ func TestIndexMatchesReference(t *testing.T) {
 		})
 	}
 	pick := func(ps []*overlay.Peer) *overlay.Peer { return ps[rng.Intn(len(ps))] }
-	agree := func(op int, s *overlay.Peer, o msg.ObjectID, ghost bool) {
+	agree := func(op int, s *overlay.Peer, o msg.ObjectID) {
 		owners := ref.at[s.ID][o]
-		provider, ok := xs.lookup(s, o)
+		provider, ok := xs.lookup(n, s, o)
 		if ok != (len(owners) > 0) {
 			t.Fatalf("op %d: lookup(%d, %d) found = %v, reference has %d owners", op, s.ID, o, ok, len(owners))
 		}
-		// A ghost has no leaf links to resolve a failover provider from.
-		if ok && !owners[provider] && !(ghost && provider == msg.NoPeer) {
+		if ok && !owners[provider] {
 			t.Fatalf("op %d: lookup(%d, %d) names %d, not one of the owners %v", op, s.ID, o, provider, owners)
 		}
 	}
 
 	for op := 0; op < ops; op++ {
 		census()
-		switch r := rng.Intn(100); {
+		switch r := rng.Intn(80); {
 		case r < 25 && len(live) < 300 || len(live) < 20:
 			objs := make([]msg.ObjectID, rng.Intn(7))
 			for i := range objs {
@@ -159,51 +153,19 @@ func TestIndexMatchesReference(t *testing.T) {
 			if p := pick(live); p.SuperDegree() > 0 {
 				n.Disconnect(p, n.Peer(p.SuperLinks()[rng.Intn(p.SuperDegree())]))
 			}
-		case r < 80:
+		default:
 			n.Repair()
-		case r < 86: // double add: a link that is already indexed
-			if p := pick(live); p.SuperDegree() > 0 {
-				q := n.Peer(p.SuperLinks()[rng.Intn(p.SuperDegree())])
-				xs.OnConnect(n, p, q)
-				ref.OnConnect(n, p, q)
-			}
-		case r < 92: // stray remove: two peers that share no link
-			if a, b := pick(live), pick(live); !a.HasLink(b.ID) {
-				xs.OnDisconnect(n, a, b)
-				ref.OnDisconnect(n, a, b)
-			}
-		case r < 97 && len(leaves) > 0: // index a leaf under a ghost super
-			if len(ghosts) < 8 {
-				ghosts = append(ghosts, &overlay.Peer{ID: nextGhost, Layer: overlay.LayerSuper})
-				nextGhost++
-			}
-			g, leaf := pick(ghosts), pick(leaves)
-			xs.OnConnect(n, leaf, g)
-			ref.OnConnect(n, leaf, g)
-		case len(ghosts) > 0: // the ghost leaves with leaves still indexed
-			i := rng.Intn(len(ghosts))
-			xs.OnLeave(n, ghosts[i])
-			ref.OnLeave(n, ghosts[i])
-			ghosts = slices.Delete(ghosts, i, i+1)
 		}
 
 		census()
 		for i := 0; i < 8; i++ {
 			// Objects up to objects+4 also probe IDs nothing ever shared.
-			o := msg.ObjectID(rng.Intn(objects + 5))
-			if len(ghosts) > 0 && i == 0 {
-				agree(op, pick(ghosts), o, true)
-			} else {
-				agree(op, pick(live), o, false)
-			}
+			agree(op, pick(live), msg.ObjectID(rng.Intn(objects+5)))
 		}
 		if op%500 == 0 {
 			for o := msg.ObjectID(0); o < objects+5; o++ {
 				for _, p := range live {
-					agree(op, p, o, false)
-				}
-				for _, g := range ghosts {
-					agree(op, g, o, true)
+					agree(op, p, o)
 				}
 			}
 			// Found-ness above only visits live peers; equal totals show no
@@ -222,18 +184,15 @@ func TestIndexMatchesReference(t *testing.T) {
 	for census(); len(live) > 0; census() {
 		n.Leave(live[0])
 	}
-	for _, g := range ghosts {
-		xs.OnLeave(n, g)
-	}
-	if xs.slots() != 0 || len(xs.bySuper) != 0 {
-		t.Fatalf("every super is gone, yet %d slots and %d per-super records remain", xs.slots(), len(xs.bySuper))
+	if xs.slots() != 0 {
+		t.Fatalf("every super is gone, yet %d slots remain", xs.slots())
 	}
 }
 
 // checkIndex compares the index with the topology it mirrors: every live
 // super-peer indexes exactly the objects of its leaf links, with one ref
-// per sharing leaf and a provider among them, and no slot or record is
-// held under an ID that is not a live super-peer.
+// per sharing leaf and a provider among them, and no slot is held under an
+// ID that is not a live super-peer.
 func checkIndex(n *overlay.Network, xs *indexes) error {
 	holds := map[msg.PeerID]int{}
 	for o := range xs.byObject {
@@ -247,11 +206,6 @@ func checkIndex(n *overlay.Network, xs *indexes) error {
 			holds[sl.super]++
 		}
 	}
-	for id := range xs.bySuper {
-		if p := n.Peer(id); p == nil || p.Layer != overlay.LayerSuper {
-			return fmt.Errorf("per-super record for %d, not a live super-peer", id)
-		}
-	}
 	var err error
 	n.WalkPeers(func(s *overlay.Peer) {
 		if err != nil || s.Layer != overlay.LayerSuper {
@@ -259,18 +213,9 @@ func checkIndex(n *overlay.Network, xs *indexes) error {
 		}
 		want := map[msg.ObjectID]uint32{}
 		for _, id := range s.LeafLinks() {
-			leaf := n.Peer(id)
-			if rec, ok := xs.bySuper[s.ID][id]; !ok || !slices.Equal(rec, leaf.Objects) {
-				err = fmt.Errorf("super %d: leaf link %d recorded = %v with %v, shares %v", s.ID, id, ok, rec, leaf.Objects)
-				return
-			}
-			for _, o := range leaf.Objects {
+			for _, o := range n.Peer(id).Objects {
 				want[o]++
 			}
-		}
-		if got := len(xs.bySuper[s.ID]); got != len(s.LeafLinks()) {
-			err = fmt.Errorf("super %d: %d leaves recorded, %d leaf links", s.ID, got, len(s.LeafLinks()))
-			return
 		}
 		if holds[s.ID] != len(want) {
 			err = fmt.Errorf("super %d: %d objects indexed, its leaves share %d", s.ID, holds[s.ID], len(want))
@@ -294,15 +239,28 @@ func checkIndex(n *overlay.Network, xs *indexes) error {
 	return err
 }
 
-// dlmSearchRun assembles what experiments.Open does for a run with Queries
-// on — config.Scaled(size) under the DLM manager, churn placing catalog
-// objects, 25 floods per time unit — and runs it, calling every after each
-// tick.
-func dlmSearchRun(t *testing.T, seed int64, size int, until sim.Time, every func(*overlay.Network, *Engine, sim.Time)) (*overlay.Network, *Engine) {
+// searchSetup varies the overlay under a search run.
+type searchSetup struct {
+	mgr overlay.Manager       // nil: DLM with its default parameters
+	cfg func(*overlay.Config) // nil: config.Scaled's overlay unchanged
+}
+
+// searchRun assembles what experiments.Open does for a run with Queries on
+// — config.Scaled(size), churn placing catalog objects, 25 floods per time
+// unit — under setup, and runs it, calling every after each tick.
+func searchRun(t *testing.T, seed int64, size int, until sim.Time, setup searchSetup, every func(*overlay.Network, *Engine, sim.Time)) (*overlay.Network, *Engine) {
 	t.Helper()
 	sc := config.Scaled(size)
 	eng := sim.NewEngine(seed)
-	n := overlay.New(eng, sc.Overlay(), core.NewManager(core.DefaultParams()))
+	cfg := sc.Overlay()
+	if setup.cfg != nil {
+		setup.cfg(&cfg)
+	}
+	mgr := setup.mgr
+	if mgr == nil {
+		mgr = core.NewManager(core.DefaultParams())
+	}
+	n := overlay.New(eng, cfg, mgr)
 	cat := NewCatalog(sc.CatalogSize, 0.8, 0.8)
 	e := Attach(n, cat)
 	(&overlay.Churn{Net: n, Profile: sc.BaseProfile(), TargetSize: sc.N, GrowthRate: sc.GrowthRate, Catalog: cat}).Start()
@@ -323,16 +281,30 @@ func dlmSearchRun(t *testing.T, seed int64, size int, until sim.Time, every func
 }
 
 // TestIndexFollowsTopology checks the index against the topology every 10
-// ticks of a 2000-peer DLM run with the query workload on.
+// ticks of 2000-peer runs with the query workload on: under DLM; under the
+// oracle manager's bulk re-elections every 10 units; with orphans waiting
+// for repair; and with floods in flight across 0.05-unit links.
 func TestIndexFollowsTopology(t *testing.T) {
-	dlmSearchRun(t, 1, 2000, 300, func(n *overlay.Network, e *Engine, now sim.Time) {
-		if int(now)%10 != 0 {
-			return
-		}
-		if err := checkIndex(n, e.xs); err != nil {
-			t.Errorf("t=%v: %v", now, err)
-		}
-	})
+	for _, row := range []struct {
+		name  string
+		setup searchSetup
+	}{
+		{"dlm", searchSetup{}},
+		{"oracle", searchSetup{mgr: &baseline.Oracle{Interval: 10}}},
+		{"deferred", searchSetup{cfg: func(c *overlay.Config) { c.DeferredReconnect = true }}},
+		{"latency", searchSetup{cfg: func(c *overlay.Config) { c.Latency = 0.05 }}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			searchRun(t, 1, 2000, 300, row.setup, func(n *overlay.Network, e *Engine, now sim.Time) {
+				if int(now)%10 != 0 {
+					return
+				}
+				if err := checkIndex(n, e.xs); err != nil {
+					t.Errorf("t=%v: %v", now, err)
+				}
+			})
+		})
+	}
 }
 
 // TestProvidersDeterministic pins that the provider a super-peer names is a
@@ -346,11 +318,11 @@ func TestProvidersDeterministic(t *testing.T) {
 		provider msg.PeerID
 	}
 	run := func() []entry {
-		n, e := dlmSearchRun(t, 3, 1000, 250, func(*overlay.Network, *Engine, sim.Time) {})
+		n, e := searchRun(t, 3, 1000, 250, searchSetup{}, func(*overlay.Network, *Engine, sim.Time) {})
 		var out []entry
 		n.WalkPeers(func(s *overlay.Peer) {
 			for o := range e.xs.byObject {
-				if p, ok := e.xs.lookup(s, msg.ObjectID(o)); ok {
+				if p, ok := e.xs.lookup(n, s, msg.ObjectID(o)); ok {
 					out = append(out, entry{s.ID, msg.ObjectID(o), p})
 				}
 			}

@@ -54,41 +54,6 @@ func indexedAt(xs *indexes, super msg.PeerID) int {
 	return count
 }
 
-func TestIndexOwnershipIdempotent(t *testing.T) {
-	xs := newIndexes(0) // every object ID is beyond the catalog
-	s := &overlay.Peer{ID: 9, Layer: overlay.LayerSuper}
-	xs.add(s.ID, 1, []msg.ObjectID{10, 20})
-	xs.add(s.ID, 1, []msg.ObjectID{10, 20}) // duplicate add ignored
-	xs.add(s.ID, 2, []msg.ObjectID{20, 30})
-	if got := indexedAt(xs, s.ID); got != 3 {
-		t.Fatalf("size = %d, want 3", got)
-	}
-	if _, ok := xs.lookup(s, 20); !ok {
-		t.Fatal("lookup(20) missed")
-	}
-	if _, ok := xs.lookup(&overlay.Peer{ID: 8}, 20); ok {
-		t.Fatal("lookup(20) hit at a super that indexes nothing")
-	}
-	xs.remove(s.ID, 1)
-	xs.remove(s.ID, 1) // double remove is a no-op
-	if _, ok := xs.lookup(s, 10); ok {
-		t.Fatal("object 10 survived owner removal")
-	}
-	if p, ok := xs.lookup(s, 20); !ok || p != 2 {
-		t.Fatalf("lookup(20) = %d,%v want provider 2", p, ok)
-	}
-	xs.remove(s.ID, 99) // unknown owner is a no-op
-	xs.remove(77, 2)    // and so is an unknown super
-	if got := indexedAt(xs, s.ID); got != 2 {
-		t.Fatalf("size = %d, want 2", got)
-	}
-	xs.add(s.ID, 3, []msg.ObjectID{30, 40})
-	xs.dissolve(s.ID)
-	if got := indexedAt(xs, s.ID); got != 0 || len(xs.bySuper) != 0 {
-		t.Fatalf("dissolved super still indexes %d objects, %d records", got, len(xs.bySuper))
-	}
-}
-
 func TestIndexProviderFailover(t *testing.T) {
 	_, n := buildNet(t)
 	e := Attach(n, DefaultCatalog())
@@ -97,7 +62,7 @@ func TestIndexProviderFailover(t *testing.T) {
 		n.Join(1, 1e9, []msg.ObjectID{7})
 	}
 	latest := n.Join(1, 1e9, []msg.ObjectID{7})
-	if p, ok := e.xs.lookup(s, 7); !ok || p != latest.ID {
+	if p, ok := e.xs.lookup(n, s, 7); !ok || p != latest.ID {
 		t.Fatalf("lookup = %d,%v want the latest owner %d", p, ok, latest.ID)
 	}
 	// Removing the attributed provider must fail over to a surviving
@@ -105,11 +70,11 @@ func TestIndexProviderFailover(t *testing.T) {
 	// that one leaves.
 	n.Leave(latest)
 	next := s.LeafLinks()[0]
-	if p, ok := e.xs.lookup(s, 7); !ok || p != next {
+	if p, ok := e.xs.lookup(n, s, 7); !ok || p != next {
 		t.Fatalf("failover lookup = %d,%v want %d,true", p, ok, next)
 	}
 	n.Leave(n.Peer(next))
-	if p, ok := e.xs.lookup(s, 7); !ok || p != s.LeafLinks()[0] {
+	if p, ok := e.xs.lookup(n, s, 7); !ok || p != s.LeafLinks()[0] {
 		t.Fatalf("second failover lookup = %d,%v want %d,true", p, ok, s.LeafLinks()[0])
 	}
 }
@@ -246,7 +211,7 @@ func TestDemotionMovesIndex(t *testing.T) {
 	if !res.Found {
 		t.Fatal("demoted peer's content lost from the layer index")
 	}
-	if _, ok := e.xs.bySuper[a.ID]; ok || indexedAt(e.xs, a.ID) != 0 {
+	if indexedAt(e.xs, a.ID) != 0 {
 		t.Error("demoted peer still has an index")
 	}
 }
@@ -256,11 +221,11 @@ func TestPromotionCleansOldIndexes(t *testing.T) {
 	e := Attach(n, DefaultCatalog())
 	s := n.Join(100, 1e9, nil)
 	leaf := n.Join(1, 1e9, []msg.ObjectID{33})
-	if _, ok := e.xs.lookup(s, 33); !ok {
+	if _, ok := e.xs.lookup(n, s, 33); !ok {
 		t.Fatal("precondition: super indexes leaf content")
 	}
 	n.Promote(leaf)
-	if _, ok := e.xs.lookup(s, 33); ok {
+	if _, ok := e.xs.lookup(n, s, 33); ok {
 		t.Fatal("promoted peer's objects still indexed at its old super")
 	}
 	// The promoted super now indexes nothing (no leaves) but can answer
@@ -277,11 +242,11 @@ func TestLeaveCleansIndex(t *testing.T) {
 	s := n.Join(100, 1e9, nil)
 	leaf := n.Join(1, 1e9, []msg.ObjectID{44})
 	n.Leave(leaf)
-	if _, ok := e.xs.lookup(s, 44); ok {
+	if _, ok := e.xs.lookup(n, s, 44); ok {
 		t.Fatal("departed leaf's objects still indexed")
 	}
 	n.Leave(s)
-	if len(e.xs.bySuper) != 0 || e.xs.slots() != 0 {
+	if e.xs.slots() != 0 {
 		t.Fatal("departed super's index not dropped")
 	}
 }

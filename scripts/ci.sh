@@ -57,6 +57,12 @@ lane_test() {
     fi
   done
   go test ./...
+  # The trace pipeline as cmd/dlmtrace documents it: dlmsim writes a trace
+  # file and dlmtrace summarizes it (an empty trace fails).
+  trace_tmp=$(mktemp)
+  trap 'rm -f "$trace_tmp"' RETURN
+  go run ./cmd/dlmsim -n 300 -duration 300 -trace "$trace_tmp" > /dev/null
+  go run ./cmd/dlmtrace "$trace_tmp" > /dev/null
   # The benchmark harness is its own module (bench/go.mod); ./... above
   # does not reach it.
   go vet -C bench ./...
