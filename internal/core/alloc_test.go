@@ -91,4 +91,44 @@ func TestLeafCycleAllocFree(t *testing.T) {
 			t.Errorf("a leaf's departure allocates %.0f objects, want 0", allocs)
 		}
 	})
+	// A super's storage is recycled rather than pinned to its slot: once
+	// one super has grown past the index thresholds and demoted, the next
+	// super to do the same — its related set and leaf links spilling,
+	// regrowing to 64 and building their indexes, then all of it released
+	// again — takes everything from the stores.
+	t.Run("super", func(t *testing.T) {
+		n, mgr := allocNetwork(t)
+		const degree = 40 // past relIndexThreshold and linkIndexThreshold (32)
+		leaves := make([]*overlay.Peer, 0, degree)
+		cycle := func() {
+			s := n.Join(100, 1e6, nil)
+			n.Promote(s)
+			for len(leaves) < degree {
+				p := n.Join(10, 100, nil)
+				if !p.HasLink(s.ID) {
+					n.Connect(p, s)
+				}
+				leaves = append(leaves, p)
+			}
+			if s.LeafDegree() != degree || mgr.state(s).Size() != degree {
+				t.Fatalf("super has %d leaves and |G| = %d, want %d", s.LeafDegree(), mgr.state(s).Size(), degree)
+			}
+			if !n.Demote(s) {
+				t.Fatal("demotion refused")
+			}
+			for _, p := range leaves {
+				n.Leave(p)
+			}
+			n.Leave(s)
+			leaves = leaves[:0]
+		}
+		// The first cycles fill the stores and grow the four standing
+		// supers' sets to the most leaves the draws give them.
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("a super's promotion, growth past %d leaves and demotion allocates %.0f objects, want 0", degree, allocs)
+		}
+	})
 }

@@ -16,7 +16,9 @@ import (
 // evaluation, deferred commits, deficit-set repair, expiry and churn
 // events between ticks), so a regression anywhere on the per-tick path
 // shows up here; the steady100k workload of bench/ is the end-to-end
-// measurement of the same path.
+// measurement of the same path. A tick from t = 160 allocates about 53
+// objects (846 before role changes and emptied link sets gave their
+// storage to the hosts' spare stores); see scaleNetwork for which.
 func BenchmarkScaleTick(b *testing.B) {
 	b.ReportAllocs()
 	eng, n := scaleNetwork(b, 160)
@@ -43,11 +45,14 @@ func BenchmarkScaleTick(b *testing.B) {
 // with three leaves each — every one of those supers' sets sits at its
 // inline capacity and spills on its next leaf — and the 100-unit demotion
 // cooldown releases them together at t = 100 to 140. allocs/op read
-// inside that transient is the transient's (2200 at t = 60 to 80, 12 000 at
-// t = 100 to 120); from t = 160 the layer split rings within 2x of its
-// target and a tick allocates what equilibrium allocates: the sets of new
-// supers growing to their leaf degree, and the one leaf in fifty that
-// meets a fifth super.
+// inside that transient is the transient's; from t = 160 the layer split
+// rings within 2x of its target and a tick allocates what equilibrium
+// allocates. New supers growing to their leaf degree, and the one leaf in
+// fifty that meets a fifth super, take their storage from the spare
+// stores; what is left is mostly spills the stores cannot serve, because
+// a store keeps no more spares of a size than its sets hold in use, then
+// the lane buffers growing to a new peak and the lane fan-out's
+// goroutines.
 func scaleNetwork(b *testing.B, warm sim.Time) (*sim.Engine, *overlay.Network) {
 	const size = 100_000
 	eng := sim.NewEngine(1)

@@ -40,9 +40,12 @@ type Manager struct {
 	// that was a top-three serial cost at N=1M — leaves are bucketed by
 	// the integer tick at which their refresh next comes due. refreshCal
 	// maps a due tick to the IDs enrolled for it; refreshTick holds, per
-	// PeerID, the tick the peer is currently enrolled for (0 = none), so
-	// a peer re-enrolled after a layer change lazily invalidates its old
-	// bucket entry. calProcessed is the last due tick already drained.
+	// slab slot, the tick the slot's peer is currently enrolled for (0 =
+	// none), so a peer re-enrolled after a layer change lazily invalidates
+	// its old bucket entry. Indexing by slot sizes it by the population,
+	// not by the joins ever made; a departed tenant's entries cannot be
+	// mistaken for its successor's because the drain resolves each ID
+	// first. calProcessed is the last due tick already drained.
 	// TestRefreshCalendarComplete pins that no live leaf is ever left
 	// without a booking.
 	refreshCal   map[int64][]msg.PeerID
@@ -62,6 +65,12 @@ type Manager struct {
 	// the next tenant's InitialLayer resets it. Growth happens only on
 	// the serial join path (InitialLayer), never inside a parallel lane.
 	mach [][]protocol.Machine
+
+	// spares is the arena's store of released machine storage (see
+	// protocol.Spares): a reset machine's heap slices and index wait here
+	// for the next machine that spills. Every arena machine is bound to
+	// it; the tick's parallel evaluate pass never touches it.
+	spares protocol.Spares
 
 	// pendingLive is a conservative "some request may be outstanding"
 	// hint: set whenever an Expect survives its exchange inline, cleared
@@ -123,7 +132,7 @@ func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Laye
 	// The overlay may still bootstrap-override the layer to super; the
 	// entry then dies at its due tick's layer check.
 	if m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0 {
-		m.calEnroll(p.ID, m.calKey(0))
+		m.calEnroll(p, m.calKey(0))
 	}
 	return overlay.LayerLeaf
 }
@@ -145,7 +154,7 @@ func (m *Manager) machineFor(slot int32, joined protocol.Time) *protocol.Machine
 		m.mach = append(m.mach, make([]protocol.Machine, 1<<machChunkShift))
 	}
 	ma := &m.mach[c][int(slot)&(1<<machChunkShift-1)]
-	ma.Init(&m.P, joined)
+	ma.Init(&m.P, joined, &m.spares)
 	return ma
 }
 
@@ -310,8 +319,8 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 	case overlay.LayerSuper:
 		// Promotion: supers never refresh; any pending calendar entry
 		// turns stale (it skips on the enrollment-tick mismatch).
-		if int(p.ID) < len(m.refreshTick) {
-			m.refreshTick[p.ID] = 0
+		if int(p.Slot()) < len(m.refreshTick) {
+			m.refreshTick[p.Slot()] = 0
 		}
 		// Previous super connections became super-super links; the former
 		// supers must forget p as a leaf.
@@ -327,7 +336,7 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 		// calendar exactly as a newcomer would.
 		if m.P.Exchange == protocol.EventDriven {
 			if m.P.RefreshInterval > 0 {
-				m.calEnroll(p.ID, m.calKey(0))
+				m.calEnroll(p, m.calKey(0))
 			}
 			for _, id := range p.SuperLinks() {
 				if q := n.Peer(id); q != nil {
@@ -509,17 +518,18 @@ func (m *Manager) calKey(last protocol.Time) int64 {
 	return k
 }
 
-// calEnroll books id into the bucket for tick key. A peer is enrolled in
+// calEnroll books p into the bucket for tick key. A peer is enrolled in
 // at most one live bucket: refreshTick records the booking, and an entry
 // whose bucket no longer matches it (the peer was re-enrolled or cleared
 // since) is skipped unprocessed when its bucket drains.
-func (m *Manager) calEnroll(id msg.PeerID, key int64) {
-	if int(id) >= len(m.refreshTick) {
-		grown := make([]int32, int(id)+1+len(m.refreshTick)/2)
+func (m *Manager) calEnroll(p *overlay.Peer, key int64) {
+	slot := int(p.Slot())
+	if slot >= len(m.refreshTick) {
+		grown := make([]int32, slot+1+len(m.refreshTick)/2)
 		copy(grown, m.refreshTick)
 		m.refreshTick = grown
 	}
-	m.refreshTick[id] = int32(key)
+	m.refreshTick[slot] = int32(key)
 	if m.refreshCal == nil {
 		m.refreshCal = make(map[int64][]msg.PeerID)
 	}
@@ -530,13 +540,13 @@ func (m *Manager) calEnroll(id msg.PeerID, key int64) {
 			m.calPool = m.calPool[:l-1]
 		}
 	}
-	m.refreshCal[key] = append(b, id)
+	m.refreshCal[key] = append(b, p.ID)
 }
 
 // refreshDue re-runs the exchange for leaves whose last refresh is older
 // than RefreshInterval, keeping μ estimates fresh on long-lived links.
 // Due leaves come from the refresh calendar, not a population walk: each
-// drained bucket is filtered (dead, promoted, or re-enrolled peers skip),
+// drained bucket is filtered (dead, re-enrolled, or promoted peers skip),
 // sorted by slab slot — the order a full population walk would visit
 // them in, so frames depart in an order no bucket history can perturb.
 // Every surviving leaf re-enrolls for its next due tick, so per-tick work
@@ -556,11 +566,14 @@ func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
 		delete(m.refreshCal, key)
 		due := m.calDue[:0]
 		for _, id := range bucket {
-			if int(id) >= len(m.refreshTick) || m.refreshTick[id] != int32(key) {
+			// A dead peer's slot may hold a successor's booking; resolving
+			// the ID first leaves that booking alone.
+			p := n.Peer(id)
+			if p == nil || m.refreshTick[p.Slot()] != int32(key) {
 				continue
 			}
-			m.refreshTick[id] = 0
-			if p := n.Peer(id); p != nil && p.Layer == overlay.LayerLeaf {
+			m.refreshTick[p.Slot()] = 0
+			if p.Layer == overlay.LayerLeaf {
 				due = append(due, p)
 			}
 		}
@@ -584,7 +597,7 @@ func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protoc
 	if !lm.RefreshDue(pnow) {
 		// Stamped more recently than the booking (defensive; bookings are
 		// invalidated on re-enrollment, so this should not trigger).
-		m.calEnroll(leaf.ID, m.calKey(lm.RefreshAt()))
+		m.calEnroll(leaf, m.calKey(lm.RefreshAt()))
 		return
 	}
 	for _, sid := range leaf.SuperLinks() {
@@ -604,7 +617,7 @@ func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protoc
 	if lm.PendingRequests() > 0 {
 		m.pendingLive = true
 	}
-	m.calEnroll(leaf.ID, m.calKey(lm.RefreshAt()))
+	m.calEnroll(leaf, m.calKey(lm.RefreshAt()))
 }
 
 // expireAll runs the pending-request expiry for every machine with

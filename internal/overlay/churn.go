@@ -23,17 +23,15 @@ type Churn struct {
 	Catalog ObjectAssigner
 
 	rng *sim.Source
-	// pool recycles churnEvents whose lineage ended (a peer removed
-	// out-of-band, e.g. by a failure experiment, triggers no replacement,
-	// so its event retires here for the next external join).
-	pool []*churnEvent
 }
 
 // churnEvent is one lineage's reusable event carrier: it fires first as
 // the initial join, then alternates death -> replacement join forever,
-// so steady-state churn schedules zero allocations. Deaths are keyed by
-// PeerID, not *Peer: peer structs live in the network's recycling slab
-// store, and an ID is never reused, so a stale death (the peer was
+// so steady-state churn schedules zero allocations. Start allocates all
+// TargetSize carriers as one slice; a lineage whose peer is removed out of
+// band ends there, and its carrier is never scheduled again. Deaths are
+// keyed by PeerID, not *Peer: peer structs live in the network's recycling
+// slab store, and an ID is never reused, so a stale death (the peer was
 // already removed out-of-band) resolves to nil instead of to the slot's
 // next tenant.
 type churnEvent struct {
@@ -53,21 +51,10 @@ func (ev *churnEvent) Fire(*sim.Engine) {
 	if p == nil || !p.Alive() {
 		// Removed out-of-band; no replacement (matching the historical
 		// "dead peers don't respawn twice" behavior).
-		ev.id = msg.NoPeer
-		c.pool = append(c.pool, ev)
 		return
 	}
 	c.Net.Leave(p)
 	c.joinOne(ev) // one-for-one replacement
-}
-
-func (c *Churn) getEvent() *churnEvent {
-	if n := len(c.pool); n > 0 {
-		ev := c.pool[n-1]
-		c.pool = c.pool[:n-1]
-		return ev
-	}
-	return &churnEvent{c: c}
 }
 
 // ObjectAssigner draws the object IDs a joining peer shares.
@@ -87,6 +74,10 @@ func (c *Churn) Start() {
 	}
 	c.rng = c.Net.Engine().Rand().Stream("churn")
 	eng := c.Net.Engine()
+	lineages := make([]churnEvent, c.TargetSize)
+	for i := range lineages {
+		lineages[i].c = c
+	}
 
 	remaining := c.TargetSize
 	unit := sim.Time(0)
@@ -97,7 +88,7 @@ func (c *Churn) Start() {
 		}
 		for i := 0; i < batch; i++ {
 			at := unit + sim.Time(float64(i)/float64(batch))
-			eng.Schedule(at, c.getEvent())
+			eng.Schedule(at, &lineages[c.TargetSize-remaining+i])
 		}
 		remaining -= batch
 		unit++
@@ -118,9 +109,6 @@ func (c *Churn) joinOne(ev *churnEvent) {
 	life := sim.Duration(sample.Lifetime)
 	if life <= 0 {
 		life = 1e-3
-	}
-	if ev == nil {
-		ev = c.getEvent()
 	}
 	ev.id = p.ID
 	// The death timer is a peer-targeted event, so it is tagged with the

@@ -136,7 +136,12 @@ type Network struct {
 	// perfect link never touches it.
 	linkRng *sim.Source
 
-	store  peerStore
+	store peerStore
+	// spares keeps the heap slices and position indexes that emptied link
+	// sets give back, for the next set that spills, regrows or indexes.
+	// Only the serial membership path (Join, Leave, the layer surgery,
+	// Connect and Disconnect) mutates link sets.
+	spares linkSpares
 	supers layerSet
 	leaves layerSet
 	nextID msg.PeerID
@@ -168,7 +173,9 @@ type Network struct {
 	parMgr ParallelManager
 
 	// deliverPool recycles delivery events so the message plane stays
-	// zero-alloc; it is capped so a burst does not pin its peak forever.
+	// zero-alloc. It is refilled deliverBlock carriers at a time and never
+	// shrinks: it holds at most the most carriers ever in flight at once,
+	// rounded up to a block.
 	deliverPool []*deliverEvent
 
 	// batchSend buffers the messages produced by batched message handling
@@ -201,10 +208,9 @@ type ParallelManager interface {
 	HandleMessageLane(n *Network, to *Peer, m *msg.Message, lane int, out *[]msg.Message)
 }
 
-// maxDeliverPool caps the delivery-event pool; the pool only grows past
-// steady state when a burst leaves more carriers in flight than ever
-// before, and without a cap that peak is pinned forever.
-const maxDeliverPool = (NumLanes + 1) * 256
+// deliverBlock is how many carriers an empty deliverPool is refilled
+// with, in one allocation.
+const deliverBlock = 64
 
 // deliverEvent carries one in-flight message; it implements sim.Event for
 // latency-delayed delivery and sim.LaneEvent for same-timestamp batched
@@ -263,24 +269,24 @@ func (d *deliverEvent) CommitLane(*sim.Engine) {
 	n.putDeliver(d)
 }
 
-// getDeliver returns a carrier stamped with lane, recycled when the pool
-// has one.
+// getDeliver returns a pooled carrier stamped with lane, refilling the
+// pool with a new block when it is empty.
 func (n *Network) getDeliver(lane int32) *deliverEvent {
-	if l := len(n.deliverPool); l > 0 {
-		d := n.deliverPool[l-1]
-		n.deliverPool[l-1] = nil
-		n.deliverPool = n.deliverPool[:l-1]
-		d.lane = lane
-		return d
+	if len(n.deliverPool) == 0 {
+		block := make([]deliverEvent, deliverBlock)
+		for i := range block {
+			block[i].n = n
+			n.deliverPool = append(n.deliverPool, &block[i])
+		}
 	}
-	return &deliverEvent{n: n, lane: lane}
+	l := len(n.deliverPool) - 1
+	d := n.deliverPool[l]
+	n.deliverPool = n.deliverPool[:l]
+	d.lane = lane
+	return d
 }
 
-func (n *Network) putDeliver(d *deliverEvent) {
-	if len(n.deliverPool) < maxDeliverPool {
-		n.deliverPool = append(n.deliverPool, d)
-	}
-}
+func (n *Network) putDeliver(d *deliverEvent) { n.deliverPool = append(n.deliverPool, d) }
 
 // New creates an empty overlay bound to the engine. It panics on an
 // invalid config (construction-time bug).
@@ -612,9 +618,9 @@ func (n *Network) Promote(p *Peer) {
 	}
 	for _, id := range p.superLinks.list() {
 		q := n.store.get(id)
-		q.leafLinks.Remove(p.ID)
+		q.leafLinks.Remove(p.ID, &n.spares)
 		n.agg.leafLinkDelta(q, -1)
-		q.superLinks.add(p.ID)
+		q.superLinks.add(p.ID, &n.spares)
 		n.agg.superLinkDelta(q, +1)
 		n.updateDeficit(q)
 	}
@@ -657,9 +663,9 @@ func (n *Network) Demote(p *Peer) bool {
 	for i, id := range links {
 		q := n.store.get(id)
 		if i < n.cfg.M {
-			q.superLinks.Remove(p.ID)
+			q.superLinks.Remove(p.ID, &n.spares)
 			n.agg.superLinkDelta(q, -1)
-			q.leafLinks.add(p.ID)
+			q.leafLinks.add(p.ID, &n.spares)
 			n.agg.leafLinkDelta(q, +1)
 			n.updateDeficit(q)
 			continue
@@ -736,11 +742,11 @@ func (n *Network) updateDeficit(p *Peer) {
 // established that no p<->q link exists.
 func (n *Network) linkInto(p, q *Peer) {
 	if q.Layer == LayerSuper {
-		p.superLinks.add(q.ID)
+		p.superLinks.add(q.ID, &n.spares)
 		n.agg.superLinkDelta(p, +1)
 		n.updateDeficit(p)
 	} else {
-		p.leafLinks.add(q.ID)
+		p.leafLinks.add(q.ID, &n.spares)
 		n.agg.leafLinkDelta(p, +1)
 	}
 }
@@ -750,18 +756,18 @@ func (n *Network) unlink(p, q *Peer) {
 	if p == nil || q == nil {
 		return
 	}
-	if p.superLinks.Remove(q.ID) {
+	if p.superLinks.Remove(q.ID, &n.spares) {
 		n.agg.superLinkDelta(p, -1)
 		n.updateDeficit(p)
 	}
-	if p.leafLinks.Remove(q.ID) {
+	if p.leafLinks.Remove(q.ID, &n.spares) {
 		n.agg.leafLinkDelta(p, -1)
 	}
-	if q.superLinks.Remove(p.ID) {
+	if q.superLinks.Remove(p.ID, &n.spares) {
 		n.agg.superLinkDelta(q, -1)
 		n.updateDeficit(q)
 	}
-	if q.leafLinks.Remove(p.ID) {
+	if q.leafLinks.Remove(p.ID, &n.spares) {
 		n.agg.leafLinkDelta(q, -1)
 	}
 	n.mgr.OnDisconnect(n, p, q)

@@ -7,44 +7,44 @@ import (
 	"dlm/internal/sim"
 )
 
-// TestDeliverPoolCapped: the delivery-event pool stops growing at
-// maxDeliverPool, so a burst of in-flight messages does not pin its peak
-// carrier count for the network's whole lifetime.
+// TestDeliverPoolCapped: the delivery-carrier pool is capped by demand,
+// not by a constant. It is refilled a block at a time, so a burst of
+// in-flight messages allocates a block per deliverBlock carriers; a second
+// burst of the same size allocates nothing; and the pool never holds more
+// carriers than the largest burst had in flight, rounded up to a block.
 func TestDeliverPoolCapped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, Config{M: 2, KS: 3, Eta: 10, Latency: 0.5}, nil)
-
-	// Direct pool exercise: more carriers in flight than the cap admits
-	// back.
-	const burst = 2 * maxDeliverPool
-	carriers := make([]*deliverEvent, burst)
-	for i := range carriers {
-		carriers[i] = n.getDeliver(3)
+	p := n.Join(10, 100, nil)
+	q := n.Join(10, 100, nil)
+	burst := func(size int) {
+		for i := 0; i < size; i++ {
+			n.Send(msg.ValueRequest(p.ID, q.ID))
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, d := range carriers {
-		n.putDeliver(d)
+	const largest = 4 * deliverBlock
+	burst(largest)
+	if got := len(n.deliverPool); got != largest {
+		t.Errorf("pool holds %d carriers after a burst of %d, want %d", got, largest, largest)
 	}
-	if got := len(n.deliverPool); got > maxDeliverPool {
-		t.Errorf("pool holds %d carriers after burst, cap is %d", got, maxDeliverPool)
+	if allocs := testing.AllocsPerRun(20, func() { burst(largest) }); allocs != 0 {
+		t.Errorf("a second burst of %d allocates %.0f objects, want 0", largest, allocs)
+	}
+	burst(largest/2 + 1)
+	if got := len(n.deliverPool); got != largest {
+		t.Errorf("pool holds %d carriers after a smaller burst, want %d", got, largest)
+	}
+	burst(largest + 1)
+	if got, limit := len(n.deliverPool), largest+deliverBlock; got != limit {
+		t.Errorf("pool holds %d carriers after a burst of %d, want %d (a block more)", got, largest+1, limit)
 	}
 	// A recycled carrier takes the lane it is handed out under, not the
 	// one it was returned with.
 	if d := n.getDeliver(5); d.lane != 5 {
 		t.Errorf("recycled carrier has lane %d, want 5", d.lane)
-	}
-
-	// End-to-end: a latency network with a message burst stays bounded
-	// after the queue drains.
-	p := n.Join(10, 100, nil)
-	q := n.Join(10, 100, nil)
-	for i := 0; i < burst; i++ {
-		n.Send(msg.ValueRequest(p.ID, q.ID))
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(n.deliverPool); got > maxDeliverPool {
-		t.Errorf("pool holds %d carriers after drain, cap is %d", got, maxDeliverPool)
 	}
 }
 

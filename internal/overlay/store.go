@@ -51,10 +51,11 @@ func (st *peerStore) get(id msg.PeerID) *Peer {
 }
 
 // acquire allocates (or recycles) a slot for id and returns its Peer,
-// with identity fields zeroed and link sets empty — their IDs inline
-// again, whatever heap slice or index the slot's last tenant grew dropped
-// (linkSet.Clear). The manager-owned State field survives recycling; all
-// other fields are the caller's to set.
+// with identity fields zeroed. Its link sets are empty already: a new
+// page's are zero, and Leave's unlinks emptied a recycled slot's, giving
+// their storage back to the network's spares (linkSet.Remove). The
+// manager-owned State field survives recycling; all other fields are the
+// caller's to set.
 func (st *peerStore) acquire(id msg.PeerID) *Peer {
 	var slot int32
 	if n := len(st.free); n > 0 {
@@ -80,8 +81,6 @@ func (st *peerStore) acquire(id msg.PeerID) *Peer {
 	p.Objects = nil
 	p.MisreportCapFactor = 0
 	p.MisreportAgeBoost = 0
-	p.superLinks.Clear()
-	p.leafLinks.Clear()
 	return p
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"dlm/internal/flatidx"
 	"dlm/internal/msg"
+	"dlm/internal/spare"
 )
 
 // Endpoint is the transport surface a Machine needs: a way to emit a
@@ -137,12 +138,15 @@ type lnnReport struct {
 // A machine at leaf size never touches the Go heap: the related set, the
 // l_nn table and the pending table each start in a fixed array inside the
 // struct, and a set that outgrows its array moves once to a heap slice
-// (see push) and stays there until Reset. The inline capacities come from
-// the measured end-of-run leaf |G| — steady100k: 2/3/4/5/≥6 entries on
-// 63 434/25 402/6 670/1 298/207 leaves, 98.5 % ≤ 4; churn50k: 92 % ≤ 4 —
-// and from the overlay's M = 2 supers per leaf, each good for one l_nn
-// report and two outstanding requests. No field points into the struct,
-// so a by-value copy of an inline machine is an independent machine.
+// (see push) and stays there until Reset. A machine bound to a host's
+// Spares (see Init) takes those slices from the store and gives them back
+// at Reset; one without allocates and drops them. The inline capacities
+// come from the measured end-of-run leaf |G| — steady100k: 2/3/4/5/≥6
+// entries on 63 434/25 402/6 670/1 298/207 leaves, 98.5 % ≤ 4; churn50k:
+// 92 % ≤ 4 — and from the overlay's M = 2 supers per leaf, each good for
+// one l_nn report and two outstanding requests. No field points into the
+// struct, so a by-value copy of an inline machine is an independent
+// machine.
 //
 // Field order is the per-tick evaluation path's access order, hottest
 // first: the cooldown gate (p, lastChange), prune's fast path (relN,
@@ -188,8 +192,8 @@ type Machine struct {
 	// degree, which million-peer bootstrap drives into the tens of
 	// thousands; past relIndexThreshold a position index (a flat
 	// open-addressed table, cheaper than a map on this probe-only pattern)
-	// takes over and every lookup is O(1). Only large supers ever pay the
-	// index allocation, and Reset drops it with the tenancy that needed it.
+	// takes over and every lookup is O(1). Only large supers ever hold an
+	// index, and Reset gives it back with the tenancy that needed it.
 	relN    int32
 	relHeap []relEntry
 	relBuf  [relInline]relEntry
@@ -225,21 +229,89 @@ type Machine struct {
 	pendBuf  [pendInline]pendingRec
 	pendHeap []pendingRec
 
-	// timeoutRetries/timeoutDrops are the cumulative timeout tallies;
-	// they survive Reset (transport diagnostics, not protocol state).
-	timeoutRetries uint64
-	timeoutDrops   uint64
+	// sp is the host's store of released set storage (nil: none); it
+	// survives Reset.
+	sp *Spares
 
-	// hasSmooth marks lnnSmooth as seeded. It is the last field so that
-	// its padding is the struct's tail, not a ninth cache line.
+	// hasSmooth marks lnnSmooth as seeded.
 	hasSmooth bool
+	// The padding completes the eighth cache line.
+	_ [15]byte
+}
+
+// Spares is a host's store of released machine storage: the heap slices
+// of the five spilled arrays and the related-set position index, by
+// capacity. A host that keeps one passes it to Init for every machine it
+// owns; Reset returns a machine's storage to it, and a spill, a regrowth or
+// an index build takes from it before allocating. The zero value is an
+// empty store. It is not safe for concurrent use: a host touches its
+// machines' stores only from its serial membership and message path, and
+// Evaluate — the only call a host may run on several machines at once —
+// neither spills nor resets (prune truncates in place).
+type Spares struct {
+	rel  spare.Slices[relEntry]
+	ids  spare.Slices[msg.PeerID]
+	reps spare.Slices[lnnReport]
+	pend spare.Slices[pendingRec]
+	idx  flatidx.Pool
+}
+
+// giveBack releases ma's heap slices and index to sp; a nil sp keeps
+// nothing.
+func (sp *Spares) giveBack(ma *Machine) {
+	if sp == nil {
+		return
+	}
+	sp.rel.Release(ma.relHeap)
+	sp.ids.Release(ma.ordHeap)
+	sp.ids.Release(ma.lnnIDHeap)
+	sp.reps.Release(ma.lnnRepHeap)
+	sp.pend.Release(ma.pendHeap)
+	sp.idx.Release(ma.relIdx)
+}
+
+// The stores of one element type; nil for a nil Spares, which keeps
+// nothing.
+func (sp *Spares) relStore() *spare.Slices[relEntry] {
+	if sp == nil {
+		return nil
+	}
+	return &sp.rel
+}
+
+func (sp *Spares) idStore() *spare.Slices[msg.PeerID] {
+	if sp == nil {
+		return nil
+	}
+	return &sp.ids
+}
+
+func (sp *Spares) repStore() *spare.Slices[lnnReport] {
+	if sp == nil {
+		return nil
+	}
+	return &sp.reps
+}
+
+func (sp *Spares) pendStore() *spare.Slices[pendingRec] {
+	if sp == nil {
+		return nil
+	}
+	return &sp.pend
+}
+
+func (sp *Spares) idxStore() *flatidx.Pool {
+	if sp == nil {
+		return nil
+	}
+	return &sp.idx
 }
 
 // Inline capacities of the three per-machine sets (see Machine), and the
 // factor by which a set's first heap slice exceeds its array, so that a
-// set that has just spilled does not regrow at once. BenchmarkScaleTick
-// allocates 1133, 846 and 777 objects a tick at factors 2, 4 and 8, in
-// 278, 301 and 430 kB: 4 is the knee.
+// set that has just spilled does not regrow at once. Before the spare
+// store, BenchmarkScaleTick allocated 1133, 846 and 777 objects a tick at
+// factors 2, 4 and 8, in 278, 301 and 430 kB: 4 is the knee.
 const (
 	relInline   = 4
 	lnnInline   = 4
@@ -257,15 +329,16 @@ func view[T any](buf, heap []T, n int32) []T {
 }
 
 // push stores v as element n of such a set; the caller increments n. The
-// append that finds buf full moves the set to the heap.
-func push[T any](buf []T, heap *[]T, n int32, v T) {
+// append that finds buf full moves the set to the heap. Heap slices come
+// from s and have power-of-two capacities.
+func push[T any](buf []T, heap *[]T, n int32, v T, s *spare.Slices[T]) {
 	switch {
 	case *heap != nil:
-		*heap = append(*heap, v)
+		*heap = s.Append(*heap, v)
 	case int(n) < len(buf):
 		buf[n] = v
 	default:
-		*heap = append(append(make([]T, 0, spillFactor*len(buf)), buf...), v)
+		*heap = append(append(s.Make(spillFactor*len(buf)), buf...), v)
 	}
 }
 
@@ -299,13 +372,13 @@ func NewMachine(p *Params, joined Time) *Machine {
 	return &Machine{p: p, lastChange: joined}
 }
 
-// Init rebinds ma exactly as NewMachine initializes a fresh allocation —
-// for machines embedded in a host-owned arena rather than heap-allocated
-// one by one. It must only run on a machine with no live protocol state
-// (a first tenant); recycled machines go through Reset instead, which
-// keeps their transport counters.
-func (ma *Machine) Init(p *Params, joined Time) {
-	*ma = Machine{p: p, lastChange: joined}
+// Init rebinds ma as NewMachine initializes a fresh allocation, bound to
+// the host's store sp (nil for none) — for machines embedded in a
+// host-owned arena rather than heap-allocated one by one. It must only run
+// on a machine with no live protocol state (a first tenant); recycled
+// machines go through Reset instead, which returns their storage to sp.
+func (ma *Machine) Init(p *Params, joined Time, sp *Spares) {
+	*ma = Machine{p: p, lastChange: joined, sp: sp}
 }
 
 // relIndexThreshold is the related-set size past which the position
@@ -334,8 +407,8 @@ func (ma *Machine) relIndex(id msg.PeerID) int {
 // addRel appends a new related-set entry, growing the position index
 // when the set crosses the threshold.
 func (ma *Machine) addRel(id msg.PeerID, e relEntry) {
-	push(ma.ordBuf[:], &ma.ordHeap, ma.relN, id)
-	push(ma.relBuf[:], &ma.relHeap, ma.relN, e)
+	push(ma.ordBuf[:], &ma.ordHeap, ma.relN, id, ma.sp.idStore())
+	push(ma.relBuf[:], &ma.relHeap, ma.relN, e, ma.sp.relStore())
 	ma.relN++
 	if ma.relN == 1 || e.lastSeen < ma.relMinSeen {
 		ma.relMinSeen = e.lastSeen
@@ -369,7 +442,7 @@ func (ma *Machine) removeRelAt(i int) {
 // rebuildRelIdx (re)derives the position index from the ID array.
 func (ma *Machine) rebuildRelIdx() {
 	if ma.relIdx == nil {
-		ma.relIdx = new(flatidx.Map)
+		ma.relIdx = ma.sp.idxStore().Get()
 	} else {
 		ma.relIdx.Clear()
 	}
@@ -402,8 +475,8 @@ func (ma *Machine) putLnn(id msg.PeerID, r lnnReport) {
 		ma.lnnSum += int64(r.lnn)
 		ma.lnnCount++
 	}
-	push(ma.lnnIDBuf[:], &ma.lnnIDHeap, ma.lnnN, id)
-	push(ma.lnnRepBuf[:], &ma.lnnRepHeap, ma.lnnN, r)
+	push(ma.lnnIDBuf[:], &ma.lnnIDHeap, ma.lnnN, id, ma.sp.idStore())
+	push(ma.lnnRepBuf[:], &ma.lnnRepHeap, ma.lnnN, r, ma.sp.repStore())
 	ma.lnnN++
 }
 
@@ -433,17 +506,18 @@ func (ma *Machine) delLnn(id msg.PeerID) {
 func (ma *Machine) Params() *Params { return ma.p }
 
 // Reset clears all protocol state after a role change at time now. Every
-// set returns to its inline array and the position index goes: the next
-// tenancy — a demoted super, a leaf recycled into an ex-super's slot — is
-// leaf-sized far more often than not, and a heap slice or index kept for
-// it would be memory held and a cache line read for nothing.
+// set returns to its inline array and the heap slices and position index
+// go back to the host's store: the next tenancy — a demoted super, a leaf
+// recycled into an ex-super's slot — is leaf-sized far more often than
+// not, and storage kept in the slot for it would be memory held for
+// nothing, while in the store it serves the next set that spills.
 func (ma *Machine) Reset(now Time) {
-	*ma = Machine{
-		p:              ma.p,
-		lastChange:     now,
-		timeoutRetries: ma.timeoutRetries,
-		timeoutDrops:   ma.timeoutDrops,
+	// The index exists only beside relHeap, and ordHeap and lnnRepHeap
+	// only beside their partners: a leaf-sized machine skips the call.
+	if ma.relHeap != nil || ma.lnnIDHeap != nil || ma.pendHeap != nil {
+		ma.sp.giveBack(ma)
 	}
+	*ma = Machine{p: ma.p, lastChange: now, sp: ma.sp}
 }
 
 // LastChange returns the time of the last role change (or join).

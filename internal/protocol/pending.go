@@ -84,7 +84,7 @@ func (ma *Machine) Expect(peer msg.PeerID, kind msg.Kind, now Time) {
 		copy(pend, pend[1:])
 		ma.truncPend(len(pend) - 1)
 	}
-	push(ma.pendBuf[:], &ma.pendHeap, ma.pendN, rec)
+	push(ma.pendBuf[:], &ma.pendHeap, ma.pendN, rec, ma.sp.pendStore())
 	ma.pendN++
 }
 
@@ -115,8 +115,8 @@ func (ma *Machine) clearPending(peer msg.PeerID, pr pendingPair) {
 // ExpirePending retries or abandons requests whose deadline has passed:
 // an entry with retry budget left is re-sent with a fresh deadline; one
 // whose budget is spent is dropped from the table. It returns the number
-// of retries sent and requests abandoned by this call (the cumulative
-// tallies are TimeoutRetries/TimeoutDrops). The scan is two-phase — the
+// of retries sent and requests abandoned by this call; hosts that want
+// cumulative tallies sum them. The scan is two-phase — the
 // table is fully updated before any frame departs — because a re-sent
 // request can be answered synchronously, re-entering HandleMessage and
 // mutating the table mid-call.
@@ -145,8 +145,6 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	}
 	ma.truncPend(keep)
 	retries = len(resend)
-	ma.timeoutRetries += uint64(retries)
-	ma.timeoutDrops += uint64(drops)
 	for _, r := range resend {
 		switch r.pair {
 		case pairNeighNum:
@@ -161,15 +159,6 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 // PendingRequests returns the number of outstanding Phase 1 requests;
 // hosts use it as the fast path to skip ExpirePending entirely.
 func (ma *Machine) PendingRequests() int { return int(ma.pendN) }
-
-// TimeoutRetries returns the cumulative count of timed-out requests this
-// machine re-sent. The counter survives Reset: it is a diagnostic of the
-// transport, not protocol state.
-func (ma *Machine) TimeoutRetries() uint64 { return ma.timeoutRetries }
-
-// TimeoutDrops returns the cumulative count of requests abandoned after
-// the retry budget was spent. Like TimeoutRetries it survives Reset.
-func (ma *Machine) TimeoutDrops() uint64 { return ma.timeoutDrops }
 
 // dropPending removes both outstanding entries toward id (the peer is
 // gone; retrying at it is pointless).

@@ -29,7 +29,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 		{
 			// The response never arrives: the entry retries until the
 			// budget is spent, then is abandoned, and each phase is
-			// visible in the counters.
+			// visible in the counts ExpirePending returns.
 			name: "drop-all",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
 				ma.Expect(2, msg.KindNeighNumRequest, 0)
@@ -47,10 +47,6 @@ func TestPendingFaultPatterns(t *testing.T) {
 				}
 				if ma.PendingRequests() != 0 {
 					t.Fatal("abandoned entry still pending")
-				}
-				if ma.TimeoutRetries() != 1 || ma.TimeoutDrops() != 1 {
-					t.Fatalf("counters = %d,%d want 1,1",
-						ma.TimeoutRetries(), ma.TimeoutDrops())
 				}
 			},
 		},
@@ -212,18 +208,21 @@ func TestPendingResetSemantics(t *testing.T) {
 	ma := NewMachine(&p, 0)
 	ep := &captureEndpoint{}
 	ma.Expect(2, msg.KindNeighNumRequest, 0)
-	ma.ExpirePending(Self{ID: 1}, 5, ep)  // one retry
-	ma.ExpirePending(Self{ID: 1}, 10, ep) // one abandon
+	if r, d := ma.ExpirePending(Self{ID: 1}, 5, ep); r != 1 || d != 0 {
+		t.Fatalf("first deadline: retries=%d drops=%d, want 1,0", r, d)
+	}
+	if r, d := ma.ExpirePending(Self{ID: 1}, 10, ep); r != 0 || d != 1 {
+		t.Fatalf("budget spent: retries=%d drops=%d, want 0,1", r, d)
+	}
 	ma.Expect(3, msg.KindValueRequest, 11)
 	ma.Reset(12)
-	// The table is protocol state and clears on a role change; the
-	// timeout counters are transport diagnostics and survive.
+	// The table is protocol state and clears on a role change: nothing is
+	// left to retry or abandon.
 	if ma.PendingRequests() != 0 {
 		t.Fatal("Reset kept pending entries")
 	}
-	if ma.TimeoutRetries() != 1 || ma.TimeoutDrops() != 1 {
-		t.Fatalf("Reset cleared counters: %d,%d",
-			ma.TimeoutRetries(), ma.TimeoutDrops())
+	if r, d := ma.ExpirePending(Self{ID: 1}, 100, ep); r != 0 || d != 0 {
+		t.Fatalf("expiry after Reset: retries=%d drops=%d, want 0,0", r, d)
 	}
 	if bad := ma.CheckInvariants(); bad != "" {
 		t.Fatal(bad)

@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dlm/internal/msg"
 )
@@ -20,8 +22,6 @@ type refMachine struct {
 	nextSeq uint64
 	lnn     map[msg.PeerID]lnnReport
 	pend    []pendingRec
-	retries uint64
-	drops   uint64
 }
 
 func newRefMachine(p *Params) *refMachine {
@@ -29,8 +29,7 @@ func newRefMachine(p *Params) *refMachine {
 }
 
 func (r *refMachine) reset() {
-	*r = refMachine{p: r.p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{},
-		retries: r.retries, drops: r.drops}
+	*r = refMachine{p: r.p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{}}
 }
 
 // removeRel swap-deletes id from the related set; its l_nn report goes
@@ -131,19 +130,18 @@ func (r *refMachine) clear(peer msg.PeerID, pr pendingPair) {
 	}
 }
 
-// expire returns the frames re-sent, in order.
-func (r *refMachine) expire(self msg.PeerID, now Time) []msg.Message {
-	var sent []msg.Message
+// expire returns the frames re-sent, in order, and the number of rows
+// abandoned.
+func (r *refMachine) expire(self msg.PeerID, now Time) (sent []msg.Message, drops int) {
 	var kept []pendingRec
 	for _, x := range r.pend {
 		if now >= x.deadline {
 			if int(x.retries) >= r.p.MaxRetries {
-				r.drops++
+				drops++
 				continue
 			}
 			x.retries++
 			x.deadline = now + r.p.RequestTimeout
-			r.retries++
 			if x.pair == pairNeighNum {
 				sent = append(sent, msg.NeighNumRequest(self, x.peer))
 			} else {
@@ -153,7 +151,7 @@ func (r *refMachine) expire(self msg.PeerID, now Time) []msg.Message {
 		kept = append(kept, x)
 	}
 	r.pend = kept
-	return sent
+	return sent, drops
 }
 
 // sendLog records the frames a machine sends.
@@ -162,42 +160,54 @@ type sendLog struct{ sent []msg.Message }
 func (s *sendLog) Send(m msg.Message)             { s.sent = append(s.sent, m) }
 func (s *sendLog) IsLeafNeighbor(msg.PeerID) bool { return true }
 
-// TestInlineSpillDifferential drives a Machine and the reference model
-// through one random operation sequence that takes each of the three sets
-// back and forth across its inline capacity and the related set across the
-// index threshold, and requires them to agree after every step: iteration
-// order and entries, Size, the AvgLnn bits, every l_nn report, the
-// eviction victim (through the order), the pending rows in order, the
-// frames an expiry re-sends, and the machine's own invariants.
+// TestInlineSpillDifferential drives three Machines that share one Spares
+// store, as a host's arena does, and a reference model for each through one
+// random operation sequence that takes each of the three sets back and forth
+// across its inline capacity and the related set across the index
+// threshold. Every step must agree with the reference: iteration order and
+// entries, Size, the AvgLnn bits, every l_nn report, the eviction victim
+// (through the order), the pending rows in order, the frames an expiry
+// re-sends and the rows it abandons, and the machine's own invariants. No
+// backing array or index may be held by two live sets at once.
 func TestInlineSpillDifferential(t *testing.T) {
 	p := DefaultParams()
 	p.MaxRelatedSet = 6 // pending cap 12, related cap 6 when the op asks for it
 	p.RequestTimeout = 3
 	p.MaxRetries = 1
-	ma := NewMachine(&p, 0)
-	ref := newRefMachine(&p)
+	var sp Spares
+	machines := make([]Machine, 3)
+	refs := make([]*refMachine, len(machines))
+	for i := range machines {
+		machines[i].Init(&p, 0, &sp)
+		refs[i] = newRefMachine(&p)
+	}
 	rng := rand.New(rand.NewSource(24))
 	self := Self{ID: 1000}
 
 	// Coverage: how often each set left its array, how often a machine
 	// holding heap slices was Reset to inline, how often the index was
 	// built and dropped, how often a heap-held set shrank back to inline
-	// size (and kept working there).
-	var relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk int
+	// size (and kept working there), and how often a set took storage some
+	// set had held before.
+	var relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused int
+	seen := map[unsafe.Pointer]bool{}
 
 	now := Time(0)
 	universe := msg.PeerID(8)
-	for step := 0; step < 200000; step++ {
-		if step%500 == 0 {
+	for step := 0; step < 300000; step++ {
+		if step%1500 == 0 {
 			// Alternate regimes: a handful of IDs keeps the sets around
-			// their inline capacities, a few dozen carry the related set
+			// their inline capacities, a few dozen carry the related sets
 			// past the index threshold.
 			universe = []msg.PeerID{5, 8, 12, 3 * relIndexThreshold}[rng.Intn(4)]
 		}
 		now += Time(rng.Intn(3)) * 0.05
+		k := rng.Intn(len(machines))
+		ma, ref := &machines[k], refs[k]
 		id := msg.PeerID(1 + rng.Intn(int(universe)))
 		wasRel, wasLnn, wasPend, wasIdx := ma.relHeap != nil, ma.lnnIDHeap != nil, ma.pendHeap != nil, ma.relIdx != nil
 		wasN := ma.relN
+		held := storage(ma)
 
 		switch op := rng.Intn(100); {
 		case rng.Intn(250) == 0:
@@ -246,10 +256,11 @@ func TestInlineSpillDifferential(t *testing.T) {
 			ma.clearPending(id, pr)
 		default:
 			var log sendLog
-			want := ref.expire(self.ID, now)
-			ma.ExpirePending(self, now, &log)
-			if !slices.Equal(log.sent, want) {
-				t.Fatalf("step %d: expiry re-sent %v, reference %v", step, log.sent, want)
+			want, wantDrops := ref.expire(self.ID, now)
+			retries, drops := ma.ExpirePending(self, now, &log)
+			if !slices.Equal(log.sent, want) || retries != len(want) || drops != wantDrops {
+				t.Fatalf("step %d: expiry re-sent %v (%d) and abandoned %d, reference %v and %d",
+					step, log.sent, retries, drops, want, wantDrops)
 			}
 		}
 
@@ -271,8 +282,19 @@ func TestInlineSpillDifferential(t *testing.T) {
 		if ma.relHeap != nil && wasN > relInline && ma.relN <= relInline {
 			shrunk++
 		}
+		for i, at := range storage(ma) {
+			if at != nil && at != held[i] {
+				if seen[at] {
+					reused++
+				}
+				seen[at] = true
+			}
+		}
 
 		if bad := ma.CheckInvariants(); bad != "" {
+			t.Fatalf("step %d: %s", step, bad)
+		}
+		if bad := sharedStorage(machines); bad != "" {
 			t.Fatalf("step %d: %s", step, bad)
 		}
 		if !slices.Equal(ma.ord(), ref.order) {
@@ -302,24 +324,54 @@ func TestInlineSpillDifferential(t *testing.T) {
 		if !slices.Equal(ma.pend(), ref.pend) {
 			t.Fatalf("step %d: pending %+v, reference %+v", step, ma.pend(), ref.pend)
 		}
-		if ma.TimeoutRetries() != ref.retries || ma.TimeoutDrops() != ref.drops {
-			t.Fatalf("step %d: timeout tallies %d/%d, reference %d/%d", step,
-				ma.TimeoutRetries(), ma.TimeoutDrops(), ref.retries, ref.drops)
-		}
 	}
 
-	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; index built %d, dropped %d; heap-held sets back at inline size %d",
-		relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk)
+	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; index built %d, dropped %d; heap-held sets back at inline size %d; storage reused %d",
+		relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused)
 	const floor = 20
 	for name, n := range map[string]int{
 		"related-set spills": relSpills, "l_nn spills": lnnSpills, "pending spills": pendSpills,
 		"returns to inline": returns, "index builds": idxBuilt, "index drops": idxDropped,
-		"heap-held shrinks to inline size": shrunk,
+		"heap-held shrinks to inline size": shrunk, "reuses of released storage": reused,
 	} {
 		if n < floor {
 			t.Errorf("coverage: %d %s, want at least %d", n, name, floor)
 		}
 	}
+}
+
+// storage returns the backing arrays of a machine's five heap slices and
+// its position index, nil where it holds none.
+func storage(ma *Machine) [6]unsafe.Pointer {
+	return [6]unsafe.Pointer{
+		unsafe.Pointer(unsafe.SliceData(ma.relHeap)),
+		unsafe.Pointer(unsafe.SliceData(ma.ordHeap)),
+		unsafe.Pointer(unsafe.SliceData(ma.lnnIDHeap)),
+		unsafe.Pointer(unsafe.SliceData(ma.lnnRepHeap)),
+		unsafe.Pointer(unsafe.SliceData(ma.pendHeap)),
+		unsafe.Pointer(ma.relIdx),
+	}
+}
+
+// sharedStorage returns a description of the first backing array or index
+// held by two live sets of ms at once, or "".
+func sharedStorage(ms []Machine) string {
+	names := [6]string{"related entries", "related IDs", "l_nn IDs", "l_nn reports", "pending rows", "position index"}
+	type holder struct{ machine, set int }
+	held := make(map[unsafe.Pointer]holder, 6*len(ms))
+	for i := range ms {
+		for j, at := range storage(&ms[i]) {
+			if at == nil {
+				continue
+			}
+			if h, ok := held[at]; ok {
+				return fmt.Sprintf("machine %d's %s and machine %d's %s share storage",
+					h.machine, names[h.set], i, names[j])
+			}
+			held[at] = holder{i, j}
+		}
+	}
+	return ""
 }
 
 // TestMachineCopyIsIndependent pins the representation choice: no field
