@@ -110,6 +110,34 @@ func TestSequentialKeys(t *testing.T) {
 	}
 }
 
+// TestPoolBound holds a Pool to the bound its doc states: after a wave of
+// Maps is released it keeps at most as many spare Maps as are still in
+// use, and at least one; a recycled Map comes back empty.
+func TestPoolBound(t *testing.T) {
+	var p Pool
+	held := make([]*Map, 8)
+	for i := range held {
+		held[i] = p.Get()
+		for k := uint32(0); k < 40; k++ {
+			held[i].Put(k, int32(k))
+		}
+	}
+	for i, m := range held[:6] {
+		p.Release(m)
+		if got, limit := len(p.maps), max(len(held)-1-i, 1); got > limit {
+			t.Fatalf("%d spare Maps with %d in use, want at most %d", got, len(held)-1-i, limit)
+		}
+	}
+	p.Release(held[6])
+	p.Release(held[7])
+	if len(p.maps) != 1 {
+		t.Fatalf("%d spare Maps with none in use, want 1", len(p.maps))
+	}
+	if m := p.Get(); m.Len() != 0 || m.pool != &p {
+		t.Fatalf("recycled Map holds %d entries, bound to %p", m.Len(), m.pool)
+	}
+}
+
 func BenchmarkPutGetDelete(b *testing.B) {
 	var m Map
 	for i := 0; i < b.N; i++ {
