@@ -98,7 +98,7 @@ func TestLeafCycleAllocFree(t *testing.T) {
 	// again — takes everything from the stores.
 	t.Run("super", func(t *testing.T) {
 		n, mgr := allocNetwork(t)
-		const degree = 40 // past relIndexThreshold and linkIndexThreshold (32)
+		const degree = 40 // past flatidx.IndexThreshold (32)
 		leaves := make([]*overlay.Peer, 0, degree)
 		cycle := func() {
 			s := n.Join(100, 1e6, nil)

@@ -236,25 +236,15 @@ func (e *simEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
 // laneEndpoint implements protocol.Endpoint for batched message
 // handling: sends are buffered into the batch's output slice instead of
 // entering the overlay, and the overlay replays them — in firing order —
-// at the batch commit. IsLeafNeighbor is a pure read of state nothing
-// mutates during a batch's eval half.
+// at the batch commit. IsLeafNeighbor is simEndpoint's, a pure read of
+// state nothing mutates during a batch's eval half.
 type laneEndpoint struct {
-	n    *overlay.Network
-	self *overlay.Peer
-	out  *[]msg.Message
+	simEndpoint
+	out *[]msg.Message
 }
 
 // Send implements protocol.Endpoint.
 func (e *laneEndpoint) Send(mm msg.Message) { *e.out = append(*e.out, mm) }
-
-// IsLeafNeighbor implements protocol.Endpoint.
-func (e *laneEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
-	if !e.self.HasLink(id) {
-		return false
-	}
-	q := e.n.Peer(id)
-	return q != nil && q.Layer == overlay.LayerLeaf
-}
 
 // OnConnect implements overlay.Manager: under the event-driven policy, a
 // new leaf-super link triggers Phase 1 information collection — the

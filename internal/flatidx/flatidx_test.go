@@ -6,7 +6,7 @@ import (
 )
 
 func TestBasicOps(t *testing.T) {
-	var m Map
+	var m index
 	if _, ok := m.Get(0); ok {
 		t.Fatal("empty map claims membership")
 	}
@@ -40,19 +40,19 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestNegativeValues(t *testing.T) {
-	var m Map
+	var m index
 	m.Put(5, -3)
 	if v, ok := m.Get(5); !ok || v != -3 {
 		t.Fatalf("Get(5) = %d,%v, want -3,true", v, ok)
 	}
 }
 
-// TestOracle drives a Map and a builtin map through the same randomized
+// TestOracle drives an index and a builtin map through the same randomized
 // op sequence — including key ranges chosen to force long probe chains,
 // growth, and back-shift deletion — and requires identical contents.
 func TestOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var m Map
+	var m index
 	ref := map[uint32]int32{}
 	for op := 0; op < 200000; op++ {
 		// Small key range → heavy collision/overwrite/delete traffic.
@@ -87,7 +87,7 @@ func TestOracle(t *testing.T) {
 // TestSequentialKeys mirrors the real workload: peer IDs allocated
 // sequentially, positions shuffled by swap-removes.
 func TestSequentialKeys(t *testing.T) {
-	var m Map
+	var m index
 	const n = 10000
 	for k := uint32(0); k < n; k++ {
 		m.Put(k, int32(k))
@@ -110,12 +110,12 @@ func TestSequentialKeys(t *testing.T) {
 	}
 }
 
-// TestPoolBound holds a Pool to the bound its doc states: after a wave of
-// Maps is released it keeps at most as many spare Maps as are still in
-// use, and at least one; a recycled Map comes back empty.
+// TestPoolBound holds a pool to the bound its doc states: after a wave of
+// indexes is released it keeps at most as many spare indexes as are still
+// in use, and at least one; a recycled index comes back empty.
 func TestPoolBound(t *testing.T) {
-	var p Pool
-	held := make([]*Map, 8)
+	var p pool
+	held := make([]*index, 8)
 	for i := range held {
 		held[i] = p.Get()
 		for k := uint32(0); k < 40; k++ {
@@ -125,21 +125,21 @@ func TestPoolBound(t *testing.T) {
 	for i, m := range held[:6] {
 		p.Release(m)
 		if got, limit := len(p.maps), max(len(held)-1-i, 1); got > limit {
-			t.Fatalf("%d spare Maps with %d in use, want at most %d", got, len(held)-1-i, limit)
+			t.Fatalf("%d spare indexes with %d in use, want at most %d", got, len(held)-1-i, limit)
 		}
 	}
 	p.Release(held[6])
 	p.Release(held[7])
 	if len(p.maps) != 1 {
-		t.Fatalf("%d spare Maps with none in use, want 1", len(p.maps))
+		t.Fatalf("%d spare indexes with none in use, want 1", len(p.maps))
 	}
 	if m := p.Get(); m.Len() != 0 || m.pool != &p {
-		t.Fatalf("recycled Map holds %d entries, bound to %p", m.Len(), m.pool)
+		t.Fatalf("recycled index holds %d entries, bound to %p", m.Len(), m.pool)
 	}
 }
 
 func BenchmarkPutGetDelete(b *testing.B) {
-	var m Map
+	var m index
 	for i := 0; i < b.N; i++ {
 		k := uint32(i) & 1023
 		m.Put(k, int32(i))

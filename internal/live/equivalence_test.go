@@ -116,7 +116,7 @@ func drainAll(peers []*Peer) {
 	}
 }
 
-func liveDecisions(t *testing.T, seed int64, faults *FaultModel) []decRec {
+func liveDecisions(t *testing.T, seed int64, faults *overlay.Link) []decRec {
 	t.Helper()
 	unit := time.Second
 	n := NewNet(Config{M: 1, KS: 3, Eta: 0.5, Params: equivParams(), Unit: unit, Seed: seed, Faults: faults})
@@ -159,12 +159,12 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 	tests := []struct {
 		name   string
 		seed   int64
-		faults *FaultModel
+		faults *overlay.Link
 	}{
 		{name: "seed7", seed: 7},
 		{name: "seed21", seed: 21},
 		{name: "seed99", seed: 99},
-		{name: "seed7-idle-fault-wrapper", seed: 7, faults: &FaultModel{}},
+		{name: "seed7-idle-fault-wrapper", seed: 7, faults: &overlay.Link{}},
 	}
 	for _, tc := range tests {
 		tc := tc

@@ -1,34 +1,11 @@
 package live
 
 import (
-	"math"
 	"testing"
 	"time"
-)
 
-func TestFaultModelValidate(t *testing.T) {
-	nan := math.NaN()
-	bad := []struct {
-		name string
-		f    FaultModel
-	}{
-		{"negative loss", FaultModel{Loss: -0.1}},
-		{"certain loss", FaultModel{Loss: 1}},
-		{"NaN loss", FaultModel{Loss: nan}},
-		{"negative dup", FaultModel{Dup: -0.1}},
-		{"certain dup", FaultModel{Dup: 1}},
-		{"NaN dup", FaultModel{Dup: nan}},
-		{"negative jitter min", FaultModel{JitterMin: -1, JitterMode: 1, JitterMax: 2}},
-		{"mode below min", FaultModel{JitterMin: 1, JitterMode: 0.5, JitterMax: 2}},
-		{"max below mode", FaultModel{JitterMin: 0, JitterMode: 2, JitterMax: 1}},
-		{"negative reorder window", FaultModel{ReorderWindow: -1}},
-	}
-	for _, tc := range bad {
-		if err := tc.f.Validate(); err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, tc.f)
-		}
-	}
-}
+	"dlm/internal/overlay"
+)
 
 // TestLiveUnderFaultyTransport runs a small network over a lossy,
 // duplicating, jittering, reordering transport: the fault counters and the
@@ -40,7 +17,7 @@ func TestLiveUnderFaultyTransport(t *testing.T) {
 		// Up to 2+20 units of extra delay against a 5-unit request
 		// timeout: answers that survive the loss often arrive late, and
 		// some copy is always in flight.
-		Faults: &FaultModel{Loss: 0.2, Dup: 0.1, JitterMode: 0.5, JitterMax: 2, ReorderWindow: 20},
+		Faults: &overlay.Link{Loss: 0.2, Dup: 0.1, JitterMode: 0.5, JitterMax: 2, ReorderWindow: 20},
 	}
 	cfg.defaults()
 	cfg.Params.DecisionCooldown = 3

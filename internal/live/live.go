@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dlm/internal/msg"
+	"dlm/internal/overlay"
 	"dlm/internal/protocol"
 )
 
@@ -55,9 +56,10 @@ type Config struct {
 	// Seed derives per-peer RNG streams.
 	Seed int64
 	// Faults, when non-nil, routes every delivery through a
-	// FaultyTransport with this model (see faults.go). A non-nil model
+	// FaultyTransport with this link model (see faults.go); its delays are
+	// in protocol time units, scaled by Unit at delivery. A non-nil model
 	// with all knobs zero installs the wrapper but injects nothing.
-	Faults *FaultModel
+	Faults *overlay.Link
 }
 
 func (c *Config) defaults() {

@@ -56,6 +56,25 @@ func (l Link) Validate() error {
 	return nil
 }
 
+// Draw decides one message's fate. The draw order is fixed and part of the
+// determinism contract: the loss draw first (a dropped message consumes no
+// further randomness), then the duplication draw, then one delay draw per
+// departing copy. It returns how many copies depart — 0, 1 or 2 — and the
+// extra delay of each, on top of any base latency.
+func (l Link) Draw(rng *sim.Source) (copies int, delays [2]sim.Duration) {
+	if l.Loss > 0 && rng.Float64() < l.Loss {
+		return 0, delays
+	}
+	copies = 1
+	if l.Dup > 0 && rng.Float64() < l.Dup {
+		copies = 2
+	}
+	for i := 0; i < copies; i++ {
+		delays[i] = l.delay(rng)
+	}
+	return copies, delays
+}
+
 // delay draws the extra delivery delay for one copy of a message. The
 // draw discipline is fixed: one draw when jitter is active, then one
 // per active reorder window — never more, never fewer — so sequences

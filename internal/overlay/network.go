@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dlm/internal/flatidx"
 	"dlm/internal/msg"
 	"dlm/internal/sim"
 	"dlm/internal/stats"
@@ -137,11 +138,11 @@ type Network struct {
 	linkRng *sim.Source
 
 	store peerStore
-	// spares keeps the heap slices and position indexes that emptied link
+	// spares keeps the heap slices and position indexes that cleared link
 	// sets give back, for the next set that spills, regrows or indexes.
 	// Only the serial membership path (Join, Leave, the layer surgery,
 	// Connect and Disconnect) mutates link sets.
-	spares linkSpares
+	spares flatidx.Store
 	supers layerSet
 	leaves layerSet
 	nextID msg.PeerID
@@ -457,30 +458,23 @@ func (n *Network) laneFor(id msg.PeerID) int32 {
 	return sim.GlobalLane
 }
 
-// sendFaulty is Send through the Link fault model. The draw order is
-// fixed and part of the determinism contract: the loss draw first (a
-// dropped message consumes no further randomness), then the duplication
-// draw, then one delay draw per departing copy — all before any copy is
-// delivered, since inline delivery can re-enter Send.
+// sendFaulty is Send through the Link fault model. Link.Draw makes every
+// draw before any copy is delivered, since inline delivery can re-enter
+// Send.
 func (n *Network) sendFaulty(m msg.Message) {
-	link := n.cfg.Link
 	// The sender spent the bandwidth whether or not the network delivers.
 	n.traffic.Record(&m)
-	if link.Loss > 0 && n.linkRng.Float64() < link.Loss {
+	copies, extra := n.cfg.Link.Draw(n.linkRng)
+	switch copies {
+	case 0:
 		n.counters.LinkDrops[m.Kind]++
 		return
-	}
-	copies := 1
-	if link.Dup > 0 && n.linkRng.Float64() < link.Dup {
-		copies = 2
+	case 2:
 		n.counters.LinkDups[m.Kind]++
 	}
-	var delays [2]sim.Duration
 	for i := 0; i < copies; i++ {
-		delays[i] = n.cfg.Latency + link.delay(n.linkRng)
-	}
-	for i := 0; i < copies; i++ {
-		if delays[i] <= 0 {
+		delay := n.cfg.Latency + extra[i]
+		if delay <= 0 {
 			// A pooled carrier, as in Send: &m would move m to the heap
 			// on every call, delayed or not.
 			d := n.getDeliver(sim.GlobalLane)
@@ -491,7 +485,7 @@ func (n *Network) sendFaulty(m msg.Message) {
 		}
 		d := n.getDeliver(n.laneFor(m.To))
 		d.m = m
-		n.eng.AfterLane(int(d.lane), delays[i], d)
+		n.eng.AfterLane(int(d.lane), delay, d)
 	}
 }
 
@@ -555,15 +549,18 @@ func (n *Network) Leave(p *Peer) {
 	p.alive = false
 	n.counters.Leaves++
 
-	n.linkScratch = append(n.linkScratch[:0], p.superLinks.list()...)
+	n.linkScratch = append(n.linkScratch[:0], p.superLinks.IDs()...)
 	for _, id := range n.linkScratch {
 		n.unlink(p, n.store.get(id))
 	}
-	orphans := append(n.orphanScratch[:0], p.leafLinks.list()...)
+	orphans := append(n.orphanScratch[:0], p.leafLinks.IDs()...)
 	n.orphanScratch = orphans
 	for _, id := range orphans {
 		n.unlink(p, n.store.get(id))
 	}
+	// The unlinks emptied both sets; their storage goes to the store.
+	p.superLinks.Clear(&n.spares)
+	p.leafLinks.Clear(&n.spares)
 	n.agg.withdraw(p)
 	if p.Layer == LayerSuper {
 		n.supers.Remove(p, &n.store)
@@ -616,11 +613,11 @@ func (n *Network) Promote(p *Peer) {
 	for _, o := range n.observers {
 		o.OnLayerChange(n, p, old)
 	}
-	for _, id := range p.superLinks.list() {
+	for _, id := range p.superLinks.IDs() {
 		q := n.store.get(id)
-		q.leafLinks.Remove(p.ID, &n.spares)
+		q.leafLinks.Remove(p.ID)
 		n.agg.leafLinkDelta(q, -1)
-		q.superLinks.add(p.ID, &n.spares)
+		q.superLinks.Append(p.ID, &n.spares)
 		n.agg.superLinkDelta(q, +1)
 		n.updateDeficit(q)
 	}
@@ -657,15 +654,15 @@ func (n *Network) Demote(p *Peer) bool {
 
 	// Keep at most M super links, chosen uniformly; the kept neighbors
 	// re-classify p as a leaf on their side.
-	links := append(n.linkScratch[:0], p.superLinks.list()...)
+	links := append(n.linkScratch[:0], p.superLinks.IDs()...)
 	n.linkScratch = links
 	n.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	for i, id := range links {
 		q := n.store.get(id)
 		if i < n.cfg.M {
-			q.superLinks.Remove(p.ID, &n.spares)
+			q.superLinks.Remove(p.ID)
 			n.agg.superLinkDelta(q, -1)
-			q.leafLinks.add(p.ID, &n.spares)
+			q.leafLinks.Append(p.ID, &n.spares)
 			n.agg.leafLinkDelta(q, +1)
 			n.updateDeficit(q)
 			continue
@@ -676,11 +673,12 @@ func (n *Network) Demote(p *Peer) bool {
 	n.updateDeficit(p)
 
 	// Drop all leaves; each reconnects once (PAO).
-	orphans := append(n.orphanScratch[:0], p.leafLinks.list()...)
+	orphans := append(n.orphanScratch[:0], p.leafLinks.IDs()...)
 	n.orphanScratch = orphans
 	for _, id := range orphans {
 		n.unlink(p, n.store.get(id))
 	}
+	p.leafLinks.Clear(&n.spares)
 	n.counters.Demotions++
 	for _, id := range orphans {
 		q := n.store.get(id)
@@ -742,11 +740,11 @@ func (n *Network) updateDeficit(p *Peer) {
 // established that no p<->q link exists.
 func (n *Network) linkInto(p, q *Peer) {
 	if q.Layer == LayerSuper {
-		p.superLinks.add(q.ID, &n.spares)
+		p.superLinks.Append(q.ID, &n.spares)
 		n.agg.superLinkDelta(p, +1)
 		n.updateDeficit(p)
 	} else {
-		p.leafLinks.add(q.ID, &n.spares)
+		p.leafLinks.Append(q.ID, &n.spares)
 		n.agg.leafLinkDelta(p, +1)
 	}
 }
@@ -756,18 +754,18 @@ func (n *Network) unlink(p, q *Peer) {
 	if p == nil || q == nil {
 		return
 	}
-	if p.superLinks.Remove(q.ID, &n.spares) {
+	if p.superLinks.Remove(q.ID) {
 		n.agg.superLinkDelta(p, -1)
 		n.updateDeficit(p)
 	}
-	if p.leafLinks.Remove(q.ID, &n.spares) {
+	if p.leafLinks.Remove(q.ID) {
 		n.agg.leafLinkDelta(p, -1)
 	}
-	if q.superLinks.Remove(p.ID, &n.spares) {
+	if q.superLinks.Remove(p.ID) {
 		n.agg.superLinkDelta(q, -1)
 		n.updateDeficit(q)
 	}
-	if q.leafLinks.Remove(p.ID, &n.spares) {
+	if q.leafLinks.Remove(p.ID) {
 		n.agg.leafLinkDelta(q, -1)
 	}
 	n.mgr.OnDisconnect(n, p, q)

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"dlm/internal/msg"
@@ -426,116 +425,6 @@ func TestPAOOverNLCO(t *testing.T) {
 	if (Counters{}).PAOOverNLCO() != 0 {
 		t.Fatal("empty counters should report 0")
 	}
-}
-
-func TestLinkSet(t *testing.T) {
-	var s linkSet
-	var sp linkSpares
-	if s.Len() != 0 || s.Contains(1) || s.Remove(1, &sp) {
-		t.Fatal("empty set misbehaves")
-	}
-	for i := msg.PeerID(1); i <= 10; i++ {
-		if !s.Add(i, &sp) {
-			t.Fatalf("Add(%d) failed", i)
-		}
-	}
-	if s.Add(5, &sp) {
-		t.Fatal("duplicate Add succeeded")
-	}
-	if !s.Remove(5, &sp) || s.Contains(5) || s.Len() != 9 {
-		t.Fatal("Remove misbehaves")
-	}
-	// Remove the last element path.
-	last := s.list()[s.Len()-1]
-	if !s.Remove(last, &sp) {
-		t.Fatal("remove last failed")
-	}
-	for i := msg.PeerID(1); i <= 10; i++ {
-		want := i != 5 && i != last
-		if s.Contains(i) != want {
-			t.Fatalf("Contains(%d) = %v after removals", i, !want)
-		}
-	}
-	s.Clear(&sp)
-	if s.Len() != 0 || s.Contains(1) {
-		t.Fatal("Clear misbehaves")
-	}
-}
-
-// TestLinkSetIndexed drives the set past linkIndexThreshold so the
-// position index engages, and checks that indexed behavior matches the
-// scanned behavior (same membership, same swap-delete order) through
-// adds, removes, a Clear, and a regrowth.
-func TestLinkSetIndexed(t *testing.T) {
-	var s linkSet
-	var sp linkSpares
-	n := msg.PeerID(3 * linkIndexThreshold)
-	for i := msg.PeerID(1); i <= n; i++ {
-		if !s.Add(i, &sp) {
-			t.Fatalf("Add(%d) failed", i)
-		}
-	}
-	if s.idx == nil {
-		t.Fatalf("index not built at size %d", s.Len())
-	}
-	if bad := s.checkIdx(); bad != "" {
-		t.Fatal(bad)
-	}
-	if s.Add(n/2, &sp) {
-		t.Fatal("duplicate Add succeeded with index")
-	}
-	// Mirror the order against a scan-only twin: the index must not
-	// change which element a removal swaps into place.
-	twin := refLinks(append([]msg.PeerID(nil), s.list()...))
-	for _, id := range []msg.PeerID{1, n, n / 2, 7, 7} {
-		if got, want := s.Remove(id, &sp), twin.remove(id); got != want {
-			t.Fatalf("Remove(%d) = %v, scan twin says %v", id, got, want)
-		}
-		if bad := s.checkIdx(); bad != "" {
-			t.Fatal(bad)
-		}
-	}
-	if !slices.Equal(s.list(), []msg.PeerID(twin)) {
-		t.Fatalf("item order diverged: %v != %v", s.list(), twin)
-	}
-	for i := msg.PeerID(1); i <= n; i++ {
-		if s.Contains(i) != slices.Contains(twin, i) {
-			t.Fatalf("Contains(%d) diverged", i)
-		}
-	}
-	s.Clear(&sp)
-	if s.Len() != 0 || s.Contains(2) {
-		t.Fatal("Clear misbehaves with index")
-	}
-	if !s.Add(2, &sp) || !s.Contains(2) || s.Len() != 1 {
-		t.Fatal("regrowth after Clear misbehaves")
-	}
-	if bad := s.checkIdx(); bad != "" {
-		t.Fatal(bad)
-	}
-}
-
-// refLinks is the reference model of a linkSet: a plain slice, scanned,
-// appended to and swap-deleted.
-type refLinks []msg.PeerID
-
-func (r *refLinks) add(id msg.PeerID) bool {
-	if slices.Contains(*r, id) {
-		return false
-	}
-	*r = append(*r, id)
-	return true
-}
-
-func (r *refLinks) remove(id msg.PeerID) bool {
-	i := slices.Index(*r, id)
-	if i < 0 {
-		return false
-	}
-	last := len(*r) - 1
-	(*r)[i] = (*r)[last]
-	*r = (*r)[:last]
-	return true
 }
 
 func TestHandleInvalidKindPanics(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"dlm/internal/flatidx"
 	"dlm/internal/msg"
 	"dlm/internal/sim"
-	"dlm/internal/spare"
 )
 
 // Layer identifies which of the two layers a peer currently occupies.
@@ -47,6 +46,12 @@ func (l Layer) String() string {
 // state, the reported capacity and age — is the struct's first 64 bytes,
 // the two link sets with their inline IDs follow, and what only join,
 // leave and search touch comes last (TestPeerLayout).
+//
+// The link sets are flatidx.Sets: a peer at leaf degree keeps its links
+// in its slab page, and a super's leaf set, which million-peer bootstrap
+// drives into the tens of thousands, spills to the network's store and
+// indexes. Leave gives both sets' storage back to the store, and Demote
+// the leaf set's.
 type Peer struct {
 	ID msg.PeerID
 
@@ -86,8 +91,8 @@ type Peer struct {
 	// its m redundant super connections; for a super its super-layer
 	// neighbors. leafLinks holds a super's leaf neighbors and is empty
 	// for leaves.
-	superLinks linkSet
-	leafLinks  linkSet
+	superLinks flatidx.Set
+	leafLinks  flatidx.Set
 
 	// Lifetime is the scheduled session length; the peer leaves when its
 	// age reaches it. Only the simulator knows it — protocol code must use
@@ -138,195 +143,13 @@ func (p *Peer) LeafDegree() int { return p.leafLinks.Len() }
 // SuperLinks returns the IDs of the peer's super-layer neighbors in
 // deterministic (insertion, swap-remove) order. The slice is shared;
 // callers must not mutate it.
-func (p *Peer) SuperLinks() []msg.PeerID { return p.superLinks.list() }
+func (p *Peer) SuperLinks() []msg.PeerID { return p.superLinks.IDs() }
 
 // LeafLinks returns the IDs of the peer's leaf neighbors. The slice is
 // shared; callers must not mutate it.
-func (p *Peer) LeafLinks() []msg.PeerID { return p.leafLinks.list() }
+func (p *Peer) LeafLinks() []msg.PeerID { return p.leafLinks.IDs() }
 
 // HasLink reports whether the peer has a link (of either type) to id.
 func (p *Peer) HasLink(id msg.PeerID) bool {
 	return p.superLinks.Contains(id) || p.leafLinks.Contains(id)
-}
-
-// linkSet is a set of peer IDs in a dense array. Typical overlay degrees
-// are small (m for leaves, k_s for a super's super links), and at those
-// sizes a linear scan over dense memory beats a map probe; the first
-// linkInline IDs live in the set itself — inside the Peer, in its slab
-// page — so a peer at leaf degree never touches the Go heap for its
-// links. A set that outgrows the array moves once to a heap slice, four
-// times as large so that it does not regrow at once (the same factor, for
-// the same reason, as protocol.Machine's sets). But a super's leaf
-// degree is unbounded, and million-peer bootstrap concentrates enormous
-// leaf sets on the earliest supers; once a set grows past
-// linkIndexThreshold it builds a position index and Contains/Remove
-// become O(1). The index is pure acceleration: iteration order stays the
-// array's (insertion, swap-remove) order — a function of the operation
-// history only — and Remove deletes the same element the scan would, so
-// indexed and scanned sets behave byte-identically. It's a flatidx.Map
-// rather than a runtime map: link maintenance is the hottest loop of the
-// million-peer runs, and the flat table roughly halves its probe cost.
-//
-// A set that is emptied — by Clear or by its last Remove — is the zero
-// value again: the heap slice and the index belonged to the tenancy that
-// needed them (a super's leaf links), and the demoted super or the leaf
-// that next takes the slot gets its few links inline. The storage goes to
-// the network's linkSpares, from which the next set to spill, regrow or
-// build an index takes it; the mutating methods take that store as an
-// argument. Nothing in the set points into it, so a by-value copy of an
-// inline set is independent.
-type linkSet struct {
-	n    int32
-	buf  [linkInline]msg.PeerID
-	heap []msg.PeerID // length n; nil while the IDs fit buf
-	idx  *flatidx.Map
-}
-
-// linkInline is the number of IDs a set holds without a heap slice: a
-// leaf's M = 2 super links with room for the transient third, a super's
-// k_s = 3 to 4 super links.
-const linkInline = 4
-
-// linkIndexThreshold is the set size past which the position index is
-// built; below it the scan wins.
-const linkIndexThreshold = 32
-
-// linkSpares is a network's store of released link-set storage: heap
-// slices by capacity, and position indexes with their tables by size.
-type linkSpares struct {
-	ids spare.Slices[msg.PeerID]
-	idx flatidx.Pool
-}
-
-// Len returns the set size.
-func (s *linkSet) Len() int { return int(s.n) }
-
-// list returns the IDs in (insertion, swap-remove) order. The slice
-// aliases the set; it is valid until the next mutation.
-func (s *linkSet) list() []msg.PeerID {
-	if s.heap != nil {
-		return s.heap
-	}
-	return s.buf[:s.n]
-}
-
-// Contains reports membership.
-func (s *linkSet) Contains(id msg.PeerID) bool {
-	if s.idx != nil {
-		_, ok := s.idx.Get(uint32(id))
-		return ok
-	}
-	for _, v := range s.list() {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Add inserts id; it reports whether the id was newly added.
-func (s *linkSet) Add(id msg.PeerID, sp *linkSpares) bool {
-	if s.Contains(id) {
-		return false
-	}
-	s.add(id, sp)
-	return true
-}
-
-// Remove deletes id; it reports whether the id was present.
-func (s *linkSet) Remove(id msg.PeerID, sp *linkSpares) bool {
-	items := s.list()
-	i := -1
-	if s.idx != nil {
-		p, ok := s.idx.Get(uint32(id))
-		if !ok {
-			return false
-		}
-		i = int(p)
-	} else {
-		for j, v := range items {
-			if v == id {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return false
-		}
-	}
-	last := len(items) - 1
-	if last == 0 {
-		s.Clear(sp)
-		return true
-	}
-	moved := items[last]
-	items[i] = moved
-	s.n = int32(last)
-	if s.heap != nil {
-		s.heap = items[:last]
-	}
-	if s.idx != nil {
-		s.idx.Delete(uint32(id))
-		if i < last {
-			s.idx.Put(uint32(moved), int32(i))
-		}
-	}
-	return true
-}
-
-// add appends id without the membership scan — for callers that have
-// already established absence (Connect checks HasLink before linking
-// either side; the symmetry invariant makes one check cover both).
-func (s *linkSet) add(id msg.PeerID, sp *linkSpares) {
-	switch {
-	case s.heap != nil:
-		s.heap = sp.ids.Append(s.heap, id)
-	case s.n < linkInline:
-		s.buf[s.n] = id
-	default:
-		s.heap = append(append(sp.ids.Make(4*linkInline), s.buf[:]...), id)
-	}
-	s.n++
-	if s.idx != nil {
-		s.idx.Put(uint32(id), s.n-1)
-	} else if s.n > linkIndexThreshold {
-		s.idx = sp.idx.Get()
-		for i, v := range s.heap {
-			s.idx.Put(uint32(v), int32(i))
-		}
-	}
-}
-
-// Clear empties the set: the IDs return to the inline array, the heap
-// slice and the index go to sp.
-func (s *linkSet) Clear(sp *linkSpares) {
-	sp.ids.Release(s.heap)
-	sp.idx.Release(s.idx)
-	*s = linkSet{}
-}
-
-// checkIdx verifies the count against the storage and the position index
-// against the IDs; it returns a description of the first inconsistency,
-// or "". Part of the CheckInvariants oracle.
-func (s *linkSet) checkIdx() string {
-	if s.heap == nil {
-		if s.n < 0 || s.n > linkInline {
-			return fmt.Sprintf("count %d outside the inline array of %d", s.n, linkInline)
-		}
-	} else if len(s.heap) != int(s.n) {
-		return fmt.Sprintf("count %d, heap slice of %d", s.n, len(s.heap))
-	}
-	if s.idx == nil {
-		return ""
-	}
-	items := s.list()
-	if s.idx.Len() != len(items) {
-		return fmt.Sprintf("index holds %d ids, array %d", s.idx.Len(), len(items))
-	}
-	for i, v := range items {
-		if p, ok := s.idx.Get(uint32(v)); !ok || int(p) != i {
-			return fmt.Sprintf("id %d at position %d, index disagrees", v, i)
-		}
-	}
-	return ""
 }

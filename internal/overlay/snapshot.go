@@ -134,13 +134,13 @@ func (n *Network) CheckInvariants() []string {
 				addf("leaf %d has %d leaf links", p.ID, p.LeafDegree())
 			}
 		}
-		if bad := p.superLinks.checkIdx(); bad != "" {
-			addf("peer %d superLinks index: %s", p.ID, bad)
+		if bad := p.superLinks.Check(); bad != "" {
+			addf("peer %d superLinks: %s", p.ID, bad)
 		}
-		if bad := p.leafLinks.checkIdx(); bad != "" {
-			addf("peer %d leafLinks index: %s", p.ID, bad)
+		if bad := p.leafLinks.Check(); bad != "" {
+			addf("peer %d leafLinks: %s", p.ID, bad)
 		}
-		for _, qid := range p.superLinks.list() {
+		for _, qid := range p.superLinks.IDs() {
 			q := n.store.get(qid)
 			switch {
 			case q == nil:
@@ -151,7 +151,7 @@ func (n *Network) CheckInvariants() []string {
 				addf("asymmetric link %d->%d", p.ID, qid)
 			}
 		}
-		for _, qid := range p.leafLinks.list() {
+		for _, qid := range p.leafLinks.IDs() {
 			q := n.store.get(qid)
 			switch {
 			case q == nil:

@@ -52,8 +52,8 @@ func (st *peerStore) get(id msg.PeerID) *Peer {
 
 // acquire allocates (or recycles) a slot for id and returns its Peer,
 // with identity fields zeroed. Its link sets are empty already: a new
-// page's are zero, and Leave's unlinks emptied a recycled slot's, giving
-// their storage back to the network's spares (linkSet.Remove). The
+// page's are zero, and Leave cleared a recycled slot's, giving their
+// storage back to the network's spares. The
 // manager-owned State field survives recycling; all other fields are the
 // caller's to set.
 func (st *peerStore) acquire(id msg.PeerID) *Peer {

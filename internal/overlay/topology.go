@@ -34,7 +34,7 @@ func (n *Network) Topology() TopologyStats {
 		for len(queue) > 0 {
 			id := queue[0]
 			queue = queue[1:]
-			for _, nb := range n.store.get(id).superLinks.list() {
+			for _, nb := range n.store.get(id).superLinks.IDs() {
 				if !visited[nb] {
 					visited[nb] = true
 					queue = append(queue, nb)

@@ -3,17 +3,24 @@ package protocol
 import (
 	"testing"
 	"unsafe"
+
+	"dlm/internal/msg"
+	"dlm/internal/spare"
 )
 
 // TestMachineLayout holds Machine's layout comment to its word: the
 // fields of the "nothing to do this tick" visit are the first cache line,
-// the inline related entries the two lines after it with their IDs
-// adjacent, and the struct is a whole number of lines — eight — so that
-// machines in the host's arena all start on a line boundary.
+// the related set's count and inline IDs with them, the inline related
+// entries fill two whole lines of their own, and the struct is a whole
+// number of lines — eight — so that machines in the host's arena all
+// start on a line boundary.
 func TestMachineLayout(t *testing.T) {
 	const line = 64
 	var ma Machine
 	end := func(off, size uintptr) uintptr { return off + size }
+	// A flatidx.Set leads with its int32 count and its inline IDs
+	// (flatidx TestSetLayout).
+	idsLead := unsafe.Sizeof(int32(0)) + unsafe.Sizeof([spare.Inline]msg.PeerID{})
 	for _, f := range []struct {
 		name string
 		end  uintptr
@@ -23,18 +30,17 @@ func TestMachineLayout(t *testing.T) {
 		{"relMinSeen", end(unsafe.Offsetof(ma.relMinSeen), unsafe.Sizeof(ma.relMinSeen))},
 		{"lnnSum", end(unsafe.Offsetof(ma.lnnSum), unsafe.Sizeof(ma.lnnSum))},
 		{"lnnCount", end(unsafe.Offsetof(ma.lnnCount), unsafe.Sizeof(ma.lnnCount))},
-		{"relN", end(unsafe.Offsetof(ma.relN), unsafe.Sizeof(ma.relN))},
-		{"relHeap", end(unsafe.Offsetof(ma.relHeap), unsafe.Sizeof(ma.relHeap))},
+		{"the related-set count and inline IDs", end(unsafe.Offsetof(ma.ids), idsLead)},
 	} {
 		if f.end > line {
 			t.Errorf("%s ends at byte %d, outside the first cache line", f.name, f.end)
 		}
 	}
-	if off := unsafe.Offsetof(ma.relBuf); off != line {
-		t.Errorf("relBuf at byte %d, want %d: the inline entries start the second line", off, line)
+	if off := unsafe.Offsetof(ma.relBuf); off != 2*line {
+		t.Errorf("relBuf at byte %d, want %d: the inline entries fill the third and fourth lines", off, 2*line)
 	}
-	if got, want := unsafe.Offsetof(ma.ordBuf), unsafe.Offsetof(ma.relBuf)+unsafe.Sizeof(ma.relBuf); got != want {
-		t.Errorf("ordBuf at byte %d, want %d: the IDs follow their entries", got, want)
+	if end := end(unsafe.Offsetof(ma.relHeap), unsafe.Sizeof(ma.relHeap)); end > 2*line {
+		t.Errorf("relHeap ends at byte %d, past the line before the inline entries", end)
 	}
 	if got := unsafe.Sizeof(ma); got != 8*line {
 		t.Errorf("Sizeof(Machine) = %d, want %d (eight cache lines)", got, 8*line)

@@ -136,27 +136,24 @@ type lnnReport struct {
 // transition.
 //
 // A machine at leaf size never touches the Go heap: the related set, the
-// l_nn table and the pending table each start in a fixed array inside the
-// struct, and a set that outgrows its array moves once to a heap slice
-// (see push) and stays there until Reset. A machine bound to a host's
-// Spares (see Init) takes those slices from the store and gives them back
-// at Reset; one without allocates and drops them. The inline capacities
-// come from the measured end-of-run leaf |G| — steady100k: 2/3/4/5/≥6
-// entries on 63 434/25 402/6 670/1 298/207 leaves, 98.5 % ≤ 4; churn50k:
-// 92 % ≤ 4 — and from the overlay's M = 2 supers per leaf, each good for
-// one l_nn report and two outstanding requests. No field points into the
-// struct, so a by-value copy of an inline machine is an independent
-// machine.
+// l_nn table and the pending table each start in a fixed array of
+// spare.Inline elements inside the struct, and a set that outgrows its
+// array moves once to a heap slice (spare's rule) and stays there until
+// Reset. A machine bound to a host's Spares (see Init) takes those slices
+// from the store and gives them back at Reset; one without allocates and
+// drops them. No field points into the struct, so a by-value copy of an
+// inline machine is an independent machine.
 //
 // Field order is the per-tick evaluation path's access order, hottest
-// first: the cooldown gate (p, lastChange), prune's fast path (relN,
-// relMinSeen), AvgLnn (lnnSum, lnnCount) and the spill test (relHeap) fill
-// the machine's first cache line, and counting's entries (relBuf) are the
-// next two, so a leaf's evaluation reads adjacent lines of one struct and
-// the common "nothing to do this tick" visit reads one. The struct is
-// eight lines exactly (TestMachineLayout): machines stored inline in the
-// host's slot-ordered arena all start on a line boundary and the tick
-// walk streams them sequentially.
+// first: the cooldown gate (p, lastChange), prune's fast path (the
+// related-set count, relMinSeen) and AvgLnn (lnnSum, lnnCount) fill the
+// machine's first cache line, together with the inline related IDs; the
+// spill test (relHeap) and counting's entries (relBuf) are the next three,
+// so a leaf's evaluation reads adjacent lines of one struct and the
+// common "nothing to do this tick" visit reads one. The struct is eight
+// lines exactly (TestMachineLayout): machines stored inline in the host's
+// slot-ordered arena all start on a line boundary and the tick walk
+// streams them sequentially.
 type Machine struct {
 	p *Params
 
@@ -179,28 +176,20 @@ type Machine struct {
 	lnnSum   int64
 	lnnCount int32
 
-	// The related set is two parallel arrays of relN elements: the IDs
-	// (ord) and the value entries (rel), in deterministic
-	// insertion/swap-delete order (a pure function of the operation
-	// history). Removal swap-deletes — FIFO eviction finds the oldest
-	// entry by seq instead of position, so the bound stays exact while
-	// Drop is O(1). The elements live in relBuf/ordBuf until the set
-	// outgrows them, in relHeap/ordHeap (length relN) afterwards.
-	//
-	// Lookups are linear scans while the set is small (a scan over dense
-	// memory beats a map probe at leaf sizes), but a super's G is its leaf
-	// degree, which million-peer bootstrap drives into the tens of
-	// thousands; past relIndexThreshold a position index (a flat
-	// open-addressed table, cheaper than a map on this probe-only pattern)
-	// takes over and every lookup is O(1). Only large supers ever hold an
-	// index, and Reset gives it back with the tenancy that needed it.
-	relN    int32
+	// The related set is the ID set ids and, position-paired with it, the
+	// value entries (rel), in deterministic insertion/swap-delete order (a
+	// pure function of the operation history). Removal swap-deletes —
+	// FIFO eviction finds the oldest entry by seq instead of position, so
+	// the bound stays exact while Drop is O(1). The entries live in relBuf
+	// until the set outgrows it, in relHeap (length ids.Len()) afterwards.
+	// A super's G is its leaf degree, which million-peer bootstrap drives
+	// into the tens of thousands; ids then indexes its positions and every
+	// lookup is O(1). Reset gives the storage back with the tenancy that
+	// needed it.
+	ids     flatidx.Set
 	relHeap []relEntry
-	relBuf  [relInline]relEntry
-	ordBuf  [relInline]msg.PeerID
-	ordHeap []msg.PeerID
-	relIdx  *flatidx.Map
 	relSeq  uint64
+	relBuf  [spare.Inline]relEntry
 
 	// lastRefresh is the last time this leaf refreshed its neighbors.
 	lastRefresh Time
@@ -218,15 +207,15 @@ type Machine struct {
 	// the Buf arrays or, once outgrown, the Heap slices. The IDs live in
 	// their own dense array because the table is looked up — a scan — on
 	// every report receipt.
-	lnnIDBuf   [lnnInline]msg.PeerID
-	lnnRepBuf  [lnnInline]lnnReport
+	lnnIDBuf   [spare.Inline]msg.PeerID
+	lnnRepBuf  [spare.Inline]lnnReport
 	lnnIDHeap  []msg.PeerID
 	lnnRepHeap []lnnReport
 
 	// The outstanding Phase 1 request table (see pending.go): deadlines
 	// and retry budgets per (counterpart, pair), in insertion order
 	// (deterministic scan order, FIFO eviction).
-	pendBuf  [pendInline]pendingRec
+	pendBuf  [spare.Inline]pendingRec
 	pendHeap []pendingRec
 
 	// sp is the host's store of released set storage (nil: none); it
@@ -236,54 +225,40 @@ type Machine struct {
 	// hasSmooth marks lnnSmooth as seeded.
 	hasSmooth bool
 	// The padding completes the eighth cache line.
-	_ [15]byte
+	_ [7]byte
 }
 
-// Spares is a host's store of released machine storage: the heap slices
-// of the five spilled arrays and the related-set position index, by
-// capacity. A host that keeps one passes it to Init for every machine it
-// owns; Reset returns a machine's storage to it, and a spill, a regrowth or
-// an index build takes from it before allocating. The zero value is an
-// empty store. It is not safe for concurrent use: a host touches its
-// machines' stores only from its serial membership and message path, and
-// Evaluate — the only call a host may run on several machines at once —
-// neither spills nor resets (prune truncates in place).
+// Spares is a host's store of released machine storage: the related set's
+// ID slices and position index (the l_nn senders share the ID slices), and
+// the heap slices of the three other spilled arrays, by capacity. A host
+// that keeps one passes it to Init for every machine it owns; Reset
+// returns a machine's storage to it, and a spill, a regrowth or an index
+// build takes from it before allocating. The zero value is an empty store.
+// It is not safe for concurrent use: a host touches its machines' stores
+// only from its serial membership and message path, and Evaluate — the
+// only call a host may run on several machines at once — neither spills
+// nor resets (prune truncates in place).
 type Spares struct {
+	set  flatidx.Store
 	rel  spare.Slices[relEntry]
-	ids  spare.Slices[msg.PeerID]
 	reps spare.Slices[lnnReport]
 	pend spare.Slices[pendingRec]
-	idx  flatidx.Pool
 }
 
-// giveBack releases ma's heap slices and index to sp; a nil sp keeps
+// The stores of one kind of storage; nil for a nil Spares, which keeps
 // nothing.
-func (sp *Spares) giveBack(ma *Machine) {
+func (sp *Spares) setStore() *flatidx.Store {
 	if sp == nil {
-		return
+		return nil
 	}
-	sp.rel.Release(ma.relHeap)
-	sp.ids.Release(ma.ordHeap)
-	sp.ids.Release(ma.lnnIDHeap)
-	sp.reps.Release(ma.lnnRepHeap)
-	sp.pend.Release(ma.pendHeap)
-	sp.idx.Release(ma.relIdx)
+	return &sp.set
 }
 
-// The stores of one element type; nil for a nil Spares, which keeps
-// nothing.
 func (sp *Spares) relStore() *spare.Slices[relEntry] {
 	if sp == nil {
 		return nil
 	}
 	return &sp.rel
-}
-
-func (sp *Spares) idStore() *spare.Slices[msg.PeerID] {
-	if sp == nil {
-		return nil
-	}
-	return &sp.ids
 }
 
 func (sp *Spares) repStore() *spare.Slices[lnnReport] {
@@ -300,70 +275,16 @@ func (sp *Spares) pendStore() *spare.Slices[pendingRec] {
 	return &sp.pend
 }
 
-func (sp *Spares) idxStore() *flatidx.Pool {
-	if sp == nil {
-		return nil
-	}
-	return &sp.idx
-}
-
-// Inline capacities of the three per-machine sets (see Machine), and the
-// factor by which a set's first heap slice exceeds its array, so that a
-// set that has just spilled does not regrow at once. Before the spare
-// store, BenchmarkScaleTick allocated 1133, 846 and 777 objects a tick at
-// factors 2, 4 and 8, in 278, 301 and 430 kB: 4 is the knee.
-const (
-	relInline   = 4
-	lnnInline   = 4
-	pendInline  = 4
-	spillFactor = 4
-)
-
-// view returns the n elements of a set held in buf while heap is nil and
-// in heap (whose length is n) afterwards.
-func view[T any](buf, heap []T, n int32) []T {
-	if heap != nil {
-		return heap
-	}
-	return buf[:n]
-}
-
-// push stores v as element n of such a set; the caller increments n. The
-// append that finds buf full moves the set to the heap. Heap slices come
-// from s and have power-of-two capacities.
-func push[T any](buf []T, heap *[]T, n int32, v T, s *spare.Slices[T]) {
-	switch {
-	case *heap != nil:
-		*heap = s.Append(*heap, v)
-	case int(n) < len(buf):
-		buf[n] = v
-	default:
-		*heap = append(append(s.Make(spillFactor*len(buf)), buf...), v)
-	}
-}
-
-// trunc shortens the heap half of such a set to n elements; the caller
-// sets n.
-func trunc[T any](heap *[]T, n int) {
-	if *heap != nil {
-		*heap = (*heap)[:n]
-	}
-}
-
-// rel and ord return the related set's entries and IDs, position-paired.
-func (ma *Machine) rel() []relEntry   { return view(ma.relBuf[:], ma.relHeap, ma.relN) }
-func (ma *Machine) ord() []msg.PeerID { return view(ma.ordBuf[:], ma.ordHeap, ma.relN) }
-
-// truncRel cuts the related set to its first n entries.
-func (ma *Machine) truncRel(n int) {
-	ma.relN = int32(n)
-	trunc(&ma.relHeap, n)
-	trunc(&ma.ordHeap, n)
-}
+// rel returns the related set's entries, position-paired with ids.
+func (ma *Machine) rel() []relEntry { return spare.View(ma.relBuf[:], ma.relHeap, ma.ids.Len()) }
 
 // lnnIDs and lnnReps return the l_nn table's senders and reports.
-func (ma *Machine) lnnIDs() []msg.PeerID { return view(ma.lnnIDBuf[:], ma.lnnIDHeap, ma.lnnN) }
-func (ma *Machine) lnnReps() []lnnReport { return view(ma.lnnRepBuf[:], ma.lnnRepHeap, ma.lnnN) }
+func (ma *Machine) lnnIDs() []msg.PeerID {
+	return spare.View(ma.lnnIDBuf[:], ma.lnnIDHeap, int(ma.lnnN))
+}
+func (ma *Machine) lnnReps() []lnnReport {
+	return spare.View(ma.lnnRepBuf[:], ma.lnnRepHeap, int(ma.lnnN))
+}
 
 // NewMachine returns a Machine bound to p (shared, not copied — hosts
 // keep one Params for the population) with the role-change clock starting
@@ -381,74 +302,25 @@ func (ma *Machine) Init(p *Params, joined Time, sp *Spares) {
 	*ma = Machine{p: p, lastChange: joined, sp: sp}
 }
 
-// relIndexThreshold is the related-set size past which the position
-// index is built; below it a linear scan wins.
-const relIndexThreshold = 32
-
-// relIndex returns id's position in the related set, or -1. During
-// prune's compaction the indexed positions are transiently stale; the
-// only caller in that window (delLnn) uses the result strictly as a
-// membership test, which the index answers correctly throughout.
-func (ma *Machine) relIndex(id msg.PeerID) int {
-	if ma.relIdx != nil {
-		if i, ok := ma.relIdx.Get(uint32(id)); ok {
-			return int(i)
-		}
-		return -1
-	}
-	for i, v := range ma.ord() {
-		if v == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// addRel appends a new related-set entry, growing the position index
-// when the set crosses the threshold.
+// addRel appends a new related-set entry.
 func (ma *Machine) addRel(id msg.PeerID, e relEntry) {
-	push(ma.ordBuf[:], &ma.ordHeap, ma.relN, id, ma.sp.idStore())
-	push(ma.relBuf[:], &ma.relHeap, ma.relN, e, ma.sp.relStore())
-	ma.relN++
-	if ma.relN == 1 || e.lastSeen < ma.relMinSeen {
+	n := ma.ids.Len()
+	ma.sp.relStore().Push(ma.relBuf[:], &ma.relHeap, n, e)
+	ma.ids.Append(id, ma.sp.setStore())
+	if n == 0 || e.lastSeen < ma.relMinSeen {
 		ma.relMinSeen = e.lastSeen
 	}
-	if ma.relIdx != nil {
-		ma.relIdx.Put(uint32(id), ma.relN-1)
-	} else if ma.relN > relIndexThreshold {
-		ma.rebuildRelIdx()
-	}
 }
 
-// removeRelAt swap-deletes the related-set entry at i and patches the
-// position index. It does not touch the l_nn table; callers run delLnn
-// first, while membership is still observable.
+// removeRelAt swap-deletes the related-set entry at i. It does not touch
+// the l_nn table; callers run delLnn first, while membership is still
+// observable.
 func (ma *Machine) removeRelAt(i int) {
-	rel, ord := ma.rel(), ma.ord()
-	id := ord[i]
-	last := len(ord) - 1
-	moved := ord[last]
-	ord[i] = moved
+	rel := ma.rel()
+	last := len(rel) - 1
 	rel[i] = rel[last]
-	ma.truncRel(last)
-	if ma.relIdx != nil {
-		ma.relIdx.Delete(uint32(id))
-		if i < last {
-			ma.relIdx.Put(uint32(moved), int32(i))
-		}
-	}
-}
-
-// rebuildRelIdx (re)derives the position index from the ID array.
-func (ma *Machine) rebuildRelIdx() {
-	if ma.relIdx == nil {
-		ma.relIdx = ma.sp.idxStore().Get()
-	} else {
-		ma.relIdx.Clear()
-	}
-	for i, id := range ma.ord() {
-		ma.relIdx.Put(uint32(id), int32(i))
-	}
+	spare.Trunc(&ma.relHeap, last)
+	ma.ids.RemoveAt(i)
 }
 
 // lnnIndex returns id's position in the l_nn report table, or -1.
@@ -465,18 +337,18 @@ func (ma *Machine) lnnIndex(id msg.PeerID) int {
 func (ma *Machine) putLnn(id msg.PeerID, r lnnReport) {
 	if i := ma.lnnIndex(id); i >= 0 {
 		reps := ma.lnnReps()
-		if ma.relIndex(id) >= 0 {
+		if ma.ids.Contains(id) {
 			ma.lnnSum += int64(r.lnn) - int64(reps[i].lnn)
 		}
 		reps[i] = r
 		return
 	}
-	if ma.relIndex(id) >= 0 {
+	if ma.ids.Contains(id) {
 		ma.lnnSum += int64(r.lnn)
 		ma.lnnCount++
 	}
-	push(ma.lnnIDBuf[:], &ma.lnnIDHeap, ma.lnnN, id, ma.sp.idStore())
-	push(ma.lnnRepBuf[:], &ma.lnnRepHeap, ma.lnnN, r, ma.sp.repStore())
+	ma.sp.setStore().IDs().Push(ma.lnnIDBuf[:], &ma.lnnIDHeap, int(ma.lnnN), id)
+	ma.sp.repStore().Push(ma.lnnRepBuf[:], &ma.lnnRepHeap, int(ma.lnnN), r)
 	ma.lnnN++
 }
 
@@ -490,7 +362,7 @@ func (ma *Machine) delLnn(id msg.PeerID) {
 		return
 	}
 	ids, reps := ma.lnnIDs(), ma.lnnReps()
-	if ma.relIndex(id) >= 0 {
+	if ma.ids.Contains(id) {
 		ma.lnnSum -= int64(reps[i].lnn)
 		ma.lnnCount--
 	}
@@ -498,8 +370,8 @@ func (ma *Machine) delLnn(id msg.PeerID) {
 	ids[i] = ids[last]
 	reps[i] = reps[last]
 	ma.lnnN = int32(last)
-	trunc(&ma.lnnIDHeap, last)
-	trunc(&ma.lnnRepHeap, last)
+	spare.Trunc(&ma.lnnIDHeap, last)
+	spare.Trunc(&ma.lnnRepHeap, last)
 }
 
 // Params returns the parameter set the machine is bound to.
@@ -512,10 +384,14 @@ func (ma *Machine) Params() *Params { return ma.p }
 // not, and storage kept in the slot for it would be memory held for
 // nothing, while in the store it serves the next set that spills.
 func (ma *Machine) Reset(now Time) {
-	// The index exists only beside relHeap, and ordHeap and lnnRepHeap
-	// only beside their partners: a leaf-sized machine skips the call.
+	// The related IDs spill with their entries, and lnnRepHeap with its
+	// partner: a leaf-sized machine skips the stores.
 	if ma.relHeap != nil || ma.lnnIDHeap != nil || ma.pendHeap != nil {
-		ma.sp.giveBack(ma)
+		ma.ids.Clear(ma.sp.setStore())
+		ma.sp.relStore().Release(ma.relHeap)
+		ma.sp.setStore().IDs().Release(ma.lnnIDHeap)
+		ma.sp.repStore().Release(ma.lnnRepHeap)
+		ma.sp.pendStore().Release(ma.pendHeap)
 	}
 	*ma = Machine{p: ma.p, lastChange: now, sp: ma.sp}
 }
@@ -722,13 +598,13 @@ func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 		joinTime: now - Time(age),
 		lastSeen: now,
 	}
-	if i := ma.relIndex(id); i >= 0 {
+	if i := ma.ids.Index(id); i >= 0 {
 		e := &ma.rel()[i]
 		entry.seq = e.seq // re-observation keeps the insertion rank
 		*e = entry
 		return
 	}
-	if maxSize > 0 && int(ma.relN) >= maxSize {
+	if maxSize > 0 && ma.ids.Len() >= maxSize {
 		ma.evictOldest()
 	}
 	entry.seq = ma.relSeq
@@ -764,7 +640,7 @@ func (ma *Machine) evictOldest() {
 		}
 	}
 	// delLnn before the removal: it corrects lnnSum by membership.
-	ma.delLnn(ma.ord()[oldest])
+	ma.delLnn(ma.ids.IDs()[oldest])
 	ma.removeRelAt(oldest)
 }
 
@@ -774,7 +650,7 @@ func (ma *Machine) evictOldest() {
 func (ma *Machine) Drop(id msg.PeerID) {
 	ma.dropPending(id)
 	ma.delLnn(id)
-	i := ma.relIndex(id)
+	i := ma.ids.Index(id)
 	if i < 0 {
 		return
 	}
@@ -787,7 +663,7 @@ func (ma *Machine) Drop(id msg.PeerID) {
 // read-only scan retightens it, and the compacting rewrite starts only
 // at the first expired entry.
 func (ma *Machine) prune(now Time, window Duration) {
-	if window <= 0 || ma.relN == 0 {
+	if window <= 0 || ma.ids.Len() == 0 {
 		return
 	}
 	if now-ma.relMinSeen <= window {
@@ -795,7 +671,7 @@ func (ma *Machine) prune(now Time, window Duration) {
 		// can satisfy the strict now-lastSeen > window expiry test.
 		return
 	}
-	rel, ord := ma.rel(), ma.ord()
+	rel, ids := ma.rel(), ma.ids.IDs()
 	i := 0
 	minSeen := rel[0].lastSeen
 	for ; i < len(rel); i++ {
@@ -818,8 +694,8 @@ func (ma *Machine) prune(now Time, window Duration) {
 			minSeen = seen
 		}
 	}
-	for ; i < len(ord); i++ {
-		id := ord[i]
+	for ; i < len(ids); i++ {
+		id := ids[i]
 		seen := rel[i].lastSeen
 		if now-seen > window {
 			ma.delLnn(id)
@@ -828,29 +704,27 @@ func (ma *Machine) prune(now Time, window Duration) {
 		if seen < minSeen {
 			minSeen = seen
 		}
-		ord[keep] = id
+		ids[keep] = id
 		rel[keep] = rel[i]
 		keep++
 	}
-	ma.truncRel(keep)
+	// The compaction shifted every position past the first expiry; the
+	// set's index rebuild costs the same as the scan that just ran.
+	spare.Trunc(&ma.relHeap, keep)
+	ma.ids.Truncate(keep)
 	ma.relMinSeen = minSeen
-	if ma.relIdx != nil {
-		// The compaction shifted every position past the first expiry;
-		// one rebuild costs the same as the scan that just ran.
-		ma.rebuildRelIdx()
-	}
 }
 
 // Size returns |G|.
-func (ma *Machine) Size() int { return int(ma.relN) }
+func (ma *Machine) Size() int { return ma.ids.Len() }
 
 // Has reports whether id is in the related set.
-func (ma *Machine) Has(id msg.PeerID) bool { return ma.relIndex(id) >= 0 }
+func (ma *Machine) Has(id msg.PeerID) bool { return ma.ids.Contains(id) }
 
 // Related returns the entry for id as (capacity, extrapolated age at
 // now); ok is false when id is not in G.
 func (ma *Machine) Related(id msg.PeerID, now Time) (capacity, age float64, ok bool) {
-	i := ma.relIndex(id)
+	i := ma.ids.Index(id)
 	if i < 0 {
 		return 0, 0, false
 	}
@@ -918,34 +792,19 @@ func (ma *Machine) RefreshDue(now Time) bool {
 // bookkeeping; it is the oracle of the protocol fuzz tests. It returns a
 // description of the first violation found, or "".
 func (ma *Machine) CheckInvariants() string {
-	if !stored(ma.relBuf[:], ma.relHeap, ma.relN) || !stored(ma.ordBuf[:], ma.ordHeap, ma.relN) ||
-		(ma.relHeap == nil) != (ma.ordHeap == nil) {
-		return "related set: count, arrays and heap slices disagree"
+	if bad := ma.ids.Check(); bad != "" {
+		return "related set: " + bad
 	}
-	ord := ma.ord()
-	seen := make(map[msg.PeerID]bool, len(ord))
-	for _, id := range ord {
-		if seen[id] {
-			return "duplicate id in the related set"
-		}
-		seen[id] = true
+	if !spare.Stored(ma.relBuf[:], ma.relHeap, ma.ids.Len()) {
+		return "related set: count, entry array and heap slice disagree"
 	}
-	if ma.relIdx != nil {
-		if ma.relIdx.Len() != len(ord) {
-			return "relIdx size disagrees with the related set"
-		}
-		for i, id := range ord {
-			if p, ok := ma.relIdx.Get(uint32(id)); !ok || int(p) != i {
-				return "relIdx position disagrees with the related set"
-			}
-		}
-	}
-	clear(seen)
-	if !stored(ma.lnnIDBuf[:], ma.lnnIDHeap, ma.lnnN) || !stored(ma.lnnRepBuf[:], ma.lnnRepHeap, ma.lnnN) ||
+	n := int(ma.lnnN)
+	if !spare.Stored(ma.lnnIDBuf[:], ma.lnnIDHeap, n) || !spare.Stored(ma.lnnRepBuf[:], ma.lnnRepHeap, n) ||
 		(ma.lnnIDHeap == nil) != (ma.lnnRepHeap == nil) {
 		return "lnn table: count, arrays and heap slices disagree"
 	}
 	ids, reps := ma.lnnIDs(), ma.lnnReps()
+	seen := make(map[msg.PeerID]bool, len(ids))
 	for _, id := range ids {
 		if seen[id] {
 			return "duplicate id in lnn table"
@@ -953,24 +812,15 @@ func (ma *Machine) CheckInvariants() string {
 		seen[id] = true
 	}
 	var sum int64
-	var n int32
+	var count int32
 	for i, id := range ids {
-		if ma.relIndex(id) >= 0 {
+		if ma.ids.Contains(id) {
 			sum += int64(reps[i].lnn)
-			n++
+			count++
 		}
 	}
-	if sum != ma.lnnSum || n != ma.lnnCount {
+	if sum != ma.lnnSum || count != ma.lnnCount {
 		return "lnnSum/lnnCount disagree with a scan"
 	}
 	return ma.checkPendingInvariants()
-}
-
-// stored reports whether a set of n elements is held the way view reads
-// it: in buf with no heap slice, or in a heap slice of length n.
-func stored[T any](buf, heap []T, n int32) bool {
-	if heap == nil {
-		return 0 <= n && int(n) <= len(buf)
-	}
-	return len(heap) == int(n)
 }

@@ -56,7 +56,7 @@ func TestObserveUpdatesInPlace(t *testing.T) {
 	if ma.Size() != 1 {
 		t.Fatalf("size = %d, want 1", ma.Size())
 	}
-	e := ma.rel()[ma.relIndex(1)]
+	e := ma.rel()[ma.ids.Index(1)]
 	if e.joinTime != 22 { // 30 - 8
 		t.Fatalf("joinTime = %v, want 22", e.joinTime)
 	}

@@ -1,6 +1,9 @@
 package protocol
 
-import "dlm/internal/msg"
+import (
+	"dlm/internal/msg"
+	"dlm/internal/spare"
+)
 
 // The pending-request table gives Phase 1 a bounded at-least-once
 // discipline over lossy transports: the host registers a deadline before
@@ -23,9 +26,9 @@ const (
 // pendingRec is one pending-table row: one outstanding request — at most
 // one per (peer, pair), so a refresh re-request supersedes the outstanding
 // one instead of stacking behind it — and its retry state. The fields are
-// ordered so that a row is 16 bytes, four of them inline in every Machine;
-// retries counts up to Params.MaxRetries, which Validate keeps within the
-// counter's range.
+// ordered so that a row is 16 bytes, spare.Inline of them inline in every
+// Machine; retries counts up to Params.MaxRetries, which Validate keeps
+// within the counter's range.
 type pendingRec struct {
 	deadline Time
 	peer     msg.PeerID
@@ -34,12 +37,14 @@ type pendingRec struct {
 }
 
 // pend returns the pending table's rows in insertion order.
-func (ma *Machine) pend() []pendingRec { return view(ma.pendBuf[:], ma.pendHeap, ma.pendN) }
+func (ma *Machine) pend() []pendingRec {
+	return spare.View(ma.pendBuf[:], ma.pendHeap, int(ma.pendN))
+}
 
 // truncPend cuts the pending table to its first n rows.
 func (ma *Machine) truncPend(n int) {
 	ma.pendN = int32(n)
-	trunc(&ma.pendHeap, n)
+	spare.Trunc(&ma.pendHeap, n)
 }
 
 // pendingCap bounds the table: a leaf talks to at most MaxRelatedSet
@@ -84,7 +89,7 @@ func (ma *Machine) Expect(peer msg.PeerID, kind msg.Kind, now Time) {
 		copy(pend, pend[1:])
 		ma.truncPend(len(pend) - 1)
 	}
-	push(ma.pendBuf[:], &ma.pendHeap, ma.pendN, rec, ma.sp.pendStore())
+	ma.sp.pendStore().Push(ma.pendBuf[:], &ma.pendHeap, int(ma.pendN), rec)
 	ma.pendN++
 }
 
@@ -126,7 +131,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	}
 	// The rows to re-send, copied out of the table; a leaf's whole table
 	// fits the stack array.
-	var buf [2 * pendInline]pendingRec
+	var buf [2 * spare.Inline]pendingRec
 	resend := buf[:0]
 	pend := ma.pend()
 	keep := 0
@@ -170,7 +175,7 @@ func (ma *Machine) dropPending(id msg.PeerID) {
 // checkPendingInvariants verifies the pending-table bookkeeping; it
 // extends CheckInvariants and returns "" when consistent.
 func (ma *Machine) checkPendingInvariants() string {
-	if !stored(ma.pendBuf[:], ma.pendHeap, ma.pendN) {
+	if !spare.Stored(ma.pendBuf[:], ma.pendHeap, int(ma.pendN)) {
 		return "pending table: count, array and heap slice disagree"
 	}
 	pend := ma.pend()

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"dlm/internal/flatidx"
 	"dlm/internal/msg"
+	"dlm/internal/spare"
 )
 
 // refMachine is the reference model of a Machine's three sets: plain maps
@@ -168,7 +170,8 @@ func (s *sendLog) IsLeafNeighbor(msg.PeerID) bool { return true }
 // entries, Size, the AvgLnn bits, every l_nn report, the eviction victim
 // (through the order), the pending rows in order, the frames an expiry
 // re-sends and the rows it abandons, and the machine's own invariants. No
-// backing array or index may be held by two live sets at once.
+// backing array may be held by two live sets at once (the index's own
+// aliasing check is flatidx's TestSetDifferential).
 func TestInlineSpillDifferential(t *testing.T) {
 	p := DefaultParams()
 	p.MaxRelatedSet = 6 // pending cap 12, related cap 6 when the op asks for it
@@ -185,12 +188,13 @@ func TestInlineSpillDifferential(t *testing.T) {
 	self := Self{ID: 1000}
 
 	// Coverage: how often each set left its array, how often a machine
-	// holding heap slices was Reset to inline, how often the index was
-	// built and dropped, how often a heap-held set shrank back to inline
-	// size (and kept working there), and how often a set took storage some
-	// set had held before.
+	// holding heap slices was Reset to inline, how often a related set grew
+	// past the index threshold and was Reset with its index, how often a
+	// heap-held set shrank back to inline size (and kept working there), and
+	// how often a set took storage some set had held before.
 	var relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused int
 	seen := map[unsafe.Pointer]bool{}
+	indexed := make([]bool, len(machines))
 
 	now := Time(0)
 	universe := msg.PeerID(8)
@@ -199,14 +203,14 @@ func TestInlineSpillDifferential(t *testing.T) {
 			// Alternate regimes: a handful of IDs keeps the sets around
 			// their inline capacities, a few dozen carry the related sets
 			// past the index threshold.
-			universe = []msg.PeerID{5, 8, 12, 3 * relIndexThreshold}[rng.Intn(4)]
+			universe = []msg.PeerID{5, 8, 12, 3 * flatidx.IndexThreshold}[rng.Intn(4)]
 		}
 		now += Time(rng.Intn(3)) * 0.05
 		k := rng.Intn(len(machines))
 		ma, ref := &machines[k], refs[k]
 		id := msg.PeerID(1 + rng.Intn(int(universe)))
-		wasRel, wasLnn, wasPend, wasIdx := ma.relHeap != nil, ma.lnnIDHeap != nil, ma.pendHeap != nil, ma.relIdx != nil
-		wasN := ma.relN
+		wasRel, wasLnn, wasPend := ma.relHeap != nil, ma.lnnIDHeap != nil, ma.pendHeap != nil
+		wasN := ma.Size()
 		held := storage(ma)
 
 		switch op := rng.Intn(100); {
@@ -214,20 +218,24 @@ func TestInlineSpillDifferential(t *testing.T) {
 			if wasRel || wasLnn || wasPend {
 				returns++
 			}
+			if indexed[k] {
+				idxDropped++
+				indexed[k] = false
+			}
 			ref.reset()
 			ma.Reset(now)
-			if ma.relHeap != nil || ma.ordHeap != nil || ma.lnnIDHeap != nil || ma.lnnRepHeap != nil ||
-				ma.pendHeap != nil || ma.relIdx != nil {
+			if ma.relHeap != nil || ma.lnnIDHeap != nil || ma.lnnRepHeap != nil ||
+				ma.pendHeap != nil {
 				t.Fatalf("step %d: Reset kept a heap slice or the index", step)
 			}
 		case op < 36:
-			maxSize := []int{0, 0, p.MaxRelatedSet, 2 * relIndexThreshold}[rng.Intn(4)]
+			maxSize := []int{0, 0, p.MaxRelatedSet, 2 * flatidx.IndexThreshold}[rng.Intn(4)]
 			capacity, age := float64(rng.Intn(1000)), float64(rng.Intn(50))
 			want := ref.observe(id, capacity, age, now, maxSize)
-			before := slices.Clone(ma.ord())
+			before := slices.Clone(ma.ids.IDs())
 			ma.Observe(id, capacity, age, now, maxSize)
 			if want != msg.NoPeer && (ma.Has(want) || !slices.Contains(before, want)) {
-				t.Fatalf("step %d: eviction victim should be %d; before %v after %v", step, want, before, ma.ord())
+				t.Fatalf("step %d: eviction victim should be %d; before %v after %v", step, want, before, ma.ids.IDs())
 			}
 		case op < 50:
 			ref.drop(id)
@@ -273,13 +281,11 @@ func TestInlineSpillDifferential(t *testing.T) {
 		if !wasPend && ma.pendHeap != nil {
 			pendSpills++
 		}
-		if !wasIdx && ma.relIdx != nil {
+		if !indexed[k] && ma.Size() > flatidx.IndexThreshold {
 			idxBuilt++
+			indexed[k] = true
 		}
-		if wasIdx && ma.relIdx == nil {
-			idxDropped++
-		}
-		if ma.relHeap != nil && wasN > relInline && ma.relN <= relInline {
+		if ma.relHeap != nil && wasN > spare.Inline && ma.Size() <= spare.Inline {
 			shrunk++
 		}
 		for i, at := range storage(ma) {
@@ -297,8 +303,8 @@ func TestInlineSpillDifferential(t *testing.T) {
 		if bad := sharedStorage(machines); bad != "" {
 			t.Fatalf("step %d: %s", step, bad)
 		}
-		if !slices.Equal(ma.ord(), ref.order) {
-			t.Fatalf("step %d: related order %v, reference %v", step, ma.ord(), ref.order)
+		if !slices.Equal(ma.ids.IDs(), ref.order) {
+			t.Fatalf("step %d: related order %v, reference %v", step, ma.ids.IDs(), ref.order)
 		}
 		if ma.Size() != len(ref.order) {
 			t.Fatalf("step %d: Size %d, reference %d", step, ma.Size(), len(ref.order))
@@ -326,7 +332,7 @@ func TestInlineSpillDifferential(t *testing.T) {
 		}
 	}
 
-	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; index built %d, dropped %d; heap-held sets back at inline size %d; storage reused %d",
+	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; indexed %d, reset indexed %d; heap-held sets back at inline size %d; storage reused %d",
 		relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused)
 	const floor = 20
 	for name, n := range map[string]int{
@@ -340,25 +346,28 @@ func TestInlineSpillDifferential(t *testing.T) {
 	}
 }
 
-// storage returns the backing arrays of a machine's five heap slices and
-// its position index, nil where it holds none.
-func storage(ma *Machine) [6]unsafe.Pointer {
-	return [6]unsafe.Pointer{
+// storage returns the backing arrays of a machine's five heap slices, nil
+// where it holds none. The related IDs spill with their entries.
+func storage(ma *Machine) [5]unsafe.Pointer {
+	var ids unsafe.Pointer
+	if ma.relHeap != nil {
+		ids = unsafe.Pointer(unsafe.SliceData(ma.ids.IDs()))
+	}
+	return [5]unsafe.Pointer{
 		unsafe.Pointer(unsafe.SliceData(ma.relHeap)),
-		unsafe.Pointer(unsafe.SliceData(ma.ordHeap)),
+		ids,
 		unsafe.Pointer(unsafe.SliceData(ma.lnnIDHeap)),
 		unsafe.Pointer(unsafe.SliceData(ma.lnnRepHeap)),
 		unsafe.Pointer(unsafe.SliceData(ma.pendHeap)),
-		unsafe.Pointer(ma.relIdx),
 	}
 }
 
-// sharedStorage returns a description of the first backing array or index
-// held by two live sets of ms at once, or "".
+// sharedStorage returns a description of the first backing array held by
+// two live sets of ms at once, or "".
 func sharedStorage(ms []Machine) string {
-	names := [6]string{"related entries", "related IDs", "l_nn IDs", "l_nn reports", "pending rows", "position index"}
+	names := [5]string{"related entries", "related IDs", "l_nn IDs", "l_nn reports", "pending rows"}
 	type holder struct{ machine, set int }
-	held := make(map[unsafe.Pointer]holder, 6*len(ms))
+	held := make(map[unsafe.Pointer]holder, 5*len(ms))
 	for i := range ms {
 		for j, at := range storage(&ms[i]) {
 			if at == nil {
@@ -380,7 +389,7 @@ func sharedStorage(ms []Machine) string {
 func TestMachineCopyIsIndependent(t *testing.T) {
 	p := DefaultParams()
 	a := NewMachine(&p, 0)
-	for id := msg.PeerID(1); id <= relInline; id++ {
+	for id := msg.PeerID(1); id <= spare.Inline; id++ {
 		a.Observe(id, float64(id), 0, 1, 0)
 		a.putLnn(id, lnnReport{lnn: int(id)})
 		a.Expect(id, msg.KindValueRequest, 1)
@@ -388,7 +397,7 @@ func TestMachineCopyIsIndependent(t *testing.T) {
 	b := *a
 	a.Drop(1)
 	a.Observe(2, 99, 0, 2, 0)
-	if b.Size() != relInline || !b.Has(1) || b.PendingRequests() != pendInline {
+	if b.Size() != spare.Inline || !b.Has(1) || b.PendingRequests() != spare.Inline {
 		t.Fatalf("mutating the original changed the copy: size %d, has(1) %v, pending %d",
 			b.Size(), b.Has(1), b.PendingRequests())
 	}

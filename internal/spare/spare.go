@@ -1,17 +1,23 @@
-// Package spare keeps released set storage for reuse.
+// Package spare holds the storage rule of the simulation's per-peer sets
+// and keeps released set storage for reuse.
 //
-// The simulation's per-peer sets (a protocol.Machine's related set, l_nn
-// and pending tables; an overlay peer's link sets) hold their first few
-// elements inline and move to a heap slice when they outgrow them. Role
-// changes and departures give that storage back by the thousand, and the
-// next promotion or spill asks for the same sizes again. A host keeps one
-// store and passes it to every set it owns: a released slice waits in the
-// store, by power-of-two capacity class, for the next set that needs that
-// class (flatidx.Pool does the same for position indexes and their
-// tables). A store holds at most as many spare arrays of a class as the
-// host's sets hold in use, and at least one: enough to serve the churn of
-// a population, while the storage of a demotion wave that leaves few sets
-// of its size behind goes back to the garbage collector.
+// The per-peer sets (a protocol.Machine's related set, l_nn and pending
+// tables; an overlay peer's link sets) hold their first Inline elements in
+// an array inside the struct that owns them, so a peer at leaf size never
+// touches the Go heap for them. The push that finds the array full moves
+// the set to a heap slice SpillFactor times as large, so that a set that
+// has just spilled does not regrow at once; the set stays there until its
+// owner clears it (View, Slices.Push, Trunc, Stored).
+//
+// Role changes and departures give that heap storage back by the
+// thousand, and the next promotion or spill asks for the same sizes
+// again. A host keeps one store and passes it to every set it owns: a
+// released slice waits in the store, by power-of-two capacity class, for
+// the next set that needs that class. A store holds at most as many spare
+// arrays of a class as the host's sets hold in use, and at least one:
+// enough to serve the churn of a population, while the storage of a
+// demotion wave that leaves few sets of its size behind goes back to the
+// garbage collector.
 //
 // A store is not safe for concurrent use; each host touches it only from
 // its serial membership and message path. A nil store keeps nothing and
@@ -20,6 +26,47 @@
 package spare
 
 import "math/bits"
+
+// Inline is the number of elements a set holds in its owner's array. It
+// comes from the measured end-of-run leaf related-set sizes — steady100k:
+// 2/3/4/5/≥6 entries on 63 434/25 402/6 670/1 298/207 leaves, 98.5 % ≤ 4;
+// churn50k: 92 % ≤ 4 — and from the overlay's M = 2 supers per leaf, each
+// good for one link (with room for a transient third), one l_nn report and
+// two outstanding requests; a super's k_s = 3 to 4 super links fit too.
+//
+// SpillFactor is the size of a set's first heap slice in arrays. Before
+// the store, BenchmarkScaleTick allocated 1133, 846 and 777 objects a tick
+// at factors 2, 4 and 8, in 278, 301 and 430 kB: 4 is the knee.
+const (
+	Inline      = 4
+	SpillFactor = 4
+)
+
+// View returns the n elements of a set held in buf while heap is nil and
+// in heap (whose length is n) afterwards.
+func View[T any](buf, heap []T, n int) []T {
+	if heap != nil {
+		return heap
+	}
+	return buf[:n]
+}
+
+// Trunc shortens the heap half of such a set to n elements; the caller
+// sets n. The set keeps its heap slice, so Trunc never touches a store.
+func Trunc[T any](heap *[]T, n int) {
+	if *heap != nil {
+		*heap = (*heap)[:n]
+	}
+}
+
+// Stored reports whether a set of n elements is held the way View reads
+// it: in buf with no heap slice, or in a heap slice of length n.
+func Stored[T any](buf, heap []T, n int) bool {
+	if heap == nil {
+		return 0 <= n && n <= len(buf)
+	}
+	return len(heap) == n
+}
 
 // Slices is a store of released []T arrays, one LIFO list per capacity
 // class. Released arrays are not cleared, so T must hold no pointers the
@@ -56,6 +103,20 @@ func (s *Slices[T]) Append(b []T, v T) []T {
 		return append(b, v)
 	}
 	return s.grow(b, v)
+}
+
+// Push stores v as element n of a set held in buf or heap (see View); the
+// caller increments n. The push that finds buf full moves the set to a
+// heap slice of SpillFactor·len(buf) from Make.
+func (s *Slices[T]) Push(buf []T, heap *[]T, n int, v T) {
+	switch {
+	case *heap != nil:
+		*heap = s.Append(*heap, v)
+	case n < len(buf):
+		buf[n] = v
+	default:
+		*heap = append(append(s.Make(SpillFactor*len(buf)), buf...), v)
+	}
 }
 
 // grow is Append's move to the next capacity, kept out of line so that
