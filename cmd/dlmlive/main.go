@@ -31,12 +31,13 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	population := make([]*live.Peer, 0, *peers)
 	for i := 0; i < *peers; i++ {
-		population = append(population, n.Join(5+rng.ExpFloat64()*50))
+		population = append(population, n.Join(5+rng.ExpFloat64()*50, nil))
 	}
 
-	stopChurn := make(chan struct{})
+	stopChurn, churnDone := make(chan struct{}), make(chan struct{})
 	if *churn {
 		go func() {
+			defer close(churnDone)
 			t := time.NewTicker(*unit * 4)
 			defer t.Stop()
 			for {
@@ -46,7 +47,7 @@ func main() {
 				case <-t.C:
 					i := rng.Intn(len(population))
 					n.Leave(population[i])
-					population[i] = n.Join(5 + rng.ExpFloat64()*50)
+					population[i] = n.Join(5+rng.ExpFloat64()*50, nil)
 				}
 			}
 		}()
@@ -65,6 +66,7 @@ func main() {
 	}
 	if *churn {
 		close(stopChurn)
+		<-churnDone // no churn step may race the deferred Stop
 	}
 
 	fmt.Println("\nmessage plane:")

@@ -86,15 +86,6 @@ type Manager struct {
 	// equivalence test uses it to capture the decision sequence.
 	OnDecision func(p *overlay.Peer, now sim.Time, res protocol.EvalResult)
 
-	// Stats counters for the evaluation: evaluations that ran, decisions
-	// whose comparison cleared the thresholds, and switches that passed
-	// the rate limit and executed.
-	Evaluations        uint64
-	EligiblePromotions uint64
-	EligibleDemotions  uint64
-	Promotions         uint64
-	Demotions          uint64
-
 	// RequestRetries and RequestDrops aggregate the population's Phase 1
 	// timeout activity (see protocol.Machine.ExpirePending): requests
 	// re-sent after their deadline, and requests abandoned after the
@@ -182,9 +173,8 @@ type laneState struct {
 
 // laneEval is one buffered evaluation awaiting commit.
 type laneEval struct {
-	p       *overlay.Peer
-	isSuper bool
-	res     protocol.EvalResult
+	p   *overlay.Peer
+	res protocol.EvalResult
 }
 
 // ensureLanes builds the per-lane RNG streams on first use.
@@ -419,8 +409,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 		ls.evals = ls.evals[:0]
 		n.WalkLane(lane, func(p *overlay.Peer) {
 			ma := m.state(p)
-			isSuper := p.Layer == overlay.LayerSuper
-			if isSuper {
+			if p.Layer == overlay.LayerSuper {
 				// Advance the l_nn EWMA once per tick, decisions or
 				// not, so the smoothing cadence is uniform.
 				ma.SmoothLnn(float64(p.LeafDegree()))
@@ -430,7 +419,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 			}
 			res := ma.Evaluate(selfView(p, now), pnow, kl, eta, ls.rng)
 			if res.Evaluated || res.Action != protocol.ActionNone {
-				ls.evals = append(ls.evals, laneEval{p: p, isSuper: isSuper, res: res})
+				ls.evals = append(ls.evals, laneEval{p: p, res: res})
 			}
 		})
 	})
@@ -444,35 +433,21 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	}
 }
 
-// commit applies one buffered evaluation: population counters, the
-// OnDecision observer, and the requested role change. The Promote/Demote
+// commit applies one buffered evaluation: the OnDecision observer, then
+// the requested role change (overlay.Counters tallies it). The Promote/Demote
 // guards make a stale action safe by construction, but within one tick a
 // peer's layer cannot have changed between its evaluation and its commit
 // — only its own buffered action moves it, and each peer is buffered at
 // most once per tick.
 func (m *Manager) commit(n *overlay.Network, ev *laneEval, now sim.Time) {
-	res := &ev.res
-	if res.Evaluated {
-		m.Evaluations++
-	}
-	if res.Eligible {
-		if ev.isSuper {
-			m.EligibleDemotions++
-		} else {
-			m.EligiblePromotions++
-		}
-	}
 	if m.OnDecision != nil {
-		m.OnDecision(ev.p, now, *res)
+		m.OnDecision(ev.p, now, ev.res)
 	}
-	switch res.Action {
+	switch ev.res.Action {
 	case protocol.ActionPromote:
-		m.Promotions++
 		n.Promote(ev.p)
 	case protocol.ActionDemote:
-		if n.Demote(ev.p) {
-			m.Demotions++
-		}
+		n.Demote(ev.p)
 	}
 }
 

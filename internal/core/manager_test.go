@@ -153,13 +153,12 @@ func TestDemotionTriggersReExchange(t *testing.T) {
 	}
 }
 
-// runScenario drives a DLM-managed churning network and returns the final
-// snapshot.
-func runScenario(t *testing.T, seed int64, p Params, eta float64, size int, until sim.Time) (*overlay.Network, *Manager, overlay.LayerStats) {
+// runScenario drives a DLM-managed churning network and returns it with
+// its final snapshot.
+func runScenario(t *testing.T, seed int64, p Params, eta float64, size int, until sim.Time) (*overlay.Network, overlay.LayerStats) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	mgr := NewManager(p)
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: eta}, mgr)
+	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: eta}, NewManager(p))
 	churn := &overlay.Churn{
 		Net: n,
 		Profile: &workload.StaticProfile{
@@ -180,14 +179,14 @@ func runScenario(t *testing.T, seed int64, p Params, eta float64, size int, unti
 	if bad := n.CheckInvariants(); len(bad) > 0 {
 		t.Fatalf("invariants: %v", bad[:minInt(len(bad), 5)])
 	}
-	return n, mgr, n.Snapshot()
+	return n, n.Snapshot()
 }
 
 func TestDLMConvergesToTargetRatio(t *testing.T) {
 	// The window must cover the cold-start overshoot plus one demotion
 	// cooldown (100 units) for the trim phase to complete.
-	n, mgr, snap := runScenario(t, 42, DefaultParams(), 10, 800, 400)
-	if mgr.Promotions == 0 {
+	n, snap := runScenario(t, 42, DefaultParams(), 10, 800, 400)
+	if n.Counters().Promotions == 0 {
 		t.Fatal("no promotions happened")
 	}
 	ratio := snap.Ratio
@@ -195,11 +194,10 @@ func TestDLMConvergesToTargetRatio(t *testing.T) {
 		t.Fatalf("ratio = %v, want near eta=10 (supers=%d leaves=%d)",
 			ratio, snap.NumSupers, snap.NumLeaves)
 	}
-	_ = n
 }
 
 func TestDLMSeparatesCapacityAndAge(t *testing.T) {
-	_, _, snap := runScenario(t, 7, DefaultParams(), 10, 800, 200)
+	_, snap := runScenario(t, 7, DefaultParams(), 10, 800, 200)
 	if snap.AvgCapSuper <= snap.AvgCapLeaf {
 		t.Fatalf("capacity separation failed: super %.1f vs leaf %.1f",
 			snap.AvgCapSuper, snap.AvgCapLeaf)
@@ -212,12 +210,12 @@ func TestDLMSeparatesCapacityAndAge(t *testing.T) {
 
 func TestDLMDeterministic(t *testing.T) {
 	p := DefaultParams()
-	_, mgr1, snap1 := runScenario(t, 99, p, 10, 300, 80)
-	_, mgr2, snap2 := runScenario(t, 99, p, 10, 300, 80)
+	n1, snap1 := runScenario(t, 99, p, 10, 300, 80)
+	n2, snap2 := runScenario(t, 99, p, 10, 300, 80)
 	if snap1 != snap2 {
 		t.Fatalf("snapshots diverged:\n%+v\n%+v", snap1, snap2)
 	}
-	if mgr1.Promotions != mgr2.Promotions || mgr1.Demotions != mgr2.Demotions {
+	if c1, c2 := n1.Counters(), n2.Counters(); c1.Promotions != c2.Promotions || c1.Demotions != c2.Demotions {
 		t.Fatal("decision counts diverged")
 	}
 }
@@ -234,8 +232,8 @@ func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 	p.Exchange = protocol.Periodic
 	p.PeriodicInterval = 5
 	p.RefreshInterval = 0
-	_, mgr, snap := runScenario(t, 4, p, 10, 600, 300)
-	if mgr.Promotions == 0 {
+	n, snap := runScenario(t, 4, p, 10, 600, 300)
+	if n.Counters().Promotions == 0 {
 		t.Fatal("no promotions under the periodic policy")
 	}
 	if snap.Ratio < 4 || snap.Ratio > 25 {

@@ -116,10 +116,10 @@ func drainAll(peers []*Peer) {
 	}
 }
 
-func liveDecisions(t *testing.T, seed int64, faults *overlay.Link) []decRec {
+func liveDecisions(t *testing.T, seed int64) []decRec {
 	t.Helper()
 	unit := time.Second
-	n := NewNet(Config{M: 1, KS: 3, Eta: 0.5, Params: equivParams(), Unit: unit, Seed: seed, Faults: faults})
+	n := NewNet(Config{M: 1, KS: 3, Eta: 0.5, Params: equivParams(), Unit: unit, Seed: seed})
 	defer n.Stop()
 	// Manual mode: no goroutines; this test is the scheduler and the
 	// clock, so tick times are exact integers like the simulator's.
@@ -131,8 +131,8 @@ func liveDecisions(t *testing.T, seed int64, faults *overlay.Link) []decRec {
 	n.onDecision = func(id msg.PeerID, now protocol.Time, res protocol.EvalResult) {
 		recs = append(recs, makeRec(id, float64(now), res))
 	}
-	a := n.Join(10) // bootstrap super, id 1
-	b := n.Join(50) // leaf, id 2
+	a := n.Join(10, nil) // bootstrap super, id 1
+	b := n.Join(50, nil) // leaf, id 2
 	peers := []*Peer{a, b}
 	for tick := 1; tick <= equivTicks; tick++ {
 		elapsed = time.Duration(tick) * unit
@@ -153,18 +153,14 @@ func liveDecisions(t *testing.T, seed int64, faults *overlay.Link) []decRec {
 
 func TestCrossPlaneEquivalence(t *testing.T) {
 	// The decision path is draw-free by construction, so the trace must
-	// agree for every seed, and an installed-but-idle fault wrapper (a
-	// non-nil all-zero model) must be invisible: it draws nothing and
-	// delivers inline.
+	// agree for every seed.
 	tests := []struct {
-		name   string
-		seed   int64
-		faults *overlay.Link
+		name string
+		seed int64
 	}{
 		{name: "seed7", seed: 7},
 		{name: "seed21", seed: 21},
 		{name: "seed99", seed: 99},
-		{name: "seed7-idle-fault-wrapper", seed: 7, faults: &overlay.Link{}},
 	}
 	for _, tc := range tests {
 		tc := tc
@@ -174,7 +170,7 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 			// sharded simulator too, not just the serial one.
 			simRecs := simDecisions(t, tc.seed, 1)
 			shardedRecs := simDecisions(t, tc.seed, 4)
-			liveRecs := liveDecisions(t, tc.seed, tc.faults)
+			liveRecs := liveDecisions(t, tc.seed)
 
 			if len(simRecs) != len(shardedRecs) {
 				t.Fatalf("decision counts differ across shard counts: serial %d, sharded %d",

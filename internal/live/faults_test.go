@@ -7,17 +7,17 @@ import (
 	"dlm/internal/overlay"
 )
 
-// TestLiveUnderFaultyTransport runs a small network over a lossy,
-// duplicating, jittering, reordering transport: the fault counters and the
-// Phase 1 retry counter must move, a super layer must still form, and
-// Stop must return while delayed copies are still riding their timers.
-func TestLiveUnderFaultyTransport(t *testing.T) {
+// TestLiveUnderFaultyLink runs a small network over a lossy, duplicating,
+// jittering, reordering link: the fault counters and the Phase 1 retry
+// counter must move, a super layer must still form, and Stop must return
+// while delayed copies are still riding their timers.
+func TestLiveUnderFaultyLink(t *testing.T) {
 	cfg := Config{
 		Eta: 8, Unit: 2 * time.Millisecond, Seed: 5,
 		// Up to 2+20 units of extra delay against a 5-unit request
 		// timeout: answers that survive the loss often arrive late, and
 		// some copy is always in flight.
-		Faults: &overlay.Link{Loss: 0.2, Dup: 0.1, JitterMode: 0.5, JitterMax: 2, ReorderWindow: 20},
+		Link: overlay.Link{Loss: 0.2, Dup: 0.1, JitterMode: 0.5, JitterMax: 2, ReorderWindow: 20},
 	}
 	cfg.defaults()
 	cfg.Params.DecisionCooldown = 3
@@ -25,7 +25,7 @@ func TestLiveUnderFaultyTransport(t *testing.T) {
 	cfg.Params.EvalProbability = 0.5
 	n := NewNet(cfg)
 	for i := 0; i < 80; i++ {
-		n.Join(float64(1 + i%100))
+		n.Join(float64(1+i%100), nil)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -49,7 +49,7 @@ func TestLiveUnderFaultyTransport(t *testing.T) {
 	select {
 	case <-stopped:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not return under a faulty transport")
+		t.Fatal("Stop did not return under a faulty link")
 	}
 	// Let the copies that were still on timers fire into the stopped
 	// network (the race detector watches them land on departed peers).

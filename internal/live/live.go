@@ -21,24 +21,8 @@ import (
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
 	"dlm/internal/protocol"
+	"dlm/internal/sim"
 )
-
-// Role is a peer's current layer.
-type Role int32
-
-// The two roles.
-const (
-	RoleLeaf Role = iota
-	RoleSuper
-)
-
-// String implements fmt.Stringer.
-func (r Role) String() string {
-	if r == RoleSuper {
-		return "super"
-	}
-	return "leaf"
-}
 
 // Config parameterizes a live network.
 type Config struct {
@@ -55,11 +39,10 @@ type Config struct {
 	InboxSize int
 	// Seed derives per-peer RNG streams.
 	Seed int64
-	// Faults, when non-nil, routes every delivery through a
-	// FaultyTransport with this link model (see faults.go); its delays are
-	// in protocol time units, scaled by Unit at delivery. A non-nil model
-	// with all knobs zero installs the wrapper but injects nothing.
-	Faults *overlay.Link
+	// Link is the fault model every delivery draws from (see faults.go),
+	// as on the simulation plane; its delays are in protocol time units,
+	// scaled by Unit at delivery. The zero value is a perfect link.
+	Link overlay.Link
 }
 
 func (c *Config) defaults() {
@@ -101,12 +84,15 @@ type Net struct {
 	wg sync.WaitGroup
 
 	msgs        [msg.NumKinds]atomic.Uint64
-	dropped     atomic.Uint64
 	droppedKind [msg.NumKinds]atomic.Uint64
 	decodeErrs  atomic.Uint64
 
-	// faults, when non-nil, sits between every sender and every inbox.
-	faults *FaultyTransport
+	// linkRng draws cfg.Link's faults; every sender goroutine shares it,
+	// so linkMu guards it. faultDrops/faultDups tally the draws per kind.
+	linkMu     sync.Mutex
+	linkRng    *sim.Source
+	faultDrops [msg.NumKinds]atomic.Uint64
+	faultDups  [msg.NumKinds]atomic.Uint64
 	// reqRetries/reqDrops aggregate the Phase 1 timeout activity across
 	// all peers (see protocol.Machine.ExpirePending).
 	reqRetries atomic.Uint64
@@ -127,26 +113,23 @@ type Net struct {
 }
 
 // NewNet creates a live network; Stop must be called to release it. It
-// panics on invalid Params (construction bug).
+// panics on invalid Params or Link (construction bug).
 func NewNet(cfg Config) *Net {
 	cfg.defaults()
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Net{
-		cfg:    cfg,
-		start:  time.Now(),
-		nowFn:  time.Now,
-		peers:  make(map[msg.PeerID]*Peer),
-		supers: make(map[msg.PeerID]*Peer),
+	if err := cfg.Link.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			panic(err)
-		}
-		n.faults = newFaultyTransport(*cfg.Faults, cfg.Unit, cfg.Seed)
+	return &Net{
+		cfg:     cfg,
+		start:   time.Now(),
+		nowFn:   time.Now,
+		peers:   make(map[msg.PeerID]*Peer),
+		supers:  make(map[msg.PeerID]*Peer),
+		linkRng: sim.NewSource(cfg.Seed ^ 0x6c696e6b), // "link"
 	}
-	return n
 }
 
 // nowUnits returns the current protocol time: real time elapsed since
@@ -156,7 +139,7 @@ func (n *Net) nowUnits() protocol.Time {
 }
 
 // Peer is one live participant. All of its protocol state lives in a
-// protocol.Machine private to it and guarded by its own mutex; the role
+// protocol.Machine private to it and guarded by its own mutex; the layer
 // is additionally atomic so other goroutines can classify it cheaply.
 type Peer struct {
 	ID       msg.PeerID
@@ -168,7 +151,7 @@ type Peer struct {
 	inbox  chan []byte
 	quit   chan struct{}
 	joined protocol.Time
-	role   atomic.Int32
+	layer  atomic.Uint32 // an overlay.Layer
 	gone   atomic.Bool
 
 	mu       sync.Mutex
@@ -180,21 +163,19 @@ type Peer struct {
 	searchSt *searchState
 }
 
-// Role returns the peer's current role.
-func (p *Peer) Role() Role { return Role(p.role.Load()) }
+// Layer returns the peer's current layer.
+func (p *Peer) Layer() overlay.Layer { return overlay.Layer(p.layer.Load()) }
 
 // AgeUnits returns the peer's age in protocol time units.
 func (p *Peer) AgeUnits() float64 {
 	return float64(p.net.nowUnits() - p.joined)
 }
 
-// Join spawns a new peer goroutine with no shared content. While the
-// super-layer is empty the joining peer bootstraps it; otherwise it
-// joins as a leaf and connects to M random super-peers.
-func (n *Net) Join(capacity float64) *Peer { return n.JoinWithObjects(capacity, nil) }
-
-// JoinWithObjects is Join with shared content for the search plane.
-func (n *Net) JoinWithObjects(capacity float64, objects []msg.ObjectID) *Peer {
+// Join spawns a new peer goroutine sharing objects on the search plane
+// (nil for none). While the super-layer is empty the joining peer
+// bootstraps it; otherwise it joins as a leaf and connects to M random
+// super-peers. It returns nil once the network is stopped.
+func (n *Net) Join(capacity float64, objects []msg.ObjectID) *Peer {
 	now := n.nowUnits()
 	n.mu.Lock()
 	if n.closed {
@@ -219,7 +200,7 @@ func (n *Net) JoinWithObjects(capacity float64, objects []msg.ObjectID) *Peer {
 	n.peers[p.ID] = p
 	bootstrap := len(n.supers) == 0
 	if bootstrap {
-		p.role.Store(int32(RoleSuper))
+		p.layer.Store(uint32(overlay.LayerSuper))
 		n.supers[p.ID] = p
 	}
 	manual := n.manual
@@ -260,9 +241,6 @@ func (n *Net) Leave(p *Peer) {
 	p.mu.Unlock()
 	for _, q := range neighbors {
 		q.mu.Lock()
-		if _, wasLeaf := q.leaves[p.ID]; wasLeaf {
-			q.search().indexRemove(p.Objects)
-		}
 		delete(q.supers, p.ID)
 		delete(q.leaves, p.ID)
 		q.mach.Drop(p.ID)
@@ -294,7 +272,7 @@ func (n *Net) Messages(k msg.Kind) uint64 {
 }
 
 // Dropped returns the number of messages dropped on full inboxes.
-func (n *Net) Dropped() uint64 { return n.dropped.Load() }
+func (n *Net) Dropped() uint64 { return sum(&n.droppedKind) }
 
 // DroppedByKind returns the number of messages of one kind dropped on
 // full inboxes.
@@ -336,7 +314,7 @@ func (n *Net) Snapshot() Summary {
 	var s Summary
 	var capS, capL, ageS, ageL float64
 	for _, p := range peers {
-		if p.Role() == RoleSuper {
+		if p.Layer() == overlay.LayerSuper {
 			s.NumSupers++
 			capS += p.Capacity
 			ageS += p.AgeUnits()

@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"dlm/internal/msg"
+	"dlm/internal/overlay"
 )
 
 func TestLiveBootstrapAndRoles(t *testing.T) {
 	n := NewNet(Config{Eta: 5, Unit: 2 * time.Millisecond, Seed: 1})
 	defer n.Stop()
-	first := n.Join(100)
-	if first.Role() != RoleSuper {
+	first := n.Join(100, nil)
+	if first.Layer() != overlay.LayerSuper {
 		t.Fatal("first peer must bootstrap the super-layer")
 	}
-	second := n.Join(10)
-	if second.Role() != RoleLeaf {
+	second := n.Join(10, nil)
+	if second.Layer() != overlay.LayerLeaf {
 		t.Fatal("second peer should join as leaf")
 	}
 	// The leaf connects and the exchange flows.
@@ -34,12 +35,6 @@ func TestLiveBootstrapAndRoles(t *testing.T) {
 	}
 }
 
-func TestLiveRoleStrings(t *testing.T) {
-	if RoleSuper.String() != "super" || RoleLeaf.String() != "leaf" {
-		t.Fatal("role names wrong")
-	}
-}
-
 func TestLivePromotionEmergesUnderLoad(t *testing.T) {
 	params := func() Config {
 		c := Config{Eta: 8, Unit: 2 * time.Millisecond, Seed: 7}
@@ -54,7 +49,7 @@ func TestLivePromotionEmergesUnderLoad(t *testing.T) {
 	n := NewNet(params)
 	defer n.Stop()
 	for i := 0; i < 120; i++ {
-		n.Join(float64(1 + i%100))
+		n.Join(float64(1+i%100), nil)
 	}
 	// With 120 peers and eta=8 the network needs ~13 supers; wait for
 	// promotions to bring the ratio into a sane band.
@@ -81,7 +76,7 @@ func TestLiveChurnAndLeave(t *testing.T) {
 	defer n.Stop()
 	peers := make([]*Peer, 0, 60)
 	for i := 0; i < 60; i++ {
-		peers = append(peers, n.Join(float64(i+1)))
+		peers = append(peers, n.Join(float64(i+1), nil))
 	}
 	time.Sleep(100 * time.Millisecond)
 	// Remove half, including (maybe) supers; the network must stay
@@ -104,7 +99,7 @@ func TestLiveChurnAndLeave(t *testing.T) {
 func TestLiveStopTerminatesGoroutines(t *testing.T) {
 	n := NewNet(Config{Unit: time.Millisecond, Seed: 9})
 	for i := 0; i < 40; i++ {
-		n.Join(float64(i))
+		n.Join(float64(i), nil)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -116,7 +111,7 @@ func TestLiveStopTerminatesGoroutines(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not terminate")
 	}
-	if p := n.Join(1); p != nil {
+	if p := n.Join(1, nil); p != nil {
 		t.Fatal("join after Stop should return nil")
 	}
 }
@@ -124,8 +119,8 @@ func TestLiveStopTerminatesGoroutines(t *testing.T) {
 func TestLiveMessageAccounting(t *testing.T) {
 	n := NewNet(Config{Unit: 2 * time.Millisecond, Seed: 4})
 	defer n.Stop()
-	n.Join(50)
-	n.Join(5)
+	n.Join(50, nil)
+	n.Join(5, nil)
 	time.Sleep(100 * time.Millisecond)
 	total := uint64(0)
 	for k := msg.Kind(1); int(k) < msg.NumKinds; k++ {
@@ -142,9 +137,9 @@ func TestLiveMessageAccounting(t *testing.T) {
 func TestLiveSearchFindsContent(t *testing.T) {
 	n := NewNet(Config{Eta: 5, Unit: 2 * time.Millisecond, Seed: 21})
 	defer n.Stop()
-	n.Join(100) // bootstrap super
-	provider := n.JoinWithObjects(10, []msg.ObjectID{42, 43})
-	asker := n.Join(10)
+	n.Join(100, nil) // bootstrap super
+	provider := n.Join(10, []msg.ObjectID{42, 43})
+	asker := n.Join(10, nil)
 	// Give the exchange and index a moment.
 	time.Sleep(100 * time.Millisecond)
 
@@ -164,7 +159,7 @@ func TestLiveSearchAcrossSupers(t *testing.T) {
 	defer n.Stop()
 	// Build a population with several supers by letting DLM work.
 	for i := 0; i < 60; i++ {
-		n.JoinWithObjects(float64(1+i), []msg.ObjectID{msg.ObjectID(i)})
+		n.Join(float64(1+i), []msg.ObjectID{msg.ObjectID(i)})
 	}
 	deadline := time.Now().Add(6 * time.Second)
 	for time.Now().Before(deadline) {
@@ -180,7 +175,7 @@ func TestLiveSearchAcrossSupers(t *testing.T) {
 
 	// Query for many objects from one peer; most should be reachable
 	// through the flood even when indexed at other supers.
-	asker := n.Join(5)
+	asker := n.Join(5, nil)
 	time.Sleep(50 * time.Millisecond)
 	found := 0
 	for i := 0; i < 10; i++ {
@@ -196,21 +191,106 @@ func TestLiveSearchAcrossSupers(t *testing.T) {
 	}
 }
 
+// TestLiveIndexFollowsLeaveAndDemote checks that a super answers for a
+// leaf's content exactly while the leaf is linked to it, across each layer
+// surgery: the provider leaving, a super that lists it being demoted, and
+// the provider itself being promoted. Hits counts the supers that answer.
 func TestLiveIndexFollowsLeaveAndDemote(t *testing.T) {
-	n := NewNet(Config{Eta: 5, Unit: 2 * time.Millisecond, Seed: 23})
-	defer n.Stop()
-	n.Join(100)
-	provider := n.JoinWithObjects(10, []msg.ObjectID{7})
-	asker := n.Join(10)
-	time.Sleep(80 * time.Millisecond)
-	if !n.Query(asker, 7, 3, 200*time.Millisecond).Found {
-		t.Fatal("precondition: object reachable")
+	t.Run("leave", func(t *testing.T) {
+		n := NewNet(Config{Eta: 5, Unit: 2 * time.Millisecond, Seed: 23})
+		defer n.Stop()
+		n.Join(100, nil)
+		provider := n.Join(10, []msg.ObjectID{7})
+		asker := n.Join(10, nil)
+		time.Sleep(80 * time.Millisecond)
+		if !n.Query(asker, 7, 3, 200*time.Millisecond).Found {
+			t.Fatal("precondition: object reachable")
+		}
+		n.Leave(provider)
+		time.Sleep(50 * time.Millisecond)
+		if n.Query(asker, 7, 3, 200*time.Millisecond).Found {
+			t.Fatal("departed provider's content still indexed")
+		}
+	})
+
+	// The surgery cases drive promote and demote directly. A decision
+	// cooldown longer than the test keeps DLM from switching anyone else,
+	// so three supers (a full mesh) stay three, and the provider and the
+	// asker each keep M = 2 of them.
+	build := func(t *testing.T) (n *Net, provider, asker *Peer) {
+		cfg := Config{Eta: 5, Unit: 2 * time.Millisecond, Seed: 24}
+		cfg.defaults()
+		cfg.Params.DecisionCooldown = 1e9
+		n = NewNet(cfg)
+		t.Cleanup(n.Stop)
+		n.Join(100, nil)
+		for _, c := range []float64{90, 80} {
+			n.Join(c, nil).promote(n.nowUnits())
+		}
+		provider = n.Join(10, []msg.ObjectID{7})
+		asker = n.Join(10, nil)
+		time.Sleep(80 * time.Millisecond)
+		return n, provider, asker
 	}
-	n.Leave(provider)
-	time.Sleep(50 * time.Millisecond)
-	if n.Query(asker, 7, 3, 200*time.Millisecond).Found {
-		t.Fatal("departed provider's content still indexed")
+	// hosts lists the supers that hold p as a leaf.
+	hosts := func(n *Net, p *Peer) []*Peer {
+		n.mu.Lock()
+		supers := make([]*Peer, 0, len(n.supers))
+		for _, s := range n.supers {
+			supers = append(supers, s)
+		}
+		n.mu.Unlock()
+		var out []*Peer
+		for _, s := range supers {
+			s.mu.Lock()
+			if _, ok := s.leaves[p.ID]; ok {
+				out = append(out, s)
+			}
+			s.mu.Unlock()
+		}
+		return out
 	}
+	hits := func(n *Net, asker *Peer) int {
+		return n.Query(asker, 7, 3, 200*time.Millisecond).Hits
+	}
+
+	t.Run("demote", func(t *testing.T) {
+		n, provider, asker := build(t)
+		before := hosts(n, provider)
+		if h := hits(n, asker); len(before) != 2 || h != 2 {
+			t.Fatalf("precondition: %d hosts, %d answering, want 2 and 2", len(before), h)
+		}
+		victim := before[0]
+		victim.demote(n.nowUnits())
+		time.Sleep(80 * time.Millisecond)
+		after := hosts(n, provider)
+		for _, s := range after {
+			if s == victim {
+				t.Fatal("the demoted super still lists the provider")
+			}
+		}
+		if len(after) != 2 {
+			t.Fatalf("provider repaired to %d supers, want 2", len(after))
+		}
+		if got := hits(n, asker); got != 2 {
+			t.Fatalf("%d supers answered after the demotion, want the provider's 2 repaired links", got)
+		}
+	})
+
+	t.Run("promote", func(t *testing.T) {
+		n, provider, asker := build(t)
+		if h := hits(n, asker); h != 2 {
+			t.Fatalf("precondition: %d supers answered, want 2", h)
+		}
+		provider.promote(n.nowUnits())
+		time.Sleep(50 * time.Millisecond)
+		if h := hosts(n, provider); len(h) != 0 {
+			t.Fatalf("%d supers still list the promoted provider as a leaf", len(h))
+		}
+		if got := hits(n, asker); got != 1 {
+			t.Fatalf("%d supers answered after the promotion, want the provider alone", got)
+		}
+	})
 }
 
 func TestLiveConfigDefaults(t *testing.T) {
@@ -230,7 +310,7 @@ func TestLiveConfigDefaults(t *testing.T) {
 func TestLiveAgeUnits(t *testing.T) {
 	n := NewNet(Config{Unit: 10 * time.Millisecond, Seed: 1})
 	defer n.Stop()
-	p := n.Join(1)
+	p := n.Join(1, nil)
 	time.Sleep(50 * time.Millisecond)
 	if a := p.AgeUnits(); a < 3 || a > 30 {
 		t.Fatalf("age %v units after ~5 units of wall time", a)

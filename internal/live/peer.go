@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dlm/internal/msg"
+	"dlm/internal/overlay"
 	"dlm/internal/protocol"
 )
 
@@ -25,16 +26,6 @@ func (ep *liveEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
 	return ok
 }
 
-// deliver routes one message to q, through the FaultyTransport when one
-// is installed.
-func (n *Net) deliver(q *Peer, m msg.Message) {
-	if ft := n.faults; ft != nil {
-		ft.deliver(n, q, m)
-		return
-	}
-	n.deliverNow(q, m)
-}
-
 // deliverNow encodes m and enqueues it on q's inbox, dropping on overflow
 // (the live plane is lossy, like the UDP paths real overlays use).
 func (n *Net) deliverNow(q *Peer, m msg.Message) {
@@ -46,7 +37,6 @@ func (n *Net) deliverNow(q *Peer, m msg.Message) {
 	case q.inbox <- b:
 		n.msgs[m.Kind].Add(1)
 	default:
-		n.dropped.Add(1)
 		n.droppedKind[m.Kind].Add(1)
 	}
 }
@@ -106,7 +96,7 @@ func (p *Peer) selfLocked(now protocol.Time) protocol.Self {
 		ID:         p.ID,
 		Capacity:   p.Capacity,
 		Age:        float64(now - p.joined),
-		IsSuper:    p.Role() == RoleSuper,
+		IsSuper:    p.Layer() == overlay.LayerSuper,
 		LeafDegree: len(p.leaves),
 	}
 }
@@ -131,7 +121,7 @@ func (p *Peer) tick() {
 	now := p.net.nowUnits()
 	p.refresh(now)
 	p.mu.Lock()
-	if p.Role() == RoleSuper {
+	if p.Layer() == overlay.LayerSuper {
 		// The sim engine advances every super's l_nn EWMA once per tick on
 		// top of the advance inside Evaluate; mirror that here so both
 		// planes trace identical smoothed sequences.
@@ -160,7 +150,7 @@ func (p *Peer) tick() {
 // RefreshInterval units, so μ tracks the network instead of the state at
 // connection time.
 func (p *Peer) refresh(now protocol.Time) {
-	if p.Role() != RoleLeaf {
+	if p.Layer() != overlay.LayerLeaf {
 		return
 	}
 	p.mu.Lock()
@@ -189,7 +179,7 @@ func (p *Peer) refresh(now protocol.Time) {
 // event-driven information exchange on each new link.
 func (p *Peer) repairLinks() {
 	want := p.net.cfg.M
-	if p.Role() == RoleSuper {
+	if p.Layer() == overlay.LayerSuper {
 		want = p.net.cfg.KS
 	}
 	for i := 0; i < 2*want; i++ {
@@ -233,7 +223,7 @@ func (p *Peer) connect(q *Peer) {
 	}
 	a.mu.Lock()
 	b.mu.Lock()
-	if q.Role() != RoleSuper {
+	if q.Layer() != overlay.LayerSuper {
 		b.mu.Unlock()
 		a.mu.Unlock()
 		return
@@ -244,13 +234,12 @@ func (p *Peer) connect(q *Peer) {
 		return
 	}
 	p.supers[q.ID] = q
-	if p.Role() == RoleSuper {
+	if p.Layer() == overlay.LayerSuper {
 		q.supers[p.ID] = p
 	} else {
 		q.leaves[p.ID] = p
-		q.search().indexAdd(p.Objects)
 	}
-	iAmLeaf := p.Role() == RoleLeaf
+	iAmLeaf := p.Layer() == overlay.LayerLeaf
 	if iAmLeaf {
 		// Register the exchange's response deadlines on both machines
 		// while the pair of locks is held: the leaf awaits the NeighNum
@@ -270,7 +259,7 @@ func (p *Peer) connect(q *Peer) {
 }
 
 // evaluate runs DLM Phases 2-4 through the peer's machine and executes
-// whatever role switch it requests.
+// whatever layer switch it requests.
 func (p *Peer) evaluate(now protocol.Time) {
 	cfg := &p.net.cfg
 	kl := float64(cfg.M) * cfg.Eta
@@ -303,9 +292,9 @@ func (p *Peer) promote(now protocol.Time) {
 	n.mu.Unlock()
 
 	p.mu.Lock()
-	p.role.Store(int32(RoleSuper))
+	p.layer.Store(uint32(overlay.LayerSuper))
 	p.mach.Reset(now)
-	p.searchSt = nil // fresh (empty) super index
+	p.searchSt = nil // a fresh flood ring for the new layer
 	neighbors := make([]*Peer, 0, len(p.supers))
 	for _, q := range p.supers {
 		neighbors = append(neighbors, q)
@@ -317,7 +306,6 @@ func (p *Peer) promote(now protocol.Time) {
 		if _, ok := q.leaves[p.ID]; ok {
 			delete(q.leaves, p.ID)
 			q.supers[p.ID] = p
-			q.search().indexRemove(p.Objects)
 		}
 		q.mach.Drop(p.ID)
 		q.mu.Unlock()
@@ -338,9 +326,9 @@ func (p *Peer) demote(now protocol.Time) {
 	n.mu.Unlock()
 
 	p.mu.Lock()
-	p.role.Store(int32(RoleLeaf))
+	p.layer.Store(uint32(overlay.LayerLeaf))
 	p.mach.Reset(now)
-	p.searchSt = nil // a leaf keeps no index
+	p.searchSt = nil // a fresh flood ring for the new layer
 	kept := make([]*Peer, 0, n.cfg.M)
 	cut := make([]*Peer, 0, len(p.supers))
 	for _, q := range p.supers {
@@ -365,7 +353,6 @@ func (p *Peer) demote(now protocol.Time) {
 		q.mu.Lock()
 		delete(q.supers, p.ID)
 		q.leaves[p.ID] = p
-		q.search().indexAdd(p.Objects)
 		// The kept link is logically a fresh leaf-super connection, about
 		// to be re-exchanged below; the super awaits the leaf's Value
 		// response.

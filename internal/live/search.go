@@ -1,23 +1,22 @@
 package live
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"dlm/internal/msg"
+	"dlm/internal/overlay"
 )
 
-// This file adds the search plane to the live runtime: super-peers index
-// their leaves' content and flood queries among themselves over the same
-// inbox channels the DLM pairs use, with QueryHits routed back along the
-// inverse path — the complete super-peer system running on goroutines.
+// This file adds the search plane to the live runtime: super-peers answer
+// for their leaves' content and flood queries among themselves over the
+// same inbox channels the DLM pairs use, with QueryHits routed back along
+// the inverse path — the complete super-peer system running on goroutines.
 
-// searchState is the per-peer search-plane state, guarded by Peer.mu.
+// searchState is the per-peer search-plane state, guarded by Peer.mu: the
+// duplicate-flood ring (bounded: oldest evicted).
 type searchState struct {
-	// index maps object -> reference count over this super's leaves
-	// (and itself).
-	index map[msg.ObjectID]int
-	// seen suppresses duplicate floods (bounded: oldest evicted).
 	seen     map[msg.QueryID]msg.PeerID // query -> parent (inverse path)
 	seenRing []msg.QueryID
 }
@@ -26,12 +25,24 @@ const seenCap = 512
 
 func (p *Peer) search() *searchState {
 	if p.searchSt == nil {
-		p.searchSt = &searchState{
-			index: make(map[msg.ObjectID]int),
-			seen:  make(map[msg.QueryID]msg.PeerID),
-		}
+		p.searchSt = &searchState{seen: make(map[msg.QueryID]msg.PeerID)}
 	}
 	return p.searchSt
+}
+
+// holds reports whether obj is shared by p or by one of its leaves: a
+// super's index is its leaf links. Callers hold p.mu; a leaf's Objects
+// never change during its session, so reading them needs no other lock.
+func (p *Peer) holds(obj msg.ObjectID) bool {
+	if slices.Contains(p.Objects, obj) {
+		return true
+	}
+	for _, q := range p.leaves {
+		if slices.Contains(q.Objects, obj) {
+			return true
+		}
+	}
+	return false
 }
 
 // markSeen records the inverse-path parent for a query; it reports false
@@ -48,21 +59,6 @@ func (s *searchState) markSeen(q msg.QueryID, parent msg.PeerID) bool {
 	s.seen[q] = parent
 	s.seenRing = append(s.seenRing, q)
 	return true
-}
-
-// indexAdd/indexRemove maintain a super's leaf index. Callers hold p.mu.
-func (s *searchState) indexAdd(objects []msg.ObjectID) {
-	for _, o := range objects {
-		s.index[o]++
-	}
-}
-
-func (s *searchState) indexRemove(objects []msg.ObjectID) {
-	for _, o := range objects {
-		if s.index[o]--; s.index[o] <= 0 {
-			delete(s.index, o)
-		}
-	}
 }
 
 // QueryResult is the outcome of one live query.
@@ -87,34 +83,20 @@ func (n *Net) Query(p *Peer, obj msg.ObjectID, ttl uint8, timeout time.Duration)
 	defer n.pending.Delete(qid)
 
 	p.mu.Lock()
-	if p.Role() == RoleSuper {
-		// Self-processing: check own index, then relay.
-		st := p.search()
-		st.markSeen(qid, msg.NoPeer)
-		_, hit := st.index[obj]
-		if !hit {
-			hit = containsObject(p.Objects, obj)
-		}
-		targets := make([]*Peer, 0, len(p.supers))
-		for _, q := range p.supers {
-			targets = append(targets, q)
-		}
-		p.mu.Unlock()
-		if hit {
+	if p.Layer() == overlay.LayerSuper {
+		// Self-processing: answer from own links, then relay.
+		p.search().markSeen(qid, msg.NoPeer)
+		if p.holds(obj) {
 			pq.hits.Add(1)
 		}
-		for _, q := range targets {
-			p.send(q, msg.NewQuery(p.ID, q.ID, qid, obj, ttl))
-		}
-	} else {
-		targets := make([]*Peer, 0, len(p.supers))
-		for _, q := range p.supers {
-			targets = append(targets, q)
-		}
-		p.mu.Unlock()
-		for _, q := range targets {
-			p.send(q, msg.NewQuery(p.ID, q.ID, qid, obj, ttl))
-		}
+	}
+	targets := make([]*Peer, 0, len(p.supers))
+	for _, q := range p.supers {
+		targets = append(targets, q)
+	}
+	p.mu.Unlock()
+	for _, q := range targets {
+		p.send(q, msg.NewQuery(p.ID, q.ID, qid, obj, ttl))
 	}
 
 	time.Sleep(timeout)
@@ -127,19 +109,15 @@ func (n *Net) Query(p *Peer, obj msg.ObjectID, ttl uint8, timeout time.Duration)
 func (p *Peer) handleSearch(m *msg.Message) {
 	switch m.Kind {
 	case msg.KindQuery:
-		if p.Role() != RoleSuper {
+		if p.Layer() != overlay.LayerSuper {
 			return
 		}
 		p.mu.Lock()
-		st := p.search()
-		if !st.markSeen(m.Query, m.From) {
+		if !p.search().markSeen(m.Query, m.From) {
 			p.mu.Unlock()
 			return
 		}
-		_, hit := st.index[m.Object]
-		if !hit {
-			hit = containsObject(p.Objects, m.Object)
-		}
+		hit := p.holds(m.Object)
 		var targets []*Peer
 		if m.TTL > 1 {
 			targets = make([]*Peer, 0, len(p.supers))
@@ -192,13 +170,4 @@ func (n *Net) recordHit(q msg.QueryID) {
 	if v, ok := n.pending.Load(q); ok {
 		v.(*pendingQuery).hits.Add(1)
 	}
-}
-
-func containsObject(objects []msg.ObjectID, o msg.ObjectID) bool {
-	for _, x := range objects {
-		if x == o {
-			return true
-		}
-	}
-	return false
 }

@@ -193,7 +193,7 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eng = s.Eng
-	net, mgr := s.Net, s.Mgr.(*core.Manager)
+	net := s.Net
 
 	if cfg.LiarFraction > 0 {
 		net.Observe(&liarMarker{
@@ -262,8 +262,8 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 
 	d.checkInvariants("end")
 	res.Final = net.Snapshot()
-	res.Promotions = mgr.Promotions
-	res.Demotions = mgr.Demotions
+	res.Promotions = net.Counters().Promotions
+	res.Demotions = net.Counters().Demotions
 	res.DLMMsgs = net.Traffic().DLMMessages()
 	res.PartitionDrops = net.Counters().PartitionDrops
 

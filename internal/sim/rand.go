@@ -56,9 +56,6 @@ func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 // Shuffle pseudo-randomizes the order of n elements via swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
-// NormFloat64 returns a standard normal draw.
-func (s *Source) NormFloat64() float64 { return s.rng.NormFloat64() }
-
 // ExpFloat64 returns an exponential draw with mean 1.
 func (s *Source) ExpFloat64() float64 { return s.rng.ExpFloat64() }
 

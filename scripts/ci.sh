@@ -63,6 +63,8 @@ lane_test() {
   trap 'rm -f "$trace_tmp"' RETURN
   go run ./cmd/dlmsim -n 300 -duration 300 -trace "$trace_tmp" > /dev/null
   go run ./cmd/dlmtrace "$trace_tmp" > /dev/null
+  # The goroutine plane end to end: one second of 60 live peers under churn.
+  go run ./cmd/dlmlive -peers 60 -seconds 1 -churn > /dev/null
   # The benchmark harness is its own module (bench/go.mod); ./... above
   # does not reach it.
   go vet -C bench ./...
