@@ -13,9 +13,15 @@ import (
 // Zipf-assigned objects, and one designated source leaf. The topology is
 // frozen (no churn), so every iteration floods the same structure.
 func benchTopology(b testing.TB) (*sim.Engine, *Engine, *overlay.Peer, msg.ObjectID) {
+	return floodTopology(b, overlay.Config{M: 2, KS: 4, Eta: 10})
+}
+
+// floodTopology builds benchTopology's overlay on a network configured by
+// cfg.
+func floodTopology(b testing.TB, cfg overlay.Config) (*sim.Engine, *Engine, *overlay.Peer, msg.ObjectID) {
 	b.Helper()
 	eng := sim.NewEngine(1)
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 4, Eta: 10}, nil)
+	n := overlay.New(eng, cfg, nil)
 	cat := NewCatalog(500, 0.8, 0.8)
 	qe := Attach(n, cat)
 
@@ -88,5 +94,30 @@ func BenchmarkIndexChurn(b *testing.B) {
 		s := ss[i%supers]
 		xs.OnConnect(nil, leaf, s)
 		xs.OnDisconnect(nil, leaf, s)
+	}
+}
+
+// BenchmarkIndexColdStart measures building BenchmarkIndexChurn's index
+// from empty — 600 super-peers each indexing 20 leaves of 60 objects — the
+// growth path every table takes as a run's population first joins.
+func BenchmarkIndexColdStart(b *testing.B) {
+	const supers, leavesPer, objectsPer = 600, 20, 60
+	cat := DefaultCatalog()
+	rng := sim.NewSource(1)
+	ss := make([]*overlay.Peer, supers)
+	leaves := make([]*overlay.Peer, supers*leavesPer)
+	for i := range ss {
+		ss[i] = &overlay.Peer{ID: msg.PeerID(i + 1), Layer: overlay.LayerSuper}
+	}
+	for i := range leaves {
+		leaves[i] = &overlay.Peer{ID: msg.PeerID(supers + 1 + i), Objects: cat.AssignObjects(objectsPer, rng)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xs := newIndexes(cat.NumObjects)
+		for j, leaf := range leaves {
+			xs.OnConnect(nil, leaf, ss[j/leavesPer])
+		}
 	}
 }

@@ -26,7 +26,18 @@ type Catalog struct {
 	// drawn[id] == draws means the current call already drew id.
 	drawn []uint32
 	draws uint32
+	// scratch receives one call's draws; the call's list is then carved
+	// from block, the tail of the current blockSize-ID array.
+	scratch []msg.ObjectID
+	block   []msg.ObjectID
 }
+
+// blockSize is the number of object IDs in one catalog block. Every peer's
+// list is a slice of a block, so a join allocates once per blockSize IDs
+// drawn rather than once per peer. A block stays reachable until the last
+// peer whose list it holds is gone: at most 4 bytes for every ID a run
+// draws.
+const blockSize = 4096
 
 // NewCatalog builds a catalog of n objects with the given placement and
 // query Zipf exponents.
@@ -45,7 +56,8 @@ func DefaultCatalog() *Catalog { return NewCatalog(10000, 0.8, 0.8) }
 
 // AssignObjects implements overlay.ObjectAssigner: it draws count objects
 // by popularity (duplicates collapse, so very popular objects do not
-// inflate a peer's set).
+// inflate a peer's set). The list's capacity is its length, so appending
+// to it never writes into another peer's list.
 func (c *Catalog) AssignObjects(count int, r *sim.Source) []msg.ObjectID {
 	if count <= 0 {
 		return nil
@@ -54,7 +66,7 @@ func (c *Catalog) AssignObjects(count int, r *sim.Source) []msg.ObjectID {
 		clear(c.drawn)
 		c.draws = 1
 	}
-	out := make([]msg.ObjectID, 0, count)
+	out := c.scratch[:0]
 	for attempts := 0; len(out) < count && attempts < 4*count; attempts++ {
 		id := msg.ObjectID(c.placement.Rank(r))
 		if c.drawn[id] == c.draws {
@@ -63,7 +75,26 @@ func (c *Catalog) AssignObjects(count int, r *sim.Source) []msg.ObjectID {
 		c.drawn[id] = c.draws
 		out = append(out, id)
 	}
-	return out
+	c.scratch = out
+	return c.carve(out)
+}
+
+// carve copies ids into the current block, starting a fresh block when
+// the current one has too little room left; a list longer than a block
+// gets an array of its own.
+func (c *Catalog) carve(ids []msg.ObjectID) []msg.ObjectID {
+	n := len(ids)
+	if n > blockSize {
+		own := make([]msg.ObjectID, n)
+		copy(own, ids)
+		return own
+	}
+	if len(c.block)+n > cap(c.block) {
+		c.block = make([]msg.ObjectID, 0, blockSize)
+	}
+	i := len(c.block)
+	c.block = append(c.block, ids...)
+	return c.block[i:len(c.block):len(c.block)]
 }
 
 // QueryTarget draws the object of one query.

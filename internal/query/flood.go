@@ -184,23 +184,32 @@ func (e *Engine) putFlood(fl *flood) {
 }
 
 // Issue floods one query for obj from the given source peer and returns
-// the completed result. It requires zero message latency (delivery, and
-// therefore the whole flood, is synchronous); use IssueAsync on a
-// latency-configured network.
+// the completed result. It requires a network that delivers every message
+// at once — zero latency over a link that adds no delay — so the whole
+// flood is synchronous; use IssueAsync on any other network.
 func (e *Engine) Issue(source *overlay.Peer, obj msg.ObjectID, ttl uint8) *Result {
-	if e.net.Config().Latency > 0 {
-		panic("query: Issue on a latency network; use IssueAsync")
+	if e.hopBound() > 0 {
+		panic("query: Issue on a network that delays messages; use IssueAsync")
 	}
 	out := new(Result)
 	e.IssueAsync(source, obj, ttl, func(r *Result) { *out = *r })
 	return out
 }
 
+// hopBound is the longest one message can take to arrive: the network's
+// latency plus the most the link's jitter and reordering window add (both
+// zero on a perfect link).
+func (e *Engine) hopBound() sim.Duration {
+	cfg := e.net.Config()
+	return cfg.Latency + cfg.Link.JitterMax + cfg.Link.ReorderWindow
+}
+
 // IssueAsync floods one query and invokes done exactly once with the
-// final result. At zero latency the flood completes (and done runs)
-// before IssueAsync returns; with latency the flood propagates through
-// scheduled deliveries and is finalized after the maximum round-trip
-// deadline (TTL hops out plus the inverse path back). done may be nil.
+// final result. When no message can be delayed the flood completes (and
+// done runs) before IssueAsync returns; otherwise the flood propagates
+// through scheduled deliveries and is finalized after the maximum
+// round-trip deadline (TTL hops out plus the inverse path back, each hop
+// at hopBound). done may be nil.
 //
 // The *Result passed to done is owned by the engine and recycled after
 // done returns; callers that retain it past the callback must copy it.
@@ -225,13 +234,13 @@ func (e *Engine) IssueAsync(source *overlay.Peer, obj msg.ObjectID, ttl uint8, d
 		}
 	}
 
-	latency := e.net.Config().Latency
-	if latency <= 0 {
+	hop := e.hopBound()
+	if hop <= 0 {
 		e.finalize(qid)
 		return
 	}
 	// Out (TTL hops) + back (TTL hops) plus the leaf edges, with slack.
-	deadline := sim.Duration(float64(2*int(ttl)+3) * float64(latency))
+	deadline := sim.Duration(float64(2*int(ttl)+3) * float64(hop))
 	fl.fin = finalizeEvent{qe: e, qid: qid}
 	e.net.Engine().After(deadline, &fl.fin)
 }

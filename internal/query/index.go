@@ -5,6 +5,7 @@ import (
 
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
+	"dlm/internal/spare"
 )
 
 // slot is one super-peer's entry for one object: how many of its leaf
@@ -46,10 +47,11 @@ func (t *table) find(super msg.PeerID) int {
 	}
 }
 
-// claim returns super's slot, inserting one with zero refs if absent.
-func (t *table) claim(super msg.PeerID) *slot {
+// claim returns super's slot, inserting one with zero refs if absent. A
+// table that must grow takes its new array from st.
+func (t *table) claim(st *spare.Slices[slot], super msg.PeerID) *slot {
 	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
+		t.grow(st)
 	}
 	mask := uint32(len(t.slots) - 1)
 	for i := home(super, mask); ; i = (i + 1) & mask {
@@ -85,9 +87,14 @@ func (t *table) release(i int) {
 	t.n--
 }
 
-func (t *table) grow() {
+// grow doubles the table through st: the new array may be one another
+// table outgrew, so it is cleared before the rehash, and the outgrown
+// array goes back to st.
+func (t *table) grow(st *spare.Slices[slot]) {
 	old := t.slots
-	t.slots = make([]slot, max(4, 2*len(old)))
+	size := max(4, 2*len(old))
+	t.slots = st.Make(size)[:size]
+	clear(t.slots)
 	mask := uint32(len(t.slots) - 1)
 	for _, s := range old {
 		if s.super == msg.NoPeer {
@@ -99,6 +106,7 @@ func (t *table) grow() {
 		}
 		t.slots[i] = s
 	}
+	st.Release(old)
 }
 
 // indexes is the content index of the whole super-layer, maintained by
@@ -118,6 +126,9 @@ type indexes struct {
 	// byObject[obj] holds a slot for every super-peer with a leaf sharing
 	// obj. It covers the catalog up front and grows for stray IDs.
 	byObject []table
+	// tables recycles the arrays tables grow out of: tables only grow, and
+	// a join wave grows thousands of them through the same sizes.
+	tables spare.Slices[slot]
 }
 
 func newIndexes(numObjects int) *indexes {
@@ -130,7 +141,7 @@ func (xs *indexes) add(super msg.PeerID, leaf *overlay.Peer) {
 		if int(o) >= len(xs.byObject) {
 			xs.byObject = append(xs.byObject, make([]table, int(o)+1-len(xs.byObject))...)
 		}
-		s := xs.byObject[o].claim(super)
+		s := xs.byObject[o].claim(&xs.tables, super)
 		s.refs++
 		s.provider = leaf.ID
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dlm/internal/baseline"
 	"dlm/internal/config"
@@ -89,10 +90,53 @@ func (xs *indexes) slots() int {
 	return total
 }
 
+// tableArrays checks the storage of every per-object table after a step:
+// a table is empty or a power of two of at least 4 slots, at most half
+// full, with exactly n slots occupied, and holds an array no other table
+// holds. held maps each array a table holds to that table; seen maps every
+// array any table held at an earlier step to its last holder. It returns
+// the number of tables that grew into an array seen before — one another
+// table outgrew and the store handed on.
+func (xs *indexes) tableArrays(held, seen map[*slot]int) (recycled int, err error) {
+	clear(held)
+	for o := range xs.byObject {
+		t := &xs.byObject[o]
+		size := len(t.slots)
+		if size == 0 {
+			continue
+		}
+		if size < 4 || size&(size-1) != 0 || 2*t.n > size {
+			return 0, fmt.Errorf("object %d: %d slots holding %d supers, want a power of two >= 4 at most half full", o, size, t.n)
+		}
+		occupied := 0
+		for _, sl := range t.slots {
+			if sl.super != msg.NoPeer {
+				occupied++
+			}
+		}
+		if occupied != t.n {
+			return 0, fmt.Errorf("object %d: %d slots occupied, the table counts %d", o, occupied, t.n)
+		}
+		a := unsafe.SliceData(t.slots)
+		if other, ok := held[a]; ok {
+			return 0, fmt.Errorf("objects %d and %d share one slot array", other, o)
+		}
+		held[a] = o
+		if by, ok := seen[a]; ok && by != o {
+			recycled++
+		}
+	}
+	for a, o := range held {
+		seen[a] = o
+	}
+	return recycled, nil
+}
+
 // TestIndexMatchesReference drives the inverted index and the naive
 // reference through the same random overlay surgery — joins, departures,
 // promotions, demotions, link changes — and requires them to agree
-// throughout.
+// throughout, and the tables' storage to stay sound while they grow
+// through one store.
 func TestIndexMatchesReference(t *testing.T) {
 	const (
 		catalog = 30 // object IDs run to 40: a quarter are beyond the catalog
@@ -106,6 +150,8 @@ func TestIndexMatchesReference(t *testing.T) {
 	n.Observe(ref)
 	xs := e.xs
 
+	held, seen := map[*slot]int{}, map[*slot]int{}
+	recycled := 0
 	var live, supers, leaves []*overlay.Peer
 	census := func() {
 		live, supers, leaves = live[:0], supers[:0], leaves[:0]
@@ -158,6 +204,11 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 
 		census()
+		got, err := xs.tableArrays(held, seen)
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		recycled += got
 		for i := 0; i < 8; i++ {
 			// Objects up to objects+4 also probe IDs nothing ever shared.
 			agree(op, pick(live), msg.ObjectID(rng.Intn(objects+5)))
@@ -180,6 +231,11 @@ func TestIndexMatchesReference(t *testing.T) {
 	if c.Promotions < 100 || c.Demotions < 100 || c.Leaves < 100 || xs.slots() < 500 {
 		t.Fatalf("run is vacuous: %d promotions, %d demotions, %d departures, %d slots at the end",
 			c.Promotions, c.Demotions, c.Leaves, xs.slots())
+	}
+	// The seed-5 run hands 29 outgrown arrays on; a table store that
+	// recycles nothing hands on none.
+	if recycled < 20 {
+		t.Fatalf("%d tables grew into an array another table outgrew, want at least 20", recycled)
 	}
 	for census(); len(live) > 0; census() {
 		n.Leave(live[0])

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"dlm/internal/msg"
@@ -40,6 +41,82 @@ func TestCatalogAssignAndTarget(t *testing.T) {
 	}
 	if tgt := c.QueryTarget(r); int(tgt) >= c.NumObjects {
 		t.Fatalf("target %d outside catalog", tgt)
+	}
+}
+
+// assignMade is AssignObjects with one array per list, the reference the
+// carved lists are held to: the same draws, the same duplicate filter.
+func assignMade(c *Catalog, drawn map[msg.ObjectID]bool, count int, r *sim.Source) []msg.ObjectID {
+	clear(drawn)
+	out := make([]msg.ObjectID, 0, count)
+	for attempts := 0; len(out) < count && attempts < 4*count; attempts++ {
+		id := msg.ObjectID(c.placement.Rank(r))
+		if drawn[id] {
+			continue
+		}
+		drawn[id] = true
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestAssignObjectsCarved holds the lists AssignObjects carves from its
+// blocks to one array per list: the same IDs call by call, capacity equal
+// to length so that an append cannot reach a neighbor, lists that do not
+// fit a block's remainder or a whole block, and about one allocation per
+// block.
+func TestAssignObjectsCarved(t *testing.T) {
+	// check makes calls lists of count(i) objects each and returns how
+	// many started a fresh block and how many got an array of their own.
+	check := func(size, calls int, count func(i int) int) (fresh, oversize int) {
+		t.Helper()
+		c, ref := NewCatalog(size, 0.8, 0.8), NewCatalog(size, 0.8, 0.8)
+		r, rr := sim.NewSource(3), sim.NewSource(3)
+		drawn := map[msg.ObjectID]bool{}
+		var lists, want [][]msg.ObjectID
+		for i := 0; i < calls; i++ {
+			room := cap(c.block) - len(c.block)
+			got := c.AssignObjects(count(i), r)
+			switch {
+			case len(got) > blockSize:
+				oversize++
+			case len(got) > room:
+				fresh++
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("call %d: list of %d IDs has capacity %d", i, len(got), cap(got))
+			}
+			lists = append(lists, got)
+			want = append(want, assignMade(ref, drawn, count(i), rr))
+		}
+		for i := range lists {
+			_ = append(lists[i], msg.ObjectID(size)) // must not land in lists[i+1]
+		}
+		for i := range lists {
+			if !slices.Equal(lists[i], want[i]) {
+				t.Fatalf("call %d: %v, want %v", i, lists[i], want[i])
+			}
+		}
+		return fresh, oversize
+	}
+	if fresh, _ := check(10000, 20000, func(i int) int { return 1 + i%97 }); fresh == 0 {
+		t.Fatal("no list started a fresh block")
+	}
+	// Lists of up to 5 000 on a 20 000-object catalog: past a block's
+	// remainder, and past a whole block.
+	if fresh, oversize := check(20000, 40, func(i int) int { return 1000 + 1000*(i%5) }); fresh == 0 || oversize == 0 {
+		t.Fatalf("%d lists started a fresh block and %d got their own array, want both", fresh, oversize)
+	}
+
+	c, r := DefaultCatalog(), sim.NewSource(1)
+	const perRun = 4096
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < perRun; i++ {
+			c.AssignObjects(12, r)
+		}
+	})
+	if perCall := allocs / perRun; perCall > 0.01 {
+		t.Errorf("AssignObjects(12) allocates %.4f times a call, want at most 0.01", perCall)
 	}
 }
 
@@ -379,17 +456,77 @@ func TestAsyncFloodWithLatency(t *testing.T) {
 	_ = s
 }
 
+// TestIssuePanicsOnLatencyNetwork holds Issue to synchronous networks: it
+// panics when a message can arrive later than it was sent — through
+// latency, link jitter or a reordering window — and runs over a link that
+// only drops or duplicates.
 func TestIssuePanicsOnLatencyNetwork(t *testing.T) {
-	eng := sim.NewEngine(1)
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 10, Latency: 0.5}, nil)
-	e := Attach(n, DefaultCatalog())
-	p := n.Join(1, 1e9, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Issue did not panic on a latency network")
-		}
-	}()
-	e.Issue(p, 1, 3)
+	for _, row := range []struct {
+		name   string
+		cfg    overlay.Config
+		panics bool
+	}{
+		{"latency", overlay.Config{Latency: 0.5}, true},
+		{"jitter", overlay.Config{Link: overlay.Link{JitterMax: 0.2}}, true},
+		{"reorder", overlay.Config{Link: overlay.Link{ReorderWindow: 0.1}}, true},
+		{"loss", overlay.Config{Link: overlay.Link{Loss: 0.1, Dup: 0.1}}, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			row.cfg.M, row.cfg.KS, row.cfg.Eta = 2, 3, 10
+			n := overlay.New(sim.NewEngine(1), row.cfg, nil)
+			e := Attach(n, DefaultCatalog())
+			p := n.Join(1, 1e9, nil)
+			defer func() {
+				if r := recover(); (r != nil) != row.panics {
+					t.Fatalf("Issue panicked: %v, want a panic: %v", r, row.panics)
+				}
+			}()
+			e.Issue(p, 1, 3)
+		})
+	}
+}
+
+// TestFloodOverActiveLink floods over links that delay messages past the
+// configured latency — jitter at zero latency, and jitter plus a reordering
+// window at 0.05 — and requires every query for an object a leaf shares to
+// be answered, as it is on a perfect link: the flood's deadline has to
+// cover the longest hop the link can make.
+func TestFloodOverActiveLink(t *testing.T) {
+	const queries = 60
+	for _, row := range []struct {
+		name    string
+		latency sim.Duration
+		link    overlay.Link
+	}{
+		{"perfect", 0, overlay.Link{}},
+		{"jitter", 0, overlay.Link{JitterMax: 0.2}},
+		{"jitter+reorder", 0.05, overlay.Link{JitterMax: 0.2, ReorderWindow: 0.5}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			eng, qe, source, _ := floodTopology(t, overlay.Config{M: 2, KS: 4, Eta: 10, Latency: row.latency, Link: row.link})
+			var targets []msg.ObjectID
+			qe.net.WalkPeers(func(p *overlay.Peer) {
+				if p.Layer == overlay.LayerLeaf && p != source {
+					targets = append(targets, p.Objects...)
+				}
+			})
+			finalized, found := 0, 0
+			for _, obj := range targets[:queries] {
+				qe.IssueAsync(source, obj, qe.DefaultTTL, func(r *Result) {
+					finalized++
+					if r.Found {
+						found++
+					}
+				})
+			}
+			if err := eng.RunUntil(eng.Now() + 100); err != nil {
+				t.Fatal(err)
+			}
+			if finalized != queries || found != queries {
+				t.Fatalf("%d of %d floods finalized, %d found their object, want all", finalized, queries, found)
+			}
+		})
+	}
 }
 
 func TestAsyncHopsAcrossChainWithLatency(t *testing.T) {

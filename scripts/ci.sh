@@ -58,11 +58,18 @@ lane_test() {
   done
   go test ./...
   # The trace pipeline as cmd/dlmtrace documents it: dlmsim writes a trace
-  # file and dlmtrace summarizes it (an empty trace fails).
+  # file and dlmtrace summarizes it (an empty trace fails). The same run
+  # drives the search plane (catalog, index, flood) end to end: its
+  # queries: line must report some success.
   trace_tmp=$(mktemp)
   trap 'rm -f "$trace_tmp"' RETURN
-  go run ./cmd/dlmsim -n 300 -duration 300 -trace "$trace_tmp" > /dev/null
+  report=$(go run ./cmd/dlmsim -n 300 -duration 300 -queries 5 -trace "$trace_tmp")
   go run ./cmd/dlmtrace "$trace_tmp" > /dev/null
+  if ! awk '/^queries:/ { found = 1; ok = $4 + 0 > 0 } END { exit !(found && ok) }' <<< "$report"; then
+    echo "dlmsim -queries 5: no query succeeded" >&2
+    grep '^queries:' <<< "$report" >&2 || true
+    exit 1
+  fi
   # The goroutine plane end to end: one second of 60 live peers under churn.
   go run ./cmd/dlmlive -peers 60 -seconds 1 -churn > /dev/null
   # The benchmark harness is its own module (bench/go.mod); ./... above
