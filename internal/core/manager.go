@@ -21,8 +21,9 @@ type Manager struct {
 	P Params
 
 	// ep is the reusable endpoint bound to whichever peer is currently
-	// handling a message; a per-delivery struct here would be one
-	// allocation per message on the exchange hot path.
+	// handling a message, and the one the exchanges send through; a
+	// per-delivery struct here would be one allocation per message on the
+	// exchange hot path.
 	ep simEndpoint
 
 	// laneEP is ep's counterpart for batched message handling
@@ -73,7 +74,7 @@ type Manager struct {
 	spares protocol.Spares
 
 	// pendingLive is a conservative "some request may be outstanding"
-	// hint: set whenever an Expect survives its exchange inline, cleared
+	// hint: set whenever a request survives its exchange inline, cleared
 	// when the expiry scan finds every table empty. While false, Tick
 	// skips the per-peer expiry scan — which on a lossless zero-latency
 	// transport is every tick.
@@ -237,8 +238,8 @@ type laneEndpoint struct {
 func (e *laneEndpoint) Send(mm msg.Message) { *e.out = append(*e.out, mm) }
 
 // OnConnect implements overlay.Manager: under the event-driven policy, a
-// new leaf-super link triggers Phase 1 information collection — the
-// frames of protocol.ConnectExchange.
+// new leaf-super link triggers Phase 1 information collection
+// (protocol.Exchange).
 func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 	if m.P.Exchange != protocol.EventDriven {
 		return
@@ -250,22 +251,13 @@ func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 	m.exchange(n, leaf, super)
 }
 
-// exchange fires the information-collection messages for one leaf-super
-// pair. Response deadlines are registered before any frame departs: at
-// zero latency the responses arrive inline within Send, and an entry
-// registered afterwards would never be cleared (a guaranteed spurious
-// retry later).
+// exchange runs protocol.Exchange for one leaf-super pair. Both sides send
+// through m.ep: the overlay routes by the frame's To field, so one
+// endpoint serves either sender.
 func (m *Manager) exchange(n *overlay.Network, leaf, super *overlay.Peer) {
-	now := protocol.Time(n.Now())
 	lm, sm := m.state(leaf), m.state(super)
-	lm.Expect(super.ID, msg.KindNeighNumRequest, now)
-	sm.Expect(leaf.ID, msg.KindValueRequest, now)
-	lm.Expect(super.ID, msg.KindValueRequest, now)
-	// The frames of protocol.ConnectExchange, sent directly: at a million
-	// connects the temporary frame array was measurable copy traffic.
-	n.Send(msg.NeighNumRequest(leaf.ID, super.ID))
-	n.Send(msg.ValueRequest(super.ID, leaf.ID))
-	n.Send(msg.ValueRequest(leaf.ID, super.ID))
+	m.ep.n = n
+	protocol.Exchange(lm, &m.ep, sm, &m.ep, leaf.ID, super.ID, protocol.Time(n.Now()))
 	// On a lossless zero-latency transport every response arrived inline
 	// and settled its entry; only when something is still outstanding does
 	// the per-tick expiry scan have work to do.
@@ -391,7 +383,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	// invisible to the determinism baselines whenever the tables are
 	// empty (every lossless zero-latency run).
 	// pendingLive is a conservative reachability hint: it is set whenever
-	// an Expect survives its exchange, and recomputed by the scan itself,
+	// a request survives its exchange, and recomputed by the scan itself,
 	// so skipping the scan while it is false is behavior-identical — the
 	// scan would visit only empty tables.
 	if m.P.RequestTimeout > 0 && m.pendingLive {
@@ -565,19 +557,11 @@ func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protoc
 		m.calEnroll(leaf, m.calKey(lm.RefreshAt()))
 		return
 	}
+	m.ep.n = n
 	for _, sid := range leaf.SuperLinks() {
-		super := n.Peer(sid)
-		if super == nil || !super.Alive() {
-			continue
+		if super := n.Peer(sid); super != nil && super.Alive() {
+			lm.Refresh(leaf.ID, super.ID, pnow, &m.ep)
 		}
-		// Deadlines first, frames second — same reentrancy rule as
-		// exchange.
-		lm.Expect(super.ID, msg.KindNeighNumRequest, pnow)
-		lm.Expect(super.ID, msg.KindValueRequest, pnow)
-		// The frames of protocol.RefreshExchange, sent directly (see
-		// exchange).
-		n.Send(msg.NeighNumRequest(leaf.ID, super.ID))
-		n.Send(msg.ValueRequest(leaf.ID, super.ID))
 	}
 	if lm.PendingRequests() > 0 {
 		m.pendingLive = true

@@ -153,6 +153,64 @@ func TestDemotionTriggersReExchange(t *testing.T) {
 	}
 }
 
+// TestLostLinksFollowGRules pins what a lost leaf-super link does to the
+// two related sets: a leaf keeps a departed or demoted super in G(l) —
+// paper Phase 3 defines G(l) as the supers contacted since join, pruned
+// only by LeafWindow at decision time — while a super forgets a departed
+// leaf, since G(s) is its current leaves.
+func TestLostLinksFollowGRules(t *testing.T) {
+	// build returns a leaf linked to two of three meshed supers, both in
+	// its G(l) and each holding it in G(s).
+	build := func(t *testing.T) (*overlay.Network, *Manager, *overlay.Peer) {
+		_, n, mgr := testNetwork(1, DefaultParams())
+		a, b, c := n.Join(100, 1000, nil), n.Join(100, 1000, nil), n.Join(100, 1000, nil)
+		n.Promote(b)
+		n.Promote(c)
+		n.Connect(a, b)
+		n.Connect(b, c)
+		n.Connect(a, c)
+		leaf := n.Join(10, 100, nil)
+		if len(leaf.SuperLinks()) != 2 {
+			t.Fatalf("precondition: leaf has %d supers, want 2", len(leaf.SuperLinks()))
+		}
+		for _, id := range leaf.SuperLinks() {
+			if !mgr.state(leaf).Has(id) || !mgr.state(n.Peer(id)).Has(leaf.ID) {
+				t.Fatalf("precondition: leaf %d and super %d do not know each other", leaf.ID, id)
+			}
+		}
+		return n, mgr, leaf
+	}
+
+	t.Run("super-departs", func(t *testing.T) {
+		n, mgr, leaf := build(t)
+		super := n.Peer(leaf.SuperLinks()[0])
+		n.Leave(super)
+		if !mgr.state(leaf).Has(super.ID) {
+			t.Fatal("leaf forgot departed super")
+		}
+	})
+	t.Run("super-demoted", func(t *testing.T) {
+		n, mgr, leaf := build(t)
+		super := n.Peer(leaf.SuperLinks()[0])
+		if !n.Demote(super) {
+			t.Fatal("demotion refused")
+		}
+		if !mgr.state(leaf).Has(super.ID) {
+			t.Fatal("leaf forgot demoted super")
+		}
+	})
+	t.Run("leaf-departs", func(t *testing.T) {
+		n, mgr, leaf := build(t)
+		supers := append([]msg.PeerID(nil), leaf.SuperLinks()...)
+		n.Leave(leaf)
+		for _, id := range supers {
+			if mgr.state(n.Peer(id)).Has(leaf.ID) {
+				t.Fatalf("super %d kept departed leaf", id)
+			}
+		}
+	})
+}
+
 // runScenario drives a DLM-managed churning network and returns it with
 // its final snapshot.
 func runScenario(t *testing.T, seed int64, p Params, eta float64, size int, until sim.Time) (*overlay.Network, overlay.LayerStats) {

@@ -242,8 +242,12 @@ func (n *Net) Leave(p *Peer) {
 	for _, q := range neighbors {
 		q.mu.Lock()
 		delete(q.supers, p.ID)
-		delete(q.leaves, p.ID)
-		q.mach.Drop(p.ID)
+		// A super forgets a departed leaf (G(s) is its current leaves); a
+		// leaf keeps a departed super in G(l) until LeafWindow prunes it.
+		if _, ok := q.leaves[p.ID]; ok {
+			delete(q.leaves, p.ID)
+			q.mach.Drop(p.ID)
+		}
 		q.mu.Unlock()
 	}
 }

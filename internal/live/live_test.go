@@ -293,6 +293,80 @@ func TestLiveIndexFollowsLeaveAndDemote(t *testing.T) {
 	})
 }
 
+// TestLiveLostLinksFollowGRules is the goroutine plane's half of core's
+// TestLostLinksFollowGRules: a leaf keeps a departed or demoted super in
+// G(l), a super forgets a departed leaf. The network runs in manual mode
+// and drains every inbox, so each exchange has completed when it is read.
+func TestLiveLostLinksFollowGRules(t *testing.T) {
+	// build returns a leaf linked to two of three supers, both in its
+	// G(l) and each holding it in G(s). Join's random picks may repeat a
+	// super, so the leaf's second link is made by hand.
+	build := func(t *testing.T) (*Net, *Peer) {
+		n := NewNet(Config{M: 2, KS: 3, Eta: 5, Seed: 3})
+		t.Cleanup(n.Stop)
+		n.manual = true
+		peers := []*Peer{n.Join(100, nil), n.Join(90, nil), n.Join(80, nil)}
+		for _, p := range peers[1:] {
+			p.promote(n.nowUnits())
+		}
+		leaf := n.Join(10, nil)
+		for _, q := range peers {
+			if len(leaf.supers) < 2 {
+				leaf.connect(q)
+			}
+		}
+		drainAll(append(peers, leaf))
+		if len(leaf.supers) != 2 {
+			t.Fatalf("precondition: leaf has %d supers, want 2", len(leaf.supers))
+		}
+		for _, q := range leaf.supers {
+			if !leaf.mach.Has(q.ID) || !q.mach.Has(leaf.ID) {
+				t.Fatalf("precondition: leaf %d and super %d do not know each other", leaf.ID, q.ID)
+			}
+		}
+		return n, leaf
+	}
+	anySuper := func(leaf *Peer) *Peer {
+		for _, q := range leaf.supers {
+			return q
+		}
+		return nil
+	}
+
+	t.Run("super-departs", func(t *testing.T) {
+		n, leaf := build(t)
+		super := anySuper(leaf)
+		n.Leave(super)
+		if !leaf.mach.Has(super.ID) {
+			t.Fatal("leaf forgot departed super")
+		}
+	})
+	t.Run("super-demoted", func(t *testing.T) {
+		n, leaf := build(t)
+		super := anySuper(leaf)
+		super.demote(n.nowUnits())
+		if super.Layer() != overlay.LayerLeaf {
+			t.Fatal("demotion refused")
+		}
+		if !leaf.mach.Has(super.ID) {
+			t.Fatal("leaf forgot demoted super")
+		}
+	})
+	t.Run("leaf-departs", func(t *testing.T) {
+		n, leaf := build(t)
+		supers := make([]*Peer, 0, len(leaf.supers))
+		for _, q := range leaf.supers {
+			supers = append(supers, q)
+		}
+		n.Leave(leaf)
+		for _, q := range supers {
+			if q.mach.Has(leaf.ID) {
+				t.Fatalf("super %d kept departed leaf", q.ID)
+			}
+		}
+	})
+}
+
 func TestLiveConfigDefaults(t *testing.T) {
 	var c Config
 	c.defaults()

@@ -154,24 +154,12 @@ func (p *Peer) refresh(now protocol.Time) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.mach.RefreshDue(now) {
-		p.mu.Unlock()
 		return
 	}
-	supers := make([]*Peer, 0, len(p.supers))
 	for _, q := range p.supers {
-		supers = append(supers, q)
-		// Deadlines before the frames depart (same rule as the sim
-		// plane); p.mu is held, which guards p.mach.
-		p.mach.Expect(q.ID, msg.KindNeighNumRequest, now)
-		p.mach.Expect(q.ID, msg.KindValueRequest, now)
-	}
-	p.mu.Unlock()
-	for _, q := range supers {
-		frames := protocol.RefreshExchange(p.ID, q.ID)
-		for i := range frames {
-			p.net.deliver(q, frames[i])
-		}
+		p.mach.Refresh(p.ID, q.ID, now, &p.ep)
 	}
 }
 
@@ -197,65 +185,43 @@ func (p *Peer) repairLinks() {
 	}
 }
 
-// sendExchange fires the event-driven Phase 1 frames for a fresh
-// leaf-super link between p (leaf) and q (super), routing each frame to
-// the side it is addressed to.
-func (p *Peer) sendExchange(q *Peer) {
-	frames := protocol.ConnectExchange(p.ID, q.ID)
-	for i := range frames {
-		if frames[i].To == q.ID {
-			p.net.deliver(q, frames[i])
-		} else {
-			p.net.deliver(p, frames[i])
-		}
+// lockPair takes both peers' locks, lower ID first: the one lock order
+// of every section that holds two peers.
+func lockPair(p, q *Peer) {
+	if q.ID < p.ID {
+		p, q = q, p
 	}
+	p.mu.Lock()
+	q.mu.Lock()
 }
 
-// connect links p to the super-peer q (idempotent) and runs the Phase 1
-// exchange. Lock order: lower peer ID first.
+// unlockPair releases what lockPair took.
+func unlockPair(p, q *Peer) {
+	p.mu.Unlock()
+	q.mu.Unlock()
+}
+
+// connect links p to the super-peer q (idempotent) and, when p is a leaf,
+// runs the Phase 1 exchange under both locks.
 func (p *Peer) connect(q *Peer) {
 	if q == nil || q.ID == p.ID || q.gone.Load() || p.gone.Load() {
 		return
 	}
-	a, b := p, q
-	if b.ID < a.ID {
-		a, b = b, a
-	}
-	a.mu.Lock()
-	b.mu.Lock()
+	lockPair(p, q)
+	defer unlockPair(p, q)
 	if q.Layer() != overlay.LayerSuper {
-		b.mu.Unlock()
-		a.mu.Unlock()
 		return
 	}
 	if _, dup := p.supers[q.ID]; dup {
-		b.mu.Unlock()
-		a.mu.Unlock()
 		return
 	}
 	p.supers[q.ID] = q
 	if p.Layer() == overlay.LayerSuper {
 		q.supers[p.ID] = p
-	} else {
-		q.leaves[p.ID] = p
+		return
 	}
-	iAmLeaf := p.Layer() == overlay.LayerLeaf
-	if iAmLeaf {
-		// Register the exchange's response deadlines on both machines
-		// while the pair of locks is held: the leaf awaits the NeighNum
-		// and Value responses from the super, the super awaits the Value
-		// response from the leaf.
-		now := p.net.nowUnits()
-		p.mach.Expect(q.ID, msg.KindNeighNumRequest, now)
-		p.mach.Expect(q.ID, msg.KindValueRequest, now)
-		q.mach.Expect(p.ID, msg.KindValueRequest, now)
-	}
-	b.mu.Unlock()
-	a.mu.Unlock()
-
-	if iAmLeaf {
-		p.sendExchange(q)
-	}
+	q.leaves[p.ID] = p
+	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, p.net.nowUnits())
 }
 
 // evaluate runs DLM Phases 2-4 through the peer's machine and executes
@@ -350,24 +316,13 @@ func (p *Peer) demote(now protocol.Time) {
 	p.mu.Unlock()
 
 	for _, q := range kept {
-		q.mu.Lock()
+		// The kept link is logically a fresh leaf-super connection: re-run
+		// the event-driven exchange on it.
+		lockPair(p, q)
 		delete(q.supers, p.ID)
 		q.leaves[p.ID] = p
-		// The kept link is logically a fresh leaf-super connection, about
-		// to be re-exchanged below; the super awaits the leaf's Value
-		// response.
-		q.mach.Expect(p.ID, msg.KindValueRequest, now)
-		q.mu.Unlock()
-	}
-	p.mu.Lock()
-	for _, q := range kept {
-		p.mach.Expect(q.ID, msg.KindNeighNumRequest, now)
-		p.mach.Expect(q.ID, msg.KindValueRequest, now)
-	}
-	p.mu.Unlock()
-	for _, q := range kept {
-		// Re-run the event-driven exchange on the re-classified link.
-		p.sendExchange(q)
+		protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, now)
+		unlockPair(p, q)
 	}
 	for _, q := range cut {
 		q.mu.Lock()
@@ -376,10 +331,10 @@ func (p *Peer) demote(now protocol.Time) {
 		q.mu.Unlock()
 	}
 	for _, q := range orphans {
+		// The orphan keeps p in G(l), as every leaf keeps the supers it
+		// contacted; its own repair restores its degree on its next tick.
 		q.mu.Lock()
 		delete(q.supers, p.ID)
-		q.mach.Drop(p.ID)
 		q.mu.Unlock()
-		// The orphan's own repair restores its degree on its next tick.
 	}
 }

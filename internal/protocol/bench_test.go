@@ -13,12 +13,13 @@ func BenchmarkDecide(b *testing.B) {
 	now := Time(1000)
 	ma := NewMachine(&p, 0)
 	for i := 0; i < 80; i++ {
-		ma.Observe(msg.PeerID(i+1), float64(1+i%100), float64(10+i%200), now, 0)
+		ma.observe(msg.PeerID(i+1), float64(1+i%100), float64(10+i%200), now, 0)
 	}
+	var d Decision
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ma.Decide(50, 120, now, 90, 80, i%2 == 0)
+		ma.decideInto(&d, 50, 120, now, 90, 80, i%2 == 0)
 	}
 }
 
@@ -29,7 +30,7 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ma.Observe(msg.PeerID(i%200), 50, 100, Time(i), 64)
+		ma.observe(msg.PeerID(i%200), 50, 100, Time(i), 64)
 	}
 }
 

@@ -170,6 +170,13 @@ func TestAgeExtrapolation(t *testing.T) {
 
 const klMu0 = 20 // any matching lnn=kl pair gives mu=0
 
+// decide is decideInto returning its Decision.
+func decide(ma *Machine, capacity, age float64, now Time, lnn, kl float64, promote bool) Decision {
+	var d Decision
+	ma.decideInto(&d, capacity, age, now, lnn, kl, promote)
+	return d
+}
+
 func TestDecideConditions(t *testing.T) {
 	p := DefaultParams()
 	now := Time(100)
@@ -179,12 +186,12 @@ func TestDecideConditions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ma.observe(uintID(i), 10, 10, now, 0)
 	}
-	d := ma.Decide(100, 100, now, klMu0, klMu0, true)
+	d := decide(ma, 100, 100, now, klMu0, klMu0, true)
 	if !d.ShouldSwitch {
 		t.Fatalf("strong leaf not promoted: %+v", d)
 	}
 	// A weak leaf must not promote.
-	d = ma.Decide(1, 1, now, klMu0, klMu0, true)
+	d = decide(ma, 1, 1, now, klMu0, klMu0, true)
 	if d.ShouldSwitch {
 		t.Fatalf("weak leaf promoted: %+v", d)
 	}
@@ -193,12 +200,12 @@ func TestDecideConditions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		maS.observe(uintID(i), 100, 100, now, 0)
 	}
-	d = maS.Decide(1, 1, now, klMu0, klMu0, false)
+	d = decide(maS, 1, 1, now, klMu0, klMu0, false)
 	if !d.ShouldSwitch {
 		t.Fatalf("weak super not demoted: %+v", d)
 	}
 	// A strong super must stay.
-	d = maS.Decide(1000, 1000, now, klMu0, klMu0, false)
+	d = decide(maS, 1000, 1000, now, klMu0, klMu0, false)
 	if d.ShouldSwitch {
 		t.Fatalf("strong super demoted: %+v", d)
 	}
@@ -218,13 +225,13 @@ func TestScaledComparisonOvercomesRank(t *testing.T) {
 		ma.observe(uintID(i), 15, 15, now, 0)
 	}
 	// Direct comparison at mu=0: Y=1 -> no promotion.
-	d := ma.Decide(10, 10, now, 20, 20, true)
+	d := decide(ma, 10, 10, now, 20, 20, true)
 	if d.ShouldSwitch {
 		t.Fatal("promotion should fail at mu=0 for a weaker leaf")
 	}
 	// Strong shortage (lnn far above kl -> mu at clamp): X shrinks the
 	// supers' metrics enough for the leaf to win.
-	d = ma.Decide(10, 10, now, 20*math.E*math.E, 20, true)
+	d = decide(ma, 10, 10, now, 20*math.E*math.E, 20, true)
 	if d.XCapa >= 1 {
 		t.Fatalf("X should shrink under shortage, got %v", d.XCapa)
 	}
@@ -274,7 +281,7 @@ func TestEvaluateStandaloneMatchesDecide(t *testing.T) {
 	for i, r := range related {
 		ma.observe(uintID(i), r.Capacity, r.Age, now, 0)
 	}
-	d2 := ma.Decide(self.Capacity, self.Age, now, 30, 20, true)
+	d2 := decide(ma, self.Capacity, self.Age, now, 30, 20, true)
 	if d != d2 {
 		t.Fatalf("standalone and machine-backed decisions diverge:\n%+v\n%+v", d, d2)
 	}

@@ -149,7 +149,7 @@ func TestDefenseSurvivesReset(t *testing.T) {
 	p := DefaultParams()
 	p.DefenseMaxCapacity = 123
 	ma := NewMachine(&p, 0)
-	ma.Observe(2, 50, 1, 5, 0)
+	ma.observe(2, 50, 1, 5, 0)
 	ma.Reset(40)
 	if ma.Size() != 0 {
 		t.Fatalf("Reset left %d observations", ma.Size())

@@ -45,9 +45,9 @@ func FuzzMachineHandleMessage(f *testing.F) {
 		// Feed the whole stream of decodable frames through the handler,
 		// advancing the clock so pruning and extrapolation paths run.
 		// Interleave the pending-request lifecycle: register an expectation
-		// toward each sender (a no-op for non-request kinds) and let the
-		// expiry scan run every few frames so timeouts, retries, and
-		// abandonment all mix with the deliveries.
+		// toward the sender of each request frame and let the expiry scan
+		// run every few frames so timeouts, retries, and abandonment all
+		// mix with the deliveries.
 		step := 0
 		for len(data) > 0 {
 			m, n, err := msg.Decode(data)
@@ -55,7 +55,12 @@ func FuzzMachineHandleMessage(f *testing.F) {
 				break
 			}
 			data = data[n:]
-			ma.Expect(m.From, m.Kind, now)
+			switch m.Kind {
+			case msg.KindNeighNumRequest:
+				ma.expect(m.From, pairNeighNum, now)
+			case msg.KindValueRequest:
+				ma.expect(m.From, pairValue, now)
+			}
 			ma.HandleMessage(self, &m, now, ep)
 			if step%3 == 2 {
 				ma.ExpirePending(self, now, ep)
@@ -113,9 +118,9 @@ func FuzzPendingFaults(f *testing.F) {
 			peer := msg.PeerID(op>>3&0x07) + 1
 			switch op & 0x07 {
 			case 0: // expect a NeighNum answer
-				ma.Expect(peer, msg.KindNeighNumRequest, now)
+				ma.expect(peer, pairNeighNum, now)
 			case 1: // expect a Value answer
-				ma.Expect(peer, msg.KindValueRequest, now)
+				ma.expect(peer, pairValue, now)
 			case 2: // deliver a NeighNum response
 				nn := msg.NeighNumResponse(peer, 1, int(op))
 				ma.HandleMessage(self, &nn, now, ep)

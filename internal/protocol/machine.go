@@ -405,32 +405,6 @@ func (ma *Machine) LastChange() Time { return ma.lastChange }
 // stamp from message history.
 func (ma *Machine) RefreshAt() Time { return ma.lastRefresh }
 
-// ConnectExchange returns the event-driven Phase 1 frames for one new
-// leaf-super connection: the NeighNum pair (leaf asks super for l_nn) and
-// the Value pair in both directions (each endpoint learns the other's
-// capacity and age; the leaf-to-super direction is Table 1's, the reverse
-// is the reconstruction documented in DESIGN.md, without which a leaf
-// cannot run Phase 3). The host sends each frame from its own side of the
-// link; the order is part of the determinism contract.
-func ConnectExchange(leaf, super msg.PeerID) [3]msg.Message {
-	return [3]msg.Message{
-		msg.NeighNumRequest(leaf, super),
-		msg.ValueRequest(super, leaf),
-		msg.ValueRequest(leaf, super),
-	}
-}
-
-// RefreshExchange returns the freshness frames a leaf re-sends to one of
-// its current supers when RefreshDue fires: a new l_nn request and a new
-// value request (the super's age/capacity refresh keeps μ and G(l)
-// current on long-lived links).
-func RefreshExchange(leaf, super msg.PeerID) [2]msg.Message {
-	return [2]msg.Message{
-		msg.NeighNumRequest(leaf, super),
-		msg.ValueRequest(leaf, super),
-	}
-}
-
 // HandleMessage runs Phase 1: it answers information requests via ep and
 // folds responses into the related set / l_nn reports. Unknown or
 // non-DLM kinds are ignored, so hosts can feed their whole inbox through.
@@ -555,15 +529,9 @@ func (ma *Machine) evaluateSuper(res *EvalResult, self Self, now Time, kl, eta f
 	}
 }
 
-// Decide computes one full Phase 2-4 evaluation against the machine's
-// related set without side effects (no pruning, no draws).
-func (ma *Machine) Decide(capacity, age float64, now Time, lnn, kl float64, promote bool) Decision {
-	var d Decision
-	ma.decideInto(&d, capacity, age, now, lnn, kl, promote)
-	return d
-}
-
-// decideInto is Decide writing into a caller-owned Decision.
+// decideInto computes one full Phase 2-4 evaluation against the machine's
+// related set into a caller-owned Decision, without side effects (no
+// pruning, no draws).
 func (ma *Machine) decideInto(d *Decision, capacity, age float64, now Time, lnn, kl float64, promote bool) {
 	d.Mu, d.XCapa, d.XAge = ma.p.MuScale(lnn, kl)
 	d.YCapa, d.YAge = ma.counting(capacity, age, now, d.XCapa, d.XAge)
@@ -616,13 +584,6 @@ func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 		ma.lnnSum += int64(ma.lnnReps()[i].lnn)
 		ma.lnnCount++
 	}
-}
-
-// Observe records a related-set entry directly, for hosts and tests that
-// learn about a peer outside a ValueResponse. maxSize as in observe: the
-// optional FIFO bound, 0 for unbounded.
-func (ma *Machine) Observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) {
-	ma.observe(id, capacity, age, now, maxSize)
 }
 
 // evictOldest removes the minimum-seq (oldest-inserted) entry. The scan
@@ -774,9 +735,8 @@ func (ma *Machine) SmoothLnn(cur float64) float64 {
 }
 
 // RefreshDue reports whether the leaf's freshness refresh is due and, if
-// so, stamps the refresh clock — the caller must then send
-// RefreshExchange frames to each current super. RefreshInterval 0
-// disables refresh entirely.
+// so, stamps the refresh clock — the caller must then call Refresh toward
+// each current super. RefreshInterval 0 disables refresh entirely.
 func (ma *Machine) RefreshDue(now Time) bool {
 	if ma.p.RefreshInterval <= 0 {
 		return false

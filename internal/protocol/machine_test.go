@@ -51,8 +51,8 @@ func TestBernoulliDrawDiscipline(t *testing.T) {
 func TestObserveUpdatesInPlace(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
-	ma.Observe(1, 10, 5, 20, 0)
-	ma.Observe(1, 10, 8, 30, 0) // re-observation refreshes
+	ma.observe(1, 10, 5, 20, 0)
+	ma.observe(1, 10, 8, 30, 0) // re-observation refreshes
 	if ma.Size() != 1 {
 		t.Fatalf("size = %d, want 1", ma.Size())
 	}
@@ -69,7 +69,7 @@ func TestFIFOEviction(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
 	for i := 0; i < 5; i++ {
-		ma.Observe(msg.PeerID(i+1), 1, 1, 0, 3)
+		ma.observe(msg.PeerID(i+1), 1, 1, 0, 3)
 	}
 	if ma.Size() != 3 {
 		t.Fatalf("size = %d, want cap 3", ma.Size())
@@ -81,7 +81,7 @@ func TestFIFOEviction(t *testing.T) {
 		t.Fatal("newest entry missing")
 	}
 	// Re-observation of an existing entry must not evict.
-	ma.Observe(5, 2, 2, 1, 3)
+	ma.observe(5, 2, 2, 1, 3)
 	if ma.Size() != 3 {
 		t.Fatal("re-observation changed size")
 	}
@@ -94,7 +94,7 @@ func TestDropKeepsOrderConsistent(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
 	for i := 1; i <= 4; i++ {
-		ma.Observe(msg.PeerID(i), 1, 1, 0, 0)
+		ma.observe(msg.PeerID(i), 1, 1, 0, 0)
 	}
 	ma.putLnn(2, lnnReport{lnn: 7})
 	ma.Drop(2)
@@ -118,8 +118,8 @@ func TestDropKeepsOrderConsistent(t *testing.T) {
 func TestPruneWindow(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
-	ma.Observe(1, 1, 1, 10, 0)
-	ma.Observe(2, 1, 1, 50, 0)
+	ma.observe(1, 1, 1, 10, 0)
+	ma.observe(2, 1, 1, 50, 0)
 	ma.putLnn(1, lnnReport{lnn: 5, when: 10})
 	ma.prune(60, 20) // window 20: entry 1 (seen at 10) expires
 	if ma.Size() != 1 {
@@ -144,9 +144,9 @@ func TestAvgLnn(t *testing.T) {
 	if _, ok := ma.AvgLnn(); ok {
 		t.Fatal("empty machine reported lnn")
 	}
-	ma.Observe(1, 1, 1, 0, 0)
-	ma.Observe(2, 1, 1, 0, 0)
-	ma.Observe(3, 1, 1, 0, 0)
+	ma.observe(1, 1, 1, 0, 0)
+	ma.observe(2, 1, 1, 0, 0)
+	ma.observe(3, 1, 1, 0, 0)
 	ma.putLnn(1, lnnReport{lnn: 10})
 	ma.putLnn(2, lnnReport{lnn: 30})
 	// Peer 3 has no report; average over available ones.
@@ -185,7 +185,7 @@ func TestSmoothLnn(t *testing.T) {
 func TestResetClearsState(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
-	ma.Observe(1, 1, 1, 5, 0)
+	ma.observe(1, 1, 1, 5, 0)
 	ma.putLnn(1, lnnReport{lnn: 3, when: 5})
 	ma.SmoothLnn(10)
 	ma.RefreshDue(100)
@@ -198,24 +198,6 @@ func TestResetClearsState(t *testing.T) {
 	}
 	if ma.hasSmooth || ma.lastRefresh != 0 {
 		t.Fatal("reset kept clocks")
-	}
-}
-
-func TestExchangeFrameOrder(t *testing.T) {
-	c := ConnectExchange(2, 1)
-	want := []msg.Message{
-		msg.NeighNumRequest(2, 1),
-		msg.ValueRequest(1, 2),
-		msg.ValueRequest(2, 1),
-	}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("connect frame %d = %+v, want %+v", i, c[i], want[i])
-		}
-	}
-	r := RefreshExchange(2, 1)
-	if r[0] != msg.NeighNumRequest(2, 1) || r[1] != msg.ValueRequest(2, 1) {
-		t.Fatalf("refresh frames wrong: %+v", r)
 	}
 }
 
@@ -330,7 +312,7 @@ func testEvalParams() Params {
 func TestDecisionCooldownGatesLeaf(t *testing.T) {
 	p := testEvalParams()
 	ma := NewMachine(&p, 0)
-	ma.Observe(2, 1, 1, 1, 0) // one weak super in G
+	ma.observe(2, 1, 1, 1, 0) // one weak super in G
 	ma.putLnn(2, lnnReport{lnn: 20, when: 1})
 	self := Self{ID: 1, Capacity: 100, Age: 100}
 	rng := &fixedRand{v: 0.5}
@@ -350,7 +332,7 @@ func TestDemotionCooldownGatesSuper(t *testing.T) {
 	// A weak super among strong leaves: eligible to demote on the
 	// comparison whenever the evaluation is allowed to run.
 	for i := 0; i < 5; i++ {
-		ma.Observe(msg.PeerID(10+i), 100, 100, 1, 0)
+		ma.observe(msg.PeerID(10+i), 100, 100, 1, 0)
 	}
 	self := Self{ID: 1, Capacity: 1, Age: 1, IsSuper: true, LeafDegree: 20}
 	rng := &fixedRand{v: 0.5}
@@ -368,7 +350,7 @@ func TestDemotionCooldownGatesSuper(t *testing.T) {
 	// A role change restarts the clock.
 	ma.Reset(200)
 	for i := 0; i < 5; i++ {
-		ma.Observe(msg.PeerID(10+i), 100, 100, 201, 0)
+		ma.observe(msg.PeerID(10+i), 100, 100, 201, 0)
 	}
 	if res := ma.Evaluate(self, 250, 20, 10, rng); res.Evaluated {
 		t.Fatal("DemotionCooldown did not restart after Reset")
@@ -407,7 +389,7 @@ func TestEvaluateRateLimitDraw(t *testing.T) {
 	p.SelectionSharpness = 0
 	p.EvalProbability = 1
 	ma := NewMachine(&p, 0)
-	ma.Observe(2, 1, 1, 1, 0)
+	ma.observe(2, 1, 1, 1, 0)
 	ma.putLnn(2, lnnReport{lnn: 30, when: 1}) // r=1.5 -> prob (r-1)/eta = 0.05
 	self := Self{ID: 1, Capacity: 100, Age: 100}
 

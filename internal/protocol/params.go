@@ -175,7 +175,7 @@ type Params struct {
 	RefreshInterval Duration
 
 	// RequestTimeout is the deadline a peer attaches to each Phase 1
-	// request it sends (see Expect/ExpirePending in pending.go): a request
+	// request it sends (see Exchange/ExpirePending in pending.go): a request
 	// unanswered for this long is retried, giving the exchange bounded
 	// at-least-once semantics over lossy transports. Deadlines are
 	// computed from the host-supplied clock only, so the protocol core

@@ -6,14 +6,15 @@ import (
 )
 
 // The pending-request table gives Phase 1 a bounded at-least-once
-// discipline over lossy transports: the host registers a deadline before
-// every request it sends (Expect), responses settle the entry inside
-// HandleMessage, and the host folds ExpirePending into its existing
-// per-tick scheduling to retry or abandon whatever is still outstanding.
-// Deadlines are computed purely from the host-supplied protocol clock, so
-// the package stays free of time imports (see TestProtocolImportPurity);
-// no draws happen anywhere on this path, so the table is invisible to the
-// determinism baselines when the transport is lossless.
+// discipline over lossy transports. The request side is the protocol's
+// own: Exchange and Refresh register every deadline before the first
+// frame departs, responses settle the entry inside HandleMessage, and the
+// host folds ExpirePending into its existing per-tick scheduling to retry
+// or abandon whatever is still outstanding. Deadlines are computed purely
+// from the host-supplied protocol clock, so the package stays free of time
+// imports (see TestProtocolImportPurity); no draws happen anywhere on this
+// path, so the table is invisible to the determinism baselines when the
+// transport is lossless.
 
 // pendingPair identifies one of DLM's Phase 1 request/response pairs.
 type pendingPair uint8
@@ -58,25 +59,50 @@ func (ma *Machine) pendingCap() int {
 	return 2 * ma.p.MaxRelatedSet
 }
 
-// Expect registers the response deadline for a Phase 1 request the host
-// is about to send to peer; kind is the request kind (KindNeighNumRequest
-// or KindValueRequest; other kinds are ignored). It MUST be called before
-// the request frame departs: delivery may be synchronous, and an entry
-// registered after an inline response has already been handled would
-// never be cleared and would retry spuriously. A second Expect for the
-// same (peer, pair) resets the deadline and the retry budget — the newer
-// request supersedes the older one. RequestTimeout 0 disables the table.
-func (ma *Machine) Expect(peer msg.PeerID, kind msg.Kind, now Time) {
-	if ma.p.RequestTimeout <= 0 {
-		return
+// request returns pair pr's request frame from one peer to another.
+func request(pr pendingPair, from, to msg.PeerID) msg.Message {
+	if pr == pairNeighNum {
+		return msg.NeighNumRequest(from, to)
 	}
-	var pr pendingPair
-	switch kind {
-	case msg.KindNeighNumRequest:
-		pr = pairNeighNum
-	case msg.KindValueRequest:
-		pr = pairValue
-	default:
+	return msg.ValueRequest(from, to)
+}
+
+// Exchange runs the event-driven Phase 1 exchange for one new leaf-super
+// connection between leaf l and super s: the NeighNum pair (the leaf asks
+// for l_nn) and the Value pair in both directions (each side learns the
+// other's capacity and age; the leaf-to-super direction is Table 1's, the
+// reverse is the reconstruction documented in DESIGN.md, without which a
+// leaf cannot run Phase 3). Each frame departs through its sender's
+// endpoint, in an order that is part of the determinism contract. All
+// three deadlines are registered before the first frame departs: delivery
+// may be synchronous, and an entry registered after its inline response
+// had been handled would never clear and would retry spuriously.
+func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l, s msg.PeerID, now Time) {
+	leaf.expect(s, pairNeighNum, now)
+	super.expect(l, pairValue, now)
+	leaf.expect(s, pairValue, now)
+	lep.Send(request(pairNeighNum, l, s))
+	sep.Send(request(pairValue, s, l))
+	lep.Send(request(pairValue, l, s))
+}
+
+// Refresh re-sends a leaf's freshness requests to one of its current
+// supers once RefreshDue fired: a new l_nn request and a new value request
+// (the super's age and capacity keep μ and G(l) current on long-lived
+// links), deadlines first as in Exchange.
+func (ma *Machine) Refresh(self, super msg.PeerID, now Time, ep Endpoint) {
+	ma.expect(super, pairNeighNum, now)
+	ma.expect(super, pairValue, now)
+	ep.Send(request(pairNeighNum, self, super))
+	ep.Send(request(pairValue, self, super))
+}
+
+// expect registers the response deadline for the request of pair pr about
+// to depart toward peer. A second expect for the same (peer, pair) resets
+// the deadline and the retry budget — the newer request supersedes the
+// older one. RequestTimeout 0 disables the table.
+func (ma *Machine) expect(peer msg.PeerID, pr pendingPair, now Time) {
+	if ma.p.RequestTimeout <= 0 {
 		return
 	}
 	rec := pendingRec{deadline: now + ma.p.RequestTimeout, peer: peer, pair: pr}
@@ -151,12 +177,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	ma.truncPend(keep)
 	retries = len(resend)
 	for _, r := range resend {
-		switch r.pair {
-		case pairNeighNum:
-			ep.Send(msg.NeighNumRequest(self.ID, r.peer))
-		case pairValue:
-			ep.Send(msg.ValueRequest(self.ID, r.peer))
-		}
+		ep.Send(request(r.pair, self.ID, r.peer))
 	}
 	return retries, drops
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"dlm/internal/msg"
@@ -14,6 +15,154 @@ func pendingParams() Params {
 	p.MaxRetries = 1
 	p.MaxRelatedSet = 3 // pending cap 6
 	return p
+}
+
+// sentFrame is one frame and the side it departed from.
+type sentFrame struct {
+	fromLeaf bool
+	m        msg.Message
+}
+
+// pairNet wires a leaf machine and a super machine to one endpoint per
+// side. Every frame is logged with its sending side; with inline set it is
+// also handed at once to the addressed machine, the zero-latency
+// simulation's re-entrant delivery, and otherwise it is lost.
+type pairNet struct {
+	leaf, super  *Machine
+	lSelf, sSelf Self
+	lep, sep     *sideEndpoint
+	now          Time
+	inline       bool
+	log          []sentFrame
+}
+
+func newPairNet(p *Params, inline bool) *pairNet {
+	n := &pairNet{
+		leaf:   NewMachine(p, 0),
+		super:  NewMachine(p, 0),
+		lSelf:  Self{ID: 2, Capacity: 10, Age: 5},
+		sSelf:  Self{ID: 1, Capacity: 40, Age: 8, IsSuper: true, LeafDegree: 1},
+		now:    10,
+		inline: inline,
+	}
+	n.lep = &sideEndpoint{n: n, leaf: true}
+	n.sep = &sideEndpoint{n: n}
+	return n
+}
+
+type sideEndpoint struct {
+	n    *pairNet
+	leaf bool
+}
+
+func (e *sideEndpoint) Send(m msg.Message) {
+	n := e.n
+	n.log = append(n.log, sentFrame{fromLeaf: e.leaf, m: m})
+	switch {
+	case !n.inline:
+	case e.leaf:
+		n.super.HandleMessage(n.sSelf, &m, n.now, n.sep)
+	default:
+		n.leaf.HandleMessage(n.lSelf, &m, n.now, n.lep)
+	}
+}
+
+// IsLeafNeighbor implements Endpoint: the leaf is the super's one leaf.
+func (e *sideEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
+	return !e.leaf && id == e.n.lSelf.ID
+}
+
+// checkLog compares the logged frames, with their sending sides, to want
+// and clears the log.
+func (n *pairNet) checkLog(t *testing.T, what string, want ...sentFrame) {
+	t.Helper()
+	if !slices.Equal(n.log, want) {
+		t.Fatalf("%s sent %+v, want %+v", what, n.log, want)
+	}
+	n.log = nil
+}
+
+// TestExchangeAndRefresh pins the request side of Phase 1: the frames
+// Exchange and Refresh send, their order and sending side, and that every
+// deadline is registered before the first frame departs — with inline
+// answers nothing may stay pending, and with every frame lost exactly the
+// unanswered requests stay pending and are the ones ExpirePending re-sends.
+func TestExchangeAndRefresh(t *testing.T) {
+	p := pendingParams()
+	byLeaf := func(m msg.Message) sentFrame { return sentFrame{fromLeaf: true, m: m} }
+	bySuper := func(m msg.Message) sentFrame { return sentFrame{m: m} }
+	const l, s = 2, 1
+
+	t.Run("exchange-inline", func(t *testing.T) {
+		n := newPairNet(&p, true)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		n.checkLog(t, "Exchange",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)),
+			bySuper(msg.ValueRequest(s, l)),
+			byLeaf(msg.ValueResponse(l, s, 10, 5)),
+			byLeaf(msg.ValueRequest(l, s)),
+			bySuper(msg.ValueResponse(s, l, 40, 8)))
+		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 0 {
+			t.Fatalf("inline answers left leaf %d and super %d requests pending", a, b)
+		}
+		if !n.leaf.Has(s) || !n.super.Has(l) {
+			t.Fatal("the exchange did not admit each side to the other's related set")
+		}
+		if lnn, _, ok := n.leaf.LnnReport(s); !ok || lnn != 1 {
+			t.Fatalf("leaf's l_nn report = %d, %v; want 1", lnn, ok)
+		}
+	})
+
+	t.Run("exchange-lost", func(t *testing.T) {
+		n := newPairNet(&p, false)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		n.checkLog(t, "Exchange",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.ValueRequest(s, l)),
+			byLeaf(msg.ValueRequest(l, s)))
+		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 2 || b != 1 {
+			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 2 and 1", a, b)
+		}
+		late := n.now + p.RequestTimeout
+		if r, _ := n.leaf.ExpirePending(n.lSelf, late, n.lep); r != 2 {
+			t.Fatalf("leaf re-sent %d requests, want 2", r)
+		}
+		n.checkLog(t, "the leaf's expiry",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			byLeaf(msg.ValueRequest(l, s)))
+		if r, _ := n.super.ExpirePending(n.sSelf, late, n.sep); r != 1 {
+			t.Fatalf("super re-sent %d requests, want 1", r)
+		}
+		n.checkLog(t, "the super's expiry", bySuper(msg.ValueRequest(s, l)))
+	})
+
+	t.Run("refresh-inline", func(t *testing.T) {
+		n := newPairNet(&p, true)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.checkLog(t, "Refresh",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)),
+			byLeaf(msg.ValueRequest(l, s)),
+			bySuper(msg.ValueResponse(s, l, 40, 8)))
+		if a := n.leaf.PendingRequests(); a != 0 {
+			t.Fatalf("inline answers left %d requests pending", a)
+		}
+	})
+
+	t.Run("refresh-lost", func(t *testing.T) {
+		n := newPairNet(&p, false)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		want := []sentFrame{byLeaf(msg.NeighNumRequest(l, s)), byLeaf(msg.ValueRequest(l, s))}
+		n.checkLog(t, "Refresh", want...)
+		if a := n.leaf.PendingRequests(); a != 2 {
+			t.Fatalf("lost frames left %d requests pending, want 2", a)
+		}
+		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 2 {
+			t.Fatalf("leaf re-sent %d requests, want 2", r)
+		}
+		n.checkLog(t, "the leaf's expiry", want...)
+	})
 }
 
 // TestPendingFaultPatterns drives the pending-request table through the
@@ -32,7 +181,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 			// visible in the counts ExpirePending returns.
 			name: "drop-all",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
-				ma.Expect(2, msg.KindNeighNumRequest, 0)
+				ma.expect(2, pairNeighNum, 0)
 				if r, d := ma.ExpirePending(self, 4, ep); r != 0 || d != 0 {
 					t.Fatalf("expired before deadline: retries=%d drops=%d", r, d)
 				}
@@ -55,7 +204,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 			// no entry and must not disturb the table or the related set.
 			name: "duplicate-response",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
-				ma.Expect(2, msg.KindValueRequest, 0)
+				ma.expect(2, pairValue, 0)
 				vr := msg.ValueResponse(2, 1, 50, 20)
 				ma.HandleMessage(self, &vr, 1, ep)
 				if ma.PendingRequests() != 0 {
@@ -78,7 +227,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 			// duplicate answer to the retry is absorbed.
 			name: "response-races-retry",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
-				ma.Expect(2, msg.KindNeighNumRequest, 0)
+				ma.expect(2, pairNeighNum, 0)
 				if r, _ := ma.ExpirePending(self, 5, ep); r != 1 {
 					t.Fatalf("retry not sent: %d", r)
 				}
@@ -101,13 +250,13 @@ func TestPendingFaultPatterns(t *testing.T) {
 			// entry with a fresh deadline and a fresh retry budget.
 			name: "supersede",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
-				ma.Expect(2, msg.KindValueRequest, 0)
+				ma.expect(2, pairValue, 0)
 				if r, _ := ma.ExpirePending(self, 5, ep); r != 1 {
 					t.Fatal("first deadline did not retry")
 				}
-				ma.Expect(2, msg.KindValueRequest, 6) // refresh supersedes
+				ma.expect(2, pairValue, 6) // refresh supersedes
 				if ma.PendingRequests() != 1 {
-					t.Fatalf("superseding Expect stacked entries: %d",
+					t.Fatalf("superseding expect stacked entries: %d",
 						ma.PendingRequests())
 				}
 				// Budget was reset: the superseded entry retries again
@@ -125,9 +274,9 @@ func TestPendingFaultPatterns(t *testing.T) {
 			// Losing the peer clears both of its outstanding entries.
 			name: "peer-drop-clears",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
-				ma.Expect(2, msg.KindNeighNumRequest, 0)
-				ma.Expect(2, msg.KindValueRequest, 0)
-				ma.Expect(3, msg.KindValueRequest, 0)
+				ma.expect(2, pairNeighNum, 0)
+				ma.expect(2, pairValue, 0)
+				ma.expect(3, pairValue, 0)
 				ma.Drop(2)
 				if ma.PendingRequests() != 1 {
 					t.Fatalf("pending after Drop(2) = %d, want 1",
@@ -159,8 +308,8 @@ func TestPendingTableBounded(t *testing.T) {
 	p := pendingParams() // MaxRelatedSet 3 -> cap 6
 	ma := NewMachine(&p, 0)
 	for i := 0; i < 20; i++ {
-		ma.Expect(msg.PeerID(i+1), msg.KindNeighNumRequest, Time(i))
-		ma.Expect(msg.PeerID(i+1), msg.KindValueRequest, Time(i))
+		ma.expect(msg.PeerID(i+1), pairNeighNum, Time(i))
+		ma.expect(msg.PeerID(i+1), pairValue, Time(i))
 	}
 	if got := ma.PendingRequests(); got != 6 {
 		t.Fatalf("pending = %d, want cap 6", got)
@@ -182,9 +331,9 @@ func TestPendingDisabledByZeroTimeout(t *testing.T) {
 	p := pendingParams()
 	p.RequestTimeout = 0
 	ma := NewMachine(&p, 0)
-	ma.Expect(2, msg.KindNeighNumRequest, 0)
+	ma.expect(2, pairNeighNum, 0)
 	if ma.PendingRequests() != 0 {
-		t.Fatal("Expect registered with RequestTimeout 0")
+		t.Fatal("expect registered with RequestTimeout 0")
 	}
 	ep := &captureEndpoint{}
 	if r, d := ma.ExpirePending(Self{ID: 1}, 1000, ep); r != 0 || d != 0 {
@@ -192,29 +341,18 @@ func TestPendingDisabledByZeroTimeout(t *testing.T) {
 	}
 }
 
-func TestPendingIgnoresNonRequestKinds(t *testing.T) {
-	p := pendingParams()
-	ma := NewMachine(&p, 0)
-	ma.Expect(2, msg.KindNeighNumResponse, 0)
-	ma.Expect(2, msg.KindQuery, 0)
-	ma.Expect(2, msg.KindPing, 0)
-	if ma.PendingRequests() != 0 {
-		t.Fatal("non-request kind registered an entry")
-	}
-}
-
 func TestPendingResetSemantics(t *testing.T) {
 	p := pendingParams()
 	ma := NewMachine(&p, 0)
 	ep := &captureEndpoint{}
-	ma.Expect(2, msg.KindNeighNumRequest, 0)
+	ma.expect(2, pairNeighNum, 0)
 	if r, d := ma.ExpirePending(Self{ID: 1}, 5, ep); r != 1 || d != 0 {
 		t.Fatalf("first deadline: retries=%d drops=%d, want 1,0", r, d)
 	}
 	if r, d := ma.ExpirePending(Self{ID: 1}, 10, ep); r != 0 || d != 1 {
 		t.Fatalf("budget spent: retries=%d drops=%d, want 0,1", r, d)
 	}
-	ma.Expect(3, msg.KindValueRequest, 11)
+	ma.expect(3, pairValue, 11)
 	ma.Reset(12)
 	// The table is protocol state and clears on a role change: nothing is
 	// left to retry or abandon.
@@ -242,7 +380,7 @@ func TestPendingRelatedSetOracle(t *testing.T) {
 
 	answered := map[msg.PeerID]bool{2: true, 4: true}
 	for _, id := range []msg.PeerID{2, 3, 4} {
-		ma.Expect(id, msg.KindValueRequest, 0)
+		ma.expect(id, pairValue, 0)
 	}
 	for id := range answered {
 		vr := msg.ValueResponse(id, 1, 50, 20)

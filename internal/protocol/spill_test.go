@@ -233,7 +233,7 @@ func TestInlineSpillDifferential(t *testing.T) {
 			capacity, age := float64(rng.Intn(1000)), float64(rng.Intn(50))
 			want := ref.observe(id, capacity, age, now, maxSize)
 			before := slices.Clone(ma.ids.IDs())
-			ma.Observe(id, capacity, age, now, maxSize)
+			ma.observe(id, capacity, age, now, maxSize)
 			if want != msg.NoPeer && (ma.Has(want) || !slices.Contains(before, want)) {
 				t.Fatalf("step %d: eviction victim should be %d; before %v after %v", step, want, before, ma.ids.IDs())
 			}
@@ -252,12 +252,12 @@ func TestInlineSpillDifferential(t *testing.T) {
 			ref.prune(now, window)
 			ma.prune(now, window)
 		case op < 90:
-			kind, pr := msg.KindNeighNumRequest, pairNeighNum
+			pr := pairNeighNum
 			if rng.Intn(2) == 0 {
-				kind, pr = msg.KindValueRequest, pairValue
+				pr = pairValue
 			}
 			ref.expect(id, pr, now)
-			ma.Expect(id, kind, now)
+			ma.expect(id, pr, now)
 		case op < 94:
 			pr := pendingPair(rng.Intn(2))
 			ref.clear(id, pr)
@@ -390,13 +390,13 @@ func TestMachineCopyIsIndependent(t *testing.T) {
 	p := DefaultParams()
 	a := NewMachine(&p, 0)
 	for id := msg.PeerID(1); id <= spare.Inline; id++ {
-		a.Observe(id, float64(id), 0, 1, 0)
+		a.observe(id, float64(id), 0, 1, 0)
 		a.putLnn(id, lnnReport{lnn: int(id)})
-		a.Expect(id, msg.KindValueRequest, 1)
+		a.expect(id, pairValue, 1)
 	}
 	b := *a
 	a.Drop(1)
-	a.Observe(2, 99, 0, 2, 0)
+	a.observe(2, 99, 0, 2, 0)
 	if b.Size() != spare.Inline || !b.Has(1) || b.PendingRequests() != spare.Inline {
 		t.Fatalf("mutating the original changed the copy: size %d, has(1) %v, pending %d",
 			b.Size(), b.Has(1), b.PendingRequests())

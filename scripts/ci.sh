@@ -32,6 +32,17 @@ lane_test() {
     fi
   done < <(grep -ohE '\b(cmd|examples|internal|results|scripts)/[A-Za-z0-9_/*.-]*[A-Za-z0-9_*]' \
     README.md DESIGN.md EXPERIMENTS.md | sort -u)
+  # Every backticked package-qualified Go name the docs use, such as
+  # `protocol.Exchange` or `overlay.Link.Draw`, must resolve in that
+  # internal package.
+  pkgs=$(basename -a internal/*/ | paste -sd'|' -)
+  while read -r name; do
+    if ! go doc "dlm/internal/${name%%.*}" "${name#*.}" > /dev/null 2>&1; then
+      echo "docs: README/DESIGN/EXPERIMENTS name \`$name\`, which go doc cannot resolve" >&2
+      exit 1
+    fi
+  done < <(grep -ohE "\`($pkgs)\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\`" \
+    README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
   # Every "DESIGN.md §N" in a Go or Markdown file must name a section
   # DESIGN.md has. CHANGES.md and ISSUE.md are exempt: they describe the
   # tree as it was when they were written.
