@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,24 +18,26 @@ import (
 // plane (internal/core on internal/overlay) and the goroutine plane
 // (this package, on a virtual clock in manual mode) — and requires the
 // two decision sequences to be identical: same peers, same times, same
-// μ, Y and l_nn values, same promotions and demotions.
+// μ, Y and l_nn values, same promotions and demotions; and the final
+// topologies to be identical link for link.
 //
-// The scenario is built so that no RNG draw ever happens on the decision
-// path (EvalProbability = 1 and RateLimit = false both skip their
-// Bernoulli draw by the no-draw-at-boundary rule), all times are small
-// integers (exact in float64), and message hand-off granularity matches:
-// the live driver drains every inbox to empty at the start of each tick,
-// which reproduces the simulator's inline (zero-latency) delivery at
-// tick granularity — extrapolated ages agree because both planes infer
-// the same join times.
+// The scenario is built so that no RNG draw ever decides anything. On
+// the decision path, EvalProbability = 1 and RateLimit = false both skip
+// their Bernoulli draw by the no-draw-at-boundary rule. Every link choice
+// has a single candidate: every join happens while peer 1 is the only
+// super, M = KS = 1, and peer 1 (far the largest and oldest) never
+// demotes, so every other super is a promoted leaf whose one link is its
+// super link to peer 1, and every demotion keeps that link and orphans
+// no leaf. All times are small integers (exact in float64), and message
+// hand-off granularity matches: the live side drains every inbox to
+// empty after each join and after each peer's tick, which reproduces the
+// simulator's inline (zero-latency) delivery.
 //
-// Timeline (capacities: id1 = 10 bootstrap super, id2 = 50 leaf, both
-// joining at t = 0):
-//
-//	t=1  id2 evaluates and promotes (l_nn = 1 > k_l = 0.5, μ = ln 2)
-//	t=3  id1 demotes via the empty-G rule (an action without a full
-//	     evaluation: its related set emptied when id2 left the leaf layer)
-//	t=4+ both peers evaluate every tick and hold their roles
+// Timeline: 24 peers join at t = 0, peer 1 bootstrapping the super
+// layer, and 8 more at t = 1. Leaves that saw a long leaf list at peer 1
+// promote; a promoted peer holds no leaves, so the empty-G rule demotes
+// it again, and the kept link re-runs the exchange. One leaf departs at
+// t = 6.
 type decRec struct {
 	id        msg.PeerID
 	now       float64
@@ -71,27 +75,82 @@ func equivParams() protocol.Params {
 	return p
 }
 
-const equivTicks = 8
+const equivTicks = 16
 
-func simDecisions(t *testing.T, seed int64, shards int) []decRec {
+// equivEvent is one scripted membership change, made at the start of tick
+// t (t = 0: before the first tick): a join with capacity cap, or, when cap
+// is 0, the departure of peer leave.
+type equivEvent struct {
+	t     int
+	cap   float64
+	leave msg.PeerID
+}
+
+func equivScript() []equivEvent {
+	script := []equivEvent{{t: 0, cap: 100}}
+	for i := 1; i < 32; i++ {
+		t := 0
+		if i >= 24 {
+			t = 1
+		}
+		script = append(script, equivEvent{t: t, cap: float64(1 + (i*37)%64)})
+	}
+	return append(script, equivEvent{t: 6, leave: 3})
+}
+
+// equivM, equivKS and equivEta are the structure both planes run:
+// M = KS = 1, so a promoted leaf's one link meets its super degree.
+const equivM, equivKS, equivEta = 1, 1, 4
+
+func simDecisions(t *testing.T, seed int64, shards int) ([]decRec, []string) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	eng.SetShards(shards)
 	mgr := core.NewManager(equivParams())
-	n := overlay.New(eng, overlay.Config{M: 1, KS: 3, Eta: 0.5}, mgr)
+	n := overlay.New(eng, overlay.Config{M: equivM, KS: equivKS, Eta: equivEta}, mgr)
 	var recs []decRec
 	mgr.OnDecision = func(p *overlay.Peer, now sim.Time, res protocol.EvalResult) {
 		recs = append(recs, makeRec(p.ID, float64(now), res))
 	}
-	n.Join(10, 1000, nil) // bootstrap super, id 1
-	n.Join(50, 1000, nil) // leaf, id 2
+	script := equivScript()
+	apply := func(tick int) {
+		for _, ev := range script {
+			switch {
+			case ev.t != tick:
+			case ev.cap > 0:
+				n.Join(ev.cap, 1000, nil)
+			case n.Peer(ev.leave).Layer != overlay.LayerLeaf:
+				t.Fatalf("t=%d: scripted departure of %d, a super", tick, ev.leave)
+			default:
+				n.Leave(n.Peer(ev.leave))
+			}
+		}
+	}
+	apply(0)
 	for tick := 1; tick <= equivTicks; tick++ {
-		eng.AfterFunc(sim.Duration(tick), func(*sim.Engine) { n.Tick() })
+		eng.AfterFunc(sim.Duration(tick), func(*sim.Engine) {
+			apply(tick)
+			n.Tick()
+		})
 	}
 	if err := eng.RunUntil(equivTicks + 1); err != nil {
 		t.Fatalf("sim plane: %v", err)
 	}
-	return recs
+	var links []string
+	for id := msg.PeerID(1); id <= n.MaxPeerID(); id++ {
+		if p := n.Peer(id); p != nil {
+			links = append(links, linkRec(id, p.Layer, p.SuperLinks(), p.LeafLinks()))
+		}
+	}
+	return recs, links
+}
+
+// linkRec describes one peer's layer and link sets, order aside.
+func linkRec(id msg.PeerID, l overlay.Layer, supers, leaves []msg.PeerID) string {
+	supers, leaves = slices.Clone(supers), slices.Clone(leaves)
+	slices.Sort(supers)
+	slices.Sort(leaves)
+	return fmt.Sprintf("%d %v supers %v leaves %v", id, l, supers, leaves)
 }
 
 // drainAll delivers queued messages until every inbox is empty, including
@@ -116,39 +175,82 @@ func drainAll(peers []*Peer) {
 	}
 }
 
-func liveDecisions(t *testing.T, seed int64) []decRec {
-	t.Helper()
-	unit := time.Second
-	n := NewNet(Config{M: 1, KS: 3, Eta: 0.5, Params: equivParams(), Unit: unit, Seed: seed})
-	defer n.Stop()
-	// Manual mode: no goroutines; this test is the scheduler and the
-	// clock, so tick times are exact integers like the simulator's.
+// manualNet returns a network in manual mode, with no goroutines, on a
+// virtual clock that setClock moves to t units.
+func manualNet(cfg Config) (n *Net, setClock func(t int)) {
+	cfg.Unit = time.Second
+	n = NewNet(cfg)
 	n.manual = true
 	var elapsed time.Duration
 	base := n.start
 	n.nowFn = func() time.Time { return base.Add(elapsed) }
+	return n, func(t int) { elapsed = time.Duration(t) * cfg.Unit }
+}
+
+// tickAll runs one tick of a manual-mode network: it ticks every present
+// peer in join order and drains every inbox before the first and after
+// each, which reproduces the simulator's inline (zero-latency) delivery.
+func (n *Net) tickAll() {
+	peers := n.present()
+	drainAll(peers)
+	// Join order, mirroring the simulation manager's slot-order lane walk
+	// (slots are assigned in join order here). The sim plane defers
+	// promote/demote commits to the end of its tick while this loop
+	// executes them at once; the scenarios keep the difference
+	// unobservable.
+	for _, p := range peers {
+		p.tick()
+		drainAll(peers)
+	}
+}
+
+// present returns the peers that have not left, in join order.
+func (n *Net) present() []*Peer {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.DeleteFunc(slices.Clone(n.peers), func(p *Peer) bool { return p == nil })
+}
+
+func liveDecisions(t *testing.T, seed int64) ([]decRec, []string) {
+	t.Helper()
+	n, setClock := manualNet(Config{M: equivM, KS: equivKS, Eta: equivEta, Params: equivParams(), Seed: seed})
+	defer n.Stop()
 	var recs []decRec
 	n.onDecision = func(id msg.PeerID, now protocol.Time, res protocol.EvalResult) {
 		recs = append(recs, makeRec(id, float64(now), res))
 	}
-	a := n.Join(10, nil) // bootstrap super, id 1
-	b := n.Join(50, nil) // leaf, id 2
-	peers := []*Peer{a, b}
-	for tick := 1; tick <= equivTicks; tick++ {
-		elapsed = time.Duration(tick) * unit
-		drainAll(peers)
-		// Join order, mirroring the simulation manager's slot-order lane
-		// walk (slots are assigned in join order here). The sim plane
-		// defers promote/demote commits to the end of its tick while this
-		// loop executes them immediately, but the difference is
-		// unobservable: a peer's tick reads only its own state plus
-		// messages drained at the *next* tick, so no peer can see a
-		// same-tick role change of another.
-		for _, p := range peers {
-			p.tick()
+	script := equivScript()
+	apply := func(tick int) {
+		for _, ev := range script {
+			switch {
+			case ev.t != tick:
+			case ev.cap > 0:
+				// The simulator runs a join's exchange inline.
+				n.Join(ev.cap, nil)
+				drainAll(n.present())
+			default:
+				n.Leave(n.peer(ev.leave))
+			}
 		}
 	}
-	return recs
+	apply(0)
+	for tick := 1; tick <= equivTicks; tick++ {
+		setClock(tick)
+		apply(tick)
+		n.tickAll()
+	}
+	return recs, liveLinks(n)
+}
+
+// liveLinks describes every live peer's layer and link sets, by ID.
+func liveLinks(n *Net) []string {
+	var links []string
+	for _, p := range n.peers {
+		if p != nil {
+			links = append(links, linkRec(p.ID, p.Layer(), p.supers.IDs(), p.leaves.IDs()))
+		}
+	}
+	return links
 }
 
 func TestCrossPlaneEquivalence(t *testing.T) {
@@ -168,19 +270,13 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 			// The sim plane runs both serial and lane-parallel (4 workers
 			// over the fixed lanes): the goroutine plane must match the
 			// sharded simulator too, not just the serial one.
-			simRecs := simDecisions(t, tc.seed, 1)
-			shardedRecs := simDecisions(t, tc.seed, 4)
-			liveRecs := liveDecisions(t, tc.seed)
+			simRecs, simLinks := simDecisions(t, tc.seed, 1)
+			shardedRecs, shardedLinks := simDecisions(t, tc.seed, 4)
+			liveRecs, liveLinks := liveDecisions(t, tc.seed)
 
-			if len(simRecs) != len(shardedRecs) {
-				t.Fatalf("decision counts differ across shard counts: serial %d, sharded %d",
-					len(simRecs), len(shardedRecs))
-			}
-			for i := range simRecs {
-				if simRecs[i] != shardedRecs[i] {
-					t.Errorf("decision %d differs across shard counts:\nserial:  %+v\nsharded: %+v",
-						i, simRecs[i], shardedRecs[i])
-				}
+			if !slices.Equal(simRecs, shardedRecs) || !slices.Equal(simLinks, shardedLinks) {
+				t.Fatalf("the sim plane differs across shard counts:\nserial:  %+v\n%v\nsharded: %+v\n%v",
+					simRecs, simLinks, shardedRecs, shardedLinks)
 			}
 			if len(simRecs) != len(liveRecs) {
 				t.Fatalf("decision counts differ: sim %d, live %d\nsim:  %+v\nlive: %+v",
@@ -190,6 +286,9 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 				if simRecs[i] != liveRecs[i] {
 					t.Errorf("decision %d differs:\nsim:  %+v\nlive: %+v", i, simRecs[i], liveRecs[i])
 				}
+			}
+			if !slices.Equal(simLinks, liveLinks) {
+				t.Errorf("final topologies differ:\nsim:  %v\nlive: %v", simLinks, liveLinks)
 			}
 
 			// The scenario must actually exercise both role switches; a

@@ -7,18 +7,18 @@ import (
 	"dlm/internal/msg"
 )
 
-// deliver routes one message to q through cfg.Link — per-message loss,
-// triangular latency jitter, duplication and reordering — drawn by the
-// simulation plane's own Link.Draw, so the same numbers describe the same
-// adversity on both planes. Draw's order holds: loss first (a dropped
+// deliver routes one message to its addressee through cfg.Link —
+// per-message loss, triangular latency jitter, duplication and reordering
+// — drawn by the simulation plane's own Link.Draw, so the same numbers
+// describe the same adversity on both planes. Draw's order holds: loss first (a dropped
 // message draws nothing further), then duplication, then one delay per
 // departing copy, in protocol time units. A perfect link draws nothing and
-// delivers synchronously. Delayed copies ride timer goroutines; a peer
-// that leaves before the timer fires absorbs the copy in deliverNow's
-// liveness check.
-func (n *Net) deliver(q *Peer, m msg.Message) {
+// delivers synchronously. Delayed copies ride timer goroutines and find
+// their addressee when the timer fires, as a delayed delivery does on the
+// simulation plane.
+func (n *Net) deliver(m msg.Message) {
 	if !n.cfg.Link.Active() {
-		n.deliverNow(q, m)
+		n.deliverNow(m)
 		return
 	}
 	n.linkMu.Lock()
@@ -33,11 +33,11 @@ func (n *Net) deliver(q *Peer, m msg.Message) {
 	}
 	for _, d := range delays[:copies] {
 		if d <= 0 {
-			n.deliverNow(q, m)
+			n.deliverNow(m)
 			continue
 		}
 		time.AfterFunc(time.Duration(float64(d)*float64(n.cfg.Unit)), func() {
-			n.deliverNow(q, m)
+			n.deliverNow(m)
 		})
 	}
 }

@@ -1,7 +1,8 @@
 // Package live runs the DLM protocol over real goroutines: every peer is
-// a goroutine with an inbox of encoded protocol messages, links are
-// channel references, and time is wall-clock (one protocol "time unit" is
-// a configurable real duration). It validates the claim that every DLM
+// a goroutine with an inbox of encoded protocol messages, links are the
+// simulator's ordered ID sets, a frame goes to its addressee's inbox by
+// ID, and time is wall-clock (one protocol "time unit" is a configurable
+// real duration). It validates the claim that every DLM
 // decision is computable from peer-local state under true concurrency —
 // each peer drives the same protocol.Machine as the discrete-event
 // simulation plane (a claim the cross-plane equivalence test makes
@@ -13,11 +14,13 @@
 package live
 
 import (
-	"math/rand"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dlm/internal/flatidx"
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
 	"dlm/internal/protocol"
@@ -67,6 +70,12 @@ func (c *Config) defaults() {
 }
 
 // Net is a live peer-to-peer network.
+//
+// Locks: a peer's mutex guards its link sets, machine and RNG; n.mu
+// guards the peer table and the super-layer set and is the innermost
+// lock. A peer may take n.mu while it holds its own mutex, and nothing
+// that holds n.mu takes a peer's mutex. Two peer mutexes are only ever
+// taken together by lockPair.
 type Net struct {
 	cfg Config
 
@@ -75,10 +84,11 @@ type Net struct {
 	start time.Time
 	nowFn func() time.Time
 
-	mu     sync.Mutex
-	peers  map[msg.PeerID]*Peer
-	supers map[msg.PeerID]*Peer
-	nextID msg.PeerID
+	mu sync.Mutex
+	// peers holds every peer by ID (IDs are dense from 1, so peers[0] is
+	// the absent msg.NoPeer); a departed peer's entry is nil.
+	peers  []*Peer
+	supers flatidx.Set // the super layer; like every live set, storeless
 	closed bool
 
 	wg sync.WaitGroup
@@ -87,6 +97,9 @@ type Net struct {
 	droppedKind [msg.NumKinds]atomic.Uint64
 	decodeErrs  atomic.Uint64
 
+	// rng roots the plane's random streams and never draws itself: peer
+	// id draws from rng.StreamN(id), the link model from linkRng.
+	rng *sim.Source
 	// linkRng draws cfg.Link's faults; every sender goroutine shares it,
 	// so linkMu guards it. faultDrops/faultDups tally the draws per kind.
 	linkMu     sync.Mutex
@@ -122,14 +135,26 @@ func NewNet(cfg Config) *Net {
 	if err := cfg.Link.Validate(); err != nil {
 		panic(err)
 	}
+	rng := sim.NewSource(cfg.Seed)
 	return &Net{
 		cfg:     cfg,
 		start:   time.Now(),
 		nowFn:   time.Now,
-		peers:   make(map[msg.PeerID]*Peer),
-		supers:  make(map[msg.PeerID]*Peer),
-		linkRng: sim.NewSource(cfg.Seed ^ 0x6c696e6b), // "link"
+		peers:   []*Peer{nil},
+		rng:     rng,
+		linkRng: rng.Stream("link"),
 	}
+}
+
+// peer returns the live peer with the given ID, or nil: the one lookup
+// every frame, link and neighbor walk goes through.
+func (n *Net) peer(id msg.PeerID) *Peer {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if int(id) < len(n.peers) {
+		return n.peers[id]
+	}
+	return nil
 }
 
 // nowUnits returns the current protocol time: real time elapsed since
@@ -154,12 +179,14 @@ type Peer struct {
 	layer  atomic.Uint32 // an overlay.Layer
 	gone   atomic.Bool
 
+	// mu guards the link sets (ordered, as the simulator's), the machine,
+	// the RNG stream (every draw happens under it) and the search state.
 	mu       sync.Mutex
-	supers   map[msg.PeerID]*Peer
-	leaves   map[msg.PeerID]*Peer
+	supers   flatidx.Set
+	leaves   flatidx.Set
 	mach     *protocol.Machine
 	ep       liveEndpoint
-	rng      *rand.Rand
+	rng      *sim.Source
 	searchSt *searchState
 }
 
@@ -182,26 +209,24 @@ func (n *Net) Join(capacity float64, objects []msg.ObjectID) *Peer {
 		n.mu.Unlock()
 		return nil
 	}
-	n.nextID++
+	id := msg.PeerID(len(n.peers))
 	p := &Peer{
-		ID:       n.nextID,
+		ID:       id,
 		Capacity: capacity,
 		Objects:  objects,
 		net:      n,
 		inbox:    make(chan []byte, n.cfg.InboxSize),
 		quit:     make(chan struct{}),
 		joined:   now,
-		supers:   make(map[msg.PeerID]*Peer),
-		leaves:   make(map[msg.PeerID]*Peer),
 		mach:     protocol.NewMachine(&n.cfg.Params, now),
-		rng:      rand.New(rand.NewSource(n.cfg.Seed ^ int64(n.nextID)*0x9e37)),
+		rng:      n.rng.StreamN(int64(id)),
 	}
 	p.ep = liveEndpoint{p: p}
-	n.peers[p.ID] = p
-	bootstrap := len(n.supers) == 0
+	n.peers = append(n.peers, p)
+	bootstrap := n.supers.Len() == 0
 	if bootstrap {
 		p.layer.Store(uint32(overlay.LayerSuper))
-		n.supers[p.ID] = p
+		n.supers.Append(id, nil)
 	}
 	manual := n.manual
 	n.mu.Unlock()
@@ -222,47 +247,44 @@ func (n *Net) Leave(p *Peer) {
 		return
 	}
 	n.mu.Lock()
-	delete(n.peers, p.ID)
-	delete(n.supers, p.ID)
+	n.peers[p.ID] = nil
+	n.supers.Remove(p.ID)
 	n.mu.Unlock()
 	close(p.quit)
 
 	// Detach from neighbors; their repair loops restore degree.
 	p.mu.Lock()
-	neighbors := make([]*Peer, 0, len(p.supers)+len(p.leaves))
-	for _, q := range p.supers {
-		neighbors = append(neighbors, q)
-	}
-	for _, q := range p.leaves {
-		neighbors = append(neighbors, q)
-	}
-	p.supers = make(map[msg.PeerID]*Peer)
-	p.leaves = make(map[msg.PeerID]*Peer)
+	neighbors := append(slices.Clone(p.supers.IDs()), p.leaves.IDs()...)
+	p.supers.Clear(nil)
+	p.leaves.Clear(nil)
 	p.mu.Unlock()
-	for _, q := range neighbors {
+	for _, id := range neighbors {
+		q := n.peer(id)
+		if q == nil {
+			continue
+		}
 		q.mu.Lock()
-		delete(q.supers, p.ID)
+		q.supers.Remove(p.ID)
 		// A super forgets a departed leaf (G(s) is its current leaves); a
 		// leaf keeps a departed super in G(l) until LeafWindow prunes it.
-		if _, ok := q.leaves[p.ID]; ok {
-			delete(q.leaves, p.ID)
+		if q.leaves.Remove(p.ID) {
 			q.mach.Drop(p.ID)
 		}
 		q.mu.Unlock()
 	}
 }
 
-// Stop terminates every peer and waits for all goroutines.
+// Stop terminates every peer, in join order, and waits for all
+// goroutines.
 func (n *Net) Stop() {
 	n.mu.Lock()
 	n.closed = true
-	peers := make([]*Peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
+	peers := slices.Clone(n.peers)
 	n.mu.Unlock()
 	for _, p := range peers {
-		n.Leave(p)
+		if p != nil {
+			n.Leave(p)
+		}
 	}
 	n.wg.Wait()
 }
@@ -299,62 +321,65 @@ func (n *Net) RequestRetries() uint64 { return n.reqRetries.Load() }
 // requests (retry budget spent without an answer).
 func (n *Net) RequestDrops() uint64 { return n.reqDrops.Load() }
 
-// Summary is a point-in-time view of the live network.
-type Summary struct {
-	NumSupers, NumLeaves    int
-	Ratio                   float64
-	AvgCapSuper, AvgCapLeaf float64
-	AvgAgeSuper, AvgAgeLeaf float64
-}
-
-// Snapshot summarizes both layers.
-func (n *Net) Snapshot() Summary {
+// Snapshot summarizes both layers in the simulator's terms, Time in
+// protocol units; each peer is read under its own mutex.
+func (n *Net) Snapshot() overlay.LayerStats {
+	now := n.nowUnits()
 	n.mu.Lock()
-	peers := make([]*Peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
+	peers := slices.Clone(n.peers)
 	n.mu.Unlock()
-	var s Summary
-	var capS, capL, ageS, ageL float64
+	s := overlay.LayerStats{Time: float64(now)}
 	for _, p := range peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		age, supers, leaves := float64(now-p.joined), float64(p.supers.Len()), float64(p.leaves.Len())
 		if p.Layer() == overlay.LayerSuper {
 			s.NumSupers++
-			capS += p.Capacity
-			ageS += p.AgeUnits()
+			s.AvgCapSuper += p.Capacity
+			s.AvgAgeSuper += age
+			s.AvgLeafDegree += leaves
+			s.AvgSuperDegreeOfSupers += supers
 		} else {
 			s.NumLeaves++
-			capL += p.Capacity
-			ageL += p.AgeUnits()
+			s.AvgCapLeaf += p.Capacity
+			s.AvgAgeLeaf += age
+			s.AvgSuperDegreeOfLeaves += supers
 		}
+		p.mu.Unlock()
 	}
-	if s.NumSupers > 0 {
-		s.Ratio = float64(s.NumLeaves) / float64(s.NumSupers)
-		s.AvgCapSuper = capS / float64(s.NumSupers)
-		s.AvgAgeSuper = ageS / float64(s.NumSupers)
+	s.Ratio = math.Inf(1)
+	if ns := float64(s.NumSupers); ns > 0 {
+		s.Ratio = float64(s.NumLeaves) / ns
+		s.AvgCapSuper /= ns
+		s.AvgAgeSuper /= ns
+		s.AvgLeafDegree /= ns
+		s.AvgSuperDegreeOfSupers /= ns
 	}
-	if s.NumLeaves > 0 {
-		s.AvgCapLeaf = capL / float64(s.NumLeaves)
-		s.AvgAgeLeaf = ageL / float64(s.NumLeaves)
+	if nl := float64(s.NumLeaves); nl > 0 {
+		s.AvgCapLeaf /= nl
+		s.AvgAgeLeaf /= nl
+		s.AvgSuperDegreeOfLeaves /= nl
 	}
 	return s
 }
 
-// randomSuper picks a uniformly random super-peer other than exclude.
-func (n *Net) randomSuper(exclude msg.PeerID, rng *rand.Rand) *Peer {
+// randomSuper picks a uniformly random super-peer other than exclude, or
+// nil. The caller holds its own mutex, which guards rng.
+func (n *Net) randomSuper(exclude msg.PeerID, rng *sim.Source) *Peer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.supers) == 0 {
+	k, skip := n.supers.Len(), n.supers.Index(exclude)
+	if skip >= 0 {
+		k--
+	}
+	if k <= 0 {
 		return nil
 	}
-	ids := make([]*Peer, 0, len(n.supers))
-	for id, p := range n.supers {
-		if id != exclude {
-			ids = append(ids, p)
-		}
+	i := rng.Intn(k)
+	if skip >= 0 && i >= skip {
+		i++
 	}
-	if len(ids) == 0 {
-		return nil
-	}
-	return ids[rng.Intn(len(ids))]
+	return n.peers[n.supers.IDs()[i]]
 }

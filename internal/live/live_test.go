@@ -1,11 +1,14 @@
 package live
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"dlm/internal/msg"
 	"dlm/internal/overlay"
+	"dlm/internal/protocol"
 )
 
 func TestLiveBootstrapAndRoles(t *testing.T) {
@@ -54,7 +57,7 @@ func TestLivePromotionEmergesUnderLoad(t *testing.T) {
 	// With 120 peers and eta=8 the network needs ~13 supers; wait for
 	// promotions to bring the ratio into a sane band.
 	deadline := time.Now().Add(8 * time.Second)
-	var s Summary
+	var s overlay.LayerStats
 	for time.Now().Before(deadline) {
 		s = n.Snapshot()
 		if s.NumSupers >= 8 && s.Ratio > 3 && s.Ratio < 20 {
@@ -235,15 +238,13 @@ func TestLiveIndexFollowsLeaveAndDemote(t *testing.T) {
 	// hosts lists the supers that hold p as a leaf.
 	hosts := func(n *Net, p *Peer) []*Peer {
 		n.mu.Lock()
-		supers := make([]*Peer, 0, len(n.supers))
-		for _, s := range n.supers {
-			supers = append(supers, s)
-		}
+		supers := slices.Clone(n.supers.IDs())
 		n.mu.Unlock()
 		var out []*Peer
-		for _, s := range supers {
+		for _, id := range supers {
+			s := n.peer(id)
 			s.mu.Lock()
-			if _, ok := s.leaves[p.ID]; ok {
+			if s.leaves.Contains(p.ID) {
 				out = append(out, s)
 			}
 			s.mu.Unlock()
@@ -311,31 +312,26 @@ func TestLiveLostLinksFollowGRules(t *testing.T) {
 		}
 		leaf := n.Join(10, nil)
 		for _, q := range peers {
-			if len(leaf.supers) < 2 {
+			if leaf.supers.Len() < 2 {
 				leaf.connect(q)
 			}
 		}
 		drainAll(append(peers, leaf))
-		if len(leaf.supers) != 2 {
-			t.Fatalf("precondition: leaf has %d supers, want 2", len(leaf.supers))
+		if leaf.supers.Len() != 2 {
+			t.Fatalf("precondition: leaf has %d supers, want 2", leaf.supers.Len())
 		}
-		for _, q := range leaf.supers {
-			if !leaf.mach.Has(q.ID) || !q.mach.Has(leaf.ID) {
-				t.Fatalf("precondition: leaf %d and super %d do not know each other", leaf.ID, q.ID)
+		for _, id := range leaf.supers.IDs() {
+			if !leaf.mach.Has(id) || !n.peer(id).mach.Has(leaf.ID) {
+				t.Fatalf("precondition: leaf %d and super %d do not know each other", leaf.ID, id)
 			}
 		}
 		return n, leaf
 	}
-	anySuper := func(leaf *Peer) *Peer {
-		for _, q := range leaf.supers {
-			return q
-		}
-		return nil
-	}
+	anySuper := func(n *Net, leaf *Peer) *Peer { return n.peer(leaf.supers.IDs()[0]) }
 
 	t.Run("super-departs", func(t *testing.T) {
 		n, leaf := build(t)
-		super := anySuper(leaf)
+		super := anySuper(n, leaf)
 		n.Leave(super)
 		if !leaf.mach.Has(super.ID) {
 			t.Fatal("leaf forgot departed super")
@@ -343,7 +339,7 @@ func TestLiveLostLinksFollowGRules(t *testing.T) {
 	})
 	t.Run("super-demoted", func(t *testing.T) {
 		n, leaf := build(t)
-		super := anySuper(leaf)
+		super := anySuper(n, leaf)
 		super.demote(n.nowUnits())
 		if super.Layer() != overlay.LayerLeaf {
 			t.Fatal("demotion refused")
@@ -354,13 +350,10 @@ func TestLiveLostLinksFollowGRules(t *testing.T) {
 	})
 	t.Run("leaf-departs", func(t *testing.T) {
 		n, leaf := build(t)
-		supers := make([]*Peer, 0, len(leaf.supers))
-		for _, q := range leaf.supers {
-			supers = append(supers, q)
-		}
+		supers := slices.Clone(leaf.supers.IDs())
 		n.Leave(leaf)
-		for _, q := range supers {
-			if q.mach.Has(leaf.ID) {
+		for _, id := range supers {
+			if q := n.peer(id); q.mach.Has(leaf.ID) {
 				t.Fatalf("super %d kept departed leaf", q.ID)
 			}
 		}
@@ -388,5 +381,58 @@ func TestLiveAgeUnits(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if a := p.AgeUnits(); a < 3 || a > 30 {
 		t.Fatalf("age %v units after ~5 units of wall time", a)
+	}
+}
+
+// TestLiveJoinReachesM checks that a leaf joining a three-super layer
+// links to M = 2 of them for every seed: the join draws with the
+// simulator's budget (overlay.RepairAttempts) and a draw that hits a
+// super already linked costs an attempt, not the join's degree.
+func TestLiveJoinReachesM(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		n, _ := manualNet(Config{M: 2, KS: 3, Eta: 5, Seed: seed})
+		n.Join(100, nil)
+		for _, c := range []float64{90, 80} {
+			n.Join(c, nil).promote(n.nowUnits())
+		}
+		if leaf := n.Join(10, nil); leaf.supers.Len() != 2 {
+			t.Errorf("seed %d: the joining leaf linked to %d supers, want M = 2", seed, leaf.supers.Len())
+		}
+		n.Stop()
+	}
+}
+
+// TestLiveReproducible runs the same 60-peer manual-mode network twice
+// from one seed, with default Params (every draw on) for 200 ticks, and
+// requires the same layer switches at the same times and the same final
+// link sets.
+func TestLiveReproducible(t *testing.T) {
+	run := func() (switches []string, links []string) {
+		n, setClock := manualNet(Config{Seed: 11})
+		defer n.Stop()
+		n.onDecision = func(id msg.PeerID, now protocol.Time, res protocol.EvalResult) {
+			if res.Action != protocol.ActionNone {
+				switches = append(switches, fmt.Sprintf("t=%v %d %v", now, id, res.Action))
+			}
+		}
+		for i := range 60 {
+			n.Join(float64(1+(i*37)%100), nil)
+		}
+		for tick := 1; tick <= 200; tick++ {
+			setClock(tick)
+			n.tickAll()
+		}
+		return switches, liveLinks(n)
+	}
+	switchesA, linksA := run()
+	switchesB, linksB := run()
+	if len(switchesA) < 100 {
+		t.Fatalf("%d layer switches, want >= 100 for a meaningful comparison", len(switchesA))
+	}
+	if !slices.Equal(switchesA, switchesB) {
+		t.Fatalf("same-seed runs made different layer switches:\n%v\n%v", switchesA, switchesB)
+	}
+	if !slices.Equal(linksA, linksB) {
+		t.Fatalf("same-seed runs ended with different links:\n%v\n%v", linksA, linksB)
 	}
 }

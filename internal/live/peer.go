@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"time"
 
 	"dlm/internal/msg"
@@ -9,26 +10,22 @@ import (
 )
 
 // liveEndpoint binds a peer's protocol.Machine to the channel transport.
-// The machine invokes it while the owning peer's mutex is held: Send
-// resolves the target from the link maps (already guarded) and enqueues
-// on the target's channel without taking any other peer's lock, so no
-// lock-ordering hazard arises.
+// The machine invokes it while the owning peer's mutex is held; Send
+// takes only n.mu, the innermost lock.
 type liveEndpoint struct{ p *Peer }
 
 // Send implements protocol.Endpoint; callers hold p.mu.
-func (ep *liveEndpoint) Send(m msg.Message) {
-	ep.p.net.deliver(ep.p.peerRef(m.To), m)
-}
+func (ep *liveEndpoint) Send(m msg.Message) { ep.p.net.deliver(m) }
 
 // IsLeafNeighbor implements protocol.Endpoint; callers hold p.mu.
-func (ep *liveEndpoint) IsLeafNeighbor(id msg.PeerID) bool {
-	_, ok := ep.p.leaves[id]
-	return ok
-}
+func (ep *liveEndpoint) IsLeafNeighbor(id msg.PeerID) bool { return ep.p.leaves.Contains(id) }
 
-// deliverNow encodes m and enqueues it on q's inbox, dropping on overflow
-// (the live plane is lossy, like the UDP paths real overlays use).
-func (n *Net) deliverNow(q *Peer, m msg.Message) {
+// deliverNow encodes m and enqueues it on its addressee's inbox, as the
+// simulator delivers by ID: a frame to a peer that has left is lost, and
+// a full inbox drops (the live plane is lossy, like the UDP paths real
+// overlays use).
+func (n *Net) deliverNow(m msg.Message) {
+	q := n.peer(m.To)
 	if q == nil || q.gone.Load() {
 		return
 	}
@@ -39,11 +36,6 @@ func (n *Net) deliverNow(q *Peer, m msg.Message) {
 	default:
 		n.droppedKind[m.Kind].Add(1)
 	}
-}
-
-// send delivers m to q on p's behalf; the search plane uses it directly.
-func (p *Peer) send(q *Peer, m msg.Message) {
-	p.net.deliver(q, m)
 }
 
 // run is the peer's goroutine: it consumes protocol messages and runs one
@@ -97,92 +89,83 @@ func (p *Peer) selfLocked(now protocol.Time) protocol.Self {
 		Capacity:   p.Capacity,
 		Age:        float64(now - p.joined),
 		IsSuper:    p.Layer() == overlay.LayerSuper,
-		LeafDegree: len(p.leaves),
+		LeafDegree: p.leaves.Len(),
 	}
-}
-
-// peerRef resolves a neighbor reference from either link map; callers
-// hold p.mu.
-func (p *Peer) peerRef(id msg.PeerID) *Peer {
-	if q, ok := p.supers[id]; ok {
-		return q
-	}
-	return p.leaves[id]
 }
 
 // tick is one maintenance round: link repair, the periodic information
 // refresh, the super-layer l_nn smoothing pass, then a staggered DLM
-// evaluation.
+// evaluation whose layer switch it executes.
 func (p *Peer) tick() {
 	if p.gone.Load() {
 		return
 	}
 	p.repairLinks()
+	cfg := &p.net.cfg
 	now := p.net.nowUnits()
-	p.refresh(now)
 	p.mu.Lock()
 	if p.Layer() == overlay.LayerSuper {
 		// The sim engine advances every super's l_nn EWMA once per tick on
 		// top of the advance inside Evaluate; mirror that here so both
 		// planes trace identical smoothed sequences.
-		p.mach.SmoothLnn(float64(len(p.leaves)))
+		p.mach.SmoothLnn(float64(p.leaves.Len()))
+	} else if p.mach.RefreshDue(now) {
+		// μ tracks the network, not the state at connection time.
+		for _, id := range p.supers.IDs() {
+			p.mach.Refresh(p.ID, id, now, &p.ep)
+		}
 	}
-	// Retry or abandon Phase 1 requests whose deadline passed; the
-	// endpoint resolves targets from the link maps under the same lock,
-	// so a retry toward a vanished neighbor is silently absorbed.
+	// Retry or abandon Phase 1 requests whose deadline passed.
 	if p.mach.PendingRequests() > 0 {
 		r, d := p.mach.ExpirePending(p.selfLocked(now), now, &p.ep)
-		if r > 0 {
-			p.net.reqRetries.Add(uint64(r))
-		}
-		if d > 0 {
-			p.net.reqDrops.Add(uint64(d))
-		}
+		p.net.reqRetries.Add(uint64(r))
+		p.net.reqDrops.Add(uint64(d))
+	}
+	var res protocol.EvalResult
+	if protocol.Bernoulli(p.rng, cfg.Params.EvalProbability) {
+		res = p.mach.Evaluate(p.selfLocked(now), now, float64(cfg.M)*cfg.Eta, cfg.Eta, p.rng)
 	}
 	p.mu.Unlock()
-	if !protocol.Bernoulli(p.rng, p.net.cfg.Params.EvalProbability) {
-		return
-	}
-	p.evaluate(now)
-}
 
-// refresh re-requests l_nn and values from a leaf's current supers every
-// RefreshInterval units, so μ tracks the network instead of the state at
-// connection time.
-func (p *Peer) refresh(now protocol.Time) {
-	if p.Layer() != overlay.LayerLeaf {
-		return
+	if hook := p.net.onDecision; hook != nil && (res.Evaluated || res.Action != protocol.ActionNone) {
+		hook(p.ID, now, res)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.mach.RefreshDue(now) {
-		return
-	}
-	for _, q := range p.supers {
-		p.mach.Refresh(p.ID, q.ID, now, &p.ep)
+	switch res.Action {
+	case protocol.ActionPromote:
+		p.promote(now)
+	case protocol.ActionDemote:
+		p.demote(now)
 	}
 }
 
-// repairLinks restores the peer's super-degree target and triggers the
-// event-driven information exchange on each new link.
+// repairLinks restores the peer's super-degree target with the
+// simulator's budget and rule: a draw that hits a super already linked
+// uses up an attempt. Each new link runs the event-driven exchange.
 func (p *Peer) repairLinks() {
-	want := p.net.cfg.M
-	if p.Layer() == overlay.LayerSuper {
-		want = p.net.cfg.KS
-	}
-	for i := 0; i < 2*want; i++ {
+	for range overlay.RepairAttempts(p.wantDegree()) {
 		p.mu.Lock()
-		deficit := want - len(p.supers)
-		p.mu.Unlock()
-		if deficit <= 0 {
-			return
+		var q *Peer
+		if p.supers.Len() < p.wantDegree() {
+			q = p.net.randomSuper(p.ID, p.rng)
 		}
-		q := p.net.randomSuper(p.ID, p.rng)
+		linked := q != nil && p.supers.Contains(q.ID)
+		p.mu.Unlock()
 		if q == nil {
 			return
 		}
-		p.connect(q)
+		if !linked {
+			p.connect(q)
+		}
 	}
+}
+
+// wantDegree returns the peer's super-degree target: M for a leaf, KS for
+// a super.
+func (p *Peer) wantDegree() int {
+	if p.Layer() == overlay.LayerSuper {
+		return p.net.cfg.KS
+	}
+	return p.net.cfg.M
 }
 
 // lockPair takes both peers' locks, lower ID first: the one lock order
@@ -204,137 +187,111 @@ func unlockPair(p, q *Peer) {
 // connect links p to the super-peer q (idempotent) and, when p is a leaf,
 // runs the Phase 1 exchange under both locks.
 func (p *Peer) connect(q *Peer) {
-	if q == nil || q.ID == p.ID || q.gone.Load() || p.gone.Load() {
+	if q.ID == p.ID || q.gone.Load() || p.gone.Load() {
 		return
 	}
 	lockPair(p, q)
 	defer unlockPair(p, q)
-	if q.Layer() != overlay.LayerSuper {
+	if q.Layer() != overlay.LayerSuper || p.supers.Contains(q.ID) {
 		return
 	}
-	if _, dup := p.supers[q.ID]; dup {
-		return
-	}
-	p.supers[q.ID] = q
+	p.supers.Append(q.ID, nil)
 	if p.Layer() == overlay.LayerSuper {
-		q.supers[p.ID] = p
+		q.supers.Append(p.ID, nil)
 		return
 	}
-	q.leaves[p.ID] = p
+	q.leaves.Append(p.ID, nil)
 	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, p.net.nowUnits())
-}
-
-// evaluate runs DLM Phases 2-4 through the peer's machine and executes
-// whatever layer switch it requests.
-func (p *Peer) evaluate(now protocol.Time) {
-	cfg := &p.net.cfg
-	kl := float64(cfg.M) * cfg.Eta
-
-	p.mu.Lock()
-	res := p.mach.Evaluate(p.selfLocked(now), now, kl, cfg.Eta, p.rng)
-	p.mu.Unlock()
-
-	if hook := p.net.onDecision; hook != nil && (res.Evaluated || res.Action != protocol.ActionNone) {
-		hook(p.ID, now, res)
-	}
-	switch res.Action {
-	case protocol.ActionPromote:
-		p.promote(now)
-	case protocol.ActionDemote:
-		p.demote(now)
-	}
 }
 
 // promote moves the peer to the super-layer: its super links persist as
 // super-super links (paper Figure 2) and its DLM state resets.
 func (p *Peer) promote(now protocol.Time) {
 	n := p.net
+	p.mu.Lock()
 	n.mu.Lock()
-	if n.closed || p.gone.Load() {
-		n.mu.Unlock()
+	ok := !n.closed && !p.gone.Load() && !n.supers.Contains(p.ID)
+	if ok {
+		n.supers.Append(p.ID, nil)
+	}
+	n.mu.Unlock()
+	if !ok {
+		p.mu.Unlock()
 		return
 	}
-	n.supers[p.ID] = p
-	n.mu.Unlock()
-
-	p.mu.Lock()
 	p.layer.Store(uint32(overlay.LayerSuper))
 	p.mach.Reset(now)
 	p.searchSt = nil // a fresh flood ring for the new layer
-	neighbors := make([]*Peer, 0, len(p.supers))
-	for _, q := range p.supers {
-		neighbors = append(neighbors, q)
-	}
+	links := slices.Clone(p.supers.IDs())
 	p.mu.Unlock()
 
-	for _, q := range neighbors {
-		q.mu.Lock()
-		if _, ok := q.leaves[p.ID]; ok {
-			delete(q.leaves, p.ID)
-			q.supers[p.ID] = p
+	for _, id := range links {
+		if q := n.peer(id); q != nil {
+			q.mu.Lock()
+			if q.leaves.Remove(p.ID) {
+				q.supers.Append(p.ID, nil)
+			}
+			q.mach.Drop(p.ID)
+			q.mu.Unlock()
 		}
-		q.mach.Drop(p.ID)
-		q.mu.Unlock()
 	}
 }
 
-// demote moves the peer to the leaf-layer: it keeps at most M super
-// links, drops its leaves (each repairs itself with one replacement
-// connection — the PAO), and resets its DLM state.
+// demote moves the peer to the leaf-layer by the simulator's rule
+// (overlay.KeepOnDemotion): it keeps M uniformly drawn super links, cuts
+// the rest, orphans its leaves and resets its DLM state. An orphan
+// replaces the link on its next tick, as the simulator does under
+// overlay.Config.DeferredReconnect.
 func (p *Peer) demote(now protocol.Time) {
 	n := p.net
-	n.mu.Lock()
-	if len(n.supers) <= 1 || p.gone.Load() {
-		n.mu.Unlock()
-		return // never demote the last super-peer
-	}
-	delete(n.supers, p.ID)
-	n.mu.Unlock()
-
 	p.mu.Lock()
+	n.mu.Lock()
+	// Never demote the last super-peer.
+	ok := n.supers.Len() > 1 && !p.gone.Load() && n.supers.Remove(p.ID)
+	n.mu.Unlock()
+	if !ok {
+		p.mu.Unlock()
+		return
+	}
 	p.layer.Store(uint32(overlay.LayerLeaf))
 	p.mach.Reset(now)
 	p.searchSt = nil // a fresh flood ring for the new layer
-	kept := make([]*Peer, 0, n.cfg.M)
-	cut := make([]*Peer, 0, len(p.supers))
-	for _, q := range p.supers {
-		if len(kept) < n.cfg.M {
-			kept = append(kept, q)
-		} else {
-			cut = append(cut, q)
-		}
+	links := slices.Clone(p.supers.IDs())
+	keep := overlay.KeepOnDemotion(links, n.cfg.M, p.rng)
+	for _, id := range links[keep:] {
+		p.supers.Remove(id)
 	}
-	orphans := make([]*Peer, 0, len(p.leaves))
-	for _, q := range p.leaves {
-		orphans = append(orphans, q)
-	}
-	p.supers = make(map[msg.PeerID]*Peer, len(kept))
-	for _, q := range kept {
-		p.supers[q.ID] = q
-	}
-	p.leaves = make(map[msg.PeerID]*Peer)
+	orphans := slices.Clone(p.leaves.IDs())
+	p.leaves.Clear(nil)
 	p.mu.Unlock()
 
-	for _, q := range kept {
+	for i, id := range links {
+		q := n.peer(id)
+		if q == nil {
+			continue
+		}
+		if i >= keep {
+			q.mu.Lock()
+			q.supers.Remove(p.ID)
+			q.mu.Unlock()
+			continue
+		}
 		// The kept link is logically a fresh leaf-super connection: re-run
 		// the event-driven exchange on it.
 		lockPair(p, q)
-		delete(q.supers, p.ID)
-		q.leaves[p.ID] = p
-		protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, now)
+		if q.supers.Remove(p.ID) {
+			q.leaves.Append(p.ID, nil)
+			protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, now)
+		}
 		unlockPair(p, q)
 	}
-	for _, q := range cut {
-		q.mu.Lock()
-		delete(q.supers, p.ID)
-		delete(q.leaves, p.ID)
-		q.mu.Unlock()
-	}
-	for _, q := range orphans {
+	for _, id := range orphans {
 		// The orphan keeps p in G(l), as every leaf keeps the supers it
-		// contacted; its own repair restores its degree on its next tick.
-		q.mu.Lock()
-		delete(q.supers, p.ID)
-		q.mu.Unlock()
+		// contacted.
+		if q := n.peer(id); q != nil {
+			q.mu.Lock()
+			q.supers.Remove(p.ID)
+			q.mu.Unlock()
+		}
 	}
 }

@@ -37,8 +37,8 @@ func (p *Peer) holds(obj msg.ObjectID) bool {
 	if slices.Contains(p.Objects, obj) {
 		return true
 	}
-	for _, q := range p.leaves {
-		if slices.Contains(q.Objects, obj) {
+	for _, id := range p.leaves.IDs() {
+		if q := p.net.peer(id); q != nil && slices.Contains(q.Objects, obj) {
 			return true
 		}
 	}
@@ -90,14 +90,10 @@ func (n *Net) Query(p *Peer, obj msg.ObjectID, ttl uint8, timeout time.Duration)
 			pq.hits.Add(1)
 		}
 	}
-	targets := make([]*Peer, 0, len(p.supers))
-	for _, q := range p.supers {
-		targets = append(targets, q)
+	for _, id := range p.supers.IDs() {
+		n.deliver(msg.NewQuery(p.ID, id, qid, obj, ttl))
 	}
 	p.mu.Unlock()
-	for _, q := range targets {
-		p.send(q, msg.NewQuery(p.ID, q.ID, qid, obj, ttl))
-	}
 
 	time.Sleep(timeout)
 	hits := int(pq.hits.Load())
@@ -107,60 +103,37 @@ func (n *Net) Query(p *Peer, obj msg.ObjectID, ttl uint8, timeout time.Duration)
 // handleSearch processes the search-plane message kinds; it is called
 // from the peer goroutine (see handle).
 func (p *Peer) handleSearch(m *msg.Message) {
-	switch m.Kind {
-	case msg.KindQuery:
-		if p.Layer() != overlay.LayerSuper {
-			return
-		}
-		p.mu.Lock()
-		if !p.search().markSeen(m.Query, m.From) {
-			p.mu.Unlock()
-			return
-		}
-		hit := p.holds(m.Object)
-		var targets []*Peer
-		if m.TTL > 1 {
-			targets = make([]*Peer, 0, len(p.supers))
-			for _, q := range p.supers {
-				if q.ID != m.From {
-					targets = append(targets, q)
-				}
-			}
-		}
-		from := p.peerRef(m.From)
-		p.mu.Unlock()
-
-		if hit {
-			if from != nil {
-				p.send(from, msg.NewQueryHit(p.ID, m.From, m.Query, m.Object, p.ID, m.Hops))
-			} else {
-				// The querier is not a direct neighbor only when the
-				// query originated here; count locally.
-				p.net.recordHit(m.Query)
-			}
-		}
-		for _, q := range targets {
-			fwd := msg.NewQuery(p.ID, q.ID, m.Query, m.Object, m.TTL-1)
-			fwd.Hops = m.Hops + 1
-			p.send(q, fwd)
-		}
-
-	case msg.KindQueryHit:
-		// Either this peer issued the query (deliver) or it sits on the
-		// inverse path (forward to its recorded parent).
-		if _, ok := p.net.pending.Load(m.Query); ok {
-			p.net.recordHit(m.Query)
-			return
-		}
-		p.mu.Lock()
-		var parent msg.PeerID
+	n := p.net
+	if _, ok := n.pending.Load(m.Query); ok && m.Kind == msg.KindQueryHit {
+		n.recordHit(m.Query) // this peer issued the query
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if m.Kind == msg.KindQueryHit {
+		// This peer sits on the inverse path: forward to its recorded
+		// parent.
 		if p.searchSt != nil {
-			parent = p.searchSt.seen[m.Query]
+			if parent := p.searchSt.seen[m.Query]; parent != msg.NoPeer {
+				n.deliver(msg.NewQueryHit(p.ID, parent, m.Query, m.Object, m.Provider, m.Hops))
+			}
 		}
-		next := p.peerRef(parent)
-		p.mu.Unlock()
-		if next != nil {
-			p.send(next, msg.NewQueryHit(p.ID, parent, m.Query, m.Object, m.Provider, m.Hops))
+		return
+	}
+	if p.Layer() != overlay.LayerSuper || !p.search().markSeen(m.Query, m.From) {
+		return
+	}
+	if p.holds(m.Object) {
+		n.deliver(msg.NewQueryHit(p.ID, m.From, m.Query, m.Object, p.ID, m.Hops))
+	}
+	if m.TTL <= 1 {
+		return
+	}
+	for _, id := range p.supers.IDs() {
+		if id != m.From {
+			fwd := msg.NewQuery(p.ID, id, m.Query, m.Object, m.TTL-1)
+			fwd.Hops = m.Hops + 1
+			n.deliver(fwd)
 		}
 	}
 }

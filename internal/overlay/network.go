@@ -656,10 +656,10 @@ func (n *Network) Demote(p *Peer) bool {
 	// re-classify p as a leaf on their side.
 	links := append(n.linkScratch[:0], p.superLinks.IDs()...)
 	n.linkScratch = links
-	n.rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	keep := KeepOnDemotion(links, n.cfg.M, n.rng)
 	for i, id := range links {
 		q := n.store.get(id)
-		if i < n.cfg.M {
+		if i < keep {
 			q.superLinks.Remove(p.ID)
 			n.agg.superLinkDelta(q, -1)
 			q.leafLinks.Append(p.ID, &n.spares)
@@ -692,6 +692,15 @@ func (n *Network) Demote(p *Peer) bool {
 	}
 	n.mgr.OnLayerChange(n, p, old)
 	return true
+}
+
+// KeepOnDemotion is the kept-link rule of a demotion (paper Figure 3),
+// shared by both planes: it shuffles a demoted super's super links with r
+// and returns how many of the leading ones stay, as leaf-to-super links:
+// min(m, len(links)). The rest are cut.
+func KeepOnDemotion(links []msg.PeerID, m int, r *sim.Source) int {
+	r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	return min(m, len(links))
 }
 
 // Connect creates a link between p and q (order irrelevant). It reports
@@ -777,6 +786,11 @@ func (n *Network) unlink(p, q *Peer) {
 // Disconnect tears down the p<->q link if present.
 func (n *Network) Disconnect(p, q *Peer) { n.unlink(p, q) }
 
+// RepairAttempts is the draw budget, shared by both planes, of raising a
+// peer's super-degree toward want: each draw picks a uniformly random
+// super, and one that is the peer itself or already linked uses up a draw.
+func RepairAttempts(want int) int { return 8 * (want + 1) }
+
 // connectToRandomSupers raises p's super-degree toward want by linking to
 // uniformly random super-peers (excluding p itself, existing neighbors,
 // the optional avoid peer, and supers at their leaf-degree cap when p is a
@@ -784,7 +798,7 @@ func (n *Network) Disconnect(p, q *Peer) { n.unlink(p, q) }
 func (n *Network) connectToRandomSupers(p *Peer, want int, avoid *Peer) int {
 	created := 0
 	attempts := 0
-	maxAttempts := 8 * (want + 1)
+	maxAttempts := RepairAttempts(want)
 	for p.SuperDegree() < want && attempts < maxAttempts {
 		attempts++
 		id, ok := n.supers.Random(n.rng)
