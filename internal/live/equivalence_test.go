@@ -28,10 +28,12 @@ import (
 // super, M = KS = 1, and peer 1 (far the largest and oldest) never
 // demotes, so every other super is a promoted leaf whose one link is its
 // super link to peer 1, and every demotion keeps that link and orphans
-// no leaf. All times are small integers (exact in float64), and message
-// hand-off granularity matches: the live side drains every inbox to
-// empty after each join and after each peer's tick, which reproduces the
-// simulator's inline (zero-latency) delivery.
+// no leaf. The refresh clock and the leaf window draw nothing either, so
+// leaves refresh and prune on both planes. All times are small integers
+// (exact in float64), and message hand-off granularity matches: the live
+// side drains every inbox to empty after each join and after each peer's
+// collect and decide half, which reproduces the simulator's inline
+// (zero-latency) delivery.
 //
 // Timeline: 24 peers join at t = 0, peer 1 bootstrapping the super
 // layer, and 8 more at t = 1. Leaves that saw a long leaf list at peer 1
@@ -62,20 +64,27 @@ func makeRec(id msg.PeerID, now float64, res protocol.EvalResult) decRec {
 	}
 }
 
-func equivParams() protocol.Params {
+// equivParams returns the scenario's parameters with leaf window w.
+// Refresh and pruning draw nothing, so both stay on: leaves refresh every
+// 4 units, and a window of 6 keeps a refreshed super in G(l) through the
+// l_nn re-stamp while a window of 2 prunes it between rounds, so the next
+// round asks for its values again.
+func equivParams(w protocol.Duration) protocol.Params {
 	p := protocol.DefaultParams()
 	p.EvalProbability = 1 // every peer evaluates every tick, no draw
 	p.RateLimit = false   // eligible switches always execute, no draw
-	p.RefreshInterval = 0
+	p.RefreshInterval = 4
 	p.LnnSmoothing = 0
 	p.DecisionCooldown = 1
 	p.DemotionCooldown = 3
 	p.EmptyGDemoteAfter = 3
-	p.LeafWindow = 0
+	p.LeafWindow = w
 	return p
 }
 
-const equivTicks = 16
+// equivTicks runs refresh rounds at t = 4, 8, …, 24, all after the last
+// join at t = 1.
+const equivTicks = 24
 
 // equivEvent is one scripted membership change, made at the start of tick
 // t (t = 0: before the first tick): a join with capacity cap, or, when cap
@@ -102,11 +111,11 @@ func equivScript() []equivEvent {
 // M = KS = 1, so a promoted leaf's one link meets its super degree.
 const equivM, equivKS, equivEta = 1, 1, 4
 
-func simDecisions(t *testing.T, seed int64, shards int) ([]decRec, []string) {
+func simDecisions(t *testing.T, p protocol.Params, seed int64, shards int) ([]decRec, []string) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	eng.SetShards(shards)
-	mgr := core.NewManager(equivParams())
+	mgr := core.NewManager(p)
 	n := overlay.New(eng, overlay.Config{M: equivM, KS: equivKS, Eta: equivEta}, mgr)
 	var recs []decRec
 	mgr.OnDecision = func(p *overlay.Peer, now sim.Time, res protocol.EvalResult) {
@@ -187,9 +196,11 @@ func manualNet(cfg Config) (n *Net, setClock func(t int)) {
 	return n, func(t int) { elapsed = time.Duration(t) * cfg.Unit }
 }
 
-// tickAll runs one tick of a manual-mode network: it ticks every present
-// peer in join order and drains every inbox before the first and after
-// each, which reproduces the simulator's inline (zero-latency) delivery.
+// tickAll runs one tick of a manual-mode network in the simulator's
+// phases: every present peer's collect half, then every peer's decide
+// half, each in join order, draining every inbox before the first call
+// and after each, which reproduces the simulator's inline (zero-latency)
+// delivery — a refresh is answered before any peer of the tick decides.
 func (n *Net) tickAll() {
 	peers := n.present()
 	drainAll(peers)
@@ -198,9 +209,11 @@ func (n *Net) tickAll() {
 	// promote/demote commits to the end of its tick while this loop
 	// executes them at once; the scenarios keep the difference
 	// unobservable.
-	for _, p := range peers {
-		p.tick()
-		drainAll(peers)
+	for _, half := range []func(*Peer){(*Peer).collect, (*Peer).decide} {
+		for _, p := range peers {
+			half(p)
+			drainAll(peers)
+		}
 	}
 }
 
@@ -211,11 +224,11 @@ func (n *Net) present() []*Peer {
 	return slices.DeleteFunc(slices.Clone(n.peers), func(p *Peer) bool { return p == nil })
 }
 
-func liveDecisions(t *testing.T, seed int64) ([]decRec, []string) {
+// liveDecisions also returns the NeighNum and Value requests delivered.
+func liveDecisions(t *testing.T, p protocol.Params, seed int64) (recs []decRec, links []string, nn, vals uint64) {
 	t.Helper()
-	n, setClock := manualNet(Config{M: equivM, KS: equivKS, Eta: equivEta, Params: equivParams(), Seed: seed})
+	n, setClock := manualNet(Config{M: equivM, KS: equivKS, Eta: equivEta, Params: p, Seed: seed})
 	defer n.Stop()
-	var recs []decRec
 	n.onDecision = func(id msg.PeerID, now protocol.Time, res protocol.EvalResult) {
 		recs = append(recs, makeRec(id, float64(now), res))
 	}
@@ -239,7 +252,7 @@ func liveDecisions(t *testing.T, seed int64) ([]decRec, []string) {
 		apply(tick)
 		n.tickAll()
 	}
-	return recs, liveLinks(n)
+	return recs, liveLinks(n), n.Messages(msg.KindNeighNumRequest), n.Messages(msg.KindValueRequest)
 }
 
 // liveLinks describes every live peer's layer and link sets, by ID.
@@ -255,57 +268,63 @@ func liveLinks(n *Net) []string {
 
 func TestCrossPlaneEquivalence(t *testing.T) {
 	// The decision path is draw-free by construction, so the trace must
-	// agree for every seed.
-	tests := []struct {
-		name string
-		seed int64
-	}{
-		{name: "seed7", seed: 7},
-		{name: "seed21", seed: 21},
-		{name: "seed99", seed: 99},
-	}
-	for _, tc := range tests {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			// The sim plane runs both serial and lane-parallel (4 workers
-			// over the fixed lanes): the goroutine plane must match the
-			// sharded simulator too, not just the serial one.
-			simRecs, simLinks := simDecisions(t, tc.seed, 1)
-			shardedRecs, shardedLinks := simDecisions(t, tc.seed, 4)
-			liveRecs, liveLinks := liveDecisions(t, tc.seed)
-
-			if !slices.Equal(simRecs, shardedRecs) || !slices.Equal(simLinks, shardedLinks) {
-				t.Fatalf("the sim plane differs across shard counts:\nserial:  %+v\n%v\nsharded: %+v\n%v",
-					simRecs, simLinks, shardedRecs, shardedLinks)
-			}
-			if len(simRecs) != len(liveRecs) {
-				t.Fatalf("decision counts differ: sim %d, live %d\nsim:  %+v\nlive: %+v",
-					len(simRecs), len(liveRecs), simRecs, liveRecs)
-			}
-			for i := range simRecs {
-				if simRecs[i] != liveRecs[i] {
-					t.Errorf("decision %d differs:\nsim:  %+v\nlive: %+v", i, simRecs[i], liveRecs[i])
-				}
-			}
-			if !slices.Equal(simLinks, liveLinks) {
-				t.Errorf("final topologies differ:\nsim:  %v\nlive: %v", simLinks, liveLinks)
-			}
-
-			// The scenario must actually exercise both role switches; a
-			// silently empty trace would make the equality above vacuous.
-			var promotions, demotions int
-			for _, r := range simRecs {
-				switch r.action {
-				case protocol.ActionPromote:
-					promotions++
-				case protocol.ActionDemote:
-					demotions++
-				}
-			}
-			if promotions == 0 || demotions == 0 {
-				t.Fatalf("scenario exercised %d promotions and %d demotions, want >= 1 of each:\n%+v",
-					promotions, demotions, simRecs)
+	// agree for every seed and window.
+	for _, seed := range []int64{7, 21, 99} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for _, w := range []protocol.Duration{6, 2} {
+				t.Run(fmt.Sprintf("window%v", w), func(t *testing.T) {
+					checkEquivalence(t, equivParams(w), seed)
+				})
 			}
 		})
+	}
+}
+
+// checkEquivalence runs the scenario on both planes with p and seed and
+// compares the decision traces and final topologies.
+func checkEquivalence(t *testing.T, p protocol.Params, seed int64) {
+	// The sim plane runs both serial and lane-parallel (4 workers over the
+	// fixed lanes): the goroutine plane must match the sharded simulator
+	// too, not just the serial one.
+	simRecs, simLinks := simDecisions(t, p, seed, 1)
+	shardedRecs, shardedLinks := simDecisions(t, p, seed, 4)
+	liveRecs, liveLinks, nn, vals := liveDecisions(t, p, seed)
+
+	if !slices.Equal(simRecs, shardedRecs) || !slices.Equal(simLinks, shardedLinks) {
+		t.Fatalf("the sim plane differs across shard counts:\nserial:  %+v\n%v\nsharded: %+v\n%v",
+			simRecs, simLinks, shardedRecs, shardedLinks)
+	}
+	if len(simRecs) != len(liveRecs) {
+		t.Fatalf("decision counts differ: sim %d, live %d\nsim:  %+v\nlive: %+v",
+			len(simRecs), len(liveRecs), simRecs, liveRecs)
+	}
+	for i := range simRecs {
+		if simRecs[i] != liveRecs[i] {
+			t.Errorf("decision %d differs:\nsim:  %+v\nlive: %+v", i, simRecs[i], liveRecs[i])
+		}
+	}
+	if !slices.Equal(simLinks, liveLinks) {
+		t.Errorf("final topologies differ:\nsim:  %v\nlive: %v", simLinks, liveLinks)
+	}
+
+	// The scenario must actually exercise both role switches and refresh;
+	// a silently empty trace would make the equality above vacuous.
+	var promotions, demotions int
+	for _, r := range simRecs {
+		switch r.action {
+		case protocol.ActionPromote:
+			promotions++
+		case protocol.ActionDemote:
+			demotions++
+		}
+	}
+	if promotions == 0 || demotions == 0 {
+		t.Fatalf("scenario exercised %d promotions and %d demotions, want >= 1 of each:\n%+v",
+			promotions, demotions, simRecs)
+	}
+	// An exchange sends one NeighNum and two Value requests, a refresh one
+	// NeighNum request and at most one Value request.
+	if 2*nn <= vals {
+		t.Fatalf("%d NeighNum and %d Value requests: no refresh went out", nn, vals)
 	}
 }

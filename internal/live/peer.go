@@ -93,23 +93,23 @@ func (p *Peer) selfLocked(now protocol.Time) protocol.Self {
 	}
 }
 
-// tick is one maintenance round: link repair, the periodic information
-// refresh, the super-layer l_nn smoothing pass, then a staggered DLM
-// evaluation whose layer switch it executes.
+// tick is one maintenance round: collect, then decide.
 func (p *Peer) tick() {
+	p.collect()
+	p.decide()
+}
+
+// collect is a round's information half, in the simulator's order: link
+// repair, the periodic information refresh, then the Phase 1 expiry.
+func (p *Peer) collect() {
 	if p.gone.Load() {
 		return
 	}
 	p.repairLinks()
-	cfg := &p.net.cfg
 	now := p.net.nowUnits()
 	p.mu.Lock()
-	if p.Layer() == overlay.LayerSuper {
-		// The sim engine advances every super's l_nn EWMA once per tick on
-		// top of the advance inside Evaluate; mirror that here so both
-		// planes trace identical smoothed sequences.
-		p.mach.SmoothLnn(float64(p.leaves.Len()))
-	} else if p.mach.RefreshDue(now) {
+	defer p.mu.Unlock()
+	if p.Layer() == overlay.LayerLeaf && p.mach.RefreshDue(now) {
 		// μ tracks the network, not the state at connection time.
 		for _, id := range p.supers.IDs() {
 			p.mach.Refresh(p.ID, id, now, &p.ep)
@@ -120,6 +120,23 @@ func (p *Peer) tick() {
 		r, d := p.mach.ExpirePending(p.selfLocked(now), now, &p.ep)
 		p.net.reqRetries.Add(uint64(r))
 		p.net.reqDrops.Add(uint64(d))
+	}
+}
+
+// decide is a round's decision half: the super-layer l_nn smoothing pass,
+// then a staggered DLM evaluation whose layer switch it executes.
+func (p *Peer) decide() {
+	if p.gone.Load() {
+		return
+	}
+	cfg := &p.net.cfg
+	now := p.net.nowUnits()
+	p.mu.Lock()
+	if p.Layer() == overlay.LayerSuper {
+		// The sim engine advances every super's l_nn EWMA once per tick on
+		// top of the advance inside Evaluate; mirror that here so both
+		// planes trace identical smoothed sequences.
+		p.mach.SmoothLnn(float64(p.leaves.Len()))
 	}
 	var res protocol.EvalResult
 	if protocol.Bernoulli(p.rng, cfg.Params.EvalProbability) {

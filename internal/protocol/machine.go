@@ -102,12 +102,12 @@ type EvalResult struct {
 // relEntry is one member of a peer's related set G: a snapshot of another
 // peer's capacity and age. Capacity is constant for a session; age grows
 // linearly, so we store the inferred join time and extrapolate — reported
-// information stays fresh without re-exchange.
+// information stays fresh without re-exchange, and Refresh never re-asks.
 type relEntry struct {
 	capacity float64
 	// joinTime is reportTime - reportedAge.
 	joinTime Time
-	// lastSeen is when we last heard from this peer (for window pruning).
+	// lastSeen is the last value or l_nn report's time (window pruning).
 	lastSeen Time
 	// seq is the entry's insertion rank (from Machine.relSeq); it survives
 	// re-observation, so the minimum-seq entry is the set's oldest member
@@ -333,17 +333,22 @@ func (ma *Machine) lnnIndex(id msg.PeerID) int {
 	return -1
 }
 
-// putLnn stores (or replaces) the l_nn report from id.
+// putLnn stores (or replaces) the l_nn report from id and re-stamps id's
+// related-set entry, if any, as seen at r.when: a report is contact.
 func (ma *Machine) putLnn(id msg.PeerID, r lnnReport) {
+	j := ma.ids.Index(id)
+	if j >= 0 {
+		ma.rel()[j].lastSeen = r.when
+	}
 	if i := ma.lnnIndex(id); i >= 0 {
 		reps := ma.lnnReps()
-		if ma.ids.Contains(id) {
+		if j >= 0 {
 			ma.lnnSum += int64(r.lnn) - int64(reps[i].lnn)
 		}
 		reps[i] = r
 		return
 	}
-	if ma.ids.Contains(id) {
+	if j >= 0 {
 		ma.lnnSum += int64(r.lnn)
 		ma.lnnCount++
 	}
@@ -770,6 +775,11 @@ func (ma *Machine) CheckInvariants() string {
 			return "duplicate id in lnn table"
 		}
 		seen[id] = true
+	}
+	for _, e := range ma.rel() {
+		if e.lastSeen < ma.relMinSeen {
+			return "relMinSeen above an entry's lastSeen"
+		}
 	}
 	var sum int64
 	var count int32

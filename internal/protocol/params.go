@@ -168,10 +168,10 @@ type Params struct {
 	Exchange ExchangePolicy
 	// PeriodicInterval is the exchange period under Periodic.
 	PeriodicInterval Duration
-	// RefreshInterval makes leaves re-request l_nn (and values) from
-	// their current supers this often even under EventDriven, keeping μ
-	// fresh on long-lived connections (§6 notes these can piggyback on
-	// keepalives). Zero disables refresh.
+	// RefreshInterval makes leaves re-request l_nn from their current
+	// supers (and values from those outside G(l)) this often even under
+	// EventDriven, keeping μ and G(l) fresh on long-lived connections (§6:
+	// these can piggyback on keepalives). Zero disables refresh.
 	RefreshInterval Duration
 
 	// RequestTimeout is the deadline a peer attaches to each Phase 1

@@ -87,14 +87,19 @@ func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l, s ms
 }
 
 // Refresh re-sends a leaf's freshness requests to one of its current
-// supers once RefreshDue fired: a new l_nn request and a new value request
-// (the super's age and capacity keep μ and G(l) current on long-lived
-// links), deadlines first as in Exchange.
+// supers once RefreshDue fired, deadlines first as in Exchange: l_nn always
+// (its response re-stamps the super's G(l) entry), values only for a super
+// outside G(l), as an entry's capacity and join time never change.
 func (ma *Machine) Refresh(self, super msg.PeerID, now Time, ep Endpoint) {
+	known := ma.ids.Contains(super)
 	ma.expect(super, pairNeighNum, now)
-	ma.expect(super, pairValue, now)
+	if !known {
+		ma.expect(super, pairValue, now)
+	}
 	ep.Send(request(pairNeighNum, self, super))
-	ep.Send(request(pairValue, self, super))
+	if !known {
+		ep.Send(request(pairValue, self, super))
+	}
 }
 
 // expect registers the response deadline for the request of pair pr about

@@ -87,6 +87,8 @@ func (n *pairNet) checkLog(t *testing.T, what string, want ...sentFrame) {
 // deadline is registered before the first frame departs — with inline
 // answers nothing may stay pending, and with every frame lost exactly the
 // unanswered requests stay pending and are the ones ExpirePending re-sends.
+// Refresh asks a super outside G(l) for l_nn and values, one in G(l) for
+// l_nn alone, whose response re-stamps the entry.
 func TestExchangeAndRefresh(t *testing.T) {
 	p := pendingParams()
 	byLeaf := func(m msg.Message) sentFrame { return sentFrame{fromLeaf: true, m: m} }
@@ -163,6 +165,91 @@ func TestExchangeAndRefresh(t *testing.T) {
 		}
 		n.checkLog(t, "the leaf's expiry", want...)
 	})
+
+	// known returns a pair whose leaf already holds s in G(l), the log
+	// cleared and the clock moved on.
+	known := func(inline bool) *pairNet {
+		n := newPairNet(&p, true)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		n.log, n.inline = nil, inline
+		n.now += 30
+		return n
+	}
+
+	t.Run("refresh-known", func(t *testing.T) {
+		n := known(true)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.checkLog(t, "Refresh",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)))
+		if a := n.leaf.PendingRequests(); a != 0 {
+			t.Fatalf("inline answers left %d requests pending", a)
+		}
+		if seen := n.leaf.rel()[n.leaf.ids.Index(s)].lastSeen; seen != n.now {
+			t.Fatalf("the l_nn response left lastSeen at %v, want %v", seen, n.now)
+		}
+		if bad := n.leaf.CheckInvariants(); bad != "" {
+			t.Fatal(bad)
+		}
+	})
+
+	t.Run("refresh-known-lost", func(t *testing.T) {
+		n := known(false)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		want := byLeaf(msg.NeighNumRequest(l, s))
+		n.checkLog(t, "Refresh", want)
+		if a := n.leaf.PendingRequests(); a != 1 {
+			t.Fatalf("a lost frame left %d requests pending, want 1", a)
+		}
+		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 1 {
+			t.Fatalf("leaf re-sent %d requests, want 1", r)
+		}
+		n.checkLog(t, "the leaf's expiry", want)
+	})
+
+	t.Run("refresh-after-drop", func(t *testing.T) {
+		n := known(true)
+		n.leaf.Drop(s)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.checkLog(t, "Refresh",
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)),
+			byLeaf(msg.ValueRequest(l, s)),
+			bySuper(msg.ValueResponse(s, l, 40, 8)))
+		if !n.leaf.Has(s) {
+			t.Fatal("the value response did not re-admit s to G(l)")
+		}
+	})
+}
+
+// TestRefreshKeepsSuperInWindow pins what the l_nn re-stamp is for: when
+// refreshes are a leaf's only contact with a super, which answers with
+// l_nn alone, the super stays in G(l) across the leaf window for at least
+// three refresh rounds.
+func TestRefreshKeepsSuperInWindow(t *testing.T) {
+	p := DefaultParams()
+	p.LeafWindow = 60
+	const l, s = 2, 1
+	n := newPairNet(&p, true)
+	Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+	n.log = nil
+	end := n.now + 3*p.RefreshInterval
+	for ; n.now <= end; n.now++ {
+		if n.leaf.RefreshDue(n.now) {
+			n.leaf.Refresh(l, s, n.now, n.lep)
+		}
+		n.leaf.prune(n.now, p.LeafWindow)
+		if !n.leaf.Has(s) {
+			t.Fatalf("s left G(l) at t=%v", n.now)
+		}
+		if bad := n.leaf.CheckInvariants(); bad != "" {
+			t.Fatalf("t=%v: %s", n.now, bad)
+		}
+	}
+	// Three rounds, each a NeighNum request and its response.
+	if len(n.log) != 6 {
+		t.Fatalf("refresh sent %+v, want three l_nn rounds", n.log)
+	}
 }
 
 // TestPendingFaultPatterns drives the pending-request table through the

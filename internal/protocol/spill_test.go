@@ -70,6 +70,16 @@ func (r *refMachine) observe(id msg.PeerID, capacity, age float64, now Time, max
 	return victim
 }
 
+// putLnn stores id's report and re-stamps id's entry, if any, as seen at
+// the report's time.
+func (r *refMachine) putLnn(id msg.PeerID, rep lnnReport) {
+	r.lnn[id] = rep
+	if e, ok := r.entries[id]; ok {
+		e.lastSeen = rep.when
+		r.entries[id] = e
+	}
+}
+
 func (r *refMachine) drop(id msg.PeerID) {
 	r.clear(id, pairNeighNum)
 	r.clear(id, pairValue)
@@ -242,7 +252,7 @@ func TestInlineSpillDifferential(t *testing.T) {
 			ma.Drop(id)
 		case op < 68:
 			rep := lnnReport{lnn: rng.Intn(200), when: now}
-			ref.lnn[id] = rep
+			ref.putLnn(id, rep)
 			ma.putLnn(id, rep)
 		case op < 72:
 			delete(ref.lnn, id)
@@ -391,7 +401,7 @@ func TestMachineCopyIsIndependent(t *testing.T) {
 	a := NewMachine(&p, 0)
 	for id := msg.PeerID(1); id <= spare.Inline; id++ {
 		a.observe(id, float64(id), 0, 1, 0)
-		a.putLnn(id, lnnReport{lnn: int(id)})
+		a.putLnn(id, lnnReport{lnn: int(id), when: 1})
 		a.expect(id, pairValue, 1)
 	}
 	b := *a
