@@ -35,10 +35,12 @@ func allocNetwork(t testing.TB) (*overlay.Network, *Manager) {
 // refresh exchange over both links.
 func leafJoin(t testing.TB, n *overlay.Network, mgr *Manager) *overlay.Peer {
 	p := n.Join(10, 100, nil)
-	mgr.refreshOne(n, p, protocol.Time(n.Now()))
-	if ma := mgr.state(p); p.Layer != overlay.LayerLeaf || p.SuperDegree() != 2 || ma.Size() != 2 || ma.RefreshAt() == 0 {
-		t.Fatalf("leaf cycle incomplete: layer %v, %d super links, |G| = %d, refreshed at %v",
-			p.Layer, p.SuperDegree(), ma.Size(), ma.RefreshAt())
+	ma, now := mgr.state(p), protocol.Time(n.Now())
+	due := ma.RefreshDue(now)
+	mgr.refresh(n, p, now)
+	if p.Layer != overlay.LayerLeaf || p.SuperDegree() != 2 || ma.Size() != 2 || !due {
+		t.Fatalf("leaf cycle incomplete: layer %v, %d super links, |G| = %d, refresh due %v",
+			p.Layer, p.SuperDegree(), ma.Size(), due)
 	}
 	return p
 }

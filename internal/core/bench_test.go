@@ -16,9 +16,8 @@ import (
 // evaluation, deferred commits, deficit-set repair, expiry and churn
 // events between ticks), so a regression anywhere on the per-tick path
 // shows up here; the steady100k workload of bench/ is the end-to-end
-// measurement of the same path. A tick from t = 160 allocates about 53
-// objects (846 before role changes and emptied link sets gave their
-// storage to the hosts' spare stores); see scaleNetwork for which.
+// measurement of the same path. A tick from t = 160 allocates 73 objects
+// (-benchtime 20x, two CPUs); see scaleNetwork for which.
 func BenchmarkScaleTick(b *testing.B) {
 	b.ReportAllocs()
 	eng, n := scaleNetwork(b, 160)
@@ -51,8 +50,9 @@ func BenchmarkScaleTick(b *testing.B) {
 // fifty that meets a fifth super, take their storage from the spare
 // stores; what is left is mostly spills the stores cannot serve, because
 // a store keeps no more spares of a size than its sets hold in use, then
-// the lane buffers growing to a new peak and the lane fan-out's
-// goroutines.
+// the lane buffers growing to a new peak and the goroutines of the two
+// lane fan-outs, collect and evaluate (five objects each at two
+// workers).
 func scaleNetwork(b *testing.B, warm sim.Time) (*sim.Engine, *overlay.Network) {
 	const size = 100_000
 	eng := sim.NewEngine(1)

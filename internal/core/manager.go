@@ -30,30 +30,15 @@ type Manager struct {
 	// (HandleMessageLane), which buffers its sends and so never re-enters.
 	laneEP laneEndpoint
 
-	// lanes is the per-lane state of the tick's parallel decision phase:
-	// one persistent RNG stream and one result buffer per overlay lane
-	// (see overlay.NumLanes and the execution model in Tick). Initialized
-	// on first Tick; the buffers are reused every tick.
+	// lanes is the per-lane state of the tick's parallel passes: one
+	// persistent RNG stream, the collect lists and one result buffer per
+	// overlay lane (see overlay.NumLanes and the execution model in Tick).
+	// Initialized on first Tick; the buffers are reused every tick.
 	lanes []laneState
 
-	// Refresh calendar: instead of scanning every peer every tick for
-	// "lastRefresh older than RefreshInterval" — an O(N)-per-tick walk
-	// that was a top-three serial cost at N=1M — leaves are bucketed by
-	// the integer tick at which their refresh next comes due. refreshCal
-	// maps a due tick to the IDs enrolled for it; refreshTick holds, per
-	// slab slot, the tick the slot's peer is currently enrolled for (0 =
-	// none), so a peer re-enrolled after a layer change lazily invalidates
-	// its old bucket entry. Indexing by slot sizes it by the population,
-	// not by the joins ever made; a departed tenant's entries cannot be
-	// mistaken for its successor's because the drain resolves each ID
-	// first. calProcessed is the last due tick already drained.
-	// TestRefreshCalendarComplete pins that no live leaf is ever left
-	// without a booking.
-	refreshCal   map[int64][]msg.PeerID
-	refreshTick  []int32
-	calPool      [][]msg.PeerID
-	calDue       []*overlay.Peer
-	calProcessed int64
+	// due is the collect phase's merge buffer: one of the lanes' collect
+	// lists at a time, sorted into slot order (see collect).
+	due []*overlay.Peer
 
 	// mach is the machine arena: one protocol.Machine per slab slot,
 	// stored inline in append-only chunks so the tick's slot-order walks
@@ -72,13 +57,6 @@ type Manager struct {
 	// for the next machine that spills. Every arena machine is bound to
 	// it; the tick's parallel evaluate pass never touches it.
 	spares protocol.Spares
-
-	// pendingLive is a conservative "some request may be outstanding"
-	// hint: set whenever a request survives its exchange inline, cleared
-	// when the expiry scan finds every table empty. While false, Tick
-	// skips the per-peer expiry scan — which on a lossless zero-latency
-	// transport is every tick.
-	pendingLive bool
 
 	// OnDecision, when set, observes every evaluation the machine
 	// actually ran (cooldowns passed, enough evidence) and every
@@ -119,13 +97,6 @@ func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Laye
 	} else {
 		p.State = m.machineFor(p.Slot(), protocol.Time(n.Now()))
 	}
-	// Enroll the newcomer in the refresh calendar (lastRefresh == 0, so
-	// its first refresh comes due once the clock passes RefreshInterval).
-	// The overlay may still bootstrap-override the layer to super; the
-	// entry then dies at its due tick's layer check.
-	if m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0 {
-		m.calEnroll(p, m.calKey(0))
-	}
 	return overlay.LayerLeaf
 }
 
@@ -157,7 +128,7 @@ func (m *Manager) state(p *overlay.Peer) *protocol.Machine {
 	return p.State.(*protocol.Machine)
 }
 
-// laneState is one lane's slice of the parallel decision phase.
+// laneState is one lane's slice of the tick's parallel passes.
 type laneState struct {
 	// rng is the lane's persistent random stream, derived once from the
 	// engine's "dlm" stream by lane index. Peer-to-lane assignment is a
@@ -168,8 +139,10 @@ type laneState struct {
 	// evals buffers the lane's decision results for the serial commit
 	// phase, in the lane's slot order.
 	evals []laneEval
-	// due is the lane's scratch for the expiry scan's collect phase.
-	due []*overlay.Peer
+	// refresh and expire are the lane's collect lists, in the lane's slot
+	// order: the leaves whose refresh fell due this tick, and the
+	// machines with Phase 1 requests outstanding.
+	refresh, expire []*overlay.Peer
 }
 
 // laneEval is one buffered evaluation awaiting commit.
@@ -255,15 +228,8 @@ func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 // through m.ep: the overlay routes by the frame's To field, so one
 // endpoint serves either sender.
 func (m *Manager) exchange(n *overlay.Network, leaf, super *overlay.Peer) {
-	lm, sm := m.state(leaf), m.state(super)
 	m.ep.n = n
-	protocol.Exchange(lm, &m.ep, sm, &m.ep, leaf.ID, super.ID, protocol.Time(n.Now()))
-	// On a lossless zero-latency transport every response arrived inline
-	// and settled its entry; only when something is still outstanding does
-	// the per-tick expiry scan have work to do.
-	if lm.PendingRequests() > 0 || sm.PendingRequests() > 0 {
-		m.pendingLive = true
-	}
+	protocol.Exchange(m.state(leaf), &m.ep, m.state(super), &m.ep, leaf.ID, super.ID, protocol.Time(n.Now()))
 }
 
 // OnDisconnect implements overlay.Manager. A super forgets a departed
@@ -289,13 +255,8 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 
 	switch p.Layer {
 	case overlay.LayerSuper:
-		// Promotion: supers never refresh; any pending calendar entry
-		// turns stale (it skips on the enrollment-tick mismatch).
-		if int(p.Slot()) < len(m.refreshTick) {
-			m.refreshTick[p.Slot()] = 0
-		}
-		// Previous super connections became super-super links; the former
-		// supers must forget p as a leaf.
+		// Promotion: previous super connections became super-super links;
+		// the former supers must forget p as a leaf.
 		for _, id := range p.SuperLinks() {
 			if q := n.Peer(id); q != nil {
 				m.state(q).Drop(p.ID)
@@ -303,13 +264,8 @@ func (m *Manager) OnLayerChange(n *overlay.Network, p *overlay.Peer, old overlay
 		}
 	case overlay.LayerLeaf:
 		// Demotion: the kept links are now leaf-to-super connections —
-		// logically new, so run the event-driven exchange on them. The
-		// reset above zeroed lastRefresh, so the peer re-enters the
-		// calendar exactly as a newcomer would.
+		// logically new, so run the event-driven exchange on them.
 		if m.P.Exchange == protocol.EventDriven {
-			if m.P.RefreshInterval > 0 {
-				m.calEnroll(p, m.calKey(0))
-			}
 			for _, id := range p.SuperLinks() {
 				if q := n.Peer(id); q != nil {
 					m.exchange(n, p, q)
@@ -347,11 +303,12 @@ func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *ms
 	ep.self, ep.out = nil, nil
 }
 
-// Tick implements overlay.Manager: periodic/refresh exchange, then
-// Phase 2-4 evaluation for a staggered subset of peers.
+// Tick implements overlay.Manager: one maintenance round for the whole
+// population, shaped like a live peer's round (collect, then decide),
+// under a tick-window barrier:
 //
-// The decision phase runs under a tick-window barrier in two passes:
-//
+//   - Collect: Phase 1 information collection (see collect). Its answers
+//     land, inline at zero latency, before any evaluation reads them.
 //   - Evaluate (lane-parallel): the population is partitioned into the
 //     overlay's fixed lanes; each lane walks its slab pages in slot
 //     order, advances each super's l_nn EWMA, draws the staggering
@@ -363,36 +320,18 @@ func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *ms
 //   - Commit (serial): the buffered results are applied in (lane, slot)
 //     order — counters, OnDecision, and the Promote/Demote surgery with
 //     its message fan-out. Every evaluation therefore sees the overlay as
-//     it stood at the start of the tick, and cross-peer effects land in a
+//     it stood at the start of the pass, and cross-peer effects land in a
 //     fixed order that no worker schedule can perturb.
 //
 // Lane count, lane assignment and lane RNG streams are all independent
 // of the engine's Shards setting, so a K-worker tick is byte-identical
 // to a serial one for any K.
 func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
-	// Information collection for the non-event-driven paths.
-	if m.P.Exchange == protocol.Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
-		m.exchangeAll(n)
-	} else if m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0 {
-		m.refreshDue(n, now)
-	}
-
-	// Retry or abandon Phase 1 requests whose deadline has passed. This
-	// runs before the decision phase so a retry's inline response can
-	// still inform this tick's evaluations; it consumes no RNG, so it is
-	// invisible to the determinism baselines whenever the tables are
-	// empty (every lossless zero-latency run).
-	// pendingLive is a conservative reachability hint: it is set whenever
-	// a request survives its exchange, and recomputed by the scan itself,
-	// so skipping the scan while it is false is behavior-identical — the
-	// scan would visit only empty tables.
-	if m.P.RequestTimeout > 0 && m.pendingLive {
-		m.pendingLive = m.expireAll(n, now) > 0
-	}
+	m.ensureLanes(n)
+	m.collect(n, now)
 
 	// Decision phase, pass 1: lane-parallel evaluation. No membership
 	// snapshot is needed — layer sets mutate only in the commit pass.
-	m.ensureLanes(n)
 	cfg := n.Config()
 	kl, eta := cfg.KL(), cfg.Eta
 	pnow := protocol.Time(now)
@@ -421,6 +360,83 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 		evals := m.lanes[l].evals
 		for i := range evals {
 			m.commit(n, &evals[i], now)
+		}
+	}
+}
+
+// collect is the tick's information half, in a live peer's order: the
+// periodic exchange when one falls due, the freshness refreshes that fell
+// due, then the retry or abandonment of Phase 1 requests whose deadline
+// passed.
+//
+// A lane-parallel scan finds the work. Each lane lists its leaves for
+// which Machine.RefreshDue holds — the call stamps the leaf's own
+// machine, a lane-local write like Evaluate's — and its machines with
+// requests outstanding. The sends run serially after the barrier: first
+// every due leaf's Refresh toward each super link, then every listed
+// machine's ExpirePending, each list merged into slot order, so frames
+// and their fault draws depart as a serial population walk would send
+// them, for any shard count. The expiry list is read before the
+// refreshes: a machine whose first outstanding requests come from this
+// tick's refresh is missing from it, but their deadlines lie in the
+// future, so its expiry would do nothing. Expiry consumes no RNG and
+// sends nothing while the tables are empty (every lossless zero-latency
+// run).
+func (m *Manager) collect(n *overlay.Network, now sim.Time) {
+	if m.P.Exchange == protocol.Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
+		m.exchangeAll(n)
+	}
+	refreshing := m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0
+	if !refreshing && m.P.RequestTimeout <= 0 {
+		return
+	}
+	pnow := protocol.Time(now)
+	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, func(lane int) {
+		ls := &m.lanes[lane]
+		ls.refresh, ls.expire = ls.refresh[:0], ls.expire[:0]
+		n.WalkLane(lane, func(p *overlay.Peer) {
+			ma := m.state(p)
+			if refreshing && p.Layer == overlay.LayerLeaf && ma.RefreshDue(pnow) {
+				ls.refresh = append(ls.refresh, p)
+			}
+			if ma.PendingRequests() > 0 {
+				ls.expire = append(ls.expire, p)
+			}
+		})
+	})
+
+	m.ep.n = n
+	for _, leaf := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.refresh }) {
+		m.refresh(n, leaf, pnow)
+	}
+	for _, p := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.expire }) {
+		r, d := m.state(p).ExpirePending(selfView(p, now), pnow, &m.ep)
+		m.RequestRetries += uint64(r)
+		m.RequestDrops += uint64(d)
+	}
+}
+
+// bySlot gathers one collect list from every lane into the manager's
+// merge buffer, sorted by slab slot — the order a serial population walk
+// visits the peers in.
+func (m *Manager) bySlot(list func(*laneState) []*overlay.Peer) []*overlay.Peer {
+	due := m.due[:0]
+	for l := range m.lanes {
+		due = append(due, list(&m.lanes[l])...)
+	}
+	slices.SortFunc(due, func(a, b *overlay.Peer) int { return cmp.Compare(a.Slot(), b.Slot()) })
+	m.due = due
+	return due
+}
+
+// refresh sends a due leaf's freshness requests toward each of its live
+// super links (the leaf's RefreshDue already stamped its clock).
+func (m *Manager) refresh(n *overlay.Network, leaf *overlay.Peer, now protocol.Time) {
+	lm := m.state(leaf)
+	m.ep.n = n
+	for _, sid := range leaf.SuperLinks() {
+		if super := n.Peer(sid); super != nil && super.Alive() {
+			lm.Refresh(leaf.ID, super.ID, now, &m.ep)
 		}
 	}
 }
@@ -460,153 +476,4 @@ func (m *Manager) exchangeAll(n *overlay.Network) {
 			m.exchange(n, leaf, super)
 		}
 	})
-}
-
-// calKey returns the calendar bucket — the integer tick — at which a
-// machine whose lastRefresh is last next comes due: the first tick t with
-// t - last >= RefreshInterval that has not already been processed. With
-// last == 0 (fresh or reset machines) that is the first tick past the
-// interval itself, matching RefreshDue's arithmetic exactly.
-func (m *Manager) calKey(last protocol.Time) int64 {
-	k := int64(math.Ceil(float64(last) + float64(m.P.RefreshInterval)))
-	if min := m.calProcessed + 1; k < min {
-		k = min
-	}
-	return k
-}
-
-// calEnroll books p into the bucket for tick key. A peer is enrolled in
-// at most one live bucket: refreshTick records the booking, and an entry
-// whose bucket no longer matches it (the peer was re-enrolled or cleared
-// since) is skipped unprocessed when its bucket drains.
-func (m *Manager) calEnroll(p *overlay.Peer, key int64) {
-	slot := int(p.Slot())
-	if slot >= len(m.refreshTick) {
-		grown := make([]int32, slot+1+len(m.refreshTick)/2)
-		copy(grown, m.refreshTick)
-		m.refreshTick = grown
-	}
-	m.refreshTick[slot] = int32(key)
-	if m.refreshCal == nil {
-		m.refreshCal = make(map[int64][]msg.PeerID)
-	}
-	b, ok := m.refreshCal[key]
-	if !ok {
-		if l := len(m.calPool); l > 0 {
-			b = m.calPool[l-1][:0]
-			m.calPool = m.calPool[:l-1]
-		}
-	}
-	m.refreshCal[key] = append(b, p.ID)
-}
-
-// refreshDue re-runs the exchange for leaves whose last refresh is older
-// than RefreshInterval, keeping μ estimates fresh on long-lived links.
-// Due leaves come from the refresh calendar, not a population walk: each
-// drained bucket is filtered (dead, re-enrolled, or promoted peers skip),
-// sorted by slab slot — the order a full population walk would visit
-// them in, so frames depart in an order no bucket history can perturb.
-// Every surviving leaf re-enrolls for its next due tick, so per-tick work
-// is proportional to the leaves actually due, not to the population.
-func (m *Manager) refreshDue(n *overlay.Network, now sim.Time) {
-	pnow := protocol.Time(now)
-	last := int64(math.Floor(float64(now)))
-	for m.calProcessed < last {
-		// Advance before draining, so re-enrollments from inside the
-		// drain land strictly after the bucket being drained.
-		m.calProcessed++
-		key := m.calProcessed
-		bucket, ok := m.refreshCal[key]
-		if !ok {
-			continue
-		}
-		delete(m.refreshCal, key)
-		due := m.calDue[:0]
-		for _, id := range bucket {
-			// A dead peer's slot may hold a successor's booking; resolving
-			// the ID first leaves that booking alone.
-			p := n.Peer(id)
-			if p == nil || m.refreshTick[p.Slot()] != int32(key) {
-				continue
-			}
-			m.refreshTick[p.Slot()] = 0
-			if p.Layer == overlay.LayerLeaf {
-				due = append(due, p)
-			}
-		}
-		m.calPool = append(m.calPool, bucket)
-		slices.SortFunc(due, bySlot)
-		m.calDue = due
-		for _, leaf := range due {
-			m.refreshOne(n, leaf, pnow)
-		}
-	}
-}
-
-// bySlot orders peers by slab slot; slots are unique, so the order is
-// total and any sort yields the same result.
-func bySlot(a, b *overlay.Peer) int { return cmp.Compare(a.Slot(), b.Slot()) }
-
-// refreshOne runs one leaf's refresh exchange and re-enrolls the leaf
-// for its next due tick.
-func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protocol.Time) {
-	lm := m.state(leaf)
-	if !lm.RefreshDue(pnow) {
-		// Stamped more recently than the booking (defensive; bookings are
-		// invalidated on re-enrollment, so this should not trigger).
-		m.calEnroll(leaf, m.calKey(lm.RefreshAt()))
-		return
-	}
-	m.ep.n = n
-	for _, sid := range leaf.SuperLinks() {
-		if super := n.Peer(sid); super != nil && super.Alive() {
-			lm.Refresh(leaf.ID, super.ID, pnow, &m.ep)
-		}
-	}
-	if lm.PendingRequests() > 0 {
-		m.pendingLive = true
-	}
-	m.calEnroll(leaf, m.calKey(lm.RefreshAt()))
-}
-
-// expireAll runs the pending-request expiry for every machine with
-// outstanding requests, returning the number of requests still
-// outstanding afterwards (the caller's pendingLive recomputation).
-//
-// The scan half — finding machines with outstanding requests, a pure
-// read — fans out over the lanes; the expiries themselves (which re-send
-// request frames) then run serially. Merging the per-lane candidate
-// lists by slab slot reconstructs exactly the slot order the serial
-// full-population walk used, so the retry frames depart in the same
-// order for any shard count.
-func (m *Manager) expireAll(n *overlay.Network, now sim.Time) int {
-	m.ensureLanes(n)
-	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, func(lane int) {
-		ls := &m.lanes[lane]
-		ls.due = ls.due[:0]
-		n.WalkLane(lane, func(p *overlay.Peer) {
-			if ma, ok := p.State.(*protocol.Machine); ok && ma.PendingRequests() > 0 {
-				ls.due = append(ls.due, p)
-			}
-		})
-	})
-	due := m.calDue[:0]
-	for l := range m.lanes {
-		due = append(due, m.lanes[l].due...)
-	}
-	slices.SortFunc(due, bySlot)
-	m.calDue = due
-
-	live := 0
-	for _, p := range due {
-		ma := p.State.(*protocol.Machine)
-		saved := m.ep
-		m.ep = simEndpoint{n: n, self: p}
-		r, d := ma.ExpirePending(selfView(p, now), protocol.Time(now), &m.ep)
-		m.ep = saved
-		m.RequestRetries += uint64(r)
-		m.RequestDrops += uint64(d)
-		live += ma.PendingRequests()
-	}
-	return live
 }

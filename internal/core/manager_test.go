@@ -299,16 +299,18 @@ func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 	}
 }
 
-// TestRefreshCalendarComplete pins the refresh calendar's one obligation:
-// every live leaf holds a booking that fires no later than the tick its
-// refresh comes due. It checks the observable consequence after every
-// tick of a churning run with promotions and demotions — no leaf's stamp
-// is ever RefreshInterval old — so a dropped enrollment (a join, a
-// demotion or a drain that fails to re-book) fails here within one
-// interval. Peers whose role changed at this very instant are exempt:
-// the decision phase runs after the refresh drain, so a leaf demoted in
-// this tick is booked for the next one.
-func TestRefreshCalendarComplete(t *testing.T) {
+// TestRefreshNeverOverdue pins the collect phase's refresh obligation:
+// after every tick of a churning run with promotions and demotions, no
+// live leaf's refresh is still due, and — the transport being instant
+// and lossless — the l_nn report it holds from each current super link
+// is younger than RefreshInterval. A leaf the scan fails to list (a join
+// or a demotion missed) fails the first check at the tick it fell due; a
+// listed leaf whose refresh never departs (a lane's list dropped before
+// the sends) fails the second. Peers whose role changed at this very
+// instant are exempt: the decision phase runs after collect, so a leaf
+// demoted in this tick refreshes at the next one. Due-ness is read on a
+// copy of the machine, because RefreshDue stamps the machine it runs on.
+func TestRefreshNeverOverdue(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		p := DefaultParams()
 		eng, n, mgr := testNetwork(seed, p)
@@ -323,7 +325,7 @@ func TestRefreshCalendarComplete(t *testing.T) {
 		}
 		churn.Start()
 		until := sim.Time(5 * p.RefreshInterval)
-		refreshed := 0
+		stamped := 0
 		eng.Ticker(1, func(e *sim.Engine) bool {
 			n.Tick()
 			now := protocol.Time(e.Now())
@@ -335,12 +337,18 @@ func TestRefreshCalendarComplete(t *testing.T) {
 				if lm.LastChange() == now {
 					return
 				}
-				if lm.RefreshAt() > 0 {
-					refreshed++
+				if c := *lm; c.RefreshDue(now) {
+					t.Errorf("seed %d t=%v: leaf %d (role since %v) has a refresh due after the tick",
+						seed, now, leaf.ID, lm.LastChange())
+				} else if now >= p.RefreshInterval {
+					// Never stamped, the leaf would be due: it refreshed.
+					stamped++
 				}
-				if age := now - lm.RefreshAt(); age >= p.RefreshInterval {
-					t.Errorf("seed %d t=%v: leaf %d last refreshed at %v, %v ago (interval %v)",
-						seed, now, leaf.ID, lm.RefreshAt(), age, p.RefreshInterval)
+				for _, sid := range leaf.SuperLinks() {
+					if _, when, ok := lm.LnnReport(sid); !ok || now-when >= p.RefreshInterval {
+						t.Errorf("seed %d t=%v: leaf %d holds l_nn of super %d from %v (held %v), interval %v",
+							seed, now, leaf.ID, sid, when, ok, p.RefreshInterval)
+					}
 				}
 			})
 			return !t.Failed() && e.Now() < until
@@ -348,9 +356,9 @@ func TestRefreshCalendarComplete(t *testing.T) {
 		if err := eng.RunUntil(until); err != nil {
 			t.Fatal(err)
 		}
-		if c := n.Counters(); c.Promotions == 0 || c.Demotions == 0 || c.Leaves == 0 || refreshed == 0 {
+		if c := n.Counters(); c.Promotions == 0 || c.Demotions == 0 || c.Leaves == 0 || stamped == 0 {
 			t.Fatalf("seed %d: run is vacuous: %d promotions, %d demotions, %d departures, %d refreshed-leaf checks",
-				seed, c.Promotions, c.Demotions, c.Leaves, refreshed)
+				seed, c.Promotions, c.Demotions, c.Leaves, stamped)
 		}
 	}
 }

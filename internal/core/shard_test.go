@@ -10,26 +10,34 @@ import (
 	"dlm/internal/workload"
 )
 
-// shardTrace runs a churning DLM scenario with the given lane-fan-out
-// worker count and returns the complete decision sequence plus the final
-// snapshot. Everything observable is captured: which peer, at what time,
-// with what μ/Y/l_nn, and what action — if sharding perturbed even one
-// RNG draw or one commit order, the traces would diverge.
-func shardTrace(t *testing.T, seed int64, shards int) (string, overlay.LayerStats) {
-	trace, snap, _, _ := shardTraceLatency(t, seed, shards, 0)
-	return trace, snap
+// shardRun is everything a churning run exposes to the shard-invariance
+// tests: the complete decision sequence — which peer, at what time, with
+// what μ/Y/l_nn, and what action — the final snapshot, the engine's
+// lane-event and batch counters and the Phase 1 retry count. If sharding
+// perturbed even one RNG draw, one commit order or one frame's fault
+// draw, two runs would differ.
+type shardRun struct {
+	trace                        string
+	snap                         overlay.LayerStats
+	laneEvents, batches, retries uint64
 }
 
-// shardTraceLatency is shardTrace with a configurable message latency;
-// latency > 0 queues every delivery on its target's lane, which is what
-// arms the same-timestamp batch path. It also returns the engine's
-// lane-event and batch counters.
-func shardTraceLatency(t *testing.T, seed int64, shards int, latency sim.Duration) (string, overlay.LayerStats, uint64, uint64) {
+// shardTrace runs a churning DLM scenario with the given lane-fan-out
+// worker count over an instant, perfect transport.
+func shardTrace(t *testing.T, seed int64, shards int) shardRun {
+	return shardTraceLatency(t, seed, shards, 0, overlay.Link{})
+}
+
+// shardTraceLatency is shardTrace with a configurable message latency and
+// fault model; latency > 0 queues every delivery on its target's lane,
+// which is what arms the same-timestamp batch path, and a lossy link
+// makes Phase 1 requests time out and retry.
+func shardTraceLatency(t *testing.T, seed int64, shards int, latency sim.Duration, link overlay.Link) shardRun {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	eng.SetShards(shards)
 	mgr := NewManager(DefaultParams())
-	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 10, Latency: latency}, mgr)
+	n := overlay.New(eng, overlay.Config{M: 2, KS: 3, Eta: 10, Latency: latency, Link: link}, mgr)
 	var trace []byte
 	mgr.OnDecision = func(p *overlay.Peer, now sim.Time, res protocol.EvalResult) {
 		trace = fmt.Appendf(trace, "%d@%v e=%v a=%v mu=%x y=%x,%x lnn=%x\n",
@@ -56,7 +64,7 @@ func shardTraceLatency(t *testing.T, seed int64, shards int, latency sim.Duratio
 	if bad := n.CheckInvariants(); len(bad) > 0 {
 		t.Fatalf("shards=%d: invariants: %v", shards, bad[:minInt(len(bad), 5)])
 	}
-	return string(trace), n.Snapshot(), eng.LaneEventsFired(), eng.BatchesFired()
+	return shardRun{string(trace), n.Snapshot(), eng.LaneEventsFired(), eng.BatchesFired(), mgr.RequestRetries}
 }
 
 // TestShardInvariance is the tentpole's determinism contract: the full
@@ -69,54 +77,71 @@ func shardTraceLatency(t *testing.T, seed int64, shards int, latency sim.Duratio
 // this test in a dedicated race lane).
 func TestShardInvariance(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
-		base, baseSnap := shardTrace(t, seed, 1)
-		if base == "" {
+		base := shardTrace(t, seed, 1)
+		if base.trace == "" {
 			t.Fatalf("seed %d: empty decision trace — invariance would be vacuous", seed)
 		}
 		for _, k := range []int{2, 4, 7} {
-			got, snap := shardTrace(t, seed, k)
-			if got != base {
-				t.Errorf("seed %d: decision trace with shards=%d differs from serial\nserial:  %.200s\nsharded: %.200s",
-					seed, k, base, got)
-			}
-			if snap != baseSnap {
-				t.Errorf("seed %d: snapshot with shards=%d differs from serial:\n%+v\n%+v",
-					seed, k, snap, baseSnap)
-			}
+			checkShardRun(t, seed, k, base, shardTrace(t, seed, k))
 		}
 	}
 }
 
+// checkShardRun reports every way a K-worker run differs from the serial
+// one.
+func checkShardRun(t *testing.T, seed int64, k int, base, got shardRun) {
+	t.Helper()
+	if got.trace != base.trace {
+		t.Errorf("seed %d: decision trace with shards=%d differs from serial\nserial:  %.200s\nsharded: %.200s",
+			seed, k, base.trace, got.trace)
+	}
+	if got.snap != base.snap {
+		t.Errorf("seed %d: snapshot with shards=%d differs from serial:\n%+v\n%+v",
+			seed, k, got.snap, base.snap)
+	}
+	if got.laneEvents != base.laneEvents || got.batches != base.batches || got.retries != base.retries {
+		t.Errorf("seed %d: shards=%d fired %d lane events in %d batches with %d retries, serial fired %d in %d with %d",
+			seed, k, got.laneEvents, got.batches, got.retries, base.laneEvents, base.batches, base.retries)
+	}
+}
+
 // TestShardInvarianceLatency is the event-plane half of the determinism
-// contract: with a non-zero message latency every delivery is a queued
-// event tagged with its target peer's lane and same-timestamp deliveries
-// fire as eval/commit batches — the trace, snapshot, lane-event count and batch
-// count must all be invariant across worker counts, and batching must
-// actually have happened (otherwise the test is vacuous).
+// contract. With a non-zero message latency every delivery is a queued
+// event tagged with its target peer's lane, and same-timestamp deliveries
+// fire as eval/commit batches; over the robustness sweep's adverse link
+// (here at 5 % loss) requests also time out, so the tick's expiry list
+// re-sends frames whose fault draws follow its merge order. The trace,
+// snapshot and counters must all be invariant across worker counts, and
+// each row must engage the path it exists for (otherwise it is vacuous).
 func TestShardInvarianceLatency(t *testing.T) {
-	for _, seed := range []int64{3, 17} {
-		base, baseSnap, baseLane, baseBatch := shardTraceLatency(t, seed, 1, 0.25)
-		if base == "" {
-			t.Fatalf("seed %d: empty decision trace — invariance would be vacuous", seed)
-		}
-		if baseLane == 0 || baseBatch == 0 {
-			t.Fatalf("seed %d: lane events %d, batches %d — lane batching never engaged",
-				seed, baseLane, baseBatch)
-		}
-		for _, k := range []int{2, 4, 7} {
-			got, snap, lane, batch := shardTraceLatency(t, seed, k, 0.25)
-			if got != base {
-				t.Errorf("seed %d: decision trace with shards=%d differs from serial\nserial:  %.200s\nsharded: %.200s",
-					seed, k, base, got)
+	adverse := overlay.Link{
+		Loss:          0.05,
+		Dup:           0.01,
+		JitterMin:     0.01,
+		JitterMode:    0.05,
+		JitterMax:     0.2,
+		ReorderWindow: 0.5,
+	}
+	for _, row := range []struct {
+		name    string
+		latency sim.Duration
+		link    overlay.Link
+		engaged func(shardRun) bool
+	}{
+		{"batched", 0.25, overlay.Link{}, func(r shardRun) bool { return r.laneEvents > 0 && r.batches > 0 }},
+		{"lossy", 0.05, adverse, func(r shardRun) bool { return r.retries > 0 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, seed := range []int64{3, 17} {
+				base := shardTraceLatency(t, seed, 1, row.latency, row.link)
+				if base.trace == "" || !row.engaged(base) {
+					t.Fatalf("seed %d: %d decision bytes, %d lane events, %d batches, %d retries — the row is vacuous",
+						seed, len(base.trace), base.laneEvents, base.batches, base.retries)
+				}
+				for _, k := range []int{2, 4, 7} {
+					checkShardRun(t, seed, k, base, shardTraceLatency(t, seed, k, row.latency, row.link))
+				}
 			}
-			if snap != baseSnap {
-				t.Errorf("seed %d: snapshot with shards=%d differs from serial:\n%+v\n%+v",
-					seed, k, snap, baseSnap)
-			}
-			if lane != baseLane || batch != baseBatch {
-				t.Errorf("seed %d: shards=%d fired %d lane events in %d batches, serial fired %d in %d",
-					seed, k, lane, batch, baseLane, baseBatch)
-			}
-		}
+		})
 	}
 }

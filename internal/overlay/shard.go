@@ -39,9 +39,9 @@ func (n *Network) LaneOf(p *Peer) int {
 }
 
 // Slot returns p's slab slot index. Slot order is the deterministic
-// population-walk order (WalkPeers, WalkLane merge), exposed so external
-// schedulers — the manager's refresh calendar — can process peer sets in
-// exactly that order.
+// population-walk order (WalkPeers, WalkLane merge), exposed so a manager
+// that gathers peers from several lanes — core's collect phase — can
+// merge them back into exactly that order.
 func (p *Peer) Slot() int32 { return p.slot }
 
 // walkLane calls fn for every live peer in the lane, in slot order.

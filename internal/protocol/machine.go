@@ -404,12 +404,6 @@ func (ma *Machine) Reset(now Time) {
 // LastChange returns the time of the last role change (or join).
 func (ma *Machine) LastChange() Time { return ma.lastChange }
 
-// RefreshAt returns the time of the last RefreshDue stamp (zero if the
-// leaf has never refreshed since its last role change). External refresh
-// schedulers use it to compute the next due time without re-deriving the
-// stamp from message history.
-func (ma *Machine) RefreshAt() Time { return ma.lastRefresh }
-
 // HandleMessage runs Phase 1: it answers information requests via ep and
 // folds responses into the related set / l_nn reports. Unknown or
 // non-DLM kinds are ignored, so hosts can feed their whole inbox through.

@@ -95,6 +95,9 @@ lane_race() {
   # The goroutine plane three more times: its lock order and its one-owner
   # RNG rule are checked by the detector only on the runs that interleave.
   go test -race -count=3 ./internal/live/
+  # The tick's collect scan writes each due leaf's refresh stamp from a
+  # parallel lane; the shard matrix runs it at K = 2, 4 and 7.
+  go test -race -count=3 -run 'ShardInvariance' ./internal/core/
 }
 
 lane_benchsmoke() {
