@@ -134,3 +134,22 @@ func TestLeafCycleAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// TestTickAllocFree pins the tick's lane callbacks to the manager: a serial
+// maintenance tick on a settled network — collect scan with its refreshes,
+// evaluate walk and commit — allocates nothing once the lanes exist.
+func TestTickAllocFree(t *testing.T) {
+	n, mgr := allocNetwork(t)
+	if shards := n.Engine().Shards(); shards != 1 {
+		t.Fatalf("engine runs %d shards, want a serial tick", shards)
+	}
+	now := n.Now()
+	mgr.Tick(n, now) // the first tick builds the lanes
+	allocs := testing.AllocsPerRun(100, func() {
+		now++
+		mgr.Tick(n, now)
+	})
+	if allocs != 0 {
+		t.Errorf("a serial tick allocates %.2f objects, want 0", allocs)
+	}
+}

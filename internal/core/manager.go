@@ -14,9 +14,9 @@ import (
 // Manager is the DLM layer-management policy, plugged into an
 // overlay.Network. One Manager instance serves the whole simulated
 // population, but all of its state is partitioned per peer — one
-// protocol.Machine each, stored in overlay.Peer.State — and every
-// decision uses only that peer's local information, the distributed
-// discipline the paper requires.
+// protocol.Machine each, in the arena slot of the peer's slab slot — and
+// every decision uses only that peer's local information, the
+// distributed discipline the paper requires.
 type Manager struct {
 	P Params
 
@@ -36,6 +36,19 @@ type Manager struct {
 	// Initialized on first Tick; the buffers are reused every tick.
 	lanes []laneState
 
+	// evalLane and collectLane are the tick's two lane callbacks, built
+	// once by ensureLanes: sim.ForLanes hands its callback to goroutines
+	// when sharded, so a closure built per tick would be a heap object
+	// every tick even on a serial engine. They read the tick's inputs
+	// from tick, which Tick and collect set before the fan-outs.
+	evalLane, collectLane func(lane int)
+	tick                  struct {
+		n          *overlay.Network
+		now        sim.Time
+		kl, eta    float64
+		refreshing bool
+	}
+
 	// due is the collect phase's merge buffer: one of the lanes' collect
 	// lists at a time, sorted into slot order (see collect).
 	due []*overlay.Peer
@@ -45,11 +58,12 @@ type Manager struct {
 	// read machines sequentially instead of chasing one heap pointer per
 	// peer — and, since a leaf-sized machine holds its three sets in its
 	// own arrays, read nothing else. A chunk is 2048 machines of eight
-	// cache lines each, so every machine starts on a line boundary.
-	// Peer.State caches the element's address — stable, because chunks
-	// are never reallocated — and the machine survives slot recycling:
-	// the next tenant's InitialLayer resets it. Growth happens only on
-	// the serial join path (InitialLayer), never inside a parallel lane.
+	// cache lines each, so every machine starts on a line boundary. A
+	// peer's machine is the one at its slab slot (see state); chunks are
+	// never reallocated, so its address is stable, and it survives slot
+	// recycling: the next tenant's InitialLayer resets it. Growth happens
+	// only on the serial join path (InitialLayer), never inside a
+	// parallel lane.
 	mach [][]protocol.Machine
 
 	// spares is the arena's store of released machine storage (see
@@ -90,13 +104,18 @@ func (m *Manager) Name() string { return "dlm" }
 // leaf layer first"). Peer structs are recycled by the overlay's slab
 // store, so a machine left behind by the slot's previous tenant is reset
 // here — at the join instant — rather than allowed to leak stale protocol
-// state into the new session.
+// state into the new session. A slot past the arena grows it by whole
+// chunks, each machine bound to the manager's params and store as its
+// chunk is allocated; this runs on the serial join path only.
 func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Layer {
-	if ma, ok := p.State.(*protocol.Machine); ok {
-		ma.Reset(protocol.Time(n.Now()))
-	} else {
-		p.State = m.machineFor(p.Slot(), protocol.Time(n.Now()))
+	for int(p.Slot())>>machChunkShift >= len(m.mach) {
+		chunk := make([]protocol.Machine, 1<<machChunkShift)
+		for i := range chunk {
+			chunk[i].Init(&m.P, 0, &m.spares)
+		}
+		m.mach = append(m.mach, chunk)
 	}
+	m.state(p).Reset(protocol.Time(n.Now()))
 	return overlay.LayerLeaf
 }
 
@@ -108,24 +127,12 @@ func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Laye
 // with the 240-byte machines this arena held before the sets moved in).
 const machChunkShift = 11
 
-// machineFor returns the arena machine for slot, initialized for a first
-// tenant joining at joined. Callers run on the serial membership path
-// only — growth appends to the shared chunk list.
-func (m *Manager) machineFor(slot int32, joined protocol.Time) *protocol.Machine {
-	c := int(slot) >> machChunkShift
-	for c >= len(m.mach) {
-		m.mach = append(m.mach, make([]protocol.Machine, 1<<machChunkShift))
-	}
-	ma := &m.mach[c][int(slot)&(1<<machChunkShift-1)]
-	ma.Init(&m.P, joined, &m.spares)
-	return ma
-}
-
-// state returns the peer's protocol machine: the arena machine
-// InitialLayer bound at Join. It is called from parallel lanes and never
-// allocates.
+// state returns the peer's protocol machine: the arena machine at its slab
+// slot, which InitialLayer reset at Join. It is called from parallel lanes
+// and never allocates.
 func (m *Manager) state(p *overlay.Peer) *protocol.Machine {
-	return p.State.(*protocol.Machine)
+	s := int(p.Slot())
+	return &m.mach[s>>machChunkShift][s&(1<<machChunkShift-1)]
 }
 
 // laneState is one lane's slice of the tick's parallel passes.
@@ -151,7 +158,8 @@ type laneEval struct {
 	res protocol.EvalResult
 }
 
-// ensureLanes builds the per-lane RNG streams on first use.
+// ensureLanes builds the per-lane RNG streams and the lane callbacks on
+// first use.
 func (m *Manager) ensureLanes(n *overlay.Network) {
 	if m.lanes != nil {
 		return
@@ -161,6 +169,7 @@ func (m *Manager) ensureLanes(n *overlay.Network) {
 	for i := range m.lanes {
 		m.lanes[i].rng = root.StreamN(int64(i))
 	}
+	m.evalLane, m.collectLane = m.evaluateLane, m.scanLane
 }
 
 // selfView builds the machine's per-call view of a peer. It uses the
@@ -311,12 +320,11 @@ func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *ms
 //     land, inline at zero latency, before any evaluation reads them.
 //   - Evaluate (lane-parallel): the population is partitioned into the
 //     overlay's fixed lanes; each lane walks its slab pages in slot
-//     order, advances each super's l_nn EWMA, draws the staggering
-//     Bernoulli from the lane's own RNG stream, runs the machine
-//     evaluation, and buffers the result. Everything a machine evaluation
-//     touches is peer-local (its own related set, smoothing state and
-//     cooldowns — see internal/protocol), and the shared overlay state is
-//     only read, so lanes race on nothing.
+//     order, runs each machine's decision step (protocol.Machine.Decide)
+//     with the lane's own RNG stream, and buffers the result. Everything
+//     a machine decision touches is peer-local (its own related set,
+//     smoothing state and cooldowns — see internal/protocol), and the
+//     shared overlay state is only read, so lanes race on nothing.
 //   - Commit (serial): the buffered results are applied in (lane, slot)
 //     order — counters, OnDecision, and the Promote/Demote surgery with
 //     its message fan-out. Every evaluation therefore sees the overlay as
@@ -328,32 +336,13 @@ func (m *Manager) HandleMessageLane(n *overlay.Network, to *overlay.Peer, mm *ms
 // to a serial one for any K.
 func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	m.ensureLanes(n)
+	cfg := n.Config()
+	m.tick.n, m.tick.now, m.tick.kl, m.tick.eta = n, now, cfg.KL(), cfg.Eta
 	m.collect(n, now)
 
 	// Decision phase, pass 1: lane-parallel evaluation. No membership
 	// snapshot is needed — layer sets mutate only in the commit pass.
-	cfg := n.Config()
-	kl, eta := cfg.KL(), cfg.Eta
-	pnow := protocol.Time(now)
-	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, func(lane int) {
-		ls := &m.lanes[lane]
-		ls.evals = ls.evals[:0]
-		n.WalkLane(lane, func(p *overlay.Peer) {
-			ma := m.state(p)
-			if p.Layer == overlay.LayerSuper {
-				// Advance the l_nn EWMA once per tick, decisions or
-				// not, so the smoothing cadence is uniform.
-				ma.SmoothLnn(float64(p.LeafDegree()))
-			}
-			if !ls.rng.Bernoulli(m.P.EvalProbability) {
-				return
-			}
-			res := ma.Evaluate(selfView(p, now), pnow, kl, eta, ls.rng)
-			if res.Evaluated || res.Action != protocol.ActionNone {
-				ls.evals = append(ls.evals, laneEval{p: p, res: res})
-			}
-		})
-	})
+	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, m.evalLane)
 
 	// Decision phase, pass 2: serial commit in (lane, slot) order.
 	for l := range m.lanes {
@@ -362,6 +351,20 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 			m.commit(n, &evals[i], now)
 		}
 	}
+}
+
+// evaluateLane is the evaluate pass over one lane: each peer's decision
+// step, buffering the results there is something to commit for.
+func (m *Manager) evaluateLane(lane int) {
+	ls, t := &m.lanes[lane], &m.tick
+	ls.evals = ls.evals[:0]
+	pnow := protocol.Time(t.now)
+	var res protocol.EvalResult
+	t.n.WalkLane(lane, func(p *overlay.Peer) {
+		if m.state(p).Decide(selfView(p, t.now), pnow, t.kl, t.eta, ls.rng, &res) {
+			ls.evals = append(ls.evals, laneEval{p: p, res: res})
+		}
+	})
 }
 
 // collect is the tick's information half, in a live peer's order: the
@@ -386,24 +389,12 @@ func (m *Manager) collect(n *overlay.Network, now sim.Time) {
 	if m.P.Exchange == protocol.Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
 		m.exchangeAll(n)
 	}
-	refreshing := m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0
-	if !refreshing && m.P.RequestTimeout <= 0 {
+	m.tick.refreshing = m.P.Exchange == protocol.EventDriven && m.P.RefreshInterval > 0
+	if !m.tick.refreshing && m.P.RequestTimeout <= 0 {
 		return
 	}
 	pnow := protocol.Time(now)
-	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, func(lane int) {
-		ls := &m.lanes[lane]
-		ls.refresh, ls.expire = ls.refresh[:0], ls.expire[:0]
-		n.WalkLane(lane, func(p *overlay.Peer) {
-			ma := m.state(p)
-			if refreshing && p.Layer == overlay.LayerLeaf && ma.RefreshDue(pnow) {
-				ls.refresh = append(ls.refresh, p)
-			}
-			if ma.PendingRequests() > 0 {
-				ls.expire = append(ls.expire, p)
-			}
-		})
-	})
+	sim.ForLanes(n.Engine().Shards(), overlay.NumLanes, m.collectLane)
 
 	m.ep.n = n
 	for _, leaf := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.refresh }) {
@@ -414,6 +405,24 @@ func (m *Manager) collect(n *overlay.Network, now sim.Time) {
 		m.RequestRetries += uint64(r)
 		m.RequestDrops += uint64(d)
 	}
+}
+
+// scanLane is the collect scan over one lane: the leaves whose refresh
+// fell due (RefreshDue stamps the leaf's own machine) and the machines
+// with requests outstanding.
+func (m *Manager) scanLane(lane int) {
+	ls, t := &m.lanes[lane], &m.tick
+	ls.refresh, ls.expire = ls.refresh[:0], ls.expire[:0]
+	pnow := protocol.Time(t.now)
+	t.n.WalkLane(lane, func(p *overlay.Peer) {
+		ma := m.state(p)
+		if t.refreshing && p.Layer == overlay.LayerLeaf && ma.RefreshDue(pnow) {
+			ls.refresh = append(ls.refresh, p)
+		}
+		if ma.PendingRequests() > 0 {
+			ls.expire = append(ls.expire, p)
+		}
+	})
 }
 
 // bySlot gathers one collect list from every lane into the manager's

@@ -19,7 +19,7 @@ func testNetwork(seed int64, p Params) (*sim.Engine, *overlay.Network, *Manager)
 }
 
 func TestEventDrivenExchangeOnConnect(t *testing.T) {
-	_, n, _ := testNetwork(1, DefaultParams())
+	_, n, mgr := testNetwork(1, DefaultParams())
 	s := n.Join(100, 1000, nil) // bootstrap super
 	leaf := n.Join(10, 100, nil)
 	if leaf.Layer != overlay.LayerLeaf {
@@ -36,8 +36,8 @@ func TestEventDrivenExchangeOnConnect(t *testing.T) {
 			tr.Count(msg.KindValueRequest), tr.Count(msg.KindValueResponse))
 	}
 	// Both endpoints recorded each other.
-	lst := leaf.State.(*protocol.Machine)
-	sst := s.State.(*protocol.Machine)
+	lst := mgr.state(leaf)
+	sst := mgr.state(s)
 	if !lst.Has(s.ID) {
 		t.Fatal("leaf did not record super's values")
 	}
@@ -114,14 +114,14 @@ func TestPromotionResetsStateAndOldSupersForget(t *testing.T) {
 	if mgr.state(sup).Has(leaf.ID) {
 		t.Fatal("old super still has promoted peer in G")
 	}
-	st := leaf.State.(*protocol.Machine)
+	st := mgr.state(leaf)
 	if _, _, ok := st.LnnReport(sup.ID); st.Size() != 0 || ok {
 		t.Fatal("promotion did not reset state")
 	}
 }
 
 func TestDemotionTriggersReExchange(t *testing.T) {
-	_, n, _ := testNetwork(1, DefaultParams())
+	_, n, mgr := testNetwork(1, DefaultParams())
 	// Three supers so demotion is allowed and the demoted peer keeps
 	// super links.
 	a := n.Join(100, 1000, nil)
@@ -144,7 +144,7 @@ func TestDemotionTriggersReExchange(t *testing.T) {
 	foundInG := false
 	for _, id := range c.SuperLinks() {
 		q := n.Peer(id)
-		if st, ok := q.State.(*protocol.Machine); ok && st.Has(c.ID) {
+		if mgr.state(q).Has(c.ID) {
 			foundInG = true
 		}
 	}

@@ -123,28 +123,20 @@ func (p *Peer) collect() {
 	}
 }
 
-// decide is a round's decision half: the super-layer l_nn smoothing pass,
-// then a staggered DLM evaluation whose layer switch it executes.
+// decide is a round's decision half: the machine's decision step
+// (Machine.Decide, the simulator's too), whose layer switch it executes.
 func (p *Peer) decide() {
 	if p.gone.Load() {
 		return
 	}
 	cfg := &p.net.cfg
 	now := p.net.nowUnits()
-	p.mu.Lock()
-	if p.Layer() == overlay.LayerSuper {
-		// The sim engine advances every super's l_nn EWMA once per tick on
-		// top of the advance inside Evaluate; mirror that here so both
-		// planes trace identical smoothed sequences.
-		p.mach.SmoothLnn(float64(p.leaves.Len()))
-	}
 	var res protocol.EvalResult
-	if protocol.Bernoulli(p.rng, cfg.Params.EvalProbability) {
-		res = p.mach.Evaluate(p.selfLocked(now), now, float64(cfg.M)*cfg.Eta, cfg.Eta, p.rng)
-	}
+	p.mu.Lock()
+	decided := p.mach.Decide(p.selfLocked(now), now, float64(cfg.M)*cfg.Eta, cfg.Eta, p.rng, &res)
 	p.mu.Unlock()
 
-	if hook := p.net.onDecision; hook != nil && (res.Evaluated || res.Action != protocol.ActionNone) {
+	if hook := p.net.onDecision; hook != nil && decided {
 		hook(p.ID, now, res)
 	}
 	switch res.Action {

@@ -408,43 +408,58 @@ func (n *Network) Handle(k msg.Kind, h MessageHandler) {
 	n.handlers[k] = h
 }
 
-// Send records and delivers a protocol message. Delivery is dropped when
-// the destination has left the network (messages to the dead are still
-// counted: the sender spent the bandwidth). The message rides a pooled
-// carrier, so steady-state sending does not allocate; handlers must not
-// retain the *Message past the handler call.
+// Send records and delivers a protocol message. The sender spends the
+// bandwidth whether or not the message arrives, so it is recorded first;
+// then the partition check, then the Link fault model, which is drawn only
+// on an active link — a perfect link sends one copy with no extra delay
+// and no draw. Link.Draw makes every draw before any copy is delivered,
+// since inline delivery can re-enter Send. Delivery is dropped when the
+// destination has left the network. Each copy rides a pooled carrier, so
+// steady-state sending does not allocate; handlers must not retain the
+// *Message past the handler call.
 func (n *Network) Send(m msg.Message) {
+	n.traffic.Record(&m)
 	if n.partition != nil && n.partition(m.From) != n.partition(m.To) {
-		// The partition severs link delivery only: the sender still spent
-		// the bandwidth, and no random draw happens — a nil partition
-		// leaves the message plane byte-identical.
-		n.traffic.Record(&m)
+		// The partition severs link delivery only, and draws nothing: a
+		// nil partition leaves the message plane byte-identical.
 		n.counters.PartitionDrops++
 		return
 	}
+	copies, extra := 1, [2]sim.Duration{}
 	if n.linkActive {
-		n.sendFaulty(m)
-		return
+		copies, extra = n.cfg.Link.Draw(n.linkRng)
+		switch copies {
+		case 0:
+			n.counters.LinkDrops[m.Kind]++
+			return
+		case 2:
+			n.counters.LinkDups[m.Kind]++
+		}
 	}
-	if n.cfg.Latency <= 0 {
-		// Inline delivery still rides a pooled carrier: deliver's manager
+	for i := 0; i < copies; i++ {
+		// Even an inline copy rides a pooled carrier: deliver's manager
 		// call is an interface call, so &m would escape and put every Send
-		// on the heap. The carrier never enters the event plane, so its
-		// lane tag is moot.
-		d := n.getDeliver(sim.GlobalLane)
+		// on the heap. An inline carrier never enters the event plane, so
+		// its lane tag is moot.
+		delay, lane := n.cfg.Latency+extra[i], int32(sim.GlobalLane)
+		if delay > 0 {
+			lane = n.laneFor(m.To)
+		}
+		d := n.getDeliver(lane)
 		d.m = m
-		n.traffic.Record(&d.m)
-		n.deliver(&d.m)
-		n.putDeliver(d)
-		return
+		switch {
+		case delay <= 0:
+			d.Fire(n.eng)
+		case extra[i] == 0:
+			// One constant delay on a clock that never runs backwards:
+			// these copies arrive in the order they were sent, so they
+			// queue in the engine's FIFO ring and stay out of the heap.
+			n.eng.AfterFIFO(int(lane), delay, d)
+		default:
+			// Jittered copies form no sorted run; the heap orders them.
+			n.eng.AfterLane(int(lane), delay, d)
+		}
 	}
-	d := n.getDeliver(n.laneFor(m.To))
-	d.m = m
-	n.traffic.Record(&d.m)
-	// One constant delay on a clock that never runs backwards: these
-	// deliveries arrive in the order they were sent, so they queue in the
-	// engine's FIFO ring and stay out of the heap.
-	n.eng.AfterFIFO(int(d.lane), n.cfg.Latency, d)
 }
 
 // laneFor returns the event lane for a message addressed to id: the
@@ -456,37 +471,6 @@ func (n *Network) laneFor(id msg.PeerID) int32 {
 		return int32(n.LaneOf(p))
 	}
 	return sim.GlobalLane
-}
-
-// sendFaulty is Send through the Link fault model. Link.Draw makes every
-// draw before any copy is delivered, since inline delivery can re-enter
-// Send.
-func (n *Network) sendFaulty(m msg.Message) {
-	// The sender spent the bandwidth whether or not the network delivers.
-	n.traffic.Record(&m)
-	copies, extra := n.cfg.Link.Draw(n.linkRng)
-	switch copies {
-	case 0:
-		n.counters.LinkDrops[m.Kind]++
-		return
-	case 2:
-		n.counters.LinkDups[m.Kind]++
-	}
-	for i := 0; i < copies; i++ {
-		delay := n.cfg.Latency + extra[i]
-		if delay <= 0 {
-			// A pooled carrier, as in Send: &m would move m to the heap
-			// on every call, delayed or not.
-			d := n.getDeliver(sim.GlobalLane)
-			d.m = m
-			n.deliver(&d.m)
-			n.putDeliver(d)
-			continue
-		}
-		d := n.getDeliver(n.laneFor(m.To))
-		d.m = m
-		n.eng.AfterLane(int(d.lane), delay, d)
-	}
 }
 
 func (n *Network) deliver(m *msg.Message) {

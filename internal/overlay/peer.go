@@ -42,10 +42,11 @@ func (l Layer) String() string {
 // the Alive check.
 //
 // Field order is access order: everything the per-tick population walk
-// and a message delivery read of a peer — liveness, layer, the manager's
-// state, the reported capacity and age — is the struct's first 64 bytes,
-// the two link sets with their inline IDs follow, and what only join,
-// leave and search touch comes last (TestPeerLayout).
+// and a message delivery read of a peer — liveness, layer, the slot that
+// finds the manager's state, the reported capacity and age — is the
+// struct's first 64 bytes, the two link sets with their inline IDs
+// follow, and what only join, leave and search touch comes last
+// (TestPeerLayout).
 //
 // The link sets are flatidx.Sets: a peer at leaf degree keeps its links
 // in its slab page, and a super's leaf set, which million-peer bootstrap
@@ -62,13 +63,6 @@ type Peer struct {
 	Layer Layer
 
 	alive bool
-
-	// State is per-peer storage owned by the Manager (DLM keeps its
-	// related set, scale parameters and counters here). It survives slot
-	// recycling so managers can reuse their allocations; a manager that
-	// stores state must therefore re-initialize it when a peer joins
-	// (core does this in InitialLayer).
-	State any
 
 	// Capacity abstracts query-processing ability; the paper instantiates
 	// it with bandwidth. It is fixed for the peer's whole session.

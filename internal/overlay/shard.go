@@ -40,8 +40,10 @@ func (n *Network) LaneOf(p *Peer) int {
 
 // Slot returns p's slab slot index. Slot order is the deterministic
 // population-walk order (WalkPeers, WalkLane merge), exposed so a manager
-// that gathers peers from several lanes — core's collect phase — can
-// merge them back into exactly that order.
+// can keep per-peer state in a slot-indexed arena of its own (core's
+// protocol machines) and merge peers gathered from several lanes back
+// into exactly that order (core's collect phase). A slot is reused once
+// its peer has left, so the manager resets its state in InitialLayer.
 func (p *Peer) Slot() int32 { return p.slot }
 
 // walkLane calls fn for every live peer in the lane, in slot order.

@@ -447,6 +447,29 @@ func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoin
 	}
 }
 
+// Decide is one maintenance round's decision step, the same on every
+// plane: a super's l_nn EWMA advances whether or not the peer evaluates,
+// then the staggering Bernoulli (Params.EvalProbability; no draw at 1)
+// picks whether it runs Evaluate's phases, into *res. It reports whether
+// an evaluation ran or an action is requested; only then is *res
+// meaningful. Hosts call it for every peer every round, so the result is
+// filled in place: a by-value return cost the tick walk a copy per peer.
+func (ma *Machine) Decide(self Self, now Time, kl, eta float64, rng Rand, res *EvalResult) bool {
+	if self.IsSuper {
+		ma.smoothLnn(float64(self.LeafDegree))
+	}
+	if !Bernoulli(rng, ma.p.EvalProbability) {
+		return false
+	}
+	*res = EvalResult{}
+	if self.IsSuper {
+		ma.evaluateSuper(res, self, now, kl, eta, rng)
+	} else {
+		ma.evaluateLeaf(res, self, now, kl, eta, rng)
+	}
+	return res.Evaluated || res.Action != ActionNone
+}
+
 // Evaluate runs Phases 2-4 for the peer: cooldown gates, evidence gates,
 // the scaled comparison against G, and the deficit-proportional rate
 // limit (drawing from rng only when a switch is eligible — the draw
@@ -517,7 +540,7 @@ func (ma *Machine) evaluateSuper(res *EvalResult, self Self, now Time, kl, eta f
 		return
 	}
 	res.Evaluated = true
-	lnn := ma.SmoothLnn(float64(self.LeafDegree))
+	lnn := ma.smoothLnn(float64(self.LeafDegree))
 	res.Lnn = lnn
 	ma.decideInto(&res.Decision, self.Capacity, self.Age, now, lnn, kl, false)
 	if res.Decision.ShouldSwitch {
@@ -714,13 +737,13 @@ func (ma *Machine) AvgLnn() (float64, bool) {
 	return float64(ma.lnnSum) / float64(ma.lnnCount), true
 }
 
-// SmoothLnn folds the current leaf degree into the EWMA and returns the
+// smoothLnn folds the current leaf degree into the EWMA and returns the
 // smoothed value (Params.LnnSmoothing 0 disables: returns cur with no
-// state change). Hosts call it once per tick for every super so the
+// state change). Decide calls it once per round for every super so the
 // smoothing cadence is uniform; Evaluate advances it a second time for
 // the peers that actually evaluate, matching the historical cadence the
 // determinism baselines pin.
-func (ma *Machine) SmoothLnn(cur float64) float64 {
+func (ma *Machine) smoothLnn(cur float64) float64 {
 	alpha := ma.p.LnnSmoothing
 	if alpha <= 0 {
 		return cur

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"dlm/internal/msg"
@@ -45,6 +47,18 @@ func TestBernoulliDrawDiscipline(t *testing.T) {
 	}
 	if r.draws != 2 {
 		t.Fatalf("interior probabilities consumed %d draws, want 2", r.draws)
+	}
+	// An interior probability is met at its rate.
+	src := rand.New(rand.NewSource(3))
+	hits := 0
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if Bernoulli(src, 0.3) {
+			hits++
+		}
+	}
+	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
+		t.Errorf("Bernoulli(0.3) frequency = %.3f", frac)
 	}
 }
 
@@ -166,18 +180,18 @@ func TestSmoothLnn(t *testing.T) {
 	p := DefaultParams()
 	p.LnnSmoothing = 0.5
 	ma := NewMachine(&p, 0)
-	if got := ma.SmoothLnn(10); got != 10 {
+	if got := ma.smoothLnn(10); got != 10 {
 		t.Fatalf("first smoothed value = %v, want seed 10", got)
 	}
-	if got := ma.SmoothLnn(20); got != 15 {
+	if got := ma.smoothLnn(20); got != 15 {
 		t.Fatalf("EWMA step = %v, want 15", got)
 	}
 	// Alpha 0 disables: returns cur, no state change.
 	p0 := DefaultParams()
 	p0.LnnSmoothing = 0
 	ma0 := NewMachine(&p0, 0)
-	ma0.SmoothLnn(10)
-	if got := ma0.SmoothLnn(30); got != 30 {
+	ma0.smoothLnn(10)
+	if got := ma0.smoothLnn(30); got != 30 {
 		t.Fatalf("disabled smoothing returned %v, want 30", got)
 	}
 }
@@ -187,7 +201,7 @@ func TestResetClearsState(t *testing.T) {
 	ma := NewMachine(&p, 0)
 	ma.observe(1, 1, 1, 5, 0)
 	ma.putLnn(1, lnnReport{lnn: 3, when: 5})
-	ma.SmoothLnn(10)
+	ma.smoothLnn(10)
 	ma.RefreshDue(100)
 	ma.Reset(42)
 	if ma.Size() != 0 || ma.lnnN != 0 {
@@ -404,4 +418,79 @@ func TestEvaluateRateLimitDraw(t *testing.T) {
 	if res := ma.Evaluate(self, 11, 20, 10, high); !res.Eligible || res.Action != ActionNone {
 		t.Fatalf("high draw should suppress the switch: %+v", res)
 	}
+}
+
+// seqRand returns its draws in order and counts how many were taken.
+type seqRand struct {
+	v     []float64
+	draws int
+}
+
+func (r *seqRand) Float64() float64 { x := r.v[r.draws]; r.draws++; return x }
+
+// TestDecideCadence pins the decision step both planes run each round: a
+// super's l_nn EWMA advances whether or not it evaluates, the staggering
+// draw is skipped at EvalProbability 1, and at p < 1 it comes first — one
+// draw — before any draw of Evaluate's own.
+func TestDecideCadence(t *testing.T) {
+	t.Run("super smooths without evaluating", func(t *testing.T) {
+		p := testEvalParams()
+		p.LnnSmoothing = 0.5
+		p.EvalProbability = 0.5
+		ma := NewMachine(&p, 0)
+		rng := &fixedRand{v: 0.99} // every stagger draw fails
+		for _, deg := range []int{10, 20} {
+			self := Self{ID: 1, Capacity: 1, Age: 1, IsSuper: true, LeafDegree: deg}
+			var res EvalResult
+			if ma.Decide(self, 200, 20, 10, rng, &res) || res != (EvalResult{}) {
+				t.Fatalf("failed stagger draw left %+v, want nothing decided", res)
+			}
+		}
+		if rng.draws != 2 {
+			t.Fatalf("two rounds took %d draws, want 2", rng.draws)
+		}
+		if !ma.hasSmooth || ma.lnnSmooth != 15 {
+			t.Fatalf("EWMA after degrees 10, 20 = %v (seeded %v), want 15", ma.lnnSmooth, ma.hasSmooth)
+		}
+	})
+	t.Run("probability one takes no draw", func(t *testing.T) {
+		p := testEvalParams()
+		p.EvalProbability = 1
+		ma := NewMachine(&p, 0)
+		rng := &fixedRand{v: 0.5}
+		// Inside DecisionCooldown, so Evaluate itself draws nothing.
+		self := Self{ID: 1, Capacity: 100, Age: 100}
+		var res EvalResult
+		if ma.Decide(self, 3, 20, 10, rng, &res) || rng.draws != 0 {
+			t.Fatalf("Decide at EvalProbability 1: %+v after %d draws, want no evaluation and 0 draws", res, rng.draws)
+		}
+	})
+	t.Run("leaf draws the stagger first", func(t *testing.T) {
+		p := testEvalParams()
+		p.RateLimit = true
+		p.RateGain = 1
+		p.SelectionSharpness = 0
+		p.EvalProbability = 0.5
+		for _, c := range []struct {
+			draws     []float64
+			taken     int
+			evaluated bool
+			action    Action
+		}{
+			{[]float64{0.6}, 1, false, ActionNone},         // stagger fails: no evaluation
+			{[]float64{0.4, 0.01}, 2, true, ActionPromote}, // stagger, then the rate limit (0.1) passes
+			{[]float64{0.4, 0.99}, 2, true, ActionNone},    // the rate limit holds the switch back
+		} {
+			ma := NewMachine(&p, 0)
+			ma.observe(2, 1, 1, 1, 0)
+			ma.putLnn(2, lnnReport{lnn: 30, when: 1}) // r=1.5 -> prob (r-1)/eta/EvalProbability = 0.1
+			rng := &seqRand{v: c.draws}
+			var res EvalResult
+			decided := ma.Decide(Self{ID: 1, Capacity: 100, Age: 100}, 10, 20, 10, rng, &res)
+			if rng.draws != c.taken || decided != c.evaluated || res.Evaluated != c.evaluated || res.Action != c.action {
+				t.Errorf("draws %v: took %d, evaluated %v, action %v; want %d, %v, %v",
+					c.draws, rng.draws, res.Evaluated, res.Action, c.taken, c.evaluated, c.action)
+			}
+		}
+	})
 }

@@ -348,37 +348,6 @@ func TestDistributionMoments(t *testing.T) {
 			t.Fatalf("uniform draw %v outside [3,7)", v)
 		}
 	}
-
-	// Weibull with shape 1 is exponential with the same scale.
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += s.Weibull(4, 1)
-	}
-	if m := sum / n; math.Abs(m-4) > 0.1 {
-		t.Errorf("weibull(4,1) mean = %.3f, want 4±0.1", m)
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	s := NewSource(3)
-	for i := 0; i < 100; i++ {
-		if s.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !s.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if s.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
-		t.Errorf("Bernoulli(0.3) frequency = %.3f", frac)
-	}
 }
 
 // TestResetMatchesFreshEngine pins the contract the parallel trial

@@ -64,17 +64,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
 }
 
-// Bernoulli reports true with probability p (clamped to [0,1]).
-func (s *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return s.rng.Float64() < p
-}
-
 // Lognormal returns a draw from a lognormal distribution parameterized by
 // the mean and sigma of the underlying normal.
 func (s *Source) Lognormal(mu, sigma float64) float64 {
@@ -97,10 +86,4 @@ func (s *Source) BoundedPareto(lo, hi, alpha float64) float64 {
 // Exponential returns an exponential draw with the given mean.
 func (s *Source) Exponential(mean float64) float64 {
 	return mean * s.rng.ExpFloat64()
-}
-
-// Weibull returns a Weibull draw with the given scale and shape.
-func (s *Source) Weibull(scale, shape float64) float64 {
-	u := 1 - s.rng.Float64()
-	return scale * math.Pow(-math.Log(u), 1/shape)
 }

@@ -85,17 +85,6 @@ func (p BoundedPareto) Mean() float64 {
 	return la / (1 - math.Pow(l/h, a)) * a / (a - 1) * (1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
 }
 
-// Weibull with the given scale and shape.
-type Weibull struct{ Scale, Shape float64 }
-
-// Sample implements Dist.
-func (w Weibull) Sample(r *sim.Source) float64 { return r.Weibull(w.Scale, w.Shape) }
-
-// Mean implements Dist.
-func (w Weibull) Mean() float64 { return w.Scale * gamma(1+1/w.Shape) }
-
-func gamma(x float64) float64 { return math.Gamma(x) }
-
 // Scaled wraps a distribution and multiplies every sample by Factor.
 // Regime schedules use it to halve or double a distribution's mean without
 // changing its shape (the paper's dynamic scenarios do exactly this).
@@ -109,34 +98,6 @@ func (s Scaled) Sample(r *sim.Source) float64 { return s.Factor * s.Base.Sample(
 
 // Mean implements Dist.
 func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
-
-// WeightedSum is the paper's Definition 1 in its general form:
-// capacity(d) = Σ w_i·v_i(d), a weighted sum over per-metric draws
-// (bandwidth, CPU power, storage space, ...). The paper's evaluation
-// collapses it to bandwidth alone; this form supports multi-metric
-// capacity scenarios.
-type WeightedSum struct {
-	Components []Dist
-	Weights    []float64
-}
-
-// Sample implements Dist: each component is drawn independently.
-func (w *WeightedSum) Sample(r *sim.Source) float64 {
-	var sum float64
-	for i, c := range w.Components {
-		sum += w.Weights[i] * c.Sample(r)
-	}
-	return sum
-}
-
-// Mean implements Dist.
-func (w *WeightedSum) Mean() float64 {
-	var mean float64
-	for i, c := range w.Components {
-		mean += w.Weights[i] * c.Mean()
-	}
-	return mean
-}
 
 // Mixture is a finite mixture of distributions with the given weights.
 // Weights need not be normalized.

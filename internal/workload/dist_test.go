@@ -35,7 +35,6 @@ func TestAnalyticMeansMatchEmpirical(t *testing.T) {
 		{"exponential", Exponential{MeanVal: 3}, 0.05},
 		{"lognormal", Lognormal{Mu: 1, Sigma: 0.5}, 0.05},
 		{"boundedpareto", BoundedPareto{Lo: 1, Hi: 100, Alpha: 1.5}, 0.05},
-		{"weibull", Weibull{Scale: 5, Shape: 2}, 0.05},
 		{"scaled", Scaled{Base: Uniform{Lo: 0, Hi: 2}, Factor: 3}, 0.05},
 	}
 	for _, c := range cases {
@@ -254,28 +253,6 @@ func TestModifierString(t *testing.T) {
 	m := Modifier{CapacityFactor: 2, LifetimeFactor: 0.5}
 	if m.String() != "capacity×2 lifetime×0.5" {
 		t.Fatalf("String() = %q", m.String())
-	}
-}
-
-func TestWeightedSum(t *testing.T) {
-	// Paper Definition 1: capacity = Σ w_i·v_i over bandwidth, CPU,
-	// storage.
-	w := &WeightedSum{
-		Components: []Dist{Constant(100), Constant(8), Constant(500)},
-		Weights:    []float64{0.7, 0.2, 0.1},
-	}
-	r := sim.NewSource(1)
-	want := 0.7*100 + 0.2*8 + 0.1*500
-	if got := w.Sample(r); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sample = %v, want %v", got, want)
-	}
-	if math.Abs(w.Mean()-want) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", w.Mean(), want)
-	}
-	// Stochastic components: mean is the weighted sum of means.
-	w2 := &WeightedSum{Components: []Dist{Uniform{Lo: 0, Hi: 10}, Exponential{MeanVal: 3}}, Weights: []float64{1, 2}}
-	if got := empiricalMean(w2, 200000, 5); math.Abs(got-w2.Mean()) > 0.1 {
-		t.Fatalf("empirical mean %v vs analytic %v", got, w2.Mean())
 	}
 }
 

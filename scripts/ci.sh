@@ -68,6 +68,15 @@ lane_test() {
     fi
   done
   go test ./...
+  # overlay.Network.Send hands each copy to a pooled carrier because &m
+  # would escape through deliver's interface call and put every Send on
+  # the heap; the escape analysis must keep the message on the stack.
+  escaped=$(go build -gcflags=-m ./internal/overlay 2>&1 | grep 'moved to heap: m$' || true)
+  if [ -n "$escaped" ]; then
+    echo "escape: overlay's message moved to the heap:" >&2
+    echo "$escaped" >&2
+    exit 1
+  fi
   # The trace pipeline as cmd/dlmtrace documents it: dlmsim writes a trace
   # file and dlmtrace summarizes it (an empty trace fails). The same run
   # drives the search plane (catalog, index, flood) end to end: its
