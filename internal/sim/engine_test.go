@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dlm/internal/protocol"
 )
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
@@ -347,6 +349,31 @@ func TestDistributionMoments(t *testing.T) {
 		if v < 3 || v >= 7 {
 			t.Fatalf("uniform draw %v outside [3,7)", v)
 		}
+	}
+}
+
+// TestBernoulliEdges checks the simulator's Source as the decision step
+// draws from it, through protocol.Bernoulli: the clamp edges are certain
+// and an interior probability is met at its rate.
+func TestBernoulliEdges(t *testing.T) {
+	s := NewSource(3)
+	for i := 0; i < 100; i++ {
+		if protocol.Bernoulli(s, 0) {
+			t.Fatal("Bernoulli(0) returned true")
+		}
+		if !protocol.Bernoulli(s, 1) {
+			t.Fatal("Bernoulli(1) returned false")
+		}
+	}
+	hits := 0
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if protocol.Bernoulli(s, 0.3) {
+			hits++
+		}
+	}
+	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
+		t.Errorf("Bernoulli(0.3) frequency = %.3f", frac)
 	}
 }
 
