@@ -13,7 +13,9 @@ import (
 // the related set's count and inline IDs with them, the inline related
 // entries fill two whole lines of their own, and the struct is a whole
 // number of lines — eight — so that machines in the host's arena all
-// start on a line boundary.
+// start on a line boundary. The collect scan's per-leaf fields — the
+// refresh due time and the l_nn and pending counts — share one line, so a
+// leaf the scan skips costs one line read.
 func TestMachineLayout(t *testing.T) {
 	const line = 64
 	var ma Machine
@@ -41,6 +43,19 @@ func TestMachineLayout(t *testing.T) {
 	}
 	if end := end(unsafe.Offsetof(ma.relHeap), unsafe.Sizeof(ma.relHeap)); end > 2*line {
 		t.Errorf("relHeap ends at byte %d, past the line before the inline entries", end)
+	}
+	scanLine := unsafe.Offsetof(ma.refreshAt) / line
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"refreshAt", unsafe.Offsetof(ma.refreshAt), unsafe.Sizeof(ma.refreshAt)},
+		{"lnnN", unsafe.Offsetof(ma.lnnN), unsafe.Sizeof(ma.lnnN)},
+		{"pendN", unsafe.Offsetof(ma.pendN), unsafe.Sizeof(ma.pendN)},
+	} {
+		if f.off/line != scanLine || (f.off+f.size-1)/line != scanLine {
+			t.Errorf("%s spans bytes %d-%d, off the collect scan's line %d", f.name, f.off, f.off+f.size-1, scanLine)
+		}
 	}
 	if got := unsafe.Sizeof(ma); got != 8*line {
 		t.Errorf("Sizeof(Machine) = %d, want %d (eight cache lines)", got, 8*line)
