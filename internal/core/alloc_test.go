@@ -10,8 +10,8 @@ import (
 
 // allocNetwork builds a small settled overlay — four supers with a dozen
 // leaves each, so the supers' own sets are long past their inline arrays —
-// with the clock beyond RefreshInterval, so a newcomer's first refresh is
-// due at once.
+// with the clock beyond RefreshInterval, so the standing leaves have
+// refreshed at least once.
 func allocNetwork(t testing.TB) (*overlay.Network, *Manager) {
 	eng, n, mgr := testNetwork(1, DefaultParams())
 	n.Join(100, 1e6, nil) // bootstrap super
@@ -31,13 +31,16 @@ func allocNetwork(t testing.TB) (*overlay.Network, *Manager) {
 }
 
 // leafJoin runs a leaf's arrival: Join (a leaf under DLM) makes the M
-// connections, each of which fires the connect exchange inline; then one
-// refresh exchange over both links.
+// connections, each of which fires the connect exchange inline; then its
+// first refresh exchange over both links, one RefreshInterval after the
+// join (protocol time is the calls' argument, so the session need not
+// wait for it on the engine's clock).
 func leafJoin(t testing.TB, n *overlay.Network, mgr *Manager) *overlay.Peer {
 	p := n.Join(10, 100, nil)
-	ma, now := mgr.state(p), protocol.Time(n.Now())
-	due := ma.RefreshDue(now)
-	mgr.refresh(n, p, now)
+	ma := mgr.state(p)
+	at := protocol.Time(n.Now()) + mgr.P.RefreshInterval
+	due := ma.RefreshDue(at)
+	mgr.refresh(n, p, at)
 	if p.Layer != overlay.LayerLeaf || p.SuperDegree() != 2 || ma.Size() != 2 || !due {
 		t.Fatalf("leaf cycle incomplete: layer %v, %d super links, |G| = %d, refresh due %v",
 			p.Layer, p.SuperDegree(), ma.Size(), due)

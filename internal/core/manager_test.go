@@ -299,6 +299,47 @@ func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 	}
 }
 
+// TestFirstRefreshOneIntervalAfterJoin pins where the simulator starts a
+// leaf's refresh clock: at its join, not at time 0. A leaf that joins past
+// the first RefreshInterval has just fetched its super's l_nn in the
+// connect exchange, so it sends no NeighNumRequest for one interval, then
+// refreshes on time. The leaf is the only peer that refreshes (the other
+// is the bootstrap super), so the overlay's traffic counters see its
+// requests alone.
+func TestFirstRefreshOneIntervalAfterJoin(t *testing.T) {
+	p := DefaultParams()
+	eng, n, _ := testNetwork(1, p)
+	n.Join(100, 1e6, nil) // bootstrap super
+	requests := func() uint64 { return n.Traffic().Count(msg.KindNeighNumRequest) }
+	joinAt := sim.Time(p.RefreshInterval) + 15
+	due := joinAt + sim.Time(p.RefreshInterval)
+	var leaf *overlay.Peer
+	var atJoin uint64
+	eng.Ticker(1, func(e *sim.Engine) bool {
+		now := e.Now()
+		if now == joinAt {
+			leaf = n.Join(10, 1e6, nil)
+			atJoin = requests()
+		}
+		n.Tick()
+		if leaf != nil && now < due && requests() != atJoin {
+			t.Errorf("t=%v: leaf joined at %v sent %d NeighNumRequests after its connect exchange, before %v",
+				now, joinAt, requests()-atJoin, due)
+			return false
+		}
+		return now < due
+	})
+	if err := eng.RunUntil(due); err != nil {
+		t.Fatal(err)
+	}
+	if leaf == nil || leaf.Layer != overlay.LayerLeaf || leaf.SuperDegree() != 1 || atJoin == 0 {
+		t.Fatalf("setup: leaf %v, connect exchange sent %d NeighNumRequests", leaf, atJoin)
+	}
+	if got := requests() - atJoin; !t.Failed() && got != 1 {
+		t.Fatalf("at %v the leaf sent %d NeighNumRequests, want its first refresh (1)", due, got)
+	}
+}
+
 // TestRefreshNeverOverdue pins the collect phase's refresh obligation:
 // after every tick of a churning run with promotions and demotions, no
 // live leaf's refresh is still due, and — the transport being instant
@@ -340,8 +381,9 @@ func TestRefreshNeverOverdue(t *testing.T) {
 				if c := *lm; c.RefreshDue(now) {
 					t.Errorf("seed %d t=%v: leaf %d (role since %v) has a refresh due after the tick",
 						seed, now, leaf.ID, lm.LastChange())
-				} else if now >= p.RefreshInterval {
-					// Never stamped, the leaf would be due: it refreshed.
+				} else if now-lm.LastChange() >= p.RefreshInterval {
+					// Never stamped, a leaf one interval past its role
+					// change would be due: it refreshed.
 					stamped++
 				}
 				for _, sid := range leaf.SuperLinks() {
