@@ -77,6 +77,15 @@ lane_test() {
     echo "$escaped" >&2
     exit 1
   fi
+  # The tick's collect scan calls these once per peer per tick, in both
+  # planes; a call that stops inlining costs every peer a call frame.
+  inlined=$(go build -gcflags=-m ./internal/protocol 2>&1)
+  for fn in RefreshDue PendingRequests; do
+    if ! grep -qE "can inline \(\*Machine\)\.$fn\$" <<< "$inlined"; then
+      echo "inline: (*protocol.Machine).$fn no longer inlines" >&2
+      exit 1
+    fi
+  done
   # The trace pipeline as cmd/dlmtrace documents it: dlmsim writes a trace
   # file and dlmtrace summarizes it (an empty trace fails). The same run
   # drives the search plane (catalog, index, flood) end to end: its
