@@ -238,7 +238,8 @@ func (m *Manager) OnConnect(n *overlay.Network, a, b *overlay.Peer) {
 // endpoint serves either sender.
 func (m *Manager) exchange(n *overlay.Network, leaf, super *overlay.Peer) {
 	m.ep.n = n
-	protocol.Exchange(m.state(leaf), &m.ep, m.state(super), &m.ep, leaf.ID, super.ID, protocol.Time(n.Now()))
+	now := n.Now()
+	protocol.Exchange(m.state(leaf), &m.ep, m.state(super), &m.ep, leaf.ID, selfView(super, now), protocol.Time(now))
 }
 
 // OnDisconnect implements overlay.Manager. A super forgets a departed
@@ -398,7 +399,7 @@ func (m *Manager) collect(n *overlay.Network, now sim.Time) {
 
 	m.ep.n = n
 	for _, leaf := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.refresh }) {
-		m.refresh(n, leaf, pnow)
+		m.refresh(n, leaf, now)
 	}
 	for _, p := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.expire }) {
 		r, d := m.state(p).ExpirePending(selfView(p, now), pnow, &m.ep)
@@ -440,12 +441,12 @@ func (m *Manager) bySlot(list func(*laneState) []*overlay.Peer) []*overlay.Peer 
 
 // refresh sends a due leaf's freshness requests toward each of its live
 // super links (the leaf's RefreshDue already stamped its clock).
-func (m *Manager) refresh(n *overlay.Network, leaf *overlay.Peer, now protocol.Time) {
-	lm := m.state(leaf)
+func (m *Manager) refresh(n *overlay.Network, leaf *overlay.Peer, now sim.Time) {
+	lm, self := m.state(leaf), selfView(leaf, now)
 	m.ep.n = n
 	for _, sid := range leaf.SuperLinks() {
 		if super := n.Peer(sid); super != nil && super.Alive() {
-			lm.Refresh(leaf.ID, super.ID, now, &m.ep)
+			lm.Refresh(self, super.ID, protocol.Time(now), &m.ep)
 		}
 	}
 }

@@ -26,12 +26,13 @@ func TestEventDrivenExchangeOnConnect(t *testing.T) {
 		t.Fatal("second join should be a leaf under DLM")
 	}
 	tr := n.Traffic()
-	// Connect triggers: NeighNumRequest+Response, 2x ValueRequest+Response.
+	// Connect triggers: NeighNumRequest+Response, then the super's
+	// ValueRequest (carrying its values) and the leaf's ValueResponse.
 	if tr.Count(msg.KindNeighNumRequest) != 1 || tr.Count(msg.KindNeighNumResponse) != 1 {
 		t.Fatalf("neigh-num pair counts: %d/%d",
 			tr.Count(msg.KindNeighNumRequest), tr.Count(msg.KindNeighNumResponse))
 	}
-	if tr.Count(msg.KindValueRequest) != 2 || tr.Count(msg.KindValueResponse) != 2 {
+	if tr.Count(msg.KindValueRequest) != 1 || tr.Count(msg.KindValueResponse) != 1 {
 		t.Fatalf("value pair counts: %d/%d",
 			tr.Count(msg.KindValueRequest), tr.Count(msg.KindValueResponse))
 	}

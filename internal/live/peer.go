@@ -111,8 +111,9 @@ func (p *Peer) collect() {
 	defer p.mu.Unlock()
 	if p.Layer() == overlay.LayerLeaf && p.mach.RefreshDue(now) {
 		// μ tracks the network, not the state at connection time.
+		self := p.selfLocked(now)
 		for _, id := range p.supers.IDs() {
-			p.mach.Refresh(p.ID, id, now, &p.ep)
+			p.mach.Refresh(self, id, now, &p.ep)
 		}
 	}
 	// Retry or abandon Phase 1 requests whose deadline passed.
@@ -210,7 +211,8 @@ func (p *Peer) connect(q *Peer) {
 		return
 	}
 	q.leaves.Append(p.ID, nil)
-	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, p.net.nowUnits())
+	now := p.net.nowUnits()
+	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.selfLocked(now), now)
 }
 
 // promote moves the peer to the super-layer: its super links persist as
@@ -290,7 +292,7 @@ func (p *Peer) demote(now protocol.Time) {
 		lockPair(p, q)
 		if q.supers.Remove(p.ID) {
 			q.leaves.Append(p.ID, nil)
-			protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.ID, now)
+			protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.selfLocked(now), now)
 		}
 		unlockPair(p, q)
 	}

@@ -22,11 +22,11 @@ var ErrBadKind = errors.New("msg: unknown message kind")
 
 func payloadSize(k Kind) int {
 	switch k {
-	case KindNeighNumRequest, KindValueRequest, KindPing, KindPong:
+	case KindNeighNumRequest, KindPing, KindPong:
 		return 0
 	case KindNeighNumResponse:
 		return 4
-	case KindValueResponse:
+	case KindValueRequest, KindValueResponse:
 		return 16
 	case KindQuery:
 		return 8 + 4 + 1 + 1
@@ -58,7 +58,7 @@ func Encode(dst []byte, m *Message) []byte {
 	switch m.Kind {
 	case KindNeighNumResponse:
 		dst = binary.BigEndian.AppendUint32(dst, m.NeighNum)
-	case KindValueResponse:
+	case KindValueRequest, KindValueResponse:
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Capacity))
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Age))
 	case KindQuery:
@@ -98,7 +98,7 @@ func Decode(src []byte) (Message, int, error) {
 	switch k {
 	case KindNeighNumResponse:
 		m.NeighNum = binary.BigEndian.Uint32(body)
-	case KindValueResponse:
+	case KindValueRequest, KindValueResponse:
 		m.Capacity = math.Float64frombits(binary.BigEndian.Uint64(body[0:8]))
 		m.Age = math.Float64frombits(binary.BigEndian.Uint64(body[8:16]))
 	case KindQuery:

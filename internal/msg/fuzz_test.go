@@ -13,6 +13,7 @@ func FuzzDecode(f *testing.F) {
 		NeighNumRequest(1, 2),
 		NeighNumResponse(2, 1, 80),
 		ValueRequest(3, 4),
+		{Kind: KindValueRequest, From: 3, To: 4, Capacity: 64, Age: 17.5},
 		ValueResponse(4, 3, 123.5, 42.25),
 		NewQuery(5, 6, 99, 777, 7),
 		NewQueryHit(6, 5, 99, 777, 99, 3),

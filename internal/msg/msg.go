@@ -20,10 +20,11 @@ const (
 	KindNeighNumRequest
 	// KindNeighNumResponse carries l_nn back to the requesting leaf.
 	KindNeighNumResponse
-	// KindValueRequest asks a leaf for its capacity and age (sent
-	// super -> leaf).
+	// KindValueRequest carries its sender's capacity and age and asks
+	// the receiver for its own (sent super -> leaf on a new link, leaf ->
+	// super by a refresh).
 	KindValueRequest
-	// KindValueResponse carries the leaf's capacity and age.
+	// KindValueResponse carries the receiver's capacity and age back.
 	KindValueResponse
 	// KindQuery is a flooded content query.
 	KindQuery
@@ -95,7 +96,8 @@ type Message struct {
 
 	// NeighNum is l_nn in a NeighNumResponse.
 	NeighNum uint32
-	// Capacity and Age travel in a ValueResponse.
+	// Capacity and Age are the sender's, in a ValueRequest or a
+	// ValueResponse.
 	Capacity float64
 	Age      float64
 
@@ -123,12 +125,13 @@ func NeighNumResponse(from, to PeerID, lnn int) Message {
 	return Message{Kind: KindNeighNumResponse, From: from, To: to, NeighNum: uint32(lnn)}
 }
 
-// ValueRequest builds the super->leaf capacity/age request.
+// ValueRequest builds a capacity/age request with zero values; the
+// sender sets its own Capacity and Age on the frame before it departs.
 func ValueRequest(from, to PeerID) Message {
 	return Message{Kind: KindValueRequest, From: from, To: to}
 }
 
-// ValueResponse builds the leaf->super capacity/age response.
+// ValueResponse builds the capacity/age response.
 func ValueResponse(from, to PeerID, capacity, age float64) Message {
 	return Message{Kind: KindValueResponse, From: from, To: to, Capacity: capacity, Age: age}
 }

@@ -65,6 +65,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		NeighNumRequest(1, 2),
 		NeighNumResponse(2, 1, 80),
 		ValueRequest(3, 4),
+		valueRequest(3, 4, 64, 17.5),
 		ValueResponse(4, 3, 123.5, 42.25),
 		NewQuery(5, 6, 0xdeadbeefcafe, 777, 7),
 		NewQueryHit(6, 5, 0xdeadbeefcafe, 777, 99, 4),
@@ -75,6 +76,32 @@ func TestRoundTripAllKinds(t *testing.T) {
 		got := roundTrip(t, m)
 		if got != m {
 			t.Errorf("round trip %v:\n got %+v\nwant %+v", m.Kind, got, m)
+		}
+	}
+}
+
+// valueRequest is a ValueRequest carrying its sender's values, as the
+// protocol sends it.
+func valueRequest(from, to PeerID, capacity, age float64) Message {
+	m := ValueRequest(from, to)
+	m.Capacity, m.Age = capacity, age
+	return m
+}
+
+// TestValueFramesCarryValues pins the Value pair's shared payload: both
+// frames are the header plus two float64s, and one cut short by a byte
+// does not decode.
+func TestValueFramesCarryValues(t *testing.T) {
+	for _, m := range []Message{valueRequest(1, 2, 64, 17.5), ValueResponse(2, 1, 64, 17.5)} {
+		if s := m.WireSize(); s != headerSize+16 {
+			t.Errorf("%v wire size %d bytes, want %d", m.Kind, s, headerSize+16)
+		}
+		buf := Encode(nil, &m)
+		if got := roundTrip(t, m); got.Capacity != 64 || got.Age != 17.5 {
+			t.Errorf("%v lost its values: %+v", m.Kind, got)
+		}
+		if _, _, err := Decode(buf[:len(buf)-1]); err != ErrShortBuffer {
+			t.Errorf("%v cut to %d bytes: err = %v, want ErrShortBuffer", m.Kind, len(buf)-1, err)
 		}
 	}
 }

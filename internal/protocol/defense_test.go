@@ -110,10 +110,10 @@ func TestDefenseBoundsLiarPromotion(t *testing.T) {
 	}
 }
 
-// TestDefenseRejectsImplausibleObservations: a super's G must not admit
+// TestDefenseRejectsImplausibleObservations: neither a super's G, from a
+// ValueResponse, nor a leaf's, from a super's ValueRequest, may admit
 // claims above the capacity bound or ahead of the clock; plausible claims
-// pass untouched, and the pending-request accounting still settles either
-// way.
+// pass untouched, and a refused request is still answered.
 func TestDefenseRejectsImplausibleObservations(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -137,7 +137,19 @@ func TestDefenseRejectsImplausibleObservations(t *testing.T) {
 			m := msg.ValueResponse(9, 1, tc.capacity, tc.age)
 			ma.HandleMessage(self, &m, 10, ep)
 			if got := ma.Has(9); got != tc.admitted {
-				t.Errorf("admitted = %v, want %v", got, tc.admitted)
+				t.Errorf("response: admitted = %v, want %v", got, tc.admitted)
+			}
+
+			leaf := NewMachine(&p, 0)
+			ep = &captureEndpoint{}
+			self = Self{ID: 1, Capacity: 20, Age: 10}
+			m = request(pairValue, Self{ID: 9, Capacity: tc.capacity, Age: tc.age}, 1)
+			leaf.HandleMessage(self, &m, 10, ep)
+			if got := leaf.Has(9); got != tc.admitted {
+				t.Errorf("request: admitted = %v, want %v", got, tc.admitted)
+			}
+			if want := msg.ValueResponse(1, 9, 20, 10); len(ep.sent) != 1 || ep.sent[0] != want {
+				t.Errorf("request answered with %+v, want %+v", ep.sent, want)
 			}
 		})
 	}

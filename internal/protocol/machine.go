@@ -10,8 +10,8 @@ import (
 
 // Endpoint is the transport surface a Machine needs: a way to emit a
 // protocol frame addressed by the message's To field, and one membership
-// query for the Phase 1 race filter (a super only admits ValueResponses
-// from peers that are still its leaf neighbors). The simulation plane
+// query for the Phase 1 race filter (a super only admits the values of
+// peers that are still its leaf neighbors). The simulation plane
 // implements it over overlay.Network; the live plane over channels.
 type Endpoint interface {
 	// Send emits one protocol frame. The implementation routes by m.To;
@@ -426,29 +426,38 @@ func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoin
 		ma.putLnn(m.From, lnnReport{lnn: int(m.NeighNum), when: now})
 
 	case msg.KindValueRequest:
+		// The request carries its sender's values: admit them, then
+		// answer with our own — refused values are still answered.
+		ma.admit(self, m, now, ep)
 		ep.Send(msg.ValueResponse(self.ID, m.From, self.Capacity, self.Age))
 
 	case msg.KindValueResponse:
+		// The response settles the request even when its values are then
+		// refused — the counterpart *answered*, it just isn't believed.
 		ma.clearPending(m.From, pairValue)
-		// A super's G is restricted to current leaf neighbors; drop
-		// responses that raced with a disconnect or a layer change.
-		if self.IsSuper && !ep.IsLeafNeighbor(m.From) {
-			return
-		}
-		// Bounded-sanity defense: an implausible claim (capacity above the
-		// bound, or an age exceeding the clock) is not admitted to G. The
-		// request is still settled above — the counterpart *answered*, it
-		// just isn't believed.
-		if ma.p.DefenseMaxCapacity > 0 &&
-			(m.Capacity > ma.p.DefenseMaxCapacity || m.Age > float64(now)) {
-			return
-		}
-		maxSize := 0
-		if !self.IsSuper {
-			maxSize = ma.p.MaxRelatedSet
-		}
-		ma.observe(m.From, m.Capacity, m.Age, now, maxSize)
+		ma.admit(self, m, now, ep)
 	}
+}
+
+// admit folds the capacity and age a Value frame carries into G, under
+// the rules both frames share.
+func (ma *Machine) admit(self Self, m *msg.Message, now Time, ep Endpoint) {
+	// A super's G is restricted to current leaf neighbors; drop values
+	// that raced with a disconnect or a layer change.
+	if self.IsSuper && !ep.IsLeafNeighbor(m.From) {
+		return
+	}
+	// Bounded-sanity defense: an implausible claim (capacity above the
+	// bound, or an age exceeding the clock) is not admitted to G.
+	if ma.p.DefenseMaxCapacity > 0 &&
+		(m.Capacity > ma.p.DefenseMaxCapacity || m.Age > float64(now)) {
+		return
+	}
+	maxSize := 0
+	if !self.IsSuper {
+		maxSize = ma.p.MaxRelatedSet
+	}
+	ma.observe(m.From, m.Capacity, m.Age, now, maxSize)
 }
 
 // Decide is one maintenance round's decision step, the same on every
@@ -604,7 +613,7 @@ func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSi
 	entry.seq = ma.relSeq
 	ma.relSeq++
 	ma.addRel(id, entry)
-	// A NeighNumResponse can land before the ValueResponse that admits its
+	// A NeighNumResponse can land before the Value frame that admits its
 	// sender into G; the report starts counting toward the average now.
 	if i := ma.lnnIndex(id); i >= 0 {
 		ma.lnnSum += int64(ma.lnnReps()[i].lnn)

@@ -263,6 +263,21 @@ func TestHandleMessageResponses(t *testing.T) {
 		t.Fatal("super dropped value from current leaf neighbor")
 	}
 
+	// A ValueRequest's values pass the same filter, and the request is
+	// answered either way.
+	ep.sent = nil
+	super = NewMachine(&p, 0)
+	for _, from := range []msg.PeerID{2, 3} {
+		vr := request(pairValue, Self{ID: from, Capacity: 50, Age: 20}, 1)
+		super.HandleMessage(superSelf, &vr, 10, ep)
+	}
+	if super.Has(2) || !super.Has(3) {
+		t.Fatalf("super admitted request values from 2 %v (not a leaf neighbor) and 3 %v (one)", super.Has(2), super.Has(3))
+	}
+	if len(ep.sent) != 2 || ep.sent[0] != msg.ValueResponse(1, 2, 10, 5) || ep.sent[1] != msg.ValueResponse(1, 3, 10, 5) {
+		t.Fatalf("super answered %+v, want a ValueResponse to 2 and to 3", ep.sent)
+	}
+
 	// Non-DLM kinds are ignored.
 	q := msg.NewQuery(2, 1, 7, 7, 3)
 	leaf.HandleMessage(leafSelf, &q, 10, ep)

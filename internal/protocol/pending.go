@@ -59,38 +59,41 @@ func (ma *Machine) pendingCap() int {
 	return 2 * ma.p.MaxRelatedSet
 }
 
-// request returns pair pr's request frame from one peer to another.
-func request(pr pendingPair, from, to msg.PeerID) msg.Message {
+// request returns pair pr's request frame from self to peer to. A
+// ValueRequest carries self's capacity and age, so a retry carries the
+// sender's values at the retry's time.
+func request(pr pendingPair, self Self, to msg.PeerID) msg.Message {
 	if pr == pairNeighNum {
-		return msg.NeighNumRequest(from, to)
+		return msg.NeighNumRequest(self.ID, to)
 	}
-	return msg.ValueRequest(from, to)
+	m := msg.ValueRequest(self.ID, to)
+	m.Capacity, m.Age = self.Capacity, self.Age
+	return m
 }
 
 // Exchange runs the event-driven Phase 1 exchange for one new leaf-super
 // connection between leaf l and super s: the NeighNum pair (the leaf asks
-// for l_nn) and the Value pair in both directions (each side learns the
-// other's capacity and age; the leaf-to-super direction is Table 1's, the
-// reverse is the reconstruction documented in DESIGN.md, without which a
-// leaf cannot run Phase 3). Each frame departs through its sender's
-// endpoint, in an order that is part of the determinism contract. All
-// three deadlines are registered before the first frame departs: delivery
-// may be synchronous, and an entry registered after its inline response
-// had been handled would never clear and would retry spuriously.
-func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l, s msg.PeerID, now Time) {
-	leaf.expect(s, pairNeighNum, now)
+// for l_nn) and the Value pair (Table 1's super-to-leaf request, which
+// carries the super's own capacity and age, so its one round trip tells
+// each side the other's values — without the super's a leaf cannot run
+// Phase 3). Each frame departs through its sender's endpoint, in an order
+// that is part of the determinism contract. Both deadlines are registered
+// before the first frame departs: delivery may be synchronous, and an
+// entry registered after its inline response had been handled would never
+// clear and would retry spuriously.
+func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l msg.PeerID, s Self, now Time) {
+	leaf.expect(s.ID, pairNeighNum, now)
 	super.expect(l, pairValue, now)
-	leaf.expect(s, pairValue, now)
-	lep.Send(request(pairNeighNum, l, s))
+	lep.Send(msg.NeighNumRequest(l, s.ID))
 	sep.Send(request(pairValue, s, l))
-	lep.Send(request(pairValue, l, s))
 }
 
 // Refresh re-sends a leaf's freshness requests to one of its current
 // supers once RefreshDue fired, deadlines first as in Exchange: l_nn always
 // (its response re-stamps the super's G(l) entry), values only for a super
-// outside G(l), as an entry's capacity and join time never change.
-func (ma *Machine) Refresh(self, super msg.PeerID, now Time, ep Endpoint) {
+// outside G(l), as an entry's capacity and join time never change. self is
+// the leaf's view, whose capacity and age the ValueRequest carries.
+func (ma *Machine) Refresh(self Self, super msg.PeerID, now Time, ep Endpoint) {
 	known := ma.ids.Contains(super)
 	ma.expect(super, pairNeighNum, now)
 	if !known {
@@ -182,7 +185,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	ma.truncPend(keep)
 	retries = len(resend)
 	for _, r := range resend {
-		ep.Send(request(r.pair, self.ID, r.peer))
+		ep.Send(request(r.pair, self, r.peer))
 	}
 	return retries, drops
 }

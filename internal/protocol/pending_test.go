@@ -26,13 +26,15 @@ type sentFrame struct {
 // pairNet wires a leaf machine and a super machine to one endpoint per
 // side. Every frame is logged with its sending side; with inline set it is
 // also handed at once to the addressed machine, the zero-latency
-// simulation's re-entrant delivery, and otherwise it is lost.
+// simulation's re-entrant delivery, unless the super sent it and it is of
+// kind superLoses, and otherwise it is lost.
 type pairNet struct {
 	leaf, super  *Machine
 	lSelf, sSelf Self
 	lep, sep     *sideEndpoint
 	now          Time
 	inline       bool
+	superLoses   msg.Kind
 	log          []sentFrame
 }
 
@@ -59,7 +61,7 @@ func (e *sideEndpoint) Send(m msg.Message) {
 	n := e.n
 	n.log = append(n.log, sentFrame{fromLeaf: e.leaf, m: m})
 	switch {
-	case !n.inline:
+	case !n.inline || !e.leaf && m.Kind == n.superLoses:
 	case e.leaf:
 		n.super.HandleMessage(n.sSelf, &m, n.now, n.sep)
 	default:
@@ -82,13 +84,20 @@ func (n *pairNet) checkLog(t *testing.T, what string, want ...sentFrame) {
 	n.log = nil
 }
 
+// valueRequest is the ValueRequest a peer sends, carrying its values.
+func valueRequest(from Self, to msg.PeerID) msg.Message {
+	return request(pairValue, from, to)
+}
+
 // TestExchangeAndRefresh pins the request side of Phase 1: the frames
 // Exchange and Refresh send, their order and sending side, and that every
 // deadline is registered before the first frame departs — with inline
 // answers nothing may stay pending, and with every frame lost exactly the
 // unanswered requests stay pending and are the ones ExpirePending re-sends.
-// Refresh asks a super outside G(l) for l_nn and values, one in G(l) for
-// l_nn alone, whose response re-stamps the entry.
+// Exchange sends two requests, the leaf's l_nn request and the super's
+// ValueRequest, which carries the super's values. Refresh asks a super
+// outside G(l) for l_nn and values, one in G(l) for l_nn alone, whose
+// response re-stamps the entry.
 func TestExchangeAndRefresh(t *testing.T) {
 	p := pendingParams()
 	byLeaf := func(m msg.Message) sentFrame { return sentFrame{fromLeaf: true, m: m} }
@@ -97,14 +106,12 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("exchange-inline", func(t *testing.T) {
 		n := newPairNet(&p, true)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
 			byLeaf(msg.NeighNumRequest(l, s)),
 			bySuper(msg.NeighNumResponse(s, l, 1)),
-			bySuper(msg.ValueRequest(s, l)),
-			byLeaf(msg.ValueResponse(l, s, 10, 5)),
-			byLeaf(msg.ValueRequest(l, s)),
-			bySuper(msg.ValueResponse(s, l, 40, 8)))
+			bySuper(valueRequest(n.sSelf, l)),
+			byLeaf(msg.ValueResponse(l, s, 10, 5)))
 		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 0 {
 			t.Fatalf("inline answers left leaf %d and super %d requests pending", a, b)
 		}
@@ -118,34 +125,31 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("exchange-lost", func(t *testing.T) {
 		n := newPairNet(&p, false)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
 			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.ValueRequest(s, l)),
-			byLeaf(msg.ValueRequest(l, s)))
-		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 2 || b != 1 {
-			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 2 and 1", a, b)
+			bySuper(valueRequest(n.sSelf, l)))
+		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 1 || b != 1 {
+			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 1 and 1", a, b)
 		}
 		late := n.now + p.RequestTimeout
-		if r, _ := n.leaf.ExpirePending(n.lSelf, late, n.lep); r != 2 {
-			t.Fatalf("leaf re-sent %d requests, want 2", r)
+		if r, _ := n.leaf.ExpirePending(n.lSelf, late, n.lep); r != 1 {
+			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
-		n.checkLog(t, "the leaf's expiry",
-			byLeaf(msg.NeighNumRequest(l, s)),
-			byLeaf(msg.ValueRequest(l, s)))
+		n.checkLog(t, "the leaf's expiry", byLeaf(msg.NeighNumRequest(l, s)))
 		if r, _ := n.super.ExpirePending(n.sSelf, late, n.sep); r != 1 {
 			t.Fatalf("super re-sent %d requests, want 1", r)
 		}
-		n.checkLog(t, "the super's expiry", bySuper(msg.ValueRequest(s, l)))
+		n.checkLog(t, "the super's expiry", bySuper(valueRequest(n.sSelf, l)))
 	})
 
 	t.Run("refresh-inline", func(t *testing.T) {
 		n := newPairNet(&p, true)
-		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
 			byLeaf(msg.NeighNumRequest(l, s)),
 			bySuper(msg.NeighNumResponse(s, l, 1)),
-			byLeaf(msg.ValueRequest(l, s)),
+			byLeaf(valueRequest(n.lSelf, s)),
 			bySuper(msg.ValueResponse(s, l, 40, 8)))
 		if a := n.leaf.PendingRequests(); a != 0 {
 			t.Fatalf("inline answers left %d requests pending", a)
@@ -154,8 +158,8 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-lost", func(t *testing.T) {
 		n := newPairNet(&p, false)
-		n.leaf.Refresh(l, s, n.now, n.lep)
-		want := []sentFrame{byLeaf(msg.NeighNumRequest(l, s)), byLeaf(msg.ValueRequest(l, s))}
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		want := []sentFrame{byLeaf(msg.NeighNumRequest(l, s)), byLeaf(valueRequest(n.lSelf, s))}
 		n.checkLog(t, "Refresh", want...)
 		if a := n.leaf.PendingRequests(); a != 2 {
 			t.Fatalf("lost frames left %d requests pending, want 2", a)
@@ -170,7 +174,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 	// cleared and the clock moved on.
 	known := func(inline bool) *pairNet {
 		n := newPairNet(&p, true)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 		n.log, n.inline = nil, inline
 		n.now += 30
 		return n
@@ -178,7 +182,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-known", func(t *testing.T) {
 		n := known(true)
-		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
 			byLeaf(msg.NeighNumRequest(l, s)),
 			bySuper(msg.NeighNumResponse(s, l, 1)))
@@ -195,7 +199,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-known-lost", func(t *testing.T) {
 		n := known(false)
-		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		want := byLeaf(msg.NeighNumRequest(l, s))
 		n.checkLog(t, "Refresh", want)
 		if a := n.leaf.PendingRequests(); a != 1 {
@@ -210,16 +214,90 @@ func TestExchangeAndRefresh(t *testing.T) {
 	t.Run("refresh-after-drop", func(t *testing.T) {
 		n := known(true)
 		n.leaf.Drop(s)
-		n.leaf.Refresh(l, s, n.now, n.lep)
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
 			byLeaf(msg.NeighNumRequest(l, s)),
 			bySuper(msg.NeighNumResponse(s, l, 1)),
-			byLeaf(msg.ValueRequest(l, s)),
+			byLeaf(valueRequest(n.lSelf, s)),
 			bySuper(msg.ValueResponse(s, l, 40, 8)))
 		if !n.leaf.Has(s) {
 			t.Fatal("the value response did not re-admit s to G(l)")
 		}
 	})
+}
+
+// TestExchangeMatchesBothWayValuePairs pins what the one-request
+// completion keeps: after inline delivery both machines hold the G
+// entries, l_nn report and l_nn sum and count that the exchange with a
+// Value pair in each direction — its requests in the order that exchange
+// sent them — leaves behind.
+func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
+	p := pendingParams()
+	const l, s = 2, 1
+	got := newPairNet(&p, true)
+	Exchange(got.leaf, got.lep, got.super, got.sep, l, got.sSelf, got.now)
+
+	want := newPairNet(&p, true)
+	want.leaf.expect(s, pairNeighNum, want.now)
+	want.super.expect(l, pairValue, want.now)
+	want.leaf.expect(s, pairValue, want.now)
+	want.lep.Send(msg.NeighNumRequest(l, s))
+	want.sep.Send(valueRequest(want.sSelf, l))
+	want.lep.Send(valueRequest(want.lSelf, s))
+	if len(want.log) != 6 || len(got.log) != 4 {
+		t.Fatalf("the exchanges sent %d and %d frames, want 6 and 4", len(want.log), len(got.log))
+	}
+
+	for _, side := range []struct {
+		name      string
+		got, want *Machine
+	}{{"leaf", got.leaf, want.leaf}, {"super", got.super, want.super}} {
+		g, w := side.got, side.want
+		if !slices.Equal(g.ids.IDs(), w.ids.IDs()) || !slices.Equal(g.rel(), w.rel()) {
+			t.Errorf("%s: G = %v %+v, want %v %+v", side.name, g.ids.IDs(), g.rel(), w.ids.IDs(), w.rel())
+		}
+		if !slices.Equal(g.lnnIDs(), w.lnnIDs()) || !slices.Equal(g.lnnReps(), w.lnnReps()) {
+			t.Errorf("%s: l_nn reports %v %+v, want %v %+v", side.name, g.lnnIDs(), g.lnnReps(), w.lnnIDs(), w.lnnReps())
+		}
+		if g.lnnSum != w.lnnSum || g.lnnCount != w.lnnCount {
+			t.Errorf("%s: l_nn sum/count %d/%d, want %d/%d", side.name, g.lnnSum, g.lnnCount, w.lnnSum, w.lnnCount)
+		}
+		if g.PendingRequests() != 0 || w.PendingRequests() != 0 {
+			t.Errorf("%s: %d and %d requests left pending, want none", side.name, g.PendingRequests(), w.PendingRequests())
+		}
+	}
+}
+
+// TestExchangeRetriesLostValueRequest: the super's ValueRequest is the
+// leaf's only source of the super's values, so when it is lost the
+// super's pending row re-sends it, carrying the super's values at the
+// retry's time, and the retry admits the super to G(l).
+func TestExchangeRetriesLostValueRequest(t *testing.T) {
+	p := pendingParams()
+	const l, s = 2, 1
+	n := newPairNet(&p, true)
+	n.superLoses = msg.KindValueRequest
+	Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+	if n.leaf.Has(s) || n.super.Has(l) {
+		t.Fatal("a side learned the other's values with the super's ValueRequest lost")
+	}
+	if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 1 {
+		t.Fatalf("leaf %d and super %d requests pending, want 0 and 1", a, b)
+	}
+
+	n.superLoses = msg.KindInvalid
+	n.now += p.RequestTimeout
+	n.sSelf.Age += float64(p.RequestTimeout)
+	if r, d := n.super.ExpirePending(n.sSelf, n.now, n.sep); r != 1 || d != 0 {
+		t.Fatalf("super's expiry: %d retries, %d drops; want 1 and 0", r, d)
+	}
+	if capacity, age, ok := n.leaf.Related(s, n.now); !ok || capacity != n.sSelf.Capacity || age != n.sSelf.Age {
+		t.Fatalf("leaf's entry for s after the retry = %v, %v, %v; want %v, %v, true",
+			capacity, age, ok, n.sSelf.Capacity, n.sSelf.Age)
+	}
+	if !n.super.Has(l) || n.super.PendingRequests() != 0 {
+		t.Fatalf("the retry's answer left the super with G(s) ∋ l %v and %d pending", n.super.Has(l), n.super.PendingRequests())
+	}
 }
 
 // TestRefreshKeepsSuperInWindow pins what the l_nn re-stamp is for: when
@@ -231,12 +309,12 @@ func TestRefreshKeepsSuperInWindow(t *testing.T) {
 	p.LeafWindow = 60
 	const l, s = 2, 1
 	n := newPairNet(&p, true)
-	Exchange(n.leaf, n.lep, n.super, n.sep, l, s, n.now)
+	Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 	n.log = nil
 	end := n.now + 3*p.RefreshInterval
 	for ; n.now <= end; n.now++ {
 		if n.leaf.RefreshDue(n.now) {
-			n.leaf.Refresh(l, s, n.now, n.lep)
+			n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		}
 		n.leaf.prune(n.now, p.LeafWindow)
 		if !n.leaf.Has(s) {
