@@ -77,6 +77,14 @@ lane_test() {
     echo "$escaped" >&2
     exit 1
   fi
+  # ROADMAP item 12's claim on the §6 overhead study: DLM traffic is at
+  # most 15 % of messages. The golden check ties results/overhead.txt to
+  # the code; this holds the committed file to the claim.
+  if ! awk '/^DLM share:/ { found = 1; ok = $3 + 0 <= 15 } END { exit !(found && ok) }' results/overhead.txt; then
+    echo "overhead: results/overhead.txt puts the DLM share above 15 % of messages" >&2
+    grep '^DLM share:' results/overhead.txt >&2 || true
+    exit 1
+  fi
   # The tick's collect scan calls these once per peer per tick, in both
   # planes; a call that stops inlining costs every peer a call frame.
   inlined=$(go build -gcflags=-m ./internal/protocol 2>&1)
