@@ -143,7 +143,7 @@ func TestDefenseRejectsImplausibleObservations(t *testing.T) {
 			leaf := NewMachine(&p, 0)
 			ep = &captureEndpoint{}
 			self = Self{ID: 1, Capacity: 20, Age: 10}
-			m = request(pairValue, Self{ID: 9, Capacity: tc.capacity, Age: tc.age}, 1)
+			m = valueRequest(Self{ID: 9, Capacity: tc.capacity, Age: tc.age}, 1)
 			leaf.HandleMessage(self, &m, 10, ep)
 			if got := leaf.Has(9); got != tc.admitted {
 				t.Errorf("request: admitted = %v, want %v", got, tc.admitted)

@@ -268,7 +268,7 @@ func TestHandleMessageResponses(t *testing.T) {
 	ep.sent = nil
 	super = NewMachine(&p, 0)
 	for _, from := range []msg.PeerID{2, 3} {
-		vr := request(pairValue, Self{ID: from, Capacity: 50, Age: 20}, 1)
+		vr := valueRequest(Self{ID: from, Capacity: 50, Age: 20}, 1)
 		super.HandleMessage(superSelf, &vr, 10, ep)
 	}
 	if super.Has(2) || !super.Has(3) {

@@ -84,9 +84,12 @@ func (n *pairNet) checkLog(t *testing.T, what string, want ...sentFrame) {
 	n.log = nil
 }
 
-// valueRequest is the ValueRequest a peer sends, carrying its values.
+// valueRequest is the ValueRequest a peer sends, carrying its capacity and
+// age; built here rather than by request, so the tests check request too.
 func valueRequest(from Self, to msg.PeerID) msg.Message {
-	return request(pairValue, from, to)
+	m := msg.ValueRequest(from.ID, to)
+	m.Capacity, m.Age = from.Capacity, from.Age
+	return m
 }
 
 // TestExchangeAndRefresh pins the request side of Phase 1: the frames
