@@ -91,21 +91,18 @@ func (p *Params) applyThresholds(d *Decision, promote bool) {
 
 // SwitchProbability exposes the deficit-proportional rate limit for the
 // hosts: the probability with which an eligible peer should actually
-// switch, given the observed l_nn, the constant k_l, the target η, the
-// peer's capacity counter Y_capa (for selection weighting), and the
-// caller's evaluation period share.
+// switch, given the observed l_nn, the constant k_l, the target η and the
+// peer's capacity counter Y_capa (for selection weighting). The per-round
+// rate is divided by EvalProbability, the share of rounds a peer
+// evaluates in.
 func (p *Params) SwitchProbability(lnn, kl, eta, yCapa float64, promote bool) float64 {
 	if !p.RateLimit {
 		return 1
 	}
-	gain := p.RateGain
-	if gain <= 0 {
-		gain = 1
-	}
 	r := lnn / kl
 	var prob float64
 	if promote {
-		prob = gain * (r - 1) / eta / p.EvalProbability
+		prob = p.RateGain * (r - 1) / eta / p.EvalProbability
 	} else {
 		prob = demoteRateGain * (1 - r) / p.EvalProbability
 	}

@@ -18,6 +18,8 @@ func TestParamsValidateRejectsBadValues(t *testing.T) {
 		"negative retries":                       func(p *Params) { p.MaxRetries = -1 },
 		"retries past the pending row's counter": func(p *Params) { p.MaxRetries = math.MaxUint16 + 1 },
 		"periodic no intvl":                      func(p *Params) { p.Exchange = Periodic; p.PeriodicInterval = 0 },
+		"zero RateGain":                          func(p *Params) { p.RateGain = 0 },
+		"negative RateGain":                      func(p *Params) { p.RateGain = -1 },
 	}
 	for name, mutate := range mutations {
 		p := DefaultParams()
@@ -25,6 +27,12 @@ func TestParamsValidateRejectsBadValues(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// The gain only means something while the rate limit is on.
+	p := DefaultParams()
+	p.RateLimit, p.RateGain = false, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("zero RateGain with RateLimit off: %v", err)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // defenseTrace drives one scripted leaf machine for 60 ticks — feeding it
-// l_nn reports and value responses from rotating neighbors — and returns
-// its full decision transcript. kl=30 against observed l_nn of 30..49
+// value responses and then l_nn reports from rotating neighbors, the
+// order in which Exchange's requests depart — and returns its full
+// decision transcript. kl=30 against observed l_nn of 30..49
 // keeps the rate limit's deficit positive, so eligible peers really draw.
 func defenseTrace(seed int64, p Params, selfCap float64) string {
 	rng := sim.NewSource(seed).Stream("defense-trace")
@@ -23,10 +24,10 @@ func defenseTrace(seed int64, p Params, selfCap float64) string {
 	for t := Time(1); t <= 60; t++ {
 		self.Age = float64(t)
 		from := msg.PeerID(2 + int64(t)%5)
-		nn := msg.NeighNumResponse(from, 1, 30+int(int64(t)%20))
-		ma.HandleMessage(self, &nn, t, ep)
 		vr := msg.ValueResponse(from, 1, 50+float64(int64(t)%7)*300, float64(t)*0.5)
 		ma.HandleMessage(self, &vr, t, ep)
+		nn := msg.NeighNumResponse(from, 1, 30+int(int64(t)%20))
+		ma.HandleMessage(self, &nn, t, ep)
 		res := ma.Evaluate(self, t, 30, 40, rng)
 		fmt.Fprintf(&b, "t=%g size=%d ev=%v el=%v act=%s y=%.4f,%.4f\n",
 			t, ma.Size(), res.Evaluated, res.Eligible, res.Action,

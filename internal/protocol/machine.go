@@ -113,46 +113,45 @@ type relEntry struct {
 	lastSeen Time
 	// seq is the entry's insertion rank (from Machine.relSeq); it survives
 	// re-observation, so the minimum-seq entry is the set's oldest member
-	// and eviction stays FIFO even though removal swap-deletes.
-	seq uint64
+	// and eviction stays FIFO even though removal swap-deletes. Only a
+	// leaf's capped set reads it, and a leaf never inserts 2³² entries in
+	// one tenure.
+	seq uint32
+	// lnn is the member's latest l_nn report, −1 until one arrives. It
+	// survives re-observation and goes with the entry.
+	lnn int32
 }
 
 // age returns the extrapolated age at time now.
 func (e *relEntry) age(now Time) float64 { return float64(now - e.joinTime) }
 
-// lnnReport is a super-peer's reported leaf-neighbor count.
-type lnnReport struct {
-	lnn  int
-	when Time
-}
-
 // Machine is one peer's DLM protocol state: the related set G with FIFO
-// eviction, the l_nn reports, and the cooldown/refresh/smoothing clocks. It
-// is not safe for concurrent use; each plane serializes access its own
-// way (the simulation is single-threaded, the live plane holds the peer
-// lock).
+// eviction and the l_nn reports its members sent, the outstanding
+// requests, and the cooldown/refresh/smoothing clocks. It is not safe for
+// concurrent use; each plane serializes access its own way (the
+// simulation is single-threaded, the live plane holds the peer lock).
 //
 // A role change resets the state (see Reset): the related set of a leaf
 // (supers contacted since it became a leaf) and of a super (current leaf
 // neighbors) have different semantics, so neither survives the
 // transition.
 //
-// A machine at leaf size never touches the Go heap: the related set, the
-// l_nn table and the pending table each start in a fixed array of
-// spare.Inline elements inside the struct, and a set that outgrows its
-// array moves once to a heap slice (spare's rule) and stays there until
-// Reset. A machine bound to a host's Spares (see Init) takes those slices
+// A machine at leaf size never touches the Go heap: the related set and
+// the pending table each start in a fixed array of spare.Inline elements
+// inside the struct, and a set that outgrows its array moves once to a
+// heap slice (spare's rule) and stays there until Reset. A machine bound to a host's Spares (see Init) takes those slices
 // from the store and gives them back at Reset; one without allocates and
 // drops them. No field points into the struct, so a by-value copy of an
 // inline machine is an independent machine.
 //
 // Field order is the per-tick evaluation path's access order, hottest
-// first: the cooldown gate (p, lastChange), prune's fast path (the
-// related-set count, relMinSeen) and AvgLnn (lnnSum, lnnCount) fill the
-// machine's first cache line, together with the inline related IDs; the
-// spill test (relHeap) and counting's entries (relBuf) are the next three,
-// so a leaf's evaluation reads adjacent lines of one struct and the
-// common "nothing to do this tick" visit reads one. The struct is eight
+// first: the cooldown gate (p, lastChange) and prune's fast path (the
+// related-set count, relMinSeen) fill the machine's first cache line,
+// together with the inline related IDs; the spill test (relHeap) shares
+// the second with the collect scan's fields (refreshAt, pendN), and the
+// entries that counting and AvgLnn read (relBuf) fill the third and
+// fourth, so a leaf's evaluation reads adjacent lines of one struct and
+// the common "nothing to do this tick" visit reads one. The struct is six
 // lines exactly (TestMachineLayout): machines stored inline in the host's
 // slot-ordered arena all start on a line boundary and the tick walk
 // streams them sequentially.
@@ -170,14 +169,6 @@ type Machine struct {
 	// leaf that heard from any super recently.
 	relMinSeen Time
 
-	// lnnSum and lnnCount maintain Σ lnn / #reports over the l_nn table
-	// senders currently in the related set, so AvgLnn is O(1); integer
-	// arithmetic keeps it bit-identical to the scan it replaced. Every
-	// mutation of either table updates the pair while membership is
-	// still observable.
-	lnnSum   int64
-	lnnCount int32
-
 	// The related set is the ID set ids and, position-paired with it, the
 	// value entries (rel), in deterministic insertion/swap-delete order (a
 	// pure function of the operation history). Removal swap-deletes —
@@ -190,31 +181,23 @@ type Machine struct {
 	// needed it.
 	ids     flatidx.Set
 	relHeap []relEntry
-	relSeq  uint64
-	relBuf  [spare.Inline]relEntry
+	relSeq  uint32
 
+	// pendN counts the pending table's rows. It and refreshAt share the
+	// related set's spill line, so the hosts' collect scan reads one line
+	// per leaf.
+	pendN int32
 	// refreshAt is when this leaf's next freshness refresh falls due
-	// (+Inf while refresh is disabled). It shares a cache line with lnnN
-	// and pendN, so the hosts' collect scan reads one line per leaf.
+	// (+Inf while refresh is disabled).
 	refreshAt Time
 
 	// lnnSmooth is a super-peer's EWMA of its own leaf degree; see
 	// Params.LnnSmoothing.
 	lnnSmooth float64
 
-	// lnnN and pendN count the two tables below.
-	lnnN  int32
-	pendN int32
-
-	// The l_nn report table: the senders and the latest report per
-	// sender, position-paired (unordered; removal swap-deletes both), in
-	// the Buf arrays or, once outgrown, the Heap slices. The IDs live in
-	// their own dense array because the table is looked up — a scan — on
-	// every report receipt.
-	lnnIDBuf   [spare.Inline]msg.PeerID
-	lnnRepBuf  [spare.Inline]lnnReport
-	lnnIDHeap  []msg.PeerID
-	lnnRepHeap []lnnReport
+	// relBuf holds the related set's first entries; it starts the third
+	// cache line.
+	relBuf [spare.Inline]relEntry
 
 	// The outstanding Phase 1 request table (see pending.go): deadlines
 	// and retry budgets per (counterpart, pair), in insertion order
@@ -228,13 +211,13 @@ type Machine struct {
 
 	// hasSmooth marks lnnSmooth as seeded.
 	hasSmooth bool
-	// The padding completes the eighth cache line.
-	_ [7]byte
+	// The padding completes the sixth cache line.
+	_ [31]byte
 }
 
 // Spares is a host's store of released machine storage: the related set's
-// ID slices and position index (the l_nn senders share the ID slices), and
-// the heap slices of the three other spilled arrays, by capacity. A host
+// ID slices and position index, and the heap slices of its entries and of
+// the pending rows, by capacity. A host
 // that keeps one passes it to Init for every machine it owns; Reset
 // returns a machine's storage to it, and a spill, a regrowth or an index
 // build takes from it before allocating. The zero value is an empty store.
@@ -245,7 +228,6 @@ type Machine struct {
 type Spares struct {
 	set  flatidx.Store
 	rel  spare.Slices[relEntry]
-	reps spare.Slices[lnnReport]
 	pend spare.Slices[pendingRec]
 }
 
@@ -265,13 +247,6 @@ func (sp *Spares) relStore() *spare.Slices[relEntry] {
 	return &sp.rel
 }
 
-func (sp *Spares) repStore() *spare.Slices[lnnReport] {
-	if sp == nil {
-		return nil
-	}
-	return &sp.reps
-}
-
 func (sp *Spares) pendStore() *spare.Slices[pendingRec] {
 	if sp == nil {
 		return nil
@@ -281,14 +256,6 @@ func (sp *Spares) pendStore() *spare.Slices[pendingRec] {
 
 // rel returns the related set's entries, position-paired with ids.
 func (ma *Machine) rel() []relEntry { return spare.View(ma.relBuf[:], ma.relHeap, ma.ids.Len()) }
-
-// lnnIDs and lnnReps return the l_nn table's senders and reports.
-func (ma *Machine) lnnIDs() []msg.PeerID {
-	return spare.View(ma.lnnIDBuf[:], ma.lnnIDHeap, int(ma.lnnN))
-}
-func (ma *Machine) lnnReps() []lnnReport {
-	return spare.View(ma.lnnRepBuf[:], ma.lnnRepHeap, int(ma.lnnN))
-}
 
 // NewMachine returns a Machine bound to p (shared, not copied — hosts
 // keep one Params for the population) with the role-change clock starting
@@ -316,71 +283,13 @@ func (ma *Machine) addRel(id msg.PeerID, e relEntry) {
 	}
 }
 
-// removeRelAt swap-deletes the related-set entry at i. It does not touch
-// the l_nn table; callers run delLnn first, while membership is still
-// observable.
+// removeRelAt swap-deletes the related-set entry at i.
 func (ma *Machine) removeRelAt(i int) {
 	rel := ma.rel()
 	last := len(rel) - 1
 	rel[i] = rel[last]
 	spare.Trunc(&ma.relHeap, last)
 	ma.ids.RemoveAt(i)
-}
-
-// lnnIndex returns id's position in the l_nn report table, or -1.
-func (ma *Machine) lnnIndex(id msg.PeerID) int {
-	for i, v := range ma.lnnIDs() {
-		if v == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// putLnn stores (or replaces) the l_nn report from id and re-stamps id's
-// related-set entry, if any, as seen at r.when: a report is contact.
-func (ma *Machine) putLnn(id msg.PeerID, r lnnReport) {
-	j := ma.ids.Index(id)
-	if j >= 0 {
-		ma.rel()[j].lastSeen = r.when
-	}
-	if i := ma.lnnIndex(id); i >= 0 {
-		reps := ma.lnnReps()
-		if j >= 0 {
-			ma.lnnSum += int64(r.lnn) - int64(reps[i].lnn)
-		}
-		reps[i] = r
-		return
-	}
-	if j >= 0 {
-		ma.lnnSum += int64(r.lnn)
-		ma.lnnCount++
-	}
-	ma.sp.setStore().IDs().Push(ma.lnnIDBuf[:], &ma.lnnIDHeap, int(ma.lnnN), id)
-	ma.sp.repStore().Push(ma.lnnRepBuf[:], &ma.lnnRepHeap, int(ma.lnnN), r)
-	ma.lnnN++
-}
-
-// delLnn removes id's l_nn report if present (swap-delete: the table has
-// no observable iteration order). It must run while id's related-set
-// membership is still intact, so the aggregate correction sees the same
-// membership the addition saw.
-func (ma *Machine) delLnn(id msg.PeerID) {
-	i := ma.lnnIndex(id)
-	if i < 0 {
-		return
-	}
-	ids, reps := ma.lnnIDs(), ma.lnnReps()
-	if ma.ids.Contains(id) {
-		ma.lnnSum -= int64(reps[i].lnn)
-		ma.lnnCount--
-	}
-	last := len(ids) - 1
-	ids[i] = ids[last]
-	reps[i] = reps[last]
-	ma.lnnN = int32(last)
-	spare.Trunc(&ma.lnnIDHeap, last)
-	spare.Trunc(&ma.lnnRepHeap, last)
 }
 
 // Params returns the parameter set the machine is bound to.
@@ -393,13 +302,11 @@ func (ma *Machine) Params() *Params { return ma.p }
 // not, and storage kept in the slot for it would be memory held for
 // nothing, while in the store it serves the next set that spills.
 func (ma *Machine) Reset(now Time) {
-	// The related IDs spill with their entries, and lnnRepHeap with its
-	// partner: a leaf-sized machine skips the stores.
-	if ma.relHeap != nil || ma.lnnIDHeap != nil || ma.pendHeap != nil {
+	// The related IDs spill with their entries: a leaf-sized machine
+	// skips the stores.
+	if ma.relHeap != nil || ma.pendHeap != nil {
 		ma.ids.Clear(ma.sp.setStore())
 		ma.sp.relStore().Release(ma.relHeap)
-		ma.sp.setStore().IDs().Release(ma.lnnIDHeap)
-		ma.sp.repStore().Release(ma.lnnRepHeap)
 		ma.sp.pendStore().Release(ma.pendHeap)
 	}
 	*ma = Machine{p: ma.p, lastChange: now, refreshAt: refreshAfter(ma.p, now), sp: ma.sp}
@@ -409,7 +316,7 @@ func (ma *Machine) Reset(now Time) {
 func (ma *Machine) LastChange() Time { return ma.lastChange }
 
 // HandleMessage runs Phase 1: it answers information requests via ep and
-// folds responses into the related set / l_nn reports. Unknown or
+// folds responses into the related set's entries. Unknown or
 // non-DLM kinds are ignored, so hosts can feed their whole inbox through.
 func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoint) {
 	switch m.Kind {
@@ -418,12 +325,18 @@ func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoin
 
 	case msg.KindNeighNumResponse:
 		// The response settles the outstanding request even when its
-		// content is then discarded as stale — the counterpart answered.
+		// content is then discarded — the counterpart answered.
 		ma.clearPending(m.From, pairNeighNum)
 		if self.IsSuper {
 			return // stale response after promotion
 		}
-		ma.putLnn(m.From, lnnReport{lnn: int(m.NeighNum), when: now})
+		// The report lives in its sender's entry and is contact, so it
+		// re-stamps the entry; one from a peer outside G is dropped.
+		if i := ma.ids.Index(m.From); i >= 0 {
+			e := &ma.rel()[i]
+			e.lnn = int32(min(m.NeighNum, math.MaxInt32))
+			e.lastSeen = now
+		}
 
 	case msg.KindValueRequest:
 		// The request carries its sender's values: admit them, then
@@ -596,29 +509,17 @@ func (ma *Machine) counting(selfCapacity, selfAge float64, now Time, xCapa, xAge
 // observe records (or refreshes) a related-set entry, enforcing the
 // optional FIFO capacity bound.
 func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) {
-	entry := relEntry{
-		capacity: capacity,
-		joinTime: now - Time(age),
-		lastSeen: now,
-	}
 	if i := ma.ids.Index(id); i >= 0 {
+		// Re-observation keeps the insertion rank and the l_nn report.
 		e := &ma.rel()[i]
-		entry.seq = e.seq // re-observation keeps the insertion rank
-		*e = entry
+		e.capacity, e.joinTime, e.lastSeen = capacity, now-Time(age), now
 		return
 	}
 	if maxSize > 0 && ma.ids.Len() >= maxSize {
 		ma.evictOldest()
 	}
-	entry.seq = ma.relSeq
+	ma.addRel(id, relEntry{capacity: capacity, joinTime: now - Time(age), lastSeen: now, seq: ma.relSeq, lnn: -1})
 	ma.relSeq++
-	ma.addRel(id, entry)
-	// A NeighNumResponse can land before the Value frame that admits its
-	// sender into G; the report starts counting toward the average now.
-	if i := ma.lnnIndex(id); i >= 0 {
-		ma.lnnSum += int64(ma.lnnReps()[i].lnn)
-		ma.lnnCount++
-	}
 }
 
 // evictOldest removes the minimum-seq (oldest-inserted) entry. The scan
@@ -635,8 +536,6 @@ func (ma *Machine) evictOldest() {
 			oldest = i
 		}
 	}
-	// delLnn before the removal: it corrects lnnSum by membership.
-	ma.delLnn(ma.ids.IDs()[oldest])
 	ma.removeRelAt(oldest)
 }
 
@@ -645,7 +544,6 @@ func (ma *Machine) evictOldest() {
 // with any requests still outstanding toward the peer.
 func (ma *Machine) Drop(id msg.PeerID) {
 	ma.dropPending(id)
-	ma.delLnn(id)
 	i := ma.ids.Index(id)
 	if i < 0 {
 		return
@@ -691,16 +589,14 @@ func (ma *Machine) prune(now Time, window Duration) {
 		}
 	}
 	for ; i < len(ids); i++ {
-		id := ids[i]
 		seen := rel[i].lastSeen
 		if now-seen > window {
-			ma.delLnn(id)
 			continue
 		}
 		if seen < minSeen {
 			minSeen = seen
 		}
-		ids[keep] = id
+		ids[keep] = ids[i]
 		rel[keep] = rel[i]
 		keep++
 	}
@@ -728,34 +624,49 @@ func (ma *Machine) Related(id msg.PeerID, now Time) (capacity, age float64, ok b
 	return e.capacity, e.age(now), true
 }
 
-// LnnReport returns the latest l_nn report from id; ok is false when
-// none is held.
+// LnnReport returns the latest l_nn report from id and when is id's
+// entry's lastSeen; ok is false when id is outside G or has not reported.
+// A report counts as contact and re-stamps the entry, so on a reliable
+// link — where the report arrives after the Value frame that admitted its
+// sender — the report's time and lastSeen are equal; a later Value frame
+// moves lastSeen on.
 func (ma *Machine) LnnReport(id msg.PeerID) (lnn int, when Time, ok bool) {
-	i := ma.lnnIndex(id)
+	i := ma.ids.Index(id)
 	if i < 0 {
 		return 0, 0, false
 	}
-	r := ma.lnnReps()[i]
-	return r.lnn, r.when, true
+	e := &ma.rel()[i]
+	if e.lnn < 0 {
+		return 0, 0, false
+	}
+	return int(e.lnn), e.lastSeen, true
 }
 
-// AvgLnn averages the l_nn reports whose senders are in the related set;
-// ok is false when there are none. O(1): the sum and count are maintained
-// incrementally at every mutation of either table, and the integer sum is
-// exact, so the result is identical to a scan.
+// AvgLnn averages the l_nn reports held in the related set; ok is false
+// when there are none. It scans the entries counting reads, and the
+// integer sum makes the result independent of their order.
 func (ma *Machine) AvgLnn() (float64, bool) {
-	if ma.lnnCount == 0 {
+	var sum int64
+	var n int32
+	for _, e := range ma.rel() {
+		if e.lnn >= 0 {
+			sum += int64(e.lnn)
+			n++
+		}
+	}
+	if n == 0 {
 		return 0, false
 	}
-	return float64(ma.lnnSum) / float64(ma.lnnCount), true
+	return float64(sum) / float64(n), true
 }
 
 // smoothLnn folds the current leaf degree into the EWMA and returns the
 // smoothed value (Params.LnnSmoothing 0 disables: returns cur with no
 // state change). Decide calls it once per round for every super so the
-// smoothing cadence is uniform; Evaluate advances it a second time for
-// the peers that actually evaluate, matching the historical cadence the
-// determinism baselines pin.
+// smoothing cadence is uniform; evaluateSuper, reached from both Decide
+// and Evaluate, advances it a second time for the peers that actually
+// evaluate, matching the historical cadence the determinism baselines
+// pin.
 func (ma *Machine) smoothLnn(cur float64) float64 {
 	alpha := ma.p.LnnSmoothing
 	if alpha <= 0 {
@@ -804,34 +715,10 @@ func (ma *Machine) CheckInvariants() string {
 	if !spare.Stored(ma.relBuf[:], ma.relHeap, ma.ids.Len()) {
 		return "related set: count, entry array and heap slice disagree"
 	}
-	n := int(ma.lnnN)
-	if !spare.Stored(ma.lnnIDBuf[:], ma.lnnIDHeap, n) || !spare.Stored(ma.lnnRepBuf[:], ma.lnnRepHeap, n) ||
-		(ma.lnnIDHeap == nil) != (ma.lnnRepHeap == nil) {
-		return "lnn table: count, arrays and heap slices disagree"
-	}
-	ids, reps := ma.lnnIDs(), ma.lnnReps()
-	seen := make(map[msg.PeerID]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return "duplicate id in lnn table"
-		}
-		seen[id] = true
-	}
 	for _, e := range ma.rel() {
 		if e.lastSeen < ma.relMinSeen {
 			return "relMinSeen above an entry's lastSeen"
 		}
-	}
-	var sum int64
-	var count int32
-	for i, id := range ids {
-		if ma.ids.Contains(id) {
-			sum += int64(reps[i].lnn)
-			count++
-		}
-	}
-	if sum != ma.lnnSum || count != ma.lnnCount {
-		return "lnnSum/lnnCount disagree with a scan"
 	}
 	return ma.checkPendingInvariants()
 }

@@ -27,6 +27,13 @@ type fixedRand struct {
 
 func (r *fixedRand) Float64() float64 { r.draws++; return r.v }
 
+// report delivers id's l_nn report to the leaf machine ma at now, as a
+// NeighNumResponse through the handler a host feeds.
+func report(ma *Machine, id msg.PeerID, lnn int, now Time) {
+	m := msg.NeighNumResponse(id, 0, lnn)
+	ma.HandleMessage(Self{}, &m, now, nil)
+}
+
 func TestBernoulliDrawDiscipline(t *testing.T) {
 	r := &fixedRand{v: 0.5}
 	// The clamp boundaries must not consume a draw — the determinism
@@ -96,7 +103,7 @@ func TestDropKeepsOrderConsistent(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		ma.observe(msg.PeerID(i), 1, 1, 0, 0)
 	}
-	ma.putLnn(2, lnnReport{lnn: 7})
+	report(ma, 2, 7, 0)
 	ma.Drop(2)
 	if ma.Size() != 3 {
 		t.Fatalf("size = %d", ma.Size())
@@ -107,11 +114,10 @@ func TestDropKeepsOrderConsistent(t *testing.T) {
 	if bad := ma.CheckInvariants(); bad != "" {
 		t.Fatal(bad)
 	}
-	// Dropping an absent id only clears its report.
-	ma.putLnn(99, lnnReport{lnn: 1})
-	ma.Drop(99)
-	if _, _, ok := ma.LnnReport(99); ok {
-		t.Fatal("report for absent peer survived drop")
+	// A report from a peer outside G is not kept.
+	report(ma, 99, 1, 0)
+	if _, _, ok := ma.LnnReport(99); ok || ma.Size() != 3 {
+		t.Fatalf("report from a peer outside G: kept %v, size %d", ok, ma.Size())
 	}
 }
 
@@ -120,7 +126,7 @@ func TestPruneWindow(t *testing.T) {
 	ma := NewMachine(&p, 0)
 	ma.observe(1, 1, 1, 10, 0)
 	ma.observe(2, 1, 1, 50, 0)
-	ma.putLnn(1, lnnReport{lnn: 5, when: 10})
+	report(ma, 1, 5, 10)
 	ma.prune(60, 20) // window 20: entry 1 (seen at 10) expires
 	if ma.Size() != 1 {
 		t.Fatalf("size = %d, want 1", ma.Size())
@@ -147,12 +153,23 @@ func TestAvgLnn(t *testing.T) {
 	ma.observe(1, 1, 1, 0, 0)
 	ma.observe(2, 1, 1, 0, 0)
 	ma.observe(3, 1, 1, 0, 0)
-	ma.putLnn(1, lnnReport{lnn: 10})
-	ma.putLnn(2, lnnReport{lnn: 30})
+	report(ma, 1, 10, 0)
+	report(ma, 2, 30, 0)
 	// Peer 3 has no report; average over available ones.
 	got, ok := ma.AvgLnn()
 	if !ok || got != 20 {
 		t.Fatalf("AvgLnn = %v,%v want 20,true", got, ok)
+	}
+	// A report from outside G is dropped, not held until its sender joins.
+	report(ma, 4, 100, 0)
+	ma.observe(4, 1, 1, 0, 0)
+	if got, ok := ma.AvgLnn(); !ok || got != 20 {
+		t.Fatalf("AvgLnn after a report from outside G = %v,%v want 20,true", got, ok)
+	}
+	// Re-observation keeps a member's report.
+	ma.observe(2, 5, 5, 1, 0)
+	if lnn, when, ok := ma.LnnReport(2); !ok || lnn != 30 || when != 1 {
+		t.Fatalf("LnnReport(2) after re-observation = %d,%v,%v want 30,1,true", lnn, when, ok)
 	}
 	// Reports whose entry was dropped don't count.
 	ma.Drop(1)
@@ -186,11 +203,11 @@ func TestResetClearsState(t *testing.T) {
 	p := DefaultParams()
 	ma := NewMachine(&p, 0)
 	ma.observe(1, 1, 1, 5, 0)
-	ma.putLnn(1, lnnReport{lnn: 3, when: 5})
+	report(ma, 1, 3, 5)
 	ma.smoothLnn(10)
 	ma.RefreshDue(100)
 	ma.Reset(42)
-	if ma.Size() != 0 || ma.lnnN != 0 {
+	if _, _, ok := ma.LnnReport(1); ma.Size() != 0 || ok {
 		t.Fatal("reset kept related state")
 	}
 	if ma.LastChange() != 42 {
@@ -231,18 +248,18 @@ func TestHandleMessageResponses(t *testing.T) {
 	p := DefaultParams()
 	ep := &captureEndpoint{leafNeighbors: map[msg.PeerID]bool{3: true}}
 
-	// A leaf records l_nn reports and values (FIFO-capped).
+	// A leaf records values (FIFO-capped) and its members' l_nn reports.
 	leaf := NewMachine(&p, 0)
 	leafSelf := Self{ID: 1, Capacity: 10, Age: 5}
-	nn := msg.NeighNumResponse(2, 1, 9)
-	leaf.HandleMessage(leafSelf, &nn, 10, ep)
-	if lnn, when, ok := leaf.LnnReport(2); !ok || lnn != 9 || when != 10 {
-		t.Fatalf("leaf lnn report = %d,%v,%v", lnn, when, ok)
-	}
 	vv := msg.ValueResponse(2, 1, 50, 20)
 	leaf.HandleMessage(leafSelf, &vv, 10, ep)
 	if cap, age, ok := leaf.Related(2, 10); !ok || cap != 50 || age != 20 {
 		t.Fatalf("leaf related entry = %v,%v,%v", cap, age, ok)
+	}
+	nn := msg.NeighNumResponse(2, 1, 9)
+	leaf.HandleMessage(leafSelf, &nn, 11, ep)
+	if lnn, when, ok := leaf.LnnReport(2); !ok || lnn != 9 || when != 11 {
+		t.Fatalf("leaf lnn report = %d,%v,%v", lnn, when, ok)
 	}
 
 	// A super ignores stale l_nn responses (sent while it was a leaf) and
@@ -345,7 +362,7 @@ func TestDecisionCooldownGatesLeaf(t *testing.T) {
 	p := testEvalParams()
 	ma := NewMachine(&p, 0)
 	ma.observe(2, 1, 1, 1, 0) // one weak super in G
-	ma.putLnn(2, lnnReport{lnn: 20, when: 1})
+	report(ma, 2, 20, 1)
 	self := Self{ID: 1, Capacity: 100, Age: 100}
 	rng := &fixedRand{v: 0.5}
 
@@ -422,7 +439,7 @@ func TestEvaluateRateLimitDraw(t *testing.T) {
 	p.EvalProbability = 1
 	ma := NewMachine(&p, 0)
 	ma.observe(2, 1, 1, 1, 0)
-	ma.putLnn(2, lnnReport{lnn: 30, when: 1}) // r=1.5 -> prob (r-1)/eta = 0.05
+	report(ma, 2, 30, 1) // r=1.5 -> prob (r-1)/eta = 0.05
 	self := Self{ID: 1, Capacity: 100, Age: 100}
 
 	low := &fixedRand{v: 0.01}
@@ -501,7 +518,7 @@ func TestDecideCadence(t *testing.T) {
 		} {
 			ma := NewMachine(&p, 0)
 			ma.observe(2, 1, 1, 1, 0)
-			ma.putLnn(2, lnnReport{lnn: 30, when: 1}) // r=1.5 -> prob (r-1)/eta/EvalProbability = 0.1
+			report(ma, 2, 30, 1) // r=1.5 -> prob (r-1)/eta/EvalProbability = 0.1
 			rng := &seqRand{v: c.draws}
 			var res EvalResult
 			decided := ma.Decide(Self{ID: 1, Capacity: 100, Age: 100}, 10, 20, 10, rng, &res)

@@ -12,7 +12,7 @@
 //	Phase 1 (information collection)  -> machine.go HandleMessage
 //	Phase 2 (ratio estimation, μ)     -> decision.go Mu
 //	Phase 3 (scaled comparison, X/Y)  -> decision.go ScaleFor / counting
-//	Phase 4 (promotion/demotion, Z)   -> machine.go Evaluate
+//	Phase 4 (promotion/demotion, Z)   -> machine.go Decide
 //
 // The package deliberately imports neither internal/sim nor
 // internal/overlay (enforced by TestProtocolImportPurity and a go
@@ -138,12 +138,14 @@ type Params struct {
 	// cannot run the comparison). Zero disables.
 	EmptyGDemoteAfter Duration
 
-	// RateLimit enables deficit-proportional switching: an eligible leaf
-	// promotes with probability (l_nn/k_l − 1)/η and an eligible super
-	// demotes with probability demoteRateGain·(1 − l_nn/k_l), both clamped
-	// to [0,1]. The
-	// quantities are computable from purely local information (η and m
-	// are protocol constants), and the expected number of switches per
+	// RateLimit enables deficit-proportional switching: with r = l_nn/k_l
+	// and P = EvalProbability, an eligible leaf promotes with probability
+	// RateGain·(r − 1)/η/P weighted by (1 − Y_capa)^SelectionSharpness,
+	// and an eligible super demotes with probability
+	// demoteRateGain·(1 − r)/P weighted by Y_capa^SelectionSharpness, both
+	// clamped to [0,1].
+	// The quantities are computable from purely local information (η and
+	// m are protocol constants), and the expected number of switches per
 	// tick then matches the estimated layer deficit — preventing the
 	// thundering herd where every eligible peer switches at once. This is
 	// a reconstruction; see DESIGN.md.
@@ -152,7 +154,7 @@ type Params struct {
 	// probability. Values above 1 reduce the steady-state ratio offset
 	// that a purely proportional response leaves behind (promotion flux
 	// must offset super-peer deaths), at the cost of more aggressive
-	// corrections.
+	// corrections. It must be positive while RateLimit is on.
 	RateGain float64
 	// SelectionSharpness biases *which* eligible peers switch without
 	// throttling total switch flux: an eligible leaf's promotion
@@ -262,6 +264,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("protocol: negative duration parameter")
 	case p.MaxRetries < 0 || p.MaxRetries > math.MaxUint16:
 		return fmt.Errorf("protocol: MaxRetries = %d, want [0, %d]", p.MaxRetries, math.MaxUint16)
+	case p.RateLimit && p.RateGain <= 0:
+		return fmt.Errorf("protocol: RateGain = %v, want > 0 while RateLimit is on", p.RateGain)
 	case p.SelectionSharpness < 0:
 		return fmt.Errorf("protocol: SelectionSharpness = %v, want >= 0", p.SelectionSharpness)
 	case p.DefenseMaxCapacity < 0:

@@ -72,37 +72,42 @@ func request(pr pendingPair, self Self, to msg.PeerID) msg.Message {
 }
 
 // Exchange runs the event-driven Phase 1 exchange for one new leaf-super
-// connection between leaf l and super s: the NeighNum pair (the leaf asks
-// for l_nn) and the Value pair (Table 1's super-to-leaf request, which
-// carries the super's own capacity and age, so its one round trip tells
-// each side the other's values — without the super's a leaf cannot run
-// Phase 3). Each frame departs through its sender's endpoint, in an order
-// that is part of the determinism contract. Both deadlines are registered
-// before the first frame departs: delivery may be synchronous, and an
-// entry registered after its inline response had been handled would never
-// clear and would retry spuriously.
+// connection between leaf l and super s: the Value pair (Table 1's
+// super-to-leaf request, which carries the super's own capacity and age,
+// so its one round trip tells each side the other's values — without the
+// super's a leaf cannot run Phase 3), then the NeighNum pair (the leaf
+// asks for l_nn). Each frame departs through its sender's endpoint, in an
+// order that is part of the determinism contract: the Value request goes
+// first, so on a link that delivers in send order the l_nn report finds
+// its sender admitted to G(l) (a report from a peer outside G is
+// dropped). Both deadlines are registered before the first frame departs:
+// delivery may be synchronous, and an entry registered after its inline
+// response had been handled would never clear and would retry spuriously.
 func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l msg.PeerID, s Self, now Time) {
-	leaf.expect(s.ID, pairNeighNum, now)
 	super.expect(l, pairValue, now)
-	lep.Send(msg.NeighNumRequest(l, s.ID))
+	leaf.expect(s.ID, pairNeighNum, now)
 	sep.Send(request(pairValue, s, l))
+	lep.Send(msg.NeighNumRequest(l, s.ID))
 }
 
 // Refresh re-sends a leaf's freshness requests to one of its current
-// supers once RefreshDue fired, deadlines first as in Exchange: l_nn always
-// (its response re-stamps the super's G(l) entry), values only for a super
-// outside G(l), as an entry's capacity and join time never change. self is
-// the leaf's view, whose capacity and age the ValueRequest carries.
+// supers once RefreshDue fired, deadlines first as in Exchange: values
+// only for a super outside G(l), as an entry's capacity and join time never
+// change, then l_nn always (its response re-stamps the super's G(l)
+// entry). The Value row is registered and sent first, as in Exchange, so
+// the report finds the super admitted and ExpirePending re-sends in the
+// same order. self is the leaf's view, whose capacity and age the
+// ValueRequest carries.
 func (ma *Machine) Refresh(self Self, super msg.PeerID, now Time, ep Endpoint) {
 	known := ma.ids.Contains(super)
-	ma.expect(super, pairNeighNum, now)
 	if !known {
 		ma.expect(super, pairValue, now)
 	}
-	ep.Send(request(pairNeighNum, self, super))
+	ma.expect(super, pairNeighNum, now)
 	if !known {
 		ep.Send(request(pairValue, self, super))
 	}
+	ep.Send(request(pairNeighNum, self, super))
 }
 
 // expect registers the response deadline for the request of pair pr about

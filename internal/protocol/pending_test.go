@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -97,10 +98,10 @@ func valueRequest(from Self, to msg.PeerID) msg.Message {
 // deadline is registered before the first frame departs — with inline
 // answers nothing may stay pending, and with every frame lost exactly the
 // unanswered requests stay pending and are the ones ExpirePending re-sends.
-// Exchange sends two requests, the leaf's l_nn request and the super's
-// ValueRequest, which carries the super's values. Refresh asks a super
-// outside G(l) for l_nn and values, one in G(l) for l_nn alone, whose
-// response re-stamps the entry.
+// Exchange sends two requests, the super's ValueRequest, which carries the
+// super's values, and then the leaf's l_nn request. Refresh asks a super
+// outside G(l) for values and l_nn, in that order, one in G(l) for l_nn
+// alone, whose response re-stamps the entry.
 func TestExchangeAndRefresh(t *testing.T) {
 	p := pendingParams()
 	byLeaf := func(m msg.Message) sentFrame { return sentFrame{fromLeaf: true, m: m} }
@@ -111,10 +112,10 @@ func TestExchangeAndRefresh(t *testing.T) {
 		n := newPairNet(&p, true)
 		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)),
 			bySuper(valueRequest(n.sSelf, l)),
-			byLeaf(msg.ValueResponse(l, s, 10, 5)))
+			byLeaf(msg.ValueResponse(l, s, 10, 5)),
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)))
 		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 0 {
 			t.Fatalf("inline answers left leaf %d and super %d requests pending", a, b)
 		}
@@ -130,8 +131,8 @@ func TestExchangeAndRefresh(t *testing.T) {
 		n := newPairNet(&p, false)
 		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(valueRequest(n.sSelf, l)))
+			bySuper(valueRequest(n.sSelf, l)),
+			byLeaf(msg.NeighNumRequest(l, s)))
 		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 1 || b != 1 {
 			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 1 and 1", a, b)
 		}
@@ -150,19 +151,22 @@ func TestExchangeAndRefresh(t *testing.T) {
 		n := newPairNet(&p, true)
 		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)),
 			byLeaf(valueRequest(n.lSelf, s)),
-			bySuper(msg.ValueResponse(s, l, 40, 8)))
+			bySuper(msg.ValueResponse(s, l, 40, 8)),
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)))
 		if a := n.leaf.PendingRequests(); a != 0 {
 			t.Fatalf("inline answers left %d requests pending", a)
+		}
+		if lnn, _, ok := n.leaf.LnnReport(s); !ok || lnn != 1 {
+			t.Fatalf("leaf's l_nn report = %d, %v; want 1", lnn, ok)
 		}
 	})
 
 	t.Run("refresh-lost", func(t *testing.T) {
 		n := newPairNet(&p, false)
 		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
-		want := []sentFrame{byLeaf(msg.NeighNumRequest(l, s)), byLeaf(valueRequest(n.lSelf, s))}
+		want := []sentFrame{byLeaf(valueRequest(n.lSelf, s)), byLeaf(msg.NeighNumRequest(l, s))}
 		n.checkLog(t, "Refresh", want...)
 		if a := n.leaf.PendingRequests(); a != 2 {
 			t.Fatalf("lost frames left %d requests pending, want 2", a)
@@ -219,21 +223,24 @@ func TestExchangeAndRefresh(t *testing.T) {
 		n.leaf.Drop(s)
 		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)),
 			byLeaf(valueRequest(n.lSelf, s)),
-			bySuper(msg.ValueResponse(s, l, 40, 8)))
+			bySuper(msg.ValueResponse(s, l, 40, 8)),
+			byLeaf(msg.NeighNumRequest(l, s)),
+			bySuper(msg.NeighNumResponse(s, l, 1)))
 		if !n.leaf.Has(s) {
 			t.Fatal("the value response did not re-admit s to G(l)")
+		}
+		if _, when, ok := n.leaf.LnnReport(s); !ok || when != n.now {
+			t.Fatalf("leaf's l_nn report from %v, %v; want one from %v", when, ok, n.now)
 		}
 	})
 }
 
 // TestExchangeMatchesBothWayValuePairs pins what the one-request
 // completion keeps: after inline delivery both machines hold the G
-// entries, l_nn report and l_nn sum and count that the exchange with a
-// Value pair in each direction — its requests in the order that exchange
-// sent them — leaves behind.
+// entries (their l_nn reports included), l_nn reports and AvgLnn that the
+// exchange with a Value pair in each direction — both Value requests
+// ahead of the l_nn request — leaves behind.
 func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
 	p := pendingParams()
 	const l, s = 2, 1
@@ -241,12 +248,12 @@ func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
 	Exchange(got.leaf, got.lep, got.super, got.sep, l, got.sSelf, got.now)
 
 	want := newPairNet(&p, true)
-	want.leaf.expect(s, pairNeighNum, want.now)
 	want.super.expect(l, pairValue, want.now)
 	want.leaf.expect(s, pairValue, want.now)
-	want.lep.Send(msg.NeighNumRequest(l, s))
+	want.leaf.expect(s, pairNeighNum, want.now)
 	want.sep.Send(valueRequest(want.sSelf, l))
 	want.lep.Send(valueRequest(want.lSelf, s))
+	want.lep.Send(msg.NeighNumRequest(l, s))
 	if len(want.log) != 6 || len(got.log) != 4 {
 		t.Fatalf("the exchanges sent %d and %d frames, want 6 and 4", len(want.log), len(got.log))
 	}
@@ -254,20 +261,28 @@ func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
 	for _, side := range []struct {
 		name      string
 		got, want *Machine
-	}{{"leaf", got.leaf, want.leaf}, {"super", got.super, want.super}} {
+		other     msg.PeerID
+	}{{"leaf", got.leaf, want.leaf, s}, {"super", got.super, want.super, l}} {
 		g, w := side.got, side.want
 		if !slices.Equal(g.ids.IDs(), w.ids.IDs()) || !slices.Equal(g.rel(), w.rel()) {
 			t.Errorf("%s: G = %v %+v, want %v %+v", side.name, g.ids.IDs(), g.rel(), w.ids.IDs(), w.rel())
 		}
-		if !slices.Equal(g.lnnIDs(), w.lnnIDs()) || !slices.Equal(g.lnnReps(), w.lnnReps()) {
-			t.Errorf("%s: l_nn reports %v %+v, want %v %+v", side.name, g.lnnIDs(), g.lnnReps(), w.lnnIDs(), w.lnnReps())
+		gl, gw, gok := g.LnnReport(side.other)
+		wl, ww, wok := w.LnnReport(side.other)
+		if gl != wl || gw != ww || gok != wok {
+			t.Errorf("%s: l_nn report %d,%v,%v, want %d,%v,%v", side.name, gl, gw, gok, wl, ww, wok)
 		}
-		if g.lnnSum != w.lnnSum || g.lnnCount != w.lnnCount {
-			t.Errorf("%s: l_nn sum/count %d/%d, want %d/%d", side.name, g.lnnSum, g.lnnCount, w.lnnSum, w.lnnCount)
+		ga, gaok := g.AvgLnn()
+		wa, waok := w.AvgLnn()
+		if math.Float64bits(ga) != math.Float64bits(wa) || gaok != waok {
+			t.Errorf("%s: AvgLnn %v,%v, want %v,%v", side.name, ga, gaok, wa, waok)
 		}
 		if g.PendingRequests() != 0 || w.PendingRequests() != 0 {
 			t.Errorf("%s: %d and %d requests left pending, want none", side.name, g.PendingRequests(), w.PendingRequests())
 		}
+	}
+	if _, _, ok := got.leaf.LnnReport(s); !ok {
+		t.Error("the exchange left the leaf without s's l_nn report")
 	}
 }
 
@@ -300,6 +315,100 @@ func TestExchangeRetriesLostValueRequest(t *testing.T) {
 	}
 	if !n.super.Has(l) || n.super.PendingRequests() != 0 {
 		t.Fatalf("the retry's answer left the super with G(s) ∋ l %v and %d pending", n.super.Has(l), n.super.PendingRequests())
+	}
+}
+
+// kinds returns the kinds of the logged frames and clears the log.
+func (n *pairNet) kinds() []msg.Kind {
+	var k []msg.Kind
+	for _, f := range n.log {
+		k = append(k, f.m.Kind)
+	}
+	n.log = nil
+	return k
+}
+
+// TestValueRequestDepartsFirst pins the order that keeps every l_nn report
+// in its sender's G(l) entry: where a Value request and an l_nn request
+// depart together the Value request goes first, its row is registered
+// first so that ExpirePending re-sends in the same order, and over
+// zero-latency delivery the leaf ends up holding the super's report.
+func TestValueRequestDepartsFirst(t *testing.T) {
+	p := pendingParams()
+	const l, s = 2, 1
+	valueFirst := []msg.Kind{msg.KindValueRequest, msg.KindNeighNumRequest}
+	holdsReport := func(t *testing.T, n *pairNet) {
+		t.Helper()
+		if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 1 || when != n.now {
+			t.Fatalf("leaf's l_nn report = %d, %v, %v; want 1 from %v", lnn, when, ok, n.now)
+		}
+		if avg, ok := n.leaf.AvgLnn(); !ok || avg != 1 {
+			t.Fatalf("leaf's AvgLnn = %v, %v; want 1", avg, ok)
+		}
+	}
+
+	t.Run("exchange", func(t *testing.T) {
+		lost := newPairNet(&p, false)
+		Exchange(lost.leaf, lost.lep, lost.super, lost.sep, l, lost.sSelf, lost.now)
+		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
+			t.Fatalf("Exchange sent %v, want the super's ValueRequest, then the leaf's NeighNumRequest", got)
+		}
+		n := newPairNet(&p, true)
+		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+		holdsReport(t, n)
+	})
+
+	t.Run("refresh", func(t *testing.T) {
+		lost := newPairNet(&p, false)
+		lost.leaf.Refresh(lost.lSelf, s, lost.now, lost.lep)
+		if pend := lost.leaf.pend(); len(pend) != 2 || pend[0].pair != pairValue || pend[1].pair != pairNeighNum {
+			t.Fatalf("Refresh registered %+v, want the Value row, then the NeighNum row", pend)
+		}
+		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
+			t.Fatalf("Refresh sent %v, want the ValueRequest, then the NeighNumRequest", got)
+		}
+		lost.leaf.ExpirePending(lost.lSelf, lost.now+p.RequestTimeout, lost.lep)
+		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
+			t.Fatalf("the expiry re-sent %v, want the ValueRequest, then the NeighNumRequest", got)
+		}
+		n := newPairNet(&p, true)
+		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		holdsReport(t, n)
+	})
+}
+
+// TestReportFromOutsideGDropped: a NeighNumResponse from a peer outside
+// G(l) settles its pending row — the peer answered — but stores nothing:
+// G and AvgLnn are unchanged, and no report appears when the peer is
+// admitted later.
+func TestReportFromOutsideGDropped(t *testing.T) {
+	p := pendingParams()
+	ma := NewMachine(&p, 0)
+	ep := &captureEndpoint{}
+	self := Self{ID: 1, Capacity: 10, Age: 5}
+	ma.observe(3, 50, 20, 1, 0)
+	report(ma, 3, 40, 1)
+	before := slices.Clone(ma.rel())
+
+	ma.expect(2, pairNeighNum, 2)
+	nn := msg.NeighNumResponse(2, 1, 9)
+	ma.HandleMessage(self, &nn, 2, ep)
+	if ma.PendingRequests() != 0 {
+		t.Fatalf("the response left %d requests pending, want its row settled", ma.PendingRequests())
+	}
+	if ma.Has(2) || !slices.Equal(ma.rel(), before) {
+		t.Fatalf("the report changed G: %v %+v, want [3] %+v", ma.ids.IDs(), ma.rel(), before)
+	}
+	if avg, ok := ma.AvgLnn(); !ok || avg != 40 {
+		t.Fatalf("AvgLnn = %v, %v; want 40 from the member's report alone", avg, ok)
+	}
+	vr := msg.ValueResponse(2, 1, 50, 20)
+	ma.HandleMessage(self, &vr, 3, ep)
+	if _, _, ok := ma.LnnReport(2); ok || !ma.Has(2) {
+		t.Fatalf("after admission: member %v, holds a report %v; want a member with none", ma.Has(2), ok)
+	}
+	if bad := ma.CheckInvariants(); bad != "" {
+		t.Fatal(bad)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"dlm/internal/spare"
 )
 
-// refMachine is the reference model of a Machine's three sets: plain maps
+// refMachine is the reference model of a Machine's two sets: plain maps
 // and appended slices, every aggregate recomputed by a scan, no inline
 // arrays, no index, no lower bounds. It shares nothing with machine.go but
 // the element types.
@@ -21,35 +21,34 @@ type refMachine struct {
 	p       *Params
 	order   []msg.PeerID // related set, insertion/swap-delete order
 	entries map[msg.PeerID]relEntry
-	nextSeq uint64
-	lnn     map[msg.PeerID]lnnReport
+	nextSeq uint32
 	pend    []pendingRec
 }
 
 func newRefMachine(p *Params) *refMachine {
-	return &refMachine{p: p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{}}
+	return &refMachine{p: p, entries: map[msg.PeerID]relEntry{}}
 }
 
 func (r *refMachine) reset() {
-	*r = refMachine{p: r.p, entries: map[msg.PeerID]relEntry{}, lnn: map[msg.PeerID]lnnReport{}}
+	*r = refMachine{p: r.p, entries: map[msg.PeerID]relEntry{}}
 }
 
 // removeRel swap-deletes id from the related set; its l_nn report goes
-// with it.
+// with its entry.
 func (r *refMachine) removeRel(id msg.PeerID) {
 	i := slices.Index(r.order, id)
 	last := len(r.order) - 1
 	r.order[i] = r.order[last]
 	r.order = r.order[:last]
 	delete(r.entries, id)
-	delete(r.lnn, id)
 }
 
-// observe returns the evicted ID, or NoPeer.
+// observe returns the evicted ID, or NoPeer. A re-observed entry keeps
+// its insertion rank and its l_nn report; a new one has no report.
 func (r *refMachine) observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) msg.PeerID {
-	e := relEntry{capacity: capacity, joinTime: now - Time(age), lastSeen: now}
+	e := relEntry{capacity: capacity, joinTime: now - Time(age), lastSeen: now, lnn: -1}
 	if old, ok := r.entries[id]; ok {
-		e.seq = old.seq
+		e.seq, e.lnn = old.seq, old.lnn
 		r.entries[id] = e
 		return msg.NoPeer
 	}
@@ -70,20 +69,23 @@ func (r *refMachine) observe(id msg.PeerID, capacity, age float64, now Time, max
 	return victim
 }
 
-// putLnn stores id's report and re-stamps id's entry, if any, as seen at
-// the report's time.
-func (r *refMachine) putLnn(id msg.PeerID, rep lnnReport) {
-	r.lnn[id] = rep
-	if e, ok := r.entries[id]; ok {
-		e.lastSeen = rep.when
+// report handles a NeighNumResponse from id: it settles the pending row,
+// then stores the report in id's entry and re-stamps the entry as seen at
+// now, or drops the report when id is not a member. It reports whether
+// the report was kept.
+func (r *refMachine) report(id msg.PeerID, lnn int, now Time) bool {
+	r.clear(id, pairNeighNum)
+	e, ok := r.entries[id]
+	if ok {
+		e.lnn, e.lastSeen = int32(lnn), now
 		r.entries[id] = e
 	}
+	return ok
 }
 
 func (r *refMachine) drop(id msg.PeerID) {
 	r.clear(id, pairNeighNum)
 	r.clear(id, pairValue)
-	delete(r.lnn, id)
 	if _, ok := r.entries[id]; ok {
 		r.removeRel(id)
 	}
@@ -97,7 +99,6 @@ func (r *refMachine) prune(now Time, window Duration) {
 	for _, id := range r.order {
 		if now-r.entries[id].lastSeen > window {
 			delete(r.entries, id)
-			delete(r.lnn, id)
 			continue
 		}
 		kept = append(kept, id)
@@ -108,9 +109,9 @@ func (r *refMachine) prune(now Time, window Duration) {
 func (r *refMachine) avgLnn() (float64, bool) {
 	var sum int64
 	var n int
-	for id, rep := range r.lnn {
-		if _, ok := r.entries[id]; ok {
-			sum += int64(rep.lnn)
+	for _, e := range r.entries {
+		if e.lnn >= 0 {
+			sum += int64(e.lnn)
 			n++
 		}
 	}
@@ -174,10 +175,12 @@ func (s *sendLog) IsLeafNeighbor(msg.PeerID) bool { return true }
 
 // TestInlineSpillDifferential drives three Machines that share one Spares
 // store, as a host's arena does, and a reference model for each through one
-// random operation sequence that takes each of the three sets back and forth
+// random operation sequence that takes each of the two sets back and forth
 // across its inline capacity and the related set across the index
-// threshold. Every step must agree with the reference: iteration order and
-// entries, Size, the AvgLnn bits, every l_nn report, the eviction victim
+// threshold. l_nn reports arrive as NeighNumResponse frames through the
+// handler, from members and non-members alike. Every step must agree with
+// the reference: iteration order and entries (their l_nn reports
+// included), Size, the AvgLnn bits, every l_nn report, the eviction victim
 // (through the order), the pending rows in order, the frames an expiry
 // re-sends and the rows it abandons, and the machine's own invariants. No
 // backing array may be held by two live sets at once (the index's own
@@ -200,9 +203,11 @@ func TestInlineSpillDifferential(t *testing.T) {
 	// Coverage: how often each set left its array, how often a machine
 	// holding heap slices was Reset to inline, how often a related set grew
 	// past the index threshold and was Reset with its index, how often a
-	// heap-held set shrank back to inline size (and kept working there), and
-	// how often a set took storage some set had held before.
-	var relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused int
+	// heap-held set shrank back to inline size (and kept working there), how
+	// often a set took storage some set had held before, how often a report
+	// from outside G was dropped, and how often a member holding a report
+	// was re-observed.
+	var relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved int
 	seen := map[unsafe.Pointer]bool{}
 	indexed := make([]bool, len(machines))
 
@@ -219,13 +224,13 @@ func TestInlineSpillDifferential(t *testing.T) {
 		k := rng.Intn(len(machines))
 		ma, ref := &machines[k], refs[k]
 		id := msg.PeerID(1 + rng.Intn(int(universe)))
-		wasRel, wasLnn, wasPend := ma.relHeap != nil, ma.lnnIDHeap != nil, ma.pendHeap != nil
+		wasRel, wasPend := ma.relHeap != nil, ma.pendHeap != nil
 		wasN := ma.Size()
 		held := storage(ma)
 
 		switch op := rng.Intn(100); {
 		case rng.Intn(250) == 0:
-			if wasRel || wasLnn || wasPend {
+			if wasRel || wasPend {
 				returns++
 			}
 			if indexed[k] {
@@ -234,13 +239,15 @@ func TestInlineSpillDifferential(t *testing.T) {
 			}
 			ref.reset()
 			ma.Reset(now)
-			if ma.relHeap != nil || ma.lnnIDHeap != nil || ma.lnnRepHeap != nil ||
-				ma.pendHeap != nil {
+			if ma.relHeap != nil || ma.pendHeap != nil {
 				t.Fatalf("step %d: Reset kept a heap slice or the index", step)
 			}
 		case op < 36:
 			maxSize := []int{0, 0, p.MaxRelatedSet, 2 * flatidx.IndexThreshold}[rng.Intn(4)]
 			capacity, age := float64(rng.Intn(1000)), float64(rng.Intn(50))
+			if _, _, ok := ma.LnnReport(id); ok {
+				reobserved++
+			}
 			want := ref.observe(id, capacity, age, now, maxSize)
 			before := slices.Clone(ma.ids.IDs())
 			ma.observe(id, capacity, age, now, maxSize)
@@ -250,13 +257,13 @@ func TestInlineSpillDifferential(t *testing.T) {
 		case op < 50:
 			ref.drop(id)
 			ma.Drop(id)
-		case op < 68:
-			rep := lnnReport{lnn: rng.Intn(200), when: now}
-			ref.putLnn(id, rep)
-			ma.putLnn(id, rep)
 		case op < 72:
-			delete(ref.lnn, id)
-			ma.delLnn(id)
+			lnn := rng.Intn(200)
+			if !ref.report(id, lnn, now) {
+				dropped++
+			}
+			m := msg.NeighNumResponse(id, self.ID, lnn)
+			ma.HandleMessage(self, &m, now, nil)
 		case op < 75:
 			window := []Duration{0.5, 2, 8, 30}[rng.Intn(4)]
 			ref.prune(now, window)
@@ -284,9 +291,6 @@ func TestInlineSpillDifferential(t *testing.T) {
 
 		if !wasRel && ma.relHeap != nil {
 			relSpills++
-		}
-		if !wasLnn && ma.lnnIDHeap != nil {
-			lnnSpills++
 		}
 		if !wasPend && ma.pendHeap != nil {
 			pendSpills++
@@ -329,12 +333,12 @@ func TestInlineSpillDifferential(t *testing.T) {
 		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d: AvgLnn %v,%v, reference %v,%v", step, got, gotOK, want, wantOK)
 		}
-		if int(ma.lnnN) != len(ref.lnn) {
-			t.Fatalf("step %d: %d l_nn reports, reference %d", step, ma.lnnN, len(ref.lnn))
-		}
-		for rid, rep := range ref.lnn {
-			if lnn, when, ok := ma.LnnReport(rid); !ok || lnn != rep.lnn || when != rep.when {
-				t.Fatalf("step %d: LnnReport(%d) = %d,%v,%v, reference %+v", step, rid, lnn, when, ok, rep)
+		for rid := msg.PeerID(1); rid <= 3*flatidx.IndexThreshold; rid++ {
+			e, member := ref.entries[rid]
+			wantOK := member && e.lnn >= 0
+			lnn, when, ok := ma.LnnReport(rid)
+			if ok != wantOK || ok && (lnn != int(e.lnn) || when != e.lastSeen) {
+				t.Fatalf("step %d: LnnReport(%d) = %d,%v,%v, reference entry %+v (member %v)", step, rid, lnn, when, ok, e, member)
 			}
 		}
 		if !slices.Equal(ma.pend(), ref.pend) {
@@ -342,13 +346,14 @@ func TestInlineSpillDifferential(t *testing.T) {
 		}
 	}
 
-	t.Logf("spills: related %d, l_nn %d, pending %d; returns to inline %d; indexed %d, reset indexed %d; heap-held sets back at inline size %d; storage reused %d",
-		relSpills, lnnSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused)
+	t.Logf("spills: related %d, pending %d; returns to inline %d; indexed %d, reset indexed %d; heap-held sets back at inline size %d; storage reused %d; reports dropped %d; reports kept across re-observation %d",
+		relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved)
 	const floor = 20
 	for name, n := range map[string]int{
-		"related-set spills": relSpills, "l_nn spills": lnnSpills, "pending spills": pendSpills,
+		"related-set spills": relSpills, "pending spills": pendSpills,
 		"returns to inline": returns, "index builds": idxBuilt, "index drops": idxDropped,
 		"heap-held shrinks to inline size": shrunk, "reuses of released storage": reused,
+		"report dropped, sender outside G": dropped, "report kept across re-observation": reobserved,
 	} {
 		if n < floor {
 			t.Errorf("coverage: %d %s, want at least %d", n, name, floor)
@@ -356,18 +361,16 @@ func TestInlineSpillDifferential(t *testing.T) {
 	}
 }
 
-// storage returns the backing arrays of a machine's five heap slices, nil
+// storage returns the backing arrays of a machine's three heap slices, nil
 // where it holds none. The related IDs spill with their entries.
-func storage(ma *Machine) [5]unsafe.Pointer {
+func storage(ma *Machine) [3]unsafe.Pointer {
 	var ids unsafe.Pointer
 	if ma.relHeap != nil {
 		ids = unsafe.Pointer(unsafe.SliceData(ma.ids.IDs()))
 	}
-	return [5]unsafe.Pointer{
+	return [3]unsafe.Pointer{
 		unsafe.Pointer(unsafe.SliceData(ma.relHeap)),
 		ids,
-		unsafe.Pointer(unsafe.SliceData(ma.lnnIDHeap)),
-		unsafe.Pointer(unsafe.SliceData(ma.lnnRepHeap)),
 		unsafe.Pointer(unsafe.SliceData(ma.pendHeap)),
 	}
 }
@@ -375,9 +378,9 @@ func storage(ma *Machine) [5]unsafe.Pointer {
 // sharedStorage returns a description of the first backing array held by
 // two live sets of ms at once, or "".
 func sharedStorage(ms []Machine) string {
-	names := [5]string{"related entries", "related IDs", "l_nn IDs", "l_nn reports", "pending rows"}
+	names := [3]string{"related entries", "related IDs", "pending rows"}
 	type holder struct{ machine, set int }
-	held := make(map[unsafe.Pointer]holder, 5*len(ms))
+	held := make(map[unsafe.Pointer]holder, 3*len(ms))
 	for i := range ms {
 		for j, at := range storage(&ms[i]) {
 			if at == nil {
@@ -401,7 +404,7 @@ func TestMachineCopyIsIndependent(t *testing.T) {
 	a := NewMachine(&p, 0)
 	for id := msg.PeerID(1); id <= spare.Inline; id++ {
 		a.observe(id, float64(id), 0, 1, 0)
-		a.putLnn(id, lnnReport{lnn: int(id), when: 1})
+		report(a, id, int(id), 1)
 		a.expect(id, pairValue, 1)
 	}
 	b := *a
