@@ -38,8 +38,8 @@ func allocNetwork(t testing.TB) (*overlay.Network, *Manager) {
 func leafJoin(t testing.TB, n *overlay.Network, mgr *Manager) *overlay.Peer {
 	p := n.Join(10, 100, nil)
 	ma := mgr.state(p)
-	at := n.Now() + sim.Time(mgr.P.RefreshInterval)
-	due := ma.RefreshDue(protocol.Time(at))
+	at := protocol.Time(n.Now()) + mgr.P.RefreshInterval
+	due := ma.RefreshDue(at)
 	mgr.refresh(n, p, at)
 	if p.Layer != overlay.LayerLeaf || p.SuperDegree() != 2 || ma.Size() != 2 || !due {
 		t.Fatalf("leaf cycle incomplete: layer %v, %d super links, |G| = %d, refresh due %v",

@@ -26,14 +26,14 @@ func TestEventDrivenExchangeOnConnect(t *testing.T) {
 		t.Fatal("second join should be a leaf under DLM")
 	}
 	tr := n.Traffic()
-	// Connect triggers: NeighNumRequest+Response, then the super's
-	// ValueRequest (carrying its values) and the leaf's ValueResponse.
-	if tr.Count(msg.KindNeighNumRequest) != 1 || tr.Count(msg.KindNeighNumResponse) != 1 {
-		t.Fatalf("neigh-num pair counts: %d/%d",
+	// Connect triggers two frames: the super's Value frame (its values
+	// and l_nn) and the leaf's; no request and no NeighNum pair.
+	if tr.Count(msg.KindNeighNumRequest) != 0 || tr.Count(msg.KindNeighNumResponse) != 0 {
+		t.Fatalf("neigh-num pair counts: %d/%d, want none",
 			tr.Count(msg.KindNeighNumRequest), tr.Count(msg.KindNeighNumResponse))
 	}
-	if tr.Count(msg.KindValueRequest) != 1 || tr.Count(msg.KindValueResponse) != 1 {
-		t.Fatalf("value pair counts: %d/%d",
+	if tr.Count(msg.KindValueRequest) != 0 || tr.Count(msg.KindValueResponse) != 2 {
+		t.Fatalf("value frame counts: %d requests/%d frames, want 0/2",
 			tr.Count(msg.KindValueRequest), tr.Count(msg.KindValueResponse))
 	}
 	// Both endpoints recorded each other.
@@ -302,30 +302,29 @@ func TestPeriodicPolicyMaintainsRatio(t *testing.T) {
 
 // TestFirstRefreshOneIntervalAfterJoin pins where the simulator starts a
 // leaf's refresh clock: at its join, not at time 0. A leaf that joins past
-// the first RefreshInterval has just fetched its super's l_nn in the
-// connect exchange, so it sends no NeighNumRequest for one interval, then
-// refreshes on time. The leaf is the only peer that refreshes (the other
-// is the bootstrap super), so the overlay's traffic counters see its
-// requests alone.
+// the first RefreshInterval has just been told its super's l_nn by the
+// connect exchange, which sends no NeighNumRequest, so no NeighNumRequest
+// goes out for one interval; then the leaf refreshes on time, one per
+// super link. The leaf is the only peer that refreshes (the other is the
+// bootstrap super), so the overlay's traffic counters see its requests
+// alone.
 func TestFirstRefreshOneIntervalAfterJoin(t *testing.T) {
 	p := DefaultParams()
-	eng, n, _ := testNetwork(1, p)
-	n.Join(100, 1e6, nil) // bootstrap super
+	eng, n, mgr := testNetwork(1, p)
+	super := n.Join(100, 1e6, nil) // bootstrap super
 	requests := func() uint64 { return n.Traffic().Count(msg.KindNeighNumRequest) }
 	joinAt := sim.Time(p.RefreshInterval) + 15
 	due := joinAt + sim.Time(p.RefreshInterval)
 	var leaf *overlay.Peer
-	var atJoin uint64
 	eng.Ticker(1, func(e *sim.Engine) bool {
 		now := e.Now()
 		if now == joinAt {
 			leaf = n.Join(10, 1e6, nil)
-			atJoin = requests()
 		}
 		n.Tick()
-		if leaf != nil && now < due && requests() != atJoin {
-			t.Errorf("t=%v: leaf joined at %v sent %d NeighNumRequests after its connect exchange, before %v",
-				now, joinAt, requests()-atJoin, due)
+		if now < due && requests() != 0 {
+			t.Errorf("t=%v: %d NeighNumRequests before %v, one interval after the leaf joined at %v",
+				now, requests(), due, joinAt)
 			return false
 		}
 		return now < due
@@ -333,11 +332,14 @@ func TestFirstRefreshOneIntervalAfterJoin(t *testing.T) {
 	if err := eng.RunUntil(due); err != nil {
 		t.Fatal(err)
 	}
-	if leaf == nil || leaf.Layer != overlay.LayerLeaf || leaf.SuperDegree() != 1 || atJoin == 0 {
-		t.Fatalf("setup: leaf %v, connect exchange sent %d NeighNumRequests", leaf, atJoin)
+	if leaf == nil || leaf.Layer != overlay.LayerLeaf || leaf.SuperDegree() != 1 {
+		t.Fatalf("setup: leaf %v", leaf)
 	}
-	if got := requests() - atJoin; !t.Failed() && got != 1 {
-		t.Fatalf("at %v the leaf sent %d NeighNumRequests, want its first refresh (1)", due, got)
+	if lnn, _, ok := mgr.state(leaf).LnnReport(super.ID); !ok || lnn != 1 {
+		t.Fatalf("setup: the connect exchange left the leaf l_nn report %d, %v; want 1", lnn, ok)
+	}
+	if got, want := requests(), uint64(leaf.SuperDegree()); !t.Failed() && got != want {
+		t.Fatalf("at %v the leaf sent %d NeighNumRequests, want its first refresh (%d, one per super link)", due, got, want)
 	}
 }
 

@@ -251,10 +251,10 @@ func TestOverheadSmallShare(t *testing.T) {
 	if res.DLMMessages == 0 {
 		t.Fatal("no DLM traffic")
 	}
-	// This scenario reads 2.34 % (3.06 % while the connect exchange sent
-	// a Value pair each way); the bound leaves a quarter of that as margin.
-	if res.MsgShare > 3 {
-		t.Fatalf("DLM share %.2f%% of messages, want at most 3%%", res.MsgShare)
+	// This scenario reads 1.61 %; the bound leaves a quarter of that as
+	// margin.
+	if res.MsgShare > 2 {
+		t.Fatalf("DLM share %.2f%% of messages, want at most 2%%", res.MsgShare)
 	}
 	if res.ByteShare > res.MsgShare {
 		t.Fatalf("byte share %.1f%% above message share %.1f%% despite tiny DLM messages",

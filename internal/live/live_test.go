@@ -22,13 +22,13 @@ func TestLiveBootstrapAndRoles(t *testing.T) {
 	if second.Layer() != overlay.LayerLeaf {
 		t.Fatal("second peer should join as leaf")
 	}
-	// The leaf connects and the exchange flows: the super's ValueRequest
-	// carries its values, and the leaf's ValueResponse completes the pair.
+	// The leaf connects and the exchange flows: each side pushes its
+	// Value frame, the super's carrying l_nn.
 	deadline := time.After(2 * time.Second)
-	for n.Messages(msg.KindValueResponse) < 1 {
+	for n.Messages(msg.KindValueResponse) < 2 {
 		select {
 		case <-deadline:
-			t.Fatalf("exchange did not complete: %d value responses",
+			t.Fatalf("exchange did not complete: %d Value frames",
 				n.Messages(msg.KindValueResponse))
 		case <-time.After(5 * time.Millisecond):
 		}
@@ -69,8 +69,10 @@ func TestLivePromotionEmergesUnderLoad(t *testing.T) {
 	if s.NumSupers < 8 || s.Ratio <= 3 || s.Ratio >= 20 {
 		t.Fatalf("ratio did not stabilize: %+v", s)
 	}
-	// The DLM message plane was exercised.
-	if n.Messages(msg.KindNeighNumRequest) == 0 || n.Messages(msg.KindValueResponse) == 0 {
+	// The DLM message plane was exercised: every new leaf-super link
+	// pushes Value frames (a NeighNumRequest waits for the first refresh,
+	// which a quick convergence may precede).
+	if n.Messages(msg.KindValueResponse) == 0 {
 		t.Fatal("no DLM traffic observed")
 	}
 }

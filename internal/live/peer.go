@@ -111,9 +111,8 @@ func (p *Peer) collect() {
 	defer p.mu.Unlock()
 	if p.Layer() == overlay.LayerLeaf && p.mach.RefreshDue(now) {
 		// μ tracks the network, not the state at connection time.
-		self := p.selfLocked(now)
 		for _, id := range p.supers.IDs() {
-			p.mach.Refresh(self, id, now, &p.ep)
+			p.mach.Refresh(p.ID, id, now, &p.ep)
 		}
 	}
 	// Retry or abandon Phase 1 requests whose deadline passed.
@@ -212,7 +211,7 @@ func (p *Peer) connect(q *Peer) {
 	}
 	q.leaves.Append(p.ID, nil)
 	now := p.net.nowUnits()
-	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.selfLocked(now), now)
+	protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.selfLocked(now), q.selfLocked(now), now)
 }
 
 // promote moves the peer to the super-layer: its super links persist as
@@ -292,7 +291,7 @@ func (p *Peer) demote(now protocol.Time) {
 		lockPair(p, q)
 		if q.supers.Remove(p.ID) {
 			q.leaves.Append(p.ID, nil)
-			protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.ID, q.selfLocked(now), now)
+			protocol.Exchange(p.mach, &p.ep, q.mach, &q.ep, p.selfLocked(now), q.selfLocked(now), now)
 		}
 		unlockPair(p, q)
 	}

@@ -22,12 +22,12 @@ var ErrBadKind = errors.New("msg: unknown message kind")
 
 func payloadSize(k Kind) int {
 	switch k {
-	case KindNeighNumRequest, KindPing, KindPong:
+	case KindNeighNumRequest, KindValueRequest, KindPing, KindPong:
 		return 0
 	case KindNeighNumResponse:
 		return 4
-	case KindValueRequest, KindValueResponse:
-		return 16
+	case KindValueResponse:
+		return 8 + 8 + 4
 	case KindQuery:
 		return 8 + 4 + 1 + 1
 	case KindQueryHit:
@@ -58,9 +58,10 @@ func Encode(dst []byte, m *Message) []byte {
 	switch m.Kind {
 	case KindNeighNumResponse:
 		dst = binary.BigEndian.AppendUint32(dst, m.NeighNum)
-	case KindValueRequest, KindValueResponse:
+	case KindValueResponse:
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Capacity))
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Age))
+		dst = binary.BigEndian.AppendUint32(dst, m.NeighNum)
 	case KindQuery:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Query))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Object))
@@ -98,9 +99,10 @@ func Decode(src []byte) (Message, int, error) {
 	switch k {
 	case KindNeighNumResponse:
 		m.NeighNum = binary.BigEndian.Uint32(body)
-	case KindValueRequest, KindValueResponse:
+	case KindValueResponse:
 		m.Capacity = math.Float64frombits(binary.BigEndian.Uint64(body[0:8]))
 		m.Age = math.Float64frombits(binary.BigEndian.Uint64(body[8:16]))
+		m.NeighNum = binary.BigEndian.Uint32(body[16:20])
 	case KindQuery:
 		m.Query = QueryID(binary.BigEndian.Uint64(body[0:8]))
 		m.Object = ObjectID(binary.BigEndian.Uint32(body[8:12]))

@@ -13,8 +13,8 @@ func FuzzDecode(f *testing.F) {
 		NeighNumRequest(1, 2),
 		NeighNumResponse(2, 1, 80),
 		ValueRequest(3, 4),
-		{Kind: KindValueRequest, From: 3, To: 4, Capacity: 64, Age: 17.5},
 		ValueResponse(4, 3, 123.5, 42.25),
+		{Kind: KindValueResponse, From: 4, To: 3, Capacity: 64, Age: 17.5, NeighNum: 80},
 		NewQuery(5, 6, 99, 777, 7),
 		NewQueryHit(6, 5, 99, 777, 99, 3),
 		{Kind: KindPing, From: 7, To: 8},

@@ -16,15 +16,18 @@ type Kind uint8
 const (
 	KindInvalid Kind = iota
 	// KindNeighNumRequest asks a super-peer for its current number of
-	// leaf neighbors (sent leaf -> super).
+	// leaf neighbors (sent leaf -> super by a refresh of a super already
+	// in G(l)).
 	KindNeighNumRequest
 	// KindNeighNumResponse carries l_nn back to the requesting leaf.
 	KindNeighNumResponse
-	// KindValueRequest carries its sender's capacity and age and asks
-	// the receiver for its own (sent super -> leaf on a new link, leaf ->
-	// super by a refresh).
+	// KindValueRequest is a bare ask for the receiver's Value frame (sent
+	// leaf -> super by a refresh of a super outside G(l), and by either
+	// side when the other's Value frame is overdue). It carries nothing.
 	KindValueRequest
-	// KindValueResponse carries the receiver's capacity and age back.
+	// KindValueResponse is the Value frame: its sender's capacity, age and
+	// leaf degree (l_nn when the sender is a super). Each side of a new
+	// leaf-super link sends one unasked, and it answers a ValueRequest.
 	KindValueResponse
 	// KindQuery is a flooded content query.
 	KindQuery
@@ -94,10 +97,10 @@ type Message struct {
 	From PeerID
 	To   PeerID
 
-	// NeighNum is l_nn in a NeighNumResponse.
+	// NeighNum is the sender's leaf degree (l_nn) in a NeighNumResponse
+	// or a ValueResponse.
 	NeighNum uint32
-	// Capacity and Age are the sender's, in a ValueRequest or a
-	// ValueResponse.
+	// Capacity and Age are the sender's, in a ValueResponse.
 	Capacity float64
 	Age      float64
 
@@ -125,13 +128,13 @@ func NeighNumResponse(from, to PeerID, lnn int) Message {
 	return Message{Kind: KindNeighNumResponse, From: from, To: to, NeighNum: uint32(lnn)}
 }
 
-// ValueRequest builds a capacity/age request with zero values; the
-// sender sets its own Capacity and Age on the frame before it departs.
+// ValueRequest builds the bare ask for the receiver's Value frame.
 func ValueRequest(from, to PeerID) Message {
 	return Message{Kind: KindValueRequest, From: from, To: to}
 }
 
-// ValueResponse builds the capacity/age response.
+// ValueResponse builds a Value frame with the sender's capacity and age;
+// its leaf degree is zero until the sender sets NeighNum on the frame.
 func ValueResponse(from, to PeerID, capacity, age float64) Message {
 	return Message{Kind: KindValueResponse, From: from, To: to, Capacity: capacity, Age: age}
 }

@@ -65,8 +65,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 		NeighNumRequest(1, 2),
 		NeighNumResponse(2, 1, 80),
 		ValueRequest(3, 4),
-		valueRequest(3, 4, 64, 17.5),
 		ValueResponse(4, 3, 123.5, 42.25),
+		valueFrame(4, 3, 123.5, 42.25, 80),
 		NewQuery(5, 6, 0xdeadbeefcafe, 777, 7),
 		NewQueryHit(6, 5, 0xdeadbeefcafe, 777, 99, 4),
 		{Kind: KindPing, From: 7, To: 8},
@@ -80,26 +80,31 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// valueRequest is a ValueRequest carrying its sender's values, as the
-// protocol sends it.
-func valueRequest(from, to PeerID, capacity, age float64) Message {
-	m := ValueRequest(from, to)
-	m.Capacity, m.Age = capacity, age
+// valueFrame is a Value frame carrying its sender's leaf degree, as a
+// super sends it.
+func valueFrame(from, to PeerID, capacity, age float64, lnn uint32) Message {
+	m := ValueResponse(from, to, capacity, age)
+	m.NeighNum = lnn
 	return m
 }
 
-// TestValueFramesCarryValues pins the Value pair's shared payload: both
-// frames are the header plus two float64s, and one cut short by a byte
-// does not decode.
+// TestValueFramesCarryValues pins the Value pair's layout: the request is
+// a bare header, the Value frame the header plus two float64s and the
+// sender's leaf degree, and a frame cut short by a byte does not decode.
 func TestValueFramesCarryValues(t *testing.T) {
-	for _, m := range []Message{valueRequest(1, 2, 64, 17.5), ValueResponse(2, 1, 64, 17.5)} {
-		if s := m.WireSize(); s != headerSize+16 {
-			t.Errorf("%v wire size %d bytes, want %d", m.Kind, s, headerSize+16)
-		}
+	req := ValueRequest(1, 2)
+	if s := req.WireSize(); s != headerSize {
+		t.Errorf("%v wire size %d bytes, want %d", req.Kind, s, headerSize)
+	}
+	m := valueFrame(2, 1, 64, 17.5, 80)
+	if s := m.WireSize(); s != headerSize+20 {
+		t.Errorf("%v wire size %d bytes, want %d", m.Kind, s, headerSize+20)
+	}
+	if got := roundTrip(t, m); got.Capacity != 64 || got.Age != 17.5 || got.NeighNum != 80 {
+		t.Errorf("%v lost its values: %+v", m.Kind, got)
+	}
+	for _, m := range []Message{req, m} {
 		buf := Encode(nil, &m)
-		if got := roundTrip(t, m); got.Capacity != 64 || got.Age != 17.5 {
-			t.Errorf("%v lost its values: %+v", m.Kind, got)
-		}
 		if _, _, err := Decode(buf[:len(buf)-1]); err != ErrShortBuffer {
 			t.Errorf("%v cut to %d bytes: err = %v, want ErrShortBuffer", m.Kind, len(buf)-1, err)
 		}
@@ -190,13 +195,14 @@ func TestDecodeStream(t *testing.T) {
 	}
 }
 
-// Property: ValueResponse round-trips arbitrary finite float payloads.
+// Property: ValueResponse round-trips arbitrary finite float payloads
+// and any leaf degree.
 func TestValueResponseRoundTripProperty(t *testing.T) {
-	f := func(from, to uint32, capacity, age float64) bool {
+	f := func(from, to uint32, capacity, age float64, lnn uint32) bool {
 		if math.IsNaN(capacity) || math.IsNaN(age) {
 			return true // NaN != NaN; comparison below is meaningless
 		}
-		m := ValueResponse(PeerID(from), PeerID(to), capacity, age)
+		m := valueFrame(PeerID(from), PeerID(to), capacity, age, lnn)
 		buf := Encode(nil, &m)
 		got, _, err := Decode(buf)
 		return err == nil && got == m

@@ -11,8 +11,8 @@ import (
 )
 
 // defenseTrace drives one scripted leaf machine for 60 ticks — feeding it
-// value responses and then l_nn reports from rotating neighbors, the
-// order in which Exchange's requests depart — and returns its full
+// one Value frame per tick, values and l_nn together as a super pushes
+// them on a new link, from rotating neighbors — and returns its full
 // decision transcript. kl=30 against observed l_nn of 30..49
 // keeps the rate limit's deficit positive, so eligible peers really draw.
 func defenseTrace(seed int64, p Params, selfCap float64) string {
@@ -24,10 +24,9 @@ func defenseTrace(seed int64, p Params, selfCap float64) string {
 	for t := Time(1); t <= 60; t++ {
 		self.Age = float64(t)
 		from := msg.PeerID(2 + int64(t)%5)
-		vr := msg.ValueResponse(from, 1, 50+float64(int64(t)%7)*300, float64(t)*0.5)
+		super := Self{ID: from, Capacity: 50 + float64(int64(t)%7)*300, Age: float64(t) * 0.5, LeafDegree: 30 + int(int64(t)%20)}
+		vr := valueOf(super, 1)
 		ma.HandleMessage(self, &vr, t, ep)
-		nn := msg.NeighNumResponse(from, 1, 30+int(int64(t)%20))
-		ma.HandleMessage(self, &nn, t, ep)
 		res := ma.Evaluate(self, t, 30, 40, rng)
 		fmt.Fprintf(&b, "t=%g size=%d ev=%v el=%v act=%s y=%.4f,%.4f\n",
 			t, ma.Size(), res.Evaluated, res.Eligible, res.Action,
@@ -112,9 +111,10 @@ func TestDefenseBoundsLiarPromotion(t *testing.T) {
 }
 
 // TestDefenseRejectsImplausibleObservations: neither a super's G, from a
-// ValueResponse, nor a leaf's, from a super's ValueRequest, may admit
-// claims above the capacity bound or ahead of the clock; plausible claims
-// pass untouched, and a refused request is still answered.
+// leaf's Value frame, nor a leaf's, from a super's, may admit claims above
+// the capacity bound or ahead of the clock; plausible claims pass
+// untouched. A refused frame leaves no l_nn report, and a bare request is
+// answered either way.
 func TestDefenseRejectsImplausibleObservations(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -138,21 +138,59 @@ func TestDefenseRejectsImplausibleObservations(t *testing.T) {
 			m := msg.ValueResponse(9, 1, tc.capacity, tc.age)
 			ma.HandleMessage(self, &m, 10, ep)
 			if got := ma.Has(9); got != tc.admitted {
-				t.Errorf("response: admitted = %v, want %v", got, tc.admitted)
+				t.Errorf("super: admitted = %v, want %v", got, tc.admitted)
 			}
 
 			leaf := NewMachine(&p, 0)
 			ep = &captureEndpoint{}
 			self = Self{ID: 1, Capacity: 20, Age: 10}
-			m = valueRequest(Self{ID: 9, Capacity: tc.capacity, Age: tc.age}, 1)
+			m = valueOf(Self{ID: 9, Capacity: tc.capacity, Age: tc.age, LeafDegree: 50}, 1)
 			leaf.HandleMessage(self, &m, 10, ep)
 			if got := leaf.Has(9); got != tc.admitted {
-				t.Errorf("request: admitted = %v, want %v", got, tc.admitted)
+				t.Errorf("leaf: admitted = %v, want %v", got, tc.admitted)
 			}
+			if _, _, got := leaf.LnnReport(9); got != tc.admitted {
+				t.Errorf("leaf: holds the frame's l_nn report = %v, want %v", got, tc.admitted)
+			}
+			req := msg.ValueRequest(9, 1)
+			leaf.HandleMessage(self, &req, 10, ep)
 			if want := msg.ValueResponse(1, 9, 20, 10); len(ep.sent) != 1 || ep.sent[0] != want {
 				t.Errorf("request answered with %+v, want %+v", ep.sent, want)
 			}
 		})
+	}
+}
+
+// TestRefusedValueFrameStoresNoReport: the l_nn report rides on the Value
+// frame, so a frame the defense refuses settles its row — the super
+// answered — but stores no report, even from a super the leaf already
+// holds: the member keeps its earlier report, and a non-member leaves
+// AvgLnn as it was.
+func TestRefusedValueFrameStoresNoReport(t *testing.T) {
+	p := DefaultParams()
+	p.DefenseMaxCapacity = 4000
+	ma := NewMachine(&p, 0)
+	ep := &captureEndpoint{}
+	self := Self{ID: 1, Capacity: 20, Age: 10}
+	honest := valueOf(Self{ID: 3, Capacity: 100, Age: 5, LeafDegree: 40}, 1)
+	ma.HandleMessage(self, &honest, 10, ep)
+
+	for _, from := range []msg.PeerID{2, 3} {
+		ma.expect(from, pairValue, 10)
+		liar := valueOf(Self{ID: from, Capacity: 1e6, Age: 5, LeafDegree: 2}, 1)
+		ma.HandleMessage(self, &liar, 11, ep)
+	}
+	if ma.PendingRequests() != 0 {
+		t.Fatalf("refused frames left %d rows pending, want them settled", ma.PendingRequests())
+	}
+	if ma.Has(2) {
+		t.Fatal("the defense admitted an implausible claim")
+	}
+	if lnn, when, ok := ma.LnnReport(3); !ok || lnn != 40 || when != 10 {
+		t.Fatalf("member's report = %d, %v, %v; want the honest frame's 40 from 10", lnn, when, ok)
+	}
+	if avg, ok := ma.AvgLnn(); !ok || avg != 40 {
+		t.Fatalf("AvgLnn = %v, %v; want 40 from the admitted frame alone", avg, ok)
 	}
 }
 

@@ -56,7 +56,7 @@ type Self struct {
 	// IsSuper selects the super-peer handler/decision rules.
 	IsSuper bool
 	// LeafDegree is the current number of leaf neighbors (l_nn for a
-	// super; unused for a leaf).
+	// super, which its Value frames and NeighNum responses carry).
 	LeafDegree int
 }
 
@@ -117,8 +117,9 @@ type relEntry struct {
 	// leaf's capped set reads it, and a leaf never inserts 2³² entries in
 	// one tenure.
 	seq uint32
-	// lnn is the member's latest l_nn report, −1 until one arrives. It
-	// survives re-observation and goes with the entry.
+	// lnn is the member's latest l_nn report, −1 until one arrives (a
+	// super's entries never hold one). Each Value frame a leaf admits
+	// replaces it, and it goes with the entry.
 	lnn int32
 }
 
@@ -316,8 +317,9 @@ func (ma *Machine) Reset(now Time) {
 func (ma *Machine) LastChange() Time { return ma.lastChange }
 
 // HandleMessage runs Phase 1: it answers information requests via ep and
-// folds responses into the related set's entries. Unknown or
-// non-DLM kinds are ignored, so hosts can feed their whole inbox through.
+// folds Value frames and l_nn reports into the related set's entries.
+// Unknown or non-DLM kinds are ignored, so hosts can feed their whole
+// inbox through.
 func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoint) {
 	switch m.Kind {
 	case msg.KindNeighNumRequest:
@@ -334,26 +336,28 @@ func (ma *Machine) HandleMessage(self Self, m *msg.Message, now Time, ep Endpoin
 		// re-stamps the entry; one from a peer outside G is dropped.
 		if i := ma.ids.Index(m.From); i >= 0 {
 			e := &ma.rel()[i]
-			e.lnn = int32(min(m.NeighNum, math.MaxInt32))
+			e.lnn = lnnOf(m)
 			e.lastSeen = now
 		}
 
 	case msg.KindValueRequest:
-		// The request carries its sender's values: admit them, then
-		// answer with our own — refused values are still answered.
-		ma.admit(self, m, now, ep)
-		ep.Send(msg.ValueResponse(self.ID, m.From, self.Capacity, self.Age))
+		// A bare ask: answer with our Value frame, admit nothing.
+		ep.Send(valueFrame(self, m.From))
 
 	case msg.KindValueResponse:
-		// The response settles the request even when its values are then
+		// The frame settles our Value row even when its values are then
 		// refused — the counterpart *answered*, it just isn't believed.
 		ma.clearPending(m.From, pairValue)
 		ma.admit(self, m, now, ep)
 	}
 }
 
-// admit folds the capacity and age a Value frame carries into G, under
-// the rules both frames share.
+// lnnOf returns the l_nn a frame reports, clamped to the entry's range.
+func lnnOf(m *msg.Message) int32 { return int32(min(m.NeighNum, math.MaxInt32)) }
+
+// admit folds the capacity and age a Value frame carries into G and, at a
+// leaf, stores the l_nn it reports in the sender's entry; a super ignores
+// the field. A refused frame stores nothing.
 func (ma *Machine) admit(self Self, m *msg.Message, now Time, ep Endpoint) {
 	// A super's G is restricted to current leaf neighbors; drop values
 	// that raced with a disconnect or a layer change.
@@ -366,11 +370,11 @@ func (ma *Machine) admit(self Self, m *msg.Message, now Time, ep Endpoint) {
 		(m.Capacity > ma.p.DefenseMaxCapacity || m.Age > float64(now)) {
 		return
 	}
-	maxSize := 0
-	if !self.IsSuper {
-		maxSize = ma.p.MaxRelatedSet
+	if self.IsSuper {
+		ma.observe(m.From, m.Capacity, m.Age, now, 0)
+		return
 	}
-	ma.observe(m.From, m.Capacity, m.Age, now, maxSize)
+	ma.observe(m.From, m.Capacity, m.Age, now, ma.p.MaxRelatedSet).lnn = lnnOf(m)
 }
 
 // Decide is one maintenance round's decision step, the same on every
@@ -507,19 +511,21 @@ func (ma *Machine) counting(selfCapacity, selfAge float64, now Time, xCapa, xAge
 }
 
 // observe records (or refreshes) a related-set entry, enforcing the
-// optional FIFO capacity bound.
-func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) {
+// optional FIFO capacity bound, and returns it.
+func (ma *Machine) observe(id msg.PeerID, capacity, age float64, now Time, maxSize int) *relEntry {
 	if i := ma.ids.Index(id); i >= 0 {
-		// Re-observation keeps the insertion rank and the l_nn report.
+		// Re-observation keeps the insertion rank and the l_nn report,
+		// which admit then replaces at a leaf.
 		e := &ma.rel()[i]
 		e.capacity, e.joinTime, e.lastSeen = capacity, now-Time(age), now
-		return
+		return e
 	}
 	if maxSize > 0 && ma.ids.Len() >= maxSize {
 		ma.evictOldest()
 	}
 	ma.addRel(id, relEntry{capacity: capacity, joinTime: now - Time(age), lastSeen: now, seq: ma.relSeq, lnn: -1})
 	ma.relSeq++
+	return &ma.rel()[ma.ids.Len()-1]
 }
 
 // evictOldest removes the minimum-seq (oldest-inserted) entry. The scan
@@ -626,10 +632,9 @@ func (ma *Machine) Related(id msg.PeerID, now Time) (capacity, age float64, ok b
 
 // LnnReport returns the latest l_nn report from id and when is id's
 // entry's lastSeen; ok is false when id is outside G or has not reported.
-// A report counts as contact and re-stamps the entry, so on a reliable
-// link — where the report arrives after the Value frame that admitted its
-// sender — the report's time and lastSeen are equal; a later Value frame
-// moves lastSeen on.
+// Every Value frame a leaf admits and every NeighNumResponse from a
+// member carries a report and re-stamps the entry, so when is the time of
+// the latest report.
 func (ma *Machine) LnnReport(id msg.PeerID) (lnn int, when Time, ok bool) {
 	i := ma.ids.Index(id)
 	if i < 0 {

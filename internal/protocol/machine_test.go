@@ -239,7 +239,7 @@ func TestHandleMessageRequests(t *testing.T) {
 	if got := ep.sent[0]; got.Kind != msg.KindNeighNumResponse || got.To != 2 || got.NeighNum != 7 {
 		t.Fatalf("neigh-num response = %+v", got)
 	}
-	if got := ep.sent[1]; got.Kind != msg.KindValueResponse || got.To != 2 || got.Capacity != 40 || got.Age != 12 {
+	if got := ep.sent[1]; got.Kind != msg.KindValueResponse || got.To != 2 || got.Capacity != 40 || got.Age != 12 || got.NeighNum != 7 {
 		t.Fatalf("value response = %+v", got)
 	}
 }
@@ -280,16 +280,16 @@ func TestHandleMessageResponses(t *testing.T) {
 		t.Fatal("super dropped value from current leaf neighbor")
 	}
 
-	// A ValueRequest's values pass the same filter, and the request is
-	// answered either way.
+	// A ValueRequest is a bare ask: it is answered whoever sent it, and
+	// admits nothing.
 	ep.sent = nil
 	super = NewMachine(&p, 0)
 	for _, from := range []msg.PeerID{2, 3} {
-		vr := valueRequest(Self{ID: from, Capacity: 50, Age: 20}, 1)
+		vr := msg.ValueRequest(from, 1)
 		super.HandleMessage(superSelf, &vr, 10, ep)
 	}
-	if super.Has(2) || !super.Has(3) {
-		t.Fatalf("super admitted request values from 2 %v (not a leaf neighbor) and 3 %v (one)", super.Has(2), super.Has(3))
+	if super.Size() != 0 {
+		t.Fatalf("super admitted %v from bare requests", super.ids.IDs())
 	}
 	if len(ep.sent) != 2 || ep.sent[0] != msg.ValueResponse(1, 2, 10, 5) || ep.sent[1] != msg.ValueResponse(1, 3, 10, 5) {
 		t.Fatalf("super answered %+v, want a ValueResponse to 2 and to 3", ep.sent)

@@ -171,14 +171,15 @@ type Params struct {
 	// PeriodicInterval is the exchange period under Periodic.
 	PeriodicInterval Duration
 	// RefreshInterval makes leaves re-request l_nn from their current
-	// supers (and values from those outside G(l)) this often even under
+	// supers (with the values, for those outside G(l)) this often even under
 	// EventDriven, keeping μ and G(l) fresh on long-lived connections (§6:
 	// these can piggyback on keepalives). Zero disables refresh.
 	RefreshInterval Duration
 
 	// RequestTimeout is the deadline a peer attaches to each Phase 1
-	// request it sends (see Exchange/ExpirePending in pending.go): a request
-	// unanswered for this long is retried, giving the exchange bounded
+	// answer it awaits, a request's or a new link's pushed Value frame (see
+	// Exchange/ExpirePending in pending.go): one still missing after this
+	// long is asked for again, giving the exchange bounded
 	// at-least-once semantics over lossy transports. Deadlines are
 	// computed from the host-supplied clock only, so the protocol core
 	// stays transport- and time-import free. Zero disables the pending
@@ -193,7 +194,7 @@ type Params struct {
 
 	// DefenseMaxCapacity enables the bounded-sanity misreport defense used
 	// by the adversarial scenarios (internal/scenario). When positive:
-	// (a) a ValueResponse claiming a capacity above this bound — or an age
+	// (a) a Value frame claiming a capacity above this bound — or an age
 	// exceeding the protocol clock, which no peer can truthfully have — is
 	// rejected instead of admitted to the related set, so implausible
 	// liars vanish from honest peers' comparisons; and (b) a leaf whose

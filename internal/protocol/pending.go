@@ -8,7 +8,8 @@ import (
 // The pending-request table gives Phase 1 a bounded at-least-once
 // discipline over lossy transports. The request side is the protocol's
 // own: Exchange and Refresh register every deadline before the first
-// frame departs, responses settle the entry inside HandleMessage, and the
+// frame departs, answers (responses and pushed Value frames) settle the
+// entry inside HandleMessage, and the
 // host folds ExpirePending into its existing per-tick scheduling to retry
 // or abandon whatever is still outstanding. Deadlines are computed purely
 // from the host-supplied protocol clock, so the package stays free of time
@@ -59,59 +60,60 @@ func (ma *Machine) pendingCap() int {
 	return 2 * ma.p.MaxRelatedSet
 }
 
-// request returns pair pr's request frame from self to peer to. A
-// ValueRequest carries self's capacity and age, so a retry carries the
-// sender's values at the retry's time.
-func request(pr pendingPair, self Self, to msg.PeerID) msg.Message {
+// request returns pair pr's request frame from peer from to peer to. Both
+// requests are bare asks: the answer carries the counterpart's values.
+func request(pr pendingPair, from, to msg.PeerID) msg.Message {
 	if pr == pairNeighNum {
-		return msg.NeighNumRequest(self.ID, to)
+		return msg.NeighNumRequest(from, to)
 	}
-	m := msg.ValueRequest(self.ID, to)
-	m.Capacity, m.Age = self.Capacity, self.Age
+	return msg.ValueRequest(from, to)
+}
+
+// valueFrame returns self's Value frame to peer to: its capacity, age and
+// leaf degree, the l_nn a leaf stores when self is a super.
+func valueFrame(self Self, to msg.PeerID) msg.Message {
+	m := msg.ValueResponse(self.ID, to, self.Capacity, self.Age)
+	m.NeighNum = uint32(self.LeafDegree)
 	return m
 }
 
 // Exchange runs the event-driven Phase 1 exchange for one new leaf-super
-// connection between leaf l and super s: the Value pair (Table 1's
-// super-to-leaf request, which carries the super's own capacity and age,
-// so its one round trip tells each side the other's values — without the
-// super's a leaf cannot run Phase 3), then the NeighNum pair (the leaf
-// asks for l_nn). Each frame departs through its sender's endpoint, in an
-// order that is part of the determinism contract: the Value request goes
-// first, so on a link that delivers in send order the l_nn report finds
-// its sender admitted to G(l) (a report from a peer outside G is
-// dropped). Both deadlines are registered before the first frame departs:
-// delivery may be synchronous, and an entry registered after its inline
-// response had been handled would never clear and would retry spuriously.
-func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l msg.PeerID, s Self, now Time) {
-	super.expect(l, pairValue, now)
-	leaf.expect(s.ID, pairNeighNum, now)
-	sep.Send(request(pairValue, s, l))
-	lep.Send(msg.NeighNumRequest(l, s.ID))
+// connection between leaf l and super s: each side sends its Value frame
+// unasked, so one frame each way tells each side the other's capacity and
+// age (without the super's a leaf cannot run Phase 3), and the super's
+// frame also carries l_nn. Each side registers a Value row for the other
+// before anything departs: delivery may be synchronous, and a row
+// registered after its inline answer had been handled would never clear
+// and would retry spuriously; a row still open at its deadline re-asks
+// with a bare ValueRequest. The frames depart through their senders'
+// endpoints in an order that is part of the determinism contract: the
+// super's first, as its values and its report arrive together. Both
+// depart in the same instant, so under latency they land in one batch.
+func Exchange(leaf *Machine, lep Endpoint, super *Machine, sep Endpoint, l, s Self, now Time) {
+	super.expect(l.ID, pairValue, now)
+	leaf.expect(s.ID, pairValue, now)
+	sep.Send(valueFrame(s, l.ID))
+	lep.Send(valueFrame(l, s.ID))
 }
 
-// Refresh re-sends a leaf's freshness requests to one of its current
-// supers once RefreshDue fired, deadlines first as in Exchange: values
-// only for a super outside G(l), as an entry's capacity and join time never
-// change, then l_nn always (its response re-stamps the super's G(l)
-// entry). The Value row is registered and sent first, as in Exchange, so
-// the report finds the super admitted and ExpirePending re-sends in the
-// same order. self is the leaf's view, whose capacity and age the
-// ValueRequest carries.
-func (ma *Machine) Refresh(self Self, super msg.PeerID, now Time, ep Endpoint) {
-	known := ma.ids.Contains(super)
-	if !known {
-		ma.expect(super, pairValue, now)
+// Refresh re-sends a leaf's freshness request to one of its current
+// supers once RefreshDue fired, its deadline first as in Exchange: toward
+// a super in G(l) the NeighNum pair (its response re-stamps the super's
+// entry; an entry's capacity and join time never change), toward one
+// outside G(l) a bare ValueRequest, whose answer brings the values and
+// l_nn together.
+func (ma *Machine) Refresh(self, super msg.PeerID, now Time, ep Endpoint) {
+	pr := pairValue
+	if ma.ids.Contains(super) {
+		pr = pairNeighNum
 	}
-	ma.expect(super, pairNeighNum, now)
-	if !known {
-		ep.Send(request(pairValue, self, super))
-	}
-	ep.Send(request(pairNeighNum, self, super))
+	ma.expect(super, pr, now)
+	ep.Send(request(pr, self, super))
 }
 
-// expect registers the response deadline for the request of pair pr about
-// to depart toward peer. A second expect for the same (peer, pair) resets
+// expect registers the deadline of pair pr's answer from peer: the
+// response to a request about to depart, or on a new link the peer's
+// pushed Value frame. A second expect for the same (peer, pair) resets
 // the deadline and the retry budget — the newer request supersedes the
 // older one. RequestTimeout 0 disables the table.
 func (ma *Machine) expect(peer msg.PeerID, pr pendingPair, now Time) {
@@ -190,7 +192,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	ma.truncPend(keep)
 	retries = len(resend)
 	for _, r := range resend {
-		ep.Send(request(r.pair, self, r.peer))
+		ep.Send(request(r.pair, self.ID, r.peer))
 	}
 	return retries, drops
 }

@@ -27,16 +27,16 @@ type sentFrame struct {
 // pairNet wires a leaf machine and a super machine to one endpoint per
 // side. Every frame is logged with its sending side; with inline set it is
 // also handed at once to the addressed machine, the zero-latency
-// simulation's re-entrant delivery, unless the super sent it and it is of
-// kind superLoses, and otherwise it is lost.
+// simulation's re-entrant delivery, unless its sender loses frames of its
+// kind (superLoses, leafLoses), and otherwise it is lost.
 type pairNet struct {
-	leaf, super  *Machine
-	lSelf, sSelf Self
-	lep, sep     *sideEndpoint
-	now          Time
-	inline       bool
-	superLoses   msg.Kind
-	log          []sentFrame
+	leaf, super           *Machine
+	lSelf, sSelf          Self
+	lep, sep              *sideEndpoint
+	now                   Time
+	inline                bool
+	superLoses, leafLoses msg.Kind
+	log                   []sentFrame
 }
 
 func newPairNet(p *Params, inline bool) *pairNet {
@@ -62,7 +62,7 @@ func (e *sideEndpoint) Send(m msg.Message) {
 	n := e.n
 	n.log = append(n.log, sentFrame{fromLeaf: e.leaf, m: m})
 	switch {
-	case !n.inline || !e.leaf && m.Kind == n.superLoses:
+	case !n.inline || !e.leaf && m.Kind == n.superLoses || e.leaf && m.Kind == n.leafLoses:
 	case e.leaf:
 		n.super.HandleMessage(n.sSelf, &m, n.now, n.sep)
 	default:
@@ -85,11 +85,12 @@ func (n *pairNet) checkLog(t *testing.T, what string, want ...sentFrame) {
 	n.log = nil
 }
 
-// valueRequest is the ValueRequest a peer sends, carrying its capacity and
-// age; built here rather than by request, so the tests check request too.
-func valueRequest(from Self, to msg.PeerID) msg.Message {
-	m := msg.ValueRequest(from.ID, to)
-	m.Capacity, m.Age = from.Capacity, from.Age
+// valueOf is the Value frame a peer sends: its capacity, age and leaf
+// degree. Built here rather than by the protocol, so the tests check the
+// protocol's frames too.
+func valueOf(from Self, to msg.PeerID) msg.Message {
+	m := msg.ValueResponse(from.ID, to, from.Capacity, from.Age)
+	m.NeighNum = uint32(from.LeafDegree)
 	return m
 }
 
@@ -97,11 +98,11 @@ func valueRequest(from Self, to msg.PeerID) msg.Message {
 // Exchange and Refresh send, their order and sending side, and that every
 // deadline is registered before the first frame departs — with inline
 // answers nothing may stay pending, and with every frame lost exactly the
-// unanswered requests stay pending and are the ones ExpirePending re-sends.
-// Exchange sends two requests, the super's ValueRequest, which carries the
-// super's values, and then the leaf's l_nn request. Refresh asks a super
-// outside G(l) for values and l_nn, in that order, one in G(l) for l_nn
-// alone, whose response re-stamps the entry.
+// unanswered rows stay pending and are the ones ExpirePending re-asks
+// with a bare request. Exchange sends two frames, the super's Value frame,
+// which carries l_nn, and then the leaf's. Refresh asks a super outside
+// G(l) with a bare ValueRequest, whose answer brings values and l_nn, and
+// one in G(l) for l_nn alone, whose response re-stamps the entry.
 func TestExchangeAndRefresh(t *testing.T) {
 	p := pendingParams()
 	byLeaf := func(m msg.Message) sentFrame { return sentFrame{fromLeaf: true, m: m} }
@@ -110,29 +111,27 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("exchange-inline", func(t *testing.T) {
 		n := newPairNet(&p, true)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
-			bySuper(valueRequest(n.sSelf, l)),
-			byLeaf(msg.ValueResponse(l, s, 10, 5)),
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)))
+			bySuper(valueOf(n.sSelf, l)),
+			byLeaf(valueOf(n.lSelf, s)))
 		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 0 {
 			t.Fatalf("inline answers left leaf %d and super %d requests pending", a, b)
 		}
 		if !n.leaf.Has(s) || !n.super.Has(l) {
 			t.Fatal("the exchange did not admit each side to the other's related set")
 		}
-		if lnn, _, ok := n.leaf.LnnReport(s); !ok || lnn != 1 {
-			t.Fatalf("leaf's l_nn report = %d, %v; want 1", lnn, ok)
+		if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 1 || when != n.now {
+			t.Fatalf("leaf's l_nn report = %d, %v, %v; want 1 from %v", lnn, when, ok, n.now)
 		}
 	})
 
 	t.Run("exchange-lost", func(t *testing.T) {
 		n := newPairNet(&p, false)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
 		n.checkLog(t, "Exchange",
-			bySuper(valueRequest(n.sSelf, l)),
-			byLeaf(msg.NeighNumRequest(l, s)))
+			bySuper(valueOf(n.sSelf, l)),
+			byLeaf(valueOf(n.lSelf, s)))
 		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 1 || b != 1 {
 			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 1 and 1", a, b)
 		}
@@ -140,21 +139,19 @@ func TestExchangeAndRefresh(t *testing.T) {
 		if r, _ := n.leaf.ExpirePending(n.lSelf, late, n.lep); r != 1 {
 			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
-		n.checkLog(t, "the leaf's expiry", byLeaf(msg.NeighNumRequest(l, s)))
+		n.checkLog(t, "the leaf's expiry", byLeaf(msg.ValueRequest(l, s)))
 		if r, _ := n.super.ExpirePending(n.sSelf, late, n.sep); r != 1 {
 			t.Fatalf("super re-sent %d requests, want 1", r)
 		}
-		n.checkLog(t, "the super's expiry", bySuper(valueRequest(n.sSelf, l)))
+		n.checkLog(t, "the super's expiry", bySuper(msg.ValueRequest(s, l)))
 	})
 
 	t.Run("refresh-inline", func(t *testing.T) {
 		n := newPairNet(&p, true)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		n.leaf.Refresh(l, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
-			byLeaf(valueRequest(n.lSelf, s)),
-			bySuper(msg.ValueResponse(s, l, 40, 8)),
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)))
+			byLeaf(msg.ValueRequest(l, s)),
+			bySuper(valueOf(n.sSelf, l)))
 		if a := n.leaf.PendingRequests(); a != 0 {
 			t.Fatalf("inline answers left %d requests pending", a)
 		}
@@ -165,23 +162,23 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-lost", func(t *testing.T) {
 		n := newPairNet(&p, false)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
-		want := []sentFrame{byLeaf(valueRequest(n.lSelf, s)), byLeaf(msg.NeighNumRequest(l, s))}
-		n.checkLog(t, "Refresh", want...)
-		if a := n.leaf.PendingRequests(); a != 2 {
-			t.Fatalf("lost frames left %d requests pending, want 2", a)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		want := byLeaf(msg.ValueRequest(l, s))
+		n.checkLog(t, "Refresh", want)
+		if a := n.leaf.PendingRequests(); a != 1 {
+			t.Fatalf("lost frames left %d requests pending, want 1", a)
 		}
-		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 2 {
-			t.Fatalf("leaf re-sent %d requests, want 2", r)
+		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 1 {
+			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
-		n.checkLog(t, "the leaf's expiry", want...)
+		n.checkLog(t, "the leaf's expiry", want)
 	})
 
 	// known returns a pair whose leaf already holds s in G(l), the log
 	// cleared and the clock moved on.
 	known := func(inline bool) *pairNet {
 		n := newPairNet(&p, true)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
 		n.log, n.inline = nil, inline
 		n.now += 30
 		return n
@@ -189,7 +186,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-known", func(t *testing.T) {
 		n := known(true)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		n.leaf.Refresh(l, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
 			byLeaf(msg.NeighNumRequest(l, s)),
 			bySuper(msg.NeighNumResponse(s, l, 1)))
@@ -206,7 +203,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 
 	t.Run("refresh-known-lost", func(t *testing.T) {
 		n := known(false)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		n.leaf.Refresh(l, s, n.now, n.lep)
 		want := byLeaf(msg.NeighNumRequest(l, s))
 		n.checkLog(t, "Refresh", want)
 		if a := n.leaf.PendingRequests(); a != 1 {
@@ -221,14 +218,12 @@ func TestExchangeAndRefresh(t *testing.T) {
 	t.Run("refresh-after-drop", func(t *testing.T) {
 		n := known(true)
 		n.leaf.Drop(s)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+		n.leaf.Refresh(l, s, n.now, n.lep)
 		n.checkLog(t, "Refresh",
-			byLeaf(valueRequest(n.lSelf, s)),
-			bySuper(msg.ValueResponse(s, l, 40, 8)),
-			byLeaf(msg.NeighNumRequest(l, s)),
-			bySuper(msg.NeighNumResponse(s, l, 1)))
+			byLeaf(msg.ValueRequest(l, s)),
+			bySuper(valueOf(n.sSelf, l)))
 		if !n.leaf.Has(s) {
-			t.Fatal("the value response did not re-admit s to G(l)")
+			t.Fatal("the Value frame did not re-admit s to G(l)")
 		}
 		if _, when, ok := n.leaf.LnnReport(s); !ok || when != n.now {
 			t.Fatalf("leaf's l_nn report from %v, %v; want one from %v", when, ok, n.now)
@@ -236,26 +231,26 @@ func TestExchangeAndRefresh(t *testing.T) {
 	})
 }
 
-// TestExchangeMatchesBothWayValuePairs pins what the one-request
-// completion keeps: after inline delivery both machines hold the G
-// entries (their l_nn reports included), l_nn reports and AvgLnn that the
-// exchange with a Value pair in each direction — both Value requests
-// ahead of the l_nn request — leaves behind.
+// TestExchangeMatchesBothWayValuePairs pins what the two-push exchange
+// keeps: after inline delivery both machines hold the G entries (their
+// l_nn reports included), l_nn reports and AvgLnn that the six-frame
+// exchange — a Value pair in each direction, then the leaf's l_nn
+// request — leaves behind.
 func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
 	p := pendingParams()
 	const l, s = 2, 1
 	got := newPairNet(&p, true)
-	Exchange(got.leaf, got.lep, got.super, got.sep, l, got.sSelf, got.now)
+	Exchange(got.leaf, got.lep, got.super, got.sep, got.lSelf, got.sSelf, got.now)
 
 	want := newPairNet(&p, true)
 	want.super.expect(l, pairValue, want.now)
 	want.leaf.expect(s, pairValue, want.now)
 	want.leaf.expect(s, pairNeighNum, want.now)
-	want.sep.Send(valueRequest(want.sSelf, l))
-	want.lep.Send(valueRequest(want.lSelf, s))
+	want.sep.Send(msg.ValueRequest(s, l))
+	want.lep.Send(msg.ValueRequest(l, s))
 	want.lep.Send(msg.NeighNumRequest(l, s))
-	if len(want.log) != 6 || len(got.log) != 4 {
-		t.Fatalf("the exchanges sent %d and %d frames, want 6 and 4", len(want.log), len(got.log))
+	if len(want.log) != 6 || len(got.log) != 2 {
+		t.Fatalf("the exchanges sent %d and %d frames, want 6 and 2", len(want.log), len(got.log))
 	}
 
 	for _, side := range []struct {
@@ -286,36 +281,125 @@ func TestExchangeMatchesBothWayValuePairs(t *testing.T) {
 	}
 }
 
-// TestExchangeRetriesLostValueRequest: the super's ValueRequest is the
-// leaf's only source of the super's values, so when it is lost the
-// super's pending row re-sends it, carrying the super's values at the
-// retry's time, and the retry admits the super to G(l).
+// TestExchangeRetriesLostValueRequest: each push is its receiver's only
+// source of the sender's values, so when one is lost the receiver's
+// Value row re-asks with a bare ValueRequest, and the counterpart's
+// answer — its values at the retry's time, and the super's l_nn —
+// admits the sender.
 func TestExchangeRetriesLostValueRequest(t *testing.T) {
 	p := pendingParams()
 	const l, s = 2, 1
-	n := newPairNet(&p, true)
-	n.superLoses = msg.KindValueRequest
-	Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
-	if n.leaf.Has(s) || n.super.Has(l) {
-		t.Fatal("a side learned the other's values with the super's ValueRequest lost")
+
+	t.Run("super-push-lost", func(t *testing.T) {
+		n := newPairNet(&p, true)
+		n.superLoses = msg.KindValueResponse
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+		if n.leaf.Has(s) || !n.super.Has(l) {
+			t.Fatalf("with the super's push lost: G(l) ∋ s %v, G(s) ∋ l %v; want false, true", n.leaf.Has(s), n.super.Has(l))
+		}
+		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 1 || b != 0 {
+			t.Fatalf("leaf %d and super %d requests pending, want 1 and 0", a, b)
+		}
+
+		n.superLoses = msg.KindInvalid
+		n.now += p.RequestTimeout
+		n.sSelf.Age += float64(p.RequestTimeout)
+		n.sSelf.LeafDegree = 4
+		if r, d := n.leaf.ExpirePending(n.lSelf, n.now, n.lep); r != 1 || d != 0 {
+			t.Fatalf("leaf's expiry: %d retries, %d drops; want 1 and 0", r, d)
+		}
+		if capacity, age, ok := n.leaf.Related(s, n.now); !ok || capacity != n.sSelf.Capacity || age != n.sSelf.Age {
+			t.Fatalf("leaf's entry for s after the retry = %v, %v, %v; want %v, %v, true",
+				capacity, age, ok, n.sSelf.Capacity, n.sSelf.Age)
+		}
+		if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 4 || when != n.now {
+			t.Fatalf("leaf's l_nn report after the retry = %d, %v, %v; want 4 from %v", lnn, when, ok, n.now)
+		}
+		if n.leaf.PendingRequests() != 0 {
+			t.Fatalf("the retry's answer left the leaf %d pending", n.leaf.PendingRequests())
+		}
+	})
+
+	t.Run("leaf-push-lost", func(t *testing.T) {
+		n := newPairNet(&p, true)
+		n.leafLoses = msg.KindValueResponse
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+		if !n.leaf.Has(s) || n.super.Has(l) {
+			t.Fatalf("with the leaf's push lost: G(l) ∋ s %v, G(s) ∋ l %v; want true, false", n.leaf.Has(s), n.super.Has(l))
+		}
+		if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 1 {
+			t.Fatalf("leaf %d and super %d requests pending, want 0 and 1", a, b)
+		}
+
+		n.leafLoses = msg.KindInvalid
+		n.now += p.RequestTimeout
+		n.lSelf.Age += float64(p.RequestTimeout)
+		if r, d := n.super.ExpirePending(n.sSelf, n.now, n.sep); r != 1 || d != 0 {
+			t.Fatalf("super's expiry: %d retries, %d drops; want 1 and 0", r, d)
+		}
+		if capacity, age, ok := n.super.Related(l, n.now); !ok || capacity != n.lSelf.Capacity || age != n.lSelf.Age {
+			t.Fatalf("super's entry for l after the retry = %v, %v, %v; want %v, %v, true",
+				capacity, age, ok, n.lSelf.Capacity, n.lSelf.Age)
+		}
+		if n.super.PendingRequests() != 0 {
+			t.Fatalf("the retry's answer left the super %d pending", n.super.PendingRequests())
+		}
+	})
+}
+
+// TestValueRequestDepartsFirst pins the order that keeps every l_nn report
+// in its sender's G(l) entry: an exchange registers both Value rows, then
+// sends the super's push before the leaf's, and a refresh toward a super
+// outside G(l) registers and sends its Value request alone, which
+// ExpirePending re-sends; over zero-latency delivery the leaf ends up
+// holding the super's report either way.
+func TestValueRequestDepartsFirst(t *testing.T) {
+	p := pendingParams()
+	const l, s = 2, 1
+	holdsReport := func(t *testing.T, n *pairNet) {
+		t.Helper()
+		if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 1 || when != n.now {
+			t.Fatalf("leaf's l_nn report = %d, %v, %v; want 1 from %v", lnn, when, ok, n.now)
+		}
+		if avg, ok := n.leaf.AvgLnn(); !ok || avg != 1 {
+			t.Fatalf("leaf's AvgLnn = %v, %v; want 1", avg, ok)
+		}
 	}
-	if a, b := n.leaf.PendingRequests(), n.super.PendingRequests(); a != 0 || b != 1 {
-		t.Fatalf("leaf %d and super %d requests pending, want 0 and 1", a, b)
+	valueRow := func(t *testing.T, what string, ma *Machine, peer msg.PeerID) {
+		t.Helper()
+		if pend := ma.pend(); len(pend) != 1 || pend[0].pair != pairValue || pend[0].peer != peer {
+			t.Fatalf("%s registered %+v, want one Value row toward %v", what, pend, peer)
+		}
 	}
 
-	n.superLoses = msg.KindInvalid
-	n.now += p.RequestTimeout
-	n.sSelf.Age += float64(p.RequestTimeout)
-	if r, d := n.super.ExpirePending(n.sSelf, n.now, n.sep); r != 1 || d != 0 {
-		t.Fatalf("super's expiry: %d retries, %d drops; want 1 and 0", r, d)
-	}
-	if capacity, age, ok := n.leaf.Related(s, n.now); !ok || capacity != n.sSelf.Capacity || age != n.sSelf.Age {
-		t.Fatalf("leaf's entry for s after the retry = %v, %v, %v; want %v, %v, true",
-			capacity, age, ok, n.sSelf.Capacity, n.sSelf.Age)
-	}
-	if !n.super.Has(l) || n.super.PendingRequests() != 0 {
-		t.Fatalf("the retry's answer left the super with G(s) ∋ l %v and %d pending", n.super.Has(l), n.super.PendingRequests())
-	}
+	t.Run("exchange", func(t *testing.T) {
+		lost := newPairNet(&p, false)
+		Exchange(lost.leaf, lost.lep, lost.super, lost.sep, lost.lSelf, lost.sSelf, lost.now)
+		valueRow(t, "the super", lost.super, l)
+		valueRow(t, "the leaf", lost.leaf, s)
+		if f := lost.log; len(f) != 2 || f[0].fromLeaf || !f[1].fromLeaf {
+			t.Fatalf("Exchange sent %+v, want the super's Value frame, then the leaf's", f)
+		}
+		n := newPairNet(&p, true)
+		Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+		holdsReport(t, n)
+	})
+
+	t.Run("refresh", func(t *testing.T) {
+		lost := newPairNet(&p, false)
+		lost.leaf.Refresh(l, s, lost.now, lost.lep)
+		valueRow(t, "Refresh", lost.leaf, s)
+		if got := lost.kinds(); !slices.Equal(got, []msg.Kind{msg.KindValueRequest}) {
+			t.Fatalf("Refresh sent %v, want one ValueRequest", got)
+		}
+		lost.leaf.ExpirePending(lost.lSelf, lost.now+p.RequestTimeout, lost.lep)
+		if got := lost.kinds(); !slices.Equal(got, []msg.Kind{msg.KindValueRequest}) {
+			t.Fatalf("the expiry re-sent %v, want the ValueRequest", got)
+		}
+		n := newPairNet(&p, true)
+		n.leaf.Refresh(l, s, n.now, n.lep)
+		holdsReport(t, n)
+	})
 }
 
 // kinds returns the kinds of the logged frames and clears the log.
@@ -328,59 +412,52 @@ func (n *pairNet) kinds() []msg.Kind {
 	return k
 }
 
-// TestValueRequestDepartsFirst pins the order that keeps every l_nn report
-// in its sender's G(l) entry: where a Value request and an l_nn request
-// depart together the Value request goes first, its row is registered
-// first so that ExpirePending re-sends in the same order, and over
-// zero-latency delivery the leaf ends up holding the super's report.
-func TestValueRequestDepartsFirst(t *testing.T) {
+// TestValueFrameReplacesReport: a leaf that re-observes a super it already
+// holds — a reconnect re-runs the exchange — takes the l_nn the new Value
+// frame carries, not the one it stored before.
+func TestValueFrameReplacesReport(t *testing.T) {
 	p := pendingParams()
-	const l, s = 2, 1
-	valueFirst := []msg.Kind{msg.KindValueRequest, msg.KindNeighNumRequest}
-	holdsReport := func(t *testing.T, n *pairNet) {
-		t.Helper()
-		if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 1 || when != n.now {
-			t.Fatalf("leaf's l_nn report = %d, %v, %v; want 1 from %v", lnn, when, ok, n.now)
-		}
-		if avg, ok := n.leaf.AvgLnn(); !ok || avg != 1 {
-			t.Fatalf("leaf's AvgLnn = %v, %v; want 1", avg, ok)
-		}
+	const s = 1
+	n := newPairNet(&p, true)
+	Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+	n.now += 3
+	n.sSelf.LeafDegree = 9
+	Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+	if lnn, when, ok := n.leaf.LnnReport(s); !ok || lnn != 9 || when != n.now {
+		t.Fatalf("leaf's l_nn report after the second exchange = %d, %v, %v; want 9 from %v", lnn, when, ok, n.now)
 	}
+	if avg, ok := n.leaf.AvgLnn(); !ok || avg != 9 || n.leaf.Size() != 1 {
+		t.Fatalf("leaf's AvgLnn = %v, %v over |G|=%d; want 9 over 1", avg, ok, n.leaf.Size())
+	}
+}
 
-	t.Run("exchange", func(t *testing.T) {
-		lost := newPairNet(&p, false)
-		Exchange(lost.leaf, lost.lep, lost.super, lost.sep, l, lost.sSelf, lost.now)
-		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
-			t.Fatalf("Exchange sent %v, want the super's ValueRequest, then the leaf's NeighNumRequest", got)
-		}
-		n := newPairNet(&p, true)
-		Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
-		holdsReport(t, n)
-	})
-
-	t.Run("refresh", func(t *testing.T) {
-		lost := newPairNet(&p, false)
-		lost.leaf.Refresh(lost.lSelf, s, lost.now, lost.lep)
-		if pend := lost.leaf.pend(); len(pend) != 2 || pend[0].pair != pairValue || pend[1].pair != pairNeighNum {
-			t.Fatalf("Refresh registered %+v, want the Value row, then the NeighNum row", pend)
-		}
-		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
-			t.Fatalf("Refresh sent %v, want the ValueRequest, then the NeighNumRequest", got)
-		}
-		lost.leaf.ExpirePending(lost.lSelf, lost.now+p.RequestTimeout, lost.lep)
-		if got := lost.kinds(); !slices.Equal(got, valueFirst) {
-			t.Fatalf("the expiry re-sent %v, want the ValueRequest, then the NeighNumRequest", got)
-		}
-		n := newPairNet(&p, true)
-		n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
-		holdsReport(t, n)
-	})
+// TestSuperIgnoresReportedLnn: a super's G never stores the leaf degree a
+// Value frame carries, whether the frame is a push, an answer or a
+// re-observation.
+func TestSuperIgnoresReportedLnn(t *testing.T) {
+	p := pendingParams()
+	const l = 2
+	n := newPairNet(&p, true)
+	n.lSelf.LeafDegree = 5 // a leaf's frame carries whatever its host reports
+	Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
+	n.now++
+	n.super.expect(l, pairValue, n.now)
+	n.sep.Send(msg.ValueRequest(1, l))
+	if !n.super.Has(l) || n.super.PendingRequests() != 0 {
+		t.Fatalf("super: G(s) ∋ l %v with %d pending; want the leaf admitted, nothing pending", n.super.Has(l), n.super.PendingRequests())
+	}
+	if _, _, ok := n.super.LnnReport(l); ok {
+		t.Fatal("the super stored the leaf's reported degree")
+	}
+	if avg, ok := n.super.AvgLnn(); ok {
+		t.Fatalf("the super's AvgLnn = %v from stored reports, want none", avg)
+	}
 }
 
 // TestReportFromOutsideGDropped: a NeighNumResponse from a peer outside
 // G(l) settles its pending row — the peer answered — but stores nothing:
-// G and AvgLnn are unchanged, and no report appears when the peer is
-// admitted later.
+// G and AvgLnn are unchanged, and when the peer is admitted later its
+// entry holds the report its Value frame carried, not the dropped one.
 func TestReportFromOutsideGDropped(t *testing.T) {
 	p := pendingParams()
 	ma := NewMachine(&p, 0)
@@ -402,10 +479,10 @@ func TestReportFromOutsideGDropped(t *testing.T) {
 	if avg, ok := ma.AvgLnn(); !ok || avg != 40 {
 		t.Fatalf("AvgLnn = %v, %v; want 40 from the member's report alone", avg, ok)
 	}
-	vr := msg.ValueResponse(2, 1, 50, 20)
+	vr := valueOf(Self{ID: 2, Capacity: 50, Age: 20, LeafDegree: 7}, 1)
 	ma.HandleMessage(self, &vr, 3, ep)
-	if _, _, ok := ma.LnnReport(2); ok || !ma.Has(2) {
-		t.Fatalf("after admission: member %v, holds a report %v; want a member with none", ma.Has(2), ok)
+	if lnn, _, ok := ma.LnnReport(2); !ok || lnn != 7 || !ma.Has(2) {
+		t.Fatalf("after admission: member %v, report %d, %v; want a member reporting 7", ma.Has(2), lnn, ok)
 	}
 	if bad := ma.CheckInvariants(); bad != "" {
 		t.Fatal(bad)
@@ -421,12 +498,12 @@ func TestRefreshKeepsSuperInWindow(t *testing.T) {
 	p.LeafWindow = 60
 	const l, s = 2, 1
 	n := newPairNet(&p, true)
-	Exchange(n.leaf, n.lep, n.super, n.sep, l, n.sSelf, n.now)
+	Exchange(n.leaf, n.lep, n.super, n.sep, n.lSelf, n.sSelf, n.now)
 	n.log = nil
 	end := n.now + 3*p.RefreshInterval
 	for ; n.now <= end; n.now++ {
 		if n.leaf.RefreshDue(n.now) {
-			n.leaf.Refresh(n.lSelf, s, n.now, n.lep)
+			n.leaf.Refresh(l, s, n.now, n.lep)
 		}
 		n.leaf.prune(n.now, p.LeafWindow)
 		if !n.leaf.Has(s) {

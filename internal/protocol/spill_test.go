@@ -69,6 +69,19 @@ func (r *refMachine) observe(id msg.PeerID, capacity, age float64, now Time, max
 	return victim
 }
 
+// value handles a Value frame from id at a leaf: it settles the pending
+// row, then observes id under the leaf's FIFO bound and stores the l_nn
+// the frame carries, in a new entry or a re-observed one. It returns the
+// evicted ID, or NoPeer.
+func (r *refMachine) value(id msg.PeerID, capacity, age float64, lnn int, now Time) msg.PeerID {
+	r.clear(id, pairValue)
+	victim := r.observe(id, capacity, age, now, r.p.MaxRelatedSet)
+	e := r.entries[id]
+	e.lnn = int32(lnn)
+	r.entries[id] = e
+	return victim
+}
+
 // report handles a NeighNumResponse from id: it settles the pending row,
 // then stores the report in id's entry and re-stamps the entry as seen at
 // now, or drops the report when id is not a member. It reports whether
@@ -177,8 +190,8 @@ func (s *sendLog) IsLeafNeighbor(msg.PeerID) bool { return true }
 // store, as a host's arena does, and a reference model for each through one
 // random operation sequence that takes each of the two sets back and forth
 // across its inline capacity and the related set across the index
-// threshold. l_nn reports arrive as NeighNumResponse frames through the
-// handler, from members and non-members alike. Every step must agree with
+// threshold. l_nn reports arrive through the handler, in Value frames and
+// in NeighNumResponse frames, from members and non-members alike. Every step must agree with
 // the reference: iteration order and entries (their l_nn reports
 // included), Size, the AvgLnn bits, every l_nn report, the eviction victim
 // (through the order), the pending rows in order, the frames an expiry
@@ -205,9 +218,9 @@ func TestInlineSpillDifferential(t *testing.T) {
 	// past the index threshold and was Reset with its index, how often a
 	// heap-held set shrank back to inline size (and kept working there), how
 	// often a set took storage some set had held before, how often a report
-	// from outside G was dropped, and how often a member holding a report
-	// was re-observed.
-	var relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved int
+	// from outside G was dropped, how often a member holding a report was
+	// re-observed, and how often a Value frame replaced a member's report.
+	var relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved, replaced int
 	seen := map[unsafe.Pointer]bool{}
 	indexed := make([]bool, len(machines))
 
@@ -241,6 +254,19 @@ func TestInlineSpillDifferential(t *testing.T) {
 			ma.Reset(now)
 			if ma.relHeap != nil || ma.pendHeap != nil {
 				t.Fatalf("step %d: Reset kept a heap slice or the index", step)
+			}
+		case op < 4:
+			capacity, age, lnn := float64(rng.Intn(1000)), float64(rng.Intn(50)), rng.Intn(200)
+			if _, _, ok := ma.LnnReport(id); ok {
+				replaced++
+			}
+			want := ref.value(id, capacity, age, lnn, now)
+			before := slices.Clone(ma.ids.IDs())
+			m := msg.ValueResponse(id, self.ID, capacity, age)
+			m.NeighNum = uint32(lnn)
+			ma.HandleMessage(self, &m, now, nil)
+			if want != msg.NoPeer && (ma.Has(want) || !slices.Contains(before, want)) {
+				t.Fatalf("step %d: eviction victim should be %d; before %v after %v", step, want, before, ma.ids.IDs())
 			}
 		case op < 36:
 			maxSize := []int{0, 0, p.MaxRelatedSet, 2 * flatidx.IndexThreshold}[rng.Intn(4)]
@@ -346,14 +372,15 @@ func TestInlineSpillDifferential(t *testing.T) {
 		}
 	}
 
-	t.Logf("spills: related %d, pending %d; returns to inline %d; indexed %d, reset indexed %d; heap-held sets back at inline size %d; storage reused %d; reports dropped %d; reports kept across re-observation %d",
-		relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved)
+	t.Logf("spills: related %d, pending %d; returns to inline %d; indexed %d, reset indexed %d; heap-held sets back at inline size %d; storage reused %d; reports dropped %d; reports kept across re-observation %d; reports replaced by a Value frame %d",
+		relSpills, pendSpills, returns, idxBuilt, idxDropped, shrunk, reused, dropped, reobserved, replaced)
 	const floor = 20
 	for name, n := range map[string]int{
 		"related-set spills": relSpills, "pending spills": pendSpills,
 		"returns to inline": returns, "index builds": idxBuilt, "index drops": idxDropped,
 		"heap-held shrinks to inline size": shrunk, "reuses of released storage": reused,
 		"report dropped, sender outside G": dropped, "report kept across re-observation": reobserved,
+		"report replaced by a Value frame": replaced,
 	} {
 		if n < floor {
 			t.Errorf("coverage: %d %s, want at least %d", n, name, floor)

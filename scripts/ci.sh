@@ -78,10 +78,10 @@ lane_test() {
     exit 1
   fi
   # ROADMAP item 12's claim on the §6 overhead study: DLM traffic is at
-  # most 15 % of messages. The golden check ties results/overhead.txt to
+  # most 11 % of messages. The golden check ties results/overhead.txt to
   # the code; this holds the committed file to the claim.
-  if ! awk '/^DLM share:/ { found = 1; ok = $3 + 0 <= 15 } END { exit !(found && ok) }' results/overhead.txt; then
-    echo "overhead: results/overhead.txt puts the DLM share above 15 % of messages" >&2
+  if ! awk '/^DLM share:/ { found = 1; ok = $3 + 0 <= 11 } END { exit !(found && ok) }' results/overhead.txt; then
+    echo "overhead: results/overhead.txt puts the DLM share above 11 % of messages" >&2
     grep '^DLM share:' results/overhead.txt >&2 || true
     exit 1
   fi
