@@ -19,9 +19,22 @@ import (
 // artifact `dlmbench` runs by default is checked, the 25 files of
 // `dlmbench -out`. The runs take tens of seconds, so the test is skipped
 // under -short.
+//
+// A figure has no text file for EXPERIMENTS.md to quote, so its note:
+// lines, the numbers the figure is judged by, must each appear there as
+// a line of their own: a regeneration that moves a note, or a hand edit
+// of one, fails here.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regeneration is slow; skipped with -short")
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := make(map[string]bool)
+	for _, line := range strings.Split(string(doc), "\n") {
+		quoted[line] = true
 	}
 	sc := defaults(*n, *seed, *dur)
 	for _, a := range artifacts() {
@@ -50,6 +63,11 @@ func TestGoldenFigures(t *testing.T) {
 						"(got %d bytes, want %d); if the change is intentional, "+
 						"regenerate with `go run ./cmd/dlmbench -out results`",
 						file, len(outs[i].data), len(want))
+				}
+				for _, line := range strings.Split(outs[i].text, "\n") {
+					if strings.HasPrefix(line, "note: ") && !quoted[line] {
+						t.Errorf("EXPERIMENTS.md lacks %s's line %q; copy the figure's notes into it again", file, line)
+					}
 				}
 			})
 		}

@@ -122,10 +122,8 @@ func (m *Manager) InitialLayer(n *overlay.Network, p *overlay.Peer) overlay.Laye
 // machChunkShift sizes the machine-arena chunks: 2048 machines, 768 KB.
 // Chunks are allocated whole and never moved, so machine addresses stay
 // valid as the arena grows; the paper's own population (n = 2000) fits
-// one, and a sweep makes a manager per trial — at 4096 machines a chunk
-// paper2k's peak RSS read 30.3 MB, at 2048 24.4 to 25.2 (both with
-// 512-byte machines; 28.9 with the 240-byte machines this arena held
-// before the sets moved in), and 21.3 with the 384-byte machines of today.
+// one, and a sweep makes a manager per trial, so a larger chunk is paid
+// in every paper2k trial's peak RSS.
 const machChunkShift = 11
 
 // state returns the peer's protocol machine: the arena machine at its slab
@@ -403,7 +401,7 @@ func (m *Manager) collect(n *overlay.Network, now sim.Time) {
 		m.refresh(n, leaf, pnow)
 	}
 	for _, p := range m.bySlot(func(ls *laneState) []*overlay.Peer { return ls.expire }) {
-		r, d := m.state(p).ExpirePending(selfView(p, now), pnow, &m.ep)
+		r, d := m.state(p).ExpirePending(p.ID, pnow, &m.ep)
 		m.RequestRetries += uint64(r)
 		m.RequestDrops += uint64(d)
 	}

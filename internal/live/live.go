@@ -126,11 +126,14 @@ type Net struct {
 }
 
 // NewNet creates a live network; Stop must be called to release it. It
-// panics on invalid Params or Link (construction bug).
+// panics on invalid Params or Link, or a periodic Exchange (construction bug).
 func NewNet(cfg Config) *Net {
 	cfg.defaults()
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
+	}
+	if cfg.Params.Exchange != protocol.EventDriven {
+		panic("live: Params.Exchange must be event-driven (a live peer runs no periodic round)")
 	}
 	if err := cfg.Link.Validate(); err != nil {
 		panic(err)

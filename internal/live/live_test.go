@@ -377,6 +377,20 @@ func TestLiveConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestLiveRejectsPeriodicExchange: the live plane runs only the
+// event-driven exchange, so a periodic Params must fail at construction
+// instead of running event-driven without a word.
+func TestLiveRejectsPeriodicExchange(t *testing.T) {
+	p := protocol.DefaultParams()
+	p.Exchange = protocol.Periodic
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewNet accepted Exchange = Periodic")
+		}
+	}()
+	NewNet(Config{Params: p, Seed: 1}).Stop()
+}
+
 func TestLiveAgeUnits(t *testing.T) {
 	n := NewNet(Config{Unit: 10 * time.Millisecond, Seed: 1})
 	defer n.Stop()

@@ -116,8 +116,7 @@ func (p *Peer) collect() {
 		}
 	}
 	// Retry or abandon Phase 1 requests whose deadline passed.
-	if p.mach.PendingRequests() > 0 {
-		r, d := p.mach.ExpirePending(p.selfLocked(now), now, &p.ep)
+	if r, d := p.mach.ExpirePending(p.ID, now, &p.ep); r+d > 0 {
 		p.net.reqRetries.Add(uint64(r))
 		p.net.reqDrops.Add(uint64(d))
 	}

@@ -63,12 +63,12 @@ func FuzzMachineHandleMessage(f *testing.F) {
 			}
 			ma.HandleMessage(self, &m, now, ep)
 			if step%3 == 2 {
-				ma.ExpirePending(self, now, ep)
+				ma.ExpirePending(self.ID, now, ep)
 			}
 			step++
 			now++
 		}
-		ma.ExpirePending(self, now+Time(p.RequestTimeout), ep)
+		ma.ExpirePending(self.ID, now+Time(p.RequestTimeout), ep)
 
 		if bad := ma.CheckInvariants(); bad != "" {
 			t.Fatalf("invariants violated: %s", bad)
@@ -132,7 +132,7 @@ func FuzzPendingFaults(f *testing.F) {
 				now += Time(op >> 3)
 			case 5: // expiry scan
 				before := ma.PendingRequests()
-				r, d := ma.ExpirePending(self, now, ep)
+				r, d := ma.ExpirePending(self.ID, now, ep)
 				if r < 0 || d < 0 || r+d > before || ma.PendingRequests() != before-d {
 					t.Fatalf("op %#02x: expiry over %d rows returned %d retries, %d drops, left %d rows",
 						op, before, r, d, ma.PendingRequests())

@@ -158,15 +158,15 @@ func (ma *Machine) clearPending(peer msg.PeerID, pr pendingPair) {
 	ma.truncPend(len(pend) - 1)
 }
 
-// ExpirePending retries or abandons requests whose deadline has passed:
-// an entry with retry budget left is re-sent with a fresh deadline; one
-// whose budget is spent is dropped from the table. It returns the number
-// of retries sent and requests abandoned by this call; hosts that want
-// cumulative tallies sum them. The scan is two-phase — the
-// table is fully updated before any frame departs — because a re-sent
-// request can be answered synchronously, re-entering HandleMessage and
-// mutating the table mid-call.
-func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, drops int) {
+// ExpirePending retries or abandons the requests of peer self whose
+// deadline has passed: an entry with retry budget left is re-sent with a
+// fresh deadline; one whose budget is spent is dropped from the table.
+// It returns the number of retries sent and requests abandoned by this
+// call; hosts that want cumulative tallies sum them. The scan is
+// two-phase — the table is fully updated before any frame departs —
+// because a re-sent request can be answered synchronously, re-entering
+// HandleMessage and mutating the table mid-call.
+func (ma *Machine) ExpirePending(self msg.PeerID, now Time, ep Endpoint) (retries, drops int) {
 	if ma.p.RequestTimeout <= 0 || ma.pendN == 0 {
 		return 0, 0
 	}
@@ -192,7 +192,7 @@ func (ma *Machine) ExpirePending(self Self, now Time, ep Endpoint) (retries, dro
 	ma.truncPend(keep)
 	retries = len(resend)
 	for _, r := range resend {
-		ep.Send(request(r.pair, self.ID, r.peer))
+		ep.Send(request(r.pair, self, r.peer))
 	}
 	return retries, drops
 }

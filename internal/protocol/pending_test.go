@@ -136,11 +136,11 @@ func TestExchangeAndRefresh(t *testing.T) {
 			t.Fatalf("lost frames left leaf %d and super %d requests pending, want 1 and 1", a, b)
 		}
 		late := n.now + p.RequestTimeout
-		if r, _ := n.leaf.ExpirePending(n.lSelf, late, n.lep); r != 1 {
+		if r, _ := n.leaf.ExpirePending(n.lSelf.ID, late, n.lep); r != 1 {
 			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
 		n.checkLog(t, "the leaf's expiry", byLeaf(msg.ValueRequest(l, s)))
-		if r, _ := n.super.ExpirePending(n.sSelf, late, n.sep); r != 1 {
+		if r, _ := n.super.ExpirePending(n.sSelf.ID, late, n.sep); r != 1 {
 			t.Fatalf("super re-sent %d requests, want 1", r)
 		}
 		n.checkLog(t, "the super's expiry", bySuper(msg.ValueRequest(s, l)))
@@ -168,7 +168,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 		if a := n.leaf.PendingRequests(); a != 1 {
 			t.Fatalf("lost frames left %d requests pending, want 1", a)
 		}
-		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 1 {
+		if r, _ := n.leaf.ExpirePending(n.lSelf.ID, n.now+p.RequestTimeout, n.lep); r != 1 {
 			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
 		n.checkLog(t, "the leaf's expiry", want)
@@ -209,7 +209,7 @@ func TestExchangeAndRefresh(t *testing.T) {
 		if a := n.leaf.PendingRequests(); a != 1 {
 			t.Fatalf("a lost frame left %d requests pending, want 1", a)
 		}
-		if r, _ := n.leaf.ExpirePending(n.lSelf, n.now+p.RequestTimeout, n.lep); r != 1 {
+		if r, _ := n.leaf.ExpirePending(n.lSelf.ID, n.now+p.RequestTimeout, n.lep); r != 1 {
 			t.Fatalf("leaf re-sent %d requests, want 1", r)
 		}
 		n.checkLog(t, "the leaf's expiry", want)
@@ -305,7 +305,7 @@ func TestExchangeRetriesLostValueRequest(t *testing.T) {
 		n.now += p.RequestTimeout
 		n.sSelf.Age += float64(p.RequestTimeout)
 		n.sSelf.LeafDegree = 4
-		if r, d := n.leaf.ExpirePending(n.lSelf, n.now, n.lep); r != 1 || d != 0 {
+		if r, d := n.leaf.ExpirePending(n.lSelf.ID, n.now, n.lep); r != 1 || d != 0 {
 			t.Fatalf("leaf's expiry: %d retries, %d drops; want 1 and 0", r, d)
 		}
 		if capacity, age, ok := n.leaf.Related(s, n.now); !ok || capacity != n.sSelf.Capacity || age != n.sSelf.Age {
@@ -334,7 +334,7 @@ func TestExchangeRetriesLostValueRequest(t *testing.T) {
 		n.leafLoses = msg.KindInvalid
 		n.now += p.RequestTimeout
 		n.lSelf.Age += float64(p.RequestTimeout)
-		if r, d := n.super.ExpirePending(n.sSelf, n.now, n.sep); r != 1 || d != 0 {
+		if r, d := n.super.ExpirePending(n.sSelf.ID, n.now, n.sep); r != 1 || d != 0 {
 			t.Fatalf("super's expiry: %d retries, %d drops; want 1 and 0", r, d)
 		}
 		if capacity, age, ok := n.super.Related(l, n.now); !ok || capacity != n.lSelf.Capacity || age != n.lSelf.Age {
@@ -392,7 +392,7 @@ func TestValueRequestDepartsFirst(t *testing.T) {
 		if got := lost.kinds(); !slices.Equal(got, []msg.Kind{msg.KindValueRequest}) {
 			t.Fatalf("Refresh sent %v, want one ValueRequest", got)
 		}
-		lost.leaf.ExpirePending(lost.lSelf, lost.now+p.RequestTimeout, lost.lep)
+		lost.leaf.ExpirePending(lost.lSelf.ID, lost.now+p.RequestTimeout, lost.lep)
 		if got := lost.kinds(); !slices.Equal(got, []msg.Kind{msg.KindValueRequest}) {
 			t.Fatalf("the expiry re-sent %v, want the ValueRequest", got)
 		}
@@ -536,16 +536,16 @@ func TestPendingFaultPatterns(t *testing.T) {
 			name: "drop-all",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
 				ma.expect(2, pairNeighNum, 0)
-				if r, d := ma.ExpirePending(self, 4, ep); r != 0 || d != 0 {
+				if r, d := ma.ExpirePending(self.ID, 4, ep); r != 0 || d != 0 {
 					t.Fatalf("expired before deadline: retries=%d drops=%d", r, d)
 				}
-				if r, d := ma.ExpirePending(self, 5, ep); r != 1 || d != 0 {
+				if r, d := ma.ExpirePending(self.ID, 5, ep); r != 1 || d != 0 {
 					t.Fatalf("first deadline: retries=%d drops=%d, want 1,0", r, d)
 				}
 				if len(ep.sent) != 1 || ep.sent[0] != msg.NeighNumRequest(1, 2) {
 					t.Fatalf("retry frame = %+v", ep.sent)
 				}
-				if r, d := ma.ExpirePending(self, 10, ep); r != 0 || d != 1 {
+				if r, d := ma.ExpirePending(self.ID, 10, ep); r != 0 || d != 1 {
 					t.Fatalf("budget spent: retries=%d drops=%d, want 0,1", r, d)
 				}
 				if ma.PendingRequests() != 0 {
@@ -570,7 +570,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 						ma.PendingRequests(), ma.Size())
 				}
 				// Nothing times out later: the settled pair stays settled.
-				if r, d := ma.ExpirePending(self, 100, ep); r != 0 || d != 0 {
+				if r, d := ma.ExpirePending(self.ID, 100, ep); r != 0 || d != 0 {
 					t.Fatalf("settled entry expired: retries=%d drops=%d", r, d)
 				}
 			},
@@ -582,7 +582,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 			name: "response-races-retry",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
 				ma.expect(2, pairNeighNum, 0)
-				if r, _ := ma.ExpirePending(self, 5, ep); r != 1 {
+				if r, _ := ma.ExpirePending(self.ID, 5, ep); r != 1 {
 					t.Fatalf("retry not sent: %d", r)
 				}
 				nn := msg.NeighNumResponse(2, 1, 9)
@@ -594,7 +594,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 				if ma.PendingRequests() != 0 {
 					t.Fatal("duplicate answer re-created an entry")
 				}
-				if r, d := ma.ExpirePending(self, 100, ep); r != 0 || d != 0 {
+				if r, d := ma.ExpirePending(self.ID, 100, ep); r != 0 || d != 0 {
 					t.Fatalf("ghost expiry: retries=%d drops=%d", r, d)
 				}
 			},
@@ -605,7 +605,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 			name: "supersede",
 			run: func(t *testing.T, ma *Machine, ep *captureEndpoint) {
 				ma.expect(2, pairValue, 0)
-				if r, _ := ma.ExpirePending(self, 5, ep); r != 1 {
+				if r, _ := ma.ExpirePending(self.ID, 5, ep); r != 1 {
 					t.Fatal("first deadline did not retry")
 				}
 				ma.expect(2, pairValue, 6) // refresh supersedes
@@ -616,7 +616,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 				// Budget was reset: the superseded entry retries again
 				// instead of being abandoned.
 				ep.sent = nil
-				if r, d := ma.ExpirePending(self, 11, ep); r != 1 || d != 0 {
+				if r, d := ma.ExpirePending(self.ID, 11, ep); r != 1 || d != 0 {
 					t.Fatalf("superseded entry: retries=%d drops=%d, want 1,0", r, d)
 				}
 				if len(ep.sent) != 1 || ep.sent[0].Kind != msg.KindValueRequest {
@@ -636,7 +636,7 @@ func TestPendingFaultPatterns(t *testing.T) {
 					t.Fatalf("pending after Drop(2) = %d, want 1",
 						ma.PendingRequests())
 				}
-				if r, _ := ma.ExpirePending(self, 5, ep); r != 1 {
+				if r, _ := ma.ExpirePending(self.ID, 5, ep); r != 1 {
 					t.Fatal("survivor entry did not retry")
 				}
 				if ep.sent[0].To != 3 {
@@ -670,7 +670,7 @@ func TestPendingTableBounded(t *testing.T) {
 	}
 	// FIFO: only the newest three peers survive.
 	ep := &captureEndpoint{}
-	ma.ExpirePending(Self{ID: 1}, 1000, ep)
+	ma.ExpirePending(1, 1000, ep)
 	for _, m := range ep.sent {
 		if m.To < 18 {
 			t.Fatalf("evicted peer %d still pending", m.To)
@@ -690,7 +690,7 @@ func TestPendingDisabledByZeroTimeout(t *testing.T) {
 		t.Fatal("expect registered with RequestTimeout 0")
 	}
 	ep := &captureEndpoint{}
-	if r, d := ma.ExpirePending(Self{ID: 1}, 1000, ep); r != 0 || d != 0 {
+	if r, d := ma.ExpirePending(1, 1000, ep); r != 0 || d != 0 {
 		t.Fatalf("disabled table expired: %d,%d", r, d)
 	}
 }
@@ -700,10 +700,10 @@ func TestPendingResetSemantics(t *testing.T) {
 	ma := NewMachine(&p, 0)
 	ep := &captureEndpoint{}
 	ma.expect(2, pairNeighNum, 0)
-	if r, d := ma.ExpirePending(Self{ID: 1}, 5, ep); r != 1 || d != 0 {
+	if r, d := ma.ExpirePending(1, 5, ep); r != 1 || d != 0 {
 		t.Fatalf("first deadline: retries=%d drops=%d, want 1,0", r, d)
 	}
-	if r, d := ma.ExpirePending(Self{ID: 1}, 10, ep); r != 0 || d != 1 {
+	if r, d := ma.ExpirePending(1, 10, ep); r != 0 || d != 1 {
 		t.Fatalf("budget spent: retries=%d drops=%d, want 0,1", r, d)
 	}
 	ma.expect(3, pairValue, 11)
@@ -713,7 +713,7 @@ func TestPendingResetSemantics(t *testing.T) {
 	if ma.PendingRequests() != 0 {
 		t.Fatal("Reset kept pending entries")
 	}
-	if r, d := ma.ExpirePending(Self{ID: 1}, 100, ep); r != 0 || d != 0 {
+	if r, d := ma.ExpirePending(1, 100, ep); r != 0 || d != 0 {
 		t.Fatalf("expiry after Reset: retries=%d drops=%d, want 0,0", r, d)
 	}
 	if bad := ma.CheckInvariants(); bad != "" {

@@ -308,7 +308,7 @@ func TestInlineSpillDifferential(t *testing.T) {
 		default:
 			var log sendLog
 			want, wantDrops := ref.expire(self.ID, now)
-			retries, drops := ma.ExpirePending(self, now, &log)
+			retries, drops := ma.ExpirePending(self.ID, now, &log)
 			if !slices.Equal(log.sent, want) || retries != len(want) || drops != wantDrops {
 				t.Fatalf("step %d: expiry re-sent %v (%d) and abandoned %d, reference %v and %d",
 					step, log.sent, retries, drops, want, wantDrops)

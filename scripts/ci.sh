@@ -107,6 +107,14 @@ lane_test() {
     grep '^queries:' <<< "$report" >&2 || true
     exit 1
   fi
+  # README's quickstart transcript, the fenced block tagged
+  # `text examples/quickstart`, is the program's own output: a run that
+  # prints anything else fails the lane.
+  if ! diff <(awk '/^```text examples\/quickstart$/ { on = 1; next } on && /^```$/ { exit } on' README.md) \
+      <(go run ./examples/quickstart); then
+    echo "README: the examples/quickstart transcript differs from a run (diff above: < README, > run)" >&2
+    exit 1
+  fi
   # The goroutine plane end to end: one second of 60 live peers under churn.
   go run ./cmd/dlmlive -peers 60 -seconds 1 -churn > /dev/null
   # The benchmark harness is its own module (bench/go.mod); ./... above
