@@ -472,8 +472,8 @@ func TestSearchEfficiency(t *testing.T) {
 			deep.SuperReachFrac, deep.PureReachFrac)
 	}
 	out := FormatSearchRows(rows)
-	if !strings.Contains(out, "super-peer") {
-		t.Fatalf("format:\n%s", out)
+	if !strings.Contains(out, "super-peer") || strings.Contains(out, " \n") {
+		t.Fatalf("format: want a super-peer column and no trailing blanks:\n%s", out)
 	}
 }
 
@@ -580,8 +580,8 @@ func TestFailureRecovery(t *testing.T) {
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("sweep: %v %d", err, len(rows))
 	}
-	if !strings.Contains(FormatFailure(rows), "recovery") {
-		t.Fatal("format incomplete")
+	if out := FormatFailure(rows); !strings.Contains(out, "recovery") || !strings.HasPrefix(strings.Split(out, "\n")[1], "30% ") || strings.Contains(out, " \n") {
+		t.Fatalf("format: want a recovery column, the kill percent as 30%% and no trailing blanks:\n%s", out)
 	}
 }
 

@@ -50,7 +50,8 @@ func failureOn(eng *sim.Engine, sc config.Scenario, killFraction float64) (*Fail
 	if sc.QueryRate <= 0 {
 		sc.QueryRate = 5
 	}
-	s, err := Open(eng, RunConfig{Scenario: sc, Manager: ManagerDLM, Queries: true, Seed: sc.Seed * 17})
+	sc.Seed *= 17
+	s, err := Open(eng, RunConfig{Scenario: sc, Manager: ManagerDLM, Queries: true})
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +145,15 @@ func FailureSweep(sc config.Scenario, fractions []float64) ([]*FailureResult, er
 // FormatFailure renders the sweep.
 func FormatFailure(rows []*FailureResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-12s %-11s %-10s %-22s %s\n",
-		"kill", "ratio spike", "recovery", "promos", "success b/d/a", "")
+	fmt.Fprintf(&b, "%-8s %-12s %-11s %-10s %s\n",
+		"kill", "ratio spike", "recovery", "promos", "success b/d/a")
 	for _, r := range rows {
 		rec := "never"
 		if !math.IsNaN(r.RecoveryTime) {
 			rec = fmt.Sprintf("%.0f units", r.RecoveryTime)
 		}
-		fmt.Fprintf(&b, "%-8.0f%% %5.1f->%-5.1f %-11s %-10d %.2f / %.2f / %.2f\n",
-			100*r.KillFraction, r.RatioBefore, r.RatioPeak, rec, r.PromotionsAfter,
+		fmt.Fprintf(&b, "%-9s %5.1f->%-5.1f %-11s %-10d %.2f / %.2f / %.2f\n",
+			fmt.Sprintf("%.0f%%", 100*r.KillFraction), r.RatioBefore, r.RatioPeak, rec, r.PromotionsAfter,
 			r.SuccessBefore, r.SuccessDuring, r.SuccessAfter)
 	}
 	return b.String()

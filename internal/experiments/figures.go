@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"dlm/internal/config"
 	"dlm/internal/plot"
@@ -74,16 +75,21 @@ func DynamicFigures(sc config.Scenario) ([]*FigureResult, error) {
 		}
 	}
 	w := res.Window(sc)
+	// lowest is the note on a layer comparison's weakest sample.
+	lowest := func(what, super, leaf string) string {
+		return fmt.Sprintf("super-layer %s at least %.2fx leaf-layer at every sample in [%.0f,%.0f]",
+			what, minRatio(res.Series.Get(super), res.Series.Get(leaf), sc.Warmup, sc.Duration), sc.Warmup, sc.Duration)
+	}
 	return []*FigureResult{{
 		Title:  "Figure 4: Average Age Comparison (dynamic network)",
 		Series: layers("age_super", "age_leaf"),
 		Notes: []string{fmt.Sprintf("super-layer mean age %.2fx leaf-layer over [%.0f,%.0f]",
-			w.AgeSeparation, sc.Warmup, sc.Duration)},
+			w.AgeSeparation, sc.Warmup, sc.Duration), lowest("age", "age_super", "age_leaf")},
 	}, {
 		Title:  "Figure 5: Average Capacity Comparison (dynamic network)",
 		Series: layers("cap_super", "cap_leaf"),
 		Notes: []string{fmt.Sprintf("super-layer mean capacity %.2fx leaf-layer over [%.0f,%.0f]",
-			w.CapSeparation, sc.Warmup, sc.Duration)},
+			w.CapSeparation, sc.Warmup, sc.Duration), lowest("capacity", "cap_super", "cap_leaf")},
 	}, {
 		Title:  "Figure 6: Layer Sizes (log scale, dynamic network)",
 		Series: layers("supers", "leaves"),
@@ -91,6 +97,18 @@ func DynamicFigures(sc config.Scenario) ([]*FigureResult, error) {
 		Notes: []string{fmt.Sprintf("ratio mean %.1f (target η=%.0f), rmse %.1f over [%.0f,%.0f]",
 			w.RatioMean, sc.Eta, w.RatioRMSE, sc.Warmup, sc.Duration)},
 	}}, nil
+}
+
+// minRatio returns the smallest ratio of super's sample to leaf's at the
+// same time over [from, to].
+func minRatio(super, leaf *stats.Series, from, to float64) float64 {
+	lowest := math.Inf(1)
+	for _, p := range super.Points() {
+		if l, ok := leaf.At(p.T); ok && p.T >= from && p.T <= to {
+			lowest = math.Min(lowest, p.V/l)
+		}
+	}
+	return lowest
 }
 
 // comparisonScenario wraps a scenario with the Figures 7-8 dynamics: the

@@ -53,7 +53,8 @@ func runRedundancy(eng *sim.Engine, sc config.Scenario, m int) (RedundancyRow, e
 	if scc.QueryRate <= 0 {
 		scc.QueryRate = 5
 	}
-	rc := RunConfig{Scenario: scc, Manager: ManagerDLM, Queries: true, Seed: scc.Seed * 31}
+	scc.Seed *= 31
+	rc := RunConfig{Scenario: scc, Manager: ManagerDLM, Queries: true}
 	// Orphans wait for the next repair round: the blackout window that m
 	// redundant connections exist to cover.
 	s, err := open(eng, rc, func(c *overlay.Config) { c.DeferredReconnect = true }, nil)

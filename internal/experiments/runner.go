@@ -48,8 +48,6 @@ type RunConfig struct {
 	Queries bool
 	// TraceTo, when non-nil, receives the JSONL lifecycle trace.
 	TraceTo io.Writer
-	// Seed overrides the scenario seed when non-zero.
-	Seed int64
 	// Latency sets the one-hop message delay (0 = inline delivery); with
 	// latency, query floods run asynchronously through the event queue.
 	Latency sim.Duration
@@ -116,14 +114,14 @@ func (r *RunResult) Window(sc config.Scenario) WindowSummary {
 }
 
 // buildManager instantiates the policy; the zero ManagerKind is DLM.
-func buildManager(rc RunConfig, seed int64) (overlay.Manager, error) {
+func buildManager(rc RunConfig) (overlay.Manager, error) {
 	switch rc.Manager {
 	case ManagerPreconfigured:
 		// The capacity cutoff is calibrated against the base capacity
 		// distribution, as the paper's preconfigured scheme is.
 		return &baseline.Preconfigured{Threshold: baseline.CalibrateThreshold(
 			workload.SaroiuBandwidthMixture(), rc.Scenario.Eta, 20000,
-			sim.NewSource(seed).Stream("calibrate"))}, nil
+			sim.NewSource(rc.Scenario.Seed).Stream("calibrate"))}, nil
 	case ManagerStatic:
 		return &baseline.Static{Eta: rc.Scenario.Eta}, nil
 	case ManagerOracle:
@@ -174,19 +172,15 @@ func open(eng *sim.Engine, rc RunConfig, patch func(*overlay.Config), mgr overla
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	seed := sc.Seed
-	if rc.Seed != 0 {
-		seed = rc.Seed
-	}
 	if eng == nil {
-		eng = sim.NewEngine(seed)
+		eng = sim.NewEngine(sc.Seed)
 	} else {
-		eng.Reset(seed)
+		eng.Reset(sc.Seed)
 	}
 	eng.SetShards(rc.Shards)
 	if mgr == nil {
 		var err error
-		if mgr, err = buildManager(rc, seed); err != nil {
+		if mgr, err = buildManager(rc); err != nil {
 			return nil, err
 		}
 	}

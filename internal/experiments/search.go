@@ -142,11 +142,11 @@ func runSearch(eng *sim.Engine, sc config.Scenario, mgr overlay.Manager, latency
 // FormatSearchRows renders the comparison.
 func FormatSearchRows(rows []SearchRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s | %-28s | %-28s\n", "TTL", "pure P2P", "super-peer (DLM)")
-	fmt.Fprintf(&b, "%-5s | %-9s %-10s %-7s | %-9s %-10s %-7s\n",
+	fmt.Fprintf(&b, "%-5s | %-28s | %s\n", "TTL", "pure P2P", "super-peer (DLM)")
+	fmt.Fprintf(&b, "%-5s | %-9s %-10s %-7s | %-9s %-10s %s\n",
 		"", "success", "msgs/qry", "reach", "success", "msgs/qry", "reach")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5d | %-9.2f %-10.0f %-7.2f | %-9.2f %-10.0f %-7.2f\n",
+		fmt.Fprintf(&b, "%-5d | %-9.2f %-10.0f %-7.2f | %-9.2f %-10.0f %.2f\n",
 			r.TTL, r.PureSuccess, r.PureMsgsPer, r.PureReachFrac,
 			r.SuperSuccess, r.SuperMsgsPer, r.SuperReachFrac)
 	}

@@ -1,6 +1,8 @@
 // Package flatidx provides Set, the ordered set of peer IDs that holds an
-// overlay peer's links and a protocol machine's related set G, and Store,
-// a host's store of the storage its sets release.
+// overlay peer's links and a protocol machine's related set G; Table, the
+// open-addressed peer-ID hash table behind a large Set's positions and the
+// query package's content index; and Store, a host's store of the storage
+// its sets release.
 //
 // Both sets iterate in a deterministic (insertion, swap-delete) order —
 // part of the observable, byte-identical behavior — and both are small
@@ -13,15 +15,13 @@
 // removal swaps the same element into place whether it found its victim
 // by scan or by index, so indexed and scanned sets behave identically.
 //
-// The index needs exactly three fast operations: get, put, delete. A
-// runtime map pays for genericity it doesn't use (tophash groups, random
-// iteration seeds, pointer-laden buckets the GC must scan); a flat table
-// of packed uint64 slots with linear probing is several times cheaper on
-// this access pattern — link maintenance is the hottest loop of the
-// million-peer runs — and is invisible to the garbage collector. Keys are
-// peer IDs, which the overlay allocates sequentially from zero; the
-// all-ones key ^uint32(0) is reserved to keep the empty-slot encoding
-// branch-free and must never be inserted.
+// A Table is only ever probed, never iterated, so its slot order cannot
+// reach any output. It is hand-rolled rather than a runtime map because
+// link maintenance is the hottest loop of the large runs, and the map lost
+// where measured: with every position index a map[msg.PeerID]int32, pooled
+// and cleared on release, churn50k read +12.6 % allocs_per_peer_unit and
+// +12.9 % wall_s (2 pairs), steady100k +6.7 % on each (3 pairs). A Table's
+// arrays hold no pointers, so the garbage collector never scans them.
 package flatidx
 
 import (
@@ -47,6 +47,9 @@ type Set struct {
 	heap []msg.PeerID // length n; nil while the IDs fit buf
 	idx  *index
 }
+
+// index maps each ID of an indexed set to its position.
+type index = Table[int32]
 
 // IndexThreshold is the set size past which a set builds its position
 // index; below it the scan wins.
@@ -89,8 +92,8 @@ func (s *Set) IDs() []msg.PeerID { return spare.View(s.buf[:], s.heap, int(s.n))
 // indexed positions are stale until Truncate, but membership stays right.
 func (s *Set) Index(id msg.PeerID) int {
 	if s.idx != nil {
-		if i, ok := s.idx.Get(uint32(id)); ok {
-			return int(i)
+		if i := s.idx.Find(id); i >= 0 {
+			return int(*s.idx.At(i))
 		}
 		return -1
 	}
@@ -114,10 +117,10 @@ func (s *Set) Append(id msg.PeerID, st *Store) {
 	st.IDs().Push(s.buf[:], &s.heap, int(s.n), id)
 	s.n++
 	if s.idx != nil {
-		s.idx.Put(uint32(id), s.n-1)
+		*s.idx.Claim(id, st.indexes().tables()) = s.n - 1
 	} else if s.n > IndexThreshold {
 		s.idx = st.indexes().Get()
-		s.reindex()
+		s.reindex(st.indexes().tables())
 	}
 }
 
@@ -130,9 +133,9 @@ func (s *Set) RemoveAt(i int) {
 	s.n = int32(last)
 	spare.Trunc(&s.heap, last)
 	if s.idx != nil {
-		s.idx.Delete(uint32(id))
+		s.idx.Release(s.idx.Find(id))
 		if i < last {
-			s.idx.Put(uint32(moved), int32(i))
+			*s.idx.At(s.idx.Find(moved)) = int32(i)
 		}
 	}
 }
@@ -150,20 +153,21 @@ func (s *Set) Remove(id msg.PeerID) bool {
 // Truncate cuts the set to its first n IDs, after the caller compacted the
 // ones it keeps to the front through IDs. The set keeps its heap slice,
 // and an index is rebuilt in its own table, which held more and so never
-// grows.
+// grows: no store is needed.
 func (s *Set) Truncate(n int) {
 	s.n = int32(n)
 	spare.Trunc(&s.heap, n)
 	if s.idx != nil {
 		s.idx.Clear()
-		s.reindex()
+		s.reindex(nil)
 	}
 }
 
-// reindex puts every ID's position into the (empty) index.
-func (s *Set) reindex() {
+// reindex puts every ID's position into the (empty) index, growing it
+// through st.
+func (s *Set) reindex(st *spare.Slices[Slot[int32]]) {
 	for i, v := range s.IDs() {
-		s.idx.Put(uint32(v), int32(i))
+		*s.idx.Claim(v, st) = int32(i)
 	}
 }
 
@@ -197,136 +201,11 @@ func (s *Set) Check() string {
 		return fmt.Sprintf("index holds %d ids, set %d", s.idx.Len(), len(ids))
 	}
 	for i, v := range ids {
-		if p, ok := s.idx.Get(uint32(v)); !ok || int(p) != i {
+		if p := s.idx.Find(v); p < 0 || int(*s.idx.At(p)) != i {
 			return fmt.Sprintf("id %d at position %d, index disagrees", v, i)
 		}
 	}
 	return ""
-}
-
-// index is an open-addressed uint32→int32 hash table with linear probing
-// and backward-shift deletion (no tombstones, so long-lived tables don't
-// degrade under churn). The zero value is ready to use.
-type index struct {
-	// slots packs (key+1)<<32 | uint32(value); 0 means empty. The +1 bias
-	// keeps a stored key 0 distinct from an empty slot while letting
-	// Clear and growth use plain zeroing.
-	slots []uint64
-	mask  uint32
-	n     int
-	// pool supplies and takes back the tables; nil allocates and drops.
-	pool *pool
-}
-
-// hashMul is the 32-bit Fibonacci multiplier (2^32/φ); sequential keys —
-// the common case for peer IDs — spread evenly across the table.
-const hashMul = 0x9E3779B9
-
-func (m *index) home(k uint32) uint32 { return (k * hashMul) & m.mask }
-
-// Len returns the number of stored entries.
-func (m *index) Len() int { return m.n }
-
-// Get returns the value stored for k.
-func (m *index) Get(k uint32) (int32, bool) {
-	if m.n == 0 {
-		return 0, false
-	}
-	want := (uint64(k) + 1) << 32
-	for i := m.home(k); ; i = (i + 1) & m.mask {
-		s := m.slots[i]
-		if s == 0 {
-			return 0, false
-		}
-		if s&^0xFFFFFFFF == want {
-			return int32(uint32(s)), true
-		}
-	}
-}
-
-// Put inserts or overwrites the value for k. k must not be ^uint32(0).
-func (m *index) Put(k uint32, v int32) {
-	// Grow at 3/4 load so probe chains stay short.
-	if 4*(m.n+1) > 3*len(m.slots) {
-		m.grow()
-	}
-	want := (uint64(k) + 1) << 32
-	for i := m.home(k); ; i = (i + 1) & m.mask {
-		s := m.slots[i]
-		if s == 0 {
-			m.slots[i] = want | uint64(uint32(v))
-			m.n++
-			return
-		}
-		if s&^0xFFFFFFFF == want {
-			m.slots[i] = want | uint64(uint32(v))
-			return
-		}
-	}
-}
-
-// Delete removes k's entry if present, back-shifting the probe chain so
-// the table stays tombstone-free.
-func (m *index) Delete(k uint32) {
-	if m.n == 0 {
-		return
-	}
-	want := (uint64(k) + 1) << 32
-	i := m.home(k)
-	for {
-		s := m.slots[i]
-		if s == 0 {
-			return
-		}
-		if s&^0xFFFFFFFF == want {
-			break
-		}
-		i = (i + 1) & m.mask
-	}
-	m.n--
-	// Shift later entries of the chain back into the hole whenever their
-	// home position lies at or before it (cyclically), preserving the
-	// probe-reachability invariant.
-	for j := (i + 1) & m.mask; ; j = (j + 1) & m.mask {
-		s := m.slots[j]
-		if s == 0 {
-			break
-		}
-		h := m.home(uint32(s>>32) - 1)
-		if (j-h)&m.mask >= (j-i)&m.mask {
-			m.slots[i] = s
-			i = j
-		}
-	}
-	m.slots[i] = 0
-}
-
-// Clear empties the table in place, keeping the backing array.
-func (m *index) Clear() {
-	clear(m.slots)
-	m.n = 0
-}
-
-func (m *index) grow() {
-	newCap := 2 * len(m.slots)
-	if newCap < 16 {
-		newCap = 16
-	}
-	old := m.slots
-	m.slots = m.pool.table(newCap)
-	m.mask = uint32(newCap - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		for i := m.home(uint32(s>>32) - 1); ; i = (i + 1) & m.mask {
-			if m.slots[i] == 0 {
-				m.slots[i] = s
-				break
-			}
-		}
-	}
-	m.pool.release(old)
 }
 
 // pool keeps released indexes and, by size, their tables, under the bound
@@ -339,11 +218,10 @@ type pool struct {
 	// inUse counts the indexes Get handed out and Release has not taken
 	// back.
 	inUse  int
-	tables spare.Slices[uint64]
+	arrays spare.Slices[Slot[int32]]
 }
 
-// Get returns an empty index bound to p: the one released last, or a new
-// one.
+// Get returns an empty index: the one released last, or a new one.
 func (p *pool) Get() *index {
 	if p == nil {
 		return new(index)
@@ -355,18 +233,25 @@ func (p *pool) Get() *index {
 		p.maps = p.maps[:l-1]
 		return m
 	}
-	return &index{pool: p}
+	return new(index)
 }
 
-// Release empties m, gives its table back to p and keeps m for a later
-// Get, letting go of the newest spare Maps beyond the bound; the caller
-// must not use m afterwards. A nil p or m keeps nothing.
+// tables returns the store the indexes grow through; nil for a nil pool.
+func (p *pool) tables() *spare.Slices[Slot[int32]] {
+	if p == nil {
+		return nil
+	}
+	return &p.arrays
+}
+
+// Release frees m's table to p and keeps m for a later Get, letting go of
+// the newest spare indexes beyond the bound; the caller must not use m
+// afterwards. A nil p or m keeps nothing.
 func (p *pool) Release(m *index) {
 	if p == nil || m == nil {
 		return
 	}
-	p.tables.Release(m.slots)
-	*m = index{pool: p}
+	m.Free(&p.arrays)
 	p.inUse--
 	l := append(p.maps, m)
 	for len(l) > max(p.inUse, 1) {
@@ -374,21 +259,4 @@ func (p *pool) Release(m *index) {
 		l = l[:len(l)-1]
 	}
 	p.maps = l
-}
-
-// table returns a zeroed table of c slots.
-func (p *pool) table(c int) []uint64 {
-	if p == nil {
-		return make([]uint64, c)
-	}
-	t := p.tables.Make(c)[:c]
-	clear(t)
-	return t
-}
-
-// release keeps an outgrown table for a later Map of its size.
-func (p *pool) release(t []uint64) {
-	if p != nil {
-		p.tables.Release(t)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"dlm/internal/baseline"
 	"dlm/internal/config"
@@ -81,62 +80,19 @@ func (r *refIndex) pairs() int {
 	return total
 }
 
-// slots counts the occupied slots of every per-object table.
-func (xs *indexes) slots() int {
+// entries counts the entries of every per-object table.
+func (xs *indexes) entries() int {
 	total := 0
 	for o := range xs.byObject {
-		total += xs.byObject[o].n
+		total += xs.byObject[o].Len()
 	}
 	return total
-}
-
-// tableArrays checks the storage of every per-object table after a step:
-// a table is empty or a power of two of at least 4 slots, at most half
-// full, with exactly n slots occupied, and holds an array no other table
-// holds. held maps each array a table holds to that table; seen maps every
-// array any table held at an earlier step to its last holder. It returns
-// the number of tables that grew into an array seen before — one another
-// table outgrew and the store handed on.
-func (xs *indexes) tableArrays(held, seen map[*slot]int) (recycled int, err error) {
-	clear(held)
-	for o := range xs.byObject {
-		t := &xs.byObject[o]
-		size := len(t.slots)
-		if size == 0 {
-			continue
-		}
-		if size < 4 || size&(size-1) != 0 || 2*t.n > size {
-			return 0, fmt.Errorf("object %d: %d slots holding %d supers, want a power of two >= 4 at most half full", o, size, t.n)
-		}
-		occupied := 0
-		for _, sl := range t.slots {
-			if sl.super != msg.NoPeer {
-				occupied++
-			}
-		}
-		if occupied != t.n {
-			return 0, fmt.Errorf("object %d: %d slots occupied, the table counts %d", o, occupied, t.n)
-		}
-		a := unsafe.SliceData(t.slots)
-		if other, ok := held[a]; ok {
-			return 0, fmt.Errorf("objects %d and %d share one slot array", other, o)
-		}
-		held[a] = o
-		if by, ok := seen[a]; ok && by != o {
-			recycled++
-		}
-	}
-	for a, o := range held {
-		seen[a] = o
-	}
-	return recycled, nil
 }
 
 // TestIndexMatchesReference drives the inverted index and the naive
 // reference through the same random overlay surgery — joins, departures,
 // promotions, demotions, link changes — and requires them to agree
-// throughout, and the tables' storage to stay sound while they grow
-// through one store.
+// throughout.
 func TestIndexMatchesReference(t *testing.T) {
 	const (
 		catalog = 30 // object IDs run to 40: a quarter are beyond the catalog
@@ -150,8 +106,6 @@ func TestIndexMatchesReference(t *testing.T) {
 	n.Observe(ref)
 	xs := e.xs
 
-	held, seen := map[*slot]int{}, map[*slot]int{}
-	recycled := 0
 	var live, supers, leaves []*overlay.Peer
 	census := func() {
 		live, supers, leaves = live[:0], supers[:0], leaves[:0]
@@ -204,11 +158,6 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 
 		census()
-		got, err := xs.tableArrays(held, seen)
-		if err != nil {
-			t.Fatalf("op %d: %v", op, err)
-		}
-		recycled += got
 		for i := 0; i < 8; i++ {
 			// Objects up to objects+4 also probe IDs nothing ever shared.
 			agree(op, pick(live), msg.ObjectID(rng.Intn(objects+5)))
@@ -220,48 +169,32 @@ func TestIndexMatchesReference(t *testing.T) {
 				}
 			}
 			// Found-ness above only visits live peers; equal totals show no
-			// slot is left behind under an ID that is gone.
-			if got, want := xs.slots(), ref.pairs(); got != want {
-				t.Fatalf("op %d: %d occupied slots, reference has %d (super, object) pairs", op, got, want)
+			// entry is left behind under an ID that is gone.
+			if got, want := xs.entries(), ref.pairs(); got != want {
+				t.Fatalf("op %d: %d entries, reference has %d (super, object) pairs", op, got, want)
 			}
 		}
 	}
 
 	c := n.Counters()
-	if c.Promotions < 100 || c.Demotions < 100 || c.Leaves < 100 || xs.slots() < 500 {
-		t.Fatalf("run is vacuous: %d promotions, %d demotions, %d departures, %d slots at the end",
-			c.Promotions, c.Demotions, c.Leaves, xs.slots())
-	}
-	// The seed-5 run hands 29 outgrown arrays on; a table store that
-	// recycles nothing hands on none.
-	if recycled < 20 {
-		t.Fatalf("%d tables grew into an array another table outgrew, want at least 20", recycled)
+	if c.Promotions < 100 || c.Demotions < 100 || c.Leaves < 100 || xs.entries() < 500 {
+		t.Fatalf("run is vacuous: %d promotions, %d demotions, %d departures, %d entries at the end",
+			c.Promotions, c.Demotions, c.Leaves, xs.entries())
 	}
 	for census(); len(live) > 0; census() {
 		n.Leave(live[0])
 	}
-	if xs.slots() != 0 {
-		t.Fatalf("every super is gone, yet %d slots remain", xs.slots())
+	if xs.entries() != 0 {
+		t.Fatalf("every super is gone, yet %d entries remain", xs.entries())
 	}
 }
 
 // checkIndex compares the index with the topology it mirrors: every live
 // super-peer indexes exactly the objects of its leaf links, with one ref
-// per sharing leaf and a provider among them, and no slot is held under an
-// ID that is not a live super-peer.
+// per sharing leaf and a provider among them, and the index holds no
+// entries beyond those (super, object) pairs.
 func checkIndex(n *overlay.Network, xs *indexes) error {
-	holds := map[msg.PeerID]int{}
-	for o := range xs.byObject {
-		for _, sl := range xs.byObject[o].slots {
-			if sl.super == msg.NoPeer {
-				continue
-			}
-			if p := n.Peer(sl.super); p == nil || p.Layer != overlay.LayerSuper {
-				return fmt.Errorf("object %d: slot held by %d, not a live super-peer", o, sl.super)
-			}
-			holds[sl.super]++
-		}
-	}
+	pairs := 0
 	var err error
 	n.WalkPeers(func(s *overlay.Peer) {
 		if err != nil || s.Layer != overlay.LayerSuper {
@@ -273,25 +206,25 @@ func checkIndex(n *overlay.Network, xs *indexes) error {
 				want[o]++
 			}
 		}
-		if holds[s.ID] != len(want) {
-			err = fmt.Errorf("super %d: %d objects indexed, its leaves share %d", s.ID, holds[s.ID], len(want))
-			return
-		}
+		pairs += len(want)
 		for o, refs := range want {
-			i := xs.byObject[o].find(s.ID)
+			i := xs.byObject[o].Find(s.ID)
 			if i < 0 {
 				err = fmt.Errorf("super %d: object %d of its leaves not indexed", s.ID, o)
 				return
 			}
-			sl := xs.byObject[o].slots[i]
-			sharer := sl.provider != msg.NoPeer && s.HasLink(sl.provider) && slices.Contains(n.Peer(sl.provider).Objects, o)
-			if sl.refs != refs || (sl.provider != msg.NoPeer && !sharer) {
+			e := xs.byObject[o].At(i)
+			sharer := e.provider != msg.NoPeer && s.HasLink(e.provider) && slices.Contains(n.Peer(e.provider).Objects, o)
+			if e.refs != refs || (e.provider != msg.NoPeer && !sharer) {
 				err = fmt.Errorf("super %d, object %d: refs %d provider %d, want refs %d and a sharing leaf",
-					s.ID, o, sl.refs, sl.provider, refs)
+					s.ID, o, e.refs, e.provider, refs)
 				return
 			}
 		}
 	})
+	if got := xs.entries(); err == nil && got != pairs {
+		err = fmt.Errorf("%d entries indexed, the live supers' leaves share %d (super, object) pairs", got, pairs)
+	}
 	return err
 }
 

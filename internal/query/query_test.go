@@ -124,7 +124,7 @@ func TestAssignObjectsCarved(t *testing.T) {
 func indexedAt(xs *indexes, super msg.PeerID) int {
 	count := 0
 	for o := range xs.byObject {
-		if xs.byObject[o].find(super) >= 0 {
+		if xs.byObject[o].Find(super) >= 0 {
 			count++
 		}
 	}
@@ -323,7 +323,7 @@ func TestLeaveCleansIndex(t *testing.T) {
 		t.Fatal("departed leaf's objects still indexed")
 	}
 	n.Leave(s)
-	if e.xs.slots() != 0 {
+	if e.xs.entries() != 0 {
 		t.Fatal("departed super's index not dropped")
 	}
 }

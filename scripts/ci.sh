@@ -5,7 +5,7 @@
 #   scripts/ci.sh test       # tier-1 only: format/vet/script-syntax gate + build + test
 #   scripts/ci.sh race       # full suite under the race detector
 #   scripts/ci.sh benchsmoke # compile + one iteration of every benchmark
-#   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + ID sets + scenarios
+#   scripts/ci.sh fuzzsmoke  # short fuzzing pass over codec + protocol + ID sets and tables + scenarios
 #   scripts/ci.sh cover      # coverage floors (protocol >= 85%, experiments >= 70%, total >= 70%)
 #   scripts/ci.sh oracle     # the convergence oracle at 100k peers (-tags oracle; tier-1 runs it at 10k)
 #                            # and the golden check of all 25 default results/ files (tier-1: the figures)
@@ -145,6 +145,7 @@ lane_fuzzsmoke() {
   go test -run='^$' -fuzz='^FuzzMachineHandleMessage$' -fuzztime=5s ./internal/protocol/
   go test -run='^$' -fuzz='^FuzzPendingFaults$' -fuzztime=5s ./internal/protocol/
   go test -run='^$' -fuzz='^FuzzSet$' -fuzztime=5s ./internal/flatidx/
+  go test -run='^$' -fuzz='^FuzzTable$' -fuzztime=5s ./internal/flatidx/
   go test -run='^$' -fuzz='^FuzzScenarioConfig$' -fuzztime=5s ./internal/scenario/
 }
 
