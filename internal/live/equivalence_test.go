@@ -111,7 +111,7 @@ func equivScript() []equivEvent {
 // M = KS = 1, so a promoted leaf's one link meets its super degree.
 const equivM, equivKS, equivEta = 1, 1, 4
 
-func simDecisions(t *testing.T, p protocol.Params, seed int64, shards int) ([]decRec, []string) {
+func simDecisions(t *testing.T, p protocol.Params, seed int64, shards int) ([]decRec, []string, overlay.LayerStats) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	eng.SetShards(shards)
@@ -151,7 +151,7 @@ func simDecisions(t *testing.T, p protocol.Params, seed int64, shards int) ([]de
 			links = append(links, linkRec(id, p.Layer, p.SuperLinks(), p.LeafLinks()))
 		}
 	}
-	return recs, links
+	return recs, links, n.Snapshot()
 }
 
 // linkRec describes one peer's layer and link sets, order aside.
@@ -224,9 +224,10 @@ func (n *Net) present() []*Peer {
 	return slices.DeleteFunc(slices.Clone(n.peers), func(p *Peer) bool { return p == nil })
 }
 
-// liveDecisions also returns the NeighNum and Value requests delivered.
-// Supers send no request on a perfect link, so these are the leaves'.
-func liveDecisions(t *testing.T, p protocol.Params, seed int64) (recs []decRec, links []string, nn, vals uint64) {
+// liveDecisions also returns the final layer statistics and the NeighNum
+// and Value requests delivered. Supers send no request on a perfect link,
+// so these are the leaves'.
+func liveDecisions(t *testing.T, p protocol.Params, seed int64) (recs []decRec, links []string, snap overlay.LayerStats, nn, vals uint64) {
 	t.Helper()
 	n, setClock := manualNet(Config{M: equivM, KS: equivKS, Eta: equivEta, Params: p, Seed: seed})
 	defer n.Stop()
@@ -253,7 +254,9 @@ func liveDecisions(t *testing.T, p protocol.Params, seed int64) (recs []decRec, 
 		apply(tick)
 		n.tickAll()
 	}
-	return recs, liveLinks(n), n.Messages(msg.KindNeighNumRequest), n.Messages(msg.KindValueRequest)
+	// The sim plane's clock ends at equivTicks+1; sample at the same time.
+	setClock(equivTicks + 1)
+	return recs, liveLinks(n), n.Snapshot(), n.Messages(msg.KindNeighNumRequest), n.Messages(msg.KindValueRequest)
 }
 
 // liveLinks describes every live peer's layer and link sets, by ID.
@@ -282,18 +285,19 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 }
 
 // checkEquivalence runs the scenario on both planes with p and seed and
-// compares the decision traces and final topologies.
+// compares the decision traces, final topologies and final layer
+// statistics.
 func checkEquivalence(t *testing.T, p protocol.Params, seed int64) {
 	// The sim plane runs both serial and lane-parallel (4 workers over the
 	// fixed lanes): the goroutine plane must match the sharded simulator
 	// too, not just the serial one.
-	simRecs, simLinks := simDecisions(t, p, seed, 1)
-	shardedRecs, shardedLinks := simDecisions(t, p, seed, 4)
-	liveRecs, liveLinks, nn, vals := liveDecisions(t, p, seed)
+	simRecs, simLinks, simSnap := simDecisions(t, p, seed, 1)
+	shardedRecs, shardedLinks, shardedSnap := simDecisions(t, p, seed, 4)
+	liveRecs, liveLinks, liveSnap, nn, vals := liveDecisions(t, p, seed)
 
-	if !slices.Equal(simRecs, shardedRecs) || !slices.Equal(simLinks, shardedLinks) {
-		t.Fatalf("the sim plane differs across shard counts:\nserial:  %+v\n%v\nsharded: %+v\n%v",
-			simRecs, simLinks, shardedRecs, shardedLinks)
+	if !slices.Equal(simRecs, shardedRecs) || !slices.Equal(simLinks, shardedLinks) || simSnap != shardedSnap {
+		t.Fatalf("the sim plane differs across shard counts:\nserial:  %+v\n%v\n%+v\nsharded: %+v\n%v\n%+v",
+			simRecs, simLinks, simSnap, shardedRecs, shardedLinks, shardedSnap)
 	}
 	if len(simRecs) != len(liveRecs) {
 		t.Fatalf("decision counts differ: sim %d, live %d\nsim:  %+v\nlive: %+v",
@@ -306,6 +310,12 @@ func checkEquivalence(t *testing.T, p protocol.Params, seed int64) {
 	}
 	if !slices.Equal(simLinks, liveLinks) {
 		t.Errorf("final topologies differ:\nsim:  %v\nlive: %v", simLinks, liveLinks)
+	}
+	// Every field, the means included, must agree bit for bit: capacities
+	// and join times are small integers, so each layer sum is exact in
+	// either plane's walk order.
+	if simSnap != liveSnap {
+		t.Errorf("final layer statistics differ:\nsim:  %+v\nlive: %+v", simSnap, liveSnap)
 	}
 
 	// The scenario must actually exercise both role switches and refresh;

@@ -14,7 +14,6 @@
 package live
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -337,34 +336,10 @@ func (n *Net) Snapshot() overlay.LayerStats {
 			continue
 		}
 		p.mu.Lock()
-		age, supers, leaves := float64(now-p.joined), float64(p.supers.Len()), float64(p.leaves.Len())
-		if p.Layer() == overlay.LayerSuper {
-			s.NumSupers++
-			s.AvgCapSuper += p.Capacity
-			s.AvgAgeSuper += age
-			s.AvgLeafDegree += leaves
-			s.AvgSuperDegreeOfSupers += supers
-		} else {
-			s.NumLeaves++
-			s.AvgCapLeaf += p.Capacity
-			s.AvgAgeLeaf += age
-			s.AvgSuperDegreeOfLeaves += supers
-		}
+		s.Add(p.Layer() == overlay.LayerSuper, p.Capacity, float64(now-p.joined), p.supers.Len(), p.leaves.Len())
 		p.mu.Unlock()
 	}
-	s.Ratio = math.Inf(1)
-	if ns := float64(s.NumSupers); ns > 0 {
-		s.Ratio = float64(s.NumLeaves) / ns
-		s.AvgCapSuper /= ns
-		s.AvgAgeSuper /= ns
-		s.AvgLeafDegree /= ns
-		s.AvgSuperDegreeOfSupers /= ns
-	}
-	if nl := float64(s.NumLeaves); nl > 0 {
-		s.AvgCapLeaf /= nl
-		s.AvgAgeLeaf /= nl
-		s.AvgSuperDegreeOfLeaves /= nl
-	}
+	s.Finish()
 	return s
 }
 

@@ -22,7 +22,7 @@ var ErrBadKind = errors.New("msg: unknown message kind")
 
 func payloadSize(k Kind) int {
 	switch k {
-	case KindNeighNumRequest, KindValueRequest, KindPing, KindPong:
+	case KindNeighNumRequest, KindValueRequest:
 		return 0
 	case KindNeighNumResponse:
 		return 4

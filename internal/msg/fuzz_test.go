@@ -17,13 +17,15 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindValueResponse, From: 4, To: 3, Capacity: 64, Age: 17.5, NeighNum: 80},
 		NewQuery(5, 6, 99, 777, 7),
 		NewQueryHit(6, 5, 99, 777, 99, 3),
-		{Kind: KindPing, From: 7, To: 8},
 	}
 	for i := range seeds {
 		f.Add(Encode(nil, &seeds[i]))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 1, 2, 3})
+	// A full header whose kind byte is the first unassigned one: it must
+	// be rejected, not decoded as a zero-payload frame.
+	f.Add([]byte{byte(kindSentinel), 0, 0, 0, 7, 0, 0, 0, 8})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := Decode(data)

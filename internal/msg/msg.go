@@ -33,10 +33,6 @@ const (
 	KindQuery
 	// KindQueryHit travels the inverse query path back to the source.
 	KindQueryHit
-	// KindPing/KindPong are the connection-liveness pair; they exist so
-	// DLM's pairs can be piggybacked, as §6 suggests.
-	KindPing
-	KindPong
 	kindSentinel // keep last
 )
 
@@ -51,8 +47,6 @@ var kindNames = [...]string{
 	KindValueResponse:    "value_response",
 	KindQuery:            "query",
 	KindQueryHit:         "query_hit",
-	KindPing:             "ping",
-	KindPong:             "pong",
 }
 
 // String implements fmt.Stringer.

@@ -37,7 +37,7 @@ func TestIsDLM(t *testing.T) {
 			t.Errorf("%v should be DLM traffic", k)
 		}
 	}
-	for _, k := range []Kind{KindQuery, KindQueryHit, KindPing, KindPong} {
+	for _, k := range []Kind{KindQuery, KindQueryHit} {
 		if k.IsDLM() {
 			t.Errorf("%v should not be DLM traffic", k)
 		}
@@ -69,8 +69,6 @@ func TestRoundTripAllKinds(t *testing.T) {
 		valueFrame(4, 3, 123.5, 42.25, 80),
 		NewQuery(5, 6, 0xdeadbeefcafe, 777, 7),
 		NewQueryHit(6, 5, 0xdeadbeefcafe, 777, 99, 4),
-		{Kind: KindPing, From: 7, To: 8},
-		{Kind: KindPong, From: 8, To: 7},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)

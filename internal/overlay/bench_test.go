@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"testing"
 
 	"dlm/internal/sim"
@@ -42,11 +43,17 @@ func BenchmarkJoinLeave(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot times one layer-statistics sample, a pass over the
+// population, at two sizes.
 func BenchmarkSnapshot(b *testing.B) {
-	n := benchNetwork(b, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.Snapshot()
+	for _, size := range []int{5000, 30000} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			n := benchNetwork(b, size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = n.Snapshot()
+			}
+		})
 	}
 }
 

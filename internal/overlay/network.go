@@ -124,8 +124,8 @@ func (c Counters) PAOOverNLCO() float64 {
 type MessageHandler func(n *Network, to *Peer, m *msg.Message)
 
 // Network is the overlay state: all peers in a dense slab store, both
-// layer membership sets, the incremental layer aggregates, the message
-// plane, and the lifecycle/overhead counters.
+// layer membership sets, the repair deficit set, the message plane, and
+// the lifecycle/overhead counters.
 type Network struct {
 	cfg Config
 	eng *sim.Engine
@@ -153,9 +153,6 @@ type Network struct {
 	// messages whose endpoints map to different sides (see SetPartition).
 	partition func(msg.PeerID) uint8
 
-	// agg is the incremental accounting behind O(1) Snapshot; every
-	// membership and link mutation below keeps it current.
-	agg aggregates
 	// deficit tracks peers below their layer's super-degree repair target
 	// (M for leaves, KS for supers), maintained at every point that moves
 	// a super-degree or a layer threshold — so per-tick Repair visits only
@@ -504,7 +501,6 @@ func (n *Network) Join(capacity, lifetime float64, objects []msg.ObjectID) *Peer
 		layer = LayerSuper // bootstrap: the network needs a backbone
 	}
 	p.Layer = layer
-	n.agg.enroll(p)
 	if layer == LayerSuper {
 		n.supers.Add(p)
 		n.connectToRandomSupers(p, n.cfg.KS, nil)
@@ -545,7 +541,6 @@ func (n *Network) Leave(p *Peer) {
 	// The unlinks emptied both sets; their storage goes to the store.
 	p.superLinks.Clear(&n.spares)
 	p.leafLinks.Clear(&n.spares)
-	n.agg.withdraw(p)
 	if p.Layer == LayerSuper {
 		n.supers.Remove(p, &n.store)
 	} else {
@@ -591,7 +586,6 @@ func (n *Network) Promote(p *Peer) {
 	n.leaves.Remove(p, &n.store)
 	p.Layer = LayerSuper
 	n.supers.Add(p)
-	n.agg.transfer(p, old)
 	// Observers hear the flip before any link moves (see Observer); the
 	// manager hears it below, on the rewired topology.
 	for _, o := range n.observers {
@@ -600,9 +594,7 @@ func (n *Network) Promote(p *Peer) {
 	for _, id := range p.superLinks.IDs() {
 		q := n.store.get(id)
 		q.leafLinks.Remove(p.ID)
-		n.agg.leafLinkDelta(q, -1)
 		q.superLinks.Append(p.ID, &n.spares)
-		n.agg.superLinkDelta(q, +1)
 		n.updateDeficit(q)
 	}
 	// p's degree did not move, but its repair target rose from M to KS.
@@ -629,7 +621,6 @@ func (n *Network) Demote(p *Peer) bool {
 	n.supers.Remove(p, &n.store)
 	p.Layer = LayerLeaf
 	n.leaves.Add(p)
-	n.agg.transfer(p, old)
 	// Observers hear the flip before any link moves (see Observer); the
 	// manager hears it below, on the rewired topology.
 	for _, o := range n.observers {
@@ -645,9 +636,7 @@ func (n *Network) Demote(p *Peer) bool {
 		q := n.store.get(id)
 		if i < keep {
 			q.superLinks.Remove(p.ID)
-			n.agg.superLinkDelta(q, -1)
 			q.leafLinks.Append(p.ID, &n.spares)
-			n.agg.leafLinkDelta(q, +1)
 			n.updateDeficit(q)
 			continue
 		}
@@ -734,11 +723,9 @@ func (n *Network) updateDeficit(p *Peer) {
 func (n *Network) linkInto(p, q *Peer) {
 	if q.Layer == LayerSuper {
 		p.superLinks.Append(q.ID, &n.spares)
-		n.agg.superLinkDelta(p, +1)
 		n.updateDeficit(p)
 	} else {
 		p.leafLinks.Append(q.ID, &n.spares)
-		n.agg.leafLinkDelta(p, +1)
 	}
 }
 
@@ -748,19 +735,13 @@ func (n *Network) unlink(p, q *Peer) {
 		return
 	}
 	if p.superLinks.Remove(q.ID) {
-		n.agg.superLinkDelta(p, -1)
 		n.updateDeficit(p)
 	}
-	if p.leafLinks.Remove(q.ID) {
-		n.agg.leafLinkDelta(p, -1)
-	}
+	p.leafLinks.Remove(q.ID)
 	if q.superLinks.Remove(p.ID) {
-		n.agg.superLinkDelta(q, -1)
 		n.updateDeficit(q)
 	}
-	if q.leafLinks.Remove(p.ID) {
-		n.agg.leafLinkDelta(q, -1)
-	}
+	q.leafLinks.Remove(p.ID)
 	n.mgr.OnDisconnect(n, p, q)
 	for _, o := range n.observers {
 		o.OnDisconnect(n, p, q)

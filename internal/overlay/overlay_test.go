@@ -314,27 +314,27 @@ func TestSendDeliversAndCountsTraffic(t *testing.T) {
 	s := n.Peer(leaf.SuperLinks()[0])
 
 	var got []msg.Kind
-	n.Handle(msg.KindPing, func(_ *Network, to *Peer, m *msg.Message) {
+	n.Handle(msg.KindValueRequest, func(_ *Network, to *Peer, m *msg.Message) {
 		if to.ID != m.To {
 			t.Errorf("delivered to %d, addressed to %d", to.ID, m.To)
 		}
 		got = append(got, m.Kind)
 	})
-	n.Send(msg.Message{Kind: msg.KindPing, From: leaf.ID, To: s.ID})
+	n.Send(msg.Message{Kind: msg.KindValueRequest, From: leaf.ID, To: s.ID})
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages, want 1", len(got))
 	}
 	tr := n.Traffic()
-	if tr.Count(msg.KindPing) != 1 {
-		t.Fatalf("traffic count = %d", tr.Count(msg.KindPing))
+	if tr.Count(msg.KindValueRequest) != 1 {
+		t.Fatalf("traffic count = %d", tr.Count(msg.KindValueRequest))
 	}
 	// Message to a dead peer is counted but dropped.
 	n.Leave(s)
-	n.Send(msg.Message{Kind: msg.KindPing, From: leaf.ID, To: s.ID})
+	n.Send(msg.Message{Kind: msg.KindValueRequest, From: leaf.ID, To: s.ID})
 	if len(got) != 1 {
 		t.Fatal("message to dead peer was delivered")
 	}
-	if n.Traffic().Count(msg.KindPing) != 2 {
+	if n.Traffic().Count(msg.KindValueRequest) != 2 {
 		t.Fatal("message to dead peer not counted")
 	}
 }
@@ -348,10 +348,10 @@ func TestSendWithLatency(t *testing.T) {
 	leaf := n.Peer(n.LeafIDs()[0])
 	s := n.Peer(leaf.SuperLinks()[0])
 	var deliveredAt sim.Time
-	n.Handle(msg.KindPing, func(_ *Network, _ *Peer, _ *msg.Message) {
+	n.Handle(msg.KindValueRequest, func(_ *Network, _ *Peer, _ *msg.Message) {
 		deliveredAt = eng.Now()
 	})
-	n.Send(msg.Message{Kind: msg.KindPing, From: leaf.ID, To: s.ID})
+	n.Send(msg.Message{Kind: msg.KindValueRequest, From: leaf.ID, To: s.ID})
 	if deliveredAt != 0 {
 		t.Fatal("latency message delivered synchronously")
 	}

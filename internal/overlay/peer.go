@@ -74,10 +74,10 @@ type Peer struct {
 	// adversarial scenarios (internal/scenario): a non-zero factor
 	// multiplies the capacity the peer *claims* in protocol messages and
 	// its own promotion evaluations, and the boost inflates its claimed
-	// age — while the true Capacity and Age keep feeding the overlay
-	// aggregates, so the layer-quality damage the lie causes stays
-	// measurable. Zero values (the default) mean an honest peer and leave
-	// every reported value bit-identical to the true one.
+	// age — while Snapshot keeps reading the true Capacity and Age, so the
+	// layer-quality damage the lie causes stays measurable. Zero values
+	// (the default) mean an honest peer and leave every reported value
+	// bit-identical to the true one.
 	MisreportCapFactor float64
 	MisreportAgeBoost  float64
 

@@ -8,7 +8,9 @@ import (
 )
 
 // LayerStats is a point-in-time summary of both layers — exactly the
-// quantities plotted in the paper's Figures 4-8.
+// quantities plotted in the paper's Figures 4-8. Both planes build it the
+// same way: one Add per live peer, then Finish. Between the two the Avg
+// fields hold per-layer sums.
 type LayerStats struct {
 	Time float64
 
@@ -34,72 +36,59 @@ type LayerStats struct {
 	AvgSuperDegreeOfLeaves float64
 }
 
-// Snapshot computes the current layer statistics in O(1) from the
-// incremental aggregates — no peer is touched, so sampling cost is
-// independent of population size. Mean ages come from the sum-of-birth-
-// times identity mean(now − join_i) = now − Σjoin_i/n, exact at any
-// sample instant.
+// Add counts one live peer into its layer's sums. A leaf's leafDeg is
+// ignored: leaves hold no leaf links.
+func (s *LayerStats) Add(super bool, capacity, age float64, superDeg, leafDeg int) {
+	if super {
+		s.NumSupers++
+		s.AvgCapSuper += capacity
+		s.AvgAgeSuper += age
+		s.AvgLeafDegree += float64(leafDeg)
+		s.AvgSuperDegreeOfSupers += float64(superDeg)
+	} else {
+		s.NumLeaves++
+		s.AvgCapLeaf += capacity
+		s.AvgAgeLeaf += age
+		s.AvgSuperDegreeOfLeaves += float64(superDeg)
+	}
+}
+
+// Finish turns the sums Add built into layer means and sets Ratio. An
+// empty layer's means stay 0.
+func (s *LayerStats) Finish() {
+	s.Ratio = math.Inf(1)
+	if ns := float64(s.NumSupers); ns > 0 {
+		s.Ratio = float64(s.NumLeaves) / ns
+		s.AvgCapSuper /= ns
+		s.AvgAgeSuper /= ns
+		s.AvgLeafDegree /= ns
+		s.AvgSuperDegreeOfSupers /= ns
+	}
+	if nl := float64(s.NumLeaves); nl > 0 {
+		s.AvgCapLeaf /= nl
+		s.AvgAgeLeaf /= nl
+		s.AvgSuperDegreeOfLeaves /= nl
+	}
+}
+
+// Snapshot computes the current layer statistics in one WalkPeers pass.
+// Nothing that makes a decision reads it; the experiment drivers call it
+// once per sample interval.
 func (n *Network) Snapshot() LayerStats {
-	now := float64(n.eng.Now())
-	ns := n.supers.Len()
-	nl := n.leaves.Len()
-	s := LayerStats{
-		Time:      now,
-		NumSupers: ns,
-		NumLeaves: nl,
-		Ratio:     n.Ratio(),
-	}
-	if ns > 0 {
-		fns := float64(ns)
-		s.AvgAgeSuper = now - n.agg.sumJoinSuper/fns
-		s.AvgCapSuper = n.agg.sumCapSuper / fns
-		s.AvgLeafDegree = float64(n.agg.leafDegSupers) / fns
-		s.AvgSuperDegreeOfSupers = float64(n.agg.superDegSupers) / fns
-	}
-	if nl > 0 {
-		fnl := float64(nl)
-		s.AvgAgeLeaf = now - n.agg.sumJoinLeaf/fnl
-		s.AvgCapLeaf = n.agg.sumCapLeaf / fnl
-		s.AvgSuperDegreeOfLeaves = float64(n.agg.superDegLeaves) / fnl
-	}
+	now := n.eng.Now()
+	s := LayerStats{Time: float64(now)}
+	n.WalkPeers(func(p *Peer) {
+		s.Add(p.Layer == LayerSuper, p.Capacity, p.Age(now), p.SuperDegree(), p.LeafDegree())
+	})
+	s.Finish()
 	return s
 }
 
-// scanAggregates recomputes the incremental sums by brute force — the
-// oracle the differential test and CheckInvariants compare against.
-func (n *Network) scanAggregates() aggregates {
-	var a aggregates
-	for _, id := range n.supers.items {
-		p := n.store.get(id)
-		a.sumJoinSuper += float64(p.JoinTime)
-		a.sumCapSuper += p.Capacity
-		a.leafDegSupers += int64(p.LeafDegree())
-		a.superDegSupers += int64(p.SuperDegree())
-	}
-	for _, id := range n.leaves.items {
-		p := n.store.get(id)
-		a.sumJoinLeaf += float64(p.JoinTime)
-		a.sumCapLeaf += p.Capacity
-		a.superDegLeaves += int64(p.SuperDegree())
-	}
-	return a
-}
-
-// aggEq compares a maintained float sum against its recomputed oracle
-// with a relative tolerance: the incremental sum sees one rounding per
-// mutation while the scan sees one per element, so exact equality is not
-// guaranteed (the integer degree sums, by contrast, must match exactly).
-func aggEq(incremental, scanned float64) bool {
-	diff := math.Abs(incremental - scanned)
-	scale := math.Max(math.Abs(incremental), math.Abs(scanned))
-	return diff <= 1e-6*math.Max(scale, 1)
-}
-
 // CheckInvariants validates the structural invariants of the overlay —
-// store/layer-set consistency, link symmetry, layer typing, and the
-// incremental aggregates against a brute-force rescan. It returns a list
-// of violations (empty when healthy). It is O(edges) and intended for
-// tests and debug builds, not per-tick use at full scale.
+// store/layer-set consistency, link symmetry, layer typing and the repair
+// deficit set. It returns a list of violations (empty when healthy). It is
+// O(edges) and intended for tests and debug builds, not per-tick use at
+// full scale.
 func (n *Network) CheckInvariants() []string {
 	var bad []string
 	addf := func(format string, args ...any) {
@@ -190,29 +179,5 @@ func (n *Network) CheckInvariants() []string {
 				p.ID, p.SuperDegree(), n.wantDegree(p))
 		}
 	})
-
-	want := n.scanAggregates()
-	got := n.agg
-	if got.leafDegSupers != want.leafDegSupers {
-		addf("agg leafDegSupers = %d, scan = %d", got.leafDegSupers, want.leafDegSupers)
-	}
-	if got.superDegSupers != want.superDegSupers {
-		addf("agg superDegSupers = %d, scan = %d", got.superDegSupers, want.superDegSupers)
-	}
-	if got.superDegLeaves != want.superDegLeaves {
-		addf("agg superDegLeaves = %d, scan = %d", got.superDegLeaves, want.superDegLeaves)
-	}
-	if !aggEq(got.sumJoinSuper, want.sumJoinSuper) {
-		addf("agg sumJoinSuper = %g, scan = %g", got.sumJoinSuper, want.sumJoinSuper)
-	}
-	if !aggEq(got.sumJoinLeaf, want.sumJoinLeaf) {
-		addf("agg sumJoinLeaf = %g, scan = %g", got.sumJoinLeaf, want.sumJoinLeaf)
-	}
-	if !aggEq(got.sumCapSuper, want.sumCapSuper) {
-		addf("agg sumCapSuper = %g, scan = %g", got.sumCapSuper, want.sumCapSuper)
-	}
-	if !aggEq(got.sumCapLeaf, want.sumCapLeaf) {
-		addf("agg sumCapLeaf = %g, scan = %g", got.sumCapLeaf, want.sumCapLeaf)
-	}
 	return bad
 }

@@ -67,7 +67,7 @@ func TestNopManagerAndObserverHooks(t *testing.T) {
 	n.Promote(leaf)
 	n.Demote(leaf)
 	n.Tick()
-	n.Manager().HandleMessage(n, s, &msg.Message{Kind: msg.KindPing})
+	n.Manager().HandleMessage(n, s, &msg.Message{Kind: msg.KindValueRequest})
 	n.Leave(leaf)
 	if bad := n.CheckInvariants(); len(bad) > 0 {
 		t.Fatalf("invariants: %v", bad)

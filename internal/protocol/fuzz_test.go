@@ -19,7 +19,7 @@ func FuzzMachineHandleMessage(f *testing.F) {
 		msg.ValueResponse(2, 1, 123.5, 42.25),
 		msg.ValueResponse(3, 1, -1, 1e300),
 		msg.NewQuery(5, 1, 99, 777, 7),
-		{Kind: msg.KindPing, From: 7, To: 1},
+		msg.NewQueryHit(7, 1, 99, 777, 7, 3),
 	}
 	var stream []byte
 	for i := range seedMsgs {

@@ -13,8 +13,9 @@
 # Printed per end-to-end metric: q1/median/q3 of each side, the pairs the
 # change won (ties count for neither), the change's median as a percent of
 # the parent's median against the metric's `bound` in BENCHMARK.json (beyond
-# bound (better), beyond bound (worse) or within bound), and every run; the
-# same report is
+# bound (better), beyond bound (worse), within bound, or unresolved when a
+# median inside the bound sits on a parent IQR wider than the bound and the
+# change does not beat every parent run), and every run; the same report is
 # written to results/pairs/<REF short sha>-<WORKLOAD>-s<SEED>.txt, the file
 # to commit beside the claim. A run that is not `correct` or has `failed` > 0
 # aborts the script. Nothing under bench/ is involved beyond being run; each
@@ -81,13 +82,18 @@ awk '
     n = sorted(side, m, a)
     return sprintf("%-7s q1 %-10.6g median %-10.6g q3 %-10.6g", side, quantile(a, n, .25), quantile(a, n, .5), quantile(a, n, .75))
   }
-  # verdict compares the median change of metric m with its bound.
-  function verdict(m,    a, n, pm, cm, pct, mark) {
+  # verdict compares the median change of metric m with its bound. A change
+  # inside the bound is unresolved when the parent IQR is wider than the
+  # bound, unless every change run beats every parent run.
+  function verdict(m,    a, c, n, pm, cm, iqr, sep, pct, mark) {
     n = sorted("parent", m, a); pm = quantile(a, n, .5)
-    n = sorted("change", m, a); cm = quantile(a, n, .5)
+    iqr = quantile(a, n, .75) - quantile(a, n, .25)
+    n = sorted("change", m, c); cm = quantile(c, n, .5)
+    sep = better[m] == "lower" ? c[n] < a[1] : c[1] > a[n]
     if (pm == 0) return sprintf("median change: parent median is 0; bound %g %%", 100 * bound[m])
     pct = 100 * (cm - pm) / (pm < 0 ? -pm : pm)
-    if ((pct < 0 ? -pct : pct) <= 100 * bound[m]) mark = "within bound"
+    if ((pct < 0 ? -pct : pct) <= 100 * bound[m])
+      mark = iqr > bound[m] * (pm < 0 ? -pm : pm) && !sep ? "unresolved (parent IQR wider than the bound)" : "within bound"
     else if ((better[m] == "lower") == (pct < 0)) mark = "beyond bound (better)"
     else mark = "beyond bound (worse)"
     return sprintf("median change %+.2f %% of the parent median, bound %g %%: %s", pct, 100 * bound[m], mark)
